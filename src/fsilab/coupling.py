@@ -336,7 +336,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             d_next = d_k.values + omega * r_k
         else:  # IQN_ILS
             if best_norm is None or r_norm < _STALL_FACTOR * best_norm:
-                best_norm = min(best_norm, r_norm) if best_norm is not None else r_norm
+                best_norm = r_norm
                 best_at = k
             elif k - best_at >= _STALL_WINDOW:
                 # stale secant data (typical under tight inner-iteration caps)

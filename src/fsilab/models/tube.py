@@ -16,7 +16,9 @@ boundary faces. The cross-section profile ``a`` is frozen from the interface
 displacement for the whole solver call, so its rate of change acts as a fixed
 mass source. Every pressure stencil is a two-point difference, so no
 checkerboard mode exists, and the discrete global mass balance closes exactly
-with the physical boundary fluxes ``a_face * v`` at the two ends.
+with the physical boundary fluxes ``a_face * v`` at the two ends. The system
+matrix and its Newton tangent are kept as bands (:class:`FlowOperator`) and
+solved in O(n) operations.
 
 Solid
 -----
@@ -46,7 +48,7 @@ import numpy as np
 
 from ..errors import ContractError, GeometryError
 from ..interface import FieldRole, InterfaceField
-from ..subproblem import DriverKind, NonlinearSystemSpec, Preconditioner
+from ..subproblem import DiagonalOperator, DriverKind, NonlinearSystemSpec, Preconditioner
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,59 @@ def mass_balance_error(params: Tube1DParams, state_old: TubeState,
     return float(dvol + params.dt * (outflux - influx))
 
 
+class FlowOperator:
+    """The staggered flow system ``[[T, G], [D, 0]]`` kept as bands; O(n) apply and solve.
+
+    ``T`` (faces x faces) is tridiagonal with bands ``lo``, ``diag``, ``up``.
+    ``G`` (faces x cells) is the lower-bidiagonal pressure gradient: face j
+    reads ``g_j * (p_j - p_{j-1})``, with the missing neighbour dropped at the
+    two end faces. ``D`` (cells x faces) is the upper-bidiagonal mass block:
+    cell i reads ``d_{i+1} v_{i+1} - d_i v_i``.
+    """
+
+    def __init__(self, lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
+                 g: np.ndarray, d: np.ndarray):
+        self.lo, self.diag, self.up = lo, diag, up
+        self.g, self.d = g, d
+
+    def _t(self, x: np.ndarray) -> np.ndarray:
+        y = self.diag * x
+        y[1:] += self.lo * x[:-1]
+        y[:-1] += self.up * x[1:]
+        return y
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        nf = self.diag.size
+        v, p = u[:nf], u[nf:]
+        mom = self._t(v)
+        mom[:-1] += self.g[:-1] * p
+        mom[1:] -= self.g[1:] * p
+        return np.concatenate([mom, self.d[1:] * v[1:] - self.d[:-1] * v[:-1]])
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """Solve ``[[T, G], [D, 0]] [v; p] = [f; h]`` in three sweeps.
+
+        ``D v = h`` fixes the fluxes ``d * v`` up to one constant ``c`` (a
+        cumulative sum): ``v = v_h + c z`` with ``z = 1/d``. ``1/g`` is a left
+        null vector of ``G``, so ``(1/g)^T T v = (1/g)^T f`` fixes ``c``. Then
+        ``G p = f - T v`` is a cumulative sum down the faces.
+        """
+        nf = self.diag.size
+        f, h = r[:nf], r[nf:]
+        ell = 1.0 / self.g
+        z = 1.0 / self.d
+        ell_t_z = ell @ self._t(z)
+        if ell_t_z == 0.0 or not np.isfinite(ell_t_z):
+            raise np.linalg.LinAlgError("singular flow operator")
+        v_h = np.concatenate([[0.0], np.cumsum(h)]) * z
+        v = v_h + ((ell @ (f - self._t(v_h))) / ell_t_z) * z
+        p = np.cumsum((f - self._t(v))[:-1] * ell[:-1])
+        return np.concatenate([v, p])
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate([self.diag, np.zeros(self.d.size - 1)])
+
+
 def tube_flow_system(
     params: Tube1DParams,
     state: TubeState,
@@ -194,44 +249,47 @@ def tube_flow_system(
     frozen = displacement.values
 
     dim = 2 * n + 1
-    faces = np.arange(n + 1)
-    jf = np.arange(1, n)  # interior faces
-    cells = np.arange(n)
 
-    def _cell_flux_coeffs(v_lin: np.ndarray):
-        """Momentum flux through cell i: a_i * vc_i * v_up(i), linearized at v_lin."""
-        vc = 0.5 * (v_lin[:-1] + v_lin[1:])  # cell-center velocity
-        up = np.where(vc >= 0.0, cells, cells + 1)  # upwind face index
-        return a * vc, up, vc
+    g = a_face / (rho * dx)  # pressure-gradient weights; the half-cell end rows double
+    g[[0, n]] *= 2.0
+    d = a_face / dx  # mass-flux weights
 
-    def assemble_matrix(u: np.ndarray) -> np.ndarray:
-        v_lin = u[: n + 1]
-        A = np.zeros((dim, dim))
-
-        # momentum rows (faces): time term
-        A[faces, faces] += a_face / dt
-        # convection: face j balances (F_j - F_{j-1})/dx with cell-center
-        # fluxes, so the flux through cell i is the right flux of face i (+)
-        # and the left flux of face i+1 (-)
-        coeff, up, _ = _cell_flux_coeffs(v_lin)
-        A[cells, up] += coeff / dx
-        A[cells + 1, up] -= coeff / dx
+    def _momentum_bands(v: np.ndarray):
+        """Time, upwind convection and boundary-flux bands of the momentum block."""
+        # face j balances (F_j - F_{j-1})/dx with cell-center fluxes, so the
+        # flux through cell i, a_i*vc_i*v_up(i), is the right flux of face i
+        # (+) and the left flux of face i+1 (-)
+        vc = 0.5 * (v[:-1] + v[1:])
+        coeff = a * vc / dx
+        forward = vc >= 0.0  # upwind face is i, else i+1
+        cf = np.where(forward, coeff, 0.0)
+        cb = np.where(forward, 0.0, coeff)
+        diag = a_face / dt
+        diag[:-1] += cf
+        diag[1:] -= cb
         # boundary extension fluxes: F_{-1} = a_face0*v0*v0, F_n = a_facen*vn*vn
-        A[0, 0] -= a_face[0] * v_lin[0] / dx
-        A[n, n] += a_face[n] * v_lin[n] / dx
+        diag[0] -= a_face[0] * v[0] / dx
+        diag[n] += a_face[n] * v[n] / dx
+        return -cf, diag, cb, forward
 
-        # pressure gradient: interior face j couples p_{j-1}, p_j
-        pcol = n + 1 + np.arange(n)
-        A[jf, pcol[jf]] += a_face[jf] / (rho * dx)
-        A[jf, pcol[jf - 1]] -= a_face[jf] / (rho * dx)
-        # half-cell rows at the two boundary faces
-        A[0, pcol[0]] += 2.0 * a_face[0] / (rho * dx)
-        A[n, pcol[n - 1]] -= 2.0 * a_face[n] / (rho * dx)
+    def assemble_matrix(u: np.ndarray) -> FlowOperator:
+        lo, diag, up, _ = _momentum_bands(u[: n + 1])
+        return FlowOperator(lo, diag, up, g, d)
 
-        # mass rows (cells): (a_face[i+1] v_{i+1} - a_face[i] v_i)/dx
-        A[n + 1 + cells, cells + 1] += a_face[cells + 1] / dx
-        A[n + 1 + cells, cells] -= a_face[cells] / dx
-        return A
+    def tangent(u: np.ndarray) -> FlowOperator:
+        v = u[: n + 1]
+        lo, diag, up, forward = _momentum_bands(v)
+        # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
+        # 0.5*a_i*v_up against both faces of cell i
+        w = 0.5 * a * np.where(forward, v[:-1], v[1:]) / dx
+        diag[:-1] += w
+        up += w
+        lo -= w
+        diag[1:] -= w
+        # boundary extension fluxes a_face*v*v
+        diag[0] -= a_face[0] * v[0] / dx
+        diag[n] += a_face[n] * v[n] / dx
+        return FlowOperator(lo, diag, up, g, d)
 
     def assemble_rhs(coupling: InterfaceField) -> np.ndarray:
         if coupling.size != params.n_nodes:
@@ -244,22 +302,6 @@ def tube_flow_system(
         b[n] -= 2.0 * a_face[n] * p_out / (rho * dx)
         b[n + 1 :] = -(a - a_old) / dt
         return b
-
-    def tangent(u: np.ndarray) -> np.ndarray:
-        v_lin = u[: n + 1]
-        K = assemble_matrix(u)
-        # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
-        # 0.5*a_i*v_up against both faces of cell i
-        _, up, _ = _cell_flux_coeffs(v_lin)
-        w = 0.5 * a * v_lin[up] / dx
-        K[cells, cells] += w
-        K[cells, cells + 1] += w
-        K[cells + 1, cells] -= w
-        K[cells + 1, cells + 1] -= w
-        # boundary extension fluxes a_face*v*v
-        K[0, 0] -= a_face[0] * v_lin[0] / dx
-        K[n, n] += a_face[n] * v_lin[n] / dx
-        return K
 
     def extract_output(u: np.ndarray) -> InterfaceField:
         p = u[n + 1 :]
@@ -307,10 +349,10 @@ def tube_solid_system(
     interior = np.zeros(m, dtype=bool)
     interior[1:-1] = True
 
-    def assemble_matrix(u: np.ndarray) -> np.ndarray:
+    def assemble_matrix(u: np.ndarray) -> DiagonalOperator:
         diag = np.full(m, ms_dt2 + k1)
         diag[interior] += kappa3 * u[interior] ** 2
-        return np.diag(diag)
+        return DiagonalOperator(diag)
 
     def assemble_rhs(coupling: InterfaceField) -> np.ndarray:
         if coupling.size != m:
@@ -321,10 +363,10 @@ def tube_solid_system(
             b[interior] += ms_dt2 * (d_old[interior] + params.dt * w_old[interior])
         return b
 
-    def tangent(u: np.ndarray) -> np.ndarray:
+    def tangent(u: np.ndarray) -> DiagonalOperator:
         diag = np.full(m, ms_dt2 + k1)
         diag[interior] += 3.0 * kappa3 * u[interior] ** 2
-        return np.diag(diag)
+        return DiagonalOperator(diag)
 
     return NonlinearSystemSpec(
         dim=m,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -40,6 +40,10 @@ from .interface import (
 # Safety limits for nominally unbounded inner loops.
 _ITER_CEILING = 100_000
 _GROWTH_GUARD = 1e8
+# Below this multiple of ||b||/sqrt(n) a residual is round-off: an eps beneath
+# it is only met by chance, so a stall there is reported, not iterated on.
+_ROUNDOFF_FLOOR = 1e3 * np.finfo(float).eps
+_FLOOR_STALL_ITERS = 5
 
 
 class Preconditioner(Enum):
@@ -57,21 +61,78 @@ class SolverId(Enum):
     SOLID = "solid"
 
 
+class LinearOperator(Protocol):
+    """What the drivers need of ``A(u)`` and ``K(u)``: apply, solve, diagonal.
+
+    ``solve`` raises :class:`numpy.linalg.LinAlgError` when the operator is
+    singular.
+    """
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray: ...
+
+    def solve(self, r: np.ndarray) -> np.ndarray: ...
+
+    def diagonal(self) -> np.ndarray: ...
+
+
+class DenseOperator:
+    """A dense matrix behind the :class:`LinearOperator` protocol."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.matrix @ u
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self.matrix, r)
+
+    def diagonal(self) -> np.ndarray:
+        return self.matrix.diagonal()
+
+
+class DiagonalOperator:
+    """``diag(d)``; its solve is an element-wise divide."""
+
+    def __init__(self, d: np.ndarray):
+        self.d = d
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.d * u
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        if not np.all(self.d):
+            raise np.linalg.LinAlgError("zero diagonal entry")
+        return r / self.d
+
+    def diagonal(self) -> np.ndarray:
+        return self.d
+
+
+def as_operator(m) -> LinearOperator:
+    """The drivers' view of what a spec callable returned: ndarrays become dense."""
+    return DenseOperator(m) if isinstance(m, np.ndarray) else m
+
+
 @dataclass
 class NonlinearSystemSpec:
     """One subproblem in ``A(u) u = b`` form.
 
-    ``assemble_rhs`` maps the coupling input (an :class:`InterfaceField`) to the
-    right-hand side; it is evaluated exactly once per solver call. ``tangent``
-    must return ``K(u) = A(u) + (dA/du) u`` and is required by the Newton
-    driver. ``extract_output`` maps the converged interior state to the
-    interface field this solver feeds back to its partner.
+    ``assemble_matrix(u)`` returns ``A(u)`` and ``tangent(u)`` returns
+    ``K(u) = A(u) + (dA/du) u``; the Newton driver requires the tangent. Both
+    return a :class:`LinearOperator` (``M @ u``, ``M.solve(r)``,
+    ``M.diagonal()``, with ``solve`` raising ``numpy.linalg.LinAlgError`` when
+    ``M`` is singular) or a dense ndarray, which the drivers wrap in a
+    :class:`DenseOperator`. ``assemble_rhs`` maps the coupling input (an
+    :class:`InterfaceField`) to the right-hand side; it is evaluated exactly
+    once per solver call. ``extract_output`` maps the converged interior state
+    to the interface field this solver feeds back to its partner.
     """
 
     dim: int
-    assemble_matrix: Callable[[np.ndarray], np.ndarray]
+    assemble_matrix: Callable[[np.ndarray], LinearOperator | np.ndarray]
     assemble_rhs: Callable[[InterfaceField], np.ndarray]
-    tangent: Callable[[np.ndarray], np.ndarray] | None = None
+    tangent: Callable[[np.ndarray], LinearOperator | np.ndarray] | None = None
     preconditioner: Preconditioner = Preconditioner.DIAGONAL_OF_A
     driver: DriverKind = DriverKind.NEWTON
     extract_output: Callable[[np.ndarray], InterfaceField] | None = None
@@ -110,10 +171,12 @@ def _prepare(spec: NonlinearSystemSpec, inp: SolverCallInput):
     if b.shape != (spec.dim,):
         raise ContractError(f"rhs has shape {b.shape}, expected ({spec.dim},)")
     b.setflags(write=False)  # b is frozen for the whole call
-    return u, b
+    floor = _ROUNDOFF_FLOOR * float(np.linalg.norm(b)) / np.sqrt(spec.dim)
+    return u, b, floor
 
 
-def _guards(history: list, i: int, u: np.ndarray, bounded: bool, label: str) -> None:
+def _guards(history: list, i: int, u: np.ndarray, bounded: bool, label: str,
+            floor: float, eps: float) -> None:
     if not np.all(np.isfinite(u)):
         raise DivergenceError(f"{label}: non-finite iterate at inner iteration {i}")
     if not bounded:
@@ -121,6 +184,13 @@ def _guards(history: list, i: int, u: np.ndarray, bounded: bool, label: str) -> 
             raise DivergenceError(f"{label}: no convergence within {_ITER_CEILING} iterations")
         if history[-1] > _GROWTH_GUARD * max(history[0], 1.0):
             raise DivergenceError(f"{label}: residual grew beyond guard at iteration {i}")
+        # only an eps beneath the floor can livelock; a residual below eps has
+        # converged and is left to the caller's batch check
+        w = _FLOOR_STALL_ITERS
+        if (eps <= history[-1] <= floor and i > w
+                and min(history[-w:]) >= min(history[:-w])):
+            raise DivergenceError(
+                f"{label}: residual stalled at the round-off floor at iteration {i}")
 
 
 def _report(history: list, eps: float) -> SolverCallReport:
@@ -136,25 +206,26 @@ def newton_drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
     """Newton inner iterations on ``A(u) u = b``; returns ``(u, report)``."""
     if spec.tangent is None:
         raise ContractError("newton_drive requires a tangent map")
-    u, b = _prepare(spec, inp)
+    u, b, floor = _prepare(spec, inp)
     bounded = not is_unbounded(inp.n_max)
     history: list = []
     i = 0
     while True:
         i += 1
-        A = spec.assemble_matrix(u)
+        A = as_operator(spec.assemble_matrix(u))
         r = b - A @ u
         history.append(residual_norm(r, spec.dim))
-        K = spec.tangent(u)
+        K = as_operator(spec.tangent(u))
         try:
-            du = np.linalg.solve(K, r)
+            du = K.solve(r)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(
                 f"{spec.label or 'newton'}: singular tangent at inner iteration {i}",
                 iteration=i,
             ) from exc
         u = u + du
-        _guards(history, i, u, bounded, spec.label or "newton")
+        _guards(history, i, u, bounded, spec.label or "newton", floor,
+                inp.eps)
         if history[-1] < inp.eps:
             break
         if bounded and i >= inp.n_max:
@@ -169,29 +240,30 @@ def picard_drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
     B iterations, so the iteration count is a multiple of B unless the cap
     truncates the final batch.
     """
-    u, b = _prepare(spec, inp)
+    u, b, floor = _prepare(spec, inp)
     bounded = not is_unbounded(inp.n_max)
     B = inp.batch_size
     history: list = []
     i = 0
     while True:
         i += 1
-        A = spec.assemble_matrix(u)
+        A = as_operator(spec.assemble_matrix(u))
         r = b - A @ u
         history.append(residual_norm(r, spec.dim))
         if spec.preconditioner is Preconditioner.FULL_A:
             M = A
         else:
-            M = np.diag(np.diag(A))
+            M = DiagonalOperator(A.diagonal())
         try:
-            du = np.linalg.solve(M, r)
+            du = M.solve(r)
         except np.linalg.LinAlgError as exc:
             raise PreconditionerError(
                 f"{spec.label or 'picard'}: singular preconditioner at inner iteration {i}",
                 iteration=i,
             ) from exc
         u = u + du
-        _guards(history, i, u, bounded, spec.label or "picard")
+        _guards(history, i, u, bounded, spec.label or "picard", floor,
+                inp.eps)
         if i % B == 0 and history[-1] < inp.eps:
             break
         if bounded and i >= inp.n_max:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsilab import (
     CouplingConfig,
@@ -17,6 +18,7 @@ from fsilab.errors import ContractError, GeometryError
 from fsilab.models import Tube1DModel
 from fsilab.models.tube import (
     Tube1DParams,
+    _face_average,
     areas_from_displacement,
     initial_tube_state,
     mass_balance_error,
@@ -36,6 +38,76 @@ def zero_disp(params):
 
 def flow_u0(params):
     return np.zeros(2 * params.cells + 1)
+
+
+def dense_flow_reference(params, displacement):
+    """Dense ``(assemble_matrix, tangent)`` of the flow system: the oracle for
+    the banded :class:`~fsilab.models.tube.FlowOperator`."""
+    n = params.cells
+    dx, dt, rho = params.dx, params.dt, params.rho_f
+    a = areas_from_displacement(params, displacement.values)
+    a_face = _face_average(a)
+    dim = 2 * n + 1
+    faces = np.arange(n + 1)
+    jf = np.arange(1, n)  # interior faces
+    cells = np.arange(n)
+
+    def _cell_flux_coeffs(v_lin: np.ndarray):
+        """Momentum flux through cell i: a_i * vc_i * v_up(i), linearized at v_lin."""
+        vc = 0.5 * (v_lin[:-1] + v_lin[1:])  # cell-center velocity
+        up = np.where(vc >= 0.0, cells, cells + 1)  # upwind face index
+        return a * vc, up, vc
+
+    def assemble_matrix(u: np.ndarray) -> np.ndarray:
+        v_lin = u[: n + 1]
+        A = np.zeros((dim, dim))
+
+        # momentum rows (faces): time term
+        A[faces, faces] += a_face / dt
+        # convection: face j balances (F_j - F_{j-1})/dx with cell-center
+        # fluxes, so the flux through cell i is the right flux of face i (+)
+        # and the left flux of face i+1 (-)
+        coeff, up, _ = _cell_flux_coeffs(v_lin)
+        A[cells, up] += coeff / dx
+        A[cells + 1, up] -= coeff / dx
+        # boundary extension fluxes: F_{-1} = a_face0*v0*v0, F_n = a_facen*vn*vn
+        A[0, 0] -= a_face[0] * v_lin[0] / dx
+        A[n, n] += a_face[n] * v_lin[n] / dx
+
+        # pressure gradient: interior face j couples p_{j-1}, p_j
+        pcol = n + 1 + np.arange(n)
+        A[jf, pcol[jf]] += a_face[jf] / (rho * dx)
+        A[jf, pcol[jf - 1]] -= a_face[jf] / (rho * dx)
+        # half-cell rows at the two boundary faces
+        A[0, pcol[0]] += 2.0 * a_face[0] / (rho * dx)
+        A[n, pcol[n - 1]] -= 2.0 * a_face[n] / (rho * dx)
+
+        # mass rows (cells): (a_face[i+1] v_{i+1} - a_face[i] v_i)/dx
+        A[n + 1 + cells, cells + 1] += a_face[cells + 1] / dx
+        A[n + 1 + cells, cells] -= a_face[cells] / dx
+        return A
+
+    def tangent(u: np.ndarray) -> np.ndarray:
+        v_lin = u[: n + 1]
+        K = assemble_matrix(u)
+        # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
+        # 0.5*a_i*v_up against both faces of cell i
+        _, up, _ = _cell_flux_coeffs(v_lin)
+        w = 0.5 * a * v_lin[up] / dx
+        K[cells, cells] += w
+        K[cells, cells + 1] += w
+        K[cells + 1, cells] -= w
+        K[cells + 1, cells + 1] -= w
+        # boundary extension fluxes a_face*v*v
+        K[0, 0] -= a_face[0] * v_lin[0] / dx
+        K[n, n] += a_face[n] * v_lin[n] / dx
+        return K
+
+    return assemble_matrix, tangent
+
+
+def rel_err(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
 class TestParams:
@@ -147,7 +219,8 @@ class TestFlowSystem:
         n = p.cells
         u = np.concatenate([0.2 + 0.03 * rng.standard_normal(n + 1),
                             400.0 + 30.0 * rng.standard_normal(n)])
-        k = spec.tangent(u)
+        tangent = spec.tangent(u)
+        k = np.column_stack([tangent @ e for e in np.eye(u.size)])
         h = 1e-6
 
         def f(x):
@@ -159,6 +232,26 @@ class TestFlowSystem:
             e[j] = h
             k_fd[:, j] = (f(u + e) - f(u - e)) / (2 * h)
         assert np.max(np.abs(k - k_fd)) <= 1e-6 * np.max(np.abs(k_fd))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           v_scale=st.floats(1e-3, 1.0), disp_scale=st.floats(0.0, 1e-3))
+    def test_banded_operators_match_dense_reference(self, cells, seed, v_scale, disp_scale):
+        p = Tube1DParams(cells=cells, steps=1)
+        rng = np.random.default_rng(seed)
+        d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes),
+                           FieldRole.DISPLACEMENT)
+        spec = tube_flow_system(p, initial_tube_state(p), d)
+        # velocities of both signs exercise both upwind branches
+        u = np.concatenate([v_scale * rng.uniform(-1.0, 1.0, cells + 1),
+                            1000.0 * rng.standard_normal(cells)])
+        r = rng.standard_normal(u.size)
+        for op, dense in zip((spec.assemble_matrix, spec.tangent),
+                             dense_flow_reference(p, d)):
+            m, ref = op(u), dense(u)
+            assert rel_err(m @ u, ref @ u) <= 1e-14
+            assert rel_err(m.solve(r), np.linalg.solve(ref, r)) <= 1e-11
+            assert np.array_equal(m.diagonal(), np.diag(ref))
 
     def test_wrong_displacement_rejected(self, params):
         state = initial_tube_state(params)

@@ -23,6 +23,8 @@ from fsilab.errors import (
     PreconditionerError,
 )
 from fsilab.models import LinearToyModel
+from fsilab.models.tube import FlowOperator
+from fsilab.subproblem import DiagonalOperator
 
 DUMMY = InterfaceField(np.zeros(1), FieldRole.DISPLACEMENT)
 
@@ -186,6 +188,77 @@ class TestPicardDrive:
         )
         with pytest.raises(DivergenceError):
             picard_drive(spec, call_input([0.0, 0.5], eps=1e-30))
+
+
+def _diagonal_pair():
+    return DiagonalOperator(np.ones(5)), DiagonalOperator(np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
+
+
+def _flow_pair():
+    # n = 2 cells: T = I is regular; T = 0 leaves the velocity constant unfixed
+    ones = np.ones(3)
+    regular = FlowOperator(np.zeros(2), ones, np.zeros(2), ones, ones)
+    singular = FlowOperator(np.zeros(2), np.zeros(3), np.zeros(2), ones, ones)
+    return regular, singular
+
+
+class TestStructuredOperators:
+    @pytest.mark.parametrize("pair, driver, error, preconditioner", [
+        (_diagonal_pair, newton_drive, LinearSolveError, Preconditioner.FULL_A),
+        (_diagonal_pair, picard_drive, PreconditionerError, Preconditioner.FULL_A),
+        (_diagonal_pair, picard_drive, PreconditionerError, Preconditioner.DIAGONAL_OF_A),
+        (_flow_pair, newton_drive, LinearSolveError, Preconditioner.FULL_A),
+        (_flow_pair, picard_drive, PreconditionerError, Preconditioner.FULL_A),
+    ])
+    def test_singular_operator_reports_iteration(self, pair, driver, error, preconditioner):
+        # regular at u0 = 0, singular at every later iterate
+        regular, singular = pair()
+        op = lambda u: singular if u.any() else regular
+        spec = NonlinearSystemSpec(dim=5, assemble_matrix=op, tangent=op,
+                                   assemble_rhs=lambda c: np.ones(5),
+                                   preconditioner=preconditioner)
+        with pytest.raises(error) as err:
+            driver(spec, call_input(np.zeros(5)))
+        assert err.value.iteration == 2
+
+
+def _roundoff_bound_spec(calls):
+    """20x20 linear system whose residual, after one solve, sits at round-off of
+    ``||b|| ~ 1e8`` (~5e-9) and never reaches an eps of 1e-12."""
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-1, 1, (20, 20)) + 5 * np.eye(20)
+    b = 1e8 * rng.uniform(-1, 1, 20)
+    return NonlinearSystemSpec(
+        dim=20,
+        assemble_matrix=lambda u: (calls.append(1), a.copy())[1],
+        assemble_rhs=lambda c: b.copy(),
+        tangent=lambda u: a.copy(),
+        preconditioner=Preconditioner.FULL_A,
+    )
+
+
+class TestRoundoffFloor:
+    @pytest.mark.parametrize("driver", [newton_drive, picard_drive])
+    def test_eps_below_roundoff_fails_fast(self, driver):
+        # the uncapped call gives up instead of spinning to the iteration ceiling
+        calls = []
+        with pytest.raises(DivergenceError, match="round-off"):
+            driver(_roundoff_bound_spec(calls), call_input(np.zeros(20), eps=1e-12))
+        assert len(calls) <= 20
+
+    @pytest.mark.parametrize("batch_size", [6, 8])
+    def test_converged_call_still_runs_full_batch(self, batch_size):
+        # residual 0 on every iteration: converged, not stalled, so the batch ends
+        _, rep = picard_drive(scalar_affine(),
+                              call_input([2.0], eps=1e-10, batch_size=batch_size))
+        assert rep.inner_iters == batch_size
+        assert rep.final_residual == 0.0
+
+    def test_capped_call_is_not_guarded(self):
+        # a cap ends the loop itself, so a capped call returns its iterate
+        _, rep = newton_drive(_roundoff_bound_spec([]),
+                              call_input(np.zeros(20), eps=1e-12, n_max=30))
+        assert rep.inner_iters == 30
 
 
 class TestBatching:
