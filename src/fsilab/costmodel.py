@@ -39,30 +39,11 @@ class CostFactors:
         """Aggregate cost per coupling iteration."""
         return self.c_couple + self.c_fix_f + self.c_fix_s
 
-    def scaled(self, factor: float) -> "CostFactors":
-        return CostFactors(*(factor * x for x in
-                             (self.c_couple, self.c_fix_f, self.c_iter_f,
-                              self.c_fix_s, self.c_iter_s)))
-
-
-@dataclass(frozen=True)
-class TimingSample:
-    """Iteration counts and measured timings of one run."""
-
-    n_c: int
-    n_f: int
-    n_s: int
-    t_f: float
-    t_s: float
-    t_c: float
-
-    def __post_init__(self):
-        if min(self.n_c, self.n_f, self.n_s) < 0 or min(self.t_f, self.t_s, self.t_c) < 0:
-            raise ContractError("counts and timings must be non-negative")
-
-    @property
-    def t_total(self) -> float:
-        return self.t_f + self.t_s + self.t_c
+    def timings(self, n_c, n_f, n_s) -> tuple:
+        """Modeled ``(T_f, T_s, T_c)`` of a run with the given iteration counts."""
+        return (n_c * self.c_fix_f + n_f * self.c_iter_f,
+                n_c * self.c_fix_s + n_s * self.c_iter_s,
+                n_c * self.c_couple)
 
 
 def equivalent_time(counters, factors: CostFactors) -> float:
@@ -71,14 +52,6 @@ def equivalent_time(counters, factors: CostFactors) -> float:
     if min(n_c, n_f, n_s) < 0:
         raise ContractError("counters must be non-negative")
     return n_c * factors.gamma() + n_f * factors.c_iter_f + n_s * factors.c_iter_s
-
-
-def literature_measure(counters, cost_per_coupling_iter: float) -> float:
-    """Baseline measure that prices coupling iterations only (inner iterations free)."""
-    n_c = counters[0] if isinstance(counters, (tuple, list)) else counters
-    if n_c < 0 or cost_per_coupling_iter < 0:
-        raise ContractError("inputs must be non-negative")
-    return n_c * cost_per_coupling_iter
 
 
 def fit_solver_cost(samples) -> tuple:
@@ -114,6 +87,32 @@ def fit_coupling_cost(samples) -> float:
     return float(n_c @ t) / denom
 
 
+def fit_cost_factors(samples) -> CostFactors:
+    """Fit all five factors from ``(n_c, n_f, n_s, t_f, t_s, t_c)`` run samples.
+
+    Slightly negative coefficients (possible when noisy measured timings meet
+    a barely conditioned grid) are clamped to zero. Raises
+    :class:`RankDeficiencyError` (with guidance) for fewer than 3 samples or
+    counters too collinear to separate.
+    """
+    data = list(samples)
+    if len(data) < 3:
+        raise RankDeficiencyError(
+            "need at least 3 converged runs with timings; widen the sweep grid")
+    try:
+        c_fix_f, c_iter_f = fit_solver_cost([(d[0], d[1], d[3]) for d in data])
+        c_fix_s, c_iter_s = fit_solver_cost([(d[0], d[2], d[4]) for d in data])
+    except RankDeficiencyError as exc:
+        raise RankDeficiencyError(
+            f"{exc}; vary the caps so N_c and the inner-iteration counts decouple"
+        ) from exc
+    c_couple = fit_coupling_cost([(d[0], d[5]) for d in data])
+    c_couple, c_fix_f, c_iter_f, c_fix_s, c_iter_s = (
+        max(x, 0.0) for x in (c_couple, c_fix_f, c_iter_f, c_fix_s, c_iter_s))
+    return CostFactors(c_couple=c_couple, c_fix_f=c_fix_f, c_iter_f=c_iter_f,
+                       c_fix_s=c_fix_s, c_iter_s=c_iter_s)
+
+
 def _check_pair(actual, fitted):
     a = np.asarray(actual, dtype=float)
     f = np.asarray(fitted, dtype=float)
@@ -142,26 +141,3 @@ def mape_maxape(actual, predicted) -> tuple:
         raise ContractError("percentage errors undefined for zero actual entries")
     rel = np.abs((a - p) / a)
     return float(rel.mean()), float(rel.max())
-
-
-def scenario_cost(counter_grid, factors: CostFactors) -> np.ndarray:
-    """Map :func:`equivalent_time` over a grid of ``(N_c, N_f, N_s)`` triples.
-
-    The grid may have any leading shape; the trailing axis holds the triple.
-    """
-    grid = np.asarray(counter_grid, dtype=float)
-    if grid.shape[-1] != 3:
-        raise ContractError("trailing axis must hold (N_c, N_f, N_s)")
-    weights = np.array([factors.gamma(), factors.c_iter_f, factors.c_iter_s])
-    return grid @ weights
-
-
-#: Artificial cost-factor scenarios for trend studies on fixed iteration counts.
-SCENARIOS = {
-    # every iteration equally priced: cost proportional to N_c + N_f + N_s
-    "uniform": CostFactors(c_couple=1.0, c_iter_f=1.0, c_iter_s=1.0),
-    # nearly free flow iterations
-    "cheap_flow_iterations": CostFactors(c_couple=1.0, c_iter_f=0.01, c_iter_s=1.0),
-    # data exchange dominates everything
-    "expensive_coupling": CostFactors(c_couple=120.0, c_iter_f=1.0, c_iter_s=1.0),
-}

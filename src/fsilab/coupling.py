@@ -19,7 +19,7 @@ nearly dependent columns.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -214,21 +214,24 @@ def check_convergence(
 
 @dataclass
 class TimeStepRecord:
-    """Per-time-step outcome: iteration counts and accepted-state diagnostics.
+    """Per-time-step outcome: iteration counts, seconds, events, diagnostics.
 
     ``accepted_norms`` is ``(||r||, ||r||/||d||, would-be update increment)``
     at acceptance; the relative norm is +inf when the displacement is zero.
+    An aborted step's record has ``converged=False`` and ``accepted_norms=None``
+    and counts every iteration and second spent up to the abort.
     """
 
     step: int
     coupling_iters: int
     flow_iters: int
     solid_iters: int
-    accepted_norms: tuple
+    accepted_norms: tuple | None
     converged: bool
     flow_time: float = 0.0
     solid_time: float = 0.0
     audit: tuple | None = None
+    events: list = field(default_factory=list)
 
 
 def _would_be_increment(config, hist, omega, r_k, d_tilde_vals) -> float:
@@ -246,10 +249,11 @@ def _would_be_increment(config, hist, omega, r_k, d_tilde_vals) -> float:
 
 def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
                   resolve_audit: bool = False):
-    """One coupled time step; returns ``(record, d_accepted, u_f, u_s, events)``.
+    """One coupled time step; returns ``(record, d_accepted, u_f, u_s)``.
 
-    Raises :class:`DivergedStepError` (with partial counts attached) when the
-    coupling-iteration budget is exhausted or the residual grows unboundedly.
+    Raises :class:`DivergedStepError`, with the step's unconverged
+    :class:`TimeStepRecord` as ``partial``, when the coupling-iteration budget
+    is exhausted or the residual grows unboundedly.
     """
     d_k = d_start
     r_prev = None
@@ -264,11 +268,11 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
 
     def _abort(reason: str):
         exc = DivergedStepError(f"time step {step}: {reason}", step=step)
-        exc.coupling_iters = k
-        exc.flow_iters = flow_iters
-        exc.solid_iters = solid_iters
-        exc.flow_time = flow_time
-        exc.solid_time = solid_time
+        exc.partial = TimeStepRecord(
+            step=step, coupling_iters=k, flow_iters=flow_iters, solid_iters=solid_iters,
+            accepted_norms=None, converged=False, flow_time=flow_time, solid_time=solid_time,
+            events=events,
+        )
         return exc
 
     for k in range(1, config.max_coupling_iters_per_step + 1):
@@ -324,8 +328,9 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
                 flow_time=flow_time,
                 solid_time=solid_time,
                 audit=audit,
+                events=events,
             )
-            return record, d_k, u_f, u_s, events
+            return record, d_k, u_f, u_s
 
         # acceleration update toward the next coupling iteration
         if config.accel is AccelKind.CONSTANT:
@@ -378,8 +383,9 @@ def run_simulation(model, config: CouplingConfig, resolve_audit_every: int = 0,
 
     ``resolve_audit_every=m`` re-calls both solvers with the accepted data on
     every m-th step and records the first residuals. ``on_step(step, hist,
-    state)`` is a diagnostics hook. On a diverged step the partial record is
-    attached to the raised :class:`DivergedStepError`.
+    state)`` is a diagnostics hook. On a diverged step the partial run record,
+    which includes the aborted step, is attached to the raised
+    :class:`DivergedStepError` as ``record``.
     """
     t_start = time.perf_counter()
     state = model.initial_state()
@@ -398,6 +404,14 @@ def run_simulation(model, config: CouplingConfig, resolve_audit_every: int = 0,
     events: list = []
     audits: list = []
     flow_seconds = solid_seconds = 0.0
+
+    def _account(record: TimeStepRecord) -> None:
+        nonlocal flow_seconds, solid_seconds
+        counters.add_step(record.step, record.coupling_iters, record.flow_iters,
+                          record.solid_iters)
+        flow_seconds += record.flow_time
+        solid_seconds += record.solid_time
+        events.extend(record.events)
 
     def _finish(converged: bool, failing_step=None) -> RunRecord:
         total = time.perf_counter() - t_start
@@ -419,23 +433,17 @@ def run_simulation(model, config: CouplingConfig, resolve_audit_every: int = 0,
         hist.start_step(step)
         audit_this = resolve_audit_every > 0 and step % resolve_audit_every == 0
         try:
-            record, d_acc, u_f, u_s, step_events = run_time_step(
+            record, d_acc, u_f, u_s = run_time_step(
                 model, config, state, hist, step, d_acc, u_f, u_s,
                 resolve_audit=audit_this,
             )
         except DivergedStepError as exc:
-            counters.add_step(step, getattr(exc, "coupling_iters", 0),
-                              getattr(exc, "flow_iters", 0), getattr(exc, "solid_iters", 0))
-            flow_seconds += getattr(exc, "flow_time", 0.0)
-            solid_seconds += getattr(exc, "solid_time", 0.0)
+            _account(exc.partial)
             exc.record = _finish(converged=False, failing_step=step)
             raise
-        counters.add_step(step, record.coupling_iters, record.flow_iters, record.solid_iters)
-        flow_seconds += record.flow_time
-        solid_seconds += record.solid_time
+        _account(record)
         snapshots.append(d_acc.values.copy())
         step_records.append(record)
-        events.extend(step_events)
         if record.audit is not None:
             audits.append((step,) + record.audit)
         state = model.advance_state(state, d_acc, u_f, u_s)

@@ -50,13 +50,16 @@ class AllColumnsFilteredError(FsiLabError):
 class DivergedStepError(FsiLabError):
     """The coupling loop did not converge within the allowed iterations.
 
-    Carries the failing time-step index and, when raised by a full simulation,
-    the partial run record accumulated up to the abort.
+    Carries the failing time-step index, the failing step's unconverged
+    ``TimeStepRecord`` as ``partial`` (set by the coupling loop) and, when
+    raised by a full simulation, the partial run record accumulated up to and
+    including the abort as ``record``.
     """
 
     def __init__(self, message: str, step: int, record=None):
         super().__init__(message)
         self.step = step
+        self.partial = None
         self.record = record
 
 

@@ -31,14 +31,14 @@ from .configio import (
 from .costmodel import (
     CostFactors,
     equivalent_time,
-    fit_coupling_cost,
-    fit_solver_cost,
+    fit_cost_factors,
     mape_maxape,
     rmse,
     rrmse,
 )
 from .coupling import run_simulation
 from .errors import (
+    ContractError,
     DivergedStepError,
     RankDeficiencyError,
     SweepSpecError,
@@ -160,14 +160,13 @@ def _run_cell(cfg: dict, nmax_f, nmax_s) -> dict:
 
 
 def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float, seed) -> None:
-    """Replace measured timings by the deterministic cost-model evaluation."""
+    """Replace the rows' timings by the cost-model evaluation, times seeded noise.
+
+    The noise draws run per row in the order T_f, T_s, T_c.
+    """
     rng = np.random.default_rng(seed) if noise_rel > 0 else None
     for row in rows:
-        t = [
-            row.n_c * factors.c_fix_f + row.n_f * factors.c_iter_f,
-            row.n_c * factors.c_fix_s + row.n_s * factors.c_iter_s,
-            row.n_c * factors.c_couple,
-        ]
+        t = factors.timings(row.n_c, row.n_f, row.n_s)
         if rng is not None:
             t = [x * rng.uniform(1.0 - noise_rel, 1.0 + noise_rel) for x in t]
         row.t_f, row.t_s, row.t_c = t
@@ -233,36 +232,31 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     result = SweepResult(rows=rows, snapshots=snapshots, factors=factors)
     if spec.out_dir is not None:
         spec.out_dir.mkdir(parents=True, exist_ok=True)
-        path = spec.out_dir / "sweep.csv"
-        lines = [",".join(SWEEP_COLUMNS)]
-        lines += [",".join(r.csv_fields()) for r in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        result.csv_path = path
+        result.csv_path = write_sweep_csv(spec.out_dir / "sweep.csv", rows)
     return result
 
 
 def _self_fit(rows: list) -> CostFactors:
-    """Fit factors from the sweep's own converged rows; unit factors if too small."""
-    ok = [r for r in rows if r.converged]
-    if len(ok) >= 3:
-        try:
-            c_fix_f, c_iter_f = fit_solver_cost([(r.n_c, r.n_f, r.t_f) for r in ok])
-            c_fix_s, c_iter_s = fit_solver_cost([(r.n_c, r.n_s, r.t_s) for r in ok])
-            c_couple = fit_coupling_cost([(r.n_c, r.t_c) for r in ok])
-            return CostFactors(
-                c_couple=max(c_couple, 0.0),
-                c_fix_f=max(c_fix_f, 0.0), c_iter_f=max(c_iter_f, 0.0),
-                c_fix_s=max(c_fix_s, 0.0), c_iter_s=max(c_iter_s, 0.0),
-            )
-        except RankDeficiencyError:
-            pass
-    # teq_norm is invariant under the factor scale, so unit factors keep the
-    # normalized column meaningful on grids too small to fit
-    return CostFactors(c_couple=1.0, c_iter_f=1.0, c_iter_s=1.0)
+    """Fit factors from the sweep's own converged rows; unit factors if too few."""
+    try:
+        return fit_cost_factors([(r.n_c, r.n_f, r.n_s, r.t_f, r.t_s, r.t_c)
+                                 for r in rows if r.converged])
+    except RankDeficiencyError:
+        # teq_norm is invariant under the factor scale, so unit factors keep
+        # the normalized column meaningful on grids too small to fit
+        return CostFactors(c_couple=1.0, c_iter_f=1.0, c_iter_s=1.0)
 
 
 # ---------------------------------------------------------------------------
 # sweep results on disk
+
+
+def write_sweep_csv(path, rows: list) -> Path:
+    """Write ``rows`` under the sweep.csv header; returns the path."""
+    path = Path(path)
+    lines = [",".join(SWEEP_COLUMNS)] + [",".join(r.csv_fields()) for r in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def read_sweep_csv(path) -> list:
@@ -415,6 +409,9 @@ def replay_published(table_path, factors: CostFactors, tolerance: float = 0.01) 
     if not ref:
         raise TableParseError(f"{table_path}: reference row (inf, inf) is missing")
     ref_teq = equivalent_time(ref[0][3], factors)
+    if ref_teq == 0.0:
+        raise ContractError(f"{table_path}: the cost factors price the reference row "
+                            "(inf, inf) at 0, so teq_norm is undefined")
     rows = [
         ReplayRow(nmax_f=f, nmax_s=s, published=pub,
                   recomputed=equivalent_time(counters, factors) / ref_teq)
@@ -458,35 +455,16 @@ def fit_from_runs(results_path) -> tuple:
     """Fit all five cost factors from a sweep's converged rows.
 
     Returns ``(CostFactors, FitReport)``; the reported errors describe the
-    returned factors. Slightly negative coefficients (possible when noisy
-    measured timings meet a barely conditioned grid) are clamped to zero.
-    Raises :class:`RankDeficiencyError` (with guidance) when the counters are
-    too collinear; widen the cap grid in that case.
+    returned factors. See :func:`fsilab.costmodel.fit_cost_factors` for the
+    clamping and the :class:`RankDeficiencyError` raised on too few or too
+    collinear runs.
     """
     rows = [r for r in read_sweep_csv(results_path)
             if r.converged and r.t_f is not None]
-    if len(rows) < 3:
-        raise RankDeficiencyError(
-            "need at least 3 converged runs with timings; widen the sweep grid")
-    try:
-        c_fix_f, c_iter_f = fit_solver_cost([(r.n_c, r.n_f, r.t_f) for r in rows])
-        c_fix_s, c_iter_s = fit_solver_cost([(r.n_c, r.n_s, r.t_s) for r in rows])
-    except RankDeficiencyError as exc:
-        raise RankDeficiencyError(
-            f"{exc}; vary the caps so N_c and the inner-iteration counts decouple"
-        ) from exc
-    c_couple = fit_coupling_cost([(r.n_c, r.t_c) for r in rows])
-    c_couple, c_fix_f, c_iter_f, c_fix_s, c_iter_s = (
-        max(x, 0.0) for x in (c_couple, c_fix_f, c_iter_f, c_fix_s, c_iter_s))
-    factors = CostFactors(c_couple=c_couple, c_fix_f=c_fix_f, c_iter_f=c_iter_f,
-                          c_fix_s=c_fix_s, c_iter_s=c_iter_s)
+    factors = fit_cost_factors([(r.n_c, r.n_f, r.n_s, r.t_f, r.t_s, r.t_c) for r in rows])
 
-    t_f = np.array([r.t_f for r in rows])
-    t_s = np.array([r.t_s for r in rows])
-    t_c = np.array([r.t_c for r in rows])
-    fit_f = np.array([r.n_c * c_fix_f + r.n_f * c_iter_f for r in rows])
-    fit_s = np.array([r.n_c * c_fix_s + r.n_s * c_iter_s for r in rows])
-    fit_c = np.array([r.n_c * c_couple for r in rows])
+    t_f, t_s, t_c = np.array([(r.t_f, r.t_s, r.t_c) for r in rows]).T
+    fit_f, fit_s, fit_c = np.array([factors.timings(r.n_c, r.n_f, r.n_s) for r in rows]).T
     total = t_f + t_s + t_c
     teq = np.array([equivalent_time((r.n_c, r.n_f, r.n_s), factors) for r in rows])
     mape, maxape = mape_maxape(total, teq)
@@ -518,19 +496,7 @@ def synthesize_sweep_csv(path, factors: CostFactors, counters: list,
     :func:`fsilab.configio.load_published_counters`. Used to validate the
     regression pipeline against known ground truth.
     """
-    rng = np.random.default_rng(seed) if noise_rel > 0 else None
-
-    def jitter(x: float) -> float:
-        return x * rng.uniform(1.0 - noise_rel, 1.0 + noise_rel) if rng is not None else x
-
-    lines = [",".join(SWEEP_COLUMNS)]
-    for cap_f, cap_s, n_c, n_f, n_s in counters:
-        t_f = jitter(n_c * factors.c_fix_f + n_f * factors.c_iter_f)
-        t_s = jitter(n_c * factors.c_fix_s + n_s * factors.c_iter_s)
-        t_c = jitter(n_c * factors.c_couple)
-        row = SweepRow(nmax_f=cap_f, nmax_s=cap_s, converged=True,
-                       n_c=n_c, n_f=n_f, n_s=n_s, t_f=t_f, t_s=t_s, t_c=t_c)
-        lines.append(",".join(row.csv_fields()))
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    rows = [SweepRow(nmax_f=cap_f, nmax_s=cap_s, converged=True, n_c=n_c, n_f=n_f, n_s=n_s)
+            for cap_f, cap_s, n_c, n_f, n_s in counters]
+    _modeled_timings(rows, factors, noise_rel, seed)
+    return write_sweep_csv(path, rows)

@@ -67,9 +67,6 @@ class InterfaceField:
     def size(self) -> int:
         return self.values.size
 
-    def with_values(self, values) -> "InterfaceField":
-        return InterfaceField(values, self.role)
-
 
 def residual_norm(r, n: int) -> float:
     """Scaled 2-norm ``||r||_2 / sqrt(n)`` used for subproblem convergence."""

@@ -1,10 +1,9 @@
-from .toys import LinearToyModel, ScalarToyModel, linear_toy
+from .toys import LinearToyModel, ScalarToyModel
 from .tube import Tube1DModel, Tube1DParams, TubeState, tube_flow_system, tube_solid_system
 
 __all__ = [
     "LinearToyModel",
     "ScalarToyModel",
-    "linear_toy",
     "Tube1DModel",
     "Tube1DParams",
     "TubeState",

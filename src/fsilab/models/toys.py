@@ -153,11 +153,6 @@ class LinearToyModel:
         return state + 1
 
 
-def linear_toy(dim_f: int, dim_s: int, coupling_strength: float, **kw) -> LinearToyModel:
-    """Build the coupled linear toy; see :class:`LinearToyModel`."""
-    return LinearToyModel(dim_f, dim_s, coupling_strength, **kw)
-
-
 @dataclass
 class ScalarToyParams:
     alpha: float = 2.0  # flow coefficient: alpha * u_f = b0 + beta * d

@@ -86,6 +86,16 @@ def test_replay_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_replay_zero_factors_is_an_error(tmp_path, capsys):
+    zero = tmp_path / "zero.csv"
+    zero.write_text("case,c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple,gamma\n"
+                    "zero,0,0,0,0,0,0\n")
+    code = main(["replay", "--table", str(published_table_path("fe_fe_tube")),
+                 "--factors", str(zero)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["replay"])  # missing required arguments

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,17 +7,14 @@ from hypothesis import given, strategies as st
 
 from fsilab import (
     CostFactors,
-    TimingSample,
     equivalent_time,
+    fit_cost_factors,
     fit_coupling_cost,
     fit_solver_cost,
-    literature_measure,
     mape_maxape,
     rmse,
     rrmse,
-    scenario_cost,
 )
-from fsilab.costmodel import SCENARIOS
 from fsilab.errors import ContractError, RankDeficiencyError
 
 # published cost factors (tube case, both frameworks)
@@ -55,25 +53,16 @@ class TestEquivalentTime:
         base = equivalent_time((n_c, n_f, n_s), FV_FE_TUBE)
         doubled = equivalent_time((2 * n_c, 2 * n_f, 2 * n_s), FV_FE_TUBE)
         assert doubled == pytest.approx(2 * base, rel=1e-12, abs=1e-12)
-        scaled = equivalent_time((n_c, n_f, n_s), FV_FE_TUBE.scaled(scale))
+        factors = CostFactors(*(scale * x for x in astuple(FV_FE_TUBE)))
+        scaled = equivalent_time((n_c, n_f, n_s), factors)
         assert scaled == pytest.approx(scale * base, rel=1e-12, abs=1e-12)
 
-
-class TestLiteratureMeasure:
-    def test_baseline_line_through_origin(self):
-        # the plotted baseline slope, full precision
-        assert literature_measure(2500, 3.098512158640545) == pytest.approx(7746.3, abs=0.05)
-        assert literature_measure(2500, 3.0985) == pytest.approx(7746.3, abs=0.06)
-
-    def test_zero(self):
-        assert literature_measure(0, 3.0985) == 0.0
-
-    @given(st.integers(0, 5000), st.integers(0, 50000), st.integers(0, 50000),
-           st.floats(0.0, 10.0))
-    def test_definitional_identity(self, n_c, n_f, n_s, rate):
-        factors = CostFactors(c_couple=rate, c_iter_f=0.0, c_iter_s=0.0)
-        assert literature_measure((n_c, n_f, n_s), rate) == pytest.approx(
-            equivalent_time((n_c, n_f, n_s), factors), rel=1e-13, abs=1e-13)
+    @given(st.integers(0, 10000), st.integers(0, 10000), st.integers(0, 10000))
+    def test_timing_buckets_sum_to_equivalent_time(self, n_c, n_f, n_s):
+        for factors in (FE_FE_TUBE, FV_FE_TUBE):
+            t_f, t_s, t_c = factors.timings(n_c, n_f, n_s)
+            assert t_f + t_s + t_c == pytest.approx(
+                equivalent_time((n_c, n_f, n_s), factors), rel=1e-12, abs=0.0)
 
 
 def normal_equations_oracle(samples):
@@ -137,6 +126,14 @@ class TestFitCouplingCost:
             fit_coupling_cost([(0, 1.0), (0, 2.0)])
 
 
+class TestFitCostFactors:
+    def test_collinear_counters_rejected_with_guidance(self):
+        samples = [(n_c, n_f, n_s) + FV_FE_TUBE.timings(n_c, n_f, n_s)
+                   for n_c, n_f, n_s in [(10, 30, 5), (20, 60, 9), (40, 120, 30)]]
+        with pytest.raises(RankDeficiencyError, match="vary the caps"):
+            fit_cost_factors(samples)
+
+
 class TestErrorMetrics:
     def test_perfect_fit(self):
         assert rrmse([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -173,37 +170,3 @@ class TestErrorMetrics:
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-class TestScenarioCost:
-    def setup_method(self):
-        rng = np.random.default_rng(8)
-        self.grid = np.stack([rng.integers(3000, 9000, (4, 4)),
-                              rng.integers(8000, 90000, (4, 4)),
-                              rng.integers(5000, 20000, (4, 4))], axis=-1).astype(float)
-
-    def test_uniform_scenario_is_iteration_sum(self):
-        cost = scenario_cost(self.grid, SCENARIOS["uniform"])
-        assert np.array_equal(cost, self.grid.sum(axis=-1))
-
-    def test_expensive_coupling_dominated_by_coupling_count(self):
-        n_c = self.grid[..., 0]
-        spread_other = np.ptp(self.grid[..., 1] + self.grid[..., 2])
-        assert np.ptp(n_c) > spread_other / 120.0  # dominance condition holds
-        cost = scenario_cost(self.grid, SCENARIOS["expensive_coupling"])
-        assert np.unravel_index(cost.argmin(), cost.shape) == \
-            np.unravel_index(n_c.argmin(), n_c.shape)
-
-    def test_factor_scaling_homogeneity(self):
-        base = scenario_cost(self.grid, SCENARIOS["uniform"])
-        twice = scenario_cost(self.grid, SCENARIOS["uniform"].scaled(2.0))
-        assert np.array_equal(twice, 2.0 * base)
-        assert np.array_equal(twice / twice.flat[0], base / base.flat[0])
-
-
-class TestTimingSample:
-    def test_total(self):
-        s = TimingSample(n_c=10, n_f=20, n_s=30, t_f=1.0, t_s=2.0, t_c=0.5)
-        assert s.t_total == 3.5
-
-    def test_negative_rejected(self):
-        with pytest.raises(ContractError):
-            TimingSample(n_c=-1, n_f=0, n_s=0, t_f=0, t_s=0, t_c=0)

@@ -283,15 +283,33 @@ class TestEngineAccelerationModes:
                                             accel=AccelKind.IQN_ILS))
         assert rec.converged
 
-    def test_diverged_step_carries_partial_record(self):
+    def test_diverged_step_carries_partial_record(self, monkeypatch):
+        import fsilab.coupling as coupling_mod
         from fsilab.errors import DivergedStepError
 
+        def no_columns(hist, r_k, d_tilde_k, eps_fil):
+            raise AllColumnsFilteredError("forced")
+
+        # every IQN update falls back to relaxation with omega0 = 1, which
+        # diverges on the unstable preset and flags an event per iteration
+        monkeypatch.setattr(coupling_mod, "iqn_ils_update", no_columns)
         toy = LinearToyModel.unstable(n_steps=3)
         with pytest.raises(DivergedStepError) as err:
             run_simulation(toy, CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=1.0,
-                                               accel=AccelKind.CONSTANT))
+                                               accel=AccelKind.IQN_ILS))
         record = err.value.record
         assert record is not None
         assert not record.converged
         assert record.failing_step == err.value.step == 1
         assert record.counters.coupling_total > 0
+
+        partial = err.value.partial
+        assert not partial.converged and partial.accepted_norms is None
+        assert record.counters.per_step[-1] == (partial.step, partial.coupling_iters,
+                                                partial.flow_iters, partial.solid_iters)
+        assert (record.flow_seconds, record.solid_seconds) == (partial.flow_time,
+                                                               partial.solid_time)
+        # the aborted step's events, an IQN restart among them, reach the run record
+        tags = {tag for step, _, tag in partial.events if step == 1}
+        assert tags == {"iqn_all_columns_filtered", "iqn_stagnation_restart"}
+        assert record.events == partial.events

@@ -158,6 +158,26 @@ class TestRunSweep:
         ref = result.row(math.inf, math.inf)
         assert ref.teq_norm == 1.0
 
+    def test_measured_self_fit_is_fit_from_runs(self, tmp_path):
+        # fsilab prices itself: the factors the sweep fits to its own measured
+        # timings are exactly what fit_from_runs recovers from its sweep.csv
+        cfg = {"model": "tube1d", "cells": "40", "steps": "5"}
+        spec = SweepSpec(config=cfg, grid_f=[1, 2, math.inf], grid_s=[1, math.inf],
+                         out_dir=tmp_path)
+        result = run_sweep(spec)
+        assert sum(r.converged for r in result.rows) >= 3
+        fitted, _ = fit_from_runs(result.csv_path)
+        assert result.factors == fitted
+        assert result.factors != CostFactors(c_couple=1.0, c_iter_f=1.0, c_iter_s=1.0)
+
+    def test_self_fit_falls_back_to_unit_factors_below_three_cells(self, tmp_path):
+        spec = SweepSpec(config=dict(LINEAR_TOY_STABLE), grid_f=[math.inf],
+                         grid_s=[1, math.inf], out_dir=tmp_path)
+        result = run_sweep(spec)
+        assert all(r.converged for r in result.rows) and len(result.rows) == 2
+        assert result.factors == CostFactors(c_couple=1.0, c_iter_f=1.0, c_iter_s=1.0)
+        assert result.row(math.inf, math.inf).teq_norm == 1.0
+
     def test_modeled_timing_deterministic_across_runs_and_workers(self, tmp_path):
         cfg = dict(LINEAR_TOY_STABLE, timing="modeled",
                    cost_c_couple="0.01", cost_c_fix_f="0.2", cost_c_iter_f="0.05",

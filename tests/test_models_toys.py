@@ -16,7 +16,7 @@ from fsilab import (
     run_simulation,
 )
 from fsilab.errors import ContractError, DivergedStepError
-from fsilab.models import LinearToyModel, ScalarToyModel, linear_toy
+from fsilab.models import LinearToyModel, ScalarToyModel
 from fsilab.models.toys import ScalarToyParams
 
 
@@ -31,14 +31,14 @@ class TestLinearToyConstruction:
         assert LinearToyModel.decoupled().gs_spectral_radius == 0.0
 
     def test_monolithic_solution_satisfies_both_blocks(self):
-        toy = linear_toy(5, 3, 0.7)
+        toy = LinearToyModel(5, 3, 0.7)
         u_f, u_s = toy.monolithic_solution()
         assert np.allclose(toy.A_f @ u_f - toy.B_f @ u_s, toy.b_f0, atol=1e-12)
         assert np.allclose(toy.A_s @ u_s - toy.B_s @ u_f, toy.b_s0, atol=1e-12)
 
     def test_invalid_dims(self):
         with pytest.raises(ContractError):
-            linear_toy(0, 4, 0.5)
+            LinearToyModel(0, 4, 0.5)
 
 
 class TestLinearToyCoupling:
@@ -128,7 +128,7 @@ class TestScalarToy:
 class TestLinearToyIqnCount:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_iqn_converges_within_dim_plus_two(self, dim):
-        toy = linear_toy(dim, dim, 0.5)
+        toy = LinearToyModel(dim, dim, 0.5)
         cfg = CouplingConfig(eps_f=1e-13, eps_s=1e-13, omega0=0.5, accel=AccelKind.IQN_ILS,
                              criterion=CriterionKind.FIXED_POINT_NORM, eps_c=1e-9)
         rec = run_simulation(toy, cfg)
