@@ -116,32 +116,34 @@ class IqnHistory:
 def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     """Indices of columns to retain, processed in the given (newest-first) order.
 
-    A column is dropped when its component orthogonal to the already retained
-    ones falls below ``eps_fil`` times its own norm (incremental QR with
-    re-orthogonalization); zero columns are always dropped.
+    The QR1 filter of Haelterman et al., "Improving the performance of the
+    partitioned QN-ILS procedure for FSI problems: Filtering", Comput. Struct.
+    171 (2016): a column is dropped when its component orthogonal to the
+    columns retained before it falls below ``eps_fil`` times its own norm;
+    zero columns are always dropped. In a Householder QR of the candidate
+    columns, ``|R_jj|`` is that orthogonal component of column j, so one
+    LAPACK factorisation tests every candidate. The first candidate that fails
+    is dropped and the remaining candidates are refactored, until none fails.
+    Rows that are zero in every column (clamped interface nodes) are left out
+    of the factorisation: they add nothing to a norm or an inner product, and
+    reflections would fill them with round-off. With more candidates than the
+    ``n`` remaining rows, ``R`` has only ``n`` diagonal entries: the first
+    ``n`` candidates then span the whole space, and every candidate past them
+    is dropped as dependent.
     """
     if eps_fil <= 0:
         raise ContractError("eps_fil must be positive")
     v_matrix = np.asarray(v_matrix, dtype=float)
-    if v_matrix.size == 0:
-        return []
-    retained: list = []
-    basis: list = []
-    for idx in range(v_matrix.shape[1]):
-        col = v_matrix[:, idx]
-        norm_col = float(np.linalg.norm(col))
-        if norm_col == 0.0:
-            continue
-        w = col.astype(float, copy=True)
-        for _ in range(2):
-            for q in basis:
-                w -= (q @ w) * q
-        norm_w = float(np.linalg.norm(w))
-        if norm_w < eps_fil * norm_col:
-            continue
-        retained.append(idx)
-        basis.append(w / norm_w)
-    return retained
+    v_matrix = v_matrix[np.any(v_matrix, axis=1)]
+    norms = np.linalg.norm(v_matrix, axis=0)
+    cand = np.flatnonzero(norms)
+    while cand.size:
+        r_diag = np.abs(np.linalg.qr(v_matrix[:, cand], mode="r").diagonal())
+        failed = np.flatnonzero(r_diag < eps_fil * norms[cand[: r_diag.size]])
+        if not failed.size:
+            return cand[: r_diag.size].tolist()
+        cand = np.delete(cand, failed[0])
+    return []
 
 
 def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
@@ -276,6 +278,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         return exc
 
     for k in range(1, config.max_coupling_iters_per_step + 1):
+        solver = SolverId.FLOW
         try:
             flow_spec = model.flow_system(state, d_k)
             traction, rep_f, u_f = call_solver(
@@ -287,6 +290,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             flow_iters += rep_f.inner_iters
             flow_time += rep_f.wall_time
 
+            solver = SolverId.SOLID
             solid_spec = model.solid_system(state, traction)
             d_tilde, rep_s, u_s = call_solver(
                 SolverId.SOLID,
@@ -296,6 +300,14 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             solid_iters += rep_s.inner_iters
             solid_time += rep_s.wall_time
         except (GeometryError, DivergenceError, LinearSolveError, PreconditionerError) as exc:
+            # a failed solver call still spent its inner iterations and seconds
+            iters, secs = getattr(exc, "inner_iters", 0), getattr(exc, "wall_time", 0.0)
+            if solver is SolverId.FLOW:
+                flow_iters += iters
+                flow_time += secs
+            else:
+                solid_iters += iters
+                solid_time += secs
             raise _abort(f"coupling update broke a subproblem ({exc})") from exc
 
         r_k = fixed_point_residual(d_tilde, d_k)

@@ -38,6 +38,10 @@ class PreconditionerError(FsiLabError):
 class DivergenceError(FsiLabError):
     """A subproblem iteration produced non-finite or unbounded iterates."""
 
+    def __init__(self, message: str, iteration: int | None = None):
+        super().__init__(message)
+        self.iteration = iteration
+
 
 class ConstructionError(FsiLabError):
     """A testbed model could not be built (e.g., singular monolithic matrix)."""

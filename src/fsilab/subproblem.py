@@ -178,19 +178,23 @@ def _prepare(spec: NonlinearSystemSpec, inp: SolverCallInput):
 def _guards(history: list, i: int, u: np.ndarray, bounded: bool, label: str,
             floor: float, eps: float) -> None:
     if not np.all(np.isfinite(u)):
-        raise DivergenceError(f"{label}: non-finite iterate at inner iteration {i}")
+        raise DivergenceError(f"{label}: non-finite iterate at inner iteration {i}",
+                              iteration=i)
     if not bounded:
         if i >= _ITER_CEILING:
-            raise DivergenceError(f"{label}: no convergence within {_ITER_CEILING} iterations")
+            raise DivergenceError(f"{label}: no convergence within {_ITER_CEILING} iterations",
+                                  iteration=i)
         if history[-1] > _GROWTH_GUARD * max(history[0], 1.0):
-            raise DivergenceError(f"{label}: residual grew beyond guard at iteration {i}")
+            raise DivergenceError(f"{label}: residual grew beyond guard at iteration {i}",
+                                  iteration=i)
         # only an eps beneath the floor can livelock; a residual below eps has
         # converged and is left to the caller's batch check
         w = _FLOOR_STALL_ITERS
         if (eps <= history[-1] <= floor and i > w
                 and min(history[-w:]) >= min(history[:-w])):
             raise DivergenceError(
-                f"{label}: residual stalled at the round-off floor at iteration {i}")
+                f"{label}: residual stalled at the round-off floor at iteration {i}",
+                iteration=i)
 
 
 def _report(history: list, eps: float) -> SolverCallReport:
@@ -283,7 +287,8 @@ def call_solver(solver_id: SolverId, spec: NonlinearSystemSpec, inp: SolverCallI
     configured driver, extracts the interface output (traction for the flow
     solver, displacement for the solid solver), and attaches the measured wall
     time. Returns ``(output_field, report, final_u)``; ``final_u`` seeds the
-    next call.
+    next call. A driver error is re-raised with the call's spent inner
+    iterations and seconds attached as ``inner_iters`` and ``wall_time``.
     """
     if spec.extract_output is None:
         raise ContractError("call_solver requires an extract_output map")
@@ -292,6 +297,8 @@ def call_solver(solver_id: SolverId, spec: NonlinearSystemSpec, inp: SolverCallI
         u, report = _DRIVERS[spec.driver](spec, inp)
     except (LinearSolveError, PreconditionerError, DivergenceError) as exc:
         exc.args = (f"{solver_id.value} solver: {exc.args[0]}",) + exc.args[1:]
+        exc.inner_iters = exc.iteration or 0
+        exc.wall_time = time.perf_counter() - start
         raise
     output = spec.extract_output(u)
     if output.role is not _EXPECTED_ROLE[solver_id]:

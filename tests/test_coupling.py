@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fsilab import (
     AccelKind,
@@ -17,7 +19,7 @@ from fsilab import (
     qr_filter,
     run_simulation,
 )
-from fsilab.errors import AllColumnsFilteredError, ContractError
+from fsilab.errors import AllColumnsFilteredError, ContractError, DivergedStepError
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import Tube1DParams
 
@@ -27,6 +29,86 @@ def report(first_residual, eps=1e-9, iters=1):
     return SolverCallReport(inner_iters=iters, residual_history=history,
                             converged_on_first=first_residual < eps,
                             final_residual=history[-1])
+
+
+def gram_schmidt_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
+    """The filter's previous implementation, kept as the oracle: incremental
+    classical Gram-Schmidt with one re-orthogonalization, column by column."""
+    if eps_fil <= 0:
+        raise ContractError("eps_fil must be positive")
+    v_matrix = np.asarray(v_matrix, dtype=float)
+    if v_matrix.size == 0:
+        return []
+    retained: list = []
+    basis: list = []
+    for idx in range(v_matrix.shape[1]):
+        col = v_matrix[:, idx]
+        norm_col = float(np.linalg.norm(col))
+        if norm_col == 0.0:
+            continue
+        w = col.astype(float, copy=True)
+        for _ in range(2):
+            for q in basis:
+                w -= (q @ w) * q
+        norm_w = float(np.linalg.norm(w))
+        if norm_w < eps_fil * norm_col:
+            continue
+        retained.append(idx)
+        basis.append(w / norm_w)
+    return retained
+
+
+def orthogonal_ratios(v_matrix: np.ndarray, keep: list) -> list:
+    """For each nonzero column j, the norm of its component orthogonal to the
+    kept columns before it, relative to its own norm."""
+    ratios = []
+    for j in range(v_matrix.shape[1]):
+        col = v_matrix[:, j]
+        norm_col = np.linalg.norm(col)
+        if norm_col == 0.0:
+            continue
+        before = [i for i in keep if i < j]
+        w = col.copy()
+        if before:
+            q = np.linalg.qr(v_matrix[:, before])[0]
+            for _ in range(2):
+                w -= q @ (q.T @ w)
+        ratios.append(np.linalg.norm(w) / norm_col)
+    return ratios
+
+
+@st.composite
+def filter_inputs(draw):
+    """A column set of random, duplicated, scaled, zero and near-dependent
+    columns, some rows zero in every column; a near-dependent column is an
+    earlier one plus a perturbation at least two decades above or below
+    ``eps_fil``."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 30))
+    eps_fil = 10.0 ** draw(st.integers(-12, -4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "duplicate", "scaled", "zero", "near"]),
+                          min_size=m, max_size=m))
+    cols: list = []
+    for kind in kinds:
+        if kind == "zero":
+            cols.append(np.zeros(n))
+        elif kind == "random" or not cols:
+            cols.append(rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3))
+        else:
+            base = cols[rng.integers(len(cols))]
+            if kind == "duplicate":
+                cols.append(base.copy())
+            elif kind == "scaled":
+                cols.append(base * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+            else:
+                decades = draw(st.sampled_from([-4, -3, -2, 2, 3]))
+                u = rng.standard_normal(n)
+                delta = min(eps_fil * 10.0**decades, 0.1)
+                cols.append(base + delta * np.linalg.norm(base) * u / np.linalg.norm(u))
+    v = np.column_stack(cols) if cols else np.zeros((n, 0))
+    v[sorted(draw(st.sets(st.integers(0, n - 1), max_size=n // 2)))] = 0.0
+    return v, eps_fil
 
 
 class TestQrFilter:
@@ -63,6 +145,51 @@ class TestQrFilter:
         v = np.column_stack([base, base[:, 0] + 1e-14 * base[:, 1], base[:, 2]])
         keep = qr_filter(v, 1e-10)
         assert np.linalg.matrix_rank(v[:, keep], tol=1e-12) == len(keep)
+
+    def test_refactor_after_drop(self):
+        # column 1 is dropped; column 2 differs from column 0 along the same
+        # direction, far enough to be kept once column 1 is out of the basis
+        a = np.array([1.0, 2.0, -1.0])
+        u = np.array([0.0, 1.0, 2.0])
+        v = np.column_stack([a, a + 1e-9 * u, a + 1e-3 * u])
+        assert gram_schmidt_filter(v, 1e-6) == [0, 2]
+        assert qr_filter(v, 1e-6) == [0, 2]
+
+    def test_rows_zero_in_every_column_bound_the_rank(self):
+        # four nearly dependent columns fill the space of rows 1-4; a fifth
+        # column there is dependent, however ill-conditioned the first four
+        rng = np.random.default_rng(1)
+        cols = [rng.standard_normal(4)]
+        for _ in range(3):
+            cols.append(cols[-1] + 1e-4 * rng.standard_normal(4))
+        cols.append(rng.standard_normal(4))
+        v = np.zeros((6, 5))
+        v[1:5] = np.column_stack(cols)
+        assert gram_schmidt_filter(v, 1e-12) == [0, 1, 2, 3]
+        assert qr_filter(v, 1e-12) == [0, 1, 2, 3]
+
+    def test_more_columns_than_rows(self):
+        # three pairwise independent columns in R^2: the third is dependent
+        v = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        assert qr_filter(v, 1e-12) == [0, 1]
+
+    def test_nonpositive_eps_rejected(self):
+        for eps_fil in (0.0, -1e-12):
+            with pytest.raises(ContractError):
+                qr_filter(np.eye(2), eps_fil)
+
+    @settings(max_examples=300, deadline=None)
+    @given(filter_inputs())
+    def test_matches_gram_schmidt_oracle(self, inputs):
+        v, eps_fil = inputs
+        reference = gram_schmidt_filter(v, eps_fil)
+        # no decision may sit within a decade of the threshold, where round-off
+        # of either factorisation could flip it
+        assume(all(r < 0.1 * eps_fil or r > 10.0 * eps_fil
+                   for r in orthogonal_ratios(v, reference)))
+        keep = qr_filter(v, eps_fil)
+        assert keep == reference
+        assert all(type(i) is int for i in keep)
 
 
 class TestIqnUpdate:
@@ -116,6 +243,16 @@ class TestIqnUpdate:
         hist._cols.append((1, np.zeros(2), np.ones(2)))  # force a zero column in
         with pytest.raises(AllColumnsFilteredError):
             iqn_ils_update(hist, np.ones(2), np.zeros(2), 1e-12)
+
+
+    def test_more_columns_than_interface_length(self):
+        rng = np.random.default_rng(7)
+        hist = IqnHistory(q=1, max_columns=None)
+        for _ in range(5):
+            hist.append(rng.standard_normal(2), rng.standard_normal(2), age=1)
+        assert hist.n_columns == 5
+        d_next, inc = iqn_ils_update(hist, np.array([1.0, -2.0]), np.zeros(2), 1e-12)
+        assert np.all(np.isfinite(d_next)) and math.isfinite(inc)
 
 
 class TestIqnHistory:
@@ -313,3 +450,54 @@ class TestEngineAccelerationModes:
         tags = {tag for step, _, tag in partial.events if step == 1}
         assert tags == {"iqn_all_columns_filtered", "iqn_stagnation_restart"}
         assert record.events == partial.events
+
+
+class _FailingSolver:
+    """Delegates to a linear toy; the named solver's first call fails at
+    inner iteration 3 (half Newton steps, then a singular tangent)."""
+
+    def __init__(self, model, solver: str):
+        self._model = model
+        self._solver = solver
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def _failing(self, spec):
+        calls = []
+
+        def tangent(u):
+            calls.append(u)
+            return np.zeros_like(spec.tangent(u)) if len(calls) == 3 else 2.0 * spec.tangent(u)
+
+        return replace(spec, tangent=tangent)
+
+    def flow_system(self, state, displacement):
+        spec = self._model.flow_system(state, displacement)
+        return self._failing(spec) if self._solver == "flow" else spec
+
+    def solid_system(self, state, traction):
+        spec = self._model.solid_system(state, traction)
+        return self._failing(spec) if self._solver == "solid" else spec
+
+
+class TestFailedCallAccounting:
+    @pytest.mark.parametrize("solver", ["flow", "solid"])
+    def test_failed_call_counts_its_iterations_and_seconds(self, solver):
+        model = _FailingSolver(LinearToyModel.stable(), solver)
+        with pytest.raises(DivergedStepError) as err:
+            run_simulation(model, CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5,
+                                                 accel=AccelKind.IQN_ILS))
+        partial, record = err.value.partial, err.value.record
+        assert "singular tangent at inner iteration 3" in str(err.value)
+        assert partial.step == 1 and partial.coupling_iters == 1
+        if solver == "flow":
+            assert (partial.flow_iters, partial.solid_iters) == (3, 0)
+            assert partial.flow_time > 0.0 and partial.solid_time == 0.0
+        else:
+            assert partial.flow_iters > 0 and partial.solid_iters == 3
+            assert partial.solid_time > 0.0
+        record.counters.check_additivity()
+        assert record.counters.per_step == [(1, 1, partial.flow_iters, partial.solid_iters)]
+        assert (record.flow_seconds, record.solid_seconds) == (partial.flow_time,
+                                                               partial.solid_time)

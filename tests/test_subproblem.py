@@ -117,8 +117,9 @@ class TestNewtonDrive:
             assemble_rhs=lambda c: np.array([1.0]),
             tangent=lambda u: np.array([[1e-320]]),
         )
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as err:
             newton_drive(spec, call_input([0.0]))
+        assert err.value.iteration == 1
 
 
 class TestPicardDrive:
@@ -358,5 +359,8 @@ class TestCallSolver:
             tangent=lambda u: np.array([[0.0]]),
             extract_output=lambda u: InterfaceField(u, FieldRole.TRACTION),
         )
-        with pytest.raises(LinearSolveError, match="flow solver"):
+        with pytest.raises(LinearSolveError, match="flow solver") as err:
             call_solver(SolverId.FLOW, spec, call_input([0.0]))
+        # the failed call's cost travels with the error
+        assert err.value.inner_iters == 1
+        assert err.value.wall_time > 0.0
