@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +28,8 @@ from .errors import (
     AllColumnsFilteredError,
     ContractError,
     DivergedStepError,
-    DivergenceError,
     GeometryError,
-    LinearSolveError,
-    PreconditionerError,
+    InnerIterationError,
 )
 from .interface import (
     AccelKind,
@@ -43,7 +42,7 @@ from .interface import (
     SolverCallReport,
     fixed_point_residual,
 )
-from .subproblem import SolverCallInput, SolverId, _DRIVERS, call_solver
+from .subproblem import SolverCallInput, SolverId, call_solver, drive
 
 _AITKEN_MIN = 0.01
 _AITKEN_MAX = 2.0
@@ -176,22 +175,20 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     return d_tilde + delta, float(np.linalg.norm(delta))
 
 
-def aitken_omega(r_k, r_km1, omega_km1: float, events: list | None = None) -> float:
+def aitken_omega(r_k, r_km1, omega_km1: float) -> tuple:
     """Secant update of the dynamic relaxation factor, clamped to [0.01, 2.0].
 
-    A stagnating residual (zero denominator) keeps the previous factor and
-    flags the event.
+    Returns ``(omega, stagnated)``. A stagnating residual (zero denominator)
+    keeps the previous factor and sets ``stagnated``.
     """
     r_k = np.asarray(r_k, dtype=float)
     r_km1 = np.asarray(r_km1, dtype=float)
     delta = r_k - r_km1
     denom = float(delta @ delta)
     if denom == 0.0:
-        if events is not None:
-            events.append("aitken_stagnation")
-        return omega_km1
+        return omega_km1, True
     omega = -omega_km1 * float(r_km1 @ delta) / denom
-    return float(min(max(omega, _AITKEN_MIN), _AITKEN_MAX))
+    return float(min(max(omega, _AITKEN_MIN), _AITKEN_MAX)), False
 
 
 def check_convergence(
@@ -214,10 +211,23 @@ def check_convergence(
     return norm / float(np.linalg.norm(d_k)) < config.eps_c
 
 
+class Event(NamedTuple):
+    """Something the coupling loop did besides its plain update, at (step, k).
+
+    ``tag`` is one of ``aitken_stagnation``, ``iqn_stagnation_restart`` and
+    ``iqn_all_columns_filtered``.
+    """
+
+    step: int
+    k: int
+    tag: str
+
+
 @dataclass
 class TimeStepRecord:
     """Per-time-step outcome: iteration counts, seconds, events, diagnostics.
 
+    ``events`` lists the step's :class:`Event` s in the order they happened.
     ``accepted_norms`` is ``(||r||, ||r||/||d||, would-be update increment)``
     at acceptance; the relative norm is +inf when the displacement is zero.
     An aborted step's record has ``converged=False`` and ``accepted_norms=None``
@@ -299,7 +309,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             )
             solid_iters += rep_s.inner_iters
             solid_time += rep_s.wall_time
-        except (GeometryError, DivergenceError, LinearSolveError, PreconditionerError) as exc:
+        except (GeometryError, InnerIterationError) as exc:
             # a failed solver call still spent its inner iterations and seconds
             iters, secs = getattr(exc, "inner_iters", 0), getattr(exc, "wall_time", 0.0)
             if solver is SolverId.FLOW:
@@ -349,7 +359,9 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             d_next = d_k.values + config.omega0 * r_k
         elif config.accel is AccelKind.AITKEN:
             if k > 1:
-                omega = aitken_omega(r_k, r_km1, omega, events)
+                omega, stagnated = aitken_omega(r_k, r_km1, omega)
+                if stagnated:
+                    events.append(Event(step, k, "aitken_stagnation"))
             d_next = d_k.values + omega * r_k
         else:  # IQN_ILS
             if best_norm is None or r_norm < _STALL_FACTOR * best_norm:
@@ -358,7 +370,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             elif k - best_at >= _STALL_WINDOW:
                 # stale secant data (typical under tight inner-iteration caps)
                 hist.clear()
-                events.append((step, k, "iqn_stagnation_restart"))
+                events.append(Event(step, k, "iqn_stagnation_restart"))
                 best_norm = r_norm
                 best_at = k
             if hist.is_empty:
@@ -367,7 +379,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
                 try:
                     d_next, _ = iqn_ils_update(hist, r_k, d_tilde.values, config.eps_fil)
                 except AllColumnsFilteredError:
-                    events.append((step, k, "iqn_all_columns_filtered"))
+                    events.append(Event(step, k, "iqn_all_columns_filtered"))
                     d_next = d_k.values + config.omega0 * r_k
         d_k = InterfaceField(d_next, FieldRole.DISPLACEMENT)
 
@@ -378,14 +390,9 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
 
 def _resolve_audit(config, flow_spec, solid_spec, d_k, traction, u_f, u_s):
     """First residuals of one extra call of each solver with the accepted data."""
-    _, rep_f = _DRIVERS[flow_spec.driver](
-        flow_spec,
-        SolverCallInput(u_f.copy(), d_k, eps=config.eps_f, n_max=1),
-    )
-    _, rep_s = _DRIVERS[solid_spec.driver](
-        solid_spec,
-        SolverCallInput(u_s.copy(), traction, eps=config.eps_s, n_max=1),
-    )
+    _, rep_f = drive(flow_spec, SolverCallInput(u_f.copy(), d_k, eps=config.eps_f, n_max=1))
+    _, rep_s = drive(solid_spec,
+                     SolverCallInput(u_s.copy(), traction, eps=config.eps_s, n_max=1))
     return rep_f.residual_history[0], rep_s.residual_history[0]
 
 

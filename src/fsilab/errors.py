@@ -19,28 +19,27 @@ class GeometryError(FsiLabError):
     """Interface displacement produced a non-physical geometry (non-positive area)."""
 
 
-class LinearSolveError(FsiLabError):
+class InnerIterationError(FsiLabError):
+    """An inner iteration of a subproblem solver call failed.
+
+    ``iteration`` is the failing inner iteration (1-based) when known.
+    """
+
+    def __init__(self, message: str, iteration: int | None = None):
+        super().__init__(message)
+        self.iteration = iteration
+
+
+class LinearSolveError(InnerIterationError):
     """Singular tangent matrix inside a Newton iteration."""
 
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
 
-
-class PreconditionerError(FsiLabError):
+class PreconditionerError(InnerIterationError):
     """Singular fixed-point preconditioner matrix."""
 
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
 
-
-class DivergenceError(FsiLabError):
+class DivergenceError(InnerIterationError):
     """A subproblem iteration produced non-finite or unbounded iterates."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
 
 
 class ConstructionError(FsiLabError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConstructionError, ContractError
 from ..interface import FieldRole, InterfaceField
-from ..subproblem import DriverKind, NonlinearSystemSpec, Preconditioner
+from ..subproblem import DriverKind, NonlinearSystemSpec
 
 
 def _tridiag(n: int, off: float, diag: float) -> np.ndarray:
@@ -48,7 +48,6 @@ class LinearToyModel:
         n_steps: int = 1,
         flow_driver: DriverKind = DriverKind.NEWTON,
         solid_driver: DriverKind = DriverKind.NEWTON,
-        preconditioner: Preconditioner = Preconditioner.FULL_A,
     ):
         if dim_f < 1 or dim_s < 1:
             raise ContractError("dimensions must be >= 1")
@@ -60,10 +59,8 @@ class LinearToyModel:
         self.n_steps = n_steps
         self.flow_driver = flow_driver
         self.solid_driver = solid_driver
-        self.preconditioner = preconditioner
 
-        # Diagonally dominant SPD blocks keep both Jacobi and full-solve
-        # fixed-point iterations convergent on the isolated subproblems.
+        # Diagonally dominant SPD blocks keep both subproblems well conditioned.
         self.A_f = _tridiag(dim_f, -1.0, 3.0)
         self.A_s = _tridiag(dim_s, -1.0, 3.0)
         mix = _tridiag(dim_s, 0.25, -1.0)  # negative spectrum: added-mass-like sign
@@ -129,7 +126,6 @@ class LinearToyModel:
             assemble_matrix=lambda u: self.A_f.copy(),
             assemble_rhs=lambda d: self.b_f0 + self.B_f @ d.values,
             tangent=lambda u: self.A_f.copy(),
-            preconditioner=self.preconditioner,
             driver=self.flow_driver,
             extract_output=lambda u: InterfaceField(u, FieldRole.TRACTION),
             label="linear-toy flow",
@@ -143,7 +139,6 @@ class LinearToyModel:
             assemble_matrix=lambda u: self.A_s.copy(),
             assemble_rhs=lambda t: self.b_s0 + self.B_s @ t.values,
             tangent=lambda u: self.A_s.copy(),
-            preconditioner=self.preconditioner,
             driver=self.solid_driver,
             extract_output=lambda u: InterfaceField(u, FieldRole.DISPLACEMENT),
             label="linear-toy solid",
@@ -206,7 +201,6 @@ class ScalarToyModel:
             assemble_matrix=lambda u: np.array([[p.alpha]]),
             assemble_rhs=lambda d: np.array([p.b0 + p.beta * d.values[0]]),
             tangent=lambda u: np.array([[p.alpha]]),
-            preconditioner=Preconditioner.FULL_A,
             driver=DriverKind.NEWTON,
             extract_output=lambda u: InterfaceField(u, FieldRole.TRACTION),
             label="scalar-toy flow",
@@ -219,7 +213,6 @@ class ScalarToyModel:
             assemble_matrix=lambda u: np.array([[p.stiffness + p.kappa * u[0] ** 2]]),
             assemble_rhs=lambda t: np.array([t.values[0]]),
             tangent=lambda u: np.array([[p.stiffness + 3.0 * p.kappa * u[0] ** 2]]),
-            preconditioner=Preconditioner.FULL_A,
             driver=DriverKind.NEWTON,
             extract_output=lambda u: InterfaceField(u, FieldRole.DISPLACEMENT),
             label="scalar-toy solid",

@@ -42,13 +42,13 @@ average ``a_i = pi (r0 + (d_i + d_{i+1})/2)^2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ContractError, GeometryError
 from ..interface import FieldRole, InterfaceField
-from ..subproblem import DiagonalOperator, DriverKind, NonlinearSystemSpec, Preconditioner
+from ..subproblem import DiagonalOperator, DriverKind, NonlinearSystemSpec
 
 
 @dataclass(frozen=True)
@@ -214,9 +214,6 @@ class FlowOperator:
         p = np.cumsum((f - self._t(v))[:-1] * ell[:-1])
         return np.concatenate([v, p])
 
-    def diagonal(self) -> np.ndarray:
-        return np.concatenate([self.diag, np.zeros(self.d.size - 1)])
-
 
 def tube_flow_system(
     params: Tube1DParams,
@@ -316,7 +313,6 @@ def tube_flow_system(
         assemble_matrix=assemble_matrix,
         assemble_rhs=assemble_rhs,
         tangent=tangent,
-        preconditioner=Preconditioner.FULL_A,
         driver=driver,
         extract_output=extract_output,
         label="tube flow",
@@ -373,7 +369,6 @@ def tube_solid_system(
         assemble_matrix=assemble_matrix,
         assemble_rhs=assemble_rhs,
         tangent=tangent,
-        preconditioner=Preconditioner.DIAGONAL_OF_A,
         driver=DriverKind.NEWTON,
         extract_output=lambda u: InterfaceField(u, FieldRole.DISPLACEMENT),
         label="tube solid",
@@ -426,6 +421,3 @@ class Tube1DModel:
             wall_acc=(w_new - state.wall_vel) / dt,
             step=state.step + 1,
         )
-
-    def with_params(self, **changes) -> "Tube1DModel":
-        return Tube1DModel(replace(self.params, **changes), flow_driver=self.flow_driver)

@@ -1,11 +1,12 @@
-"""Black-box subproblem abstraction and the generic inner-iteration drivers.
+"""Black-box subproblem abstraction and the generic inner-iteration driver.
 
 Every subproblem is posed as ``A(u) u = b`` with the right-hand side assembled
-once per solver call and held fixed across inner iterations. Both drivers share
-the same loop shape:
+once per solver call and held fixed across inner iterations. Newton and Picard
+run the same loop and differ only in the operator ``M`` each update solves
+with (``K(u)`` or ``A(u)``):
 
     for i = 1, 2, ...:   evaluate r = b - A(u) u, record ||r||/sqrt(n),
-                         update u, then stop if the recorded norm beat eps.
+                         u += M^-1 r, then stop if the recorded norm beat eps.
 
 The update runs even on the converged iteration (black-box solvers cannot exit
 before updating), which is what makes ``converged_on_first`` well defined.
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import (
     ContractError,
     DivergenceError,
+    InnerIterationError,
     LinearSolveError,
     PreconditionerError,
 )
@@ -46,11 +48,6 @@ _ROUNDOFF_FLOOR = 1e3 * np.finfo(float).eps
 _FLOOR_STALL_ITERS = 5
 
 
-class Preconditioner(Enum):
-    DIAGONAL_OF_A = "diag"
-    FULL_A = "full"
-
-
 class DriverKind(Enum):
     NEWTON = "newton"
     PICARD = "picard"
@@ -62,7 +59,7 @@ class SolverId(Enum):
 
 
 class LinearOperator(Protocol):
-    """What the drivers need of ``A(u)`` and ``K(u)``: apply, solve, diagonal.
+    """What the driver needs of ``A(u)`` and ``K(u)``: apply and solve.
 
     ``solve`` raises :class:`numpy.linalg.LinAlgError` when the operator is
     singular.
@@ -71,8 +68,6 @@ class LinearOperator(Protocol):
     def __matmul__(self, u: np.ndarray) -> np.ndarray: ...
 
     def solve(self, r: np.ndarray) -> np.ndarray: ...
-
-    def diagonal(self) -> np.ndarray: ...
 
 
 class DenseOperator:
@@ -86,9 +81,6 @@ class DenseOperator:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.matrix, r)
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
 
 
 class DiagonalOperator:
@@ -105,12 +97,9 @@ class DiagonalOperator:
             raise np.linalg.LinAlgError("zero diagonal entry")
         return r / self.d
 
-    def diagonal(self) -> np.ndarray:
-        return self.d
-
 
 def as_operator(m) -> LinearOperator:
-    """The drivers' view of what a spec callable returned: ndarrays become dense."""
+    """The driver's view of what a spec callable returned: ndarrays become dense."""
     return DenseOperator(m) if isinstance(m, np.ndarray) else m
 
 
@@ -119,21 +108,22 @@ class NonlinearSystemSpec:
     """One subproblem in ``A(u) u = b`` form.
 
     ``assemble_matrix(u)`` returns ``A(u)`` and ``tangent(u)`` returns
-    ``K(u) = A(u) + (dA/du) u``; the Newton driver requires the tangent. Both
-    return a :class:`LinearOperator` (``M @ u``, ``M.solve(r)``,
-    ``M.diagonal()``, with ``solve`` raising ``numpy.linalg.LinAlgError`` when
-    ``M`` is singular) or a dense ndarray, which the drivers wrap in a
-    :class:`DenseOperator`. ``assemble_rhs`` maps the coupling input (an
-    :class:`InterfaceField`) to the right-hand side; it is evaluated exactly
-    once per solver call. ``extract_output`` maps the converged interior state
-    to the interface field this solver feeds back to its partner.
+    ``K(u) = A(u) + (dA/du) u``; ``driver`` picks the operator each inner
+    update solves with: ``K`` under Newton, which therefore requires the
+    tangent, and ``A`` under Picard. Both callables return a
+    :class:`LinearOperator` (``M @ u`` and ``M.solve(r)``, the latter raising
+    ``numpy.linalg.LinAlgError`` when ``M`` is singular) or a dense ndarray,
+    which the driver wraps in a :class:`DenseOperator`. ``assemble_rhs`` maps
+    the coupling input (an :class:`InterfaceField`) to the right-hand side; it
+    is evaluated exactly once per solver call. ``extract_output`` maps the
+    converged interior state to the interface field this solver feeds back to
+    its partner.
     """
 
     dim: int
     assemble_matrix: Callable[[np.ndarray], LinearOperator | np.ndarray]
     assemble_rhs: Callable[[InterfaceField], np.ndarray]
     tangent: Callable[[np.ndarray], LinearOperator | np.ndarray] | None = None
-    preconditioner: Preconditioner = Preconditioner.DIAGONAL_OF_A
     driver: DriverKind = DriverKind.NEWTON
     extract_output: Callable[[np.ndarray], InterfaceField] | None = None
     label: str = ""
@@ -206,45 +196,20 @@ def _report(history: list, eps: float) -> SolverCallReport:
     )
 
 
-def newton_drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
-    """Newton inner iterations on ``A(u) u = b``; returns ``(u, report)``."""
-    if spec.tangent is None:
-        raise ContractError("newton_drive requires a tangent map")
-    u, b, floor = _prepare(spec, inp)
-    bounded = not is_unbounded(inp.n_max)
-    history: list = []
-    i = 0
-    while True:
-        i += 1
-        A = as_operator(spec.assemble_matrix(u))
-        r = b - A @ u
-        history.append(residual_norm(r, spec.dim))
-        K = as_operator(spec.tangent(u))
-        try:
-            du = K.solve(r)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(
-                f"{spec.label or 'newton'}: singular tangent at inner iteration {i}",
-                iteration=i,
-            ) from exc
-        u = u + du
-        _guards(history, i, u, bounded, spec.label or "newton", floor,
-                inp.eps)
-        if history[-1] < inp.eps:
-            break
-        if bounded and i >= inp.n_max:
-            break
-    return u, _report(history, inp.eps)
+def drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
+    """Inner iterations ``M(u)(u' - u) = b - A(u) u``; returns ``(u, report)``.
 
-
-def picard_drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
-    """Fixed-point inner iterations ``M(u)(u' - u) = b - A(u) u``.
-
-    With ``batch_size`` B > 1, convergence is only checked after each block of
-    B iterations, so the iteration count is a multiple of B unless the cap
+    ``M`` is the tangent ``K(u)`` under ``DriverKind.NEWTON`` and ``A(u)``
+    itself under ``DriverKind.PICARD``. With ``batch_size`` B > 1, under
+    either driver, convergence is only checked after each block of B
+    iterations, so the iteration count is a multiple of B unless the cap
     truncates the final batch.
     """
+    newton = spec.driver is DriverKind.NEWTON
+    if newton and spec.tangent is None:
+        raise ContractError("the Newton driver requires a tangent map")
     u, b, floor = _prepare(spec, inp)
+    label = spec.label or spec.driver.value
     bounded = not is_unbounded(inp.n_max)
     B = inp.batch_size
     history: list = []
@@ -254,20 +219,16 @@ def picard_drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
         A = as_operator(spec.assemble_matrix(u))
         r = b - A @ u
         history.append(residual_norm(r, spec.dim))
-        if spec.preconditioner is Preconditioner.FULL_A:
-            M = A
-        else:
-            M = DiagonalOperator(A.diagonal())
+        M = as_operator(spec.tangent(u)) if newton else A
         try:
             du = M.solve(r)
         except np.linalg.LinAlgError as exc:
-            raise PreconditionerError(
-                f"{spec.label or 'picard'}: singular preconditioner at inner iteration {i}",
-                iteration=i,
-            ) from exc
+            error, what = ((LinearSolveError, "tangent") if newton
+                           else (PreconditionerError, "preconditioner"))
+            raise error(f"{label}: singular {what} at inner iteration {i}",
+                        iteration=i) from exc
         u = u + du
-        _guards(history, i, u, bounded, spec.label or "picard", floor,
-                inp.eps)
+        _guards(history, i, u, bounded, label, floor, inp.eps)
         if i % B == 0 and history[-1] < inp.eps:
             break
         if bounded and i >= inp.n_max:
@@ -275,27 +236,26 @@ def picard_drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
     return u, _report(history, inp.eps)
 
 
-_DRIVERS = {DriverKind.NEWTON: newton_drive, DriverKind.PICARD: picard_drive}
-
 _EXPECTED_ROLE = {SolverId.FLOW: FieldRole.TRACTION, SolverId.SOLID: FieldRole.DISPLACEMENT}
 
 
 def call_solver(solver_id: SolverId, spec: NonlinearSystemSpec, inp: SolverCallInput):
     """Run one black-box solver call.
 
-    Applies the coupling data to the right-hand side, runs the system's
-    configured driver, extracts the interface output (traction for the flow
-    solver, displacement for the solid solver), and attaches the measured wall
-    time. Returns ``(output_field, report, final_u)``; ``final_u`` seeds the
-    next call. A driver error is re-raised with the call's spent inner
-    iterations and seconds attached as ``inner_iters`` and ``wall_time``.
+    Applies the coupling data to the right-hand side, runs :func:`drive` with
+    the system's configured driver, extracts the interface output (traction
+    for the flow solver, displacement for the solid solver), and attaches the
+    measured wall time. Returns ``(output_field, report, final_u)``;
+    ``final_u`` seeds the next call. An :class:`InnerIterationError` is
+    re-raised with the call's spent inner iterations and seconds attached as
+    ``inner_iters`` and ``wall_time``.
     """
     if spec.extract_output is None:
         raise ContractError("call_solver requires an extract_output map")
     start = time.perf_counter()
     try:
-        u, report = _DRIVERS[spec.driver](spec, inp)
-    except (LinearSolveError, PreconditionerError, DivergenceError) as exc:
+        u, report = drive(spec, inp)
+    except InnerIterationError as exc:
         exc.args = (f"{solver_id.value} solver: {exc.args[0]}",) + exc.args[1:]
         exc.inner_iters = exc.iteration or 0
         exc.wall_time = time.perf_counter() - start

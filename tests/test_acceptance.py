@@ -195,15 +195,15 @@ def test_criterion_7_invariant_suite(tmp_path, tube_cap_sweep, tube_reference_ru
     duplicates_dropped = qr_filter(v, 1e-12) == [0]
 
     # b immutability: the rhs is assembled exactly once per solver call
-    from fsilab import NonlinearSystemSpec, Preconditioner, SolverCallInput, picard_drive
+    from fsilab import DriverKind, NonlinearSystemSpec, SolverCallInput, drive
     calls = []
     spec = NonlinearSystemSpec(
         dim=1,
         assemble_matrix=lambda u: np.array([[1.0 + u[0]]]),
         assemble_rhs=lambda c: (calls.append(1), np.array([6.0]))[1],
-        preconditioner=Preconditioner.FULL_A,
+        driver=DriverKind.PICARD,
     )
-    _, rep = picard_drive(spec, SolverCallInput(
+    _, rep = drive(spec, SolverCallInput(
         np.zeros(1), InterfaceField(np.zeros(1), FieldRole.DISPLACEMENT), eps=1e-9))
     b_frozen = len(calls) == 1 and rep.inner_iters > 1
 

@@ -9,9 +9,11 @@ from fsilab import (
     AccelKind,
     CouplingConfig,
     CriterionKind,
+    Event,
     FieldRole,
     InterfaceField,
     IqnHistory,
+    NonlinearSystemSpec,
     SolverCallReport,
     aitken_omega,
     check_convergence,
@@ -280,20 +282,20 @@ class TestIqnHistory:
 
 class TestAitken:
     def test_hand_secant_value(self):
-        assert aitken_omega(np.array([0.5]), np.array([1.0]), 0.5) == pytest.approx(1.0)
+        omega, stagnated = aitken_omega(np.array([0.5]), np.array([1.0]), 0.5)
+        assert omega == pytest.approx(1.0)
+        assert not stagnated
 
     def test_stagnation_keeps_omega_and_flags(self):
-        events = []
-        out = aitken_omega(np.array([1.0]), np.array([1.0]), 0.37, events)
-        assert out == 0.37
-        assert events == ["aitken_stagnation"]
+        assert aitken_omega(np.array([1.0]), np.array([1.0]), 0.37) == (0.37, True)
 
     def test_oscillating_residual_halves_omega(self):
-        assert aitken_omega(np.array([-1.0]), np.array([1.0]), 1.0) == pytest.approx(0.5)
+        omega, _ = aitken_omega(np.array([-1.0]), np.array([1.0]), 1.0)
+        assert omega == pytest.approx(0.5)
 
     def test_clamped(self):
-        assert aitken_omega(np.array([0.999]), np.array([1.0]), 1.0) == 2.0
-        assert aitken_omega(np.array([-1000.0]), np.array([1.0]), 1.0) == 0.01
+        assert aitken_omega(np.array([0.999]), np.array([1.0]), 1.0) == (2.0, False)
+        assert aitken_omega(np.array([-1000.0]), np.array([1.0]), 1.0) == (0.01, False)
 
 
 class TestCheckConvergence:
@@ -400,12 +402,57 @@ class TestEngineFallbacks:
         assert any(tag == "iqn_all_columns_filtered" for _, _, tag in record.events)
 
 
+class _ShiftModel:
+    """One interface DOF: the flow passes ``d`` through as traction and the
+    solid returns ``traction + 1``, so the fixed-point residual is always 1."""
+
+    n_interface = 1
+    n_steps = 1
+
+    def initial_state(self):
+        return 0
+
+    def initial_displacement(self):
+        return InterfaceField(np.zeros(1), FieldRole.DISPLACEMENT)
+
+    def initial_flow_u(self):
+        return np.zeros(1)
+
+    def initial_solid_u(self):
+        return np.zeros(1)
+
+    def _system(self, shift, role):
+        return NonlinearSystemSpec(dim=1, assemble_matrix=lambda u: np.eye(1),
+                                   assemble_rhs=lambda c: c.values + shift,
+                                   tangent=lambda u: np.eye(1),
+                                   extract_output=lambda u: InterfaceField(u, role))
+
+    def flow_system(self, state, displacement):
+        return self._system(0.0, FieldRole.TRACTION)
+
+    def solid_system(self, state, traction):
+        return self._system(1.0, FieldRole.DISPLACEMENT)
+
+    def advance_state(self, state, accepted_displacement, flow_u, solid_u):
+        return state + 1
+
+
 class TestEngineAccelerationModes:
     def test_aitken_on_tube(self):
         params = Tube1DParams(cells=40, steps=5)
         config = CouplingConfig(accel=AccelKind.AITKEN, omega0=0.05)
         record = run_simulation(Tube1DModel(params), config)
         assert record.converged
+
+    def test_aitken_stagnation_is_a_typed_event(self):
+        # a constant residual zeroes the secant denominator from k = 2 on
+        with pytest.raises(DivergedStepError) as err:
+            run_simulation(_ShiftModel(), CouplingConfig(accel=AccelKind.AITKEN,
+                                                         max_coupling_iters_per_step=3))
+        events = err.value.partial.events
+        assert Event(1, 2, "aitken_stagnation") in events
+        assert all(isinstance(e, Event) for e in events)
+        assert [(step, k) for step, k, tag in err.value.record.events] == [(1, 2), (1, 3)]
 
     def test_iqn_stabilizes_where_constant_diverges(self):
         # boolean property on the unstable linear preset

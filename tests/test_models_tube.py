@@ -10,8 +10,7 @@ from fsilab import (
     FieldRole,
     InterfaceField,
     SolverCallInput,
-    newton_drive,
-    picard_drive,
+    drive,
     run_simulation,
 )
 from fsilab.errors import ContractError, GeometryError
@@ -155,7 +154,7 @@ class TestFlowSystem:
         p = Tube1DParams(cells=50, steps=20, inlet_pulse=0.0)
         state = initial_tube_state(p)
         spec = tube_flow_system(p, state, zero_disp(p), driver=DriverKind.PICARD)
-        u, rep = picard_drive(spec, SolverCallInput(flow_u0(p), zero_disp(p), eps=1e-9))
+        u, rep = drive(spec, SolverCallInput(flow_u0(p), zero_disp(p), eps=1e-9))
         assert rep.converged_on_first and rep.inner_iters == 1
         assert np.allclose(u, 0.0)
 
@@ -172,7 +171,7 @@ class TestFlowSystem:
         u0 = flow_u0(p)
         u0[: p.cells + 1] = v_bar
         u0[p.cells + 1 :] = pressure
-        u, rep = newton_drive(spec, SolverCallInput(u0, zero_disp(p), eps=1e-10))
+        u, rep = drive(spec, SolverCallInput(u0, zero_disp(p), eps=1e-10))
         v = u[: p.cells + 1]
         pr = u[p.cells + 1 :]
         assert np.ptp(v) < 1e-12
@@ -188,7 +187,7 @@ class TestFlowSystem:
         a0 = state.area[0]
         # inlet BC term in the half-cell momentum row of face 0
         assert b[0] == pytest.approx(2.0 * a0 * 1333.2 / (p.rho_f * p.dx), rel=1e-14)
-        u, _ = newton_drive(spec, SolverCallInput(flow_u0(p), d, eps=1e-9))
+        u, _ = drive(spec, SolverCallInput(flow_u0(p), d, eps=1e-9))
         traction = spec.extract_output(u)
         assert traction.role is FieldRole.TRACTION
         assert traction.values[0] == 1333.2
@@ -201,7 +200,7 @@ class TestFlowSystem:
         state = initial_tube_state(p)
         d = zero_disp(p)
         spec = tube_flow_system(p, state, d)
-        u, _ = newton_drive(spec, SolverCallInput(flow_u0(p), d, eps=1e-11))
+        u, _ = drive(spec, SolverCallInput(flow_u0(p), d, eps=1e-11))
         v = u[: p.cells + 1]
         v_exact = p.dt * (1333.2 / p.length) / p.rho_f
         assert np.allclose(v, v_exact, rtol=1e-6)
@@ -251,7 +250,6 @@ class TestFlowSystem:
             m, ref = op(u), dense(u)
             assert rel_err(m @ u, ref @ u) <= 1e-14
             assert rel_err(m.solve(r), np.linalg.solve(ref, r)) <= 1e-11
-            assert np.array_equal(m.diagonal(), np.diag(ref))
 
     def test_wrong_displacement_rejected(self, params):
         state = initial_tube_state(params)
@@ -271,9 +269,9 @@ class TestSolidSystem:
     def test_zero_load_zero_displacement(self, params):
         state = initial_tube_state(params)
         spec = tube_solid_system(params, state, self.uniform_traction(params, 0.0))
-        u, rep = newton_drive(spec, SolverCallInput(np.zeros(params.n_nodes),
-                                                    self.uniform_traction(params, 0.0),
-                                                    eps=1e-6))
+        u, rep = drive(spec, SolverCallInput(np.zeros(params.n_nodes),
+                                             self.uniform_traction(params, 0.0),
+                                             eps=1e-6))
         assert rep.converged_on_first
         assert np.allclose(u, 0.0)
 
@@ -283,7 +281,7 @@ class TestSolidSystem:
         state = initial_tube_state(p_)
         tr = self.uniform_traction(p_, 1333.2)
         spec = tube_solid_system(p_, state, tr, static=True)
-        u, _ = newton_drive(spec, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-10))
+        u, _ = drive(spec, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-10))
         expect = 1333.2 * p_.radius**2 * (1 - p_.poisson**2) / (
             p_.youngs_modulus * p_.thickness)
         assert expect == pytest.approx(1.0110e-4, rel=1e-3)
@@ -296,7 +294,7 @@ class TestSolidSystem:
         load = 900.0
         tr = self.uniform_traction(p_, load)
         spec = tube_solid_system(p_, state, tr, static=True)
-        u, _ = newton_drive(spec, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-12))
+        u, _ = drive(spec, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-12))
         k1 = p_.ring_stiffness
         lo, hi = 0.0, 1.0
         for _ in range(200):
@@ -313,8 +311,8 @@ class TestSolidSystem:
         state = initial_tube_state(p_)
         tr = InterfaceField(np.linspace(1333.2, 0.0, p_.n_nodes), FieldRole.TRACTION)
         spec = tube_solid_system(p_, state, tr)
-        _, rep = newton_drive(spec, SolverCallInput(np.zeros(p_.n_nodes), tr,
-                                                    eps=CouplingConfig().eps_s))
+        _, rep = drive(spec, SolverCallInput(np.zeros(p_.n_nodes), tr,
+                                             eps=CouplingConfig().eps_s))
         assert 2 <= rep.inner_iters <= 4
         assert rep.inner_iters == 3
 
@@ -335,7 +333,7 @@ class TestSolidSystem:
         energies = [energy(state)]
         for _ in range(40):
             spec = tube_solid_system(p_, state, tr)
-            u, _ = newton_drive(spec, SolverCallInput(state.wall_disp.copy(), tr, eps=1e-12))
+            u, _ = drive(spec, SolverCallInput(state.wall_disp.copy(), tr, eps=1e-12))
             w_new = (u - state.wall_disp) / p_.dt
             state.wall_acc = (w_new - state.wall_vel) / p_.dt
             state.wall_disp = u

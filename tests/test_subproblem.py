@@ -8,17 +8,16 @@ from fsilab import (
     FieldRole,
     InterfaceField,
     NonlinearSystemSpec,
-    Preconditioner,
     SolverCallInput,
     SolverId,
     call_solver,
-    newton_drive,
-    picard_drive,
+    drive,
     residual_norm,
 )
 from fsilab.errors import (
     ContractError,
     DivergenceError,
+    InnerIterationError,
     LinearSolveError,
     PreconditionerError,
 )
@@ -39,15 +38,24 @@ def scalar_quadratic():
     )
 
 
-def scalar_affine():
+def scalar_affine(driver=DriverKind.PICARD):
     """A(u) = 1 + u, b = 6: root u = 2, Picard map u' = 6/(1+u)."""
     return NonlinearSystemSpec(
         dim=1,
         assemble_matrix=lambda u: np.array([[1.0 + u[0]]]),
         assemble_rhs=lambda c: np.array([6.0]),
         tangent=lambda u: np.array([[1.0 + 2.0 * u[0]]]),
-        preconditioner=Preconditioner.FULL_A,
+        driver=driver,
     )
+
+
+def driver_id(value):
+    """Case id of a driver parameter: ``newton_drive`` or ``picard_drive``."""
+    if isinstance(value, DriverKind):
+        return f"{value.value}_drive"
+
+
+each_driver = pytest.mark.parametrize("driver", list(DriverKind), ids=driver_id)
 
 
 def call_input(u0, eps=1e-10, n_max=math.inf, batch_size=1):
@@ -57,14 +65,14 @@ def call_input(u0, eps=1e-10, n_max=math.inf, batch_size=1):
 
 class TestNewtonDrive:
     def test_exact_initial_guess(self):
-        u, rep = newton_drive(scalar_quadratic(), call_input([2.0], eps=1e-12))
+        u, rep = drive(scalar_quadratic(), call_input([2.0], eps=1e-12))
         assert rep.inner_iters == 1
         assert rep.converged_on_first
         assert rep.residual_history[0] == 0.0
         assert u[0] == 2.0
 
     def test_full_convergence_and_hand_first_step(self):
-        u, rep = newton_drive(scalar_quadratic(), call_input([3.0], eps=1e-10))
+        u, rep = drive(scalar_quadratic(), call_input([3.0], eps=1e-10))
         assert abs(u[0] - 2.0) < 1e-10
         assert not rep.converged_on_first
         # first Newton step by hand: K = 2*3 = 6, r = 4 - 9 = -5, u1 = 3 - 5/6
@@ -72,7 +80,7 @@ class TestNewtonDrive:
         assert rep.final_residual < 1e-10
 
     def test_single_capped_step(self):
-        u, rep = newton_drive(scalar_quadratic(), call_input([3.0], eps=1e-10, n_max=1))
+        u, rep = drive(scalar_quadratic(), call_input([3.0], eps=1e-10, n_max=1))
         assert rep.inner_iters == 1
         assert not rep.converged_on_first
         assert u[0] == pytest.approx(3.0 - 5.0 / 6.0, abs=1e-12)
@@ -88,7 +96,7 @@ class TestNewtonDrive:
             assemble_rhs=lambda c: b.copy(),
             tangent=lambda u: a.copy(),
         )
-        _, rep = newton_drive(spec, call_input(rng.uniform(-1, 1, 5), eps=1e-13))
+        _, rep = drive(spec, call_input(rng.uniform(-1, 1, 5), eps=1e-13))
         assert rep.inner_iters == 2
         assert rep.residual_history[1] <= 1e-12 * rep.residual_history[0]
 
@@ -100,14 +108,27 @@ class TestNewtonDrive:
             tangent=lambda u: np.array([[0.0]]),
         )
         with pytest.raises(LinearSolveError) as err:
-            newton_drive(spec, call_input([0.0]))
+            drive(spec, call_input([0.0]))
         assert err.value.iteration == 1
 
     def test_requires_tangent(self):
         spec = scalar_quadratic()
         spec.tangent = None
         with pytest.raises(ContractError):
-            newton_drive(spec, call_input([1.0]))
+            drive(spec, call_input([1.0]))
+
+    def test_divergence_guard(self):
+        # A(u) u = cbrt(u), b = 0: each Newton step maps u to -2u, so |r|
+        # grows by 2^(1/3) per iteration and passes 1e8 x |r_1| at iteration 81
+        spec = NonlinearSystemSpec(
+            dim=1,
+            assemble_matrix=lambda u: np.array([[np.cbrt(u[0]) / u[0]]]),
+            assemble_rhs=lambda c: np.array([0.0]),
+            tangent=lambda u: np.array([[np.cbrt(u[0]) / (3.0 * u[0])]]),
+        )
+        with pytest.raises(DivergenceError, match="grew") as err:
+            drive(spec, call_input([1.0]))
+        assert err.value.iteration == 81
 
     def test_nonfinite_iterate_is_divergence(self):
         # a nearly singular tangent overflows the update to +-inf
@@ -118,7 +139,7 @@ class TestNewtonDrive:
             tangent=lambda u: np.array([[1e-320]]),
         )
         with pytest.raises(DivergenceError) as err:
-            newton_drive(spec, call_input([0.0]))
+            drive(spec, call_input([0.0]))
         assert err.value.iteration == 1
 
 
@@ -129,7 +150,7 @@ class TestPicardDrive:
         spec = scalar_affine()
         inner = spec.assemble_matrix
         spec.assemble_matrix = lambda u: (seen.append(u[0]), inner(u))[1]
-        u, rep = picard_drive(spec, call_input([0.0], eps=1e-8))
+        u, rep = drive(spec, call_input([0.0], eps=1e-8))
         assert abs(u[0] - 2.0) < 1e-8
         expect = [0.0]
         for _ in range(3):
@@ -137,7 +158,7 @@ class TestPicardDrive:
         assert seen[:4] == pytest.approx(expect, rel=1e-14)
 
     def test_exact_start(self):
-        u, rep = picard_drive(scalar_affine(), call_input([2.0], eps=1e-10))
+        u, rep = drive(scalar_affine(), call_input([2.0], eps=1e-10))
         assert rep.converged_on_first and rep.inner_iters == 1
 
     def test_linear_full_preconditioner_one_update(self):
@@ -148,47 +169,36 @@ class TestPicardDrive:
             dim=4,
             assemble_matrix=lambda u: a.copy(),
             assemble_rhs=lambda c: b.copy(),
-            preconditioner=Preconditioner.FULL_A,
             driver=DriverKind.PICARD,
         )
-        u, rep = picard_drive(spec, call_input(rng.uniform(-1, 1, 4), eps=1e-12))
+        u, rep = drive(spec, call_input(rng.uniform(-1, 1, 4), eps=1e-12))
         # one real update; the second recorded residual is zero to round-off
         assert rep.inner_iters == 2
         assert rep.residual_history[1] <= 1e-13 * max(rep.residual_history[0], 1.0)
         assert np.allclose(a @ u, b, atol=1e-12)
-
-    def test_diagonal_preconditioner_converges_on_dominant_system(self):
-        a = np.array([[3.0, -1.0], [-1.0, 3.0]])
-        spec = NonlinearSystemSpec(
-            dim=2,
-            assemble_matrix=lambda u: a.copy(),
-            assemble_rhs=lambda c: np.array([1.0, 2.0]),
-            preconditioner=Preconditioner.DIAGONAL_OF_A,
-        )
-        u, rep = picard_drive(spec, call_input([0.0, 0.0], eps=1e-11))
-        assert np.allclose(a @ u, [1.0, 2.0], atol=1e-9)
-        assert rep.inner_iters > 2  # Jacobi is not a direct solve
 
     def test_singular_preconditioner(self):
         spec = NonlinearSystemSpec(
             dim=1,
             assemble_matrix=lambda u: np.array([[0.0]]),
             assemble_rhs=lambda c: np.array([1.0]),
+            driver=DriverKind.PICARD,
         )
         with pytest.raises(PreconditionerError):
-            picard_drive(spec, call_input([0.0]))
+            drive(spec, call_input([0.0]))
 
     def test_divergence_guard(self):
-        # Jacobi diverges on this non-dominant system (iteration spectral radius 2)
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        # A(u) = u^-2, b = 1: the Picard map is u' = u^2, which collapses to 0
+        # from 0.5 while |r| = 1/u - 1 squares, passing 1e8 x |r_1| at iteration 6
         spec = NonlinearSystemSpec(
-            dim=2,
-            assemble_matrix=lambda u: a.copy(),
-            assemble_rhs=lambda c: np.array([1.0, 1.0]),
-            preconditioner=Preconditioner.DIAGONAL_OF_A,
+            dim=1,
+            assemble_matrix=lambda u: np.array([[u[0] ** -2]]),
+            assemble_rhs=lambda c: np.array([1.0]),
+            driver=DriverKind.PICARD,
         )
-        with pytest.raises(DivergenceError):
-            picard_drive(spec, call_input([0.0, 0.5], eps=1e-30))
+        with pytest.raises(DivergenceError, match="grew") as err:
+            drive(spec, call_input([0.5]))
+        assert err.value.iteration == 6
 
 
 def _diagonal_pair():
@@ -204,26 +214,24 @@ def _flow_pair():
 
 
 class TestStructuredOperators:
-    @pytest.mark.parametrize("pair, driver, error, preconditioner", [
-        (_diagonal_pair, newton_drive, LinearSolveError, Preconditioner.FULL_A),
-        (_diagonal_pair, picard_drive, PreconditionerError, Preconditioner.FULL_A),
-        (_diagonal_pair, picard_drive, PreconditionerError, Preconditioner.DIAGONAL_OF_A),
-        (_flow_pair, newton_drive, LinearSolveError, Preconditioner.FULL_A),
-        (_flow_pair, picard_drive, PreconditionerError, Preconditioner.FULL_A),
-    ])
-    def test_singular_operator_reports_iteration(self, pair, driver, error, preconditioner):
+    @pytest.mark.parametrize("pair, driver, error", [
+        (_diagonal_pair, DriverKind.NEWTON, LinearSolveError),
+        (_diagonal_pair, DriverKind.PICARD, PreconditionerError),
+        (_flow_pair, DriverKind.NEWTON, LinearSolveError),
+        (_flow_pair, DriverKind.PICARD, PreconditionerError),
+    ], ids=driver_id)
+    def test_singular_operator_reports_iteration(self, pair, driver, error):
         # regular at u0 = 0, singular at every later iterate
         regular, singular = pair()
         op = lambda u: singular if u.any() else regular
         spec = NonlinearSystemSpec(dim=5, assemble_matrix=op, tangent=op,
-                                   assemble_rhs=lambda c: np.ones(5),
-                                   preconditioner=preconditioner)
+                                   assemble_rhs=lambda c: np.ones(5), driver=driver)
         with pytest.raises(error) as err:
-            driver(spec, call_input(np.zeros(5)))
+            drive(spec, call_input(np.zeros(5)))
         assert err.value.iteration == 2
 
 
-def _roundoff_bound_spec(calls):
+def _roundoff_bound_spec(calls, driver=DriverKind.NEWTON):
     """20x20 linear system whose residual, after one solve, sits at round-off of
     ``||b|| ~ 1e8`` (~5e-9) and never reaches an eps of 1e-12."""
     rng = np.random.default_rng(0)
@@ -234,31 +242,29 @@ def _roundoff_bound_spec(calls):
         assemble_matrix=lambda u: (calls.append(1), a.copy())[1],
         assemble_rhs=lambda c: b.copy(),
         tangent=lambda u: a.copy(),
-        preconditioner=Preconditioner.FULL_A,
+        driver=driver,
     )
 
 
 class TestRoundoffFloor:
-    @pytest.mark.parametrize("driver", [newton_drive, picard_drive])
+    @each_driver
     def test_eps_below_roundoff_fails_fast(self, driver):
         # the uncapped call gives up instead of spinning to the iteration ceiling
         calls = []
         with pytest.raises(DivergenceError, match="round-off"):
-            driver(_roundoff_bound_spec(calls), call_input(np.zeros(20), eps=1e-12))
+            drive(_roundoff_bound_spec(calls, driver), call_input(np.zeros(20), eps=1e-12))
         assert len(calls) <= 20
 
     @pytest.mark.parametrize("batch_size", [6, 8])
     def test_converged_call_still_runs_full_batch(self, batch_size):
         # residual 0 on every iteration: converged, not stalled, so the batch ends
-        _, rep = picard_drive(scalar_affine(),
-                              call_input([2.0], eps=1e-10, batch_size=batch_size))
+        _, rep = drive(scalar_affine(), call_input([2.0], eps=1e-10, batch_size=batch_size))
         assert rep.inner_iters == batch_size
         assert rep.final_residual == 0.0
 
     def test_capped_call_is_not_guarded(self):
         # a cap ends the loop itself, so a capped call returns its iterate
-        _, rep = newton_drive(_roundoff_bound_spec([]),
-                              call_input(np.zeros(20), eps=1e-12, n_max=30))
+        _, rep = drive(_roundoff_bound_spec([]), call_input(np.zeros(20), eps=1e-12, n_max=30))
         assert rep.inner_iters == 30
 
 
@@ -267,46 +273,52 @@ class TestBatching:
         return scalar_affine()
 
     def test_converged_call_still_runs_full_batch(self):
-        u, rep = picard_drive(self._spec(), call_input([2.0], eps=1e-10, batch_size=3))
+        u, rep = drive(self._spec(), call_input([2.0], eps=1e-10, batch_size=3))
         assert rep.inner_iters == 3
         assert rep.converged_on_first
 
+    def test_newton_batches_too(self):
+        # the batch rule belongs to the one loop, not to the Picard update
+        u, rep = drive(scalar_quadratic(), call_input([2.0], eps=1e-12, batch_size=3))
+        assert rep.inner_iters == 3
+        assert rep.converged_on_first
+        assert u[0] == 2.0
+
     def test_cap_truncates_last_batch(self):
-        u, rep = picard_drive(self._spec(), call_input([0.0], eps=1e-14, n_max=7,
-                                                       batch_size=3))
+        u, rep = drive(self._spec(), call_input([0.0], eps=1e-14, n_max=7, batch_size=3))
         assert rep.inner_iters == 7  # 3 + 3 + truncated 1
 
     def test_multiple_of_batch(self):
-        u, rep = picard_drive(self._spec(), call_input([0.0], eps=1e-8, batch_size=4))
+        u, rep = drive(self._spec(), call_input([0.0], eps=1e-8, batch_size=4))
         assert rep.inner_iters % 4 == 0
 
 
 class TestRhsFrozen:
-    @pytest.mark.parametrize("driver", [newton_drive, picard_drive])
+    @each_driver
     def test_rhs_assembled_exactly_once_per_call(self, driver):
         # a drifting right-hand side would require re-assembly; one call, one b
         calls = []
-        spec = scalar_affine()
+        spec = scalar_affine(driver)
         orig_rhs = spec.assemble_rhs
         spec.assemble_rhs = lambda c: (calls.append(1), orig_rhs(c))[1]
-        _, rep = driver(spec, call_input([0.0], eps=1e-9))
+        _, rep = drive(spec, call_input([0.0], eps=1e-9))
         assert rep.inner_iters > 1
         assert len(calls) == 1
 
     def test_first_residual_pins_the_assembled_b(self):
         # from u0 = 0 the first recorded residual is exactly ||b||/sqrt(n)
-        _, rep = picard_drive(scalar_affine(), call_input([0.0], eps=1e-9))
+        _, rep = drive(scalar_affine(), call_input([0.0], eps=1e-9))
         assert rep.residual_history[0] == 6.0
 
 
 class TestReplayProperty:
-    @pytest.mark.parametrize("driver", [newton_drive, picard_drive])
+    @each_driver
     def test_recorded_norms_reproducible(self, driver):
         iterates = []
-        spec = scalar_affine()
+        spec = scalar_affine(driver)
         inner_matrix = spec.assemble_matrix
         spec.assemble_matrix = lambda u: (iterates.append(u.copy()), inner_matrix(u))[1]
-        _, rep = driver(spec, call_input([0.3], eps=1e-9))
+        _, rep = drive(spec, call_input([0.3], eps=1e-9))
         b = spec.assemble_rhs(DUMMY)
         for u, recorded in zip(iterates, rep.residual_history):
             again = residual_norm(b - inner_matrix(u) @ u, 1)
@@ -316,7 +328,7 @@ class TestReplayProperty:
 class TestIterationBounds:
     @pytest.mark.parametrize("n_max", [1, 2, 5])
     def test_cap_respected(self, n_max):
-        _, rep = picard_drive(scalar_affine(), call_input([0.0], eps=1e-15, n_max=n_max))
+        _, rep = drive(scalar_affine(), call_input([0.0], eps=1e-15, n_max=n_max))
         assert 1 <= rep.inner_iters <= n_max
 
 
@@ -334,14 +346,16 @@ class TestCallSolver:
         assert np.array_equal(u, out.values)
 
     def test_capped_call_returns_capped_iterate(self):
-        toy = LinearToyModel.stable(flow_driver=DriverKind.PICARD,
-                                    preconditioner=Preconditioner.DIAGONAL_OF_A)
+        toy = LinearToyModel.stable(flow_driver=DriverKind.PICARD)
         d = toy.initial_displacement()
         spec = toy.flow_system(0, d)
         out, rep, _ = call_solver(SolverId.FLOW, spec,
-                                  SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13, n_max=2))
-        assert rep.inner_iters == 2
-        assert rep.final_residual >= 1e-13  # Jacobi cannot finish in two sweeps
+                                  SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13, n_max=1))
+        assert rep.inner_iters == 1
+        # the only recorded residual is the one before the single update
+        assert rep.final_residual >= 1e-13
+        direct = np.linalg.solve(toy.A_f, toy.b_f0 + toy.B_f @ d.values)
+        assert np.allclose(out.values, direct, atol=1e-12)
 
     def test_role_validation(self):
         toy = LinearToyModel.stable()
@@ -364,3 +378,9 @@ class TestCallSolver:
         # the failed call's cost travels with the error
         assert err.value.inner_iters == 1
         assert err.value.wall_time > 0.0
+
+    def test_inner_iteration_errors_share_one_base(self):
+        for cls in (LinearSolveError, PreconditionerError, DivergenceError):
+            err = cls("failed", iteration=4)
+            assert isinstance(err, InnerIterationError)
+            assert err.iteration == 4
