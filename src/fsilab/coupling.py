@@ -49,8 +49,11 @@ _AITKEN_MAX = 2.0
 _RESIDUAL_GROWTH_ABORT = 1e6
 # quasi-Newton stagnation guard: flush the history when the residual has not
 # halved for this many coupling iterations (stale secant data from capped
-# solver calls can stall the update otherwise)
+# solver calls can stall the update otherwise); relaxation has no history to
+# flush and aborts the step once the residual has repeated this often, to
+# within _REPEAT_RTOL of its norm (round-off)
 _STALL_WINDOW = 6
+_REPEAT_RTOL = 1e3 * np.finfo(float).eps
 _STALL_FACTOR = 0.5
 # secant columns kept at most (calibrated on the tube testbed: larger piles
 # of capped-call pairs stall the update, smaller piles slow convergence)
@@ -64,6 +67,10 @@ class IqnHistory:
     the matching solid-output difference; columns are ordered newest first and
     tagged with the time step that produced them. At the start of time step t,
     columns older than ``t - q`` are evicted.
+
+    ``V`` and ``W`` live in ``(n, capacity)`` buffers, newest column first: an
+    append shifts the stored columns right by one in place, and the capacity
+    doubles when the history outgrows it, up to ``max_columns``.
     """
 
     def __init__(self, q: int, max_columns: int | None = None):
@@ -73,43 +80,60 @@ class IqnHistory:
             raise ContractError("max_columns must be >= 1")
         self.q = q
         self.max_columns = max_columns
-        self._cols: list = []  # (age, residual_diff, output_diff), newest first
+        self._ages: list = []  # age of each stored column, newest first
+        self._v = self._w = np.empty((0, 0))
 
     def append(self, residual_diff: np.ndarray, output_diff: np.ndarray, age: int) -> None:
         dr = np.asarray(residual_diff, dtype=float)
         dw = np.asarray(output_diff, dtype=float)
         if dr.shape != dw.shape or dr.ndim != 1:
             raise ContractError("column pair must be two equal-length vectors")
-        if self._cols and self._cols[0][1].size != dr.size:
+        if self._ages and self._v.shape[0] != dr.size:
             raise ContractError("column length mismatch with stored history")
-        if not np.any(dr):
+        if not dr.any():
             return  # a stagnant pair carries no secant information
-        self._cols.insert(0, (age, dr, dw))
-        if self.max_columns is not None and len(self._cols) > self.max_columns:
-            del self._cols[self.max_columns :]  # oldest columns beyond the cap
+        k = len(self._ages)
+        if k == self.max_columns:
+            k -= 1  # the oldest column drops out
+        if self._v.shape[0] != dr.size or self._v.shape[1] <= k:  # new length, or full
+            cap = max(2 * self._v.shape[1], 1)
+            if self.max_columns is not None:
+                cap = min(cap, self.max_columns)
+            v, w = np.empty((dr.size, cap)), np.empty((dr.size, cap))
+            if k:
+                v[:, :k], w[:, :k] = self._v[:, :k], self._w[:, :k]
+            self._v, self._w = v, w
+        for buf, col in ((self._v, dr), (self._w, dw)):
+            buf[:, 1 : k + 1] = buf[:, :k]
+            buf[:, 0] = col
+        self._ages = [age] + self._ages[:k]
 
     def start_step(self, step: int) -> None:
-        self._cols = [c for c in self._cols if c[0] >= step - self.q]
+        keep = [j for j, age in enumerate(self._ages) if age >= step - self.q]
+        if keep != list(range(len(keep))):  # a dropped column sits before a kept one
+            for buf in (self._v, self._w):
+                buf[:, : len(keep)] = buf[:, keep]
+        self._ages = [self._ages[j] for j in keep]
 
     def clear(self) -> None:
-        self._cols = []
+        self._ages = []
 
     @property
     def n_columns(self) -> int:
-        return len(self._cols)
+        return len(self._ages)
 
     @property
     def is_empty(self) -> bool:
-        return not self._cols
+        return not self._ages
 
     @property
     def column_ages(self) -> list:
-        return [c[0] for c in self._cols]
+        return list(self._ages)
 
     def matrices(self):
-        v = np.column_stack([c[1] for c in self._cols])
-        w = np.column_stack([c[2] for c in self._cols])
-        return v, w
+        """``(V, W)`` as views of the buffers, valid until the next append."""
+        k = len(self._ages)
+        return self._v[:, :k], self._w[:, :k]
 
 
 def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
@@ -137,7 +161,8 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     norms = np.linalg.norm(v_matrix, axis=0)
     cand = np.flatnonzero(norms)
     while cand.size:
-        r_diag = np.abs(np.linalg.qr(v_matrix[:, cand], mode="r").diagonal())
+        # mode="raw" returns the geqrf output transposed: its diagonal is R's
+        r_diag = np.abs(np.linalg.qr(v_matrix[:, cand], mode="raw")[0].diagonal())
         failed = np.flatnonzero(r_diag < eps_fil * norms[cand[: r_diag.size]])
         if not failed.size:
             return cand[: r_diag.size].tolist()
@@ -265,7 +290,9 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
 
     Raises :class:`DivergedStepError`, with the step's unconverged
     :class:`TimeStepRecord` as ``partial``, when the coupling-iteration budget
-    is exhausted or the residual grows unboundedly.
+    is exhausted, the residual grows unboundedly, or, under constant or
+    Aitken relaxation, the residual repeats to round-off for
+    ``_STALL_WINDOW`` consecutive coupling iterations.
     """
     d_k = d_start
     r_prev = None
@@ -277,6 +304,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     r1_norm = None
     best_norm = None
     best_at = 0
+    repeats = 0  # consecutive coupling iterations that repeated the residual
 
     def _abort(reason: str):
         exc = DivergedStepError(f"time step {step}: {reason}", step=step)
@@ -353,6 +381,13 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
                 events=events,
             )
             return record, d_k, u_f, u_s
+
+        if config.accel is not AccelKind.IQN_ILS and k > 1:
+            repeated = float(np.linalg.norm(r_k - r_km1)) <= _REPEAT_RTOL * r_norm
+            repeats = repeats + 1 if repeated else 0
+            if repeats >= _STALL_WINDOW:
+                raise _abort(f"fixed-point residual repeated for {repeats} coupling "
+                             "iterations")
 
         # acceleration update toward the next coupling iteration
         if config.accel is AccelKind.CONSTANT:

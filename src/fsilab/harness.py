@@ -174,6 +174,11 @@ def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float, seed) -
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the grid, derive teq/teq_norm/deviation columns, write sweep.csv."""
+    timing_mode = spec.config.get("timing", "measured").lower()
+    if timing_mode == "measured" and spec.workers > 1:
+        # parallel cells contend for the cores and bias the timings the
+        # self-fit prices them by
+        raise SweepSpecError("timing = measured requires workers = 1")
     cells = [(f, s) for f in spec.grid_f for s in spec.grid_s]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -192,7 +197,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         ))
         snapshots[(f, s)] = out["snapshots"]
 
-    timing_mode = spec.config.get("timing", "measured").lower()
     factors = factors_from_config(spec.config)
     if timing_mode == "modeled":
         if factors is None:

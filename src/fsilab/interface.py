@@ -58,7 +58,7 @@ class InterfaceField:
         arr = np.asarray(self.values, dtype=float).copy()
         if arr.ndim != 1 or arr.size < 1:
             raise ContractError("interface field must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ContractError("interface field contains non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -75,9 +75,12 @@ def residual_norm(r, n: int) -> float:
         raise InvalidInputError("residual vector must be non-empty and 1-D")
     if n != arr.size:
         raise InvalidInputError(f"declared length {n} != vector length {arr.size}")
-    if not np.all(np.isfinite(arr)):
+    norm = float(np.linalg.norm(arr))
+    # a non-finite entry makes the norm non-finite; a finite vector whose norm
+    # overflows is no error
+    if not math.isfinite(norm) and not np.isfinite(arr).all():
         raise InvalidInputError("residual vector contains non-finite entries")
-    return float(np.linalg.norm(arr) / math.sqrt(n))
+    return norm / math.sqrt(n)
 
 
 def fixed_point_residual(d_tilde: InterfaceField, d: InterfaceField) -> np.ndarray:
@@ -176,8 +179,9 @@ class CouplingConfig:
         validate_cap(self.n_max_f, "n_max_f")
         validate_cap(self.n_max_s, "n_max_s")
         for name in ("eps_f", "eps_s", "eps_fil", "eps_c"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ContractError(f"{name} must be positive and finite, got {value!r}")
         if self.reuse_q < 0:
             raise ContractError("reuse_q must be non-negative")
         if not (0.0 < self.omega0 <= 1.0):

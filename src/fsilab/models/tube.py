@@ -137,7 +137,7 @@ def areas_from_displacement(params: Tube1DParams, wall_disp: np.ndarray) -> np.n
     """Cell areas from nodal radial displacements; rejects collapsed sections."""
     d_cell = 0.5 * (wall_disp[:-1] + wall_disp[1:])
     radii = params.radius + d_cell
-    if np.any(radii <= 0.0):
+    if (radii <= 0.0).any():
         raise GeometryError("non-positive tube radius from interface displacement")
     return math.pi * radii**2
 
@@ -176,9 +176,13 @@ class FlowOperator:
     """
 
     def __init__(self, lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
-                 g: np.ndarray, d: np.ndarray):
+                 g: np.ndarray, d: np.ndarray, ell: np.ndarray | None = None,
+                 z: np.ndarray | None = None):
         self.lo, self.diag, self.up = lo, diag, up
         self.g, self.d = g, d
+        # 1/g and 1/d; a spec passes the arrays it shares between operators
+        self.ell = 1.0 / g if ell is None else ell
+        self.z = 1.0 / d if z is None else z
 
     def _t(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
@@ -198,14 +202,13 @@ class FlowOperator:
         """Solve ``[[T, G], [D, 0]] [v; p] = [f; h]`` in three sweeps.
 
         ``D v = h`` fixes the fluxes ``d * v`` up to one constant ``c`` (a
-        cumulative sum): ``v = v_h + c z`` with ``z = 1/d``. ``1/g`` is a left
-        null vector of ``G``, so ``(1/g)^T T v = (1/g)^T f`` fixes ``c``. Then
+        cumulative sum): ``v = v_h + c z`` with ``z = 1/d``. ``ell = 1/g`` is a
+        left null vector of ``G``, so ``ell^T T v = ell^T f`` fixes ``c``. Then
         ``G p = f - T v`` is a cumulative sum down the faces.
         """
         nf = self.diag.size
         f, h = r[:nf], r[nf:]
-        ell = 1.0 / self.g
-        z = 1.0 / self.d
+        ell, z = self.ell, self.z
         ell_t_z = ell @ self._t(z)
         if ell_t_z == 0.0 or not np.isfinite(ell_t_z):
             raise np.linalg.LinAlgError("singular flow operator")
@@ -250,6 +253,11 @@ def tube_flow_system(
     g = a_face / (rho * dx)  # pressure-gradient weights; the half-cell end rows double
     g[[0, n]] *= 2.0
     d = a_face / dx  # mass-flux weights
+    ell, z = 1.0 / g, 1.0 / d  # shared by every operator of this spec
+    # velocities of the last assemble_matrix call and their bands: the Newton
+    # driver asks for the tangent at the same u right after assembling A(u)
+    last_v: np.ndarray | None = None
+    last_bands: tuple = ()
 
     def _momentum_bands(v: np.ndarray):
         """Time, upwind convection and boundary-flux bands of the momentum block."""
@@ -270,28 +278,35 @@ def tube_flow_system(
         return -cf, diag, cb, forward
 
     def assemble_matrix(u: np.ndarray) -> FlowOperator:
-        lo, diag, up, _ = _momentum_bands(u[: n + 1])
-        return FlowOperator(lo, diag, up, g, d)
+        nonlocal last_v, last_bands
+        last_v = u[: n + 1].copy()
+        last_bands = _momentum_bands(last_v)
+        lo, diag, up, _ = last_bands
+        return FlowOperator(lo, diag, up, g, d, ell, z)
 
     def tangent(u: np.ndarray) -> FlowOperator:
         v = u[: n + 1]
-        lo, diag, up, forward = _momentum_bands(v)
+        # compare values, not identity: u may have been edited in place since
+        if last_v is not None and np.array_equal(v, last_v):
+            lo, diag, up, forward = last_bands
+        else:
+            lo, diag, up, forward = _momentum_bands(v)
         # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
-        # 0.5*a_i*v_up against both faces of cell i
+        # 0.5*a_i*v_up against both faces of cell i; new arrays throughout, so
+        # the bands an A(u) operator holds stay untouched
         w = 0.5 * a * np.where(forward, v[:-1], v[1:]) / dx
+        diag = diag.copy()
         diag[:-1] += w
-        up += w
-        lo -= w
         diag[1:] -= w
         # boundary extension fluxes a_face*v*v
         diag[0] -= a_face[0] * v[0] / dx
         diag[n] += a_face[n] * v[n] / dx
-        return FlowOperator(lo, diag, up, g, d)
+        return FlowOperator(lo - w, diag, up + w, g, d, ell, z)
 
     def assemble_rhs(coupling: InterfaceField) -> np.ndarray:
         if coupling.size != params.n_nodes:
             raise ContractError("coupling data length mismatch")
-        if not np.array_equal(coupling.values, frozen):
+        if coupling.values is not frozen and not np.array_equal(coupling.values, frozen):
             raise ContractError("coupling data differs from the field this system was built for")
         b = np.zeros(dim)
         b[: n + 1] = a_face_old * v_old / dt
@@ -342,26 +357,24 @@ def tube_solid_system(
     ms_dt2 = 0.0 if static else params.wall_mass / params.dt**2
     d_old = state.wall_disp
     w_old = state.wall_vel
-    interior = np.zeros(m, dtype=bool)
-    interior[1:-1] = True
 
     def assemble_matrix(u: np.ndarray) -> DiagonalOperator:
         diag = np.full(m, ms_dt2 + k1)
-        diag[interior] += kappa3 * u[interior] ** 2
+        diag[1:-1] += kappa3 * u[1:-1] ** 2
         return DiagonalOperator(diag)
 
     def assemble_rhs(coupling: InterfaceField) -> np.ndarray:
         if coupling.size != m:
             raise ContractError("coupling data length mismatch")
         b = np.zeros(m)
-        b[interior] = coupling.values[interior]
+        b[1:-1] = coupling.values[1:-1]
         if not static:
-            b[interior] += ms_dt2 * (d_old[interior] + params.dt * w_old[interior])
+            b[1:-1] += ms_dt2 * (d_old[1:-1] + params.dt * w_old[1:-1])
         return b
 
     def tangent(u: np.ndarray) -> DiagonalOperator:
         diag = np.full(m, ms_dt2 + k1)
-        diag[interior] += 3.0 * kappa3 * u[interior] ** 2
+        diag[1:-1] += 3.0 * kappa3 * u[1:-1] ** 2
         return DiagonalOperator(diag)
 
     return NonlinearSystemSpec(

@@ -14,6 +14,7 @@ before updating), which is what makes ``converged_on_first`` well defined.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -93,7 +94,7 @@ class DiagonalOperator:
         return self.d * u
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        if not np.all(self.d):
+        if not self.d.all():
             raise np.linalg.LinAlgError("zero diagonal entry")
         return r / self.d
 
@@ -145,8 +146,8 @@ class SolverCallInput:
 
     def __post_init__(self):
         validate_cap(self.n_max, "n_max")
-        if self.eps <= 0:
-            raise ContractError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ContractError(f"eps must be positive and finite, got {self.eps!r}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
 
@@ -155,7 +156,7 @@ def _prepare(spec: NonlinearSystemSpec, inp: SolverCallInput):
     u = np.array(inp.u0, dtype=float)
     if u.shape != (spec.dim,):
         raise ContractError(f"u0 has shape {u.shape}, expected ({spec.dim},)")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ContractError("u0 contains non-finite entries")
     b = np.array(spec.assemble_rhs(inp.coupling_data), dtype=float)
     if b.shape != (spec.dim,):
@@ -167,7 +168,7 @@ def _prepare(spec: NonlinearSystemSpec, inp: SolverCallInput):
 
 def _guards(history: list, i: int, u: np.ndarray, bounded: bool, label: str,
             floor: float, eps: float) -> None:
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise DivergenceError(f"{label}: non-finite iterate at inner iteration {i}",
                               iteration=i)
     if not bounded:

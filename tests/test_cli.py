@@ -109,6 +109,16 @@ def test_operational_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_measured_sweep_with_two_workers_is_an_error(tmp_path, capsys):
+    out = tmp_path / "study"
+    code = main(["sweep", "--config", str(data_path("tube1d.cfg")), "--out", str(out),
+                 "--workers", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "workers = 1" in err
+    assert not out.exists()
+
+
 def test_shipped_config_runs_reduced(tmp_path):
     # the shipped tube config, shrunk for test speed
     cfg = tmp_path / "tube.cfg"

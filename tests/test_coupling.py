@@ -21,6 +21,7 @@ from fsilab import (
     qr_filter,
     run_simulation,
 )
+from fsilab.coupling import _STALL_WINDOW
 from fsilab.errors import AllColumnsFilteredError, ContractError, DivergedStepError
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import Tube1DParams
@@ -242,7 +243,7 @@ class TestIqnUpdate:
     def test_all_filtered_raises(self):
         hist = IqnHistory(q=1)
         hist.append(np.zeros(2), np.ones(2), age=1)  # silently skipped (no info)
-        hist._cols.append((1, np.zeros(2), np.ones(2)))  # force a zero column in
+        hist._v, hist._w, hist._ages = np.zeros((2, 1)), np.ones((2, 1)), [1]  # force a zero column in
         with pytest.raises(AllColumnsFilteredError):
             iqn_ils_update(hist, np.ones(2), np.zeros(2), 1e-12)
 
@@ -257,7 +258,104 @@ class TestIqnUpdate:
         assert np.all(np.isfinite(d_next)) and math.isfinite(inc)
 
 
+class ListIqnHistory:
+    """The history's previous implementation, kept as the oracle: a Python
+    list of ``(age, residual_diff, output_diff)`` tuples, newest first."""
+
+    def __init__(self, q: int, max_columns: int | None = None):
+        if q < 0:
+            raise ContractError("reuse depth q must be >= 0")
+        if max_columns is not None and max_columns < 1:
+            raise ContractError("max_columns must be >= 1")
+        self.q = q
+        self.max_columns = max_columns
+        self._cols: list = []  # (age, residual_diff, output_diff), newest first
+
+    def append(self, residual_diff: np.ndarray, output_diff: np.ndarray, age: int) -> None:
+        dr = np.asarray(residual_diff, dtype=float)
+        dw = np.asarray(output_diff, dtype=float)
+        if dr.shape != dw.shape or dr.ndim != 1:
+            raise ContractError("column pair must be two equal-length vectors")
+        if self._cols and self._cols[0][1].size != dr.size:
+            raise ContractError("column length mismatch with stored history")
+        if not np.any(dr):
+            return  # a stagnant pair carries no secant information
+        self._cols.insert(0, (age, dr, dw))
+        if self.max_columns is not None and len(self._cols) > self.max_columns:
+            del self._cols[self.max_columns :]  # oldest columns beyond the cap
+
+    def start_step(self, step: int) -> None:
+        self._cols = [c for c in self._cols if c[0] >= step - self.q]
+
+    def clear(self) -> None:
+        self._cols = []
+
+    @property
+    def n_columns(self) -> int:
+        return len(self._cols)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._cols
+
+    @property
+    def column_ages(self) -> list:
+        return [c[0] for c in self._cols]
+
+    def matrices(self):
+        v = np.column_stack([c[1] for c in self._cols])
+        w = np.column_stack([c[2] for c in self._cols])
+        return v, w
+
+
+@st.composite
+def history_ops(draw):
+    """A row count, a column cap, and a random sequence of history operations;
+    appends carry random, zero or wrong-length pairs and arbitrary ages."""
+    n = draw(st.integers(1, 6))
+    max_columns = draw(st.sampled_from([None, 1, 3, 24]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(["append"] * 6 + ["zero", "resize",
+                                                                  "start", "clear"]),
+                              max_size=60)):
+        if kind == "start":
+            ops.append(("start", draw(st.integers(0, 12))))
+        elif kind == "clear":
+            ops.append(("clear",))
+        else:
+            size = n + 1 if kind == "resize" else n
+            dr = np.zeros(size) if kind == "zero" else rng.standard_normal(size)
+            ops.append(("append", dr, rng.standard_normal(size), draw(st.integers(0, 12))))
+    return n, max_columns, draw(st.integers(0, 3)), ops
+
+
 class TestIqnHistory:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=history_ops())
+    def test_buffers_match_list_oracle(self, inputs):
+        n, max_columns, q, ops = inputs
+        hist, oracle = IqnHistory(q, max_columns), ListIqnHistory(q, max_columns)
+        for op in ops:
+            outcomes = []
+            for h in (hist, oracle):
+                try:
+                    if op[0] == "append":
+                        h.append(op[1], op[2], age=op[3])
+                    elif op[0] == "start":
+                        h.start_step(op[1])
+                    else:
+                        h.clear()
+                    outcomes.append(None)
+                except ContractError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert hist.column_ages == oracle.column_ages
+            assert (hist.n_columns, hist.is_empty) == (oracle.n_columns, oracle.is_empty)
+            if not oracle.is_empty:
+                for got, ref in zip(hist.matrices(), oracle.matrices()):
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
     def test_eviction_by_age(self):
         hist = IqnHistory(q=2)
         for age in (1, 2, 3, 4):
@@ -453,6 +551,37 @@ class TestEngineAccelerationModes:
         assert Event(1, 2, "aitken_stagnation") in events
         assert all(isinstance(e, Event) for e in events)
         assert [(step, k) for step, k, tag in err.value.record.events] == [(1, 2), (1, 3)]
+
+    @pytest.mark.parametrize("accel", [AccelKind.CONSTANT, AccelKind.AITKEN])
+    def test_relaxation_aborts_on_an_exact_stall(self, accel):
+        # the residual is 1, up to one ulp, at every coupling iteration; the
+        # default budget of 200 iterations is not spent
+        model = _ShiftModel()
+        calls = {"flow": 0, "solid": 0}
+
+        def counted(system, name):
+            def build(state, field):
+                spec = system(state, field)
+                matrix = spec.assemble_matrix
+
+                def assemble_matrix(u):  # once per inner iteration
+                    calls[name] += 1
+                    return matrix(u)
+
+                return replace(spec, assemble_matrix=assemble_matrix)
+            return build
+
+        model.flow_system = counted(model.flow_system, "flow")
+        model.solid_system = counted(model.solid_system, "solid")
+        with pytest.raises(DivergedStepError, match="residual repeated") as err:
+            run_simulation(model, CouplingConfig(accel=accel))
+        partial = err.value.partial
+        assert 2 <= partial.coupling_iters <= _STALL_WINDOW + 2
+        assert (partial.flow_iters, partial.solid_iters) == (calls["flow"], calls["solid"])
+        assert partial.flow_iters >= partial.coupling_iters
+        assert partial.solid_iters >= partial.coupling_iters
+        assert err.value.record.counters.per_step == [
+            (1, partial.coupling_iters, partial.flow_iters, partial.solid_iters)]
 
     def test_iqn_stabilizes_where_constant_diverges(self):
         # boolean property on the unstable linear preset

@@ -14,7 +14,7 @@ from fsilab.configio import (
     regression_summary_path,
 )
 from fsilab.costmodel import CostFactors
-from fsilab.errors import RankDeficiencyError, SweepSpecError, TableParseError
+from fsilab.errors import ContractError, RankDeficiencyError, SweepSpecError, TableParseError
 from fsilab.harness import (
     SweepSpec,
     emit_contour,
@@ -83,6 +83,13 @@ class TestConfigParsing:
         assert isinstance(scalar, ScalarToyModel)
         assert scalar.params.kappa == 0.25
 
+    @pytest.mark.parametrize("key", ["eps_f", "eps_s", "eps_fil", "eps_c"])
+    def test_non_finite_tolerance_rejected(self, key):
+        from fsilab.configio import build_coupling_config
+
+        with pytest.raises(ContractError, match=f"{key} must be positive and finite"):
+            build_coupling_config(parse_config_text(f"{key} = nan\n"))
+
     def test_malformed_line(self):
         with pytest.raises(TableParseError) as err:
             parse_config_text("just words\n", source="f")
@@ -139,6 +146,15 @@ class TestRunSweep:
             assert row.teq is None and row.teq_norm is None and row.max_dev is None
         reread = read_sweep_csv(tmp_path / "sweep.csv")
         assert all(not r.converged and r.teq_norm is None for r in reread)
+
+    def test_measured_timing_requires_one_worker(self, tmp_path):
+        # parallel cells would contend for cores and bias the self-fit
+        for cfg in (dict(LINEAR_TOY_STABLE), dict(LINEAR_TOY_STABLE, timing="measured")):
+            spec = SweepSpec(config=cfg, grid_f=[math.inf], grid_s=[math.inf],
+                             workers=2, out_dir=tmp_path)
+            with pytest.raises(SweepSpecError, match="measured requires workers = 1"):
+                run_sweep(spec)
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_modeled_timing_requires_factors(self, tmp_path):
         cfg = dict(LINEAR_TOY_STABLE, timing="modeled")

@@ -46,6 +46,14 @@ class TestResidualNorm:
         with pytest.raises(InvalidInputError):
             residual_norm([1.0, 2.0], 3)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_rejected_finite_overflow_is_not(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            residual_norm([1.0, bad], 2)
+        # every entry finite, only the norm overflows: numpy warns, no error
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert residual_norm([1e300, 1e300], 2) == math.inf
+
     @given(finite_vecs,
            st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6)))
     def test_absolute_homogeneity(self, vec, lam):
@@ -162,6 +170,12 @@ class TestCouplingConfig:
     def test_invalid_rejected(self, kw):
         with pytest.raises(ContractError):
             CouplingConfig(**kw)
+
+    @pytest.mark.parametrize("name", ["eps_f", "eps_s", "eps_fil", "eps_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    def test_tolerances_positive_and_finite(self, name, value):
+        with pytest.raises(ContractError, match=f"{name} must be positive and finite"):
+            CouplingConfig(**{name: value})
 
 
 class TestCaps:

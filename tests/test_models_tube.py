@@ -251,6 +251,35 @@ class TestFlowSystem:
             assert rel_err(m @ u, ref @ u) <= 1e-14
             assert rel_err(m.solve(r), np.linalg.solve(ref, r)) <= 1e-11
 
+    @pytest.mark.parametrize("edit", ["none", "pressure", "velocity", "upwind"])
+    def test_tangent_after_assemble_is_bitwise_a_fresh_tangent(self, params, edit):
+        # the tangent reuses the bands of the last assemble_matrix call only
+        # while the velocities are unchanged, and never writes into them
+        p, n = params, params.cells
+        rng = np.random.default_rng(11)
+        state = initial_tube_state(p)
+        state.velocity[:] = 0.1 * rng.standard_normal(n + 1)
+        d = InterfaceField(1e-4 * rng.uniform(-1.0, 1.0, p.n_nodes), FieldRole.DISPLACEMENT)
+        spec, fresh = tube_flow_system(p, state, d), tube_flow_system(p, state, d)
+        u = np.concatenate([0.1 * rng.uniform(-1.0, 1.0, n + 1),
+                            1000.0 * rng.standard_normal(n)])
+        x, r = rng.standard_normal(u.size), rng.standard_normal(u.size)
+        a = spec.assemble_matrix(u)
+        bands = [b.copy() for b in (a.lo, a.diag, a.up)]
+        ax = (a @ x).tobytes()
+        if edit == "pressure":
+            u[n + 1] += 5.0
+        elif edit == "velocity":
+            u[n // 2] *= 1.0 + 1e-15
+        elif edit == "upwind":
+            u[: n + 1] *= -1.0
+        k, k_ref = spec.tangent(u), fresh.tangent(u)
+        for got, ref in zip((k.lo, k.diag, k.up, k @ x, k.solve(r)),
+                            (k_ref.lo, k_ref.diag, k_ref.up, k_ref @ x, k_ref.solve(r))):
+            assert got.tobytes() == ref.tobytes()
+        assert all(b.tobytes() == c.tobytes() for b, c in zip(bands, (a.lo, a.diag, a.up)))
+        assert (a @ x).tobytes() == ax
+
     def test_wrong_displacement_rejected(self, params):
         state = initial_tube_state(params)
         with pytest.raises(ContractError):

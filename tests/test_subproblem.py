@@ -293,6 +293,14 @@ class TestBatching:
         assert rep.inner_iters % 4 == 0
 
 
+class TestSolverCallInput:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_positive_and_finite(self, eps):
+        # a NaN tolerance is never met: an exact solve would run to the ceiling
+        with pytest.raises(ContractError, match="eps must be positive and finite"):
+            call_input([2.0], eps=eps)
+
+
 class TestRhsFrozen:
     @each_driver
     def test_rhs_assembled_exactly_once_per_call(self, driver):
