@@ -68,7 +68,7 @@ def _cmd_run(args) -> int:
     model = build_model(cfg)
     config = build_coupling_config(cfg)
     try:
-        record = run_simulation(model, config)
+        record = run_simulation(model, config, increments=True)
     except DivergedStepError as exc:
         record = exc.record
         print(f"FAIL: {exc}")

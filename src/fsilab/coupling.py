@@ -18,6 +18,7 @@ nearly dependent columns.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -136,6 +137,55 @@ class IqnHistory:
         return self._v[:, :k], self._w[:, :k]
 
 
+def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
+    """The filter of :func:`qr_filter`; with ``rhs``, also the least-squares fit.
+
+    Returns ``(keep, alpha)``: ``keep`` is an index array, and ``alpha``
+    minimizes ``||V[:, keep] alpha - rhs||_2`` (None without ``rhs``). Each
+    pass factors ``[V_cand | rhs]`` once. Householder QR treats the columns in
+    order, so the first diagonal entries of R are those of ``V_cand`` alone,
+    and the last column holds ``Q^T rhs``: ``alpha`` is one triangular solve
+    away, with no Q formed. Dropping the rows that are zero in every column of
+    V leaves ``alpha`` exact: there ``rhs`` only adds a constant to the
+    squared residual.
+    """
+    _require_eps_fil(eps_fil)
+    v_matrix = np.asarray(v_matrix, dtype=float)
+    rows = v_matrix.any(axis=1)
+    v_matrix = v_matrix[rows]
+    norms = np.linalg.norm(v_matrix, axis=0)
+    cand = np.flatnonzero(norms)
+    n_rows = v_matrix.shape[0]
+    while cand.size:
+        a = np.empty((n_rows, cand.size + (rhs is not None)))
+        a[:, : cand.size] = v_matrix[:, cand]
+        if rhs is not None:
+            a[:, -1] = rhs[rows]
+        # mode="raw" returns the geqrf output transposed: R is the upper
+        # triangle of h.T
+        h = np.linalg.qr(a, mode="raw")[0]
+        n_keep = min(cand.size, n_rows)
+        r_diag = np.abs(h.diagonal()[:n_keep])
+        failed = np.flatnonzero(r_diag < eps_fil * norms[cand[:n_keep]])
+        if failed.size:
+            cand = np.delete(cand, failed[0])
+            continue
+        if rhs is None:
+            return cand[:n_keep], None
+        r_tri = np.triu(h[:n_keep, :n_keep].T)
+        try:
+            alpha = np.linalg.solve(r_tri, h[-1, :n_keep])
+        except np.linalg.LinAlgError as exc:
+            raise AllColumnsFilteredError("retained columns are numerically singular") from exc
+        return cand[:n_keep], alpha
+    return cand, None
+
+
+def _require_eps_fil(eps_fil: float) -> None:
+    if not 0.0 < eps_fil < math.inf:
+        raise ContractError(f"eps_fil must be positive and finite, got {eps_fil!r}")
+
+
 def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     """Indices of columns to retain, processed in the given (newest-first) order.
 
@@ -152,33 +202,23 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     reflections would fill them with round-off. With more candidates than the
     ``n`` remaining rows, ``R`` has only ``n`` diagonal entries: the first
     ``n`` candidates then span the whole space, and every candidate past them
-    is dropped as dependent.
+    is dropped as dependent. :func:`iqn_ils_update` runs the same filter on
+    the same factorisation as its least-squares solve.
     """
-    if eps_fil <= 0:
-        raise ContractError("eps_fil must be positive")
-    v_matrix = np.asarray(v_matrix, dtype=float)
-    v_matrix = v_matrix[np.any(v_matrix, axis=1)]
-    norms = np.linalg.norm(v_matrix, axis=0)
-    cand = np.flatnonzero(norms)
-    while cand.size:
-        # mode="raw" returns the geqrf output transposed: its diagonal is R's
-        r_diag = np.abs(np.linalg.qr(v_matrix[:, cand], mode="raw")[0].diagonal())
-        failed = np.flatnonzero(r_diag < eps_fil * norms[cand[: r_diag.size]])
-        if not failed.size:
-            return cand[: r_diag.size].tolist()
-        cand = np.delete(cand, failed[0])
-    return []
+    return _qr1(v_matrix, eps_fil)[0].tolist()
 
 
 def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     """Quasi-Newton interface update ``d_next = d_tilde + W alpha``.
 
-    ``alpha`` minimizes ``||V alpha + r||_2`` over the filtered columns; the
-    returned increment norm is ``||W alpha||_2``. A zero residual yields a zero
-    increment exactly, for any history.
+    ``alpha`` minimizes ``||V alpha + r||_2`` over the columns
+    :func:`qr_filter` keeps, read off the filter's own last factorisation of
+    ``[V | r]``; the returned increment norm is ``||W alpha||_2``. A zero
+    residual yields a zero increment exactly, for any history.
     """
     r = np.asarray(r_k, dtype=float)
     d_tilde = np.asarray(d_tilde_k, dtype=float)
+    _require_eps_fil(eps_fil)
     if np.linalg.norm(r) == 0.0:
         return d_tilde.copy(), 0.0
     if hist.is_empty:
@@ -186,17 +226,12 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     v, w = hist.matrices()
     if v.shape[0] != r.size:
         raise ContractError("history column length does not match residual length")
-    keep = qr_filter(v, eps_fil)
-    if not keep:
+    keep, alpha = _qr1(v, eps_fil, -r)
+    if not keep.size:
         raise AllColumnsFilteredError("filtering removed all quasi-Newton columns")
-    vk = v[:, keep]
-    wk = w[:, keep]
-    q, r_tri = np.linalg.qr(vk)
-    try:
-        alpha = np.linalg.solve(r_tri, -(q.T @ r))
-    except np.linalg.LinAlgError as exc:
-        raise AllColumnsFilteredError("retained columns are numerically singular") from exc
-    delta = wk @ alpha
+    if keep.size < w.shape[1]:  # else no column was dropped: W stays a view
+        w = w[:, keep]
+    delta = w @ alpha
     return d_tilde + delta, float(np.linalg.norm(delta))
 
 
@@ -255,6 +290,9 @@ class TimeStepRecord:
     ``events`` lists the step's :class:`Event` s in the order they happened.
     ``accepted_norms`` is ``(||r||, ||r||/||d||, would-be update increment)``
     at acceptance; the relative norm is +inf when the displacement is zero.
+    The increment costs one more quasi-Newton update per IQN-ILS step, so it
+    is computed only when the run asks for it (``increments=True``) and is
+    None otherwise.
     An aborted step's record has ``converged=False`` and ``accepted_norms=None``
     and counts every iteration and second spent up to the abort.
     """
@@ -285,8 +323,10 @@ def _would_be_increment(config, hist, omega, r_k, d_tilde_vals) -> float:
 
 
 def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
-                  resolve_audit: bool = False):
+                  resolve_audit: bool = False, increments: bool = False):
     """One coupled time step; returns ``(record, d_accepted, u_f, u_s)``.
+
+    ``increments`` fills the third entry of ``record.accepted_norms``.
 
     Raises :class:`DivergedStepError`, with the step's unconverged
     :class:`TimeStepRecord` as ``partial``, when the coupling-iteration budget
@@ -364,7 +404,9 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         if check_convergence(rep_f, rep_s, config, r_k, d_k.values):
             d_norm = float(np.linalg.norm(d_k.values))
             rel = r_norm / d_norm if d_norm > 0.0 else float("inf")
-            inc = _would_be_increment(config, hist, omega, r_k, d_tilde.values)
+            inc = None
+            if increments:
+                inc = _would_be_increment(config, hist, omega, r_k, d_tilde.values)
             audit = None
             if resolve_audit:
                 audit = _resolve_audit(config, flow_spec, solid_spec, d_k, traction, u_f, u_s)
@@ -432,13 +474,16 @@ def _resolve_audit(config, flow_spec, solid_spec, d_k, traction, u_f, u_s):
 
 
 def run_simulation(model, config: CouplingConfig, resolve_audit_every: int = 0,
-                   on_step=None) -> RunRecord:
+                   on_step=None, increments: bool = False) -> RunRecord:
     """Run all time steps of a coupled model; fully deterministic given config.
 
     ``resolve_audit_every=m`` re-calls both solvers with the accepted data on
     every m-th step and records the first residuals. ``on_step(step, hist,
-    state)`` is a diagnostics hook. On a diverged step the partial run record,
-    which includes the aborted step, is attached to the raised
+    state)`` is a diagnostics hook. ``increments=True`` records each accepted
+    step's would-be update increment in ``accepted_norms[2]``; it adds one
+    quasi-Newton update per accepted step under IQN-ILS and leaves the
+    iteration counts and snapshots unchanged. On a diverged step the partial
+    run record, which includes the aborted step, is attached to the raised
     :class:`DivergedStepError` as ``record``.
     """
     t_start = time.perf_counter()
@@ -489,7 +534,7 @@ def run_simulation(model, config: CouplingConfig, resolve_audit_every: int = 0,
         try:
             record, d_acc, u_f, u_s = run_time_step(
                 model, config, state, hist, step, d_acc, u_f, u_s,
-                resolve_audit=audit_this,
+                resolve_audit=audit_this, increments=increments,
             )
         except DivergedStepError as exc:
             _account(exc.partial)

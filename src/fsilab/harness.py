@@ -175,10 +175,24 @@ def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float, seed) -
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the grid, derive teq/teq_norm/deviation columns, write sweep.csv."""
     timing_mode = spec.config.get("timing", "measured").lower()
-    if timing_mode == "measured" and spec.workers > 1:
-        # parallel cells contend for the cores and bias the timings the
-        # self-fit prices them by
-        raise SweepSpecError("timing = measured requires workers = 1")
+    # every spec error is raised here, before the first cell runs
+    factors = factors_from_config(spec.config)
+    if timing_mode == "measured":
+        if spec.workers > 1:
+            # parallel cells contend for the cores and bias the timings the
+            # self-fit prices them by
+            raise SweepSpecError("timing = measured requires workers = 1")
+    elif timing_mode == "modeled":
+        if factors is None:
+            raise SweepSpecError("timing = modeled requires cost_* factor keys")
+        try:
+            noise = float(spec.config.get("noise_rel", "0"))
+        except ValueError as exc:
+            raise SweepSpecError(f"noise_rel: {exc}") from exc
+        if noise > 0 and spec.seed is None:
+            raise SweepSpecError("noisy modeled timings require a seed")
+    else:
+        raise SweepSpecError(f"unknown timing mode {timing_mode!r}")
     cells = [(f, s) for f in spec.grid_f for s in spec.grid_s]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -197,17 +211,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         ))
         snapshots[(f, s)] = out["snapshots"]
 
-    factors = factors_from_config(spec.config)
     if timing_mode == "modeled":
-        if factors is None:
-            raise SweepSpecError("timing = modeled requires cost_* factor keys")
-        noise = float(spec.config.get("noise_rel", "0"))
-        if noise > 0 and spec.seed is None:
-            raise SweepSpecError("noisy modeled timings require a seed")
         _modeled_timings(rows, factors, noise, spec.seed)
-    elif timing_mode != "measured":
-        raise SweepSpecError(f"unknown timing mode {timing_mode!r}")
-
     if factors is None:
         factors = _self_fit(rows)
 

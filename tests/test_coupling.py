@@ -177,9 +177,18 @@ class TestQrFilter:
         assert qr_filter(v, 1e-12) == [0, 1]
 
     def test_nonpositive_eps_rejected(self):
-        for eps_fil in (0.0, -1e-12):
-            with pytest.raises(ContractError):
+        for eps_fil in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(ContractError, match="positive and finite"):
                 qr_filter(np.eye(2), eps_fil)
+        # a NaN threshold compared false everywhere and kept both duplicates
+        with pytest.raises(ContractError, match="got nan"):
+            qr_filter(np.ones((3, 2)), math.nan)
+        hist = IqnHistory(q=1)
+        hist.append(np.array([1.0, 0.0]), np.array([0.5, 0.5]), age=1)
+        for eps_fil in (0.0, math.nan, math.inf):
+            for r in (np.ones(2), np.zeros(2)):
+                with pytest.raises(ContractError, match="positive and finite"):
+                    iqn_ils_update(hist, r, np.zeros(2), eps_fil)
 
     @settings(max_examples=300, deadline=None)
     @given(filter_inputs())
@@ -193,6 +202,13 @@ class TestQrFilter:
         keep = qr_filter(v, eps_fil)
         assert keep == reference
         assert all(type(i) is int for i in keep)
+
+
+def _history(v: np.ndarray, w: np.ndarray) -> IqnHistory:
+    """A history holding exactly the columns of ``v`` and ``w``, zero ones too."""
+    hist = IqnHistory(q=0, max_columns=None)
+    hist._v, hist._w, hist._ages = v.copy(), w.copy(), [1] * v.shape[1]
+    return hist
 
 
 class TestIqnUpdate:
@@ -256,6 +272,37 @@ class TestIqnUpdate:
         assert hist.n_columns == 5
         d_next, inc = iqn_ils_update(hist, np.array([1.0, -2.0]), np.zeros(2), 1e-12)
         assert np.all(np.isfinite(d_next)) and math.isfinite(inc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(filter_inputs(), st.integers(0, 2**32 - 1))
+    def test_matches_filtered_lstsq_reference(self, inputs, seed):
+        # the residual has entries on rows that are zero in every column of V,
+        # and V may have more columns than rows
+        v, eps_fil = inputs
+        assume(v.shape[1] > 0)  # an empty history is the caller's problem
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(v.shape)
+        r = rng.standard_normal(v.shape[0]) * 10.0 ** rng.uniform(-3, 3)
+        d_tilde = rng.standard_normal(v.shape[0])
+        keep = gram_schmidt_filter(v, eps_fil)
+        assume(all(q < 0.1 * eps_fil or q > 10.0 * eps_fil
+                   for q in orthogonal_ratios(v, keep)))
+        if not keep:
+            with pytest.raises(AllColumnsFilteredError):
+                iqn_ils_update(_history(v, w), r, d_tilde, eps_fil)
+            return
+        # past a condition number of 1e6, any backward-stable solve fixes the
+        # coefficients only to about eps * cond^2: no computation is a
+        # reference there (the kept sets are pinned by the filter's oracle)
+        assume(np.linalg.cond(v[:, keep]) < 1e6)
+        delta = w[:, keep] @ np.linalg.lstsq(v[:, keep], -r, rcond=None)[0]
+        expected = d_tilde + delta
+        d_next, _ = iqn_ils_update(_history(v, w), r, d_tilde, eps_fil)
+        assert np.linalg.norm(d_next - expected) <= 1e-8 * np.linalg.norm(expected)
+        # the increment alone, which d_tilde could swamp above
+        delta_next, inc = iqn_ils_update(_history(v, w), r, np.zeros_like(r), eps_fil)
+        assert np.linalg.norm(delta_next - delta) <= 1e-8 * np.linalg.norm(delta)
+        assert inc == pytest.approx(np.linalg.norm(delta), rel=1e-8)
 
 
 class ListIqnHistory:
@@ -424,7 +471,8 @@ class TestCheckConvergence:
 def short_run():
     params = Tube1DParams(cells=60, steps=21)
     config = CouplingConfig()
-    record = run_simulation(Tube1DModel(params), config, resolve_audit_every=7)
+    record = run_simulation(Tube1DModel(params), config, resolve_audit_every=7,
+                            increments=True)
     return params, config, record
 
 
@@ -459,6 +507,33 @@ class TestEngineOnTube:
         for rec in record.step_records:
             r_norm, _, inc = rec.accepted_norms
             assert inc <= 10.0 * r_norm + 1e-300
+
+    def test_increment_only_on_request(self, monkeypatch):
+        # a run that does not ask makes no acceptance-time update and leaves
+        # the third accepted norm empty; asking changes nothing else
+        import fsilab.coupling as coupling_mod
+
+        params = Tube1DParams(cells=40, steps=6)
+        real_update = coupling_mod.iqn_ils_update
+        calls = {"n": 0}
+
+        def counted(*args):
+            calls["n"] += 1
+            return real_update(*args)
+
+        monkeypatch.setattr(coupling_mod, "iqn_ils_update", counted)
+        plain = run_simulation(Tube1DModel(params), CouplingConfig())
+        plain_calls, calls["n"] = calls["n"], 0
+        asked = run_simulation(Tube1DModel(params), CouplingConfig(), increments=True)
+        assert all(rec.accepted_norms[2] is None for rec in plain.step_records)
+        assert all(rec.accepted_norms[2] >= 0.0 for rec in asked.step_records)
+        # every accepted step holds secant columns, so asking costs one update each
+        assert calls["n"] - plain_calls == len(asked.step_records) == params.steps
+        # a plain run updates once per non-final coupling iteration, except the
+        # first of the run, whose history is empty
+        assert plain_calls == asked.counters.coupling_total - params.steps - 1
+        assert plain.counters.per_step == asked.counters.per_step
+        assert all(np.array_equal(a, b) for a, b in zip(plain.snapshots, asked.snapshots))
 
     def test_reuse_eviction_invariant(self):
         params = Tube1DParams(cells=40, steps=8)

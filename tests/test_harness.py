@@ -163,6 +163,30 @@ class TestRunSweep:
         with pytest.raises(SweepSpecError):
             run_sweep(spec)
 
+    @pytest.mark.parametrize("extra, workers, match", [
+        ({"timing": "modeld"}, 1, "unknown timing mode 'modeld'"),
+        ({"timing": "modeled"}, 1, "requires cost_"),
+        ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "0.01"}, 1,
+         "require a seed"),
+        ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "abc"}, 1,
+         "noise_rel: could not convert"),
+        ({"timing": "measured"}, 2, "requires workers = 1"),
+    ], ids=["unknown-mode", "modeled-without-factors", "noise-without-seed",
+            "malformed-noise", "measured-parallel"])
+    def test_spec_errors_raise_before_any_cell_runs(self, tmp_path, monkeypatch,
+                                                    extra, workers, match):
+        import fsilab.harness as harness_mod
+
+        calls = []
+        monkeypatch.setattr(harness_mod, "_run_cell",
+                            lambda *args: calls.append(args) or {})
+        spec = SweepSpec(config=dict(LINEAR_TOY_STABLE, **extra), grid_f=[1, math.inf],
+                         grid_s=[math.inf], workers=workers, out_dir=tmp_path)
+        with pytest.raises(SweepSpecError, match=match):
+            run_sweep(spec)
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_tube_grid_deviation_column(self, tmp_path):
         cfg = {"model": "tube1d", "cells": "60", "steps": "15"}
         spec = SweepSpec(config=cfg, grid_f=[2, math.inf], grid_s=[3, math.inf],
