@@ -9,7 +9,6 @@ no quoting.
 from __future__ import annotations
 
 import importlib.resources
-import math
 from pathlib import Path
 
 from .errors import ContractError, TableParseError
@@ -50,13 +49,23 @@ def parse_config(path) -> dict:
     return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def _get(cfg: dict, key: str, default, convert):
-    if key not in cfg:
-        return default
-    try:
-        return convert(cfg[key])
-    except (ValueError, ContractError) as exc:
-        raise ContractError(f"config key {key!r}: {exc}") from exc
+def _kwargs(cfg: dict, convert: dict, rename: dict | None = None) -> dict:
+    """Keyword arguments from the config keys that ``cfg`` sets.
+
+    ``convert`` maps a config key to its parser; ``rename`` maps a config key
+    to its keyword where the two differ. A key the config leaves out is left
+    out here too, so the receiver's own default applies. A value that does not
+    parse raises :class:`ContractError` naming the key.
+    """
+    out = {}
+    for key, parse in convert.items():
+        if key not in cfg:
+            continue
+        try:
+            out[(rename or {}).get(key, key)] = parse(cfg[key])
+        except (ValueError, ContractError) as exc:
+            raise ContractError(f"config key {key!r}: {exc}") from exc
+    return out
 
 
 def _bool(text: str) -> bool:
@@ -68,69 +77,49 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_ACCEL = {a.value: a for a in AccelKind}
-_CRITERION = {c.value: c for c in CriterionKind}
-_DRIVER = {d.value: d for d in DriverKind}
+def _enum(kind):
+    """Parser of a config value naming a member of ``kind`` by its value."""
+    return lambda text: kind(text.lower())
+
+
+_COUPLING_KEYS = {
+    "n_max_f": parse_cap, "n_max_s": parse_cap, "eps_f": float, "eps_s": float,
+    "eps_fil": float, "reuse_q": int, "omega0": float, "accel": _enum(AccelKind),
+    "criterion": _enum(CriterionKind), "eps_c": float, "criterion_relative": _bool,
+    "max_coupling_iters": int, "batch_size_f": int,
+}
+_TUBE_KEYS = {
+    **dict.fromkeys(("length", "radius", "thickness", "rho_f", "mu_f", "rho_s",
+                     "youngs_modulus", "poisson", "dt", "inlet_pulse", "pulse_duration",
+                     "outlet_pressure", "kappa3"), float),
+    "cells": int, "steps": int,
+}
+_SCALAR_TOY_KEYS = dict.fromkeys(("alpha", "beta", "b0", "stiffness", "kappa"), float)
+_LINEAR_TOY_KEYS = {"dim_f": int, "dim_s": int, "coupling_strength": float}
+_COST_KEYS = {f"cost_{name}": name
+              for name in ("c_couple", "c_fix_f", "c_iter_f", "c_fix_s", "c_iter_s")}
+
+
+def _toy_steps(cfg: dict) -> dict:
+    return _kwargs(cfg, {"steps": int}, rename={"steps": "n_steps"})
 
 
 def build_coupling_config(cfg: dict) -> CouplingConfig:
-    return CouplingConfig(
-        n_max_f=_get(cfg, "n_max_f", math.inf, parse_cap),
-        n_max_s=_get(cfg, "n_max_s", math.inf, parse_cap),
-        eps_f=_get(cfg, "eps_f", 1e-9, float),
-        eps_s=_get(cfg, "eps_s", 1e-3, float),
-        eps_fil=_get(cfg, "eps_fil", 1e-12, float),
-        reuse_q=_get(cfg, "reuse_q", 5, int),
-        omega0=_get(cfg, "omega0", 0.1, float),
-        accel=_get(cfg, "accel", AccelKind.IQN_ILS, lambda t: _ACCEL[t.lower()]),
-        criterion=_get(cfg, "criterion", CriterionKind.FIRST_RESIDUAL,
-                       lambda t: _CRITERION[t.lower()]),
-        eps_c=_get(cfg, "eps_c", 1e-10, float),
-        criterion_relative=_get(cfg, "criterion_relative", False, _bool),
-        max_coupling_iters_per_step=_get(cfg, "max_coupling_iters", 200, int),
-        batch_size_f=_get(cfg, "batch_size_f", 1, int),
-    )
+    return CouplingConfig(**_kwargs(
+        cfg, _COUPLING_KEYS, rename={"max_coupling_iters": "max_coupling_iters_per_step"}))
 
 
 def build_model(cfg: dict):
     kind = cfg.get("model", "tube1d").lower()
     if kind == "tube1d":
-        defaults = Tube1DParams()
-        params = Tube1DParams(
-            length=_get(cfg, "length", defaults.length, float),
-            radius=_get(cfg, "radius", defaults.radius, float),
-            thickness=_get(cfg, "thickness", defaults.thickness, float),
-            rho_f=_get(cfg, "rho_f", defaults.rho_f, float),
-            mu_f=_get(cfg, "mu_f", defaults.mu_f, float),
-            rho_s=_get(cfg, "rho_s", defaults.rho_s, float),
-            youngs_modulus=_get(cfg, "youngs_modulus", defaults.youngs_modulus, float),
-            poisson=_get(cfg, "poisson", defaults.poisson, float),
-            cells=_get(cfg, "cells", defaults.cells, int),
-            dt=_get(cfg, "dt", defaults.dt, float),
-            steps=_get(cfg, "steps", defaults.steps, int),
-            inlet_pulse=_get(cfg, "inlet_pulse", defaults.inlet_pulse, float),
-            pulse_duration=_get(cfg, "pulse_duration", defaults.pulse_duration, float),
-            outlet_pressure=_get(cfg, "outlet_pressure", defaults.outlet_pressure, float),
-            kappa3=_get(cfg, "kappa3", defaults.kappa3, float),
-        )
-        driver = _get(cfg, "flow_scheme", DriverKind.NEWTON, lambda t: _DRIVER[t.lower()])
-        return Tube1DModel(params, flow_driver=driver)
+        params = Tube1DParams(**_kwargs(cfg, _TUBE_KEYS))
+        return Tube1DModel(params, **_kwargs(cfg, {"flow_scheme": _enum(DriverKind)},
+                                             rename={"flow_scheme": "flow_driver"}))
     if kind == "linear_toy":
-        return LinearToyModel(
-            dim_f=_get(cfg, "dim_f", 4, int),
-            dim_s=_get(cfg, "dim_s", 4, int),
-            coupling_strength=_get(cfg, "coupling_strength", 0.5, float),
-            n_steps=_get(cfg, "steps", 1, int),
-        )
+        return LinearToyModel(**_kwargs(cfg, _LINEAR_TOY_KEYS), **_toy_steps(cfg))
     if kind == "scalar_toy":
-        params = ScalarToyParams(
-            alpha=_get(cfg, "alpha", 2.0, float),
-            beta=_get(cfg, "beta", 1.0, float),
-            b0=_get(cfg, "b0", 4.0, float),
-            stiffness=_get(cfg, "stiffness", 1.0, float),
-            kappa=_get(cfg, "kappa", 0.5, float),
-        )
-        return ScalarToyModel(params, n_steps=_get(cfg, "steps", 1, int))
+        params = ScalarToyParams(**_kwargs(cfg, _SCALAR_TOY_KEYS))
+        return ScalarToyModel(params, **_toy_steps(cfg))
     raise ContractError(f"unknown model {kind!r} (expected tube1d, linear_toy, scalar_toy)")
 
 
@@ -141,16 +130,8 @@ def grids_from_config(cfg: dict) -> tuple:
 
 
 def factors_from_config(cfg: dict) -> CostFactors | None:
-    keys = ("cost_c_couple", "cost_c_fix_f", "cost_c_iter_f", "cost_c_fix_s", "cost_c_iter_s")
-    if not any(k in cfg for k in keys):
-        return None
-    return CostFactors(
-        c_couple=_get(cfg, "cost_c_couple", 0.0, float),
-        c_fix_f=_get(cfg, "cost_c_fix_f", 0.0, float),
-        c_iter_f=_get(cfg, "cost_c_iter_f", 0.0, float),
-        c_fix_s=_get(cfg, "cost_c_fix_s", 0.0, float),
-        c_iter_s=_get(cfg, "cost_c_iter_s", 0.0, float),
-    )
+    factors = _kwargs(cfg, dict.fromkeys(_COST_KEYS, float), rename=_COST_KEYS)
+    return CostFactors(**factors) if factors else None
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +222,42 @@ def load_factors_csv(path, case: str | None = None) -> tuple:
     return factors, gamma
 
 
+_PUBLISHED_COLUMNS = ("nmax_f", "nmax_s", "teq_norm", "N_c", "N_f", "N_s")
+
+
+def _read_published_table(path) -> list:
+    """Rows of a published table: ``(cap_f, cap_s, teq_norm, (N_c, N_f, N_s))``.
+
+    The header must be ``_PUBLISHED_COLUMNS`` and every row must hold six
+    fields. A missing value marks a diverged run and must blank the whole row;
+    such rows are skipped. Violations raise :class:`TableParseError`.
+    """
+    raw = read_csv_rows(path)
+    header_line, header = raw[0]
+    if tuple(h.strip() for h in header) != _PUBLISHED_COLUMNS:
+        raise TableParseError(f"{path}:{header_line}: expected header {_PUBLISHED_COLUMNS}",
+                              line=header_line)
+    entries = []
+    for lineno, fields in raw[1:]:
+        if len(fields) != len(_PUBLISHED_COLUMNS):
+            raise TableParseError(f"{path}:{lineno}: expected 6 fields", line=lineno)
+        blank = [f.strip() == "" for f in fields[2:]]
+        if any(blank):
+            if not all(blank):
+                raise TableParseError(f"{path}:{lineno}: missing values must blank the whole row",
+                                      line=lineno)
+            continue
+        try:
+            entries.append((
+                parse_cap(fields[0]), parse_cap(fields[1]), float(fields[2]),
+                (int(fields[3]), int(fields[4]), int(fields[5])),
+            ))
+        except ValueError as exc:
+            raise TableParseError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+    return entries
+
+
 def load_published_counters(case: str) -> list:
     """Non-diverged rows of a shipped table: (cap_f, cap_s, N_c, N_f, N_s)."""
-    rows = read_csv_rows(published_table_path(case))
-    out = []
-    for lineno, fields in rows[1:]:
-        if fields[2].strip() == "":
-            continue
-        out.append((parse_cap(fields[0]), parse_cap(fields[1]),
-                    int(fields[3]), int(fields[4]), int(fields[5])))
-    return out
+    return [(f, s, *counters)
+            for f, s, _, counters in _read_published_table(published_table_path(case))]

@@ -43,7 +43,7 @@ from .interface import (
     SolverCallReport,
     fixed_point_residual,
 )
-from .subproblem import SolverCallInput, SolverId, call_solver, drive
+from .subproblem import SolverCallInput, SolverId, call_solver
 
 _AITKEN_MIN = 0.01
 _AITKEN_MAX = 2.0
@@ -67,20 +67,22 @@ class IqnHistory:
     Column i of ``V`` is a fixed-point-residual difference, column i of ``W``
     the matching solid-output difference; columns are ordered newest first and
     tagged with the time step that produced them. At the start of time step t,
-    columns older than ``t - q`` are evicted.
+    columns older than ``t - q`` are evicted, and at most ``max_columns`` are
+    kept.
 
-    ``V`` and ``W`` live in ``(n, capacity)`` buffers, newest column first: an
-    append shifts the stored columns right by one in place, and the capacity
-    doubles when the history outgrows it, up to ``max_columns``.
+    ``V`` and ``W`` live in two ``(n, max_columns)`` buffers, allocated at the
+    first append (or when the column length changes): an append shifts the
+    stored columns right by one in place, and the oldest drops out when the
+    buffer is full.
     """
 
-    def __init__(self, q: int, max_columns: int | None = None):
+    def __init__(self, q: int, max_columns: int = _MAX_SECANT_COLUMNS):
         if q < 0:
             raise ContractError("reuse depth q must be >= 0")
-        if max_columns is not None and max_columns < 1:
-            raise ContractError("max_columns must be >= 1")
+        if not isinstance(max_columns, (int, np.integer)) or max_columns < 1:
+            raise ContractError(f"max_columns must be an integer >= 1, got {max_columns!r}")
         self.q = q
-        self.max_columns = max_columns
+        self.max_columns = int(max_columns)
         self._ages: list = []  # age of each stored column, newest first
         self._v = self._w = np.empty((0, 0))
 
@@ -93,17 +95,10 @@ class IqnHistory:
             raise ContractError("column length mismatch with stored history")
         if not dr.any():
             return  # a stagnant pair carries no secant information
-        k = len(self._ages)
-        if k == self.max_columns:
-            k -= 1  # the oldest column drops out
-        if self._v.shape[0] != dr.size or self._v.shape[1] <= k:  # new length, or full
-            cap = max(2 * self._v.shape[1], 1)
-            if self.max_columns is not None:
-                cap = min(cap, self.max_columns)
-            v, w = np.empty((dr.size, cap)), np.empty((dr.size, cap))
-            if k:
-                v[:, :k], w[:, :k] = self._v[:, :k], self._w[:, :k]
-            self._v, self._w = v, w
+        if self._v.shape != (dr.size, self.max_columns):
+            self._v = np.empty((dr.size, self.max_columns))
+            self._w = np.empty((dr.size, self.max_columns))
+        k = min(len(self._ages), self.max_columns - 1)  # columns that stay
         for buf, col in ((self._v, dr), (self._w, dw)):
             buf[:, 1 : k + 1] = buf[:, :k]
             buf[:, 0] = col
@@ -290,9 +285,9 @@ class TimeStepRecord:
     ``events`` lists the step's :class:`Event` s in the order they happened.
     ``accepted_norms`` is ``(||r||, ||r||/||d||, would-be update increment)``
     at acceptance; the relative norm is +inf when the displacement is zero.
-    The increment costs one more quasi-Newton update per IQN-ILS step, so it
-    is computed only when the run asks for it (``increments=True``) and is
-    None otherwise.
+    The increment is the one :func:`_update` reports. Under IQN-ILS it costs
+    one more quasi-Newton update per step, so it is computed only when the run
+    asks for it (``increments=True``) and is None otherwise.
     An aborted step's record has ``converged=False`` and ``accepted_norms=None``
     and counts every iteration and second spent up to the abort.
     """
@@ -305,25 +300,31 @@ class TimeStepRecord:
     converged: bool
     flow_time: float = 0.0
     solid_time: float = 0.0
-    audit: tuple | None = None
     events: list = field(default_factory=list)
 
 
-def _would_be_increment(config, hist, omega, r_k, d_tilde_vals) -> float:
-    """Norm of the update the configured accelerator would apply to this residual."""
-    r_norm = float(np.linalg.norm(r_k))
+def _update(config, hist, omega, r_k, r_norm, d_k, d_tilde):
+    """The next interface displacement under the configured accelerator.
+
+    Returns ``(d_next, increment_norm, fallback_tag)`` for the flow input
+    ``d_k``, the solid output ``d_tilde`` and ``r_k = d_tilde - d_k``. Under
+    IQN-ILS the increment is ``||W alpha||``, the correction on top of
+    ``d_tilde``; an empty or fully filtered history (the latter tagged) falls
+    back to relaxation with ``omega0``. Under relaxation the increment is
+    ``omega * ||r_k||``, the step from ``d_k``.
+    """
+    tag = None
     if config.accel is AccelKind.IQN_ILS and not hist.is_empty:
         try:
-            return iqn_ils_update(hist, r_k, d_tilde_vals, config.eps_fil)[1]
+            return (*iqn_ils_update(hist, r_k, d_tilde, config.eps_fil), None)
         except AllColumnsFilteredError:
-            pass
-    if config.accel is AccelKind.AITKEN:
-        return omega * r_norm
-    return config.omega0 * r_norm
+            tag = "iqn_all_columns_filtered"
+    step = omega if config.accel is AccelKind.AITKEN else config.omega0
+    return d_k + step * r_k, step * r_norm, tag
 
 
 def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
-                  resolve_audit: bool = False, increments: bool = False):
+                  increments: bool = False):
     """One coupled time step; returns ``(record, d_accepted, u_f, u_s)``.
 
     ``increments`` fills the third entry of ``record.accepted_norms``.
@@ -346,13 +347,16 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     best_at = 0
     repeats = 0  # consecutive coupling iterations that repeated the residual
 
+    def _record(accepted_norms=None) -> TimeStepRecord:
+        return TimeStepRecord(
+            step=step, coupling_iters=k, flow_iters=flow_iters, solid_iters=solid_iters,
+            accepted_norms=accepted_norms, converged=accepted_norms is not None,
+            flow_time=flow_time, solid_time=solid_time, events=events,
+        )
+
     def _abort(reason: str):
         exc = DivergedStepError(f"time step {step}: {reason}", step=step)
-        exc.partial = TimeStepRecord(
-            step=step, coupling_iters=k, flow_iters=flow_iters, solid_iters=solid_iters,
-            accepted_norms=None, converged=False, flow_time=flow_time, solid_time=solid_time,
-            events=events,
-        )
+        exc.partial = _record()
         return exc
 
     for k in range(1, config.max_coupling_iters_per_step + 1):
@@ -406,41 +410,12 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             rel = r_norm / d_norm if d_norm > 0.0 else float("inf")
             inc = None
             if increments:
-                inc = _would_be_increment(config, hist, omega, r_k, d_tilde.values)
-            audit = None
-            if resolve_audit:
-                audit = _resolve_audit(config, flow_spec, solid_spec, d_k, traction, u_f, u_s)
-            record = TimeStepRecord(
-                step=step,
-                coupling_iters=k,
-                flow_iters=flow_iters,
-                solid_iters=solid_iters,
-                accepted_norms=(r_norm, rel, inc),
-                converged=True,
-                flow_time=flow_time,
-                solid_time=solid_time,
-                audit=audit,
-                events=events,
-            )
-            return record, d_k, u_f, u_s
+                inc = _update(config, hist, omega, r_k, r_norm, d_k.values, d_tilde.values)[1]
+            return _record((r_norm, rel, inc)), d_k, u_f, u_s
 
-        if config.accel is not AccelKind.IQN_ILS and k > 1:
-            repeated = float(np.linalg.norm(r_k - r_km1)) <= _REPEAT_RTOL * r_norm
-            repeats = repeats + 1 if repeated else 0
-            if repeats >= _STALL_WINDOW:
-                raise _abort(f"fixed-point residual repeated for {repeats} coupling "
-                             "iterations")
-
-        # acceleration update toward the next coupling iteration
-        if config.accel is AccelKind.CONSTANT:
-            d_next = d_k.values + config.omega0 * r_k
-        elif config.accel is AccelKind.AITKEN:
-            if k > 1:
-                omega, stagnated = aitken_omega(r_k, r_km1, omega)
-                if stagnated:
-                    events.append(Event(step, k, "aitken_stagnation"))
-            d_next = d_k.values + omega * r_k
-        else:  # IQN_ILS
+        # the update's side effects: the IQN stall restart, and under
+        # relaxation the repeat-abort and the Aitken factor
+        if config.accel is AccelKind.IQN_ILS:
             if best_norm is None or r_norm < _STALL_FACTOR * best_norm:
                 best_norm = r_norm
                 best_at = k
@@ -450,14 +425,21 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
                 events.append(Event(step, k, "iqn_stagnation_restart"))
                 best_norm = r_norm
                 best_at = k
-            if hist.is_empty:
-                d_next = d_k.values + config.omega0 * r_k
-            else:
-                try:
-                    d_next, _ = iqn_ils_update(hist, r_k, d_tilde.values, config.eps_fil)
-                except AllColumnsFilteredError:
-                    events.append(Event(step, k, "iqn_all_columns_filtered"))
-                    d_next = d_k.values + config.omega0 * r_k
+        elif k > 1:
+            repeated = float(np.linalg.norm(r_k - r_km1)) <= _REPEAT_RTOL * r_norm
+            repeats = repeats + 1 if repeated else 0
+            if repeats >= _STALL_WINDOW:
+                raise _abort(f"fixed-point residual repeated for {repeats} coupling "
+                             "iterations")
+            if config.accel is AccelKind.AITKEN:
+                omega, stagnated = aitken_omega(r_k, r_km1, omega)
+                if stagnated:
+                    events.append(Event(step, k, "aitken_stagnation"))
+
+        # acceleration update toward the next coupling iteration
+        d_next, _, tag = _update(config, hist, omega, r_k, r_norm, d_k.values, d_tilde.values)
+        if tag is not None:
+            events.append(Event(step, k, tag))
         d_k = InterfaceField(d_next, FieldRole.DISPLACEMENT)
 
     raise _abort(
@@ -465,26 +447,16 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     )
 
 
-def _resolve_audit(config, flow_spec, solid_spec, d_k, traction, u_f, u_s):
-    """First residuals of one extra call of each solver with the accepted data."""
-    _, rep_f = drive(flow_spec, SolverCallInput(u_f.copy(), d_k, eps=config.eps_f, n_max=1))
-    _, rep_s = drive(solid_spec,
-                     SolverCallInput(u_s.copy(), traction, eps=config.eps_s, n_max=1))
-    return rep_f.residual_history[0], rep_s.residual_history[0]
-
-
-def run_simulation(model, config: CouplingConfig, resolve_audit_every: int = 0,
-                   on_step=None, increments: bool = False) -> RunRecord:
+def run_simulation(model, config: CouplingConfig, on_step=None,
+                   increments: bool = False) -> RunRecord:
     """Run all time steps of a coupled model; fully deterministic given config.
 
-    ``resolve_audit_every=m`` re-calls both solvers with the accepted data on
-    every m-th step and records the first residuals. ``on_step(step, hist,
-    state)`` is a diagnostics hook. ``increments=True`` records each accepted
-    step's would-be update increment in ``accepted_norms[2]``; it adds one
-    quasi-Newton update per accepted step under IQN-ILS and leaves the
-    iteration counts and snapshots unchanged. On a diverged step the partial
-    run record, which includes the aborted step, is attached to the raised
-    :class:`DivergedStepError` as ``record``.
+    ``on_step(step, hist, state)`` is a diagnostics hook. ``increments=True``
+    records each accepted step's would-be update increment in
+    ``accepted_norms[2]``; it adds one quasi-Newton update per accepted step
+    under IQN-ILS and leaves the iteration counts and snapshots unchanged. On
+    a diverged step the partial run record, which includes the aborted step,
+    is attached to the raised :class:`DivergedStepError` as ``record``.
     """
     t_start = time.perf_counter()
     state = model.initial_state()
@@ -501,7 +473,6 @@ def run_simulation(model, config: CouplingConfig, resolve_audit_every: int = 0,
     step_records: list = []
     snapshots: list = []
     events: list = []
-    audits: list = []
     flow_seconds = solid_seconds = 0.0
 
     def _account(record: TimeStepRecord) -> None:
@@ -524,17 +495,14 @@ def run_simulation(model, config: CouplingConfig, resolve_audit_every: int = 0,
             snapshots=snapshots,
             step_records=step_records,
             events=events,
-            audit=audits,
             failing_step=failing_step,
         )
 
     for step in range(1, model.n_steps + 1):
         hist.start_step(step)
-        audit_this = resolve_audit_every > 0 and step % resolve_audit_every == 0
         try:
             record, d_acc, u_f, u_s = run_time_step(
-                model, config, state, hist, step, d_acc, u_f, u_s,
-                resolve_audit=audit_this, increments=increments,
+                model, config, state, hist, step, d_acc, u_f, u_s, increments=increments,
             )
         except DivergedStepError as exc:
             _account(exc.partial)
@@ -543,8 +511,6 @@ def run_simulation(model, config: CouplingConfig, resolve_audit_every: int = 0,
         _account(record)
         snapshots.append(d_acc.values.copy())
         step_records.append(record)
-        if record.audit is not None:
-            audits.append((step,) + record.audit)
         state = model.advance_state(state, d_acc, u_f, u_s)
         if on_step is not None:
             on_step(step, hist, state)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .configio import (
+    _read_published_table,
     build_coupling_config,
     build_model,
     factors_from_config,
@@ -85,11 +86,16 @@ class SweepSpec:
     @classmethod
     def from_config(cls, cfg: dict, out_dir=None, workers=None, seed=None) -> "SweepSpec":
         grid_f, grid_s = grids_from_config(cfg)
+        if workers is None:
+            try:
+                workers = int(cfg.get("workers", "1"))
+            except ValueError as exc:
+                raise SweepSpecError(f"config key 'workers': {exc}") from exc
         return cls(
             config=cfg,
             grid_f=grid_f,
             grid_s=grid_s,
-            workers=workers if workers is not None else int(cfg.get("workers", "1")),
+            workers=workers,
             out_dir=Path(out_dir) if out_dir is not None else None,
             seed=seed,
         )
@@ -389,31 +395,7 @@ def replay_published(table_path, factors: CostFactors, tolerance: float = 0.01) 
     the (inf, inf) row, and compared to the published two-decimal cell. PASS
     iff every absolute error is within ``tolerance``.
     """
-    raw = read_csv_rows(table_path)
-    header_line, header = raw[0]
-    expected = ("nmax_f", "nmax_s", "teq_norm", "N_c", "N_f", "N_s")
-    if tuple(h.strip() for h in header) != expected:
-        raise TableParseError(f"{table_path}:{header_line}: expected header {expected}",
-                              line=header_line)
-    entries = []
-    for lineno, fields in raw[1:]:
-        if len(fields) != 6:
-            raise TableParseError(f"{table_path}:{lineno}: expected 6 fields", line=lineno)
-        blank = [f.strip() == "" for f in fields[2:]]
-        if any(blank):
-            if not all(blank):
-                raise TableParseError(
-                    f"{table_path}:{lineno}: missing values must blank the whole row",
-                    line=lineno)
-            continue
-        try:
-            entries.append((
-                parse_cap(fields[0]), parse_cap(fields[1]), float(fields[2]),
-                (int(fields[3]), int(fields[4]), int(fields[5])),
-            ))
-        except ValueError as exc:
-            raise TableParseError(f"{table_path}:{lineno}: {exc}", line=lineno) from exc
-
+    entries = _read_published_table(table_path)
     ref = [e for e in entries if is_unbounded(e[0]) and is_unbounded(e[1])]
     if not ref:
         raise TableParseError(f"{table_path}: reference row (inf, inf) is missing")

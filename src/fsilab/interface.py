@@ -210,7 +210,6 @@ class RunRecord:
     snapshots: list
     step_records: list
     events: list = field(default_factory=list)
-    audit: list = field(default_factory=list)
     failing_step: int | None = None
 
     @property

@@ -119,6 +119,23 @@ def test_measured_sweep_with_two_workers_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("run", "accel", "iqn"),
+    ("run", "criterion", "abs"),
+    ("run", "flow_scheme", "simple"),
+    ("sweep", "workers", "two"),
+])
+def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(data_path("tube1d.cfg").read_text() + f"{key} = {value}\n")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_config_runs_reduced(tmp_path):
     # the shipped tube config, shrunk for test speed
     cfg = tmp_path / "tube.cfg"

@@ -14,14 +14,17 @@ from fsilab import (
     InterfaceField,
     IqnHistory,
     NonlinearSystemSpec,
+    SolverCallInput,
     SolverCallReport,
     aitken_omega,
     check_convergence,
+    drive,
     iqn_ils_update,
     qr_filter,
     run_simulation,
+    run_time_step,
 )
-from fsilab.coupling import _STALL_WINDOW
+from fsilab.coupling import _MAX_SECANT_COLUMNS, _STALL_WINDOW
 from fsilab.errors import AllColumnsFilteredError, ContractError, DivergedStepError
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import Tube1DParams
@@ -206,7 +209,7 @@ class TestQrFilter:
 
 def _history(v: np.ndarray, w: np.ndarray) -> IqnHistory:
     """A history holding exactly the columns of ``v`` and ``w``, zero ones too."""
-    hist = IqnHistory(q=0, max_columns=None)
+    hist = IqnHistory(q=0)
     hist._v, hist._w, hist._ages = v.copy(), w.copy(), [1] * v.shape[1]
     return hist
 
@@ -266,7 +269,7 @@ class TestIqnUpdate:
 
     def test_more_columns_than_interface_length(self):
         rng = np.random.default_rng(7)
-        hist = IqnHistory(q=1, max_columns=None)
+        hist = IqnHistory(q=1)
         for _ in range(5):
             hist.append(rng.standard_normal(2), rng.standard_normal(2), age=1)
         assert hist.n_columns == 5
@@ -360,7 +363,7 @@ def history_ops(draw):
     """A row count, a column cap, and a random sequence of history operations;
     appends carry random, zero or wrong-length pairs and arbitrary ages."""
     n = draw(st.integers(1, 6))
-    max_columns = draw(st.sampled_from([None, 1, 3, 24]))
+    max_columns = draw(st.sampled_from([1, 3, 24]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
     for kind in draw(st.lists(st.sampled_from(["append"] * 6 + ["zero", "resize",
@@ -415,6 +418,11 @@ class TestIqnHistory:
         hist.append(np.array([1.0]), np.array([1.0]), age=1)
         hist.start_step(2)
         assert hist.is_empty
+
+    @pytest.mark.parametrize("max_columns", [None, 0, 2.5])
+    def test_column_cap_is_a_positive_integer(self, max_columns):
+        with pytest.raises(ContractError, match="max_columns"):
+            IqnHistory(q=1, max_columns=max_columns)
 
     def test_column_cap_drops_oldest(self):
         hist = IqnHistory(q=10, max_columns=3)
@@ -471,8 +479,7 @@ class TestCheckConvergence:
 def short_run():
     params = Tube1DParams(cells=60, steps=21)
     config = CouplingConfig()
-    record = run_simulation(Tube1DModel(params), config, resolve_audit_every=7,
-                            increments=True)
+    record = run_simulation(Tube1DModel(params), config, increments=True)
     return params, config, record
 
 
@@ -485,11 +492,30 @@ class TestEngineOnTube:
                    for a, b in zip(record.snapshots, again.snapshots))
 
     def test_resolve_audit_passes(self, short_run):
+        # stepping the run by hand, one more call of each solver with every
+        # accepted step's data meets that solver's tolerance on its first
+        # inner iteration, as the first-residual criterion promised
         params, config, record = short_run
-        assert [step for step, *_ in record.audit] == [7, 14, 21]
-        for _, flow_first, solid_first in record.audit:
-            assert flow_first <= config.eps_f
-            assert solid_first <= config.eps_s
+        model = Tube1DModel(params)
+        state, u_f, u_s = model.initial_state(), model.initial_flow_u(), model.initial_solid_u()
+        d_acc = model.initial_displacement()
+        hist = IqnHistory(q=config.reuse_q, max_columns=min(model.n_interface, _MAX_SECANT_COLUMNS))
+        per_step = []
+        for step in range(1, params.steps + 1):
+            hist.start_step(step)
+            rec, d_acc, u_f, u_s = run_time_step(model, config, state, hist, step,
+                                                 d_acc, u_f, u_s)
+            per_step.append((step, rec.coupling_iters, rec.flow_iters, rec.solid_iters))
+            flow_spec = model.flow_system(state, d_acc)
+            _, rep_f = drive(flow_spec, SolverCallInput(u_f.copy(), d_acc, eps=config.eps_f,
+                                                        n_max=1))
+            traction = flow_spec.extract_output(u_f)
+            _, rep_s = drive(model.solid_system(state, traction),
+                             SolverCallInput(u_s.copy(), traction, eps=config.eps_s, n_max=1))
+            assert rep_f.residual_history[0] <= config.eps_f
+            assert rep_s.residual_history[0] <= config.eps_s
+            state = model.advance_state(state, d_acc, u_f, u_s)
+        assert per_step == record.counters.per_step
 
     def test_counters_additivity_and_diagnostics(self, short_run):
         _, _, record = short_run
@@ -616,6 +642,25 @@ class TestEngineAccelerationModes:
         config = CouplingConfig(accel=AccelKind.AITKEN, omega0=0.05)
         record = run_simulation(Tube1DModel(params), config)
         assert record.converged
+
+    def test_constant_increment_is_omega0_times_residual(self):
+        config = CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5,
+                                accel=AccelKind.CONSTANT)
+        record = run_simulation(LinearToyModel.stable(n_steps=3), config, increments=True)
+        for rec in record.step_records:
+            r_norm, _, inc = rec.accepted_norms
+            assert inc == config.omega0 * r_norm
+
+    def test_aitken_increment_is_a_clamped_factor_times_residual(self):
+        params = Tube1DParams(cells=40, steps=5)
+        config = CouplingConfig(accel=AccelKind.AITKEN, omega0=0.05)
+        record = run_simulation(Tube1DModel(params), config, increments=True)
+        for rec in record.step_records:
+            r_norm, _, inc = rec.accepted_norms
+            assert r_norm > 0.0
+            assert 0.01 <= inc / r_norm <= 2.0
+            # the step's own Aitken factor, not omega0
+            assert inc != config.omega0 * r_norm
 
     def test_aitken_stagnation_is_a_typed_event(self):
         # a constant residual zeroes the secant denominator from k = 2 on

@@ -83,6 +83,25 @@ class TestConfigParsing:
         assert isinstance(scalar, ScalarToyModel)
         assert scalar.params.kappa == 0.25
 
+    def test_missing_keys_take_the_receivers_defaults(self):
+        from fsilab import CouplingConfig
+        from fsilab.configio import build_coupling_config, build_model, factors_from_config
+        from fsilab.models import LinearToyModel, ScalarToyModel, Tube1DModel
+        from fsilab.models.toys import ScalarToyParams
+        from fsilab.models.tube import Tube1DParams
+
+        assert build_coupling_config({}) == CouplingConfig()
+        tube, ref = build_model({}), Tube1DModel()
+        assert tube.params == Tube1DParams() and tube.flow_driver is ref.flow_driver
+        toy, ref = build_model({"model": "linear_toy"}), LinearToyModel()
+        assert (toy.dim_f, toy.dim_s, toy.n_steps) == (ref.dim_f, ref.dim_s, ref.n_steps)
+        assert toy.gs_spectral_radius == ref.gs_spectral_radius
+        scalar = build_model({"model": "scalar_toy", "steps": "3"})
+        assert scalar.params == ScalarToyParams() and scalar.n_steps == 3
+        assert ScalarToyModel().n_steps == build_model({"model": "scalar_toy"}).n_steps
+        assert factors_from_config({}) is None
+        assert factors_from_config({"cost_c_iter_f": "2"}) == CostFactors(c_iter_f=2.0)
+
     @pytest.mark.parametrize("key", ["eps_f", "eps_s", "eps_fil", "eps_c"])
     def test_non_finite_tolerance_rejected(self, key):
         from fsilab.configio import build_coupling_config
@@ -325,6 +344,22 @@ class TestReplayPublished:
         bad.write_text("nmax_f,nmax_s,teq_norm,N_c,N_f,N_s\ninf,inf,1.0,1,1,1\n1,1,,3,,\n")
         with pytest.raises(TableParseError):
             replay_published(bad, CostFactors(c_couple=1.0))
+
+    @pytest.mark.parametrize("case", PUBLISHED_TABLES)
+    def test_counters_are_the_replayed_rows(self, case):
+        # the fit's counters and the replay come from the same parsed rows
+        factors, _ = load_factors_csv(regression_summary_path(), case=case)
+        report = replay_published(published_table_path(case), factors)
+        counters = load_published_counters(case)
+        assert [(f, s) for f, s, *_ in counters] == [(r.nmax_f, r.nmax_s)
+                                                     for r in report.rows]
+
+    def test_wrong_header_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("nmax_f,nmax_s,N_c,N_f,N_s,teq_norm\ninf,inf,1,1,1,1.0\n")
+        with pytest.raises(TableParseError) as err:
+            replay_published(bad, CostFactors(c_couple=1.0))
+        assert err.value.line == 1
 
 
 class TestFitFromRuns:
