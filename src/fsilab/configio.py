@@ -98,6 +98,21 @@ _SCALAR_TOY_KEYS = dict.fromkeys(("alpha", "beta", "b0", "stiffness", "kappa"), 
 _LINEAR_TOY_KEYS = {"dim_f": int, "dim_s": int, "coupling_strength": float}
 _COST_KEYS = {f"cost_{name}": name
               for name in ("c_couple", "c_fix_f", "c_iter_f", "c_fix_s", "c_iter_s")}
+# what SweepSpec.from_config and run_sweep read
+_SWEEP_KEYS = ("grid_f", "grid_s", "workers", "timing", "noise_rel")
+_KNOWN_KEYS = frozenset({"model", "flow_scheme", *_COUPLING_KEYS, *_TUBE_KEYS,
+                         *_SCALAR_TOY_KEYS, *_LINEAR_TOY_KEYS, *_COST_KEYS, *_SWEEP_KEYS})
+
+
+def _check_keys(cfg: dict) -> None:
+    """Reject a key no model, coupling setting or sweep reads, naming the nearest one."""
+    for key in cfg:
+        if key not in _KNOWN_KEYS:
+            import difflib  # here, not at the top: the import costs every run ~0.15 MB
+
+            near = difflib.get_close_matches(key, _KNOWN_KEYS, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ContractError(f"unknown config key {key!r}{hint}")
 
 
 def _toy_steps(cfg: dict) -> dict:
@@ -105,11 +120,13 @@ def _toy_steps(cfg: dict) -> dict:
 
 
 def build_coupling_config(cfg: dict) -> CouplingConfig:
+    _check_keys(cfg)
     return CouplingConfig(**_kwargs(
         cfg, _COUPLING_KEYS, rename={"max_coupling_iters": "max_coupling_iters_per_step"}))
 
 
 def build_model(cfg: dict):
+    _check_keys(cfg)
     kind = cfg.get("model", "tube1d").lower()
     if kind == "tube1d":
         params = Tube1DParams(**_kwargs(cfg, _TUBE_KEYS))

@@ -393,14 +393,14 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             raise _abort(f"coupling update broke a subproblem ({exc})") from exc
 
         r_k = fixed_point_residual(d_tilde, d_k)
-        r_norm = float(np.linalg.norm(r_k))
+        r_norm = math.sqrt(r_k.dot(r_k))
         if k == 1:
             r1_norm = r_norm
         elif r1_norm > 0.0 and r_norm > _RESIDUAL_GROWTH_ABORT * r1_norm:
             raise _abort(f"coupling residual grew by more than {_RESIDUAL_GROWTH_ABORT:g}x")
 
         r_km1 = r_prev  # residual of the previous coupling iteration (None at k=1)
-        if k >= 2:
+        if k >= 2 and config.accel is AccelKind.IQN_ILS:  # relaxation never reads it
             hist.append(r_k - r_km1, d_tilde.values - d_tilde_prev, age=step)
         r_prev = r_k
         d_tilde_prev = d_tilde.values
@@ -426,7 +426,8 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
                 best_norm = r_norm
                 best_at = k
         elif k > 1:
-            repeated = float(np.linalg.norm(r_k - r_km1)) <= _REPEAT_RTOL * r_norm
+            dr = r_k - r_km1
+            repeated = math.sqrt(dr.dot(dr)) <= _REPEAT_RTOL * r_norm
             repeats = repeats + 1 if repeated else 0
             if repeats >= _STALL_WINDOW:
                 raise _abort(f"fixed-point residual repeated for {repeats} coupling "

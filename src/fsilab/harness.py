@@ -182,6 +182,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the grid, derive teq/teq_norm/deviation columns, write sweep.csv."""
     timing_mode = spec.config.get("timing", "measured").lower()
     # every spec error is raised here, before the first cell runs
+    build_model(spec.config)
+    build_coupling_config(spec.config)
     factors = factors_from_config(spec.config)
     if timing_mode == "measured":
         if spec.workers > 1:

@@ -184,19 +184,25 @@ class FlowOperator:
         self.ell = 1.0 / g if ell is None else ell
         self.z = 1.0 / d if z is None else z
 
-    def _t(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[1:] += self.lo * x[:-1]
-        y[:-1] += self.up * x[1:]
+    def _t(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``T x``, written into ``out`` when given."""
+        y = np.multiply(self.diag, x, out)
+        # in-place on views: ``y[1:] += ...`` would also copy the view back
+        below, above = y[1:], y[:-1]
+        below += self.lo * x[:-1]
+        above += self.up * x[1:]
         return y
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         nf = self.diag.size
         v, p = u[:nf], u[nf:]
-        mom = self._t(v)
-        mom[:-1] += self.g[:-1] * p
-        mom[1:] -= self.g[1:] * p
-        return np.concatenate([mom, self.d[1:] * v[1:] - self.d[:-1] * v[:-1]])
+        out = np.empty(u.size)
+        mom = self._t(v, out[:nf])
+        above, below = mom[:-1], mom[1:]
+        above += self.g[:-1] * p
+        below -= self.g[1:] * p
+        np.subtract(self.d[1:] * v[1:], self.d[:-1] * v[:-1], out[nf:])
+        return out
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve ``[[T, G], [D, 0]] [v; p] = [f; h]`` in three sweeps.
@@ -209,13 +215,20 @@ class FlowOperator:
         nf = self.diag.size
         f, h = r[:nf], r[nf:]
         ell, z = self.ell, self.z
-        ell_t_z = ell @ self._t(z)
-        if ell_t_z == 0.0 or not np.isfinite(ell_t_z):
+        ell_t_z = ell.dot(self._t(z))
+        if ell_t_z == 0.0 or not math.isfinite(ell_t_z):
             raise np.linalg.LinAlgError("singular flow operator")
-        v_h = np.concatenate([[0.0], np.cumsum(h)]) * z
-        v = v_h + ((ell @ (f - self._t(v_h))) / ell_t_z) * z
-        p = np.cumsum((f - self._t(v))[:-1] * ell[:-1])
-        return np.concatenate([v, p])
+        out = np.empty(r.size)
+        v, p = out[:nf], out[nf:]
+        v_h = np.empty(nf)  # [0, cumsum(h)] * z
+        v_h[0] = 0.0
+        np.add.accumulate(h, out=v_h[1:])
+        v_h *= z
+        t = self._t(v_h)  # v = v_h + (ell^T (f - T v_h) / ell^T T z) z
+        np.add(v_h, (ell.dot(np.subtract(f, t, t)) / ell_t_z) * z, v)
+        t = self._t(v)  # p = cumsum((f - T v)[:-1] * ell[:-1])
+        np.add.accumulate(np.multiply(np.subtract(f, t, t)[:-1], ell[:-1], p), out=p)
+        return out
 
 
 def tube_flow_system(
@@ -251,9 +264,12 @@ def tube_flow_system(
     dim = 2 * n + 1
 
     g = a_face / (rho * dx)  # pressure-gradient weights; the half-cell end rows double
-    g[[0, n]] *= 2.0
+    g[0] *= 2.0
+    g[n] *= 2.0
     d = a_face / dx  # mass-flux weights
     ell, z = 1.0 / g, 1.0 / d  # shared by every operator of this spec
+    time_diag = a_face / dt  # the time band every momentum diagonal starts from
+    half_a = 0.5 * a
     # velocities of the last assemble_matrix call and their bands: the Newton
     # driver asks for the tangent at the same u right after assembling A(u)
     last_v: np.ndarray | None = None
@@ -269,7 +285,7 @@ def tube_flow_system(
         forward = vc >= 0.0  # upwind face is i, else i+1
         cf = np.where(forward, coeff, 0.0)
         cb = np.where(forward, 0.0, coeff)
-        diag = a_face / dt
+        diag = time_diag.copy()
         diag[:-1] += cf
         diag[1:] -= cb
         # boundary extension fluxes: F_{-1} = a_face0*v0*v0, F_n = a_facen*vn*vn
@@ -287,14 +303,14 @@ def tube_flow_system(
     def tangent(u: np.ndarray) -> FlowOperator:
         v = u[: n + 1]
         # compare values, not identity: u may have been edited in place since
-        if last_v is not None and np.array_equal(v, last_v):
+        if last_v is not None and (v == last_v).all():
             lo, diag, up, forward = last_bands
         else:
             lo, diag, up, forward = _momentum_bands(v)
         # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
         # 0.5*a_i*v_up against both faces of cell i; new arrays throughout, so
         # the bands an A(u) operator holds stay untouched
-        w = 0.5 * a * np.where(forward, v[:-1], v[1:]) / dx
+        w = half_a * np.where(forward, v[:-1], v[1:]) / dx
         diag = diag.copy()
         diag[:-1] += w
         diag[1:] -= w
@@ -357,9 +373,10 @@ def tube_solid_system(
     ms_dt2 = 0.0 if static else params.wall_mass / params.dt**2
     d_old = state.wall_disp
     w_old = state.wall_vel
+    base = np.full(m, ms_dt2 + k1)  # the linear part of both diagonals
 
     def assemble_matrix(u: np.ndarray) -> DiagonalOperator:
-        diag = np.full(m, ms_dt2 + k1)
+        diag = base.copy()
         diag[1:-1] += kappa3 * u[1:-1] ** 2
         return DiagonalOperator(diag)
 
@@ -373,7 +390,7 @@ def tube_solid_system(
         return b
 
     def tangent(u: np.ndarray) -> DiagonalOperator:
-        diag = np.full(m, ms_dt2 + k1)
+        diag = base.copy()
         diag[1:-1] += 3.0 * kappa3 * u[1:-1] ** 2
         return DiagonalOperator(diag)
 

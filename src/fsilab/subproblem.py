@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol
 
@@ -162,7 +162,7 @@ def _prepare(spec: NonlinearSystemSpec, inp: SolverCallInput):
     if b.shape != (spec.dim,):
         raise ContractError(f"rhs has shape {b.shape}, expected ({spec.dim},)")
     b.setflags(write=False)  # b is frozen for the whole call
-    floor = _ROUNDOFF_FLOOR * float(np.linalg.norm(b)) / np.sqrt(spec.dim)
+    floor = _ROUNDOFF_FLOOR * math.sqrt(b.dot(b)) / math.sqrt(spec.dim)
     return u, b, floor
 
 
@@ -188,12 +188,13 @@ def _guards(history: list, i: int, u: np.ndarray, bounded: bool, label: str,
                 iteration=i)
 
 
-def _report(history: list, eps: float) -> SolverCallReport:
+def _report(history: list, eps: float, wall_time: float = 0.0) -> SolverCallReport:
     return SolverCallReport(
         inner_iters=len(history),
         residual_history=tuple(history),
         converged_on_first=history[0] < eps,
         final_residual=history[-1],
+        wall_time=wall_time,
     )
 
 
@@ -206,6 +207,12 @@ def drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
     iterations, so the iteration count is a multiple of B unless the cap
     truncates the final batch.
     """
+    u, history = _iterate(spec, inp)
+    return u, _report(history, inp.eps)
+
+
+def _iterate(spec: NonlinearSystemSpec, inp: SolverCallInput):
+    """The loop of :func:`drive`; returns ``(u, residual_history)``."""
     newton = spec.driver is DriverKind.NEWTON
     if newton and spec.tangent is None:
         raise ContractError("the Newton driver requires a tangent map")
@@ -213,13 +220,17 @@ def drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
     label = spec.label or spec.driver.value
     bounded = not is_unbounded(inp.n_max)
     B = inp.batch_size
+    sqrt_n = math.sqrt(spec.dim)
     history: list = []
     i = 0
     while True:
         i += 1
         A = as_operator(spec.assemble_matrix(u))
         r = b - A @ u
-        history.append(residual_norm(r, spec.dim))
+        # ||r||/sqrt(n) as residual_norm computes it; residual_norm itself
+        # runs only to tell a non-finite entry from an overflowing norm
+        norm = math.sqrt(r.dot(r)) / sqrt_n
+        history.append(norm if math.isfinite(norm) else residual_norm(r, spec.dim))
         M = as_operator(spec.tangent(u)) if newton else A
         try:
             du = M.solve(r)
@@ -234,7 +245,7 @@ def drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
             break
         if bounded and i >= inp.n_max:
             break
-    return u, _report(history, inp.eps)
+    return u, history
 
 
 _EXPECTED_ROLE = {SolverId.FLOW: FieldRole.TRACTION, SolverId.SOLID: FieldRole.DISPLACEMENT}
@@ -255,7 +266,7 @@ def call_solver(solver_id: SolverId, spec: NonlinearSystemSpec, inp: SolverCallI
         raise ContractError("call_solver requires an extract_output map")
     start = time.perf_counter()
     try:
-        u, report = drive(spec, inp)
+        u, history = _iterate(spec, inp)
     except InnerIterationError as exc:
         exc.args = (f"{solver_id.value} solver: {exc.args[0]}",) + exc.args[1:]
         exc.inner_iters = exc.iteration or 0
@@ -266,5 +277,4 @@ def call_solver(solver_id: SolverId, spec: NonlinearSystemSpec, inp: SolverCallI
         raise ContractError(
             f"{solver_id.value} solver must output a {_EXPECTED_ROLE[solver_id].value} field"
         )
-    report = replace(report, wall_time=time.perf_counter() - start)
-    return output, report, u
+    return output, _report(history, inp.eps, time.perf_counter() - start), u

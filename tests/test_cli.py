@@ -124,6 +124,8 @@ def test_measured_sweep_with_two_workers_is_an_error(tmp_path, capsys):
     ("run", "criterion", "abs"),
     ("run", "flow_scheme", "simple"),
     ("sweep", "workers", "two"),
+    ("run", "acel", "constant"),
+    ("sweep", "acel", "constant"),
 ])
 def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "bad.cfg"

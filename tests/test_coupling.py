@@ -662,6 +662,20 @@ class TestEngineAccelerationModes:
             # the step's own Aitken factor, not omega0
             assert inc != config.omega0 * r_norm
 
+    @pytest.mark.parametrize("accel", list(AccelKind), ids=lambda a: a.value)
+    def test_only_iqn_fills_the_history(self, accel):
+        # relaxation never reads the secant history, so the loop never fills it
+        columns = []
+        record = run_simulation(
+            LinearToyModel.stable(n_steps=4),
+            CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5, accel=accel),
+            on_step=lambda step, hist, state: columns.append(hist.n_columns))
+        assert record.converged and record.step_records[0].coupling_iters > 2
+        if accel is AccelKind.IQN_ILS:
+            assert columns[0] > 0
+        else:
+            assert columns == [0, 0, 0, 0]
+
     def test_aitken_stagnation_is_a_typed_event(self):
         # a constant residual zeroes the secant denominator from k = 2 on
         with pytest.raises(DivergedStepError) as err:

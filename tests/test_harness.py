@@ -109,6 +109,16 @@ class TestConfigParsing:
         with pytest.raises(ContractError, match=f"{key} must be positive and finite"):
             build_coupling_config(parse_config_text(f"{key} = nan\n"))
 
+    @pytest.mark.parametrize("build", ["build_model", "build_coupling_config"])
+    def test_unknown_key_rejected_with_the_nearest_known_key(self, build):
+        import fsilab.configio as configio
+
+        with pytest.raises(ContractError,
+                           match=r"^unknown config key 'acel'; did you mean 'accel'\?$"):
+            getattr(configio, build)({"accel": "constant", "acel": "constant"})
+        with pytest.raises(ContractError, match=r"^unknown config key 'zzz'$"):
+            getattr(configio, build)({"zzz": "1"})
+
     def test_malformed_line(self):
         with pytest.raises(TableParseError) as err:
             parse_config_text("just words\n", source="f")
@@ -202,6 +212,19 @@ class TestRunSweep:
         spec = SweepSpec(config=dict(LINEAR_TOY_STABLE, **extra), grid_f=[1, math.inf],
                          grid_s=[math.inf], workers=workers, out_dir=tmp_path)
         with pytest.raises(SweepSpecError, match=match):
+            run_sweep(spec)
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unknown_key_raises_before_any_cell_runs(self, tmp_path, monkeypatch):
+        import fsilab.harness as harness_mod
+
+        calls = []
+        monkeypatch.setattr(harness_mod, "_run_cell",
+                            lambda *args: calls.append(args) or {})
+        spec = SweepSpec(config=dict(LINEAR_TOY_STABLE, grid_s="1,inf", wokers="1"),
+                         grid_f=[1, math.inf], grid_s=[math.inf], out_dir=tmp_path)
+        with pytest.raises(ContractError, match="'wokers'; did you mean 'workers'"):
             run_sweep(spec)
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()

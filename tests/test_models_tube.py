@@ -16,6 +16,7 @@ from fsilab import (
 from fsilab.errors import ContractError, GeometryError
 from fsilab.models import Tube1DModel
 from fsilab.models.tube import (
+    FlowOperator,
     Tube1DParams,
     _face_average,
     areas_from_displacement,
@@ -101,6 +102,80 @@ def dense_flow_reference(params, displacement):
         K[0, 0] -= a_face[0] * v_lin[0] / dx
         K[n, n] += a_face[n] * v_lin[n] / dx
         return K
+
+    return assemble_matrix, tangent
+
+
+class ReferenceFlowOperator(FlowOperator):
+    """The flow operator's earlier apply and solve, kept verbatim as the
+    bitwise oracle of :class:`~fsilab.models.tube.FlowOperator`."""
+
+    def _t(self, x: np.ndarray) -> np.ndarray:
+        y = self.diag * x
+        y[1:] += self.lo * x[:-1]
+        y[:-1] += self.up * x[1:]
+        return y
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        nf = self.diag.size
+        v, p = u[:nf], u[nf:]
+        mom = self._t(v)
+        mom[:-1] += self.g[:-1] * p
+        mom[1:] -= self.g[1:] * p
+        return np.concatenate([mom, self.d[1:] * v[1:] - self.d[:-1] * v[:-1]])
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        nf = self.diag.size
+        f, h = r[:nf], r[nf:]
+        ell, z = self.ell, self.z
+        ell_t_z = ell @ self._t(z)
+        if ell_t_z == 0.0 or not np.isfinite(ell_t_z):
+            raise np.linalg.LinAlgError("singular flow operator")
+        v_h = np.concatenate([[0.0], np.cumsum(h)]) * z
+        v = v_h + ((ell @ (f - self._t(v_h))) / ell_t_z) * z
+        p = np.cumsum((f - self._t(v))[:-1] * ell[:-1])
+        return np.concatenate([v, p])
+
+
+def reference_flow_operators(params, displacement):
+    """``(assemble_matrix, tangent)`` of the flow spec as it was built before
+    the per-spec band precomputations, kept verbatim as the bitwise oracle."""
+    n = params.cells
+    dx, dt, rho = params.dx, params.dt, params.rho_f
+    a = areas_from_displacement(params, displacement.values)
+    a_face = _face_average(a)
+    g = a_face / (rho * dx)
+    g[[0, n]] *= 2.0
+    d = a_face / dx
+    ell, z = 1.0 / g, 1.0 / d
+
+    def _momentum_bands(v: np.ndarray):
+        vc = 0.5 * (v[:-1] + v[1:])
+        coeff = a * vc / dx
+        forward = vc >= 0.0
+        cf = np.where(forward, coeff, 0.0)
+        cb = np.where(forward, 0.0, coeff)
+        diag = a_face / dt
+        diag[:-1] += cf
+        diag[1:] -= cb
+        diag[0] -= a_face[0] * v[0] / dx
+        diag[n] += a_face[n] * v[n] / dx
+        return -cf, diag, cb, forward
+
+    def assemble_matrix(u: np.ndarray) -> ReferenceFlowOperator:
+        lo, diag, up, _ = _momentum_bands(u[: n + 1].copy())
+        return ReferenceFlowOperator(lo, diag, up, g, d, ell, z)
+
+    def tangent(u: np.ndarray) -> ReferenceFlowOperator:
+        v = u[: n + 1]
+        lo, diag, up, forward = _momentum_bands(v)
+        w = 0.5 * a * np.where(forward, v[:-1], v[1:]) / dx
+        diag = diag.copy()
+        diag[:-1] += w
+        diag[1:] -= w
+        diag[0] -= a_face[0] * v[0] / dx
+        diag[n] += a_face[n] * v[n] / dx
+        return ReferenceFlowOperator(lo - w, diag, up + w, g, d, ell, z)
 
     return assemble_matrix, tangent
 
@@ -250,6 +325,44 @@ class TestFlowSystem:
             m, ref = op(u), dense(u)
             assert rel_err(m @ u, ref @ u) <= 1e-14
             assert rel_err(m.solve(r), np.linalg.solve(ref, r)) <= 1e-11
+
+    @settings(max_examples=80, deadline=None)
+    @given(cells=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           v_scale=st.floats(1e-3, 1.0), disp_scale=st.floats(0.0, 1e-3),
+           signs=st.sampled_from(["mixed", "forward", "backward"]))
+    def test_flow_kernel_is_bitwise_the_reference(self, cells, seed, v_scale, disp_scale,
+                                                  signs):
+        p = Tube1DParams(cells=cells, steps=1)
+        rng = np.random.default_rng(seed)
+        d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes),
+                           FieldRole.DISPLACEMENT)
+        spec = tube_flow_system(p, initial_tube_state(p), d)
+        v = v_scale * rng.uniform({"mixed": -1.0, "forward": 0.0, "backward": -1.0}[signs],
+                                  {"mixed": 1.0, "forward": 1.0, "backward": 0.0}[signs],
+                                  cells + 1)
+        u = np.concatenate([v, 1000.0 * rng.standard_normal(cells)])
+        x, r = rng.standard_normal(u.size), rng.standard_normal(u.size)
+        # the tangent right after assemble_matrix reads the cached bands; the
+        # second tangent, after an edit of the velocities, builds its own
+        u_edit = u.copy()
+        u_edit[0] += v_scale
+        ops = [spec.assemble_matrix(u), spec.tangent(u), spec.tangent(u_edit)]
+        assemble_ref, tangent_ref = reference_flow_operators(p, d)
+        refs = [assemble_ref(u), tangent_ref(u), tangent_ref(u_edit)]
+        for op, ref in zip(ops, refs):
+            for name in ("lo", "diag", "up", "g", "d", "ell", "z"):
+                assert np.array_equal(getattr(op, name), getattr(ref, name)), name
+            assert np.array_equal(op @ x, ref @ x)
+            assert np.array_equal(op.solve(r), ref.solve(r))
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_flow_solve_singular_like_the_reference(self, bad):
+        # ell^T T z is 0 for zero bands and non-finite for an inf or nan band
+        ones, n = np.ones(3), 3
+        bands = (np.zeros(n - 1), np.full(n, bad), np.zeros(n - 1), ones, ones)
+        for cls in (FlowOperator, ReferenceFlowOperator):
+            with pytest.raises(np.linalg.LinAlgError, match="singular flow operator"):
+                cls(*bands).solve(np.ones(2 * n - 1))
 
     @pytest.mark.parametrize("edit", ["none", "pressure", "velocity", "upwind"])
     def test_tangent_after_assemble_is_bitwise_a_fresh_tangent(self, params, edit):

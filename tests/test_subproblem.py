@@ -21,9 +21,9 @@ from fsilab.errors import (
     LinearSolveError,
     PreconditionerError,
 )
-from fsilab.models import LinearToyModel
-from fsilab.models.tube import FlowOperator
-from fsilab.subproblem import DiagonalOperator
+from fsilab.models import LinearToyModel, Tube1DModel
+from fsilab.models.tube import FlowOperator, Tube1DParams
+from fsilab.subproblem import DiagonalOperator, _guards
 
 DUMMY = InterfaceField(np.zeros(1), FieldRole.DISPLACEMENT)
 
@@ -331,6 +331,51 @@ class TestReplayProperty:
         for u, recorded in zip(iterates, rep.residual_history):
             again = residual_norm(b - inner_matrix(u) @ u, 1)
             assert again == pytest.approx(recorded, rel=1e-14, abs=1e-300)
+
+
+    @each_driver
+    def test_tube_flow_norms_are_bitwise_residual_norm(self, driver):
+        # drive records ||r||/sqrt(n) without residual_norm's checks; the
+        # numbers must still be residual_norm's, bit for bit
+        model = Tube1DModel(Tube1DParams(cells=30, steps=1), flow_driver=driver)
+        state = model.initial_state()
+        d = InterfaceField(np.linspace(0.0, 2e-5, model.n_interface), FieldRole.DISPLACEMENT)
+        spec = model.flow_system(state, d)
+        operators = []
+        inner_matrix = spec.assemble_matrix
+        spec.assemble_matrix = lambda u: (operators.append((u.copy(), inner_matrix(u))),
+                                          operators[-1][1])[1]
+        _, rep = drive(spec, SolverCallInput(model.initial_flow_u(), d, eps=1e-9))
+        assert rep.inner_iters >= 2
+        b = spec.assemble_rhs(d)
+        again = tuple(residual_norm(b - a @ u, spec.dim) for u, a in operators)
+        assert again == rep.residual_history
+
+
+class TestGuards:
+    """The finiteness test of every iterate, on vectors a sum-based shortcut misjudges."""
+
+    def check(self, values):
+        _guards([1.0], 1, np.array(values), False, "t", 0.0, 1e-9)
+
+    @pytest.mark.parametrize("values", [[math.inf, -math.inf], [1.0, math.nan],
+                                        [math.inf, 1.0], [-math.inf, 1.0]])
+    def test_non_finite_iterate_raises(self, values):
+        with pytest.raises(DivergenceError, match="non-finite iterate"):
+            self.check(values)
+
+    def test_finite_iterate_whose_sum_overflows_passes(self):
+        self.check([1e308, 1e308])
+
+    @pytest.mark.parametrize("values", [[math.inf, -math.inf], [1.0, math.nan]])
+    def test_non_finite_start_rejected(self, values):
+        def identity(u):
+            return DiagonalOperator(np.ones(2))
+
+        spec = NonlinearSystemSpec(dim=2, assemble_matrix=identity,
+                                   assemble_rhs=lambda c: np.ones(2), tangent=identity)
+        with pytest.raises(ContractError, match="non-finite"):
+            drive(spec, call_input(values))
 
 
 class TestIterationBounds:
