@@ -59,6 +59,7 @@ _STALL_FACTOR = 0.5
 # secant columns kept at most (calibrated on the tube testbed: larger piles
 # of capped-call pairs stall the update, smaller piles slow convergence)
 _MAX_SECANT_COLUMNS = 24
+_UPPER = np.triu(np.ones((_MAX_SECANT_COLUMNS,) * 2, dtype=bool))  # R's mask, up to this order
 
 
 class IqnHistory:
@@ -70,10 +71,10 @@ class IqnHistory:
     columns older than ``t - q`` are evicted, and at most ``max_columns`` are
     kept.
 
-    ``V`` and ``W`` live in two ``(n, max_columns)`` buffers, allocated at the
-    first append (or when the column length changes): an append shifts the
-    stored columns right by one in place, and the oldest drops out when the
-    buffer is full.
+    ``V`` and ``W`` are windows of two ``(n, 2 * max_columns)`` buffers,
+    allocated at the first append (or on a new column length). An append
+    writes its column left of the window and drops the oldest from a full one;
+    at the left edge the window first moves to the right half, in one copy.
     """
 
     def __init__(self, q: int, max_columns: int = _MAX_SECANT_COLUMNS):
@@ -85,6 +86,7 @@ class IqnHistory:
         self.max_columns = int(max_columns)
         self._ages: list = []  # age of each stored column, newest first
         self._v = self._w = np.empty((0, 0))
+        self._start = 0  # buffer column of the newest stored column
 
     def append(self, residual_diff: np.ndarray, output_diff: np.ndarray, age: int) -> None:
         dr = np.asarray(residual_diff, dtype=float)
@@ -95,20 +97,24 @@ class IqnHistory:
             raise ContractError("column length mismatch with stored history")
         if not dr.any():
             return  # a stagnant pair carries no secant information
-        if self._v.shape != (dr.size, self.max_columns):
-            self._v = np.empty((dr.size, self.max_columns))
-            self._w = np.empty((dr.size, self.max_columns))
-        k = min(len(self._ages), self.max_columns - 1)  # columns that stay
-        for buf, col in ((self._v, dr), (self._w, dw)):
-            buf[:, 1 : k + 1] = buf[:, :k]
-            buf[:, 0] = col
+        m = self.max_columns
+        if self._v.shape != (dr.size, 2 * m):
+            self._v, self._w = np.empty((dr.size, 2 * m)), np.empty((dr.size, 2 * m))
+            self._start = 2 * m
+        k = min(len(self._ages), m - 1)  # columns that stay
+        if self._start == 0:  # no room on the left: the staying columns move right
+            for buf in (self._v, self._w):
+                buf[:, m : m + k] = buf[:, :k]
+            self._start = m
+        self._start -= 1
+        self._v[:, self._start], self._w[:, self._start] = dr, dw
         self._ages = [age] + self._ages[:k]
 
     def start_step(self, step: int) -> None:
         keep = [j for j, age in enumerate(self._ages) if age >= step - self.q]
         if keep != list(range(len(keep))):  # a dropped column sits before a kept one
-            for buf in (self._v, self._w):
-                buf[:, : len(keep)] = buf[:, keep]
+            for window in self.matrices():
+                window[:, : len(keep)] = window[:, keep]
         self._ages = [self._ages[j] for j in keep]
 
     def clear(self) -> None:
@@ -128,8 +134,8 @@ class IqnHistory:
 
     def matrices(self):
         """``(V, W)`` as views of the buffers, valid until the next append."""
-        k = len(self._ages)
-        return self._v[:, :k], self._w[:, :k]
+        cols = slice(self._start, self._start + len(self._ages))
+        return self._v[:, cols], self._w[:, cols]
 
 
 def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
@@ -142,18 +148,16 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
     and the last column holds ``Q^T rhs``: ``alpha`` is one triangular solve
     away, with no Q formed. Dropping the rows that are zero in every column of
     V leaves ``alpha`` exact: there ``rhs`` only adds a constant to the
-    squared residual.
+    squared residual. The caller checks ``eps_fil``.
     """
-    _require_eps_fil(eps_fil)
-    v_matrix = np.asarray(v_matrix, dtype=float)
     rows = v_matrix.any(axis=1)
     v_matrix = v_matrix[rows]
-    norms = np.linalg.norm(v_matrix, axis=0)
+    norms = np.sqrt(np.add.reduce(v_matrix * v_matrix, axis=0))  # as np.linalg.norm(axis=0)
     cand = np.flatnonzero(norms)
-    n_rows = v_matrix.shape[0]
+    n_rows, n_cols = v_matrix.shape
     while cand.size:
         a = np.empty((n_rows, cand.size + (rhs is not None)))
-        a[:, : cand.size] = v_matrix[:, cand]
+        a[:, : cand.size] = v_matrix if cand.size == n_cols else v_matrix[:, cand]
         if rhs is not None:
             a[:, -1] = rhs[rows]
         # mode="raw" returns the geqrf output transposed: R is the upper
@@ -161,13 +165,15 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
         h = np.linalg.qr(a, mode="raw")[0]
         n_keep = min(cand.size, n_rows)
         r_diag = np.abs(h.diagonal()[:n_keep])
-        failed = np.flatnonzero(r_diag < eps_fil * norms[cand[:n_keep]])
-        if failed.size:
-            cand = np.delete(cand, failed[0])
+        failed = r_diag < eps_fil * norms[cand[:n_keep]]
+        if failed.any():
+            cand = np.delete(cand, failed.argmax())  # the first that failed
             continue
         if rhs is None:
             return cand[:n_keep], None
-        r_tri = np.triu(h[:n_keep, :n_keep].T)
+        upper = (_UPPER[:n_keep, :n_keep] if n_keep <= _MAX_SECANT_COLUMNS
+                 else np.triu(np.ones((n_keep, n_keep), dtype=bool)))
+        r_tri = np.where(upper, h[:n_keep, :n_keep].T, 0.0)  # np.triu, its mask built once
         try:
             alpha = np.linalg.solve(r_tri, h[-1, :n_keep])
         except np.linalg.LinAlgError as exc:
@@ -200,7 +206,8 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     is dropped as dependent. :func:`iqn_ils_update` runs the same filter on
     the same factorisation as its least-squares solve.
     """
-    return _qr1(v_matrix, eps_fil)[0].tolist()
+    _require_eps_fil(eps_fil)
+    return _qr1(np.asarray(v_matrix, dtype=float), eps_fil)[0].tolist()
 
 
 def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
@@ -208,13 +215,13 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
 
     ``alpha`` minimizes ``||V alpha + r||_2`` over the columns
     :func:`qr_filter` keeps, read off the filter's own last factorisation of
-    ``[V | r]``; the returned increment norm is ``||W alpha||_2``. A zero
-    residual yields a zero increment exactly, for any history.
+    ``[V | r]``; the returned increment norm is ``||W alpha||_2``. A residual
+    whose squared norm is (or underflows to) zero returns ``d_tilde`` exactly.
     """
     r = np.asarray(r_k, dtype=float)
     d_tilde = np.asarray(d_tilde_k, dtype=float)
     _require_eps_fil(eps_fil)
-    if np.linalg.norm(r) == 0.0:
+    if r.dot(r) == 0.0:  # np.linalg.norm(r) == 0.0
         return d_tilde.copy(), 0.0
     if hist.is_empty:
         raise ContractError("empty quasi-Newton history; caller must fall back to relaxation")
@@ -227,7 +234,7 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     if keep.size < w.shape[1]:  # else no column was dropped: W stays a view
         w = w[:, keep]
     delta = w @ alpha
-    return d_tilde + delta, float(np.linalg.norm(delta))
+    return d_tilde + delta, math.sqrt(delta.dot(delta))
 
 
 def aitken_omega(r_k, r_km1, omega_km1: float) -> tuple:
@@ -331,9 +338,9 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
 
     Raises :class:`DivergedStepError`, with the step's unconverged
     :class:`TimeStepRecord` as ``partial``, when the coupling-iteration budget
-    is exhausted, the residual grows unboundedly, or, under constant or
-    Aitken relaxation, the residual repeats to round-off for
-    ``_STALL_WINDOW`` consecutive coupling iterations.
+    is exhausted, the residual grows unboundedly, the accelerated displacement
+    is not finite, or, under constant or Aitken relaxation, the residual
+    repeats to round-off for ``_STALL_WINDOW`` consecutive coupling iterations.
     """
     d_k = d_start
     r_prev = None
@@ -441,7 +448,9 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         d_next, _, tag = _update(config, hist, omega, r_k, r_norm, d_k.values, d_tilde.values)
         if tag is not None:
             events.append(Event(step, k, tag))
-        d_k = InterfaceField(d_next, FieldRole.DISPLACEMENT)
+        if not np.isfinite(d_next).all():
+            raise _abort("the accelerated interface displacement is not finite")
+        d_k = InterfaceField._adopt(d_next, FieldRole.DISPLACEMENT, finite=True)
 
     raise _abort(
         f"no convergence within max_coupling_iters_per_step={config.max_coupling_iters_per_step}"

@@ -63,6 +63,17 @@ class InterfaceField:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray, role: FieldRole, finite: bool = False):
+        """A field that takes over a fresh 1-D float64 array, read-only, with no copy."""
+        if not finite and not np.isfinite(values).all():
+            raise ContractError("interface field contains non-finite entries")
+        values.setflags(write=False)
+        field_ = object.__new__(cls)
+        object.__setattr__(field_, "values", values)
+        object.__setattr__(field_, "role", role)
+        return field_
+
     @property
     def size(self) -> int:
         return self.values.size

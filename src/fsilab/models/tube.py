@@ -243,6 +243,21 @@ def tube_flow_system(
     pressures, dim 2n+1). Momentum is balanced per face, mass per cell; the
     imposed face pressures drive the two half-cell boundary momentum rows.
     """
+    return _flow_system(params, state, displacement, driver, *_step_terms(params, state)[:2])
+
+
+def _step_terms(params: Tube1DParams, state: TubeState, static: bool = False) -> tuple:
+    """A step's fixed terms: the flow's old momentum ``a_face_old * v_old / dt`` and inlet
+    pressure, the linear part of both solid diagonals, the solid inertia (None if static)."""
+    ms_dt2 = 0.0 if static else params.wall_mass / params.dt**2
+    d_old, w_old = state.wall_disp[1:-1], state.wall_vel[1:-1]
+    return (_face_average(state.area) * state.velocity / params.dt,
+            params.inlet_pressure(state.step + 1),
+            np.full(params.n_nodes, ms_dt2 + params.ring_stiffness),
+            None if static else ms_dt2 * (d_old + params.dt * w_old))
+
+
+def _flow_system(params, state, displacement, driver, momentum_old, p_in) -> NonlinearSystemSpec:
     if displacement.role is not FieldRole.DISPLACEMENT:
         raise ContractError("flow system expects a displacement field")
     if displacement.size != params.n_nodes:
@@ -253,11 +268,7 @@ def tube_flow_system(
     dx, dt, rho = params.dx, params.dt, params.rho_f
     a = areas_from_displacement(params, displacement.values)
     a_face = _face_average(a)
-    a_face_old = _face_average(state.area)
     a_old = state.area
-    v_old = state.velocity  # per face
-    step_new = state.step + 1
-    p_in = params.inlet_pressure(step_new)
     p_out = params.outlet_pressure
     frozen = displacement.values
 
@@ -325,7 +336,7 @@ def tube_flow_system(
         if coupling.values is not frozen and not np.array_equal(coupling.values, frozen):
             raise ContractError("coupling data differs from the field this system was built for")
         b = np.zeros(dim)
-        b[: n + 1] = a_face_old * v_old / dt
+        b[: n + 1] = momentum_old
         b[0] += 2.0 * a_face[0] * p_in / (rho * dx)
         b[n] -= 2.0 * a_face[n] * p_out / (rho * dx)
         b[n + 1 :] = -(a - a_old) / dt
@@ -337,7 +348,7 @@ def tube_flow_system(
         traction[0] = p_in
         traction[1:n] = 0.5 * (p[:-1] + p[1:])
         traction[n] = p_out
-        return InterfaceField(traction, FieldRole.TRACTION)
+        return InterfaceField._adopt(traction, FieldRole.TRACTION)
 
     return NonlinearSystemSpec(
         dim=dim,
@@ -359,8 +370,12 @@ def tube_solid_system(
     """Solid subproblem (independent clamped rings) for the upcoming time step.
 
     ``static=True`` drops the inertia terms; used by the closed-form ring
-    oracle tests.
+    oracle tests. The output field takes over the solver's final state array.
     """
+    return _solid_system(params, traction, *_step_terms(params, state, static)[2:])
+
+
+def _solid_system(params, traction, base, inertia) -> NonlinearSystemSpec:
     if traction.role is not FieldRole.TRACTION:
         raise ContractError("solid system expects a traction field")
     if traction.size != params.n_nodes:
@@ -368,12 +383,7 @@ def tube_solid_system(
             f"traction field length {traction.size} != nodes {params.n_nodes}"
         )
     m = params.n_nodes
-    k1 = params.ring_stiffness
     kappa3 = params.kappa3
-    ms_dt2 = 0.0 if static else params.wall_mass / params.dt**2
-    d_old = state.wall_disp
-    w_old = state.wall_vel
-    base = np.full(m, ms_dt2 + k1)  # the linear part of both diagonals
 
     def assemble_matrix(u: np.ndarray) -> DiagonalOperator:
         diag = base.copy()
@@ -385,8 +395,8 @@ def tube_solid_system(
             raise ContractError("coupling data length mismatch")
         b = np.zeros(m)
         b[1:-1] = coupling.values[1:-1]
-        if not static:
-            b[1:-1] += ms_dt2 * (d_old[1:-1] + params.dt * w_old[1:-1])
+        if inertia is not None:
+            b[1:-1] += inertia
         return b
 
     def tangent(u: np.ndarray) -> DiagonalOperator:
@@ -400,7 +410,7 @@ def tube_solid_system(
         assemble_rhs=assemble_rhs,
         tangent=tangent,
         driver=DriverKind.NEWTON,
-        extract_output=lambda u: InterfaceField(u, FieldRole.DISPLACEMENT),
+        extract_output=lambda u: InterfaceField._adopt(u, FieldRole.DISPLACEMENT),
         label="tube solid",
     )
 
@@ -417,6 +427,7 @@ class Tube1DModel:
         self.flow_driver = flow_driver
         self.n_interface = self.params.n_nodes
         self.n_steps = self.params.steps
+        self._last = (None, None)  # (key, step terms) of the last state seen
 
     def initial_state(self) -> TubeState:
         return initial_tube_state(self.params)
@@ -431,10 +442,19 @@ class Tube1DModel:
         return np.zeros(self.params.n_nodes)
 
     def flow_system(self, state: TubeState, displacement: InterfaceField) -> NonlinearSystemSpec:
-        return tube_flow_system(self.params, state, displacement, driver=self.flow_driver)
+        terms = self._step_terms(state)[:2]
+        return _flow_system(self.params, state, displacement, self.flow_driver, *terms)
 
     def solid_system(self, state: TubeState, traction: InterfaceField) -> NonlinearSystemSpec:
-        return tube_solid_system(self.params, state, traction)
+        return _solid_system(self.params, traction, *self._step_terms(state)[2:])
+
+    def _step_terms(self, state: TubeState) -> tuple:
+        """:func:`_step_terms`, reused while params, step and array bytes stay the same."""
+        key = (self.params, state.step, state.area.tobytes(), state.velocity.tobytes(),
+               state.wall_disp.tobytes(), state.wall_vel.tobytes())
+        if key != self._last[0]:
+            self._last = key, _step_terms(self.params, state)
+        return self._last[1]
 
     def advance_state(self, state: TubeState, accepted_displacement: InterfaceField,
                       flow_u: np.ndarray, solid_u: np.ndarray) -> TubeState:

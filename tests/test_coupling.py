@@ -16,6 +16,7 @@ from fsilab import (
     NonlinearSystemSpec,
     SolverCallInput,
     SolverCallReport,
+    TimeStepRecord,
     aitken_omega,
     check_convergence,
     drive,
@@ -24,7 +25,7 @@ from fsilab import (
     run_simulation,
     run_time_step,
 )
-from fsilab.coupling import _MAX_SECANT_COLUMNS, _STALL_WINDOW
+from fsilab.coupling import _MAX_SECANT_COLUMNS, _STALL_WINDOW, _require_eps_fil
 from fsilab.errors import AllColumnsFilteredError, ContractError, DivergedStepError
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import Tube1DParams
@@ -308,6 +309,153 @@ class TestIqnUpdate:
         assert inc == pytest.approx(np.linalg.norm(delta), rel=1e-8)
 
 
+def reference_qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
+    """The fused filter and fit's previous implementation, kept verbatim as the
+    bitwise oracle of the update."""
+    _require_eps_fil(eps_fil)
+    v_matrix = np.asarray(v_matrix, dtype=float)
+    rows = v_matrix.any(axis=1)
+    v_matrix = v_matrix[rows]
+    norms = np.linalg.norm(v_matrix, axis=0)
+    cand = np.flatnonzero(norms)
+    n_rows = v_matrix.shape[0]
+    while cand.size:
+        a = np.empty((n_rows, cand.size + (rhs is not None)))
+        a[:, : cand.size] = v_matrix[:, cand]
+        if rhs is not None:
+            a[:, -1] = rhs[rows]
+        # mode="raw" returns the geqrf output transposed: R is the upper
+        # triangle of h.T
+        h = np.linalg.qr(a, mode="raw")[0]
+        n_keep = min(cand.size, n_rows)
+        r_diag = np.abs(h.diagonal()[:n_keep])
+        failed = np.flatnonzero(r_diag < eps_fil * norms[cand[:n_keep]])
+        if failed.size:
+            cand = np.delete(cand, failed[0])
+            continue
+        if rhs is None:
+            return cand[:n_keep], None
+        r_tri = np.triu(h[:n_keep, :n_keep].T)
+        try:
+            alpha = np.linalg.solve(r_tri, h[-1, :n_keep])
+        except np.linalg.LinAlgError as exc:
+            raise AllColumnsFilteredError("retained columns are numerically singular") from exc
+        return cand[:n_keep], alpha
+    return cand, None
+
+
+def reference_iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
+    """The update's previous implementation, kept verbatim as its bitwise oracle."""
+    r = np.asarray(r_k, dtype=float)
+    d_tilde = np.asarray(d_tilde_k, dtype=float)
+    _require_eps_fil(eps_fil)
+    if np.linalg.norm(r) == 0.0:
+        return d_tilde.copy(), 0.0
+    if hist.is_empty:
+        raise ContractError("empty quasi-Newton history; caller must fall back to relaxation")
+    v, w = hist.matrices()
+    if v.shape[0] != r.size:
+        raise ContractError("history column length does not match residual length")
+    keep, alpha = reference_qr1(v, eps_fil, -r)
+    if not keep.size:
+        raise AllColumnsFilteredError("filtering removed all quasi-Newton columns")
+    if keep.size < w.shape[1]:  # else no column was dropped: W stays a view
+        w = w[:, keep]
+    delta = w @ alpha
+    return d_tilde + delta, float(np.linalg.norm(delta))
+
+
+def _both_updates(hist: IqnHistory, r, d_tilde, eps_fil: float):
+    """``(update, reference)`` outcomes: a result pair or the exception type."""
+    outcomes = []
+    for update in (iqn_ils_update, reference_iqn_ils_update):
+        try:
+            outcomes.append(update(hist, r, d_tilde, eps_fil))
+        except (AllColumnsFilteredError, ContractError) as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
+def _assert_bitwise_same(got, ref) -> None:
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        assert np.array_equal(got[0], ref[0]) and got[0].dtype == ref[0].dtype
+        assert got[1] == ref[1] and type(got[1]) is float
+
+
+class TestIqnUpdateIsBitwiseTheReference:
+    @settings(max_examples=300, deadline=None)
+    @given(filter_inputs(), st.sampled_from([1, 3, 5, 24]), st.integers(0, 2**32 - 1))
+    def test_histories_built_by_appends(self, inputs, max_columns, seed):
+        # the columns enter through IqnHistory, so V and W are windows of its
+        # buffers, at every offset the appends and evictions leave them at;
+        # duplicated and near-dependent columns make the filter drop some, and
+        # V has rows that are zero in every column
+        v, eps_fil = inputs
+        n, m = v.shape
+        rng = np.random.default_rng(seed)
+        hist = IqnHistory(q=2, max_columns=max_columns)
+        ages = rng.integers(1, 6, size=m)
+        for j in range(m - 1, -1, -1):  # oldest first, so column 0 ends up newest
+            if j % 7 == 3:
+                hist.start_step(int(ages[j]))
+            hist.append(v[:, j], rng.standard_normal(n), age=int(ages[j]))
+        r = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        d_tilde = rng.standard_normal(n)
+        for residual in (r, np.where(v.any(axis=1), 0.0, r), np.zeros(n)):
+            _assert_bitwise_same(*_both_updates(hist, residual, d_tilde, eps_fil))
+
+    def test_dropped_column_takes_the_gathered_w(self):
+        # a duplicate column is dropped, so W is gathered with w[:, keep]
+        rng = np.random.default_rng(3)
+        hist = IqnHistory(q=1)
+        cols = rng.standard_normal((9, 4))
+        for j in (3, 2, 1, 0):
+            hist.append(cols[:, j], rng.standard_normal(9), age=1)
+        hist.append(cols[:, 1], rng.standard_normal(9), age=1)
+        v, _ = hist.matrices()
+        assert qr_filter(v, 1e-12) == [0, 1, 3, 4]
+        got, ref = _both_updates(hist, rng.standard_normal(9), rng.standard_normal(9), 1e-12)
+        _assert_bitwise_same(got, ref)
+
+    def test_more_kept_columns_than_the_precomputed_mask(self):
+        rng = np.random.default_rng(4)
+        hist = IqnHistory(q=1, max_columns=40)
+        for _ in range(32):
+            hist.append(rng.standard_normal(50), rng.standard_normal(50), age=1)
+        assert len(qr_filter(hist.matrices()[0], 1e-12)) == 32 > _MAX_SECANT_COLUMNS
+        got, ref = _both_updates(hist, rng.standard_normal(50), rng.standard_normal(50), 1e-12)
+        _assert_bitwise_same(got, ref)
+
+    def test_rows_zero_in_every_column(self):
+        rng = np.random.default_rng(5)
+        hist = IqnHistory(q=1)
+        for _ in range(6):
+            col = rng.standard_normal(12)
+            col[[0, 5, 11]] = 0.0
+            hist.append(col, rng.standard_normal(12), age=1)
+        got, ref = _both_updates(hist, rng.standard_normal(12), rng.standard_normal(12), 1e-12)
+        _assert_bitwise_same(got, ref)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-170, 1e-160])
+    def test_zero_and_underflowing_residuals(self, scale):
+        # ||r||^2 underflows to zero at 1e-170: the residual counts as zero and
+        # d_tilde comes back exactly; at 1e-160 it does not
+        rng = np.random.default_rng(9)
+        hist = IqnHistory(q=1)
+        for _ in range(3):
+            hist.append(rng.standard_normal(7), rng.standard_normal(7), age=1)
+        r = np.full(7, scale)
+        # a zero d_tilde shows any increment, however small
+        for d_tilde in (rng.standard_normal(7), np.zeros(7)):
+            got, ref = _both_updates(hist, r, d_tilde, 1e-12)
+            _assert_bitwise_same(got, ref)
+            assert (got[1] == 0.0) is (scale < 1e-165)
+            if scale < 1e-165:
+                assert np.array_equal(got[0], d_tilde) and got[0] is not d_tilde
+
+
 class ListIqnHistory:
     """The history's previous implementation, kept as the oracle: a Python
     list of ``(age, residual_diff, output_diff)`` tuples, newest first."""
@@ -405,6 +553,22 @@ class TestIqnHistory:
             if not oracle.is_empty:
                 for got, ref in zip(hist.matrices(), oracle.matrices()):
                     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("max_columns", [1, 2, 3, 24])
+    def test_window_wraps_like_the_list_oracle(self, max_columns):
+        # enough appends to move the window back to the right half of the
+        # buffers several times, with evictions in between
+        rng = np.random.default_rng(max_columns)
+        hist, oracle = IqnHistory(2, max_columns), ListIqnHistory(2, max_columns)
+        for i in range(5 * max_columns + 3):
+            dr, dw = rng.standard_normal(4), rng.standard_normal(4)
+            for h in (hist, oracle):
+                if i % 5 == 4:
+                    h.start_step(i // 3)
+                h.append(dr, dw, age=i // 3)
+            assert hist.column_ages == oracle.column_ages
+            for got, ref in zip(hist.matrices(), oracle.matrices()):
+                assert got.tobytes() == ref.tobytes()
 
     def test_eviction_by_age(self):
         hist = IqnHistory(q=2)
@@ -760,6 +924,47 @@ class TestEngineAccelerationModes:
         tags = {tag for step, _, tag in partial.events if step == 1}
         assert tags == {"iqn_all_columns_filtered", "iqn_stagnation_restart"}
         assert record.events == partial.events
+
+
+class TestNonFiniteUpdate:
+    def test_non_finite_displacement_aborts_the_step(self, monkeypatch):
+        # one inf in the accelerated displacement aborts the step with the
+        # typed partial records, not with a bare error from InterfaceField
+        import fsilab.coupling as coupling_mod
+
+        real_update, real_call = coupling_mod.iqn_ils_update, coupling_mod.call_solver
+        spent = []  # (inner iterations, seconds) of every solver call
+
+        def poisoned(hist, r_k, d_tilde_k, eps_fil):
+            d_next, inc = real_update(hist, r_k, d_tilde_k, eps_fil)
+            d_next[d_next.size // 2] = np.inf
+            return d_next, inc
+
+        def counted(solver_id, spec, inp):
+            out = real_call(solver_id, spec, inp)
+            spent.append((solver_id.value, out[1].inner_iters, out[1].wall_time))
+            return out
+
+        monkeypatch.setattr(coupling_mod, "iqn_ils_update", poisoned)
+        monkeypatch.setattr(coupling_mod, "call_solver", counted)
+        with pytest.raises(DivergedStepError, match="not finite") as err:
+            run_simulation(Tube1DModel(Tube1DParams(cells=20, steps=3)), CouplingConfig())
+        partial, record = err.value.partial, err.value.record
+        assert isinstance(partial, TimeStepRecord) and not partial.converged
+        assert partial.accepted_norms is None
+        # step 1 updates by relaxation first: the first IQN update is at k = 2
+        assert (err.value.step, partial.step, partial.coupling_iters) == (1, 1, 2)
+        assert record.failing_step == 1 and not record.converged and not record.snapshots
+        flow = [c for c in spent if c[0] == "flow"]
+        solid = [c for c in spent if c[0] == "solid"]
+        assert len(flow) == len(solid) == 2
+        assert partial.flow_iters == sum(c[1] for c in flow)
+        assert partial.solid_iters == sum(c[1] for c in solid)
+        assert partial.flow_time == sum(c[2] for c in flow)
+        assert partial.solid_time == sum(c[2] for c in solid)
+        assert record.counters.per_step == [(1, 2, partial.flow_iters, partial.solid_iters)]
+        assert (record.flow_seconds, record.solid_seconds) == (partial.flow_time,
+                                                               partial.solid_time)
 
 
 class _FailingSolver:

@@ -131,6 +131,20 @@ class TestInterfaceField:
         src[0] = 9.0
         assert field.values[0] == 1.0
 
+    def test_adopted_array_is_taken_over_and_checked(self):
+        # the private constructor for arrays their maker just created: no
+        # copy, the array turns read-only, and the finiteness check stays
+        # unless the maker made it
+        src = np.array([1.0, 2.0])
+        field = InterfaceField._adopt(src, FieldRole.TRACTION)
+        assert field.values is src and not src.flags.writeable
+        assert field.role is FieldRole.TRACTION
+        with pytest.raises(ContractError, match="non-finite"):
+            InterfaceField._adopt(np.array([1.0, np.nan]), FieldRole.DISPLACEMENT)
+        trusted = InterfaceField._adopt(np.array([1.0, 3.0]), FieldRole.DISPLACEMENT,
+                                        finite=True)
+        assert trusted.values.tolist() == [1.0, 3.0]
+
 
 class TestSolverCallReport:
     def test_history_length_must_match(self):

@@ -486,6 +486,66 @@ class TestSolidSystem:
         assert energies[-1] < 0.5 * energies[0]
 
 
+def _random_state(params, rng, step):
+    n, m = params.cells, params.n_nodes
+    state = initial_tube_state(params)
+    state.area = state.area * (1.0 + 0.01 * rng.standard_normal(n))
+    state.velocity = 0.1 * rng.standard_normal(n + 1)
+    state.wall_disp = 1e-5 * rng.standard_normal(m)
+    state.wall_vel = 1e-2 * rng.standard_normal(m)
+    state.step = step
+    return state
+
+
+def _spec_bytes(flow, solid, d, tr, rng) -> list:
+    """Right-hand sides and operator bands of a flow and a solid system, as bytes."""
+    u_f = np.concatenate([0.1 * rng.uniform(-1.0, 1.0, d.size),
+                          1e3 * rng.standard_normal(d.size - 1)])
+    u_s = 1e-5 * rng.standard_normal(tr.size)
+    out = [flow.assemble_rhs(d), solid.assemble_rhs(tr)]
+    for op in (flow.assemble_matrix(u_f), flow.tangent(u_f)):
+        out += [op.lo, op.diag, op.up, op.g, op.d]
+    out += [solid.assemble_matrix(u_s).d, solid.tangent(u_s).d]
+    return [a.tobytes() for a in out]
+
+
+class TestModelStepTerms:
+    def test_model_specs_follow_their_state(self, params):
+        # Tube1DModel reuses what a system takes from the step's start state
+        # across the builds of one step; across states, and after edits in
+        # place, its systems stay bitwise fresh module-level builds
+        rng = np.random.default_rng(21)
+        model = Tube1DModel(params)
+        a_state, b_state = _random_state(params, rng, 0), _random_state(params, rng, 7)
+        edited = _random_state(params, rng, 3)
+        d = InterfaceField(1e-5 * rng.uniform(-1.0, 1.0, params.n_nodes), FieldRole.DISPLACEMENT)
+        tr = InterfaceField(1e3 * rng.standard_normal(params.n_nodes), FieldRole.TRACTION)
+
+        def edit(name, index, delta):
+            def apply(state):
+                getattr(state, name)[index] += delta
+            return apply
+
+        def past_the_pulse(state):
+            state.step = 40
+
+        checks = [(a_state, None), (b_state, None), (a_state, None), (edited, None),
+                  (edited, edit("area", 3, 1e-8)), (edited, edit("velocity", 5, 0.01)),
+                  (edited, edit("wall_disp", 4, 1e-6)), (edited, edit("wall_vel", 6, -1e-3)),
+                  (edited, past_the_pulse)]
+        for state, change in checks:
+            if change is not None:
+                change(state)  # in place: the same state object and arrays
+            for _ in range(2):  # a second build of the same state reuses the terms
+                seed = int(rng.integers(2**32))
+                got = _spec_bytes(model.flow_system(state, d), model.solid_system(state, tr),
+                                  d, tr, np.random.default_rng(seed))
+                ref = _spec_bytes(tube_flow_system(params, state, d),
+                                  tube_solid_system(params, state, tr),
+                                  d, tr, np.random.default_rng(seed))
+                assert got == ref
+
+
 class TestCoupledInvariants:
     def test_mass_conservation_and_geometric_consistency(self, params):
         model = Tube1DModel(params)
