@@ -366,13 +366,13 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         exc.partial = _record()
         return exc
 
+    flow, solid = model.flow_solver(state), model.solid_solver(state)
     for k in range(1, config.max_coupling_iters_per_step + 1):
         solver = SolverId.FLOW
         try:
-            flow_spec = model.flow_system(state, d_k)
             traction, rep_f, u_f = call_solver(
                 SolverId.FLOW,
-                flow_spec,
+                flow,
                 SolverCallInput(u_f, d_k, eps=config.eps_f, n_max=config.n_max_f,
                                 batch_size=config.batch_size_f),
             )
@@ -380,10 +380,9 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             flow_time += rep_f.wall_time
 
             solver = SolverId.SOLID
-            solid_spec = model.solid_system(state, traction)
             d_tilde, rep_s, u_s = call_solver(
                 SolverId.SOLID,
-                solid_spec,
+                solid,
                 SolverCallInput(u_s, traction, eps=config.eps_s, n_max=config.n_max_s),
             )
             solid_iters += rep_s.inner_iters

@@ -38,6 +38,12 @@ def validate_cap(cap, name: str) -> None:
         raise ContractError(f"{name} must be an integer >= 1 or unbounded, got {cap!r}")
 
 
+def require_count(value, name: str, low: int) -> None:
+    """Reject a count that is not an integer >= ``low``; a float one included."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 class FieldRole(Enum):
     DISPLACEMENT = "displacement"
     TRACTION = "traction"
@@ -193,14 +199,11 @@ class CouplingConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ContractError(f"{name} must be positive and finite, got {value!r}")
-        if self.reuse_q < 0:
-            raise ContractError("reuse_q must be non-negative")
         if not (0.0 < self.omega0 <= 1.0):
             raise ContractError("omega0 must lie in (0, 1]")
-        if self.max_coupling_iters_per_step < 1:
-            raise ContractError("max_coupling_iters_per_step must be >= 1")
-        if self.batch_size_f < 1:
-            raise ContractError("batch_size_f must be >= 1")
+        for name, low in (("reuse_q", 0), ("max_coupling_iters_per_step", 1),
+                          ("batch_size_f", 1)):
+            require_count(getattr(self, name), name, low)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 from .toys import LinearToyModel, ScalarToyModel
-from .tube import Tube1DModel, Tube1DParams, TubeState, tube_flow_system, tube_solid_system
+from .tube import Tube1DModel, Tube1DParams, TubeState
 
 __all__ = [
     "LinearToyModel",
@@ -7,6 +7,4 @@ __all__ = [
     "Tube1DModel",
     "Tube1DParams",
     "TubeState",
-    "tube_flow_system",
-    "tube_solid_system",
 ]

@@ -14,12 +14,53 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ConstructionError, ContractError
 from ..interface import FieldRole, InterfaceField
-from ..subproblem import DriverKind, NonlinearSystemSpec
+from ..subproblem import DriverKind
+
+
+@dataclass
+class _DenseSolver:
+    """A toy subproblem ``A(u) u = b`` on dense matrices, solved with ``numpy.linalg``.
+
+    ``rhs(coupling)`` gives ``b`` from coupling data of length ``n_coupling``,
+    ``matrix(u)`` gives ``A(u)`` and ``tangent(u)`` the Newton tangent
+    ``K(u)``; the output field is ``u`` itself in ``role``.
+    """
+
+    dim: int
+    n_coupling: int
+    matrix: Callable
+    rhs: Callable
+    tangent: Callable
+    driver: DriverKind
+    role: FieldRole
+    label: str
+
+    def load(self, coupling: InterfaceField) -> tuple:
+        if coupling.size != self.n_coupling:
+            raise ContractError(f"{coupling.role.value} length mismatch")
+        b = self.rhs(coupling)
+        matrix, tangent = self.matrix, self.tangent
+        newton = self.driver is DriverKind.NEWTON
+        a = None  # A(u) of the last residual
+
+        def residual(u):
+            nonlocal a
+            a = matrix(u)
+            return b - a @ u
+
+        def solve(u, r):
+            return np.linalg.solve(tangent(u) if newton else a, r)
+
+        return b, residual, solve
+
+    def output(self, u: np.ndarray) -> InterfaceField:
+        return InterfaceField(u, self.role)
 
 
 def _tridiag(n: int, off: float, diag: float) -> np.ndarray:
@@ -118,31 +159,17 @@ class LinearToyModel:
     def initial_solid_u(self) -> np.ndarray:
         return np.zeros(self.dim_s)
 
-    def flow_system(self, state, displacement: InterfaceField) -> NonlinearSystemSpec:
-        if displacement.size != self.dim_s:
-            raise ContractError("displacement length mismatch")
-        return NonlinearSystemSpec(
-            dim=self.dim_f,
-            assemble_matrix=lambda u: self.A_f.copy(),
-            assemble_rhs=lambda d: self.b_f0 + self.B_f @ d.values,
-            tangent=lambda u: self.A_f.copy(),
-            driver=self.flow_driver,
-            extract_output=lambda u: InterfaceField(u, FieldRole.TRACTION),
-            label="linear-toy flow",
-        )
+    def flow_solver(self, state) -> _DenseSolver:
+        return _DenseSolver(
+            dim=self.dim_f, n_coupling=self.dim_s, matrix=lambda u: self.A_f,
+            rhs=lambda d: self.b_f0 + self.B_f @ d.values, tangent=lambda u: self.A_f,
+            driver=self.flow_driver, role=FieldRole.TRACTION, label="linear-toy flow")
 
-    def solid_system(self, state, traction: InterfaceField) -> NonlinearSystemSpec:
-        if traction.size != self.dim_f:
-            raise ContractError("traction length mismatch")
-        return NonlinearSystemSpec(
-            dim=self.dim_s,
-            assemble_matrix=lambda u: self.A_s.copy(),
-            assemble_rhs=lambda t: self.b_s0 + self.B_s @ t.values,
-            tangent=lambda u: self.A_s.copy(),
-            driver=self.solid_driver,
-            extract_output=lambda u: InterfaceField(u, FieldRole.DISPLACEMENT),
-            label="linear-toy solid",
-        )
+    def solid_solver(self, state) -> _DenseSolver:
+        return _DenseSolver(
+            dim=self.dim_s, n_coupling=self.dim_f, matrix=lambda u: self.A_s,
+            rhs=lambda t: self.b_s0 + self.B_s @ t.values, tangent=lambda u: self.A_s,
+            driver=self.solid_driver, role=FieldRole.DISPLACEMENT, label="linear-toy solid")
 
     def advance_state(self, state, accepted_displacement, flow_u, solid_u):
         return state + 1
@@ -194,29 +221,21 @@ class ScalarToyModel:
     def initial_solid_u(self) -> np.ndarray:
         return np.zeros(1)
 
-    def flow_system(self, state, displacement: InterfaceField) -> NonlinearSystemSpec:
+    def flow_solver(self, state) -> _DenseSolver:
         p = self.params
-        return NonlinearSystemSpec(
-            dim=1,
-            assemble_matrix=lambda u: np.array([[p.alpha]]),
-            assemble_rhs=lambda d: np.array([p.b0 + p.beta * d.values[0]]),
+        return _DenseSolver(
+            dim=1, n_coupling=1, matrix=lambda u: np.array([[p.alpha]]),
+            rhs=lambda d: np.array([p.b0 + p.beta * d.values[0]]),
             tangent=lambda u: np.array([[p.alpha]]),
-            driver=DriverKind.NEWTON,
-            extract_output=lambda u: InterfaceField(u, FieldRole.TRACTION),
-            label="scalar-toy flow",
-        )
+            driver=DriverKind.NEWTON, role=FieldRole.TRACTION, label="scalar-toy flow")
 
-    def solid_system(self, state, traction: InterfaceField) -> NonlinearSystemSpec:
+    def solid_solver(self, state) -> _DenseSolver:
         p = self.params
-        return NonlinearSystemSpec(
-            dim=1,
-            assemble_matrix=lambda u: np.array([[p.stiffness + p.kappa * u[0] ** 2]]),
-            assemble_rhs=lambda t: np.array([t.values[0]]),
+        return _DenseSolver(
+            dim=1, n_coupling=1, matrix=lambda u: np.array([[p.stiffness + p.kappa * u[0] ** 2]]),
+            rhs=lambda t: np.array([t.values[0]]),
             tangent=lambda u: np.array([[p.stiffness + 3.0 * p.kappa * u[0] ** 2]]),
-            driver=DriverKind.NEWTON,
-            extract_output=lambda u: InterfaceField(u, FieldRole.DISPLACEMENT),
-            label="scalar-toy solid",
-        )
+            driver=DriverKind.NEWTON, role=FieldRole.DISPLACEMENT, label="scalar-toy solid")
 
     def advance_state(self, state, accepted_displacement, flow_u, solid_u):
         return state + 1

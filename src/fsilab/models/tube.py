@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, GeometryError
-from ..interface import FieldRole, InterfaceField
-from ..subproblem import DiagonalOperator, DriverKind, NonlinearSystemSpec
+from ..interface import FieldRole, InterfaceField, require_count
+from ..subproblem import DriverKind
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class Tube1DParams:
             raise ContractError("poisson must lie in [0, 0.5)")
         if self.kappa3 < 0:
             raise ContractError("kappa3 must be >= 0")
-        if self.cells < 2 or self.steps < 1:
-            raise ContractError("cells must be >= 2 and steps >= 1")
+        require_count(self.cells, "cells", 2)
+        require_count(self.steps, "steps", 1)
 
     @property
     def dx(self) -> float:
@@ -180,7 +180,7 @@ class FlowOperator:
                  z: np.ndarray | None = None):
         self.lo, self.diag, self.up = lo, diag, up
         self.g, self.d = g, d
-        # 1/g and 1/d; a spec passes the arrays it shares between operators
+        # 1/g and 1/d; a solver call passes the arrays it shares between operators
         self.ell = 1.0 / g if ell is None else ell
         self.z = 1.0 / d if z is None else z
 
@@ -231,188 +231,151 @@ class FlowOperator:
         return out
 
 
-def tube_flow_system(
-    params: Tube1DParams,
-    state: TubeState,
-    displacement: InterfaceField,
-    driver: DriverKind = DriverKind.NEWTON,
-) -> NonlinearSystemSpec:
-    """Flow subproblem for the upcoming time step, areas frozen from `displacement`.
+class TubeFlowSolver:
+    """The flow subproblem of one time step; each call freezes the areas from its displacement.
 
     Staggered unknowns ``u = [v_0..v_n, p_0..p_{n-1}]`` (face velocities, cell
     pressures, dim 2n+1). Momentum is balanced per face, mass per cell; the
     imposed face pressures drive the two half-cell boundary momentum rows.
     """
-    return _flow_system(params, state, displacement, driver, *_step_terms(params, state)[:2])
 
+    label = "tube flow"
 
-def _step_terms(params: Tube1DParams, state: TubeState, static: bool = False) -> tuple:
-    """A step's fixed terms: the flow's old momentum ``a_face_old * v_old / dt`` and inlet
-    pressure, the linear part of both solid diagonals, the solid inertia (None if static)."""
-    ms_dt2 = 0.0 if static else params.wall_mass / params.dt**2
-    d_old, w_old = state.wall_disp[1:-1], state.wall_vel[1:-1]
-    return (_face_average(state.area) * state.velocity / params.dt,
-            params.inlet_pressure(state.step + 1),
-            np.full(params.n_nodes, ms_dt2 + params.ring_stiffness),
-            None if static else ms_dt2 * (d_old + params.dt * w_old))
+    def __init__(self, params: Tube1DParams, state: TubeState,
+                 driver: DriverKind = DriverKind.NEWTON):
+        self.params, self.driver = params, driver
+        self.dim = 2 * params.cells + 1
+        # the old momentum a_face_old * v_old / dt and the inlet pressure of the step
+        self._momentum_old = _face_average(state.area) * state.velocity / params.dt
+        self._p_in = params.inlet_pressure(state.step + 1)
+        self._a_old = state.area.copy()
 
+    def load(self, displacement: InterfaceField) -> tuple:
+        params = self.params
+        if displacement.role is not FieldRole.DISPLACEMENT:
+            raise ContractError("flow solver expects a displacement field")
+        if displacement.size != params.n_nodes:
+            raise ContractError(
+                f"displacement field length {displacement.size} != nodes {params.n_nodes}"
+            )
+        n = params.cells
+        dx, dt, rho = params.dx, params.dt, params.rho_f
+        a = areas_from_displacement(params, displacement.values)
+        a_face = _face_average(a)
+        g = a_face / (rho * dx)  # pressure-gradient weights; the half-cell end rows double
+        g[0] *= 2.0
+        g[n] *= 2.0
+        d = a_face / dx  # mass-flux weights
+        ell, z = 1.0 / g, 1.0 / d  # shared by every operator of this call
+        time_diag = a_face / dt  # the time band every momentum diagonal starts from
+        half_a = 0.5 * a
+        b = np.zeros(self.dim)
+        b[: n + 1] = self._momentum_old
+        b[0] += 2.0 * a_face[0] * self._p_in / (rho * dx)
+        b[n] -= 2.0 * a_face[n] * params.outlet_pressure / (rho * dx)
+        b[n + 1 :] = -(a - self._a_old) / dt
+        last = None  # A(u) of the last residual and its upwind mask
 
-def _flow_system(params, state, displacement, driver, momentum_old, p_in) -> NonlinearSystemSpec:
-    if displacement.role is not FieldRole.DISPLACEMENT:
-        raise ContractError("flow system expects a displacement field")
-    if displacement.size != params.n_nodes:
-        raise ContractError(
-            f"displacement field length {displacement.size} != nodes {params.n_nodes}"
-        )
-    n = params.cells
-    dx, dt, rho = params.dx, params.dt, params.rho_f
-    a = areas_from_displacement(params, displacement.values)
-    a_face = _face_average(a)
-    a_old = state.area
-    p_out = params.outlet_pressure
-    frozen = displacement.values
+        def residual(u: np.ndarray) -> np.ndarray:
+            """``b - A(u) u``; keeps ``A(u)``'s momentum bands for the solve at ``u``."""
+            nonlocal last
+            # face j balances (F_j - F_{j-1})/dx with cell-center fluxes, so the
+            # flux through cell i, a_i*vc_i*v_up(i), is the right flux of face i
+            # (+) and the left flux of face i+1 (-)
+            v = u[: n + 1]
+            vc = 0.5 * (v[:-1] + v[1:])
+            coeff = a * vc / dx
+            forward = vc >= 0.0  # upwind face is i, else i+1
+            cf = np.where(forward, coeff, 0.0)
+            cb = np.where(forward, 0.0, coeff)
+            diag = time_diag.copy()
+            diag[:-1] += cf
+            diag[1:] -= cb
+            # boundary extension fluxes: F_{-1} = a_face0*v0*v0, F_n = a_facen*vn*vn
+            diag[0] -= a_face[0] * v[0] / dx
+            diag[n] += a_face[n] * v[n] / dx
+            last = FlowOperator(-cf, diag, cb, g, d, ell, z), forward
+            return b - last[0] @ u
 
-    dim = 2 * n + 1
+        def picard(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+            return last[0].solve(r)
 
-    g = a_face / (rho * dx)  # pressure-gradient weights; the half-cell end rows double
-    g[0] *= 2.0
-    g[n] *= 2.0
-    d = a_face / dx  # mass-flux weights
-    ell, z = 1.0 / g, 1.0 / d  # shared by every operator of this spec
-    time_diag = a_face / dt  # the time band every momentum diagonal starts from
-    half_a = 0.5 * a
-    # velocities of the last assemble_matrix call and their bands: the Newton
-    # driver asks for the tangent at the same u right after assembling A(u)
-    last_v: np.ndarray | None = None
-    last_bands: tuple = ()
+        def newton(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+            # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
+            # 0.5*a_i*v_up against both faces of cell i; new arrays throughout,
+            # so a second solve at the same iterate reads the same bands
+            op, forward = last
+            v = u[: n + 1]
+            w = half_a * np.where(forward, v[:-1], v[1:]) / dx
+            diag = op.diag.copy()
+            diag[:-1] += w
+            diag[1:] -= w
+            # boundary extension fluxes a_face*v*v
+            diag[0] -= a_face[0] * v[0] / dx
+            diag[n] += a_face[n] * v[n] / dx
+            return FlowOperator(op.lo - w, diag, op.up + w, g, d, ell, z).solve(r)
 
-    def _momentum_bands(v: np.ndarray):
-        """Time, upwind convection and boundary-flux bands of the momentum block."""
-        # face j balances (F_j - F_{j-1})/dx with cell-center fluxes, so the
-        # flux through cell i, a_i*vc_i*v_up(i), is the right flux of face i
-        # (+) and the left flux of face i+1 (-)
-        vc = 0.5 * (v[:-1] + v[1:])
-        coeff = a * vc / dx
-        forward = vc >= 0.0  # upwind face is i, else i+1
-        cf = np.where(forward, coeff, 0.0)
-        cb = np.where(forward, 0.0, coeff)
-        diag = time_diag.copy()
-        diag[:-1] += cf
-        diag[1:] -= cb
-        # boundary extension fluxes: F_{-1} = a_face0*v0*v0, F_n = a_facen*vn*vn
-        diag[0] -= a_face[0] * v[0] / dx
-        diag[n] += a_face[n] * v[n] / dx
-        return -cf, diag, cb, forward
+        return b, residual, newton if self.driver is DriverKind.NEWTON else picard
 
-    def assemble_matrix(u: np.ndarray) -> FlowOperator:
-        nonlocal last_v, last_bands
-        last_v = u[: n + 1].copy()
-        last_bands = _momentum_bands(last_v)
-        lo, diag, up, _ = last_bands
-        return FlowOperator(lo, diag, up, g, d, ell, z)
-
-    def tangent(u: np.ndarray) -> FlowOperator:
-        v = u[: n + 1]
-        # compare values, not identity: u may have been edited in place since
-        if last_v is not None and (v == last_v).all():
-            lo, diag, up, forward = last_bands
-        else:
-            lo, diag, up, forward = _momentum_bands(v)
-        # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
-        # 0.5*a_i*v_up against both faces of cell i; new arrays throughout, so
-        # the bands an A(u) operator holds stay untouched
-        w = half_a * np.where(forward, v[:-1], v[1:]) / dx
-        diag = diag.copy()
-        diag[:-1] += w
-        diag[1:] -= w
-        # boundary extension fluxes a_face*v*v
-        diag[0] -= a_face[0] * v[0] / dx
-        diag[n] += a_face[n] * v[n] / dx
-        return FlowOperator(lo - w, diag, up + w, g, d, ell, z)
-
-    def assemble_rhs(coupling: InterfaceField) -> np.ndarray:
-        if coupling.size != params.n_nodes:
-            raise ContractError("coupling data length mismatch")
-        if coupling.values is not frozen and not np.array_equal(coupling.values, frozen):
-            raise ContractError("coupling data differs from the field this system was built for")
-        b = np.zeros(dim)
-        b[: n + 1] = momentum_old
-        b[0] += 2.0 * a_face[0] * p_in / (rho * dx)
-        b[n] -= 2.0 * a_face[n] * p_out / (rho * dx)
-        b[n + 1 :] = -(a - a_old) / dt
-        return b
-
-    def extract_output(u: np.ndarray) -> InterfaceField:
+    def output(self, u: np.ndarray) -> InterfaceField:
+        n = self.params.cells
         p = u[n + 1 :]
-        traction = np.empty(params.n_nodes)
-        traction[0] = p_in
+        traction = np.empty(self.params.n_nodes)
+        traction[0] = self._p_in
         traction[1:n] = 0.5 * (p[:-1] + p[1:])
-        traction[n] = p_out
+        traction[n] = self.params.outlet_pressure
         return InterfaceField._adopt(traction, FieldRole.TRACTION)
 
-    return NonlinearSystemSpec(
-        dim=dim,
-        assemble_matrix=assemble_matrix,
-        assemble_rhs=assemble_rhs,
-        tangent=tangent,
-        driver=driver,
-        extract_output=extract_output,
-        label="tube flow",
-    )
 
-
-def tube_solid_system(
-    params: Tube1DParams,
-    state: TubeState,
-    traction: InterfaceField,
-    static: bool = False,
-) -> NonlinearSystemSpec:
-    """Solid subproblem (independent clamped rings) for the upcoming time step.
+class TubeSolidSolver:
+    """The solid subproblem (independent clamped rings) of one time step.
 
     ``static=True`` drops the inertia terms; used by the closed-form ring
     oracle tests. The output field takes over the solver's final state array.
     """
-    return _solid_system(params, traction, *_step_terms(params, state, static)[2:])
 
+    label = "tube solid"
+    driver = DriverKind.NEWTON
 
-def _solid_system(params, traction, base, inertia) -> NonlinearSystemSpec:
-    if traction.role is not FieldRole.TRACTION:
-        raise ContractError("solid system expects a traction field")
-    if traction.size != params.n_nodes:
-        raise ContractError(
-            f"traction field length {traction.size} != nodes {params.n_nodes}"
-        )
-    m = params.n_nodes
-    kappa3 = params.kappa3
+    def __init__(self, params: Tube1DParams, state: TubeState, static: bool = False):
+        self.params = params
+        self.dim = params.n_nodes
+        ms_dt2 = 0.0 if static else params.wall_mass / params.dt**2
+        self._base = np.full(params.n_nodes, ms_dt2 + params.ring_stiffness)  # linear diagonal
+        self._inertia = None if static else ms_dt2 * (
+            state.wall_disp[1:-1] + params.dt * state.wall_vel[1:-1])
 
-    def assemble_matrix(u: np.ndarray) -> DiagonalOperator:
-        diag = base.copy()
-        diag[1:-1] += kappa3 * u[1:-1] ** 2
-        return DiagonalOperator(diag)
-
-    def assemble_rhs(coupling: InterfaceField) -> np.ndarray:
-        if coupling.size != m:
-            raise ContractError("coupling data length mismatch")
+    def load(self, traction: InterfaceField) -> tuple:
+        m = self.dim
+        if traction.role is not FieldRole.TRACTION:
+            raise ContractError("solid solver expects a traction field")
+        if traction.size != m:
+            raise ContractError(f"traction field length {traction.size} != nodes {m}")
         b = np.zeros(m)
-        b[1:-1] = coupling.values[1:-1]
-        if inertia is not None:
-            b[1:-1] += inertia
-        return b
+        b[1:-1] = traction.values[1:-1]
+        if self._inertia is not None:
+            b[1:-1] += self._inertia
+        base, kappa3 = self._base, self.params.kappa3
+        u_sq = None  # the squared interior displacements of the last residual
 
-    def tangent(u: np.ndarray) -> DiagonalOperator:
-        diag = base.copy()
-        diag[1:-1] += 3.0 * kappa3 * u[1:-1] ** 2
-        return DiagonalOperator(diag)
+        def residual(u: np.ndarray) -> np.ndarray:
+            nonlocal u_sq
+            u_sq = u[1:-1] ** 2
+            diag = base.copy()
+            diag[1:-1] += kappa3 * u_sq
+            return b - diag * u
 
-    return NonlinearSystemSpec(
-        dim=m,
-        assemble_matrix=assemble_matrix,
-        assemble_rhs=assemble_rhs,
-        tangent=tangent,
-        driver=DriverKind.NEWTON,
-        extract_output=lambda u: InterfaceField._adopt(u, FieldRole.DISPLACEMENT),
-        label="tube solid",
-    )
+        def solve(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+            diag = base.copy()
+            diag[1:-1] += 3.0 * kappa3 * u_sq
+            if not diag.all():
+                raise np.linalg.LinAlgError("zero diagonal entry")
+            return r / diag
+
+        return b, residual, solve
+
+    def output(self, u: np.ndarray) -> InterfaceField:
+        return InterfaceField._adopt(u, FieldRole.DISPLACEMENT)
 
 
 class Tube1DModel:
@@ -427,7 +390,6 @@ class Tube1DModel:
         self.flow_driver = flow_driver
         self.n_interface = self.params.n_nodes
         self.n_steps = self.params.steps
-        self._last = (None, None)  # (key, step terms) of the last state seen
 
     def initial_state(self) -> TubeState:
         return initial_tube_state(self.params)
@@ -441,20 +403,11 @@ class Tube1DModel:
     def initial_solid_u(self) -> np.ndarray:
         return np.zeros(self.params.n_nodes)
 
-    def flow_system(self, state: TubeState, displacement: InterfaceField) -> NonlinearSystemSpec:
-        terms = self._step_terms(state)[:2]
-        return _flow_system(self.params, state, displacement, self.flow_driver, *terms)
+    def flow_solver(self, state: TubeState) -> TubeFlowSolver:
+        return TubeFlowSolver(self.params, state, self.flow_driver)
 
-    def solid_system(self, state: TubeState, traction: InterfaceField) -> NonlinearSystemSpec:
-        return _solid_system(self.params, traction, *self._step_terms(state)[2:])
-
-    def _step_terms(self, state: TubeState) -> tuple:
-        """:func:`_step_terms`, reused while params, step and array bytes stay the same."""
-        key = (self.params, state.step, state.area.tobytes(), state.velocity.tobytes(),
-               state.wall_disp.tobytes(), state.wall_vel.tobytes())
-        if key != self._last[0]:
-            self._last = key, _step_terms(self.params, state)
-        return self._last[1]
+    def solid_solver(self, state: TubeState) -> TubeSolidSolver:
+        return TubeSolidSolver(self.params, state)
 
     def advance_state(self, state: TubeState, accepted_displacement: InterfaceField,
                       flow_u: np.ndarray, solid_u: np.ndarray) -> TubeState:

@@ -1,12 +1,14 @@
-"""Black-box subproblem abstraction and the generic inner-iteration driver.
+"""Black-box subproblem protocol and the generic inner-iteration driver.
 
-Every subproblem is posed as ``A(u) u = b`` with the right-hand side assembled
-once per solver call and held fixed across inner iterations. Newton and Picard
-run the same loop and differ only in the operator ``M`` each update solves
-with (``K(u)`` or ``A(u)``):
+Every subproblem is posed as ``A(u) u = b``. A model builds one
+:class:`Solver` per subproblem and time step, holding what the step fixes.
+Each solver call loads the coupling data, which fixes ``b`` for the whole
+call, and hands the driver ``residual(u) = b - A(u) u`` and ``solve(u, r)``,
+one Newton (``K(u)^-1 r``) or Picard (``A(u)^-1 r``) correction. The driver
+runs one loop for both:
 
-    for i = 1, 2, ...:   evaluate r = b - A(u) u, record ||r||/sqrt(n),
-                         u += M^-1 r, then stop if the recorded norm beat eps.
+    for i = 1, 2, ...:   r = residual(u), record ||r||/sqrt(n),
+                         u += solve(u, r), then stop if the recorded norm beat eps.
 
 The update runs even on the converged iteration (black-box solvers cannot exit
 before updating), which is what makes ``converged_on_first`` well defined.
@@ -18,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -59,75 +61,27 @@ class SolverId(Enum):
     SOLID = "solid"
 
 
-class LinearOperator(Protocol):
-    """What the driver needs of ``A(u)`` and ``K(u)``: apply and solve.
+class Solver(Protocol):
+    """One subproblem of one time step, ``A(u) u = b``; the driver kind is its own.
 
-    ``solve`` raises :class:`numpy.linalg.LinAlgError` when the operator is
-    singular.
-    """
-
-    def __matmul__(self, u: np.ndarray) -> np.ndarray: ...
-
-    def solve(self, r: np.ndarray) -> np.ndarray: ...
-
-
-class DenseOperator:
-    """A dense matrix behind the :class:`LinearOperator` protocol."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.matrix, r)
-
-
-class DiagonalOperator:
-    """``diag(d)``; its solve is an element-wise divide."""
-
-    def __init__(self, d: np.ndarray):
-        self.d = d
-
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        return self.d * u
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        if not self.d.all():
-            raise np.linalg.LinAlgError("zero diagonal entry")
-        return r / self.d
-
-
-def as_operator(m) -> LinearOperator:
-    """The driver's view of what a spec callable returned: ndarrays become dense."""
-    return DenseOperator(m) if isinstance(m, np.ndarray) else m
-
-
-@dataclass
-class NonlinearSystemSpec:
-    """One subproblem in ``A(u) u = b`` form.
-
-    ``assemble_matrix(u)`` returns ``A(u)`` and ``tangent(u)`` returns
-    ``K(u) = A(u) + (dA/du) u``; ``driver`` picks the operator each inner
-    update solves with: ``K`` under Newton, which therefore requires the
-    tangent, and ``A`` under Picard. Both callables return a
-    :class:`LinearOperator` (``M @ u`` and ``M.solve(r)``, the latter raising
-    ``numpy.linalg.LinAlgError`` when ``M`` is singular) or a dense ndarray,
-    which the driver wraps in a :class:`DenseOperator`. ``assemble_rhs`` maps
-    the coupling input (an :class:`InterfaceField`) to the right-hand side; it
-    is evaluated exactly once per solver call. ``extract_output`` maps the
-    converged interior state to the interface field this solver feeds back to
-    its partner.
+    ``load(coupling)`` poses one solver call on the coupling data (an
+    :class:`InterfaceField`) and returns ``(b, residual, solve)``: the call's
+    right-hand side, ``residual(u) = b - A(u) u``, and ``solve(u, r)``, the
+    correction ``M(u)^-1 r``. ``M`` is the tangent ``K(u) = A(u) + (dA/du) u``
+    under ``DriverKind.NEWTON`` and ``A(u)`` under ``DriverKind.PICARD``.
+    The driver calls ``solve`` with the iterate whose residual it has just
+    evaluated, so ``solve`` may reuse what ``residual`` built there; it raises
+    :class:`numpy.linalg.LinAlgError` when ``M`` is singular. ``output(u)``
+    maps the final state to the interface field this solver feeds its partner.
     """
 
     dim: int
-    assemble_matrix: Callable[[np.ndarray], LinearOperator | np.ndarray]
-    assemble_rhs: Callable[[InterfaceField], np.ndarray]
-    tangent: Callable[[np.ndarray], LinearOperator | np.ndarray] | None = None
-    driver: DriverKind = DriverKind.NEWTON
-    extract_output: Callable[[np.ndarray], InterfaceField] | None = None
-    label: str = ""
+    driver: DriverKind
+    label: str
+
+    def load(self, coupling: InterfaceField) -> tuple: ...
+
+    def output(self, u: np.ndarray) -> InterfaceField: ...
 
 
 @dataclass
@@ -150,20 +104,6 @@ class SolverCallInput:
             raise ContractError(f"eps must be positive and finite, got {self.eps!r}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
-
-
-def _prepare(spec: NonlinearSystemSpec, inp: SolverCallInput):
-    u = np.array(inp.u0, dtype=float)
-    if u.shape != (spec.dim,):
-        raise ContractError(f"u0 has shape {u.shape}, expected ({spec.dim},)")
-    if not np.isfinite(u).all():
-        raise ContractError("u0 contains non-finite entries")
-    b = np.array(spec.assemble_rhs(inp.coupling_data), dtype=float)
-    if b.shape != (spec.dim,):
-        raise ContractError(f"rhs has shape {b.shape}, expected ({spec.dim},)")
-    b.setflags(write=False)  # b is frozen for the whole call
-    floor = _ROUNDOFF_FLOOR * math.sqrt(b.dot(b)) / math.sqrt(spec.dim)
-    return u, b, floor
 
 
 def _guards(history: list, i: int, u: np.ndarray, bounded: bool, label: str,
@@ -198,52 +138,50 @@ def _report(history: list, eps: float, wall_time: float = 0.0) -> SolverCallRepo
     )
 
 
-def drive(spec: NonlinearSystemSpec, inp: SolverCallInput):
-    """Inner iterations ``M(u)(u' - u) = b - A(u) u``; returns ``(u, report)``.
+def drive(solver: Solver, inp: SolverCallInput):
+    """Inner iterations ``u' = u + solve(u, residual(u))``; returns ``(u, residual_history)``.
 
-    ``M`` is the tangent ``K(u)`` under ``DriverKind.NEWTON`` and ``A(u)``
-    itself under ``DriverKind.PICARD``. With ``batch_size`` B > 1, under
-    either driver, convergence is only checked after each block of B
-    iterations, so the iteration count is a multiple of B unless the cap
-    truncates the final batch.
+    With ``batch_size`` B > 1, under either driver, convergence is only
+    checked after each block of B iterations, so the iteration count is a
+    multiple of B unless the cap truncates the final batch. ``inp.u0`` is
+    never written.
     """
-    u, history = _iterate(spec, inp)
-    return u, _report(history, inp.eps)
-
-
-def _iterate(spec: NonlinearSystemSpec, inp: SolverCallInput):
-    """The loop of :func:`drive`; returns ``(u, residual_history)``."""
-    newton = spec.driver is DriverKind.NEWTON
-    if newton and spec.tangent is None:
-        raise ContractError("the Newton driver requires a tangent map")
-    u, b, floor = _prepare(spec, inp)
-    label = spec.label or spec.driver.value
+    dim = solver.dim
+    u = np.asarray(inp.u0, dtype=float)
+    if u.shape != (dim,):
+        raise ContractError(f"u0 has shape {u.shape}, expected ({dim},)")
+    if not np.isfinite(u).all():
+        raise ContractError("u0 contains non-finite entries")
+    b, residual, solve = solver.load(inp.coupling_data)
+    if b.shape != (dim,):
+        raise ContractError(f"rhs has shape {b.shape}, expected ({dim},)")
+    newton = solver.driver is DriverKind.NEWTON
+    label = solver.label or solver.driver.value
     bounded = not is_unbounded(inp.n_max)
-    B = inp.batch_size
-    sqrt_n = math.sqrt(spec.dim)
+    B, eps, n_max = inp.batch_size, inp.eps, inp.n_max
+    sqrt_n = math.sqrt(dim)
+    floor = _ROUNDOFF_FLOOR * math.sqrt(b.dot(b)) / sqrt_n
     history: list = []
     i = 0
     while True:
         i += 1
-        A = as_operator(spec.assemble_matrix(u))
-        r = b - A @ u
+        r = residual(u)
         # ||r||/sqrt(n) as residual_norm computes it; residual_norm itself
         # runs only to tell a non-finite entry from an overflowing norm
         norm = math.sqrt(r.dot(r)) / sqrt_n
-        history.append(norm if math.isfinite(norm) else residual_norm(r, spec.dim))
-        M = as_operator(spec.tangent(u)) if newton else A
+        history.append(norm if math.isfinite(norm) else residual_norm(r, dim))
         try:
-            du = M.solve(r)
+            du = solve(u, r)
         except np.linalg.LinAlgError as exc:
             error, what = ((LinearSolveError, "tangent") if newton
                            else (PreconditionerError, "preconditioner"))
             raise error(f"{label}: singular {what} at inner iteration {i}",
                         iteration=i) from exc
         u = u + du
-        _guards(history, i, u, bounded, label, floor, inp.eps)
-        if i % B == 0 and history[-1] < inp.eps:
+        _guards(history, i, u, bounded, label, floor, eps)
+        if i % B == 0 and history[-1] < eps:
             break
-        if bounded and i >= inp.n_max:
+        if bounded and i >= n_max:
             break
     return u, history
 
@@ -251,28 +189,26 @@ def _iterate(spec: NonlinearSystemSpec, inp: SolverCallInput):
 _EXPECTED_ROLE = {SolverId.FLOW: FieldRole.TRACTION, SolverId.SOLID: FieldRole.DISPLACEMENT}
 
 
-def call_solver(solver_id: SolverId, spec: NonlinearSystemSpec, inp: SolverCallInput):
+def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
     """Run one black-box solver call.
 
-    Applies the coupling data to the right-hand side, runs :func:`drive` with
-    the system's configured driver, extracts the interface output (traction
-    for the flow solver, displacement for the solid solver), and attaches the
-    measured wall time. Returns ``(output_field, report, final_u)``;
-    ``final_u`` seeds the next call. An :class:`InnerIterationError` is
-    re-raised with the call's spent inner iterations and seconds attached as
-    ``inner_iters`` and ``wall_time``.
+    Loads the coupling data, runs :func:`drive` with the solver's own driver
+    kind, maps the final state to the interface output (traction for the flow
+    solver, displacement for the solid solver), and attaches the measured wall
+    time. Returns ``(output_field, report, final_u)``; ``final_u`` seeds the
+    next call. An :class:`InnerIterationError` is re-raised with the call's
+    spent inner iterations and seconds attached as ``inner_iters`` and
+    ``wall_time``.
     """
-    if spec.extract_output is None:
-        raise ContractError("call_solver requires an extract_output map")
     start = time.perf_counter()
     try:
-        u, history = _iterate(spec, inp)
+        u, history = drive(solver, inp)
     except InnerIterationError as exc:
         exc.args = (f"{solver_id.value} solver: {exc.args[0]}",) + exc.args[1:]
         exc.inner_iters = exc.iteration or 0
         exc.wall_time = time.perf_counter() - start
         raise
-    output = spec.extract_output(u)
+    output = solver.output(u)
     if output.role is not _EXPECTED_ROLE[solver_id]:
         raise ContractError(
             f"{solver_id.value} solver must output a {_EXPECTED_ROLE[solver_id].value} field"

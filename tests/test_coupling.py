@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +12,9 @@ from fsilab import (
     FieldRole,
     InterfaceField,
     IqnHistory,
-    NonlinearSystemSpec,
     SolverCallInput,
     SolverCallReport,
+    SolverId,
     TimeStepRecord,
     aitken_omega,
     check_convergence,
@@ -29,6 +28,7 @@ from fsilab.coupling import _MAX_SECANT_COLUMNS, _STALL_WINDOW, _require_eps_fil
 from fsilab.errors import AllColumnsFilteredError, ContractError, DivergedStepError
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import Tube1DParams
+from reference_specs import SpecSolver
 
 
 def report(first_residual, eps=1e-9, iters=1):
@@ -670,14 +670,13 @@ class TestEngineOnTube:
             rec, d_acc, u_f, u_s = run_time_step(model, config, state, hist, step,
                                                  d_acc, u_f, u_s)
             per_step.append((step, rec.coupling_iters, rec.flow_iters, rec.solid_iters))
-            flow_spec = model.flow_system(state, d_acc)
-            _, rep_f = drive(flow_spec, SolverCallInput(u_f.copy(), d_acc, eps=config.eps_f,
-                                                        n_max=1))
-            traction = flow_spec.extract_output(u_f)
-            _, rep_s = drive(model.solid_system(state, traction),
-                             SolverCallInput(u_s.copy(), traction, eps=config.eps_s, n_max=1))
-            assert rep_f.residual_history[0] <= config.eps_f
-            assert rep_s.residual_history[0] <= config.eps_s
+            flow = model.flow_solver(state)
+            _, hist_f = drive(flow, SolverCallInput(u_f, d_acc, eps=config.eps_f, n_max=1))
+            traction = flow.output(u_f)
+            _, hist_s = drive(model.solid_solver(state),
+                              SolverCallInput(u_s, traction, eps=config.eps_s, n_max=1))
+            assert hist_f[0] <= config.eps_f
+            assert hist_s[0] <= config.eps_s
             state = model.advance_state(state, d_acc, u_f, u_s)
         assert per_step == record.counters.per_step
 
@@ -784,17 +783,17 @@ class _ShiftModel:
     def initial_solid_u(self):
         return np.zeros(1)
 
-    def _system(self, shift, role):
-        return NonlinearSystemSpec(dim=1, assemble_matrix=lambda u: np.eye(1),
-                                   assemble_rhs=lambda c: c.values + shift,
-                                   tangent=lambda u: np.eye(1),
-                                   extract_output=lambda u: InterfaceField(u, role))
+    def _solver(self, shift, role):
+        return SpecSolver(dim=1, assemble_matrix=lambda u: np.eye(1),
+                          assemble_rhs=lambda c: c.values + shift,
+                          tangent=lambda u: np.eye(1),
+                          extract_output=lambda u: InterfaceField(u, role))
 
-    def flow_system(self, state, displacement):
-        return self._system(0.0, FieldRole.TRACTION)
+    def flow_solver(self, state):
+        return self._solver(0.0, FieldRole.TRACTION)
 
-    def solid_system(self, state, traction):
-        return self._system(1.0, FieldRole.DISPLACEMENT)
+    def solid_solver(self, state):
+        return self._solver(1.0, FieldRole.DISPLACEMENT)
 
     def advance_state(self, state, accepted_displacement, flow_u, solid_u):
         return state + 1
@@ -857,20 +856,26 @@ class TestEngineAccelerationModes:
         model = _ShiftModel()
         calls = {"flow": 0, "solid": 0}
 
-        def counted(system, name):
-            def build(state, field):
-                spec = system(state, field)
-                matrix = spec.assemble_matrix
+        def counted(build, name):
+            def counted_build(state):
+                solver = build(state)
+                load = solver.load
 
-                def assemble_matrix(u):  # once per inner iteration
-                    calls[name] += 1
-                    return matrix(u)
+                def counted_load(coupling):
+                    b, residual, solve = load(coupling)
 
-                return replace(spec, assemble_matrix=assemble_matrix)
-            return build
+                    def counted_residual(u):  # once per inner iteration
+                        calls[name] += 1
+                        return residual(u)
 
-        model.flow_system = counted(model.flow_system, "flow")
-        model.solid_system = counted(model.solid_system, "solid")
+                    return b, counted_residual, solve
+
+                solver.load = counted_load
+                return solver
+            return counted_build
+
+        model.flow_solver = counted(model.flow_solver, "flow")
+        model.solid_solver = counted(model.solid_solver, "solid")
         with pytest.raises(DivergedStepError, match="residual repeated") as err:
             run_simulation(model, CouplingConfig(accel=accel))
         partial = err.value.partial
@@ -967,6 +972,40 @@ class TestNonFiniteUpdate:
                                                                partial.solid_time)
 
 
+class TestProbeSeam:
+    """The engine routes every solver call through ``fsilab.coupling.call_solver``,
+    the name the benchmark probe wraps, with three positional arguments."""
+
+    @pytest.mark.parametrize("model, config", [
+        (lambda: Tube1DModel(Tube1DParams(cells=30, steps=4)), CouplingConfig()),
+        (lambda: LinearToyModel.stable(n_steps=3),
+         CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5)),
+    ], ids=["tube", "linear_toy"])
+    def test_every_call_goes_through_the_module_global(self, monkeypatch, model, config):
+        import fsilab.coupling as coupling_mod
+
+        real_call = coupling_mod.call_solver
+        seen = {SolverId.FLOW: [], SolverId.SOLID: []}
+        roles = {SolverId.FLOW: FieldRole.TRACTION, SolverId.SOLID: FieldRole.DISPLACEMENT}
+
+        def counted(*args):
+            assert len(args) == 3 and isinstance(args[2], SolverCallInput)
+            out = real_call(*args)
+            field, rep, u = out
+            assert isinstance(field, InterfaceField) and field.role is roles[args[0]]
+            assert isinstance(rep, SolverCallReport) and isinstance(u, np.ndarray)
+            seen[args[0]].append(rep.inner_iters)
+            return out
+
+        monkeypatch.setattr(coupling_mod, "call_solver", counted)
+        record = run_simulation(model(), config)
+        c = record.counters
+        assert record.converged and c.coupling_total > 0
+        assert len(seen[SolverId.FLOW]) == len(seen[SolverId.SOLID]) == c.coupling_total
+        assert (sum(seen[SolverId.FLOW]), sum(seen[SolverId.SOLID])) == (c.flow_total,
+                                                                        c.solid_total)
+
+
 class _FailingSolver:
     """Delegates to a linear toy; the named solver's first call fails at
     inner iteration 3 (half Newton steps, then a singular tangent)."""
@@ -978,22 +1017,31 @@ class _FailingSolver:
     def __getattr__(self, name):
         return getattr(self._model, name)
 
-    def _failing(self, spec):
-        calls = []
+    def _failing(self, solver):
+        load = solver.load
 
-        def tangent(u):
-            calls.append(u)
-            return np.zeros_like(spec.tangent(u)) if len(calls) == 3 else 2.0 * spec.tangent(u)
+        def failing_load(coupling):
+            b, residual, solve = load(coupling)
+            calls = []
 
-        return replace(spec, tangent=tangent)
+            def failing_solve(u, r):
+                calls.append(u)
+                if len(calls) == 3:
+                    raise np.linalg.LinAlgError("singular matrix")
+                return 0.5 * solve(u, r)
 
-    def flow_system(self, state, displacement):
-        spec = self._model.flow_system(state, displacement)
-        return self._failing(spec) if self._solver == "flow" else spec
+            return b, residual, failing_solve
 
-    def solid_system(self, state, traction):
-        spec = self._model.solid_system(state, traction)
-        return self._failing(spec) if self._solver == "solid" else spec
+        solver.load = failing_load
+        return solver
+
+    def flow_solver(self, state):
+        solver = self._model.flow_solver(state)
+        return self._failing(solver) if self._solver == "flow" else solver
+
+    def solid_solver(self, state):
+        solver = self._model.solid_solver(state)
+        return self._failing(solver) if self._solver == "solid" else solver
 
 
 class TestFailedCallAccounting:

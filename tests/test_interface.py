@@ -185,6 +185,16 @@ class TestCouplingConfig:
         with pytest.raises(ContractError):
             CouplingConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["batch_size_f", "reuse_q", "max_coupling_iters_per_step"])
+    def test_non_integer_count_rejected(self, name):
+        # a fractional batch size would test convergence only at common
+        # multiples, reuse_q = 1.5 would act as 1, and a fractional budget
+        # would escape run_simulation from range() as a bare TypeError
+        for value in (2.5, 2.0):
+            with pytest.raises(ContractError, match=f"{name} must be an integer"):
+                CouplingConfig(**{name: value})
+        CouplingConfig(**{name: np.int64(2)})
+
     @pytest.mark.parametrize("name", ["eps_f", "eps_s", "eps_fil", "eps_c"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
     def test_tolerances_positive_and_finite(self, name, value):

@@ -71,14 +71,11 @@ class TestLinearToyCoupling:
 
         d_k = toy.initial_displacement()
         u_f, u_s = toy.initial_flow_u(), toy.initial_solid_u()
+        flow, solid = toy.flow_solver(0), toy.solid_solver(0)  # one time step
         norms = []
         for _ in range(4):
-            fs = toy.flow_system(0, d_k)
-            tr, _, u_f = call_solver(SolverId.FLOW, fs,
-                                     SolverCallInput(u_f, d_k, eps=1e-12))
-            ss = toy.solid_system(0, tr)
-            dt, _, u_s = call_solver(SolverId.SOLID, ss,
-                                     SolverCallInput(u_s, tr, eps=1e-12))
+            tr, _, u_f = call_solver(SolverId.FLOW, flow, SolverCallInput(u_f, d_k, eps=1e-12))
+            dt, _, u_s = call_solver(SolverId.SOLID, solid, SolverCallInput(u_s, tr, eps=1e-12))
             r = fixed_point_residual(dt, d_k)
             norms.append(float(np.linalg.norm(r)))
             d_k = InterfaceField(d_k.values + r, FieldRole.DISPLACEMENT)

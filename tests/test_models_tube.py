@@ -18,12 +18,19 @@ from fsilab.models import Tube1DModel
 from fsilab.models.tube import (
     FlowOperator,
     Tube1DParams,
+    TubeFlowSolver,
+    TubeSolidSolver,
     _face_average,
     areas_from_displacement,
     initial_tube_state,
     mass_balance_error,
-    tube_flow_system,
-    tube_solid_system,
+)
+from reference_specs import (
+    reference_flow_system,
+    reference_iterate,
+    reference_solid_system,
+    reference_step_terms,
+    run,
 )
 
 
@@ -205,6 +212,13 @@ class TestParams:
         with pytest.raises(ContractError):
             Tube1DParams(kappa3=-1.0)
 
+    @pytest.mark.parametrize("name", ["cells", "steps"])
+    def test_non_integer_count_rejected(self, name):
+        # a fractional cell count used to escape as a numpy TypeError
+        for value in (20.5, 20.0):
+            with pytest.raises(ContractError, match=f"{name} must be an integer"):
+                Tube1DParams(**{name: value})
+
 
 class TestGeometry:
     def test_rest_areas(self, params):
@@ -228,8 +242,8 @@ class TestFlowSystem:
     def test_rest_state_stays_zero(self):
         p = Tube1DParams(cells=50, steps=20, inlet_pulse=0.0)
         state = initial_tube_state(p)
-        spec = tube_flow_system(p, state, zero_disp(p), driver=DriverKind.PICARD)
-        u, rep = drive(spec, SolverCallInput(flow_u0(p), zero_disp(p), eps=1e-9))
+        flow = TubeFlowSolver(p, state, driver=DriverKind.PICARD)
+        u, rep = run(flow, SolverCallInput(flow_u0(p), zero_disp(p), eps=1e-9))
         assert rep.converged_on_first and rep.inner_iters == 1
         assert np.allclose(u, 0.0)
 
@@ -239,14 +253,14 @@ class TestFlowSystem:
         v_bar = 0.37
         state.velocity[:] = v_bar
         pressure = 250.0
-        spec = tube_flow_system(
+        flow = TubeFlowSolver(
             Tube1DParams(cells=p.cells, steps=p.steps, inlet_pulse=pressure,
                          pulse_duration=1.0, outlet_pressure=pressure),
-            state, zero_disp(p))
+            state)
         u0 = flow_u0(p)
         u0[: p.cells + 1] = v_bar
         u0[p.cells + 1 :] = pressure
-        u, rep = drive(spec, SolverCallInput(u0, zero_disp(p), eps=1e-10))
+        u, rep = run(flow, SolverCallInput(u0, zero_disp(p), eps=1e-10))
         v = u[: p.cells + 1]
         pr = u[p.cells + 1 :]
         assert np.ptp(v) < 1e-12
@@ -257,13 +271,13 @@ class TestFlowSystem:
         p = params
         state = initial_tube_state(p)
         d = zero_disp(p)
-        spec = tube_flow_system(p, state, d)
-        b = spec.assemble_rhs(d)
+        flow = TubeFlowSolver(p, state)
+        b, _, _ = flow.load(d)
         a0 = state.area[0]
         # inlet BC term in the half-cell momentum row of face 0
         assert b[0] == pytest.approx(2.0 * a0 * 1333.2 / (p.rho_f * p.dx), rel=1e-14)
-        u, _ = drive(spec, SolverCallInput(flow_u0(p), d, eps=1e-9))
-        traction = spec.extract_output(u)
+        u, _ = run(flow, SolverCallInput(flow_u0(p), d, eps=1e-9))
+        traction = flow.output(u)
         assert traction.role is FieldRole.TRACTION
         assert traction.values[0] == 1333.2
         assert traction.values[-1] == 0.0
@@ -274,8 +288,7 @@ class TestFlowSystem:
         p = params
         state = initial_tube_state(p)
         d = zero_disp(p)
-        spec = tube_flow_system(p, state, d)
-        u, _ = drive(spec, SolverCallInput(flow_u0(p), d, eps=1e-11))
+        u, _ = run(TubeFlowSolver(p, state), SolverCallInput(flow_u0(p), d, eps=1e-11))
         v = u[: p.cells + 1]
         v_exact = p.dt * (1333.2 / p.length) / p.rho_f
         assert np.allclose(v, v_exact, rtol=1e-6)
@@ -284,21 +297,22 @@ class TestFlowSystem:
         assert np.allclose(pr, 1333.2 * (1 - centers / p.length), atol=0.02)
 
     def test_tangent_matches_finite_differences(self, params):
+        # the Newton solve inverts the tangent: K(u), rebuilt from the solve's
+        # responses to unit vectors, matches central differences of A(u) u
         p = params
         state = initial_tube_state(p)
         state.velocity[:] = 0.15
-        d = zero_disp(p)
-        spec = tube_flow_system(p, state, d)
+        b, residual, solve = TubeFlowSolver(p, state).load(zero_disp(p))
         rng = np.random.default_rng(5)
         n = p.cells
         u = np.concatenate([0.2 + 0.03 * rng.standard_normal(n + 1),
                             400.0 + 30.0 * rng.standard_normal(n)])
-        tangent = spec.tangent(u)
-        k = np.column_stack([tangent @ e for e in np.eye(u.size)])
+        residual(u)
+        k = np.linalg.inv(np.column_stack([solve(u, e) for e in np.eye(u.size)]))
         h = 1e-6
 
         def f(x):
-            return spec.assemble_matrix(x) @ x
+            return b - residual(x)
 
         k_fd = np.empty_like(k)
         for j in range(u.size):
@@ -315,16 +329,15 @@ class TestFlowSystem:
         rng = np.random.default_rng(seed)
         d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes),
                            FieldRole.DISPLACEMENT)
-        spec = tube_flow_system(p, initial_tube_state(p), d)
         # velocities of both signs exercise both upwind branches
         u = np.concatenate([v_scale * rng.uniform(-1.0, 1.0, cells + 1),
                             1000.0 * rng.standard_normal(cells)])
         r = rng.standard_normal(u.size)
-        for op, dense in zip((spec.assemble_matrix, spec.tangent),
-                             dense_flow_reference(p, d)):
-            m, ref = op(u), dense(u)
-            assert rel_err(m @ u, ref @ u) <= 1e-14
-            assert rel_err(m.solve(r), np.linalg.solve(ref, r)) <= 1e-11
+        assemble, tangent = dense_flow_reference(p, d)
+        for driver, dense in ((DriverKind.NEWTON, tangent), (DriverKind.PICARD, assemble)):
+            b, residual, solve = TubeFlowSolver(p, initial_tube_state(p), driver).load(d)
+            assert rel_err(residual(u), b - assemble(u) @ u) <= 1e-14
+            assert rel_err(solve(u, r), np.linalg.solve(dense(u), r)) <= 1e-11
 
     @settings(max_examples=80, deadline=None)
     @given(cells=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
@@ -336,24 +349,22 @@ class TestFlowSystem:
         rng = np.random.default_rng(seed)
         d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes),
                            FieldRole.DISPLACEMENT)
-        spec = tube_flow_system(p, initial_tube_state(p), d)
         v = v_scale * rng.uniform({"mixed": -1.0, "forward": 0.0, "backward": -1.0}[signs],
                                   {"mixed": 1.0, "forward": 1.0, "backward": 0.0}[signs],
                                   cells + 1)
         u = np.concatenate([v, 1000.0 * rng.standard_normal(cells)])
-        x, r = rng.standard_normal(u.size), rng.standard_normal(u.size)
-        # the tangent right after assemble_matrix reads the cached bands; the
-        # second tangent, after an edit of the velocities, builds its own
+        r = rng.standard_normal(u.size)
+        # the solve reads the bands of the residual just before it, at u and
+        # then at an edited u
         u_edit = u.copy()
         u_edit[0] += v_scale
-        ops = [spec.assemble_matrix(u), spec.tangent(u), spec.tangent(u_edit)]
         assemble_ref, tangent_ref = reference_flow_operators(p, d)
-        refs = [assemble_ref(u), tangent_ref(u), tangent_ref(u_edit)]
-        for op, ref in zip(ops, refs):
-            for name in ("lo", "diag", "up", "g", "d", "ell", "z"):
-                assert np.array_equal(getattr(op, name), getattr(ref, name)), name
-            assert np.array_equal(op @ x, ref @ x)
-            assert np.array_equal(op.solve(r), ref.solve(r))
+        for driver, ref_m in ((DriverKind.NEWTON, tangent_ref),
+                              (DriverKind.PICARD, assemble_ref)):
+            b, residual, solve = TubeFlowSolver(p, initial_tube_state(p), driver).load(d)
+            for x in (u, u_edit):
+                assert np.array_equal(residual(x), b - assemble_ref(x) @ x)
+                assert np.array_equal(solve(x, r), ref_m(x).solve(r))
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_flow_solve_singular_like_the_reference(self, bad):
@@ -366,42 +377,40 @@ class TestFlowSystem:
 
     @pytest.mark.parametrize("edit", ["none", "pressure", "velocity", "upwind"])
     def test_tangent_after_assemble_is_bitwise_a_fresh_tangent(self, params, edit):
-        # the tangent reuses the bands of the last assemble_matrix call only
-        # while the velocities are unchanged, and never writes into them
+        # the Newton solve reads the bands of the last residual, at the
+        # iterate that residual saw, and never writes into them: after a
+        # residual at u and one at an edited u, the solve equals a fresh
+        # call's, twice over
         p, n = params, params.cells
         rng = np.random.default_rng(11)
         state = initial_tube_state(p)
         state.velocity[:] = 0.1 * rng.standard_normal(n + 1)
         d = InterfaceField(1e-4 * rng.uniform(-1.0, 1.0, p.n_nodes), FieldRole.DISPLACEMENT)
-        spec, fresh = tube_flow_system(p, state, d), tube_flow_system(p, state, d)
+        _, residual, solve = TubeFlowSolver(p, state).load(d)
+        _, fresh_residual, fresh_solve = TubeFlowSolver(p, state).load(d)
         u = np.concatenate([0.1 * rng.uniform(-1.0, 1.0, n + 1),
                             1000.0 * rng.standard_normal(n)])
-        x, r = rng.standard_normal(u.size), rng.standard_normal(u.size)
-        a = spec.assemble_matrix(u)
-        bands = [b.copy() for b in (a.lo, a.diag, a.up)]
-        ax = (a @ x).tobytes()
+        r = rng.standard_normal(u.size)
+        r_before = residual(u).tobytes()
         if edit == "pressure":
             u[n + 1] += 5.0
         elif edit == "velocity":
             u[n // 2] *= 1.0 + 1e-15
         elif edit == "upwind":
             u[: n + 1] *= -1.0
-        k, k_ref = spec.tangent(u), fresh.tangent(u)
-        for got, ref in zip((k.lo, k.diag, k.up, k @ x, k.solve(r)),
-                            (k_ref.lo, k_ref.diag, k_ref.up, k_ref @ x, k_ref.solve(r))):
-            assert got.tobytes() == ref.tobytes()
-        assert all(b.tobytes() == c.tobytes() for b, c in zip(bands, (a.lo, a.diag, a.up)))
-        assert (a @ x).tobytes() == ax
+        got_r, ref_r = residual(u), fresh_residual(u)
+        assert got_r.tobytes() == ref_r.tobytes()
+        assert (got_r.tobytes() == r_before) == (edit == "none")
+        ref = fresh_solve(u, r).tobytes()
+        assert solve(u, r).tobytes() == ref
+        assert solve(u, r).tobytes() == ref
 
     def test_wrong_displacement_rejected(self, params):
-        state = initial_tube_state(params)
+        flow = TubeFlowSolver(params, initial_tube_state(params))
         with pytest.raises(ContractError):
-            tube_flow_system(params, state,
-                             InterfaceField(np.zeros(3), FieldRole.DISPLACEMENT))
-        spec = tube_flow_system(params, state, zero_disp(params))
-        other = InterfaceField(np.full(params.n_nodes, 1e-5), FieldRole.DISPLACEMENT)
+            flow.load(InterfaceField(np.zeros(3), FieldRole.DISPLACEMENT))
         with pytest.raises(ContractError):
-            spec.assemble_rhs(other)
+            flow.load(InterfaceField(np.zeros(params.n_nodes), FieldRole.TRACTION))
 
 
 class TestSolidSystem:
@@ -410,10 +419,9 @@ class TestSolidSystem:
 
     def test_zero_load_zero_displacement(self, params):
         state = initial_tube_state(params)
-        spec = tube_solid_system(params, state, self.uniform_traction(params, 0.0))
-        u, rep = drive(spec, SolverCallInput(np.zeros(params.n_nodes),
-                                             self.uniform_traction(params, 0.0),
-                                             eps=1e-6))
+        u, rep = run(TubeSolidSolver(params, state),
+                     SolverCallInput(np.zeros(params.n_nodes),
+                                     self.uniform_traction(params, 0.0), eps=1e-6))
         assert rep.converged_on_first
         assert np.allclose(u, 0.0)
 
@@ -422,8 +430,8 @@ class TestSolidSystem:
         p_ = Tube1DParams(cells=params.cells, steps=params.steps, kappa3=0.0)
         state = initial_tube_state(p_)
         tr = self.uniform_traction(p_, 1333.2)
-        spec = tube_solid_system(p_, state, tr, static=True)
-        u, _ = drive(spec, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-10))
+        solid = TubeSolidSolver(p_, state, static=True)
+        u, _ = run(solid, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-10))
         expect = 1333.2 * p_.radius**2 * (1 - p_.poisson**2) / (
             p_.youngs_modulus * p_.thickness)
         assert expect == pytest.approx(1.0110e-4, rel=1e-3)
@@ -435,8 +443,8 @@ class TestSolidSystem:
         state = initial_tube_state(p_)
         load = 900.0
         tr = self.uniform_traction(p_, load)
-        spec = tube_solid_system(p_, state, tr, static=True)
-        u, _ = drive(spec, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-12))
+        solid = TubeSolidSolver(p_, state, static=True)
+        u, _ = run(solid, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-12))
         k1 = p_.ring_stiffness
         lo, hi = 0.0, 1.0
         for _ in range(200):
@@ -452,9 +460,8 @@ class TestSolidSystem:
         p_ = Tube1DParams()  # shipped calibration
         state = initial_tube_state(p_)
         tr = InterfaceField(np.linspace(1333.2, 0.0, p_.n_nodes), FieldRole.TRACTION)
-        spec = tube_solid_system(p_, state, tr)
-        _, rep = drive(spec, SolverCallInput(np.zeros(p_.n_nodes), tr,
-                                             eps=CouplingConfig().eps_s))
+        _, rep = run(TubeSolidSolver(p_, state),
+                     SolverCallInput(np.zeros(p_.n_nodes), tr, eps=CouplingConfig().eps_s))
         assert 2 <= rep.inner_iters <= 4
         assert rep.inner_iters == 3
 
@@ -474,8 +481,8 @@ class TestSolidSystem:
 
         energies = [energy(state)]
         for _ in range(40):
-            spec = tube_solid_system(p_, state, tr)
-            u, _ = drive(spec, SolverCallInput(state.wall_disp.copy(), tr, eps=1e-12))
+            solid = TubeSolidSolver(p_, state)
+            u, _ = run(solid, SolverCallInput(state.wall_disp.copy(), tr, eps=1e-12))
             w_new = (u - state.wall_disp) / p_.dt
             state.wall_acc = (w_new - state.wall_vel) / p_.dt
             state.wall_disp = u
@@ -484,6 +491,13 @@ class TestSolidSystem:
             energies.append(energy(state))
         assert all(b <= a + 1e-18 for a, b in zip(energies, energies[1:]))
         assert energies[-1] < 0.5 * energies[0]
+
+    def test_wrong_traction_rejected(self, params):
+        solid = TubeSolidSolver(params, initial_tube_state(params))
+        with pytest.raises(ContractError):
+            solid.load(InterfaceField(np.zeros(3), FieldRole.TRACTION))
+        with pytest.raises(ContractError):
+            solid.load(InterfaceField(np.zeros(params.n_nodes), FieldRole.DISPLACEMENT))
 
 
 def _random_state(params, rng, step):
@@ -497,23 +511,25 @@ def _random_state(params, rng, step):
     return state
 
 
-def _spec_bytes(flow, solid, d, tr, rng) -> list:
-    """Right-hand sides and operator bands of a flow and a solid system, as bytes."""
+def _solver_bytes(flow, solid, d, tr, rng) -> list:
+    """Right-hand sides, residuals, corrections and outputs of a flow and a solid solver."""
     u_f = np.concatenate([0.1 * rng.uniform(-1.0, 1.0, d.size),
                           1e3 * rng.standard_normal(d.size - 1)])
     u_s = 1e-5 * rng.standard_normal(tr.size)
-    out = [flow.assemble_rhs(d), solid.assemble_rhs(tr)]
-    for op in (flow.assemble_matrix(u_f), flow.tangent(u_f)):
-        out += [op.lo, op.diag, op.up, op.g, op.d]
-    out += [solid.assemble_matrix(u_s).d, solid.tangent(u_s).d]
+    out = []
+    for solver, coupling, u in ((flow, d, u_f), (solid, tr, u_s)):
+        b, residual, solve = solver.load(coupling)
+        r = residual(u)
+        out += [b, r, solve(u, r), solver.output(u.copy()).values]
     return [a.tobytes() for a in out]
 
 
 class TestModelStepTerms:
     def test_model_specs_follow_their_state(self, params):
-        # Tube1DModel reuses what a system takes from the step's start state
-        # across the builds of one step; across states, and after edits in
-        # place, its systems stay bitwise fresh module-level builds
+        # a model's solvers take what they need of the state when they are
+        # built: for states A, B and A again, and for a state edited in place
+        # before each build, they equal fresh builds byte for byte, and an
+        # edit after a build does not reach the solvers already built
         rng = np.random.default_rng(21)
         model = Tube1DModel(params)
         a_state, b_state = _random_state(params, rng, 0), _random_state(params, rng, 7)
@@ -534,16 +550,65 @@ class TestModelStepTerms:
                   (edited, edit("wall_disp", 4, 1e-6)), (edited, edit("wall_vel", 6, -1e-3)),
                   (edited, past_the_pulse)]
         for state, change in checks:
+            built = model.flow_solver(state), model.solid_solver(state)
+            seed = int(rng.integers(2**32))
+            before = _solver_bytes(*built, d, tr, np.random.default_rng(seed))
             if change is not None:
                 change(state)  # in place: the same state object and arrays
-            for _ in range(2):  # a second build of the same state reuses the terms
+            # a solver built before the edit keeps the terms it took
+            assert _solver_bytes(*built, d, tr, np.random.default_rng(seed)) == before
+            for _ in range(2):  # a second call of the same solvers repeats the first
                 seed = int(rng.integers(2**32))
-                got = _spec_bytes(model.flow_system(state, d), model.solid_system(state, tr),
-                                  d, tr, np.random.default_rng(seed))
-                ref = _spec_bytes(tube_flow_system(params, state, d),
-                                  tube_solid_system(params, state, tr),
-                                  d, tr, np.random.default_rng(seed))
+                got = _solver_bytes(model.flow_solver(state), model.solid_solver(state),
+                                    d, tr, np.random.default_rng(seed))
+                ref = _solver_bytes(TubeFlowSolver(params, state), TubeSolidSolver(params, state),
+                                    d, tr, np.random.default_rng(seed))
                 assert got == ref
+
+
+@pytest.fixture(scope="module")
+def mid_run_cases():
+    """(state, accepted displacement, flow u, solid u) at the start of steps of a short run."""
+    params = Tube1DParams(cells=40, steps=12)
+    model = Tube1DModel(params)
+    states, flow_u, solid_u = [model.initial_state()], [], []
+
+    def keep(step, hist, state):
+        states.append(state)
+        flow_u.append(np.concatenate([state.velocity, state.pressure]))
+        solid_u.append(state.wall_disp)
+
+    record = run_simulation(model, CouplingConfig(), on_step=keep)
+    cases = [(states[0], record.snapshots[0], model.initial_flow_u(), model.initial_solid_u())]
+    cases += [(states[i], record.snapshots[i], flow_u[i - 1], solid_u[i - 1]) for i in (3, 7, 11)]
+    return params, cases
+
+
+class TestSolversAreBitwiseTheSpecPath:
+    """The per-step solvers against the per-iteration spec path they replaced."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("cap", [1, 2, math.inf])
+    @pytest.mark.parametrize("driver", list(DriverKind), ids=lambda k: k.value)
+    def test_histories_and_final_states(self, mid_run_cases, driver, cap, batch_size):
+        config = CouplingConfig()
+        params, cases = mid_run_cases
+        for state, snapshot, u_f, u_s in cases:
+            d = InterfaceField(snapshot, FieldRole.DISPLACEMENT)
+            terms = reference_step_terms(params, state)
+            inp = SolverCallInput(u_f, d, eps=config.eps_f, n_max=cap, batch_size=batch_size)
+            flow = TubeFlowSolver(params, state, driver)
+            got_u, got_h = drive(flow, inp)
+            ref_u, ref_h = reference_iterate(
+                reference_flow_system(params, state, d, driver, *terms[:2]), inp)
+            assert np.array_equal(got_u, ref_u) and np.array_equal(got_h, ref_h)
+            assert got_h  # at least one inner iteration
+
+            tr = flow.output(got_u)
+            inp = SolverCallInput(u_s, tr, eps=config.eps_s, n_max=cap, batch_size=batch_size)
+            got_u, got_h = drive(TubeSolidSolver(params, state), inp)
+            ref_u, ref_h = reference_iterate(reference_solid_system(params, tr, *terms[2:]), inp)
+            assert np.array_equal(got_u, ref_u) and np.array_equal(got_h, ref_h)
 
 
 class TestCoupledInvariants:

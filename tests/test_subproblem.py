@@ -7,7 +7,6 @@ from fsilab import (
     DriverKind,
     FieldRole,
     InterfaceField,
-    NonlinearSystemSpec,
     SolverCallInput,
     SolverId,
     call_solver,
@@ -23,14 +22,15 @@ from fsilab.errors import (
 )
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import FlowOperator, Tube1DParams
-from fsilab.subproblem import DiagonalOperator, _guards
+from fsilab.subproblem import _guards
+from reference_specs import ReferenceDiagonalOperator, SpecSolver, run
 
 DUMMY = InterfaceField(np.zeros(1), FieldRole.DISPLACEMENT)
 
 
 def scalar_quadratic():
     """A(u) = u, b = 4: the nonlinear equation u^2 = 4."""
-    return NonlinearSystemSpec(
+    return SpecSolver(
         dim=1,
         assemble_matrix=lambda u: np.array([[u[0]]]),
         assemble_rhs=lambda c: np.array([4.0]),
@@ -40,7 +40,7 @@ def scalar_quadratic():
 
 def scalar_affine(driver=DriverKind.PICARD):
     """A(u) = 1 + u, b = 6: root u = 2, Picard map u' = 6/(1+u)."""
-    return NonlinearSystemSpec(
+    return SpecSolver(
         dim=1,
         assemble_matrix=lambda u: np.array([[1.0 + u[0]]]),
         assemble_rhs=lambda c: np.array([6.0]),
@@ -65,14 +65,14 @@ def call_input(u0, eps=1e-10, n_max=math.inf, batch_size=1):
 
 class TestNewtonDrive:
     def test_exact_initial_guess(self):
-        u, rep = drive(scalar_quadratic(), call_input([2.0], eps=1e-12))
+        u, rep = run(scalar_quadratic(), call_input([2.0], eps=1e-12))
         assert rep.inner_iters == 1
         assert rep.converged_on_first
         assert rep.residual_history[0] == 0.0
         assert u[0] == 2.0
 
     def test_full_convergence_and_hand_first_step(self):
-        u, rep = drive(scalar_quadratic(), call_input([3.0], eps=1e-10))
+        u, rep = run(scalar_quadratic(), call_input([3.0], eps=1e-10))
         assert abs(u[0] - 2.0) < 1e-10
         assert not rep.converged_on_first
         # first Newton step by hand: K = 2*3 = 6, r = 4 - 9 = -5, u1 = 3 - 5/6
@@ -80,7 +80,7 @@ class TestNewtonDrive:
         assert rep.final_residual < 1e-10
 
     def test_single_capped_step(self):
-        u, rep = drive(scalar_quadratic(), call_input([3.0], eps=1e-10, n_max=1))
+        u, rep = run(scalar_quadratic(), call_input([3.0], eps=1e-10, n_max=1))
         assert rep.inner_iters == 1
         assert not rep.converged_on_first
         assert u[0] == pytest.approx(3.0 - 5.0 / 6.0, abs=1e-12)
@@ -90,56 +90,50 @@ class TestNewtonDrive:
         rng = np.random.default_rng(3)
         a = rng.uniform(-1, 1, (5, 5)) + 5 * np.eye(5)
         b = rng.uniform(-1, 1, 5)
-        spec = NonlinearSystemSpec(
+        spec = SpecSolver(
             dim=5,
             assemble_matrix=lambda u: a.copy(),
             assemble_rhs=lambda c: b.copy(),
             tangent=lambda u: a.copy(),
         )
-        _, rep = drive(spec, call_input(rng.uniform(-1, 1, 5), eps=1e-13))
+        _, rep = run(spec, call_input(rng.uniform(-1, 1, 5), eps=1e-13))
         assert rep.inner_iters == 2
         assert rep.residual_history[1] <= 1e-12 * rep.residual_history[0]
 
     def test_singular_tangent(self):
-        spec = NonlinearSystemSpec(
+        spec = SpecSolver(
             dim=1,
             assemble_matrix=lambda u: np.array([[1.0]]),
             assemble_rhs=lambda c: np.array([1.0]),
             tangent=lambda u: np.array([[0.0]]),
         )
         with pytest.raises(LinearSolveError) as err:
-            drive(spec, call_input([0.0]))
+            run(spec, call_input([0.0]))
         assert err.value.iteration == 1
-
-    def test_requires_tangent(self):
-        spec = scalar_quadratic()
-        spec.tangent = None
-        with pytest.raises(ContractError):
-            drive(spec, call_input([1.0]))
 
     def test_divergence_guard(self):
         # A(u) u = cbrt(u), b = 0: each Newton step maps u to -2u, so |r|
         # grows by 2^(1/3) per iteration and passes 1e8 x |r_1| at iteration 81
-        spec = NonlinearSystemSpec(
+        spec = SpecSolver(
             dim=1,
             assemble_matrix=lambda u: np.array([[np.cbrt(u[0]) / u[0]]]),
             assemble_rhs=lambda c: np.array([0.0]),
             tangent=lambda u: np.array([[np.cbrt(u[0]) / (3.0 * u[0])]]),
         )
         with pytest.raises(DivergenceError, match="grew") as err:
-            drive(spec, call_input([1.0]))
+            run(spec, call_input([1.0]))
         assert err.value.iteration == 81
 
     def test_nonfinite_iterate_is_divergence(self):
         # a nearly singular tangent overflows the update to +-inf
-        spec = NonlinearSystemSpec(
+        spec = SpecSolver(
             dim=1,
             assemble_matrix=lambda u: np.array([[1.0]]),
             assemble_rhs=lambda c: np.array([1.0]),
             tangent=lambda u: np.array([[1e-320]]),
         )
         with pytest.raises(DivergenceError) as err:
-            drive(spec, call_input([0.0]))
+            run(spec, call_input([0.0]))
         assert err.value.iteration == 1
 
 
@@ -150,7 +144,7 @@ class TestPicardDrive:
         spec = scalar_affine()
         inner = spec.assemble_matrix
         spec.assemble_matrix = lambda u: (seen.append(u[0]), inner(u))[1]
-        u, rep = drive(spec, call_input([0.0], eps=1e-8))
+        u, rep = run(spec, call_input([0.0], eps=1e-8))
         assert abs(u[0] - 2.0) < 1e-8
         expect = [0.0]
         for _ in range(3):
@@ -158,51 +152,51 @@ class TestPicardDrive:
         assert seen[:4] == pytest.approx(expect, rel=1e-14)
 
     def test_exact_start(self):
-        u, rep = drive(scalar_affine(), call_input([2.0], eps=1e-10))
+        u, rep = run(scalar_affine(), call_input([2.0], eps=1e-10))
         assert rep.converged_on_first and rep.inner_iters == 1
 
     def test_linear_full_preconditioner_one_update(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
         b = rng.uniform(-1, 1, 4)
-        spec = NonlinearSystemSpec(
+        spec = SpecSolver(
             dim=4,
             assemble_matrix=lambda u: a.copy(),
             assemble_rhs=lambda c: b.copy(),
             driver=DriverKind.PICARD,
         )
-        u, rep = drive(spec, call_input(rng.uniform(-1, 1, 4), eps=1e-12))
+        u, rep = run(spec, call_input(rng.uniform(-1, 1, 4), eps=1e-12))
         # one real update; the second recorded residual is zero to round-off
         assert rep.inner_iters == 2
         assert rep.residual_history[1] <= 1e-13 * max(rep.residual_history[0], 1.0)
         assert np.allclose(a @ u, b, atol=1e-12)
 
     def test_singular_preconditioner(self):
-        spec = NonlinearSystemSpec(
+        spec = SpecSolver(
             dim=1,
             assemble_matrix=lambda u: np.array([[0.0]]),
             assemble_rhs=lambda c: np.array([1.0]),
             driver=DriverKind.PICARD,
         )
         with pytest.raises(PreconditionerError):
-            drive(spec, call_input([0.0]))
+            run(spec, call_input([0.0]))
 
     def test_divergence_guard(self):
         # A(u) = u^-2, b = 1: the Picard map is u' = u^2, which collapses to 0
         # from 0.5 while |r| = 1/u - 1 squares, passing 1e8 x |r_1| at iteration 6
-        spec = NonlinearSystemSpec(
+        spec = SpecSolver(
             dim=1,
             assemble_matrix=lambda u: np.array([[u[0] ** -2]]),
             assemble_rhs=lambda c: np.array([1.0]),
             driver=DriverKind.PICARD,
         )
         with pytest.raises(DivergenceError, match="grew") as err:
-            drive(spec, call_input([0.5]))
+            run(spec, call_input([0.5]))
         assert err.value.iteration == 6
 
 
 def _diagonal_pair():
-    return DiagonalOperator(np.ones(5)), DiagonalOperator(np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
+    return ReferenceDiagonalOperator(np.ones(5)), ReferenceDiagonalOperator(np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
 
 
 def _flow_pair():
@@ -224,10 +218,10 @@ class TestStructuredOperators:
         # regular at u0 = 0, singular at every later iterate
         regular, singular = pair()
         op = lambda u: singular if u.any() else regular
-        spec = NonlinearSystemSpec(dim=5, assemble_matrix=op, tangent=op,
-                                   assemble_rhs=lambda c: np.ones(5), driver=driver)
+        spec = SpecSolver(dim=5, assemble_matrix=op, tangent=op,
+                          assemble_rhs=lambda c: np.ones(5), driver=driver)
         with pytest.raises(error) as err:
-            drive(spec, call_input(np.zeros(5)))
+            run(spec, call_input(np.zeros(5)))
         assert err.value.iteration == 2
 
 
@@ -237,7 +231,7 @@ def _roundoff_bound_spec(calls, driver=DriverKind.NEWTON):
     rng = np.random.default_rng(0)
     a = rng.uniform(-1, 1, (20, 20)) + 5 * np.eye(20)
     b = 1e8 * rng.uniform(-1, 1, 20)
-    return NonlinearSystemSpec(
+    return SpecSolver(
         dim=20,
         assemble_matrix=lambda u: (calls.append(1), a.copy())[1],
         assemble_rhs=lambda c: b.copy(),
@@ -252,19 +246,19 @@ class TestRoundoffFloor:
         # the uncapped call gives up instead of spinning to the iteration ceiling
         calls = []
         with pytest.raises(DivergenceError, match="round-off"):
-            drive(_roundoff_bound_spec(calls, driver), call_input(np.zeros(20), eps=1e-12))
+            run(_roundoff_bound_spec(calls, driver), call_input(np.zeros(20), eps=1e-12))
         assert len(calls) <= 20
 
     @pytest.mark.parametrize("batch_size", [6, 8])
     def test_converged_call_still_runs_full_batch(self, batch_size):
         # residual 0 on every iteration: converged, not stalled, so the batch ends
-        _, rep = drive(scalar_affine(), call_input([2.0], eps=1e-10, batch_size=batch_size))
+        _, rep = run(scalar_affine(), call_input([2.0], eps=1e-10, batch_size=batch_size))
         assert rep.inner_iters == batch_size
         assert rep.final_residual == 0.0
 
     def test_capped_call_is_not_guarded(self):
         # a cap ends the loop itself, so a capped call returns its iterate
-        _, rep = drive(_roundoff_bound_spec([]), call_input(np.zeros(20), eps=1e-12, n_max=30))
+        _, rep = run(_roundoff_bound_spec([]), call_input(np.zeros(20), eps=1e-12, n_max=30))
         assert rep.inner_iters == 30
 
 
@@ -273,23 +267,23 @@ class TestBatching:
         return scalar_affine()
 
     def test_converged_call_still_runs_full_batch(self):
-        u, rep = drive(self._spec(), call_input([2.0], eps=1e-10, batch_size=3))
+        u, rep = run(self._spec(), call_input([2.0], eps=1e-10, batch_size=3))
         assert rep.inner_iters == 3
         assert rep.converged_on_first
 
     def test_newton_batches_too(self):
         # the batch rule belongs to the one loop, not to the Picard update
-        u, rep = drive(scalar_quadratic(), call_input([2.0], eps=1e-12, batch_size=3))
+        u, rep = run(scalar_quadratic(), call_input([2.0], eps=1e-12, batch_size=3))
         assert rep.inner_iters == 3
         assert rep.converged_on_first
         assert u[0] == 2.0
 
     def test_cap_truncates_last_batch(self):
-        u, rep = drive(self._spec(), call_input([0.0], eps=1e-14, n_max=7, batch_size=3))
+        u, rep = run(self._spec(), call_input([0.0], eps=1e-14, n_max=7, batch_size=3))
         assert rep.inner_iters == 7  # 3 + 3 + truncated 1
 
     def test_multiple_of_batch(self):
-        u, rep = drive(self._spec(), call_input([0.0], eps=1e-8, batch_size=4))
+        u, rep = run(self._spec(), call_input([0.0], eps=1e-8, batch_size=4))
         assert rep.inner_iters % 4 == 0
 
 
@@ -309,13 +303,13 @@ class TestRhsFrozen:
         spec = scalar_affine(driver)
         orig_rhs = spec.assemble_rhs
         spec.assemble_rhs = lambda c: (calls.append(1), orig_rhs(c))[1]
-        _, rep = drive(spec, call_input([0.0], eps=1e-9))
+        _, rep = run(spec, call_input([0.0], eps=1e-9))
         assert rep.inner_iters > 1
         assert len(calls) == 1
 
     def test_first_residual_pins_the_assembled_b(self):
         # from u0 = 0 the first recorded residual is exactly ||b||/sqrt(n)
-        _, rep = drive(scalar_affine(), call_input([0.0], eps=1e-9))
+        _, rep = run(scalar_affine(), call_input([0.0], eps=1e-9))
         assert rep.residual_history[0] == 6.0
 
 
@@ -326,7 +320,7 @@ class TestReplayProperty:
         spec = scalar_affine(driver)
         inner_matrix = spec.assemble_matrix
         spec.assemble_matrix = lambda u: (iterates.append(u.copy()), inner_matrix(u))[1]
-        _, rep = drive(spec, call_input([0.3], eps=1e-9))
+        _, rep = run(spec, call_input([0.3], eps=1e-9))
         b = spec.assemble_rhs(DUMMY)
         for u, recorded in zip(iterates, rep.residual_history):
             again = residual_norm(b - inner_matrix(u) @ u, 1)
@@ -338,18 +332,19 @@ class TestReplayProperty:
         # drive records ||r||/sqrt(n) without residual_norm's checks; the
         # numbers must still be residual_norm's, bit for bit
         model = Tube1DModel(Tube1DParams(cells=30, steps=1), flow_driver=driver)
-        state = model.initial_state()
+        flow = model.flow_solver(model.initial_state())
         d = InterfaceField(np.linspace(0.0, 2e-5, model.n_interface), FieldRole.DISPLACEMENT)
-        spec = model.flow_system(state, d)
-        operators = []
-        inner_matrix = spec.assemble_matrix
-        spec.assemble_matrix = lambda u: (operators.append((u.copy(), inner_matrix(u))),
-                                          operators[-1][1])[1]
-        _, rep = drive(spec, SolverCallInput(model.initial_flow_u(), d, eps=1e-9))
-        assert rep.inner_iters >= 2
-        b = spec.assemble_rhs(d)
-        again = tuple(residual_norm(b - a @ u, spec.dim) for u, a in operators)
-        assert again == rep.residual_history
+        residuals = []
+        load = flow.load
+
+        def recording_load(coupling):
+            b, residual, solve = load(coupling)
+            return b, lambda u: (residuals.append(residual(u)), residuals[-1])[1], solve
+
+        flow.load = recording_load
+        _, history = drive(flow, SolverCallInput(model.initial_flow_u(), d, eps=1e-9))
+        assert len(history) >= 2
+        assert [residual_norm(r, flow.dim) for r in residuals] == history
 
 
 class TestGuards:
@@ -370,18 +365,36 @@ class TestGuards:
     @pytest.mark.parametrize("values", [[math.inf, -math.inf], [1.0, math.nan]])
     def test_non_finite_start_rejected(self, values):
         def identity(u):
-            return DiagonalOperator(np.ones(2))
+            return ReferenceDiagonalOperator(np.ones(2))
 
-        spec = NonlinearSystemSpec(dim=2, assemble_matrix=identity,
-                                   assemble_rhs=lambda c: np.ones(2), tangent=identity)
-        with pytest.raises(ContractError, match="non-finite"):
-            drive(spec, call_input(values))
+        spec = SpecSolver(dim=2, assemble_matrix=identity,
+                          assemble_rhs=lambda c: np.ones(2), tangent=identity)
+        with pytest.raises(ContractError, match="u0 contains non-finite"):
+            run(spec, call_input(values))
+
+    @each_driver
+    def test_start_state_is_never_written(self, driver):
+        # the driver takes u0 without a copy, so it must never write into it
+        u0 = np.array([0.3])
+        u0.setflags(write=False)
+        u, rep = run(scalar_affine(driver), call_input(u0, eps=1e-9))
+        assert u0[0] == 0.3 and rep.inner_iters > 1 and u is not u0
+
+    def test_start_state_of_wrong_shape_rejected(self):
+        with pytest.raises(ContractError, match="u0 has shape"):
+            run(scalar_affine(), call_input([0.0, 0.0]))
+
+    def test_rhs_of_wrong_shape_rejected(self):
+        spec = scalar_affine()
+        spec.assemble_rhs = lambda c: np.array([6.0, 6.0])
+        with pytest.raises(ContractError, match="rhs has shape"):
+            run(spec, call_input([0.0]))
 
 
 class TestIterationBounds:
     @pytest.mark.parametrize("n_max", [1, 2, 5])
     def test_cap_respected(self, n_max):
-        _, rep = drive(scalar_affine(), call_input([0.0], eps=1e-15, n_max=n_max))
+        _, rep = run(scalar_affine(), call_input([0.0], eps=1e-15, n_max=n_max))
         assert 1 <= rep.inner_iters <= n_max
 
 
@@ -389,8 +402,8 @@ class TestCallSolver:
     def test_flow_call_matches_direct_solve(self):
         toy = LinearToyModel.stable()
         d = toy.initial_displacement()
-        spec = toy.flow_system(0, d)
-        out, rep, u = call_solver(SolverId.FLOW, spec,
+        flow = toy.flow_solver(0)
+        out, rep, u = call_solver(SolverId.FLOW, flow,
                                   SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13))
         direct = np.linalg.solve(toy.A_f, toy.b_f0 + toy.B_f @ d.values)
         assert np.allclose(out.values, direct, atol=1e-12)
@@ -401,8 +414,8 @@ class TestCallSolver:
     def test_capped_call_returns_capped_iterate(self):
         toy = LinearToyModel.stable(flow_driver=DriverKind.PICARD)
         d = toy.initial_displacement()
-        spec = toy.flow_system(0, d)
-        out, rep, _ = call_solver(SolverId.FLOW, spec,
+        flow = toy.flow_solver(0)
+        out, rep, _ = call_solver(SolverId.FLOW, flow,
                                   SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13, n_max=1))
         assert rep.inner_iters == 1
         # the only recorded residual is the one before the single update
@@ -413,13 +426,13 @@ class TestCallSolver:
     def test_role_validation(self):
         toy = LinearToyModel.stable()
         d = toy.initial_displacement()
-        spec = toy.flow_system(0, d)  # outputs traction
+        flow = toy.flow_solver(0)  # outputs traction
         with pytest.raises(ContractError):
-            call_solver(SolverId.SOLID, spec,
+            call_solver(SolverId.SOLID, flow,
                         SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13))
 
     def test_errors_annotated_with_solver(self):
-        spec = NonlinearSystemSpec(
+        spec = SpecSolver(
             dim=1,
             assemble_matrix=lambda u: np.array([[1.0]]),
             assemble_rhs=lambda c: np.array([1.0]),
