@@ -94,8 +94,8 @@ def _cmd_run(args) -> int:
         steps = args.out / "per_step.csv"
         lines = ["step,coupling_iters,flow_iters,solid_iters,residual_norm,"
                  "relative_residual,update_increment"]
-        for rec in record.step_records:
-            r, rel, inc = rec.accepted_norms
+        for rec in record.steps:  # an aborted step's row leaves the norms blank
+            r, rel, inc = rec.accepted_norms or (None, None, None)
             lines.append(f"{rec.step},{rec.coupling_iters},{rec.flow_iters},"
                          f"{rec.solid_iters},{fmt(r)},{fmt(rel)},{fmt(inc)}")
         steps.write_text("\n".join(lines) + "\n", encoding="utf-8")

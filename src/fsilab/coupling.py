@@ -38,7 +38,6 @@ from .interface import (
     CriterionKind,
     FieldRole,
     InterfaceField,
-    IterationCounters,
     RunRecord,
     SolverCallReport,
     fixed_point_residual,
@@ -289,25 +288,30 @@ class Event(NamedTuple):
 class TimeStepRecord:
     """Per-time-step outcome: iteration counts, seconds, events, diagnostics.
 
-    ``events`` lists the step's :class:`Event` s in the order they happened.
-    ``accepted_norms`` is ``(||r||, ||r||/||d||, would-be update increment)``
-    at acceptance; the relative norm is +inf when the displacement is zero.
-    The increment is the one :func:`_update` reports. Under IQN-ILS it costs
-    one more quasi-Newton update per step, so it is computed only when the run
-    asks for it (``increments=True``) and is None otherwise.
-    An aborted step's record has ``converged=False`` and ``accepted_norms=None``
-    and counts every iteration and second spent up to the abort.
+    The coupling loop builds the record when the step starts and adds every
+    coupling iteration, solver call and event to it as it happens, so an
+    aborted step's record counts every iteration and second spent up to the
+    abort. ``events`` lists the step's :class:`Event` s in the order they
+    happened. ``accepted_norms`` is ``(||r||, ||r||/||d||, would-be update
+    increment)`` at acceptance and None until then, so a step is converged
+    exactly when it has them; the relative norm is +inf when the displacement
+    is zero. The increment is the one :func:`_update` reports. Under IQN-ILS
+    it costs one more quasi-Newton update per step, so it is computed only
+    when the run asks for it (``increments=True``) and is None otherwise.
     """
 
     step: int
-    coupling_iters: int
-    flow_iters: int
-    solid_iters: int
-    accepted_norms: tuple | None
-    converged: bool
+    coupling_iters: int = 0
+    flow_iters: int = 0
+    solid_iters: int = 0
     flow_time: float = 0.0
     solid_time: float = 0.0
+    accepted_norms: tuple | None = None
     events: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.accepted_norms is not None
 
 
 def _update(config, hist, omega, r_k, r_norm, d_k, d_tilde):
@@ -346,57 +350,43 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     r_prev = None
     d_tilde_prev = None
     omega = config.omega0
-    flow_iters = solid_iters = 0
-    flow_time = solid_time = 0.0
-    events: list = []
+    rec = TimeStepRecord(step)
     r1_norm = None
     best_norm = None
     best_at = 0
     repeats = 0  # consecutive coupling iterations that repeated the residual
 
-    def _record(accepted_norms=None) -> TimeStepRecord:
-        return TimeStepRecord(
-            step=step, coupling_iters=k, flow_iters=flow_iters, solid_iters=solid_iters,
-            accepted_norms=accepted_norms, converged=accepted_norms is not None,
-            flow_time=flow_time, solid_time=solid_time, events=events,
-        )
-
     def _abort(reason: str):
         exc = DivergedStepError(f"time step {step}: {reason}", step=step)
-        exc.partial = _record()
+        exc.partial = rec
         return exc
+
+    def _call(solver_id, solver, inp):
+        """``call_solver``, adding the call's inner iterations and seconds to
+        ``rec``; a failed call spent them too, and aborts the step."""
+        failed = None
+        try:
+            out = call_solver(solver_id, solver, inp)
+            spent = out[1]
+        except (GeometryError, InnerIterationError) as exc:
+            spent = failed = exc
+        if solver_id is SolverId.FLOW:
+            rec.flow_iters += spent.inner_iters
+            rec.flow_time += spent.wall_time
+        else:
+            rec.solid_iters += spent.inner_iters
+            rec.solid_time += spent.wall_time
+        if failed is not None:
+            raise _abort(f"coupling update broke a subproblem ({failed})") from failed
+        return out
 
     flow, solid = model.flow_solver(state), model.solid_solver(state)
     for k in range(1, config.max_coupling_iters_per_step + 1):
-        solver = SolverId.FLOW
-        try:
-            traction, rep_f, u_f = call_solver(
-                SolverId.FLOW,
-                flow,
-                SolverCallInput(u_f, d_k, eps=config.eps_f, n_max=config.n_max_f,
-                                batch_size=config.batch_size_f),
-            )
-            flow_iters += rep_f.inner_iters
-            flow_time += rep_f.wall_time
-
-            solver = SolverId.SOLID
-            d_tilde, rep_s, u_s = call_solver(
-                SolverId.SOLID,
-                solid,
-                SolverCallInput(u_s, traction, eps=config.eps_s, n_max=config.n_max_s),
-            )
-            solid_iters += rep_s.inner_iters
-            solid_time += rep_s.wall_time
-        except (GeometryError, InnerIterationError) as exc:
-            # a failed solver call still spent its inner iterations and seconds
-            iters, secs = getattr(exc, "inner_iters", 0), getattr(exc, "wall_time", 0.0)
-            if solver is SolverId.FLOW:
-                flow_iters += iters
-                flow_time += secs
-            else:
-                solid_iters += iters
-                solid_time += secs
-            raise _abort(f"coupling update broke a subproblem ({exc})") from exc
+        rec.coupling_iters = k
+        traction, rep_f, u_f = _call(SolverId.FLOW, flow, SolverCallInput(
+            u_f, d_k, eps=config.eps_f, n_max=config.n_max_f, batch_size=config.batch_size_f))
+        d_tilde, rep_s, u_s = _call(SolverId.SOLID, solid, SolverCallInput(
+            u_s, traction, eps=config.eps_s, n_max=config.n_max_s))
 
         r_k = fixed_point_residual(d_tilde, d_k)
         r_norm = math.sqrt(r_k.dot(r_k))
@@ -417,7 +407,8 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             inc = None
             if increments:
                 inc = _update(config, hist, omega, r_k, r_norm, d_k.values, d_tilde.values)[1]
-            return _record((r_norm, rel, inc)), d_k, u_f, u_s
+            rec.accepted_norms = (r_norm, rel, inc)
+            return rec, d_k, u_f, u_s
 
         # the update's side effects: the IQN stall restart, and under
         # relaxation the repeat-abort and the Aitken factor
@@ -428,7 +419,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             elif k - best_at >= _STALL_WINDOW:
                 # stale secant data (typical under tight inner-iteration caps)
                 hist.clear()
-                events.append(Event(step, k, "iqn_stagnation_restart"))
+                rec.events.append(Event(step, k, "iqn_stagnation_restart"))
                 best_norm = r_norm
                 best_at = k
         elif k > 1:
@@ -441,12 +432,12 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             if config.accel is AccelKind.AITKEN:
                 omega, stagnated = aitken_omega(r_k, r_km1, omega)
                 if stagnated:
-                    events.append(Event(step, k, "aitken_stagnation"))
+                    rec.events.append(Event(step, k, "aitken_stagnation"))
 
         # acceleration update toward the next coupling iteration
         d_next, _, tag = _update(config, hist, omega, r_k, r_norm, d_k.values, d_tilde.values)
         if tag is not None:
-            events.append(Event(step, k, tag))
+            rec.events.append(Event(step, k, tag))
         if not np.isfinite(d_next).all():
             raise _abort("the accelerated interface displacement is not finite")
         d_k = InterfaceField._adopt(d_next, FieldRole.DISPLACEMENT, finite=True)
@@ -478,35 +469,8 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     hist = IqnHistory(q=config.reuse_q,
                       max_columns=min(model.n_interface, _MAX_SECANT_COLUMNS))
 
-    counters = IterationCounters()
-    step_records: list = []
+    steps: list = []
     snapshots: list = []
-    events: list = []
-    flow_seconds = solid_seconds = 0.0
-
-    def _account(record: TimeStepRecord) -> None:
-        nonlocal flow_seconds, solid_seconds
-        counters.add_step(record.step, record.coupling_iters, record.flow_iters,
-                          record.solid_iters)
-        flow_seconds += record.flow_time
-        solid_seconds += record.solid_time
-        events.extend(record.events)
-
-    def _finish(converged: bool, failing_step=None) -> RunRecord:
-        total = time.perf_counter() - t_start
-        counters.check_additivity()
-        return RunRecord(
-            counters=counters,
-            converged=converged,
-            flow_seconds=flow_seconds,
-            solid_seconds=solid_seconds,
-            coupling_seconds=max(total - flow_seconds - solid_seconds, 0.0),
-            snapshots=snapshots,
-            step_records=step_records,
-            events=events,
-            failing_step=failing_step,
-        )
-
     for step in range(1, model.n_steps + 1):
         hist.start_step(step)
         try:
@@ -514,14 +478,13 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
                 model, config, state, hist, step, d_acc, u_f, u_s, increments=increments,
             )
         except DivergedStepError as exc:
-            _account(exc.partial)
-            exc.record = _finish(converged=False, failing_step=step)
+            steps.append(exc.partial)
+            exc.record = RunRecord(steps, snapshots, time.perf_counter() - t_start)
             raise
-        _account(record)
+        steps.append(record)
         snapshots.append(d_acc.values.copy())
-        step_records.append(record)
         state = model.advance_state(state, d_acc, u_f, u_s)
         if on_step is not None:
             on_step(step, hist, state)
 
-    return _finish(converged=True)
+    return RunRecord(steps, snapshots, time.perf_counter() - t_start)

@@ -15,7 +15,7 @@ the file content does not depend on the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,30 +139,21 @@ class SweepResult:
         raise KeyError((nmax_f, nmax_s))
 
 
-def _run_cell(cfg: dict, nmax_f, nmax_s) -> dict:
-    """Worker entry: one simulation at the given caps. Must stay picklable."""
-    model = build_model(cfg)
-    base = build_coupling_config(cfg)
-    from dataclasses import replace
+def _run_cell(cfg: dict, nmax_f, nmax_s) -> tuple:
+    """Worker entry: one simulation at the given caps, as ``(SweepRow, snapshots)``.
 
-    config = replace(base, n_max_f=nmax_f, n_max_s=nmax_s)
+    Must stay picklable.
+    """
+    config = replace(build_coupling_config(cfg), n_max_f=nmax_f, n_max_s=nmax_s)
     try:
-        record = run_simulation(model, config)
-        converged = True
+        record = run_simulation(build_model(cfg), config)
     except DivergedStepError as exc:
         record = exc.record
-        converged = False
     c = record.counters
-    return {
-        "converged": converged,
-        "n_c": c.coupling_total,
-        "n_f": c.flow_total,
-        "n_s": c.solid_total,
-        "t_f": record.flow_seconds,
-        "t_s": record.solid_seconds,
-        "t_c": record.coupling_seconds,
-        "snapshots": record.snapshots,
-    }
+    row = SweepRow(nmax_f=nmax_f, nmax_s=nmax_s, converged=record.converged,
+                   n_c=c.coupling_total, n_f=c.flow_total, n_s=c.solid_total)
+    row.t_f, row.t_s, row.t_c = record.timings
+    return row, record.snapshots
 
 
 def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float, seed) -> None:
@@ -209,15 +200,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     else:
         outcomes = [_run_cell(spec.config, f, s) for f, s in cells]
 
-    rows = []
-    snapshots = {}
-    for (f, s), out in zip(cells, outcomes):
-        rows.append(SweepRow(
-            nmax_f=f, nmax_s=s, converged=out["converged"],
-            n_c=out["n_c"], n_f=out["n_f"], n_s=out["n_s"],
-            t_f=out["t_f"], t_s=out["t_s"], t_c=out["t_c"],
-        ))
-        snapshots[(f, s)] = out["snapshots"]
+    rows = [row for row, _ in outcomes]
+    snapshots = {cell: snaps for cell, (_, snaps) in zip(cells, outcomes)}
 
     if timing_mode == "modeled":
         _modeled_timings(rows, factors, noise, spec.seed)

@@ -13,7 +13,7 @@ Conventions used throughout the testbed:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -123,44 +123,45 @@ class SolverCallReport:
     """Per-call record of one black-box solver invocation.
 
     ``residual_history[i]`` is the scaled residual norm evaluated *before* the
-    (i+1)-th solution update; ``converged_on_first`` is True iff the very first
-    recorded norm already satisfied the call's tolerance.
+    (i+1)-th solution update, and ``eps`` the call's tolerance; the inner
+    iteration count and ``converged_on_first`` (the very first recorded norm
+    already beat ``eps``) derive from them.
     """
 
-    inner_iters: int
     residual_history: tuple
-    converged_on_first: bool
-    final_residual: float
+    eps: float
     wall_time: float = 0.0
 
     def __post_init__(self):
-        if self.inner_iters < 1:
+        if not self.residual_history:
             raise ContractError("a solver call performs at least one inner iteration")
-        if len(self.residual_history) != self.inner_iters:
-            raise ContractError("residual history length must equal inner_iters")
+
+    @property
+    def inner_iters(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def converged_on_first(self) -> bool:
+        return self.residual_history[0] < self.eps
 
 
 @dataclass
 class IterationCounters:
-    """Whole-run iteration totals with a per-time-step breakdown."""
+    """Whole-run iteration totals, summed from the per-time-step breakdown."""
 
-    coupling_total: int = 0
-    flow_total: int = 0
-    solid_total: int = 0
-    per_step: list = field(default_factory=list)  # (step, coupling, flow, solid)
+    per_step: list  # (step, coupling, flow, solid)
 
-    def add_step(self, step: int, coupling: int, flow: int, solid: int) -> None:
-        if min(coupling, flow, solid) < 0:
-            raise ContractError("iteration counts must be non-negative")
-        self.per_step.append((step, coupling, flow, solid))
-        self.coupling_total += coupling
-        self.flow_total += flow
-        self.solid_total += solid
+    @property
+    def coupling_total(self) -> int:
+        return sum(entry[1] for entry in self.per_step)
 
-    def check_additivity(self) -> None:
-        sums = [sum(entry[i] for entry in self.per_step) for i in (1, 2, 3)]
-        if sums != [self.coupling_total, self.flow_total, self.solid_total]:
-            raise ContractError("counter totals do not match per-step sums")
+    @property
+    def flow_total(self) -> int:
+        return sum(entry[2] for entry in self.per_step)
+
+    @property
+    def solid_total(self) -> int:
+        return sum(entry[3] for entry in self.per_step)
 
 
 class AccelKind(Enum):
@@ -210,25 +211,53 @@ class CouplingConfig:
 class RunRecord:
     """Outcome of one full simulation.
 
-    ``snapshots`` holds the accepted interface displacement of every completed
-    time step; ``step_records`` the per-step diagnostics. On divergence the
-    record is partial, ``converged`` is False, and ``failing_step`` identifies
-    the aborted time step.
+    ``steps`` holds the record of every time step run; on divergence the run
+    is partial and its last entry is the aborted step. ``snapshots`` holds the
+    accepted interface displacement of every completed time step, and
+    ``wall_seconds`` the run's wall time. Every total derives from these.
     """
 
-    counters: IterationCounters
-    converged: bool
-    flow_seconds: float
-    solid_seconds: float
-    coupling_seconds: float
+    steps: list
     snapshots: list
-    step_records: list
-    events: list = field(default_factory=list)
-    failing_step: int | None = None
+    wall_seconds: float
+
+    @property
+    def converged(self) -> bool:
+        return not self.steps or self.steps[-1].converged
+
+    @property
+    def failing_step(self) -> int | None:
+        return None if self.converged else self.steps[-1].step
+
+    @property
+    def step_records(self) -> list:
+        """The accepted steps' records."""
+        return [s for s in self.steps if s.converged]
+
+    @property
+    def counters(self) -> IterationCounters:
+        return IterationCounters([(s.step, s.coupling_iters, s.flow_iters, s.solid_iters)
+                                  for s in self.steps])
+
+    @property
+    def flow_seconds(self) -> float:
+        return sum(s.flow_time for s in self.steps)
+
+    @property
+    def solid_seconds(self) -> float:
+        return sum(s.solid_time for s in self.steps)
+
+    @property
+    def coupling_seconds(self) -> float:
+        return max(self.wall_seconds - self.flow_seconds - self.solid_seconds, 0.0)
 
     @property
     def timings(self) -> tuple:
         return (self.flow_seconds, self.solid_seconds, self.coupling_seconds)
+
+    @property
+    def events(self) -> list:
+        return [event for s in self.steps for event in s.events]
 
 
 def as_caps_str(cap) -> str:

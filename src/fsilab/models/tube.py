@@ -42,7 +42,7 @@ average ``a_i = pi (r0 + (d_i + d_{i+1})/2)^2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +73,10 @@ class Tube1DParams:
     kappa3: float = 2.0e13  # Pa/m^3, cubic wall stiffening (calibrated default)
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ContractError(f"tube parameter {f.name!r} must be finite, "
+                                    f"got {getattr(self, f.name)!r}")
         for name in ("length", "radius", "thickness", "rho_f", "mu_f", "rho_s",
                      "youngs_modulus", "dt"):
             if getattr(self, name) <= 0:

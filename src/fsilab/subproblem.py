@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ContractError,
     DivergenceError,
+    GeometryError,
     InnerIterationError,
     LinearSolveError,
     PreconditionerError,
@@ -129,13 +130,7 @@ def _guards(history: list, i: int, u: np.ndarray, bounded: bool, label: str,
 
 
 def _report(history: list, eps: float, wall_time: float = 0.0) -> SolverCallReport:
-    return SolverCallReport(
-        inner_iters=len(history),
-        residual_history=tuple(history),
-        converged_on_first=history[0] < eps,
-        final_residual=history[-1],
-        wall_time=wall_time,
-    )
+    return SolverCallReport(tuple(history), eps, wall_time)
 
 
 def drive(solver: Solver, inp: SolverCallInput):
@@ -196,16 +191,16 @@ def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
     kind, maps the final state to the interface output (traction for the flow
     solver, displacement for the solid solver), and attaches the measured wall
     time. Returns ``(output_field, report, final_u)``; ``final_u`` seeds the
-    next call. An :class:`InnerIterationError` is re-raised with the call's
-    spent inner iterations and seconds attached as ``inner_iters`` and
-    ``wall_time``.
+    next call. An :class:`InnerIterationError`, or a :class:`GeometryError`
+    from loading the coupling data, is re-raised with the call's spent inner
+    iterations and seconds attached as ``inner_iters`` and ``wall_time``.
     """
     start = time.perf_counter()
     try:
         u, history = drive(solver, inp)
-    except InnerIterationError as exc:
+    except (GeometryError, InnerIterationError) as exc:
         exc.args = (f"{solver_id.value} solver: {exc.args[0]}",) + exc.args[1:]
-        exc.inner_iters = exc.iteration or 0
+        exc.inner_iters = getattr(exc, "iteration", None) or 0
         exc.wall_time = time.perf_counter() - start
         raise
     output = solver.output(u)

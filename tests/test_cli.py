@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from fsilab.cli import main
@@ -55,6 +57,18 @@ def test_run_failure_exit_code(tmp_path):
     cfg.write_text("model = linear_toy\ncoupling_strength = 2.5\nomega0 = 1.0\n"
                    "accel = constant\neps_f = 1e-12\neps_s = 1e-12\n")
     assert main(["run", "--config", str(cfg)]) == 1
+    # with --out, the aborted step's row makes per_step.csv add up to the summary
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    with open(out / "run_summary.csv") as f:
+        (summary,) = csv.DictReader(f)
+    with open(out / "per_step.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert summary["converged"] == "false"
+    assert rows and rows[-1]["residual_norm"] == rows[-1]["update_increment"] == ""
+    for total, column in (("N_c", "coupling_iters"), ("N_f", "flow_iters"),
+                          ("N_s", "solid_iters")):
+        assert sum(int(r[column]) for r in rows) == int(summary[total]) > 0
 
 
 def test_sweep_fit_contour_chain(sweep_cfg, tmp_path, capsys):

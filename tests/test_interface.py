@@ -8,7 +8,6 @@ from fsilab import (
     CouplingConfig,
     FieldRole,
     InterfaceField,
-    IterationCounters,
     SolverCallReport,
     deviation_from_reference,
     fixed_point_residual,
@@ -147,29 +146,9 @@ class TestInterfaceField:
 
 
 class TestSolverCallReport:
-    def test_history_length_must_match(self):
-        with pytest.raises(ContractError):
-            SolverCallReport(inner_iters=2, residual_history=(1.0,),
-                             converged_on_first=False, final_residual=1.0)
-
     def test_at_least_one_iteration(self):
         with pytest.raises(ContractError):
-            SolverCallReport(inner_iters=0, residual_history=(),
-                             converged_on_first=False, final_residual=0.0)
-
-
-class TestIterationCounters:
-    def test_totals_track_steps(self):
-        c = IterationCounters()
-        c.add_step(1, 3, 7, 5)
-        c.add_step(2, 2, 4, 3)
-        assert (c.coupling_total, c.flow_total, c.solid_total) == (5, 11, 8)
-        c.check_additivity()
-
-    def test_negative_rejected(self):
-        c = IterationCounters()
-        with pytest.raises(ContractError):
-            c.add_step(1, -1, 0, 0)
+            SolverCallReport(residual_history=(), eps=1e-9)
 
 
 class TestCouplingConfig:

@@ -212,6 +212,16 @@ class TestParams:
         with pytest.raises(ContractError):
             Tube1DParams(kappa3=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "length", "radius", "thickness", "rho_f", "mu_f", "rho_s", "youngs_modulus",
+        "poisson", "dt", "inlet_pulse", "pulse_duration", "outlet_pressure", "kappa3"])
+    def test_non_finite_float_rejected(self, name, value):
+        # a nan inlet_pulse used to fail later at a residual norm, and an
+        # infinite dt to "diverge" at step 1
+        with pytest.raises(ContractError, match=f"'{name}' must be finite"):
+            Tube1DParams(**{name: value})
+
     @pytest.mark.parametrize("name", ["cells", "steps"])
     def test_non_integer_count_rejected(self, name):
         # a fractional cell count used to escape as a numpy TypeError
