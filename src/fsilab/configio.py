@@ -89,9 +89,9 @@ _COUPLING_KEYS = {
     "max_coupling_iters": int, "batch_size_f": int,
 }
 _TUBE_KEYS = {
-    **dict.fromkeys(("length", "radius", "thickness", "rho_f", "mu_f", "rho_s",
-                     "youngs_modulus", "poisson", "dt", "inlet_pulse", "pulse_duration",
-                     "outlet_pressure", "kappa3"), float),
+    **dict.fromkeys(("length", "radius", "thickness", "rho_f", "rho_s", "youngs_modulus",
+                     "poisson", "dt", "inlet_pulse", "pulse_duration", "outlet_pressure",
+                     "kappa3"), float),
     "cells": int, "steps": int,
 }
 _SCALAR_TOY_KEYS = dict.fromkeys(("alpha", "beta", "b0", "stiffness", "kappa"), float)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RankDeficiencyError
+from .interface import require_finite
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,9 @@ class CostFactors:
     c_iter_s: float = 0.0  # per solid inner iteration
 
     def __post_init__(self):
-        for name in ("c_couple", "c_fix_f", "c_iter_f", "c_fix_s", "c_iter_s"):
-            if getattr(self, name) < 0:
+        require_finite("cost factor", vars(self))
+        for name, value in vars(self).items():
+            if value < 0:
                 raise ContractError(f"{name} must be >= 0")
 
     def gamma(self) -> float:

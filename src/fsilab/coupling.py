@@ -338,7 +338,10 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
                   increments: bool = False):
     """One coupled time step; returns ``(record, d_accepted, u_f, u_s)``.
 
-    ``increments`` fills the third entry of ``record.accepted_norms``.
+    ``u_f`` and ``u_s`` are the interior states the flow and solid solvers
+    ended the previous step with; None on the run's first step, where each
+    solver starts from zeros of its ``dim``. ``increments`` fills the third
+    entry of ``record.accepted_norms``.
 
     Raises :class:`DivergedStepError`, with the step's unconverged
     :class:`TimeStepRecord` as ``partial``, when the coupling-iteration budget
@@ -381,6 +384,8 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         return out
 
     flow, solid = model.flow_solver(state), model.solid_solver(state)
+    if u_f is None:
+        u_f, u_s = np.zeros(flow.dim), np.zeros(solid.dim)
     for k in range(1, config.max_coupling_iters_per_step + 1):
         rec.coupling_iters = k
         traction, rep_f, u_f = _call(SolverId.FLOW, flow, SolverCallInput(
@@ -451,6 +456,12 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
                    increments: bool = False) -> RunRecord:
     """Run all time steps of a coupled model; fully deterministic given config.
 
+    The model declares ``n_interface``, ``n_steps``, ``initial_state()``,
+    ``flow_solver(state)``, ``solid_solver(state)`` and ``advance_state(state,
+    d, flow_u)``. The run starts from ``initial_state()``; the first coupling
+    iteration guesses a zero interface displacement, and each solver's first
+    call starts from a zero interior state.
+
     ``on_step(step, hist, state)`` is a diagnostics hook. ``increments=True``
     records each accepted step's would-be update increment in
     ``accepted_norms[2]``; it adds one quasi-Newton update per accepted step
@@ -460,9 +471,8 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     """
     t_start = time.perf_counter()
     state = model.initial_state()
-    u_f = model.initial_flow_u()
-    u_s = model.initial_solid_u()
-    d_acc = model.initial_displacement()
+    d_acc = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
+    u_f = u_s = None
     # bound the secant history: the added-mass error lives in a few dominant
     # interface modes, and old columns sampled under capped inner iterations
     # degrade the update long before the interface dimension is reached
@@ -483,7 +493,7 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
             raise
         steps.append(record)
         snapshots.append(d_acc.values.copy())
-        state = model.advance_state(state, d_acc, u_f, u_s)
+        state = model.advance_state(state, d_acc, u_f)
         if on_step is not None:
             on_step(step, hist, state)
 

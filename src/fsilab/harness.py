@@ -156,6 +156,12 @@ def _run_cell(cfg: dict, nmax_f, nmax_s) -> tuple:
     return row, record.snapshots
 
 
+def _check_noise_rel(noise_rel: float) -> None:
+    # the noise factor 1 +- noise_rel must stay positive
+    if not 0.0 <= noise_rel < 1.0:
+        raise SweepSpecError(f"noise_rel must be a finite number in [0, 1), got {noise_rel!r}")
+
+
 def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float, seed) -> None:
     """Replace the rows' timings by the cost-model evaluation, times seeded noise.
 
@@ -188,6 +194,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             noise = float(spec.config.get("noise_rel", "0"))
         except ValueError as exc:
             raise SweepSpecError(f"noise_rel: {exc}") from exc
+        _check_noise_rel(noise)
         if noise > 0 and spec.seed is None:
             raise SweepSpecError("noisy modeled timings require a seed")
     else:
@@ -347,11 +354,13 @@ class ReplayReport:
 
     @property
     def max_abs_err(self) -> float:
-        return max((r.abs_err for r in self.rows), default=0.0)
+        """The largest error; nan when any error is nan."""
+        return float(np.max([r.abs_err for r in self.rows])) if self.rows else 0.0
 
     @property
     def failures(self) -> list:
-        return [r for r in self.rows if r.abs_err > self.tolerance]
+        """Rows whose error is not within tolerance; a nan error fails."""
+        return [r for r in self.rows if not r.abs_err <= self.tolerance]
 
     @property
     def passed(self) -> bool:
@@ -473,6 +482,7 @@ def synthesize_sweep_csv(path, factors: CostFactors, counters: list,
     :func:`fsilab.configio.load_published_counters`. Used to validate the
     regression pipeline against known ground truth.
     """
+    _check_noise_rel(noise_rel)
     rows = [SweepRow(nmax_f=cap_f, nmax_s=cap_s, converged=True, n_c=n_c, n_f=n_f, n_s=n_s)
             for cap_f, cap_s, n_c, n_f, n_s in counters]
     _modeled_timings(rows, factors, noise_rel, seed)

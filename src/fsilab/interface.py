@@ -44,6 +44,13 @@ def require_count(value, name: str, low: int) -> None:
         raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def require_finite(what: str, values: dict) -> None:
+    """Reject a non-finite number among ``values``, naming its key as ``what 'key'``."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ContractError(f"{what} {name!r} must be finite, got {value!r}")
+
+
 class FieldRole(Enum):
     DISPLACEMENT = "displacement"
     TRACTION = "traction"

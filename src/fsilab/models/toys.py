@@ -19,13 +19,13 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConstructionError, ContractError
-from ..interface import FieldRole, InterfaceField
+from ..interface import FieldRole, InterfaceField, require_count, require_finite
 from ..subproblem import DriverKind
 
 
 @dataclass
 class _DenseSolver:
-    """A toy subproblem ``A(u) u = b`` on dense matrices, solved with ``numpy.linalg``.
+    """A toy subproblem ``A(u) u = b`` on dense matrices, solved by Newton with ``numpy.linalg``.
 
     ``rhs(coupling)`` gives ``b`` from coupling data of length ``n_coupling``,
     ``matrix(u)`` gives ``A(u)`` and ``tangent(u)`` the Newton tangent
@@ -37,25 +37,21 @@ class _DenseSolver:
     matrix: Callable
     rhs: Callable
     tangent: Callable
-    driver: DriverKind
     role: FieldRole
     label: str
+    driver = DriverKind.NEWTON
 
     def load(self, coupling: InterfaceField) -> tuple:
         if coupling.size != self.n_coupling:
             raise ContractError(f"{coupling.role.value} length mismatch")
         b = self.rhs(coupling)
         matrix, tangent = self.matrix, self.tangent
-        newton = self.driver is DriverKind.NEWTON
-        a = None  # A(u) of the last residual
 
         def residual(u):
-            nonlocal a
-            a = matrix(u)
-            return b - a @ u
+            return b - matrix(u) @ u
 
         def solve(u, r):
-            return np.linalg.solve(tangent(u) if newton else a, r)
+            return np.linalg.solve(tangent(u), r)
 
         return b, residual, solve
 
@@ -87,19 +83,17 @@ class LinearToyModel:
         dim_s: int = 4,
         coupling_strength: float = 0.5,
         n_steps: int = 1,
-        flow_driver: DriverKind = DriverKind.NEWTON,
-        solid_driver: DriverKind = DriverKind.NEWTON,
     ):
         if dim_f < 1 or dim_s < 1:
             raise ContractError("dimensions must be >= 1")
+        require_finite("linear toy parameter", {"coupling_strength": coupling_strength})
         if coupling_strength < 0:
             raise ContractError("coupling_strength must be >= 0")
+        require_count(n_steps, "steps", 1)
         self.dim_f = dim_f
         self.dim_s = dim_s
         self.n_interface = dim_s
         self.n_steps = n_steps
-        self.flow_driver = flow_driver
-        self.solid_driver = solid_driver
 
         # Diagonally dominant SPD blocks keep both subproblems well conditioned.
         self.A_f = _tridiag(dim_f, -1.0, 3.0)
@@ -150,28 +144,19 @@ class LinearToyModel:
     def initial_state(self) -> int:
         return 0
 
-    def initial_displacement(self) -> InterfaceField:
-        return InterfaceField(np.zeros(self.dim_s), FieldRole.DISPLACEMENT)
-
-    def initial_flow_u(self) -> np.ndarray:
-        return np.zeros(self.dim_f)
-
-    def initial_solid_u(self) -> np.ndarray:
-        return np.zeros(self.dim_s)
-
     def flow_solver(self, state) -> _DenseSolver:
         return _DenseSolver(
             dim=self.dim_f, n_coupling=self.dim_s, matrix=lambda u: self.A_f,
             rhs=lambda d: self.b_f0 + self.B_f @ d.values, tangent=lambda u: self.A_f,
-            driver=self.flow_driver, role=FieldRole.TRACTION, label="linear-toy flow")
+            role=FieldRole.TRACTION, label="linear-toy flow")
 
     def solid_solver(self, state) -> _DenseSolver:
         return _DenseSolver(
             dim=self.dim_s, n_coupling=self.dim_f, matrix=lambda u: self.A_s,
             rhs=lambda t: self.b_s0 + self.B_s @ t.values, tangent=lambda u: self.A_s,
-            driver=self.solid_driver, role=FieldRole.DISPLACEMENT, label="linear-toy solid")
+            role=FieldRole.DISPLACEMENT, label="linear-toy solid")
 
-    def advance_state(self, state, accepted_displacement, flow_u, solid_u):
+    def advance_state(self, state, accepted_displacement, flow_u):
         return state + 1
 
 
@@ -184,6 +169,7 @@ class ScalarToyParams:
     kappa: float = 0.5
 
     def __post_init__(self):
+        require_finite("scalar toy parameter", vars(self))
         if self.alpha <= 0 or self.stiffness <= 0 or self.kappa < 0:
             raise ContractError("alpha and stiffness must be positive, kappa >= 0")
         if self.stiffness * self.alpha <= self.beta:
@@ -195,6 +181,7 @@ class ScalarToyModel:
     """Scalar nonlinear coupled problem with a closed-form fixed point."""
 
     def __init__(self, params: ScalarToyParams | None = None, n_steps: int = 1):
+        require_count(n_steps, "steps", 1)
         self.params = params or ScalarToyParams()
         self.n_interface = 1
         self.n_steps = n_steps
@@ -212,22 +199,13 @@ class ScalarToyModel:
     def initial_state(self) -> int:
         return 0
 
-    def initial_displacement(self) -> InterfaceField:
-        return InterfaceField(np.zeros(1), FieldRole.DISPLACEMENT)
-
-    def initial_flow_u(self) -> np.ndarray:
-        return np.zeros(1)
-
-    def initial_solid_u(self) -> np.ndarray:
-        return np.zeros(1)
-
     def flow_solver(self, state) -> _DenseSolver:
         p = self.params
         return _DenseSolver(
             dim=1, n_coupling=1, matrix=lambda u: np.array([[p.alpha]]),
             rhs=lambda d: np.array([p.b0 + p.beta * d.values[0]]),
             tangent=lambda u: np.array([[p.alpha]]),
-            driver=DriverKind.NEWTON, role=FieldRole.TRACTION, label="scalar-toy flow")
+            role=FieldRole.TRACTION, label="scalar-toy flow")
 
     def solid_solver(self, state) -> _DenseSolver:
         p = self.params
@@ -235,7 +213,7 @@ class ScalarToyModel:
             dim=1, n_coupling=1, matrix=lambda u: np.array([[p.stiffness + p.kappa * u[0] ** 2]]),
             rhs=lambda t: np.array([t.values[0]]),
             tangent=lambda u: np.array([[p.stiffness + 3.0 * p.kappa * u[0] ** 2]]),
-            driver=DriverKind.NEWTON, role=FieldRole.DISPLACEMENT, label="scalar-toy solid")
+            role=FieldRole.DISPLACEMENT, label="scalar-toy solid")
 
-    def advance_state(self, state, accepted_displacement, flow_u, solid_u):
+    def advance_state(self, state, accepted_displacement, flow_u):
         return state + 1

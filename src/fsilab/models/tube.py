@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import ContractError, GeometryError
-from ..interface import FieldRole, InterfaceField, require_count
+from ..interface import FieldRole, InterfaceField, require_count, require_finite
 from ..subproblem import DriverKind
 
 
@@ -58,9 +58,7 @@ class Tube1DParams:
     length: float = 0.05  # m
     radius: float = 0.005  # m
     thickness: float = 0.001  # m
-    rho_f: float = 1000.0  # kg/m^3
-    mu_f: float = 0.003  # Pa s (recorded with the material set; the reduced
-    #                      momentum equation is inviscid and does not use it)
+    rho_f: float = 1000.0  # kg/m^3 (the reduced momentum equation is inviscid)
     rho_s: float = 1200.0  # kg/m^3
     youngs_modulus: float = 3.0e5  # N/m^2
     poisson: float = 0.3
@@ -73,11 +71,9 @@ class Tube1DParams:
     kappa3: float = 2.0e13  # Pa/m^3, cubic wall stiffening (calibrated default)
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ContractError(f"tube parameter {f.name!r} must be finite, "
-                                    f"got {getattr(self, f.name)!r}")
-        for name in ("length", "radius", "thickness", "rho_f", "mu_f", "rho_s",
+        require_finite("tube parameter", {f.name: getattr(self, f.name)
+                                          for f in fields(self) if f.type == "float"})
+        for name in ("length", "radius", "thickness", "rho_f", "rho_s",
                      "youngs_modulus", "dt"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
@@ -120,7 +116,6 @@ class TubeState:
     pressure: np.ndarray  # per cell, Pa
     wall_disp: np.ndarray  # per node, m
     wall_vel: np.ndarray  # per node, m/s
-    wall_acc: np.ndarray  # per node, m/s^2
     step: int = 0  # completed steps
 
 
@@ -132,7 +127,6 @@ def initial_tube_state(params: Tube1DParams) -> TubeState:
         pressure=np.zeros(n),
         wall_disp=np.zeros(m),
         wall_vel=np.zeros(m),
-        wall_acc=np.zeros(m),
         step=0,
     )
 
@@ -180,13 +174,10 @@ class FlowOperator:
     """
 
     def __init__(self, lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
-                 g: np.ndarray, d: np.ndarray, ell: np.ndarray | None = None,
-                 z: np.ndarray | None = None):
+                 g: np.ndarray, d: np.ndarray, ell: np.ndarray, z: np.ndarray):
         self.lo, self.diag, self.up = lo, diag, up
         self.g, self.d = g, d
-        # 1/g and 1/d; a solver call passes the arrays it shares between operators
-        self.ell = 1.0 / g if ell is None else ell
-        self.z = 1.0 / d if z is None else z
+        self.ell, self.z = ell, z  # 1/g and 1/d, shared by the operators of a solver call
 
     def _t(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``T x``, written into ``out`` when given."""
@@ -334,20 +325,18 @@ class TubeFlowSolver:
 class TubeSolidSolver:
     """The solid subproblem (independent clamped rings) of one time step.
 
-    ``static=True`` drops the inertia terms; used by the closed-form ring
-    oracle tests. The output field takes over the solver's final state array.
+    The output field takes over the solver's final state array.
     """
 
     label = "tube solid"
     driver = DriverKind.NEWTON
 
-    def __init__(self, params: Tube1DParams, state: TubeState, static: bool = False):
+    def __init__(self, params: Tube1DParams, state: TubeState):
         self.params = params
         self.dim = params.n_nodes
-        ms_dt2 = 0.0 if static else params.wall_mass / params.dt**2
+        ms_dt2 = params.wall_mass / params.dt**2
         self._base = np.full(params.n_nodes, ms_dt2 + params.ring_stiffness)  # linear diagonal
-        self._inertia = None if static else ms_dt2 * (
-            state.wall_disp[1:-1] + params.dt * state.wall_vel[1:-1])
+        self._inertia = ms_dt2 * (state.wall_disp[1:-1] + params.dt * state.wall_vel[1:-1])
 
     def load(self, traction: InterfaceField) -> tuple:
         m = self.dim
@@ -356,9 +345,7 @@ class TubeSolidSolver:
         if traction.size != m:
             raise ContractError(f"traction field length {traction.size} != nodes {m}")
         b = np.zeros(m)
-        b[1:-1] = traction.values[1:-1]
-        if self._inertia is not None:
-            b[1:-1] += self._inertia
+        b[1:-1] = traction.values[1:-1] + self._inertia
         base, kappa3 = self._base, self.params.kappa3
         u_sq = None  # the squared interior displacements of the last residual
 
@@ -398,15 +385,6 @@ class Tube1DModel:
     def initial_state(self) -> TubeState:
         return initial_tube_state(self.params)
 
-    def initial_displacement(self) -> InterfaceField:
-        return InterfaceField(np.zeros(self.params.n_nodes), FieldRole.DISPLACEMENT)
-
-    def initial_flow_u(self) -> np.ndarray:
-        return np.zeros(2 * self.params.cells + 1)
-
-    def initial_solid_u(self) -> np.ndarray:
-        return np.zeros(self.params.n_nodes)
-
     def flow_solver(self, state: TubeState) -> TubeFlowSolver:
         return TubeFlowSolver(self.params, state, self.flow_driver)
 
@@ -414,17 +392,14 @@ class Tube1DModel:
         return TubeSolidSolver(self.params, state)
 
     def advance_state(self, state: TubeState, accepted_displacement: InterfaceField,
-                      flow_u: np.ndarray, solid_u: np.ndarray) -> TubeState:
+                      flow_u: np.ndarray) -> TubeState:
         n = self.params.cells
-        dt = self.params.dt
         d_new = accepted_displacement.values.copy()
-        w_new = (d_new - state.wall_disp) / dt
         return TubeState(
             area=areas_from_displacement(self.params, d_new),
             velocity=flow_u[: n + 1].copy(),
             pressure=flow_u[n + 1 :].copy(),
             wall_disp=d_new,
-            wall_vel=w_new,
-            wall_acc=(w_new - state.wall_vel) / dt,
+            wall_vel=(d_new - state.wall_disp) / self.params.dt,
             step=state.step + 1,
         )

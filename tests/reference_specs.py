@@ -143,15 +143,15 @@ def reference_iterate(spec, inp):
     return u, history
 
 
-def reference_step_terms(params: Tube1DParams, state: TubeState, static: bool = False) -> tuple:
+def reference_step_terms(params: Tube1DParams, state: TubeState) -> tuple:
     """A step's fixed terms: the flow's old momentum ``a_face_old * v_old / dt`` and inlet
-    pressure, the linear part of both solid diagonals, the solid inertia (None if static)."""
-    ms_dt2 = 0.0 if static else params.wall_mass / params.dt**2
+    pressure, the linear part of both solid diagonals, the solid inertia."""
+    ms_dt2 = params.wall_mass / params.dt**2
     d_old, w_old = state.wall_disp[1:-1], state.wall_vel[1:-1]
     return (_face_average(state.area) * state.velocity / params.dt,
             params.inlet_pressure(state.step + 1),
             np.full(params.n_nodes, ms_dt2 + params.ring_stiffness),
-            None if static else ms_dt2 * (d_old + params.dt * w_old))
+            ms_dt2 * (d_old + params.dt * w_old))
 
 
 def reference_flow_system(params, state, displacement, driver, momentum_old, p_in) -> ReferenceSpec:
@@ -278,8 +278,7 @@ def reference_solid_system(params, traction, base, inertia) -> ReferenceSpec:
             raise ContractError("coupling data length mismatch")
         b = np.zeros(m)
         b[1:-1] = coupling.values[1:-1]
-        if inertia is not None:
-            b[1:-1] += inertia
+        b[1:-1] += inertia
         return b
 
     def tangent(u: np.ndarray) -> ReferenceDiagonalOperator:

@@ -110,6 +110,19 @@ def test_replay_zero_factors_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_replay_non_finite_factor_is_an_error(tmp_path, capsys):
+    # a nan factor used to price every cell at nan and PASS with exit 0
+    bad = tmp_path / "nan.csv"
+    bad.write_text("case,c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple,gamma\n"
+                   "bad,0.6459,1.4756,0.1206,0.0327,nan,0.9538\n")
+    code = main(["replay", "--table", str(published_table_path("fe_fe_tube")),
+                 "--factors", str(bad)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "'c_couple'" in captured.err
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["replay"])  # missing required arguments
@@ -140,6 +153,7 @@ def test_measured_sweep_with_two_workers_is_an_error(tmp_path, capsys):
     ("sweep", "workers", "two"),
     ("run", "acel", "constant"),
     ("sweep", "acel", "constant"),
+    ("run", "mu_f", "0.003"),
 ])
 def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "bad.cfg"
@@ -150,6 +164,19 @@ def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value
     assert err.startswith("error: ") and repr(key) in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("model = linear_toy\ncoupling_strength = nan\n", "coupling_strength"),
+    ("model = scalar_toy\nstiffness = nan\n", "stiffness"),
+], ids=["linear_toy", "scalar_toy"])
+def test_bad_toy_config_is_an_error_line(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and repr(key) in captured.err
+    assert "converged" not in captured.out and "Traceback" not in captured.err
 
 
 def test_shipped_config_runs_reduced(tmp_path):

@@ -47,6 +47,14 @@ class TestEquivalentTime:
         with pytest.raises(ContractError):
             equivalent_time((-1, 0, 0), FE_FE_TUBE)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["c_couple", "c_fix_f", "c_iter_f", "c_fix_s",
+                                      "c_iter_s"])
+    def test_non_finite_factor_rejected(self, name, value):
+        # a nan factor used to price every run at nan, and a replay to PASS on it
+        with pytest.raises(ContractError, match=f"cost factor '{name}' must be finite"):
+            CostFactors(**{name: value})
+
     @given(st.integers(0, 10000), st.integers(0, 10000), st.integers(0, 10000),
            st.floats(0.1, 8.0))
     def test_linearity_and_scale_invariant_ratio(self, n_c, n_f, n_s, scale):

@@ -666,8 +666,8 @@ class TestEngineOnTube:
         # inner iteration, as the first-residual criterion promised
         params, config, record = short_run
         model = Tube1DModel(params)
-        state, u_f, u_s = model.initial_state(), model.initial_flow_u(), model.initial_solid_u()
-        d_acc = model.initial_displacement()
+        state, u_f, u_s = model.initial_state(), None, None
+        d_acc = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
         hist = IqnHistory(q=config.reuse_q, max_columns=min(model.n_interface, _MAX_SECANT_COLUMNS))
         per_step = []
         for step in range(1, params.steps + 1):
@@ -682,7 +682,7 @@ class TestEngineOnTube:
                               SolverCallInput(u_s, traction, eps=config.eps_s, n_max=1))
             assert hist_f[0] <= config.eps_f
             assert hist_s[0] <= config.eps_s
-            state = model.advance_state(state, d_acc, u_f, u_s)
+            state = model.advance_state(state, d_acc, u_f)
         assert per_step == record.counters.per_step
 
     def test_counters_additivity_and_diagnostics(self, short_run):
@@ -745,6 +745,28 @@ class TestEngineOnTube:
         assert record.coupling_seconds >= 0
 
 
+class TestZeroFirstGuesses:
+    def test_first_calls_start_from_zeros(self, monkeypatch):
+        # the engine owns the first guesses: the first flow call gets a zero
+        # interface displacement, and each solver's first call a zero interior
+        # state of that solver's dim
+        import fsilab.coupling as coupling_mod
+
+        seen = []
+        real_call = coupling_mod.call_solver
+
+        def recording(solver_id, solver, inp):
+            seen.append((solver_id, inp.u0, inp.coupling_data))
+            return real_call(solver_id, solver, inp)
+
+        monkeypatch.setattr(coupling_mod, "call_solver", recording)
+        run_simulation(LinearToyModel(dim_f=3, dim_s=5), CouplingConfig())
+        (flow_id, u0_f, d0), (solid_id, u0_s, _) = seen[:2]
+        assert (flow_id, solid_id) == (SolverId.FLOW, SolverId.SOLID)
+        assert np.array_equal(u0_f, np.zeros(3)) and np.array_equal(u0_s, np.zeros(5))
+        assert d0.role is FieldRole.DISPLACEMENT and np.array_equal(d0.values, np.zeros(5))
+
+
 class TestEngineFallbacks:
     def test_all_columns_filtered_falls_back_to_relaxation(self, monkeypatch):
         # when filtering removes every column, the engine must flag the event
@@ -778,15 +800,6 @@ class _ShiftModel:
     def initial_state(self):
         return 0
 
-    def initial_displacement(self):
-        return InterfaceField(np.zeros(1), FieldRole.DISPLACEMENT)
-
-    def initial_flow_u(self):
-        return np.zeros(1)
-
-    def initial_solid_u(self):
-        return np.zeros(1)
-
     def _solver(self, shift, role):
         return SpecSolver(dim=1, assemble_matrix=lambda u: np.eye(1),
                           assemble_rhs=lambda c: c.values + shift,
@@ -799,7 +812,7 @@ class _ShiftModel:
     def solid_solver(self, state):
         return self._solver(1.0, FieldRole.DISPLACEMENT)
 
-    def advance_state(self, state, accepted_displacement, flow_u, solid_u):
+    def advance_state(self, state, accepted_displacement, flow_u):
         return state + 1
 
 

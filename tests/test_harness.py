@@ -200,8 +200,12 @@ class TestRunSweep:
         ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "abc"}, 1,
          "noise_rel: could not convert"),
         ({"timing": "measured"}, 2, "requires workers = 1"),
-    ], ids=["unknown-mode", "modeled-without-factors", "noise-without-seed",
-            "malformed-noise", "measured-parallel"])
+    ] + [({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": value}, 1,
+          "noise_rel must be a finite number in")
+         for value in ("nan", "-0.5", "inf", "1", "2")],
+        ids=["unknown-mode", "modeled-without-factors", "noise-without-seed",
+             "malformed-noise", "measured-parallel", "nan-noise", "negative-noise",
+             "infinite-noise", "unit-noise", "noise-above-one"])
     def test_spec_errors_raise_before_any_cell_runs(self, tmp_path, monkeypatch,
                                                     extra, workers, match):
         import fsilab.harness as harness_mod
@@ -212,6 +216,24 @@ class TestRunSweep:
         spec = SweepSpec(config=dict(LINEAR_TOY_STABLE, **extra), grid_f=[1, math.inf],
                          grid_s=[math.inf], workers=workers, out_dir=tmp_path)
         with pytest.raises(SweepSpecError, match=match):
+            run_sweep(spec)
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("cost_c_iter_f", "nan"),
+                                            ("cost_c_couple", "inf")])
+    def test_non_finite_cost_factor_raises_before_any_cell_runs(self, tmp_path, monkeypatch,
+                                                                key, value):
+        # a modeled sweep used to write nan or inf into teq and teq_norm
+        import fsilab.harness as harness_mod
+
+        calls = []
+        monkeypatch.setattr(harness_mod, "_run_cell",
+                            lambda *args: calls.append(args) or {})
+        cfg = dict(LINEAR_TOY_STABLE, timing="modeled", cost_c_fix_f="0.5", **{key: value})
+        spec = SweepSpec(config=cfg, grid_f=[1, math.inf], grid_s=[math.inf],
+                         out_dir=tmp_path)
+        with pytest.raises(ContractError, match=f"'{key[len('cost_'):]}' must be finite"):
             run_sweep(spec)
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
@@ -355,6 +377,18 @@ class TestReplayPublished:
         assert [(r.nmax_f, r.nmax_s) for r in report.failures] == [(2, 1)]
         assert "(2, 1)" in report.summary()
 
+    def test_nan_published_value_fails(self, tmp_path):
+        # an error of nan is not within tolerance; it used to PASS
+        src = published_table_path("fe_fe_tube").read_text()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(src.replace("\n2,1,0.91,", "\n2,1,nan,"))
+        factors, _ = load_factors_csv(regression_summary_path(), case="fe_fe_tube")
+        report = replay_published(bad, factors)
+        assert not report.passed
+        assert [(r.nmax_f, r.nmax_s) for r in report.failures] == [(2, 1)]
+        assert math.isnan(report.max_abs_err)
+        assert "max abs error nan" in report.summary()
+
     def test_malformed_csv_reports_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nmax_f,nmax_s,teq_norm,N_c,N_f,N_s\n1,1,0.5,10\n")
@@ -408,6 +442,14 @@ class TestFitFromRuns:
             rel = abs(getattr(fitted, name) / getattr(self.TRUE, name) - 1.0)
             assert rel <= 0.05
         assert report.mape <= 0.02
+
+    @pytest.mark.parametrize("noise_rel", [math.nan, -0.5, 1.0])
+    def test_noise_outside_unit_interval_rejected(self, tmp_path, noise_rel):
+        counters = load_published_counters("fv_fe_tube")
+        with pytest.raises(SweepSpecError, match="noise_rel"):
+            synthesize_sweep_csv(tmp_path / "s.csv", self.TRUE, counters,
+                                 noise_rel=noise_rel, seed=1)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_two_rows_rank_deficient(self, tmp_path):
         counters = load_published_counters("fv_fe_tube")[:2]

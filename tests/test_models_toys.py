@@ -40,6 +40,12 @@ class TestLinearToyConstruction:
         with pytest.raises(ContractError):
             LinearToyModel(0, 4, 0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_strength_rejected(self, value):
+        # a nan strength used to run to a "converged" one-step result
+        with pytest.raises(ContractError, match="'coupling_strength' must be finite"):
+            LinearToyModel(coupling_strength=value)
+
 
 class TestLinearToyCoupling:
     def test_decoupled_solution_is_independent_solves(self):
@@ -69,8 +75,8 @@ class TestLinearToyCoupling:
         from fsilab.coupling import IqnHistory
         from fsilab.interface import fixed_point_residual
 
-        d_k = toy.initial_displacement()
-        u_f, u_s = toy.initial_flow_u(), toy.initial_solid_u()
+        d_k = InterfaceField(np.zeros(toy.dim_s), FieldRole.DISPLACEMENT)
+        u_f, u_s = np.zeros(toy.dim_f), np.zeros(toy.dim_s)
         flow, solid = toy.flow_solver(0), toy.solid_solver(0)  # one time step
         norms = []
         for _ in range(4):
@@ -120,6 +126,21 @@ class TestScalarToy:
     def test_monotonicity_guard(self):
         with pytest.raises(ContractError):
             ScalarToyParams(stiffness=0.4, alpha=2.0, beta=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "b0", "stiffness", "kappa"])
+    def test_non_finite_float_rejected(self, name, value):
+        # a nan stiffness used to fail late, at a residual norm
+        with pytest.raises(ContractError, match=f"'{name}' must be finite"):
+            ScalarToyParams(**{name: value})
+
+
+@pytest.mark.parametrize("build", [LinearToyModel, ScalarToyModel], ids=["linear", "scalar"])
+@pytest.mark.parametrize("steps", [0, -2, 1.0])
+def test_toy_step_count_is_a_positive_integer(build, steps):
+    # zero steps used to print a "converged" run of no steps
+    with pytest.raises(ContractError, match="steps must be an integer >= 1"):
+        build(n_steps=steps)
 
 
 class TestLinearToyIqnCount:

@@ -195,7 +195,7 @@ class TestParams:
     def test_defaults_match_published_setup(self):
         p = Tube1DParams()
         assert (p.length, p.radius, p.thickness) == (0.05, 0.005, 0.001)
-        assert (p.rho_f, p.mu_f, p.rho_s) == (1000.0, 0.003, 1200.0)
+        assert (p.rho_f, p.rho_s) == (1000.0, 1200.0)
         assert (p.youngs_modulus, p.poisson) == (3.0e5, 0.3)
         assert (p.cells, p.dt, p.steps) == (100, 1e-4, 100)
         assert (p.inlet_pulse, p.pulse_duration, p.outlet_pressure) == (1333.2, 0.003, 0.0)
@@ -214,7 +214,7 @@ class TestParams:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
-        "length", "radius", "thickness", "rho_f", "mu_f", "rho_s", "youngs_modulus",
+        "length", "radius", "thickness", "rho_f", "rho_s", "youngs_modulus",
         "poisson", "dt", "inlet_pulse", "pulse_duration", "outlet_pressure", "kappa3"])
     def test_non_finite_float_rejected(self, name, value):
         # a nan inlet_pulse used to fail later at a residual norm, and an
@@ -380,7 +380,7 @@ class TestFlowSystem:
     def test_flow_solve_singular_like_the_reference(self, bad):
         # ell^T T z is 0 for zero bands and non-finite for an inf or nan band
         ones, n = np.ones(3), 3
-        bands = (np.zeros(n - 1), np.full(n, bad), np.zeros(n - 1), ones, ones)
+        bands = (np.zeros(n - 1), np.full(n, bad), np.zeros(n - 1), ones, ones, ones, ones)
         for cls in (FlowOperator, ReferenceFlowOperator):
             with pytest.raises(np.linalg.LinAlgError, match="singular flow operator"):
                 cls(*bands).solve(np.ones(2 * n - 1))
@@ -436,11 +436,13 @@ class TestSolidSystem:
         assert np.allclose(u, 0.0)
 
     def test_static_ring_formula(self, params):
-        # closed form: d = p r0^2 (1 - nu^2) / (E h) at every interior node
-        p_ = Tube1DParams(cells=params.cells, steps=params.steps, kappa3=0.0)
+        # closed form: d = p r0^2 (1 - nu^2) / (E h) at every interior node; at
+        # rest with dt = 1e3 s the ring inertia rho_s h / dt^2 is 9.1e-14 of
+        # the ring stiffness, so the step solves the static ring
+        p_ = Tube1DParams(cells=params.cells, steps=params.steps, kappa3=0.0, dt=1e3)
         state = initial_tube_state(p_)
         tr = self.uniform_traction(p_, 1333.2)
-        solid = TubeSolidSolver(p_, state, static=True)
+        solid = TubeSolidSolver(p_, state)
         u, _ = run(solid, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-10))
         expect = 1333.2 * p_.radius**2 * (1 - p_.poisson**2) / (
             p_.youngs_modulus * p_.thickness)
@@ -449,11 +451,12 @@ class TestSolidSystem:
         assert u[0] == 0.0 and u[-1] == 0.0  # clamped ends
 
     def test_static_cubic_against_bisection_oracle(self, params):
-        p_ = params
+        # dt = 1e3 s makes the ring inertia negligible, as in test_static_ring_formula
+        p_ = Tube1DParams(cells=params.cells, steps=params.steps, dt=1e3)
         state = initial_tube_state(p_)
         load = 900.0
         tr = self.uniform_traction(p_, load)
-        solid = TubeSolidSolver(p_, state, static=True)
+        solid = TubeSolidSolver(p_, state)
         u, _ = run(solid, SolverCallInput(np.zeros(p_.n_nodes), tr, eps=1e-12))
         k1 = p_.ring_stiffness
         lo, hi = 0.0, 1.0
@@ -494,7 +497,6 @@ class TestSolidSystem:
             solid = TubeSolidSolver(p_, state)
             u, _ = run(solid, SolverCallInput(state.wall_disp.copy(), tr, eps=1e-12))
             w_new = (u - state.wall_disp) / p_.dt
-            state.wall_acc = (w_new - state.wall_vel) / p_.dt
             state.wall_disp = u
             state.wall_vel = w_new
             state.step += 1
@@ -589,7 +591,7 @@ def mid_run_cases():
         solid_u.append(state.wall_disp)
 
     record = run_simulation(model, CouplingConfig(), on_step=keep)
-    cases = [(states[0], record.snapshots[0], model.initial_flow_u(), model.initial_solid_u())]
+    cases = [(states[0], record.snapshots[0], flow_u0(params), np.zeros(params.n_nodes))]
     cases += [(states[i], record.snapshots[i], flow_u[i - 1], solid_u[i - 1]) for i in (3, 7, 11)]
     return params, cases
 

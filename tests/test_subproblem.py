@@ -202,8 +202,8 @@ def _diagonal_pair():
 def _flow_pair():
     # n = 2 cells: T = I is regular; T = 0 leaves the velocity constant unfixed
     ones = np.ones(3)
-    regular = FlowOperator(np.zeros(2), ones, np.zeros(2), ones, ones)
-    singular = FlowOperator(np.zeros(2), np.zeros(3), np.zeros(2), ones, ones)
+    regular = FlowOperator(np.zeros(2), ones, np.zeros(2), ones, ones, ones, ones)
+    singular = FlowOperator(np.zeros(2), np.zeros(3), np.zeros(2), ones, ones, ones, ones)
     return regular, singular
 
 
@@ -342,7 +342,7 @@ class TestReplayProperty:
             return b, lambda u: (residuals.append(residual(u)), residuals[-1])[1], solve
 
         flow.load = recording_load
-        _, history = drive(flow, SolverCallInput(model.initial_flow_u(), d, eps=1e-9))
+        _, history = drive(flow, SolverCallInput(np.zeros(flow.dim), d, eps=1e-9))
         assert len(history) >= 2
         assert [residual_norm(r, flow.dim) for r in residuals] == history
 
@@ -401,7 +401,7 @@ class TestIterationBounds:
 class TestCallSolver:
     def test_flow_call_matches_direct_solve(self):
         toy = LinearToyModel.stable()
-        d = toy.initial_displacement()
+        d = InterfaceField(np.zeros(toy.dim_s), FieldRole.DISPLACEMENT)
         flow = toy.flow_solver(0)
         out, rep, u = call_solver(SolverId.FLOW, flow,
                                   SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13))
@@ -412,8 +412,8 @@ class TestCallSolver:
         assert np.array_equal(u, out.values)
 
     def test_capped_call_returns_capped_iterate(self):
-        toy = LinearToyModel.stable(flow_driver=DriverKind.PICARD)
-        d = toy.initial_displacement()
+        toy = LinearToyModel.stable()
+        d = InterfaceField(np.zeros(toy.dim_s), FieldRole.DISPLACEMENT)
         flow = toy.flow_solver(0)
         out, rep, _ = call_solver(SolverId.FLOW, flow,
                                   SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13, n_max=1))
@@ -425,7 +425,7 @@ class TestCallSolver:
 
     def test_role_validation(self):
         toy = LinearToyModel.stable()
-        d = toy.initial_displacement()
+        d = InterfaceField(np.zeros(toy.dim_s), FieldRole.DISPLACEMENT)
         flow = toy.flow_solver(0)  # outputs traction
         with pytest.raises(ContractError):
             call_solver(SolverId.SOLID, flow,
