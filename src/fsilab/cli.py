@@ -149,7 +149,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FsiLabError as exc:
+    except (FsiLabError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ no quoting.
 from __future__ import annotations
 
 import importlib.resources
+import inspect
 from pathlib import Path
 
 from .errors import ContractError, TableParseError
@@ -49,25 +50,6 @@ def parse_config(path) -> dict:
     return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def _kwargs(cfg: dict, convert: dict, rename: dict | None = None) -> dict:
-    """Keyword arguments from the config keys that ``cfg`` sets.
-
-    ``convert`` maps a config key to its parser; ``rename`` maps a config key
-    to its keyword where the two differ. A key the config leaves out is left
-    out here too, so the receiver's own default applies. A value that does not
-    parse raises :class:`ContractError` naming the key.
-    """
-    out = {}
-    for key, parse in convert.items():
-        if key not in cfg:
-            continue
-        try:
-            out[(rename or {}).get(key, key)] = parse(cfg[key])
-        except (ValueError, ContractError) as exc:
-            raise ContractError(f"config key {key!r}: {exc}") from exc
-    return out
-
-
 def _bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1", "on"):
@@ -82,62 +64,73 @@ def _enum(kind):
     return lambda text: kind(text.lower())
 
 
-_COUPLING_KEYS = {
-    "n_max_f": parse_cap, "n_max_s": parse_cap, "eps_f": float, "eps_s": float,
-    "eps_fil": float, "reuse_q": int, "omega0": float, "accel": _enum(AccelKind),
-    "criterion": _enum(CriterionKind), "eps_c": float, "criterion_relative": _bool,
-    "max_coupling_iters": int, "batch_size_f": int,
-}
-_TUBE_KEYS = {
-    **dict.fromkeys(("length", "radius", "thickness", "rho_f", "rho_s", "youngs_modulus",
-                     "poisson", "dt", "inlet_pulse", "pulse_duration", "outlet_pressure",
-                     "kappa3"), float),
-    "cells": int, "steps": int,
-}
-_SCALAR_TOY_KEYS = dict.fromkeys(("alpha", "beta", "b0", "stiffness", "kappa"), float)
-_LINEAR_TOY_KEYS = {"dim_f": int, "dim_s": int, "coupling_strength": float}
-_COST_KEYS = {f"cost_{name}": name
-              for name in ("c_couple", "c_fix_f", "c_iter_f", "c_fix_s", "c_iter_s")}
+# a parameter's parser, by its annotation
+_PARSERS = {"float": float, "int": int, "bool": _bool, "Cap": parse_cap,
+            **{kind.__name__: _enum(kind) for kind in (AccelKind, CriterionKind, DriverKind)}}
+
+
+def _keys(target, prefix: str = "") -> dict:
+    """``{prefix + keyword: (keyword, parser)}`` for each keyword of ``target`` but ``params``."""
+    return {prefix + name: (name, _PARSERS[p.annotation])
+            for name, p in inspect.signature(target).parameters.items() if name != "params"}
+
+
+_COUPLING_KEYS = _keys(CouplingConfig)
+_COST_KEYS = _keys(CostFactors, prefix="cost_")
+_MODELS = {"tube1d": (Tube1DModel, Tube1DParams), "linear_toy": (LinearToyModel, None),
+           "scalar_toy": (ScalarToyModel, ScalarToyParams)}
+# model name -> (keys of the model, keys of its params class)
+_MODEL_KEYS = {name: (_keys(model), _keys(params) if params else {})
+               for name, (model, params) in _MODELS.items()}
 # what SweepSpec.from_config and run_sweep read
 _SWEEP_KEYS = ("grid_f", "grid_s", "workers", "timing", "noise_rel")
-_KNOWN_KEYS = frozenset({"model", "flow_scheme", *_COUPLING_KEYS, *_TUBE_KEYS,
-                         *_SCALAR_TOY_KEYS, *_LINEAR_TOY_KEYS, *_COST_KEYS, *_SWEEP_KEYS})
+# model name -> every key its config may set
+_ALLOWED_KEYS = {name: frozenset({"model", *model_keys, *params_keys, *_COUPLING_KEYS,
+                                  *_COST_KEYS, *_SWEEP_KEYS})
+                 for name, (model_keys, params_keys) in _MODEL_KEYS.items()}
 
 
-def _check_keys(cfg: dict) -> None:
-    """Reject a key no model, coupling setting or sweep reads, naming the nearest one."""
+def _kwargs(cfg: dict, keys: dict) -> dict:
+    """Keyword arguments from the keys of ``keys`` that ``cfg`` sets, so a key left out
+    takes the receiver's default. A value that does not parse raises ``ContractError``."""
+    out = {}
+    for key, (name, parse) in keys.items():
+        if key not in cfg:
+            continue
+        try:
+            out[name] = parse(cfg[key])
+        except (ValueError, ContractError) as exc:
+            raise ContractError(f"config key {key!r}: {exc}") from exc
+    return out
+
+
+def _check_keys(cfg: dict) -> str:
+    """The config's model name, after rejecting a key that neither that model nor a
+    coupling, cost or sweep setting reads, with the nearest key it could mean."""
+    name = cfg.get("model", "tube1d").lower()
+    if name not in _MODELS:
+        raise ContractError(f"unknown model {name!r} (expected {', '.join(_MODELS)})")
+    allowed = _ALLOWED_KEYS[name]
     for key in cfg:
-        if key not in _KNOWN_KEYS:
+        if key not in allowed:
             import difflib  # here, not at the top: the import costs every run ~0.15 MB
 
-            near = difflib.get_close_matches(key, _KNOWN_KEYS, n=1)
+            near = difflib.get_close_matches(key, allowed, n=1)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ContractError(f"unknown config key {key!r}{hint}")
-
-
-def _toy_steps(cfg: dict) -> dict:
-    return _kwargs(cfg, {"steps": int}, rename={"steps": "n_steps"})
+    return name
 
 
 def build_coupling_config(cfg: dict) -> CouplingConfig:
     _check_keys(cfg)
-    return CouplingConfig(**_kwargs(
-        cfg, _COUPLING_KEYS, rename={"max_coupling_iters": "max_coupling_iters_per_step"}))
+    return CouplingConfig(**_kwargs(cfg, _COUPLING_KEYS))
 
 
 def build_model(cfg: dict):
-    _check_keys(cfg)
-    kind = cfg.get("model", "tube1d").lower()
-    if kind == "tube1d":
-        params = Tube1DParams(**_kwargs(cfg, _TUBE_KEYS))
-        return Tube1DModel(params, **_kwargs(cfg, {"flow_scheme": _enum(DriverKind)},
-                                             rename={"flow_scheme": "flow_driver"}))
-    if kind == "linear_toy":
-        return LinearToyModel(**_kwargs(cfg, _LINEAR_TOY_KEYS), **_toy_steps(cfg))
-    if kind == "scalar_toy":
-        params = ScalarToyParams(**_kwargs(cfg, _SCALAR_TOY_KEYS))
-        return ScalarToyModel(params, **_toy_steps(cfg))
-    raise ContractError(f"unknown model {kind!r} (expected tube1d, linear_toy, scalar_toy)")
+    name = _check_keys(cfg)
+    (model, params), (model_keys, params_keys) = _MODELS[name], _MODEL_KEYS[name]
+    kwargs = {"params": params(**_kwargs(cfg, params_keys))} if params else {}
+    return model(**kwargs, **_kwargs(cfg, model_keys))
 
 
 def grids_from_config(cfg: dict) -> tuple:
@@ -147,7 +140,7 @@ def grids_from_config(cfg: dict) -> tuple:
 
 
 def factors_from_config(cfg: dict) -> CostFactors | None:
-    factors = _kwargs(cfg, dict.fromkeys(_COST_KEYS, float), rename=_COST_KEYS)
+    factors = _kwargs(cfg, _COST_KEYS)
     return CostFactors(**factors) if factors else None
 
 
@@ -226,13 +219,7 @@ def load_factors_csv(path, case: str | None = None) -> tuple:
         )
     lineno, fields = data[0]
     try:
-        factors = CostFactors(
-            c_couple=float(fields[cols["c_couple"]]),
-            c_fix_f=float(fields[cols["c_fix_f"]]),
-            c_iter_f=float(fields[cols["c_iter_f"]]),
-            c_fix_s=float(fields[cols["c_fix_s"]]),
-            c_iter_s=float(fields[cols["c_iter_s"]]),
-        )
+        factors = CostFactors(**{col: float(fields[cols[col]]) for col in required})
         gamma = float(fields[cols["gamma"]]) if "gamma" in cols else None
     except (ValueError, IndexError) as exc:
         raise TableParseError(f"{path}:{lineno}: {exc}", line=lineno) from exc

@@ -386,7 +386,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     flow, solid = model.flow_solver(state), model.solid_solver(state)
     if u_f is None:
         u_f, u_s = np.zeros(flow.dim), np.zeros(solid.dim)
-    for k in range(1, config.max_coupling_iters_per_step + 1):
+    for k in range(1, config.max_coupling_iters + 1):
         rec.coupling_iters = k
         traction, rep_f, u_f = _call(SolverId.FLOW, flow, SolverCallInput(
             u_f, d_k, eps=config.eps_f, n_max=config.n_max_f, batch_size=config.batch_size_f))
@@ -448,7 +448,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         d_k = InterfaceField._adopt(d_next, FieldRole.DISPLACEMENT, finite=True)
 
     raise _abort(
-        f"no convergence within max_coupling_iters_per_step={config.max_coupling_iters_per_step}"
+        f"no convergence within max_coupling_iters={config.max_coupling_iters}"
     )
 
 

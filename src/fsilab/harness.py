@@ -82,6 +82,7 @@ class SweepSpec:
             raise SweepSpecError("the (inf, inf) reference cell must be part of the grid")
         if self.workers < 1:
             raise SweepSpecError("workers must be >= 1")
+        _check_seed(self.seed)
 
     @classmethod
     def from_config(cls, cfg: dict, out_dir=None, workers=None, seed=None) -> "SweepSpec":
@@ -162,6 +163,12 @@ def _check_noise_rel(noise_rel: float) -> None:
         raise SweepSpecError(f"noise_rel must be a finite number in [0, 1), got {noise_rel!r}")
 
 
+def _check_seed(seed: int | None) -> None:
+    # numpy's generators take only non-negative seeds
+    if seed is not None and seed < 0:
+        raise SweepSpecError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float, seed) -> None:
     """Replace the rows' timings by the cost-model evaluation, times seeded noise.
 
@@ -182,19 +189,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     build_model(spec.config)
     build_coupling_config(spec.config)
     factors = factors_from_config(spec.config)
+    try:
+        noise = float(spec.config.get("noise_rel", "0"))
+    except ValueError as exc:
+        raise SweepSpecError(f"noise_rel: {exc}") from exc
+    _check_noise_rel(noise)
     if timing_mode == "measured":
         if spec.workers > 1:
             # parallel cells contend for the cores and bias the timings the
             # self-fit prices them by
             raise SweepSpecError("timing = measured requires workers = 1")
+        if noise > 0:
+            raise SweepSpecError("noise_rel applies only to timing = modeled")
     elif timing_mode == "modeled":
         if factors is None:
             raise SweepSpecError("timing = modeled requires cost_* factor keys")
-        try:
-            noise = float(spec.config.get("noise_rel", "0"))
-        except ValueError as exc:
-            raise SweepSpecError(f"noise_rel: {exc}") from exc
-        _check_noise_rel(noise)
         if noise > 0 and spec.seed is None:
             raise SweepSpecError("noisy modeled timings require a seed")
     else:
@@ -483,6 +492,7 @@ def synthesize_sweep_csv(path, factors: CostFactors, counters: list,
     regression pipeline against known ground truth.
     """
     _check_noise_rel(noise_rel)
+    _check_seed(seed)
     rows = [SweepRow(nmax_f=cap_f, nmax_s=cap_s, converged=True, n_c=n_c, n_f=n_f, n_s=n_s)
             for cap_f, cap_s, n_c, n_f, n_s in counters]
     _modeled_timings(rows, factors, noise_rel, seed)

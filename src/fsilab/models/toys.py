@@ -82,18 +82,18 @@ class LinearToyModel:
         dim_f: int = 4,
         dim_s: int = 4,
         coupling_strength: float = 0.5,
-        n_steps: int = 1,
+        steps: int = 1,
     ):
         if dim_f < 1 or dim_s < 1:
             raise ContractError("dimensions must be >= 1")
         require_finite("linear toy parameter", {"coupling_strength": coupling_strength})
         if coupling_strength < 0:
             raise ContractError("coupling_strength must be >= 0")
-        require_count(n_steps, "steps", 1)
+        require_count(steps, "steps", 1)
         self.dim_f = dim_f
         self.dim_s = dim_s
         self.n_interface = dim_s
-        self.n_steps = n_steps
+        self.n_steps = steps
 
         # Diagonally dominant SPD blocks keep both subproblems well conditioned.
         self.A_f = _tridiag(dim_f, -1.0, 3.0)
@@ -180,11 +180,11 @@ class ScalarToyParams:
 class ScalarToyModel:
     """Scalar nonlinear coupled problem with a closed-form fixed point."""
 
-    def __init__(self, params: ScalarToyParams | None = None, n_steps: int = 1):
-        require_count(n_steps, "steps", 1)
+    def __init__(self, params: ScalarToyParams | None = None, steps: int = 1):
+        require_count(steps, "steps", 1)
         self.params = params or ScalarToyParams()
         self.n_interface = 1
-        self.n_steps = n_steps
+        self.n_steps = steps
 
     def exact_interface_solution(self) -> float:
         """Real root of ``kappa d^3 + (k - beta/alpha) d - b0/alpha = 0`` (Cardano)."""

@@ -375,10 +375,10 @@ class Tube1DModel:
     def __init__(
         self,
         params: Tube1DParams | None = None,
-        flow_driver: DriverKind = DriverKind.NEWTON,
+        flow_scheme: DriverKind = DriverKind.NEWTON,
     ):
         self.params = params or Tube1DParams()
-        self.flow_driver = flow_driver
+        self.flow_scheme = flow_scheme
         self.n_interface = self.params.n_nodes
         self.n_steps = self.params.steps
 
@@ -386,7 +386,7 @@ class Tube1DModel:
         return initial_tube_state(self.params)
 
     def flow_solver(self, state: TubeState) -> TubeFlowSolver:
-        return TubeFlowSolver(self.params, state, self.flow_driver)
+        return TubeFlowSolver(self.params, state, self.flow_scheme)
 
     def solid_solver(self, state: TubeState) -> TubeSolidSolver:
         return TubeSolidSolver(self.params, state)

@@ -169,7 +169,9 @@ def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value
 @pytest.mark.parametrize("text, key", [
     ("model = linear_toy\ncoupling_strength = nan\n", "coupling_strength"),
     ("model = scalar_toy\nstiffness = nan\n", "stiffness"),
-], ids=["linear_toy", "scalar_toy"])
+    ("model = linear_toy\ncells = 7\nkappa3 = nan\n", "cells"),
+    ("model = scalar_toy\ndim_f = 3\n", "dim_f"),
+], ids=["linear_toy", "scalar_toy", "tube-key-on-linear-toy", "linear-toy-key-on-scalar-toy"])
 def test_bad_toy_config_is_an_error_line(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -177,6 +179,39 @@ def test_bad_toy_config_is_an_error_line(tmp_path, capsys, text, key):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and repr(key) in captured.err
     assert "converged" not in captured.out and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--config"), ("sweep", "--config"), ("replay", "--table"),
+    ("replay", "--factors"), ("fit", "--results"), ("contour", "--results"),
+])
+def test_missing_input_file_is_an_error_line(tmp_path, capsys, command, flag):
+    # every input but the one under test exists
+    args = {
+        "run": ["--config", str(data_path("tube1d.cfg"))],
+        "sweep": ["--config", str(data_path("tube1d.cfg")), "--out", str(tmp_path / "out")],
+        "replay": ["--table", str(published_table_path("fe_fe_tube")),
+                   "--factors", str(regression_summary_path()), "--case", "fe_fe_tube"],
+        "fit": ["--results", ""],
+        "contour": ["--results", "", "--quantity", "N_c", "--out", str(tmp_path / "out")],
+    }[command]
+    args[args.index(flag) + 1] = str(tmp_path / "nope.csv")
+    assert main([command, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "nope.csv" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_is_an_error_line(tmp_path, capsys):
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(SWEEP_CFG + "timing = modeled\ncost_c_couple = 0.01\nnoise_rel = 0.01\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_shipped_config_runs_reduced(tmp_path):

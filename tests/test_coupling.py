@@ -826,7 +826,7 @@ class TestEngineAccelerationModes:
     def test_constant_increment_is_omega0_times_residual(self):
         config = CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5,
                                 accel=AccelKind.CONSTANT)
-        record = run_simulation(LinearToyModel.stable(n_steps=3), config, increments=True)
+        record = run_simulation(LinearToyModel.stable(steps=3), config, increments=True)
         for rec in record.step_records:
             r_norm, _, inc = rec.accepted_norms
             assert inc == config.omega0 * r_norm
@@ -847,7 +847,7 @@ class TestEngineAccelerationModes:
         # relaxation never reads the secant history, so the loop never fills it
         columns = []
         record = run_simulation(
-            LinearToyModel.stable(n_steps=4),
+            LinearToyModel.stable(steps=4),
             CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5, accel=accel),
             on_step=lambda step, hist, state: columns.append(hist.n_columns))
         assert record.converged and record.step_records[0].coupling_iters > 2
@@ -860,7 +860,7 @@ class TestEngineAccelerationModes:
         # a constant residual zeroes the secant denominator from k = 2 on
         with pytest.raises(DivergedStepError) as err:
             run_simulation(_ShiftModel(), CouplingConfig(accel=AccelKind.AITKEN,
-                                                         max_coupling_iters_per_step=3))
+                                                         max_coupling_iters=3))
         events = err.value.partial.events
         assert Event(1, 2, "aitken_stagnation") in events
         assert all(isinstance(e, Event) for e in events)
@@ -926,7 +926,7 @@ class TestEngineAccelerationModes:
         # every IQN update falls back to relaxation with omega0 = 1, which
         # diverges on the unstable preset and flags an event per iteration
         monkeypatch.setattr(coupling_mod, "iqn_ils_update", no_columns)
-        toy = LinearToyModel.unstable(n_steps=3)
+        toy = LinearToyModel.unstable(steps=3)
         with pytest.raises(DivergedStepError) as err:
             run_simulation(toy, CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=1.0,
                                                accel=AccelKind.IQN_ILS))
@@ -995,7 +995,7 @@ class TestProbeSeam:
 
     @pytest.mark.parametrize("model, config", [
         (lambda: Tube1DModel(Tube1DParams(cells=30, steps=4)), CouplingConfig()),
-        (lambda: LinearToyModel.stable(n_steps=3),
+        (lambda: LinearToyModel.stable(steps=3),
          CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5)),
     ], ids=["tube", "linear_toy"])
     def test_every_call_goes_through_the_module_global(self, monkeypatch, model, config):
@@ -1122,7 +1122,7 @@ _RUNS = {
     "tube-converged": lambda: run_simulation(Tube1DModel(Tube1DParams(cells=30, steps=6)),
                                              CouplingConfig()),
     "aitken-stagnation": lambda: run_simulation(
-        _ShiftModel(), CouplingConfig(accel=AccelKind.AITKEN, max_coupling_iters_per_step=3)),
+        _ShiftModel(), CouplingConfig(accel=AccelKind.AITKEN, max_coupling_iters=3)),
     "constant-unstable": lambda: run_simulation(
         LinearToyModel.unstable(), CouplingConfig(**dict(_TOY, omega0=1.0),
                                                   accel=AccelKind.CONSTANT)),
@@ -1131,7 +1131,7 @@ _RUNS = {
     "failed-solid-call": lambda: run_simulation(
         _FailingSolver(LinearToyModel.stable(), "solid"), CouplingConfig(**_TOY)),
     "collapse-at-step-3": lambda: run_simulation(
-        _CollapsingFlow(LinearToyModel.stable(n_steps=4), at=3), CouplingConfig(**_TOY)),
+        _CollapsingFlow(LinearToyModel.stable(steps=4), at=3), CouplingConfig(**_TOY)),
 }
 
 

@@ -58,7 +58,7 @@ class TestConfigParsing:
         assert cfg.accel is AccelKind.AITKEN
         assert cfg.criterion is CriterionKind.FIXED_POINT_NORM
         assert cfg.eps_c == 1e-7 and cfg.criterion_relative
-        assert cfg.max_coupling_iters_per_step == 50 and cfg.batch_size_f == 5
+        assert cfg.max_coupling_iters == 50 and cfg.batch_size_f == 5
 
     def test_model_keys_mapped(self):
         from fsilab.configio import build_model
@@ -71,7 +71,7 @@ class TestConfigParsing:
         assert isinstance(tube, Tube1DModel)
         assert tube.params.cells == 40 and tube.params.steps == 7
         assert tube.params.kappa3 == 1e12
-        assert tube.flow_driver is DriverKind.PICARD
+        assert tube.flow_scheme is DriverKind.PICARD
 
         toy = build_model(parse_config_text(
             "model = linear_toy\ndim_f = 3\ndim_s = 5\ncoupling_strength = 0.2\n"))
@@ -92,7 +92,7 @@ class TestConfigParsing:
 
         assert build_coupling_config({}) == CouplingConfig()
         tube, ref = build_model({}), Tube1DModel()
-        assert tube.params == Tube1DParams() and tube.flow_driver is ref.flow_driver
+        assert tube.params == Tube1DParams() and tube.flow_scheme is ref.flow_scheme
         toy, ref = build_model({"model": "linear_toy"}), LinearToyModel()
         assert (toy.dim_f, toy.dim_s, toy.n_steps) == (ref.dim_f, ref.dim_s, ref.n_steps)
         assert toy.gs_spectral_radius == ref.gs_spectral_radius
@@ -119,6 +119,47 @@ class TestConfigParsing:
         with pytest.raises(ContractError, match=r"^unknown config key 'zzz'$"):
             getattr(configio, build)({"zzz": "1"})
 
+    def test_key_tables_are_the_keywords_of_the_objects_they_feed(self):
+        # a new constructor argument must not become a config key unnoticed
+        import fsilab.configio as configio
+
+        assert set(configio._COUPLING_KEYS) == {
+            "n_max_f", "n_max_s", "eps_f", "eps_s", "eps_fil", "reuse_q", "omega0", "accel",
+            "criterion", "eps_c", "criterion_relative", "max_coupling_iters", "batch_size_f"}
+        assert set(configio._COST_KEYS) == {
+            "cost_c_couple", "cost_c_fix_f", "cost_c_iter_f", "cost_c_fix_s", "cost_c_iter_s"}
+        model_keys = {name: set(model) | set(params)
+                      for name, (model, params) in configio._MODEL_KEYS.items()}
+        assert model_keys == {
+            "tube1d": {"flow_scheme", "length", "radius", "thickness", "rho_f", "rho_s",
+                       "youngs_modulus", "poisson", "cells", "dt", "steps", "inlet_pulse",
+                       "pulse_duration", "outlet_pressure", "kappa3"},
+            "linear_toy": {"dim_f", "dim_s", "coupling_strength", "steps"},
+            "scalar_toy": {"alpha", "beta", "b0", "stiffness", "kappa", "steps"},
+        }
+        # the shipped tube config documents every tube key
+        assert model_keys["tube1d"] <= set(parse_config(data_path("tube1d.cfg")))
+
+    @pytest.mark.parametrize("build", ["build_model", "build_coupling_config"])
+    @pytest.mark.parametrize("cfg, key", [
+        ({"model": "linear_toy", "cells": "7", "kappa3": "nan"}, "cells"),
+        ({"model": "scalar_toy", "dim_f": "3"}, "dim_f"),
+        ({"model": "tube1d", "kappa": "0.5"}, "kappa"),
+    ], ids=["tube-key-on-linear-toy", "linear-toy-key-on-scalar-toy", "scalar-key-on-tube"])
+    def test_key_of_another_model_rejected(self, build, cfg, key):
+        import fsilab.configio as configio
+
+        with pytest.raises(ContractError, match=f"^unknown config key '{key}'"):
+            getattr(configio, build)(cfg)
+
+    def test_hint_draws_only_from_the_configs_own_model(self):
+        # the removed tube key mu_f used to be pointed at the linear toy's dim_f
+        from fsilab.configio import build_model
+
+        with pytest.raises(ContractError) as err:
+            build_model({"mu_f": "0.003"})
+        assert str(err.value) == "unknown config key 'mu_f'"
+
     def test_malformed_line(self):
         with pytest.raises(TableParseError) as err:
             parse_config_text("just words\n", source="f")
@@ -142,6 +183,11 @@ class TestSweepSpecValidation:
     def test_empty_grid(self):
         with pytest.raises(SweepSpecError):
             SweepSpec(config={}, grid_f=[], grid_s=[math.inf])
+
+    def test_negative_seed(self):
+        # numpy would reject it only after the whole grid had run
+        with pytest.raises(SweepSpecError, match="seed must be a non-negative integer"):
+            SweepSpec(config={}, grid_f=[math.inf], grid_s=[math.inf], seed=-1)
 
 
 class TestRunSweep:
@@ -200,12 +246,15 @@ class TestRunSweep:
         ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "abc"}, 1,
          "noise_rel: could not convert"),
         ({"timing": "measured"}, 2, "requires workers = 1"),
+        ({"noise_rel": "nan"}, 1, "noise_rel must be a finite number in"),
+        ({"timing": "measured", "noise_rel": "0.01"}, 1,
+         "noise_rel applies only to timing = modeled"),
     ] + [({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": value}, 1,
           "noise_rel must be a finite number in")
          for value in ("nan", "-0.5", "inf", "1", "2")],
         ids=["unknown-mode", "modeled-without-factors", "noise-without-seed",
-             "malformed-noise", "measured-parallel", "nan-noise", "negative-noise",
-             "infinite-noise", "unit-noise", "noise-above-one"])
+             "malformed-noise", "measured-parallel", "measured-nan-noise", "measured-noise",
+             "nan-noise", "negative-noise", "infinite-noise", "unit-noise", "noise-above-one"])
     def test_spec_errors_raise_before_any_cell_runs(self, tmp_path, monkeypatch,
                                                     extra, workers, match):
         import fsilab.harness as harness_mod
@@ -449,6 +498,13 @@ class TestFitFromRuns:
         with pytest.raises(SweepSpecError, match="noise_rel"):
             synthesize_sweep_csv(tmp_path / "s.csv", self.TRUE, counters,
                                  noise_rel=noise_rel, seed=1)
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_negative_seed_rejected(self, tmp_path):
+        counters = load_published_counters("fv_fe_tube")
+        with pytest.raises(SweepSpecError, match="seed must be a non-negative integer"):
+            synthesize_sweep_csv(tmp_path / "s.csv", self.TRUE, counters,
+                                 noise_rel=0.01, seed=-1)
         assert not (tmp_path / "s.csv").exists()
 
     def test_two_rows_rank_deficient(self, tmp_path):

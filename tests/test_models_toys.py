@@ -49,7 +49,7 @@ class TestLinearToyConstruction:
 
 class TestLinearToyCoupling:
     def test_decoupled_solution_is_independent_solves(self):
-        toy = LinearToyModel.decoupled(n_steps=2)
+        toy = LinearToyModel.decoupled(steps=2)
         cfg = CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=1.0, accel=AccelKind.CONSTANT)
         rec = run_simulation(toy, cfg)
         expect = np.linalg.solve(toy.A_s, toy.b_s0 + toy.B_s @ np.linalg.solve(toy.A_f, toy.b_f0))
@@ -140,7 +140,7 @@ class TestScalarToy:
 def test_toy_step_count_is_a_positive_integer(build, steps):
     # zero steps used to print a "converged" run of no steps
     with pytest.raises(ContractError, match="steps must be an integer >= 1"):
-        build(n_steps=steps)
+        build(steps=steps)
 
 
 class TestLinearToyIqnCount:

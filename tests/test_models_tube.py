@@ -643,7 +643,7 @@ class TestCoupledInvariants:
         assert c.solid_total >= c.coupling_total
 
     def test_picard_flow_lane_runs(self, params):
-        model = Tube1DModel(params, flow_driver=DriverKind.PICARD)
+        model = Tube1DModel(params, flow_scheme=DriverKind.PICARD)
         record = run_simulation(model, CouplingConfig())
         assert record.converged
         assert len(record.snapshots) == params.steps
@@ -651,7 +651,7 @@ class TestCoupledInvariants:
     def test_flow_batching_multiples(self, params):
         from dataclasses import replace
 
-        model = Tube1DModel(params, flow_driver=DriverKind.PICARD)
+        model = Tube1DModel(params, flow_scheme=DriverKind.PICARD)
         record = run_simulation(model, replace(CouplingConfig(), batch_size_f=4))
         assert record.counters.flow_total % 4 == 0
         assert record.counters.flow_total >= 4 * record.counters.coupling_total

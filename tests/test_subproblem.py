@@ -331,7 +331,7 @@ class TestReplayProperty:
     def test_tube_flow_norms_are_bitwise_residual_norm(self, driver):
         # drive records ||r||/sqrt(n) without residual_norm's checks; the
         # numbers must still be residual_norm's, bit for bit
-        model = Tube1DModel(Tube1DParams(cells=30, steps=1), flow_driver=driver)
+        model = Tube1DModel(Tube1DParams(cells=30, steps=1), flow_scheme=driver)
         flow = model.flow_solver(model.initial_state())
         d = InterfaceField(np.linspace(0.0, 2e-5, model.n_interface), FieldRole.DISPLACEMENT)
         residuals = []
