@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, type=Path)
     p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--seed", type=int, default=None,
-                         help="seed for modeled-timing noise (noise tests only)")
+                         help="seed for modeled-timing noise (timing = modeled, noise_rel > 0)")
 
     p_replay = sub.add_parser("replay", help="verify a published table against cost factors")
     p_replay.add_argument("--table", required=True, type=Path)

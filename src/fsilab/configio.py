@@ -197,8 +197,7 @@ def load_factors_csv(path, case: str | None = None) -> tuple:
     """Read cost factors from a CSV with the regression-summary schema.
 
     Returns ``(CostFactors, published_gamma_or_None)``. A ``case`` column is
-    optional; when present and the file holds several rows, ``case`` selects
-    one.
+    optional, but ``case`` selects a row only from a file that has one.
     """
     rows = read_csv_rows(path)
     header_line, header = rows[0]
@@ -209,7 +208,9 @@ def load_factors_csv(path, case: str | None = None) -> tuple:
             raise TableParseError(f"{path}:{header_line}: missing column {col!r}",
                                   line=header_line)
     data = rows[1:]
-    if "case" in cols and case is not None:
+    if case is not None:
+        if "case" not in cols:
+            raise TableParseError(f"{path}: no 'case' column to select case={case!r} from")
         data = [r for r in data if r[1][cols["case"]].strip() == case]
         if not data:
             raise TableParseError(f"{path}: no row with case={case!r}")

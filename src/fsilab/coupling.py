@@ -58,7 +58,7 @@ _STALL_FACTOR = 0.5
 # secant columns kept at most (calibrated on the tube testbed: larger piles
 # of capped-call pairs stall the update, smaller piles slow convergence)
 _MAX_SECANT_COLUMNS = 24
-_UPPER = np.triu(np.ones((_MAX_SECANT_COLUMNS,) * 2, dtype=bool))  # R's mask, up to this order
+_UPPER = np.triu(np.ones((_MAX_SECANT_COLUMNS,) * 2, dtype=bool))  # R's mask, any history
 
 
 class IqnHistory:
@@ -67,22 +67,22 @@ class IqnHistory:
     Column i of ``V`` is a fixed-point-residual difference, column i of ``W``
     the matching solid-output difference; columns are ordered newest first and
     tagged with the time step that produced them. At the start of time step t,
-    columns older than ``t - q`` are evicted, and at most ``max_columns`` are
-    kept.
+    columns older than ``t - q`` are evicted. At most ``m = min(n,
+    _MAX_SECANT_COLUMNS)`` columns of length ``n`` are kept: the added-mass
+    error lives in a few dominant interface modes, and old columns sampled
+    under capped inner iterations degrade the update long before ``n`` is
+    reached.
 
-    ``V`` and ``W`` are windows of two ``(n, 2 * max_columns)`` buffers,
-    allocated at the first append (or on a new column length). An append
-    writes its column left of the window and drops the oldest from a full one;
-    at the left edge the window first moves to the right half, in one copy.
+    ``V`` and ``W`` are windows of two ``(n, 2 * m)`` buffers, allocated at
+    the first append (or on a new column length). An append writes its column
+    left of the window and drops the oldest from a full one; at the left edge
+    the window first moves to the right half, in one copy.
     """
 
-    def __init__(self, q: int, max_columns: int = _MAX_SECANT_COLUMNS):
+    def __init__(self, q: int):
         if q < 0:
             raise ContractError("reuse depth q must be >= 0")
-        if not isinstance(max_columns, (int, np.integer)) or max_columns < 1:
-            raise ContractError(f"max_columns must be an integer >= 1, got {max_columns!r}")
         self.q = q
-        self.max_columns = int(max_columns)
         self._ages: list = []  # age of each stored column, newest first
         self._v = self._w = np.empty((0, 0))
         self._start = 0  # buffer column of the newest stored column
@@ -96,7 +96,7 @@ class IqnHistory:
             raise ContractError("column length mismatch with stored history")
         if not dr.any():
             return  # a stagnant pair carries no secant information
-        m = self.max_columns
+        m = min(dr.size, _MAX_SECANT_COLUMNS)
         if self._v.shape != (dr.size, 2 * m):
             self._v, self._w = np.empty((dr.size, 2 * m)), np.empty((dr.size, 2 * m))
             self._start = 2 * m
@@ -170,9 +170,7 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
             continue
         if rhs is None:
             return cand[:n_keep], None
-        upper = (_UPPER[:n_keep, :n_keep] if n_keep <= _MAX_SECANT_COLUMNS
-                 else np.triu(np.ones((n_keep, n_keep), dtype=bool)))
-        r_tri = np.where(upper, h[:n_keep, :n_keep].T, 0.0)  # np.triu, its mask built once
+        r_tri = np.where(_UPPER[:n_keep, :n_keep], h[:n_keep, :n_keep].T, 0.0)  # np.triu
         try:
             alpha = np.linalg.solve(r_tri, h[-1, :n_keep])
         except np.linalg.LinAlgError as exc:
@@ -473,11 +471,7 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     state = model.initial_state()
     d_acc = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
     u_f = u_s = None
-    # bound the secant history: the added-mass error lives in a few dominant
-    # interface modes, and old columns sampled under capped inner iterations
-    # degrade the update long before the interface dimension is reached
-    hist = IqnHistory(q=config.reuse_q,
-                      max_columns=min(model.n_interface, _MAX_SECANT_COLUMNS))
+    hist = IqnHistory(q=config.reuse_q)
 
     steps: list = []
     snapshots: list = []

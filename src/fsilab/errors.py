@@ -31,11 +31,7 @@ class InnerIterationError(FsiLabError):
 
 
 class LinearSolveError(InnerIterationError):
-    """Singular tangent matrix inside a Newton iteration."""
-
-
-class PreconditionerError(InnerIterationError):
-    """Singular fixed-point preconditioner matrix."""
+    """Singular matrix in an inner iteration's correction solve."""
 
 
 class DivergenceError(InnerIterationError):

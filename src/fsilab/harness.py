@@ -59,6 +59,9 @@ SWEEP_COLUMNS = ("nmax_f", "nmax_s", "converged", "N_c", "N_f", "N_s",
 
 CONTOUR_QUANTITIES = ("N_c", "N_f", "N_s", "teq_norm")
 
+# a replayed cell passes when it is within this of the published two-decimal value
+_REPLAY_TOLERANCE = 0.01
+
 
 @dataclass
 class SweepSpec:
@@ -163,10 +166,15 @@ def _check_noise_rel(noise_rel: float) -> None:
         raise SweepSpecError(f"noise_rel must be a finite number in [0, 1), got {noise_rel!r}")
 
 
-def _check_seed(seed: int | None) -> None:
-    # numpy's generators take only non-negative seeds
-    if seed is not None and seed < 0:
+def _check_seed(seed: int | None, noisy: bool = True) -> None:
+    # numpy's generators take only non-negative seeds, and only noise draws from one
+    if seed is None:
+        return
+    if seed < 0:
         raise SweepSpecError(f"seed must be a non-negative integer, got {seed!r}")
+    if not noisy:
+        raise SweepSpecError(f"seed {seed} applies only to noisy modeled timings "
+                             "(timing = modeled, noise_rel > 0)")
 
 
 def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float, seed) -> None:
@@ -208,6 +216,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             raise SweepSpecError("noisy modeled timings require a seed")
     else:
         raise SweepSpecError(f"unknown timing mode {timing_mode!r}")
+    _check_seed(spec.seed, noisy=timing_mode == "modeled" and noise > 0)
     cells = [(f, s) for f in spec.grid_f for s in spec.grid_s]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -287,11 +296,18 @@ def read_sweep_csv(path) -> list:
         if len(fields) != len(SWEEP_COLUMNS):
             raise TableParseError(f"{path}:{lineno}: expected {len(SWEEP_COLUMNS)} fields",
                                   line=lineno)
+        converged = fields[2].strip().lower()
+        if converged not in ("true", "false"):
+            raise TableParseError(f"{path}:{lineno}: converged must be true or false, "
+                                  f"got {fields[2]!r}", line=lineno)
+        if len({not f for f in fields[6:9]}) > 1:
+            raise TableParseError(f"{path}:{lineno}: T_f, T_s and T_c must be all set "
+                                  "or all blank", line=lineno)
         try:
             out.append(SweepRow(
                 nmax_f=parse_cap(fields[0]),
                 nmax_s=parse_cap(fields[1]),
-                converged=fields[2].strip().lower() == "true",
+                converged=converged == "true",
                 n_c=int(fields[3]), n_f=int(fields[4]), n_s=int(fields[5]),
                 t_f=float(fields[6]) if fields[6] else None,
                 t_s=float(fields[7]) if fields[7] else None,
@@ -359,7 +375,6 @@ class ReplayRow:
 @dataclass
 class ReplayReport:
     rows: list
-    tolerance: float = 0.01
 
     @property
     def max_abs_err(self) -> float:
@@ -369,7 +384,7 @@ class ReplayReport:
     @property
     def failures(self) -> list:
         """Rows whose error is not within tolerance; a nan error fails."""
-        return [r for r in self.rows if not r.abs_err <= self.tolerance]
+        return [r for r in self.rows if not r.abs_err <= _REPLAY_TOLERANCE]
 
     @property
     def passed(self) -> bool:
@@ -383,7 +398,8 @@ class ReplayReport:
                 f"{r.published:>10.2f} {r.recomputed:>11.4f} {r.abs_err:>9.4f}"
             )
         verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"max abs error {self.max_abs_err:.4f} (tolerance {self.tolerance}) -> {verdict}")
+        lines.append(f"max abs error {self.max_abs_err:.4f} "
+                     f"(tolerance {_REPLAY_TOLERANCE}) -> {verdict}")
         for r in self.failures:
             lines.append(
                 f"  offending cell ({as_caps_str(r.nmax_f)}, {as_caps_str(r.nmax_s)}): "
@@ -392,12 +408,12 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def replay_published(table_path, factors: CostFactors, tolerance: float = 0.01) -> ReplayReport:
+def replay_published(table_path, factors: CostFactors) -> ReplayReport:
     """Recompute normalized equivalent times for a published table and compare.
 
     Each non-missing row's counters are priced with ``factors``, normalized by
     the (inf, inf) row, and compared to the published two-decimal cell. PASS
-    iff every absolute error is within ``tolerance``.
+    iff every absolute error is within 0.01.
     """
     entries = _read_published_table(table_path)
     ref = [e for e in entries if is_unbounded(e[0]) and is_unbounded(e[1])]
@@ -412,7 +428,7 @@ def replay_published(table_path, factors: CostFactors, tolerance: float = 0.01) 
                   recomputed=equivalent_time(counters, factors) / ref_teq)
         for f, s, pub, counters in entries
     ]
-    return ReplayReport(rows=rows, tolerance=tolerance)
+    return ReplayReport(rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +489,11 @@ def fit_from_runs(results_path) -> tuple:
     return factors, report
 
 
-def write_factors_csv(path, factors: CostFactors, report: FitReport | None = None) -> None:
-    header = "case,c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple,gamma"
+def write_factors_csv(path, factors: CostFactors, report: FitReport) -> None:
+    header = "case,c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple,gamma,mape_pct,maxape_pct"
     row = (f"fitted,{fmt(factors.c_fix_f)},{fmt(factors.c_iter_f)},{fmt(factors.c_fix_s)},"
-           f"{fmt(factors.c_iter_s)},{fmt(factors.c_couple)},{fmt(factors.gamma())}")
-    if report is not None:
-        header += ",mape_pct,maxape_pct"
-        row += f",{fmt(100 * report.mape)},{fmt(100 * report.maxape)}"
+           f"{fmt(factors.c_iter_s)},{fmt(factors.c_couple)},{fmt(factors.gamma())},"
+           f"{fmt(100 * report.mape)},{fmt(100 * report.maxape)}")
     Path(path).write_text(header + "\n" + row + "\n", encoding="utf-8")
 
 
@@ -489,10 +503,10 @@ def synthesize_sweep_csv(path, factors: CostFactors, counters: list,
 
     ``counters`` holds (cap_f, cap_s, N_c, N_f, N_s) tuples, e.g. from
     :func:`fsilab.configio.load_published_counters`. Used to validate the
-    regression pipeline against known ground truth.
+    regression pipeline against known ground truth. A seed requires noise.
     """
     _check_noise_rel(noise_rel)
-    _check_seed(seed)
+    _check_seed(seed, noisy=noise_rel > 0)
     rows = [SweepRow(nmax_f=cap_f, nmax_s=cap_s, converged=True, n_c=n_c, n_f=n_f, n_s=n_s)
             for cap_f, cap_s, n_c, n_f, n_s in counters]
     _modeled_timings(rows, factors, noise_rel, seed)

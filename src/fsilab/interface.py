@@ -92,19 +92,17 @@ class InterfaceField:
         return self.values.size
 
 
-def residual_norm(r, n: int) -> float:
-    """Scaled 2-norm ``||r||_2 / sqrt(n)`` used for subproblem convergence."""
+def residual_norm(r) -> float:
+    """Scaled 2-norm ``||r||_2 / sqrt(n)`` of an n-vector, for subproblem convergence."""
     arr = np.asarray(r, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidInputError("residual vector must be non-empty and 1-D")
-    if n != arr.size:
-        raise InvalidInputError(f"declared length {n} != vector length {arr.size}")
     norm = float(np.linalg.norm(arr))
     # a non-finite entry makes the norm non-finite; a finite vector whose norm
     # overflows is no error
     if not math.isfinite(norm) and not np.isfinite(arr).all():
         raise InvalidInputError("residual vector contains non-finite entries")
-    return norm / math.sqrt(n)
+    return norm / math.sqrt(arr.size)
 
 
 def fixed_point_residual(d_tilde: InterfaceField, d: InterfaceField) -> np.ndarray:

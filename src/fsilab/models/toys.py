@@ -20,7 +20,6 @@ import numpy as np
 
 from ..errors import ConstructionError, ContractError
 from ..interface import FieldRole, InterfaceField, require_count, require_finite
-from ..subproblem import DriverKind
 
 
 @dataclass
@@ -38,8 +37,6 @@ class _DenseSolver:
     rhs: Callable
     tangent: Callable
     role: FieldRole
-    label: str
-    driver = DriverKind.NEWTON
 
     def load(self, coupling: InterfaceField) -> tuple:
         if coupling.size != self.n_coupling:
@@ -148,13 +145,13 @@ class LinearToyModel:
         return _DenseSolver(
             dim=self.dim_f, n_coupling=self.dim_s, matrix=lambda u: self.A_f,
             rhs=lambda d: self.b_f0 + self.B_f @ d.values, tangent=lambda u: self.A_f,
-            role=FieldRole.TRACTION, label="linear-toy flow")
+            role=FieldRole.TRACTION)
 
     def solid_solver(self, state) -> _DenseSolver:
         return _DenseSolver(
             dim=self.dim_s, n_coupling=self.dim_f, matrix=lambda u: self.A_s,
             rhs=lambda t: self.b_s0 + self.B_s @ t.values, tangent=lambda u: self.A_s,
-            role=FieldRole.DISPLACEMENT, label="linear-toy solid")
+            role=FieldRole.DISPLACEMENT)
 
     def advance_state(self, state, accepted_displacement, flow_u):
         return state + 1
@@ -205,7 +202,7 @@ class ScalarToyModel:
             dim=1, n_coupling=1, matrix=lambda u: np.array([[p.alpha]]),
             rhs=lambda d: np.array([p.b0 + p.beta * d.values[0]]),
             tangent=lambda u: np.array([[p.alpha]]),
-            role=FieldRole.TRACTION, label="scalar-toy flow")
+            role=FieldRole.TRACTION)
 
     def solid_solver(self, state) -> _DenseSolver:
         p = self.params
@@ -213,7 +210,7 @@ class ScalarToyModel:
             dim=1, n_coupling=1, matrix=lambda u: np.array([[p.stiffness + p.kappa * u[0] ** 2]]),
             rhs=lambda t: np.array([t.values[0]]),
             tangent=lambda u: np.array([[p.stiffness + 3.0 * p.kappa * u[0] ** 2]]),
-            role=FieldRole.DISPLACEMENT, label="scalar-toy solid")
+            role=FieldRole.DISPLACEMENT)
 
     def advance_state(self, state, accepted_displacement, flow_u):
         return state + 1

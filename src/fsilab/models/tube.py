@@ -234,11 +234,9 @@ class TubeFlowSolver:
     imposed face pressures drive the two half-cell boundary momentum rows.
     """
 
-    label = "tube flow"
-
     def __init__(self, params: Tube1DParams, state: TubeState,
-                 driver: DriverKind = DriverKind.NEWTON):
-        self.params, self.driver = params, driver
+                 flow_scheme: DriverKind = DriverKind.NEWTON):
+        self.params, self._flow_scheme = params, flow_scheme
         self.dim = 2 * params.cells + 1
         # the old momentum a_face_old * v_old / dt and the inlet pressure of the step
         self._momentum_old = _face_average(state.area) * state.velocity / params.dt
@@ -310,7 +308,7 @@ class TubeFlowSolver:
             diag[n] += a_face[n] * v[n] / dx
             return FlowOperator(op.lo - w, diag, op.up + w, g, d, ell, z).solve(r)
 
-        return b, residual, newton if self.driver is DriverKind.NEWTON else picard
+        return b, residual, newton if self._flow_scheme is DriverKind.NEWTON else picard
 
     def output(self, u: np.ndarray) -> InterfaceField:
         n = self.params.cells
@@ -327,9 +325,6 @@ class TubeSolidSolver:
 
     The output field takes over the solver's final state array.
     """
-
-    label = "tube solid"
-    driver = DriverKind.NEWTON
 
     def __init__(self, params: Tube1DParams, state: TubeState):
         self.params = params

@@ -30,7 +30,6 @@ from .errors import (
     GeometryError,
     InnerIterationError,
     LinearSolveError,
-    PreconditionerError,
 )
 from .interface import (
     Cap,
@@ -53,6 +52,8 @@ _FLOOR_STALL_ITERS = 5
 
 
 class DriverKind(Enum):
+    """How a solver corrects its iterate: with the tangent ``K(u)`` or with ``A(u)``."""
+
     NEWTON = "newton"
     PICARD = "picard"
 
@@ -63,13 +64,13 @@ class SolverId(Enum):
 
 
 class Solver(Protocol):
-    """One subproblem of one time step, ``A(u) u = b``; the driver kind is its own.
+    """One subproblem of one time step, ``A(u) u = b``, seen as a black box.
 
     ``load(coupling)`` poses one solver call on the coupling data (an
     :class:`InterfaceField`) and returns ``(b, residual, solve)``: the call's
     right-hand side, ``residual(u) = b - A(u) u``, and ``solve(u, r)``, the
-    correction ``M(u)^-1 r``. ``M`` is the tangent ``K(u) = A(u) + (dA/du) u``
-    under ``DriverKind.NEWTON`` and ``A(u)`` under ``DriverKind.PICARD``.
+    correction ``M(u)^-1 r``. ``M`` is the solver's own choice, e.g. the
+    tangent ``K(u) = A(u) + (dA/du) u`` (Newton) or ``A(u)`` (Picard).
     The driver calls ``solve`` with the iterate whose residual it has just
     evaluated, so ``solve`` may reuse what ``residual`` built there; it raises
     :class:`numpy.linalg.LinAlgError` when ``M`` is singular. ``output(u)``
@@ -77,8 +78,6 @@ class Solver(Protocol):
     """
 
     dim: int
-    driver: DriverKind
-    label: str
 
     def load(self, coupling: InterfaceField) -> tuple: ...
 
@@ -107,26 +106,23 @@ class SolverCallInput:
             raise ContractError("batch_size must be >= 1")
 
 
-def _guards(history: list, i: int, u: np.ndarray, bounded: bool, label: str,
-            floor: float, eps: float) -> None:
+def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float,
+            eps: float) -> None:
     if not np.isfinite(u).all():
-        raise DivergenceError(f"{label}: non-finite iterate at inner iteration {i}",
-                              iteration=i)
+        raise DivergenceError(f"non-finite iterate at inner iteration {i}", iteration=i)
     if not bounded:
         if i >= _ITER_CEILING:
-            raise DivergenceError(f"{label}: no convergence within {_ITER_CEILING} iterations",
+            raise DivergenceError(f"no convergence within {_ITER_CEILING} iterations",
                                   iteration=i)
         if history[-1] > _GROWTH_GUARD * max(history[0], 1.0):
-            raise DivergenceError(f"{label}: residual grew beyond guard at iteration {i}",
-                                  iteration=i)
+            raise DivergenceError(f"residual grew beyond guard at iteration {i}", iteration=i)
         # only an eps beneath the floor can livelock; a residual below eps has
         # converged and is left to the caller's batch check
         w = _FLOOR_STALL_ITERS
         if (eps <= history[-1] <= floor and i > w
                 and min(history[-w:]) >= min(history[:-w])):
             raise DivergenceError(
-                f"{label}: residual stalled at the round-off floor at iteration {i}",
-                iteration=i)
+                f"residual stalled at the round-off floor at iteration {i}", iteration=i)
 
 
 def _report(history: list, eps: float, wall_time: float = 0.0) -> SolverCallReport:
@@ -136,10 +132,9 @@ def _report(history: list, eps: float, wall_time: float = 0.0) -> SolverCallRepo
 def drive(solver: Solver, inp: SolverCallInput):
     """Inner iterations ``u' = u + solve(u, residual(u))``; returns ``(u, residual_history)``.
 
-    With ``batch_size`` B > 1, under either driver, convergence is only
-    checked after each block of B iterations, so the iteration count is a
-    multiple of B unless the cap truncates the final batch. ``inp.u0`` is
-    never written.
+    With ``batch_size`` B > 1, convergence is only checked after each block
+    of B iterations, so the iteration count is a multiple of B unless the cap
+    truncates the final batch. ``inp.u0`` is never written.
     """
     dim = solver.dim
     u = np.asarray(inp.u0, dtype=float)
@@ -150,8 +145,6 @@ def drive(solver: Solver, inp: SolverCallInput):
     b, residual, solve = solver.load(inp.coupling_data)
     if b.shape != (dim,):
         raise ContractError(f"rhs has shape {b.shape}, expected ({dim},)")
-    newton = solver.driver is DriverKind.NEWTON
-    label = solver.label or solver.driver.value
     bounded = not is_unbounded(inp.n_max)
     B, eps, n_max = inp.batch_size, inp.eps, inp.n_max
     sqrt_n = math.sqrt(dim)
@@ -164,16 +157,14 @@ def drive(solver: Solver, inp: SolverCallInput):
         # ||r||/sqrt(n) as residual_norm computes it; residual_norm itself
         # runs only to tell a non-finite entry from an overflowing norm
         norm = math.sqrt(r.dot(r)) / sqrt_n
-        history.append(norm if math.isfinite(norm) else residual_norm(r, dim))
+        history.append(norm if math.isfinite(norm) else residual_norm(r))
         try:
             du = solve(u, r)
         except np.linalg.LinAlgError as exc:
-            error, what = ((LinearSolveError, "tangent") if newton
-                           else (PreconditionerError, "preconditioner"))
-            raise error(f"{label}: singular {what} at inner iteration {i}",
-                        iteration=i) from exc
+            raise LinearSolveError(f"singular linear solve at inner iteration {i}",
+                                   iteration=i) from exc
         u = u + du
-        _guards(history, i, u, bounded, label, floor, eps)
+        _guards(history, i, u, bounded, floor, eps)
         if i % B == 0 and history[-1] < eps:
             break
         if bounded and i >= n_max:
@@ -187,12 +178,12 @@ _EXPECTED_ROLE = {SolverId.FLOW: FieldRole.TRACTION, SolverId.SOLID: FieldRole.D
 def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
     """Run one black-box solver call.
 
-    Loads the coupling data, runs :func:`drive` with the solver's own driver
-    kind, maps the final state to the interface output (traction for the flow
-    solver, displacement for the solid solver), and attaches the measured wall
-    time. Returns ``(output_field, report, final_u)``; ``final_u`` seeds the
-    next call. An :class:`InnerIterationError`, or a :class:`GeometryError`
-    from loading the coupling data, is re-raised with the call's spent inner
+    Runs :func:`drive`, maps the final state to the interface output (traction
+    for the flow solver, displacement for the solid solver), and attaches the
+    measured wall time. Returns ``(output_field, report, final_u)``;
+    ``final_u`` seeds the next call. An :class:`InnerIterationError`, or a
+    :class:`GeometryError` from loading the coupling data, is re-raised with
+    ``"<flow|solid> solver: "`` before its message and the call's spent inner
     iterations and seconds attached as ``inner_iters`` and ``wall_time``.
     """
     start = time.perf_counter()

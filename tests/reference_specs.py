@@ -26,7 +26,6 @@ from fsilab import DriverKind, FieldRole, InterfaceField, drive, residual_norm
 from fsilab.errors import (
     ContractError,
     LinearSolveError,
-    PreconditionerError,
 )
 from fsilab.interface import is_unbounded
 from fsilab.models.tube import FlowOperator, _face_average, areas_from_displacement
@@ -125,17 +124,16 @@ def reference_iterate(spec, inp):
         # ||r||/sqrt(n) as residual_norm computes it; residual_norm itself
         # runs only to tell a non-finite entry from an overflowing norm
         norm = math.sqrt(r.dot(r)) / sqrt_n
-        history.append(norm if math.isfinite(norm) else residual_norm(r, spec.dim))
+        history.append(norm if math.isfinite(norm) else residual_norm(r))
         M = reference_as_operator(spec.tangent(u)) if newton else A
         try:
             du = M.solve(r)
         except np.linalg.LinAlgError as exc:
-            error, what = ((LinearSolveError, "tangent") if newton
-                           else (PreconditionerError, "preconditioner"))
-            raise error(f"{label}: singular {what} at inner iteration {i}",
-                        iteration=i) from exc
+            what = "tangent" if newton else "preconditioner"
+            raise LinearSolveError(f"{label}: singular {what} at inner iteration {i}",
+                                   iteration=i) from exc
         u = u + du
-        _guards(history, i, u, bounded, label, floor, inp.eps)
+        _guards(history, i, u, bounded, floor, inp.eps)
         if i % B == 0 and history[-1] < inp.eps:
             break
         if bounded and i >= inp.n_max:

@@ -214,6 +214,33 @@ def test_negative_seed_is_an_error_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra", ["", "timing = modeled\ncost_c_couple = 0.01\n"],
+                         ids=["measured", "noiseless-modeled"])
+def test_seed_without_noise_is_an_error_line(tmp_path, capsys, extra):
+    # it used to be ignored: nothing draws from it
+    cfg = tmp_path / "plain.cfg"
+    cfg.write_text(SWEEP_CFG.replace("grid_f = 1,2,inf\ngrid_s = 1,inf",
+                                     "grid_f = inf\ngrid_s = inf") + extra)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed 3 applies only to noisy modeled timings")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_case_without_case_column_is_an_error_line(tmp_path, capsys):
+    # it used to replay the file's one row whatever the case
+    factors = tmp_path / "factors.csv"
+    factors.write_text("c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple\n"
+                       "0.6459,1.4756,0.1206,0.0327,0.1873\n")
+    assert main(["replay", "--table", str(published_table_path("fe_fe_tube")),
+                 "--factors", str(factors), "--case", "no_such_case"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "case='no_such_case'" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_shipped_config_runs_reduced(tmp_path):
     # the shipped tube config, shrunk for test speed
     cfg = tmp_path / "tube.cfg"

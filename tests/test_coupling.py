@@ -272,16 +272,6 @@ class TestIqnUpdate:
         with pytest.raises(AllColumnsFilteredError):
             iqn_ils_update(hist, np.ones(2), np.zeros(2), 1e-12)
 
-
-    def test_more_columns_than_interface_length(self):
-        rng = np.random.default_rng(7)
-        hist = IqnHistory(q=1)
-        for _ in range(5):
-            hist.append(rng.standard_normal(2), rng.standard_normal(2), age=1)
-        assert hist.n_columns == 5
-        d_next, inc = iqn_ils_update(hist, np.array([1.0, -2.0]), np.zeros(2), 1e-12)
-        assert np.all(np.isfinite(d_next)) and math.isfinite(inc)
-
     @settings(max_examples=300, deadline=None)
     @given(filter_inputs(), st.integers(0, 2**32 - 1))
     def test_matches_filtered_lstsq_reference(self, inputs, seed):
@@ -391,16 +381,17 @@ def _assert_bitwise_same(got, ref) -> None:
 
 class TestIqnUpdateIsBitwiseTheReference:
     @settings(max_examples=300, deadline=None)
-    @given(filter_inputs(), st.sampled_from([1, 3, 5, 24]), st.integers(0, 2**32 - 1))
-    def test_histories_built_by_appends(self, inputs, max_columns, seed):
+    @given(filter_inputs(), st.integers(0, 2**32 - 1))
+    def test_histories_built_by_appends(self, inputs, seed):
         # the columns enter through IqnHistory, so V and W are windows of its
-        # buffers, at every offset the appends and evictions leave them at;
-        # duplicated and near-dependent columns make the filter drop some, and
-        # V has rows that are zero in every column
+        # buffers (of as many columns as V has rows), at every offset the
+        # appends and evictions leave them at; duplicated and near-dependent
+        # columns make the filter drop some, and V has rows that are zero in
+        # every column
         v, eps_fil = inputs
         n, m = v.shape
         rng = np.random.default_rng(seed)
-        hist = IqnHistory(q=2, max_columns=max_columns)
+        hist = IqnHistory(q=2)
         ages = rng.integers(1, 6, size=m)
         for j in range(m - 1, -1, -1):  # oldest first, so column 0 ends up newest
             if j % 7 == 3:
@@ -422,15 +413,6 @@ class TestIqnUpdateIsBitwiseTheReference:
         v, _ = hist.matrices()
         assert qr_filter(v, 1e-12) == [0, 1, 3, 4]
         got, ref = _both_updates(hist, rng.standard_normal(9), rng.standard_normal(9), 1e-12)
-        _assert_bitwise_same(got, ref)
-
-    def test_more_kept_columns_than_the_precomputed_mask(self):
-        rng = np.random.default_rng(4)
-        hist = IqnHistory(q=1, max_columns=40)
-        for _ in range(32):
-            hist.append(rng.standard_normal(50), rng.standard_normal(50), age=1)
-        assert len(qr_filter(hist.matrices()[0], 1e-12)) == 32 > _MAX_SECANT_COLUMNS
-        got, ref = _both_updates(hist, rng.standard_normal(50), rng.standard_normal(50), 1e-12)
         _assert_bitwise_same(got, ref)
 
     def test_rows_zero_in_every_column(self):
@@ -463,15 +445,13 @@ class TestIqnUpdateIsBitwiseTheReference:
 
 class ListIqnHistory:
     """The history's previous implementation, kept as the oracle: a Python
-    list of ``(age, residual_diff, output_diff)`` tuples, newest first."""
+    list of ``(age, residual_diff, output_diff)`` tuples, newest first, and at
+    most as many as a column has entries, up to ``_MAX_SECANT_COLUMNS``."""
 
-    def __init__(self, q: int, max_columns: int | None = None):
+    def __init__(self, q: int):
         if q < 0:
             raise ContractError("reuse depth q must be >= 0")
-        if max_columns is not None and max_columns < 1:
-            raise ContractError("max_columns must be >= 1")
         self.q = q
-        self.max_columns = max_columns
         self._cols: list = []  # (age, residual_diff, output_diff), newest first
 
     def append(self, residual_diff: np.ndarray, output_diff: np.ndarray, age: int) -> None:
@@ -484,8 +464,7 @@ class ListIqnHistory:
         if not np.any(dr):
             return  # a stagnant pair carries no secant information
         self._cols.insert(0, (age, dr, dw))
-        if self.max_columns is not None and len(self._cols) > self.max_columns:
-            del self._cols[self.max_columns :]  # oldest columns beyond the cap
+        del self._cols[min(dr.size, _MAX_SECANT_COLUMNS) :]  # oldest columns beyond the cap
 
     def start_step(self, step: int) -> None:
         self._cols = [c for c in self._cols if c[0] >= step - self.q]
@@ -513,10 +492,9 @@ class ListIqnHistory:
 
 @st.composite
 def history_ops(draw):
-    """A row count, a column cap, and a random sequence of history operations;
-    appends carry random, zero or wrong-length pairs and arbitrary ages."""
-    n = draw(st.integers(1, 6))
-    max_columns = draw(st.sampled_from([1, 3, 24]))
+    """A row count, which sets the column cap, and a random sequence of history
+    operations; appends carry random, zero or wrong-length pairs and arbitrary ages."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 24]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
     for kind in draw(st.lists(st.sampled_from(["append"] * 6 + ["zero", "resize",
@@ -530,15 +508,15 @@ def history_ops(draw):
             size = n + 1 if kind == "resize" else n
             dr = np.zeros(size) if kind == "zero" else rng.standard_normal(size)
             ops.append(("append", dr, rng.standard_normal(size), draw(st.integers(0, 12))))
-    return n, max_columns, draw(st.integers(0, 3)), ops
+    return draw(st.integers(0, 3)), ops
 
 
 class TestIqnHistory:
     @settings(max_examples=200, deadline=None)
     @given(inputs=history_ops())
     def test_buffers_match_list_oracle(self, inputs):
-        n, max_columns, q, ops = inputs
-        hist, oracle = IqnHistory(q, max_columns), ListIqnHistory(q, max_columns)
+        q, ops = inputs
+        hist, oracle = IqnHistory(q), ListIqnHistory(q)
         for op in ops:
             outcomes = []
             for h in (hist, oracle):
@@ -559,14 +537,15 @@ class TestIqnHistory:
                 for got, ref in zip(hist.matrices(), oracle.matrices()):
                     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("max_columns", [1, 2, 3, 24])
-    def test_window_wraps_like_the_list_oracle(self, max_columns):
+    @pytest.mark.parametrize("cap", [1, 2, 3, 24])
+    def test_window_wraps_like_the_list_oracle(self, cap):
         # enough appends to move the window back to the right half of the
-        # buffers several times, with evictions in between
-        rng = np.random.default_rng(max_columns)
-        hist, oracle = IqnHistory(2, max_columns), ListIqnHistory(2, max_columns)
-        for i in range(5 * max_columns + 3):
-            dr, dw = rng.standard_normal(4), rng.standard_normal(4)
+        # buffers several times, with evictions in between; columns of
+        # length cap keep at most cap of them
+        rng = np.random.default_rng(cap)
+        hist, oracle = IqnHistory(2), ListIqnHistory(2)
+        for i in range(5 * cap + 3):
+            dr, dw = rng.standard_normal(cap), rng.standard_normal(cap)
             for h in (hist, oracle):
                 if i % 5 == 4:
                     h.start_step(i // 3)
@@ -588,18 +567,23 @@ class TestIqnHistory:
         hist.start_step(2)
         assert hist.is_empty
 
-    @pytest.mark.parametrize("max_columns", [None, 0, 2.5])
-    def test_column_cap_is_a_positive_integer(self, max_columns):
-        with pytest.raises(ContractError, match="max_columns"):
-            IqnHistory(q=1, max_columns=max_columns)
-
     def test_column_cap_drops_oldest(self):
-        hist = IqnHistory(q=10, max_columns=3)
+        # columns of length 3 keep at most 3 of them
+        hist = IqnHistory(q=10)
         for i in range(5):
-            hist.append(np.array([1.0 + i]), np.array([1.0]), age=1)
+            hist.append(np.full(3, 1.0 + i), np.ones(3), age=1)
         assert hist.n_columns == 3
         v, _ = hist.matrices()
         assert v[0].tolist() == [5.0, 4.0, 3.0]  # newest first
+
+    def test_cap_is_the_column_length_up_to_the_constant(self):
+        rng = np.random.default_rng(2)
+        for n, cap in ((7, 7), (_MAX_SECANT_COLUMNS, _MAX_SECANT_COLUMNS),
+                       (40, _MAX_SECANT_COLUMNS)):
+            hist = IqnHistory(q=1)
+            for _ in range(cap + 5):
+                hist.append(rng.standard_normal(n), rng.standard_normal(n), age=1)
+            assert hist.n_columns == cap
 
 
 class TestAitken:
@@ -668,7 +652,7 @@ class TestEngineOnTube:
         model = Tube1DModel(params)
         state, u_f, u_s = model.initial_state(), None, None
         d_acc = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
-        hist = IqnHistory(q=config.reuse_q, max_columns=min(model.n_interface, _MAX_SECANT_COLUMNS))
+        hist = IqnHistory(q=config.reuse_q)
         per_step = []
         for step in range(1, params.steps + 1):
             hist.start_step(step)
@@ -727,6 +711,18 @@ class TestEngineOnTube:
         assert plain_calls == asked.counters.coupling_total - params.steps - 1
         assert plain.counters.per_step == asked.counters.per_step
         assert all(np.array_equal(a, b) for a, b in zip(plain.snapshots, asked.snapshots))
+
+    def test_history_cap_follows_the_interface_length(self):
+        # 11 interface nodes: the history never holds more than 11 columns,
+        # though _MAX_SECANT_COLUMNS allows 24; these are the counts of the
+        # engine that was handed min(n_interface, _MAX_SECANT_COLUMNS)
+        columns = []
+        record = run_simulation(Tube1DModel(Tube1DParams(cells=10, steps=10)), CouplingConfig(),
+                                on_step=lambda step, hist, state: columns.append(hist.n_columns))
+        assert max(columns) == 11 < _MAX_SECANT_COLUMNS
+        assert record.counters.per_step == [
+            (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 5, 11, 11), (5, 6, 13, 13),
+            (6, 7, 15, 15), (7, 6, 13, 13), (8, 5, 11, 11), (9, 5, 11, 11), (10, 5, 11, 11)]
 
     def test_reuse_eviction_invariant(self):
         params = Tube1DParams(cells=40, steps=8)
@@ -1069,7 +1065,7 @@ class TestFailedCallAccounting:
             run_simulation(model, CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5,
                                                  accel=AccelKind.IQN_ILS))
         partial, record = err.value.partial, err.value.record
-        assert "singular tangent at inner iteration 3" in str(err.value)
+        assert f"{solver} solver: singular linear solve at inner iteration 3" in str(err.value)
         assert partial.step == 1 and partial.coupling_iters == 1
         if solver == "flow":
             assert (partial.flow_iters, partial.solid_iters) == (3, 0)

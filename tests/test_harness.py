@@ -238,32 +238,38 @@ class TestRunSweep:
         with pytest.raises(SweepSpecError):
             run_sweep(spec)
 
-    @pytest.mark.parametrize("extra, workers, match", [
-        ({"timing": "modeld"}, 1, "unknown timing mode 'modeld'"),
-        ({"timing": "modeled"}, 1, "requires cost_"),
-        ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "0.01"}, 1,
+    @pytest.mark.parametrize("extra, spec_kw, match", [
+        ({"timing": "modeld"}, {}, "unknown timing mode 'modeld'"),
+        ({"timing": "modeled"}, {}, "requires cost_"),
+        ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "0.01"}, {},
          "require a seed"),
-        ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "abc"}, 1,
+        ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "abc"}, {},
          "noise_rel: could not convert"),
-        ({"timing": "measured"}, 2, "requires workers = 1"),
-        ({"noise_rel": "nan"}, 1, "noise_rel must be a finite number in"),
-        ({"timing": "measured", "noise_rel": "0.01"}, 1,
+        ({"timing": "measured"}, {"workers": 2}, "requires workers = 1"),
+        ({"noise_rel": "nan"}, {}, "noise_rel must be a finite number in"),
+        ({"timing": "measured", "noise_rel": "0.01"}, {},
          "noise_rel applies only to timing = modeled"),
-    ] + [({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": value}, 1,
+    ] + [({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": value}, {},
           "noise_rel must be a finite number in")
-         for value in ("nan", "-0.5", "inf", "1", "2")],
+         for value in ("nan", "-0.5", "inf", "1", "2")] + [
+        # nothing draws from a seed unless the modeled timings are noisy
+        ({"timing": "measured"}, {"seed": 3}, "seed 3 applies only to noisy modeled timings"),
+        ({"timing": "modeled", "cost_c_couple": "0.01"}, {"seed": 3},
+         "seed 3 applies only to noisy modeled timings"),
+    ],
         ids=["unknown-mode", "modeled-without-factors", "noise-without-seed",
              "malformed-noise", "measured-parallel", "measured-nan-noise", "measured-noise",
-             "nan-noise", "negative-noise", "infinite-noise", "unit-noise", "noise-above-one"])
+             "nan-noise", "negative-noise", "infinite-noise", "unit-noise", "noise-above-one",
+             "measured-seed", "noiseless-modeled-seed"])
     def test_spec_errors_raise_before_any_cell_runs(self, tmp_path, monkeypatch,
-                                                    extra, workers, match):
+                                                    extra, spec_kw, match):
         import fsilab.harness as harness_mod
 
         calls = []
         monkeypatch.setattr(harness_mod, "_run_cell",
                             lambda *args: calls.append(args) or {})
         spec = SweepSpec(config=dict(LINEAR_TOY_STABLE, **extra), grid_f=[1, math.inf],
-                         grid_s=[math.inf], workers=workers, out_dir=tmp_path)
+                         grid_s=[math.inf], out_dir=tmp_path, **spec_kw)
         with pytest.raises(SweepSpecError, match=match):
             run_sweep(spec)
         assert calls == []
@@ -460,6 +466,15 @@ class TestReplayPublished:
         assert [(f, s) for f, s, *_ in counters] == [(r.nmax_f, r.nmax_s)
                                                      for r in report.rows]
 
+    def test_case_needs_a_case_column(self, tmp_path):
+        # a file without a case column used to hand back its one row for any case
+        factors = tmp_path / "factors.csv"
+        factors.write_text("c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple\n1,1,1,1,1\n")
+        assert load_factors_csv(factors)[0] == CostFactors(1.0, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(TableParseError, match="no 'case' column to select "
+                                                  "case='no_such_case'"):
+            load_factors_csv(factors, case="no_such_case")
+
     def test_wrong_header_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nmax_f,nmax_s,N_c,N_f,N_s,teq_norm\ninf,inf,1,1,1,1.0\n")
@@ -506,6 +521,33 @@ class TestFitFromRuns:
             synthesize_sweep_csv(tmp_path / "s.csv", self.TRUE, counters,
                                  noise_rel=0.01, seed=-1)
         assert not (tmp_path / "s.csv").exists()
+
+    def test_seed_without_noise_rejected(self, tmp_path):
+        # nothing would draw from it
+        counters = load_published_counters("fv_fe_tube")
+        with pytest.raises(SweepSpecError, match="seed 1 applies only to noisy"):
+            synthesize_sweep_csv(tmp_path / "s.csv", self.TRUE, counters, seed=1)
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("converged, timings, match", [
+        ("True1", "6.0,1.0,0.1", "converged must be true or false, got 'True1'"),
+        ("true", "6.0,,0.1", "T_f, T_s and T_c must be all set or all blank"),
+        ("false", ",1.0,", "T_f, T_s and T_c must be all set or all blank"),
+    ], ids=["converged-not-a-boolean", "blank-solid-time", "only-solid-time"])
+    def test_malformed_row_is_an_error_with_its_line(self, tmp_path, converged, timings,
+                                                     match):
+        # such rows used to be dropped from the fit, or to reach it as nan
+        counters = load_published_counters("fv_fe_tube")
+        path = synthesize_sweep_csv(tmp_path / "s.csv", self.TRUE, counters)
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[2], fields[6:9] = converged, timings.split(",")
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        for read in (read_sweep_csv, fit_from_runs):
+            with pytest.raises(TableParseError, match=f"s.csv:4: {match}") as err:
+                read(path)
+            assert err.value.line == 4
 
     def test_two_rows_rank_deficient(self, tmp_path):
         counters = load_published_counters("fv_fe_tube")[:2]

@@ -252,7 +252,7 @@ class TestFlowSystem:
     def test_rest_state_stays_zero(self):
         p = Tube1DParams(cells=50, steps=20, inlet_pulse=0.0)
         state = initial_tube_state(p)
-        flow = TubeFlowSolver(p, state, driver=DriverKind.PICARD)
+        flow = TubeFlowSolver(p, state, flow_scheme=DriverKind.PICARD)
         u, rep = run(flow, SolverCallInput(flow_u0(p), zero_disp(p), eps=1e-9))
         assert rep.converged_on_first and rep.inner_iters == 1
         assert np.allclose(u, 0.0)

@@ -18,7 +18,6 @@ from fsilab.errors import (
     DivergenceError,
     InnerIterationError,
     LinearSolveError,
-    PreconditionerError,
 )
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import FlowOperator, Tube1DParams
@@ -178,7 +177,7 @@ class TestPicardDrive:
             assemble_rhs=lambda c: np.array([1.0]),
             driver=DriverKind.PICARD,
         )
-        with pytest.raises(PreconditionerError):
+        with pytest.raises(LinearSolveError):
             run(spec, call_input([0.0]))
 
     def test_divergence_guard(self):
@@ -208,19 +207,19 @@ def _flow_pair():
 
 
 class TestStructuredOperators:
-    @pytest.mark.parametrize("pair, driver, error", [
-        (_diagonal_pair, DriverKind.NEWTON, LinearSolveError),
-        (_diagonal_pair, DriverKind.PICARD, PreconditionerError),
-        (_flow_pair, DriverKind.NEWTON, LinearSolveError),
-        (_flow_pair, DriverKind.PICARD, PreconditionerError),
+    @pytest.mark.parametrize("pair, driver", [
+        (_diagonal_pair, DriverKind.NEWTON),
+        (_diagonal_pair, DriverKind.PICARD),
+        (_flow_pair, DriverKind.NEWTON),
+        (_flow_pair, DriverKind.PICARD),
     ], ids=driver_id)
-    def test_singular_operator_reports_iteration(self, pair, driver, error):
+    def test_singular_operator_reports_iteration(self, pair, driver):
         # regular at u0 = 0, singular at every later iterate
         regular, singular = pair()
         op = lambda u: singular if u.any() else regular
         spec = SpecSolver(dim=5, assemble_matrix=op, tangent=op,
                           assemble_rhs=lambda c: np.ones(5), driver=driver)
-        with pytest.raises(error) as err:
+        with pytest.raises(LinearSolveError) as err:
             run(spec, call_input(np.zeros(5)))
         assert err.value.iteration == 2
 
@@ -323,7 +322,7 @@ class TestReplayProperty:
         _, rep = run(spec, call_input([0.3], eps=1e-9))
         b = spec.assemble_rhs(DUMMY)
         for u, recorded in zip(iterates, rep.residual_history):
-            again = residual_norm(b - inner_matrix(u) @ u, 1)
+            again = residual_norm(b - inner_matrix(u) @ u)
             assert again == pytest.approx(recorded, rel=1e-14, abs=1e-300)
 
 
@@ -344,14 +343,14 @@ class TestReplayProperty:
         flow.load = recording_load
         _, history = drive(flow, SolverCallInput(np.zeros(flow.dim), d, eps=1e-9))
         assert len(history) >= 2
-        assert [residual_norm(r, flow.dim) for r in residuals] == history
+        assert [residual_norm(r) for r in residuals] == history
 
 
 class TestGuards:
     """The finiteness test of every iterate, on vectors a sum-based shortcut misjudges."""
 
     def check(self, values):
-        _guards([1.0], 1, np.array(values), False, "t", 0.0, 1e-9)
+        _guards([1.0], 1, np.array(values), False, 0.0, 1e-9)
 
     @pytest.mark.parametrize("values", [[math.inf, -math.inf], [1.0, math.nan],
                                         [math.inf, 1.0], [-math.inf, 1.0]])
@@ -439,14 +438,16 @@ class TestCallSolver:
             tangent=lambda u: np.array([[0.0]]),
             extract_output=lambda u: InterfaceField(u, FieldRole.TRACTION),
         )
-        with pytest.raises(LinearSolveError, match="flow solver") as err:
+        # the driver names the failure, call_solver the solver, once
+        with pytest.raises(LinearSolveError,
+                           match="^flow solver: singular linear solve at inner iteration 1$") as err:
             call_solver(SolverId.FLOW, spec, call_input([0.0]))
         # the failed call's cost travels with the error
         assert err.value.inner_iters == 1
         assert err.value.wall_time > 0.0
 
     def test_inner_iteration_errors_share_one_base(self):
-        for cls in (LinearSolveError, PreconditionerError, DivergenceError):
+        for cls in (LinearSolveError, DivergenceError):
             err = cls("failed", iteration=4)
             assert isinstance(err, InnerIterationError)
             assert err.iteration == 4
