@@ -21,8 +21,7 @@ from .interface import (
     parse_cap,
 )
 from .costmodel import CostFactors
-from .models import LinearToyModel, ScalarToyModel, Tube1DModel, Tube1DParams
-from .models.toys import ScalarToyParams
+from .models import LinearToyModel, Tube1DModel, Tube1DParams
 from .subproblem import DriverKind
 
 # ---------------------------------------------------------------------------
@@ -77,8 +76,7 @@ def _keys(target, prefix: str = "") -> dict:
 
 _COUPLING_KEYS = _keys(CouplingConfig)
 _COST_KEYS = _keys(CostFactors, prefix="cost_")
-_MODELS = {"tube1d": (Tube1DModel, Tube1DParams), "linear_toy": (LinearToyModel, None),
-           "scalar_toy": (ScalarToyModel, ScalarToyParams)}
+_MODELS = {"tube1d": (Tube1DModel, Tube1DParams), "linear_toy": (LinearToyModel, None)}
 # model name -> (keys of the model, keys of its params class)
 _MODEL_KEYS = {name: (_keys(model), _keys(params) if params else {})
                for name, (model, params) in _MODELS.items()}
@@ -212,9 +210,10 @@ def load_factors_csv(path, case: str | None = None) -> tuple:
         if "case" not in cols:
             raise TableParseError(f"{path}: no 'case' column to select case={case!r} from")
         data = [r for r in data if r[1][cols["case"]].strip() == case]
-        if not data:
-            raise TableParseError(f"{path}: no row with case={case!r}")
-    if len(data) != 1:
+        if len(data) != 1:
+            raise TableParseError(f"{path}: expected one row with case={case!r}, "
+                                  f"got {len(data)}")
+    elif len(data) != 1:
         raise TableParseError(
             f"{path}: expected exactly one factors row (use case= to select), got {len(data)}"
         )

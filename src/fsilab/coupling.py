@@ -387,7 +387,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     for k in range(1, config.max_coupling_iters + 1):
         rec.coupling_iters = k
         traction, rep_f, u_f = _call(SolverId.FLOW, flow, SolverCallInput(
-            u_f, d_k, eps=config.eps_f, n_max=config.n_max_f, batch_size=config.batch_size_f))
+            u_f, d_k, eps=config.eps_f, n_max=config.n_max_f))
         d_tilde, rep_s, u_s = _call(SolverId.SOLID, solid, SolverCallInput(
             u_s, traction, eps=config.eps_s, n_max=config.n_max_s))
 

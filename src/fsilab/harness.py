@@ -300,9 +300,13 @@ def read_sweep_csv(path) -> list:
         if converged not in ("true", "false"):
             raise TableParseError(f"{path}:{lineno}: converged must be true or false, "
                                   f"got {fields[2]!r}", line=lineno)
-        if len({not f for f in fields[6:9]}) > 1:
+        blank = {not f for f in fields[6:9]}
+        if len(blank) > 1:
             raise TableParseError(f"{path}:{lineno}: T_f, T_s and T_c must be all set "
                                   "or all blank", line=lineno)
+        if converged == "true" and True in blank:
+            raise TableParseError(f"{path}:{lineno}: a converged row must set T_f, T_s "
+                                  "and T_c", line=lineno)
         try:
             out.append(SweepRow(
                 nmax_f=parse_cap(fields[0]),
@@ -470,8 +474,7 @@ def fit_from_runs(results_path) -> tuple:
     clamping and the :class:`RankDeficiencyError` raised on too few or too
     collinear runs.
     """
-    rows = [r for r in read_sweep_csv(results_path)
-            if r.converged and r.t_f is not None]
+    rows = [r for r in read_sweep_csv(results_path) if r.converged]
     factors = fit_cost_factors([(r.n_c, r.n_f, r.n_s, r.t_f, r.t_s, r.t_c) for r in rows])
 
     t_f, t_s, t_c = np.array([(r.t_f, r.t_s, r.t_c) for r in rows]).T

@@ -196,7 +196,6 @@ class CouplingConfig:
     eps_c: float = 1e-10
     criterion_relative: bool = False
     max_coupling_iters: int = 200
-    batch_size_f: int = 1
 
     def __post_init__(self):
         validate_cap(self.n_max_f, "n_max_f")
@@ -207,8 +206,7 @@ class CouplingConfig:
                 raise ContractError(f"{name} must be positive and finite, got {value!r}")
         if not (0.0 < self.omega0 <= 1.0):
             raise ContractError("omega0 must lie in (0, 1]")
-        for name, low in (("reuse_q", 0), ("max_coupling_iters", 1),
-                          ("batch_size_f", 1)):
+        for name, low in (("reuse_q", 0), ("max_coupling_iters", 1)):
             require_count(getattr(self, name), name, low)
 
 

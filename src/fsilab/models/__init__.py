@@ -1,9 +1,8 @@
-from .toys import LinearToyModel, ScalarToyModel
+from .toys import LinearToyModel
 from .tube import Tube1DModel, Tube1DParams, TubeState
 
 __all__ = [
     "LinearToyModel",
-    "ScalarToyModel",
     "Tube1DModel",
     "Tube1DParams",
     "TubeState",

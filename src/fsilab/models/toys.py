@@ -1,20 +1,15 @@
-"""Small coupled problems with independent oracles.
+"""A small coupled problem with an independent oracle.
 
 ``LinearToyModel`` couples two linear systems whose monolithic solution is one
 dense solve away, so every partitioned result can be checked exactly. The
 Gauss-Seidel interface map ``d -> d_tilde`` is linear; its spectral radius is
 set at construction, which gives a stable preset, an added-mass-like unstable
 preset, and a fully decoupled preset.
-
-``ScalarToyModel`` couples a linear scalar flow with a cubically stiffening
-scalar solid; the coupled fixed point has a closed form (Cardano).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,31 +19,31 @@ from ..interface import FieldRole, InterfaceField, require_count, require_finite
 
 @dataclass
 class _DenseSolver:
-    """A toy subproblem ``A(u) u = b`` on dense matrices, solved by Newton with ``numpy.linalg``.
-
-    ``rhs(coupling)`` gives ``b`` from coupling data of length ``n_coupling``,
-    ``matrix(u)`` gives ``A(u)`` and ``tangent(u)`` the Newton tangent
-    ``K(u)``; the output field is ``u`` itself in ``role``.
+    """A linear toy subproblem ``A u = b0 + B c`` on coupling data ``c``, solved with
+    ``numpy.linalg``; ``A`` is its own Newton tangent. The output field is ``u``
+    itself in ``role``.
     """
 
-    dim: int
-    n_coupling: int
-    matrix: Callable
-    rhs: Callable
-    tangent: Callable
+    A: np.ndarray
+    b0: np.ndarray
+    B: np.ndarray
     role: FieldRole
 
+    @property
+    def dim(self) -> int:
+        return self.b0.size
+
     def load(self, coupling: InterfaceField) -> tuple:
-        if coupling.size != self.n_coupling:
+        A, B = self.A, self.B
+        if coupling.size != B.shape[1]:
             raise ContractError(f"{coupling.role.value} length mismatch")
-        b = self.rhs(coupling)
-        matrix, tangent = self.matrix, self.tangent
+        b = self.b0 + B @ coupling.values
 
         def residual(u):
-            return b - matrix(u) @ u
+            return b - A @ u
 
         def solve(u, r):
-            return np.linalg.solve(tangent(u), r)
+            return np.linalg.solve(A, r)
 
         return b, residual, solve
 
@@ -81,8 +76,8 @@ class LinearToyModel:
         coupling_strength: float = 0.5,
         steps: int = 1,
     ):
-        if dim_f < 1 or dim_s < 1:
-            raise ContractError("dimensions must be >= 1")
+        require_count(dim_f, "dim_f", 1)
+        require_count(dim_s, "dim_s", 1)
         require_finite("linear toy parameter", {"coupling_strength": coupling_strength})
         if coupling_strength < 0:
             raise ContractError("coupling_strength must be >= 0")
@@ -142,75 +137,10 @@ class LinearToyModel:
         return 0
 
     def flow_solver(self, state) -> _DenseSolver:
-        return _DenseSolver(
-            dim=self.dim_f, n_coupling=self.dim_s, matrix=lambda u: self.A_f,
-            rhs=lambda d: self.b_f0 + self.B_f @ d.values, tangent=lambda u: self.A_f,
-            role=FieldRole.TRACTION)
+        return _DenseSolver(self.A_f, self.b_f0, self.B_f, FieldRole.TRACTION)
 
     def solid_solver(self, state) -> _DenseSolver:
-        return _DenseSolver(
-            dim=self.dim_s, n_coupling=self.dim_f, matrix=lambda u: self.A_s,
-            rhs=lambda t: self.b_s0 + self.B_s @ t.values, tangent=lambda u: self.A_s,
-            role=FieldRole.DISPLACEMENT)
-
-    def advance_state(self, state, accepted_displacement, flow_u):
-        return state + 1
-
-
-@dataclass
-class ScalarToyParams:
-    alpha: float = 2.0  # flow coefficient: alpha * u_f = b0 + beta * d
-    beta: float = 1.0
-    b0: float = 4.0
-    stiffness: float = 1.0  # solid: (k + kappa u^2) u = tau
-    kappa: float = 0.5
-
-    def __post_init__(self):
-        require_finite("scalar toy parameter", vars(self))
-        if self.alpha <= 0 or self.stiffness <= 0 or self.kappa < 0:
-            raise ContractError("alpha and stiffness must be positive, kappa >= 0")
-        if self.stiffness * self.alpha <= self.beta:
-            # keeps the coupled cubic monotone, hence a unique real fixed point
-            raise ContractError("require stiffness > beta/alpha")
-
-
-class ScalarToyModel:
-    """Scalar nonlinear coupled problem with a closed-form fixed point."""
-
-    def __init__(self, params: ScalarToyParams | None = None, steps: int = 1):
-        require_count(steps, "steps", 1)
-        self.params = params or ScalarToyParams()
-        self.n_interface = 1
-        self.n_steps = steps
-
-    def exact_interface_solution(self) -> float:
-        """Real root of ``kappa d^3 + (k - beta/alpha) d - b0/alpha = 0`` (Cardano)."""
-        p_ = self.params
-        if p_.kappa == 0:
-            return (p_.b0 / p_.alpha) / (p_.stiffness - p_.beta / p_.alpha)
-        p = (p_.stiffness - p_.beta / p_.alpha) / p_.kappa
-        q = -(p_.b0 / p_.alpha) / p_.kappa
-        disc = math.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-        return float(np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc))
-
-    def initial_state(self) -> int:
-        return 0
-
-    def flow_solver(self, state) -> _DenseSolver:
-        p = self.params
-        return _DenseSolver(
-            dim=1, n_coupling=1, matrix=lambda u: np.array([[p.alpha]]),
-            rhs=lambda d: np.array([p.b0 + p.beta * d.values[0]]),
-            tangent=lambda u: np.array([[p.alpha]]),
-            role=FieldRole.TRACTION)
-
-    def solid_solver(self, state) -> _DenseSolver:
-        p = self.params
-        return _DenseSolver(
-            dim=1, n_coupling=1, matrix=lambda u: np.array([[p.stiffness + p.kappa * u[0] ** 2]]),
-            rhs=lambda t: np.array([t.values[0]]),
-            tangent=lambda u: np.array([[p.stiffness + 3.0 * p.kappa * u[0] ** 2]]),
-            role=FieldRole.DISPLACEMENT)
+        return _DenseSolver(self.A_s, self.b_s0, self.B_s, FieldRole.DISPLACEMENT)
 
     def advance_state(self, state, accepted_displacement, flow_u):
         return state + 1

@@ -96,14 +96,11 @@ class SolverCallInput:
     coupling_data: InterfaceField
     eps: float
     n_max: Cap = UNBOUNDED
-    batch_size: int = 1
 
     def __post_init__(self):
         validate_cap(self.n_max, "n_max")
         if not 0.0 < self.eps < math.inf:
             raise ContractError(f"eps must be positive and finite, got {self.eps!r}")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
 
 
 def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float,
@@ -117,7 +114,7 @@ def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float,
         if history[-1] > _GROWTH_GUARD * max(history[0], 1.0):
             raise DivergenceError(f"residual grew beyond guard at iteration {i}", iteration=i)
         # only an eps beneath the floor can livelock; a residual below eps has
-        # converged and is left to the caller's batch check
+        # converged and ends the call in the caller
         w = _FLOOR_STALL_ITERS
         if (eps <= history[-1] <= floor and i > w
                 and min(history[-w:]) >= min(history[:-w])):
@@ -132,9 +129,7 @@ def _report(history: list, eps: float, wall_time: float = 0.0) -> SolverCallRepo
 def drive(solver: Solver, inp: SolverCallInput):
     """Inner iterations ``u' = u + solve(u, residual(u))``; returns ``(u, residual_history)``.
 
-    With ``batch_size`` B > 1, convergence is only checked after each block
-    of B iterations, so the iteration count is a multiple of B unless the cap
-    truncates the final batch. ``inp.u0`` is never written.
+    ``inp.u0`` is never written.
     """
     dim = solver.dim
     u = np.asarray(inp.u0, dtype=float)
@@ -146,7 +141,7 @@ def drive(solver: Solver, inp: SolverCallInput):
     if b.shape != (dim,):
         raise ContractError(f"rhs has shape {b.shape}, expected ({dim},)")
     bounded = not is_unbounded(inp.n_max)
-    B, eps, n_max = inp.batch_size, inp.eps, inp.n_max
+    eps, n_max = inp.eps, inp.n_max
     sqrt_n = math.sqrt(dim)
     floor = _ROUNDOFF_FLOOR * math.sqrt(b.dot(b)) / sqrt_n
     history: list = []
@@ -165,7 +160,7 @@ def drive(solver: Solver, inp: SolverCallInput):
                                    iteration=i) from exc
         u = u + du
         _guards(history, i, u, bounded, floor, eps)
-        if i % B == 0 and history[-1] < eps:
+        if history[-1] < eps:
             break
         if bounded and i >= n_max:
             break

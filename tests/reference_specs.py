@@ -113,7 +113,6 @@ def reference_iterate(spec, inp):
     u, b, floor = reference_prepare(spec, inp)
     label = spec.label or spec.driver.value
     bounded = not is_unbounded(inp.n_max)
-    B = inp.batch_size
     sqrt_n = math.sqrt(spec.dim)
     history: list = []
     i = 0
@@ -134,7 +133,7 @@ def reference_iterate(spec, inp):
                                    iteration=i) from exc
         u = u + du
         _guards(history, i, u, bounded, floor, inp.eps)
-        if i % B == 0 and history[-1] < inp.eps:
+        if history[-1] < inp.eps:
             break
         if bounded and i >= inp.n_max:
             break

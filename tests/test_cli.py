@@ -5,8 +5,8 @@ import pytest
 from fsilab.cli import main
 from fsilab.configio import data_path, published_table_path, regression_summary_path
 
-SCALAR_CFG = """
-model = scalar_toy
+TOY_CFG = """
+model = linear_toy
 steps = 2
 eps_f = 1e-12
 eps_s = 1e-12
@@ -30,9 +30,9 @@ grid_s = 1,inf
 
 
 @pytest.fixture
-def scalar_cfg(tmp_path):
-    path = tmp_path / "scalar.cfg"
-    path.write_text(SCALAR_CFG)
+def toy_cfg(tmp_path):
+    path = tmp_path / "toy.cfg"
+    path.write_text(TOY_CFG)
     return path
 
 
@@ -43,8 +43,8 @@ def sweep_cfg(tmp_path):
     return path
 
 
-def test_run_subcommand(scalar_cfg, tmp_path, capsys):
-    code = main(["run", "--config", str(scalar_cfg), "--out", str(tmp_path / "out")])
+def test_run_subcommand(toy_cfg, tmp_path, capsys):
+    code = main(["run", "--config", str(toy_cfg), "--out", str(tmp_path / "out")])
     assert code == 0
     out = capsys.readouterr().out
     assert "converged=true" in out
@@ -154,6 +154,7 @@ def test_measured_sweep_with_two_workers_is_an_error(tmp_path, capsys):
     ("run", "acel", "constant"),
     ("sweep", "acel", "constant"),
     ("run", "mu_f", "0.003"),
+    ("run", "batch_size_f", "1"),
 ])
 def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "bad.cfg"
@@ -168,10 +169,9 @@ def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value
 
 @pytest.mark.parametrize("text, key", [
     ("model = linear_toy\ncoupling_strength = nan\n", "coupling_strength"),
-    ("model = scalar_toy\nstiffness = nan\n", "stiffness"),
+    ("model = scalar_toy\n", "scalar_toy"),  # a removed model
     ("model = linear_toy\ncells = 7\nkappa3 = nan\n", "cells"),
-    ("model = scalar_toy\ndim_f = 3\n", "dim_f"),
-], ids=["linear_toy", "scalar_toy", "tube-key-on-linear-toy", "linear-toy-key-on-scalar-toy"])
+], ids=["linear_toy", "scalar_toy", "tube-key-on-linear-toy"])
 def test_bad_toy_config_is_an_error_line(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -239,6 +239,18 @@ def test_replay_case_without_case_column_is_an_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "case='no_such_case'" in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_replay_case_on_two_rows_is_an_error_line(tmp_path, capsys):
+    # it used to advise selecting with case=, which the caller had done
+    factors = tmp_path / "factors.csv"
+    factors.write_text("case,c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple\n"
+                       + "a,0.6459,1.4756,0.1206,0.0327,0.1873\n" * 2)
+    assert main(["replay", "--table", str(published_table_path("fe_fe_tube")),
+                 "--factors", str(factors), "--case", "a"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {factors}: expected one row with case='a', got 2\n"
+    assert captured.out == ""
 
 
 def test_shipped_config_runs_reduced(tmp_path):

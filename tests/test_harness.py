@@ -51,18 +51,18 @@ class TestConfigParsing:
             "n_max_f = 3\nn_max_s = inf\neps_f = 1e-8\neps_s = 1e-2\n"
             "eps_fil = 1e-10\nreuse_q = 2\nomega0 = 0.3\naccel = aitken\n"
             "criterion = fixed_point\neps_c = 1e-7\ncriterion_relative = true\n"
-            "max_coupling_iters = 50\nbatch_size_f = 5\n"))
+            "max_coupling_iters = 50\n"))
         assert cfg.n_max_f == 3 and cfg.n_max_s == math.inf
         assert (cfg.eps_f, cfg.eps_s, cfg.eps_fil) == (1e-8, 1e-2, 1e-10)
         assert cfg.reuse_q == 2 and cfg.omega0 == 0.3
         assert cfg.accel is AccelKind.AITKEN
         assert cfg.criterion is CriterionKind.FIXED_POINT_NORM
         assert cfg.eps_c == 1e-7 and cfg.criterion_relative
-        assert cfg.max_coupling_iters == 50 and cfg.batch_size_f == 5
+        assert cfg.max_coupling_iters == 50
 
     def test_model_keys_mapped(self):
         from fsilab.configio import build_model
-        from fsilab.models import LinearToyModel, ScalarToyModel, Tube1DModel
+        from fsilab.models import LinearToyModel, Tube1DModel
         from fsilab import DriverKind
 
         tube = build_model(parse_config_text(
@@ -79,15 +79,10 @@ class TestConfigParsing:
         assert (toy.dim_f, toy.dim_s) == (3, 5)
         assert toy.gs_spectral_radius == pytest.approx(0.2, rel=1e-10)
 
-        scalar = build_model(parse_config_text("model = scalar_toy\nkappa = 0.25\n"))
-        assert isinstance(scalar, ScalarToyModel)
-        assert scalar.params.kappa == 0.25
-
     def test_missing_keys_take_the_receivers_defaults(self):
         from fsilab import CouplingConfig
         from fsilab.configio import build_coupling_config, build_model, factors_from_config
-        from fsilab.models import LinearToyModel, ScalarToyModel, Tube1DModel
-        from fsilab.models.toys import ScalarToyParams
+        from fsilab.models import LinearToyModel, Tube1DModel
         from fsilab.models.tube import Tube1DParams
 
         assert build_coupling_config({}) == CouplingConfig()
@@ -96,9 +91,6 @@ class TestConfigParsing:
         toy, ref = build_model({"model": "linear_toy"}), LinearToyModel()
         assert (toy.dim_f, toy.dim_s, toy.n_steps) == (ref.dim_f, ref.dim_s, ref.n_steps)
         assert toy.gs_spectral_radius == ref.gs_spectral_radius
-        scalar = build_model({"model": "scalar_toy", "steps": "3"})
-        assert scalar.params == ScalarToyParams() and scalar.n_steps == 3
-        assert ScalarToyModel().n_steps == build_model({"model": "scalar_toy"}).n_steps
         assert factors_from_config({}) is None
         assert factors_from_config({"cost_c_iter_f": "2"}) == CostFactors(c_iter_f=2.0)
 
@@ -125,7 +117,7 @@ class TestConfigParsing:
 
         assert set(configio._COUPLING_KEYS) == {
             "n_max_f", "n_max_s", "eps_f", "eps_s", "eps_fil", "reuse_q", "omega0", "accel",
-            "criterion", "eps_c", "criterion_relative", "max_coupling_iters", "batch_size_f"}
+            "criterion", "eps_c", "criterion_relative", "max_coupling_iters"}
         assert set(configio._COST_KEYS) == {
             "cost_c_couple", "cost_c_fix_f", "cost_c_iter_f", "cost_c_fix_s", "cost_c_iter_s"}
         model_keys = {name: set(model) | set(params)
@@ -135,7 +127,6 @@ class TestConfigParsing:
                        "youngs_modulus", "poisson", "cells", "dt", "steps", "inlet_pulse",
                        "pulse_duration", "outlet_pressure", "kappa3"},
             "linear_toy": {"dim_f", "dim_s", "coupling_strength", "steps"},
-            "scalar_toy": {"alpha", "beta", "b0", "stiffness", "kappa", "steps"},
         }
         # the shipped tube config documents every tube key
         assert model_keys["tube1d"] <= set(parse_config(data_path("tube1d.cfg")))
@@ -143,9 +134,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("build", ["build_model", "build_coupling_config"])
     @pytest.mark.parametrize("cfg, key", [
         ({"model": "linear_toy", "cells": "7", "kappa3": "nan"}, "cells"),
-        ({"model": "scalar_toy", "dim_f": "3"}, "dim_f"),
+        # kappa was a key of the removed scalar toy
         ({"model": "tube1d", "kappa": "0.5"}, "kappa"),
-    ], ids=["tube-key-on-linear-toy", "linear-toy-key-on-scalar-toy", "scalar-key-on-tube"])
+    ], ids=["tube-key-on-linear-toy", "scalar-key-on-tube"])
     def test_key_of_another_model_rejected(self, build, cfg, key):
         import fsilab.configio as configio
 
@@ -159,6 +150,18 @@ class TestConfigParsing:
         with pytest.raises(ContractError) as err:
             build_model({"mu_f": "0.003"})
         assert str(err.value) == "unknown config key 'mu_f'"
+
+    @pytest.mark.parametrize("build", ["build_model", "build_coupling_config"])
+    def test_removed_names_fail_loudly(self, build):
+        # the flow batch size and the scalar toy are gone: neither may be ignored
+        import fsilab.configio as configio
+
+        shipped = parse_config(data_path("tube1d.cfg"))
+        with pytest.raises(ContractError, match=r"^unknown config key 'batch_size_f'$"):
+            getattr(configio, build)({**shipped, "batch_size_f": "1"})
+        with pytest.raises(ContractError, match=r"^unknown model 'scalar_toy' "
+                                                r"\(expected tube1d, linear_toy\)$"):
+            getattr(configio, build)({"model": "scalar_toy"})
 
     def test_malformed_line(self):
         with pytest.raises(TableParseError) as err:
@@ -475,6 +478,16 @@ class TestReplayPublished:
                                                   "case='no_such_case'"):
             load_factors_csv(factors, case="no_such_case")
 
+    @pytest.mark.parametrize("cases, count", [("b", 0), ("a,a", 2)], ids=["none", "two"])
+    def test_case_must_select_one_row(self, tmp_path, cases, count):
+        # two rows of the case used to get advice to use case=, which was used
+        factors = tmp_path / "factors.csv"
+        factors.write_text("case,c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple\n"
+                           + "".join(f"{c},1,1,1,1,1\n" for c in cases.split(",")))
+        with pytest.raises(TableParseError, match=f"expected one row with case='a', "
+                                                  f"got {count}$"):
+            load_factors_csv(factors, case="a")
+
     def test_wrong_header_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nmax_f,nmax_s,N_c,N_f,N_s,teq_norm\ninf,inf,1,1,1,1.0\n")
@@ -533,7 +546,9 @@ class TestFitFromRuns:
         ("True1", "6.0,1.0,0.1", "converged must be true or false, got 'True1'"),
         ("true", "6.0,,0.1", "T_f, T_s and T_c must be all set or all blank"),
         ("false", ",1.0,", "T_f, T_s and T_c must be all set or all blank"),
-    ], ids=["converged-not-a-boolean", "blank-solid-time", "only-solid-time"])
+        ("true", ",,", "a converged row must set T_f, T_s and T_c"),
+    ], ids=["converged-not-a-boolean", "blank-solid-time", "only-solid-time",
+            "converged-without-timings"])
     def test_malformed_row_is_an_error_with_its_line(self, tmp_path, converged, timings,
                                                      match):
         # such rows used to be dropped from the fit, or to reach it as nan

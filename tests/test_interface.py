@@ -155,17 +155,15 @@ class TestCouplingConfig:
 
     @pytest.mark.parametrize("kw", [
         {"n_max_f": 0}, {"eps_f": 0.0}, {"eps_fil": -1.0}, {"reuse_q": -1},
-        {"omega0": 0.0}, {"omega0": 1.5}, {"max_coupling_iters": 0},
-        {"batch_size_f": 0},
+        {"omega0": 0.0}, {"omega0": 1.5}, {"max_coupling_iters": 0}, {"n_max_s": 0},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ContractError):
             CouplingConfig(**kw)
 
-    @pytest.mark.parametrize("name", ["batch_size_f", "reuse_q", "max_coupling_iters"])
+    @pytest.mark.parametrize("name", ["reuse_q", "max_coupling_iters"])
     def test_non_integer_count_rejected(self, name):
-        # a fractional batch size would test convergence only at common
-        # multiples, reuse_q = 1.5 would act as 1, and a fractional budget
+        # reuse_q = 1.5 would act as 1, and a fractional budget
         # would escape run_simulation from range() as a bare TypeError
         for value in (2.5, 2.0):
             with pytest.raises(ContractError, match=f"{name} must be an integer"):

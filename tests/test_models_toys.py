@@ -16,8 +16,7 @@ from fsilab import (
     run_simulation,
 )
 from fsilab.errors import ContractError, DivergedStepError
-from fsilab.models import LinearToyModel, ScalarToyModel
-from fsilab.models.toys import ScalarToyParams
+from fsilab.models import LinearToyModel
 
 
 def final_field(record):
@@ -94,53 +93,21 @@ class TestLinearToyCoupling:
         assert deviation_from_reference(final_field(rec), toy.interface_solution()) < 1e-9
 
 
-class TestScalarToy:
-    def test_closed_form_against_bisection_oracle(self):
-        toy = ScalarToyModel()
-        p = toy.params
-
-        def coupled_mismatch(d):
-            tau = (p.b0 + p.beta * d) / p.alpha
-            return p.kappa * d**3 + p.stiffness * d - tau
-
-        lo, hi = 0.0, 10.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if coupled_mismatch(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        assert toy.exact_interface_solution() == pytest.approx(0.5 * (lo + hi), abs=1e-12)
-
-    def test_coupled_run_lands_on_closed_form(self):
-        toy = ScalarToyModel()
-        cfg = CouplingConfig(eps_f=1e-13, eps_s=1e-13, omega0=1.0, accel=AccelKind.CONSTANT)
-        rec = run_simulation(toy, cfg)
-        assert rec.snapshots[-1][0] == pytest.approx(toy.exact_interface_solution(), abs=1e-10)
-
-    def test_kappa_zero_linear_case(self):
-        toy = ScalarToyModel(ScalarToyParams(kappa=0.0))
-        # alpha u = b0 + beta d, (k) d = u: d = b0/(alpha k - beta)
-        assert toy.exact_interface_solution() == pytest.approx(4.0 / (2.0 - 1.0), rel=1e-14)
-
-    def test_monotonicity_guard(self):
-        with pytest.raises(ContractError):
-            ScalarToyParams(stiffness=0.4, alpha=2.0, beta=1.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["alpha", "beta", "b0", "stiffness", "kappa"])
-    def test_non_finite_float_rejected(self, name, value):
-        # a nan stiffness used to fail late, at a residual norm
-        with pytest.raises(ContractError, match=f"'{name}' must be finite"):
-            ScalarToyParams(**{name: value})
-
-
-@pytest.mark.parametrize("build", [LinearToyModel, ScalarToyModel], ids=["linear", "scalar"])
+@pytest.mark.parametrize("build", [LinearToyModel, LinearToyModel.stable],
+                         ids=["linear", "preset"])
 @pytest.mark.parametrize("steps", [0, -2, 1.0])
 def test_toy_step_count_is_a_positive_integer(build, steps):
     # zero steps used to print a "converged" run of no steps
     with pytest.raises(ContractError, match="steps must be an integer >= 1"):
         build(steps=steps)
+
+
+@pytest.mark.parametrize("key", ["dim_f", "dim_s"])
+@pytest.mark.parametrize("value", [0, -2, 2.0])
+def test_toy_dimension_is_a_positive_integer(key, value):
+    # a float dimension used to fail inside numpy with a bare TypeError
+    with pytest.raises(ContractError, match=f"^{key} must be an integer >= 1"):
+        LinearToyModel(**{key: value})
 
 
 class TestLinearToyIqnCount:

@@ -599,28 +599,35 @@ def mid_run_cases():
 class TestSolversAreBitwiseTheSpecPath:
     """The per-step solvers against the per-iteration spec path they replaced."""
 
-    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("calls", [1, 3])
     @pytest.mark.parametrize("cap", [1, 2, math.inf])
     @pytest.mark.parametrize("driver", list(DriverKind), ids=lambda k: k.value)
-    def test_histories_and_final_states(self, mid_run_cases, driver, cap, batch_size):
+    def test_histories_and_final_states(self, mid_run_cases, driver, cap, calls):
+        # one solver pair serves `calls` calls in a row, each started from the
+        # last one's result, as the coupling iterations of a time step use it
         config = CouplingConfig()
         params, cases = mid_run_cases
         for state, snapshot, u_f, u_s in cases:
             d = InterfaceField(snapshot, FieldRole.DISPLACEMENT)
             terms = reference_step_terms(params, state)
-            inp = SolverCallInput(u_f, d, eps=config.eps_f, n_max=cap, batch_size=batch_size)
             flow = TubeFlowSolver(params, state, driver)
-            got_u, got_h = drive(flow, inp)
-            ref_u, ref_h = reference_iterate(
-                reference_flow_system(params, state, d, driver, *terms[:2]), inp)
-            assert np.array_equal(got_u, ref_u) and np.array_equal(got_h, ref_h)
-            assert got_h  # at least one inner iteration
+            solid = TubeSolidSolver(params, state)
+            for _ in range(calls):
+                inp = SolverCallInput(u_f, d, eps=config.eps_f, n_max=cap)
+                got_u, got_h = drive(flow, inp)
+                ref_u, ref_h = reference_iterate(
+                    reference_flow_system(params, state, d, driver, *terms[:2]), inp)
+                assert np.array_equal(got_u, ref_u) and np.array_equal(got_h, ref_h)
+                assert got_h  # at least one inner iteration
+                u_f = got_u
 
-            tr = flow.output(got_u)
-            inp = SolverCallInput(u_s, tr, eps=config.eps_s, n_max=cap, batch_size=batch_size)
-            got_u, got_h = drive(TubeSolidSolver(params, state), inp)
-            ref_u, ref_h = reference_iterate(reference_solid_system(params, tr, *terms[2:]), inp)
-            assert np.array_equal(got_u, ref_u) and np.array_equal(got_h, ref_h)
+                tr = flow.output(got_u)
+                inp = SolverCallInput(u_s, tr, eps=config.eps_s, n_max=cap)
+                got_u, got_h = drive(solid, inp)
+                ref_u, ref_h = reference_iterate(
+                    reference_solid_system(params, tr, *terms[2:]), inp)
+                assert np.array_equal(got_u, ref_u) and np.array_equal(got_h, ref_h)
+                u_s = got_u
 
 
 class TestCoupledInvariants:
@@ -647,11 +654,3 @@ class TestCoupledInvariants:
         record = run_simulation(model, CouplingConfig())
         assert record.converged
         assert len(record.snapshots) == params.steps
-
-    def test_flow_batching_multiples(self, params):
-        from dataclasses import replace
-
-        model = Tube1DModel(params, flow_scheme=DriverKind.PICARD)
-        record = run_simulation(model, replace(CouplingConfig(), batch_size_f=4))
-        assert record.counters.flow_total % 4 == 0
-        assert record.counters.flow_total >= 4 * record.counters.coupling_total

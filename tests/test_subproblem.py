@@ -57,9 +57,8 @@ def driver_id(value):
 each_driver = pytest.mark.parametrize("driver", list(DriverKind), ids=driver_id)
 
 
-def call_input(u0, eps=1e-10, n_max=math.inf, batch_size=1):
-    return SolverCallInput(np.asarray(u0, dtype=float), DUMMY, eps=eps, n_max=n_max,
-                           batch_size=batch_size)
+def call_input(u0, eps=1e-10, n_max=math.inf):
+    return SolverCallInput(np.asarray(u0, dtype=float), DUMMY, eps=eps, n_max=n_max)
 
 
 class TestNewtonDrive:
@@ -248,42 +247,10 @@ class TestRoundoffFloor:
             run(_roundoff_bound_spec(calls, driver), call_input(np.zeros(20), eps=1e-12))
         assert len(calls) <= 20
 
-    @pytest.mark.parametrize("batch_size", [6, 8])
-    def test_converged_call_still_runs_full_batch(self, batch_size):
-        # residual 0 on every iteration: converged, not stalled, so the batch ends
-        _, rep = run(scalar_affine(), call_input([2.0], eps=1e-10, batch_size=batch_size))
-        assert rep.inner_iters == batch_size
-        assert rep.residual_history[-1] == 0.0
-
     def test_capped_call_is_not_guarded(self):
         # a cap ends the loop itself, so a capped call returns its iterate
         _, rep = run(_roundoff_bound_spec([]), call_input(np.zeros(20), eps=1e-12, n_max=30))
         assert rep.inner_iters == 30
-
-
-class TestBatching:
-    def _spec(self):
-        return scalar_affine()
-
-    def test_converged_call_still_runs_full_batch(self):
-        u, rep = run(self._spec(), call_input([2.0], eps=1e-10, batch_size=3))
-        assert rep.inner_iters == 3
-        assert rep.converged_on_first
-
-    def test_newton_batches_too(self):
-        # the batch rule belongs to the one loop, not to the Picard update
-        u, rep = run(scalar_quadratic(), call_input([2.0], eps=1e-12, batch_size=3))
-        assert rep.inner_iters == 3
-        assert rep.converged_on_first
-        assert u[0] == 2.0
-
-    def test_cap_truncates_last_batch(self):
-        u, rep = run(self._spec(), call_input([0.0], eps=1e-14, n_max=7, batch_size=3))
-        assert rep.inner_iters == 7  # 3 + 3 + truncated 1
-
-    def test_multiple_of_batch(self):
-        u, rep = run(self._spec(), call_input([0.0], eps=1e-8, batch_size=4))
-        assert rep.inner_iters % 4 == 0
 
 
 class TestSolverCallInput:
