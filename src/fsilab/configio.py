@@ -104,16 +104,21 @@ def _kwargs(cfg: dict, keys: dict) -> dict:
 
 def _check_keys(cfg: dict) -> str:
     """The config's model name, after rejecting a key that neither that model nor a
-    coupling, cost or sweep setting reads, with the nearest key it could mean."""
+    coupling, cost or sweep setting reads, naming the model it belongs to or else the
+    nearest key it could mean."""
     name = cfg.get("model", "tube1d").lower()
     if name not in _MODELS:
         raise ContractError(f"unknown model {name!r} (expected {', '.join(_MODELS)})")
     allowed = _ALLOWED_KEYS[name]
     for key in cfg:
         if key not in allowed:
+            owners = [other for other, keys in _ALLOWED_KEYS.items() if key in keys]
+            if owners:
+                raise ContractError(f"unknown config key {key!r} for model {name!r}; "
+                                    f"{key!r} is a key of model {owners[0]!r}")
             import difflib  # here, not at the top: the import costs every run ~0.15 MB
 
-            near = difflib.get_close_matches(key, allowed, n=1)
+            near = difflib.get_close_matches(key, allowed, n=1, cutoff=0.8)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ContractError(f"unknown config key {key!r}{hint}")
     return name

@@ -450,15 +450,39 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     )
 
 
+def _predict(accepted: list) -> InterfaceField:
+    """A time step's first interface displacement, extrapolated from ``accepted``,
+    the accepted displacements of the steps before it (oldest first, at least one).
+
+    The newest three count. With ``d_n`` the newest and ``h`` the time step, each
+    case's error against the true ``d_{n+1}`` is given to leading order.
+    """
+    d = accepted[-3:]
+    if len(d) == 1:
+        # d_n; error h d', first order
+        guess = d[0]
+    elif len(d) == 2:
+        # 2 d_n - d_{n-1}; error h^2 d'', second order
+        guess = 2.0 * d[1] - d[0]
+    else:
+        # 2.5 d_n - 2 d_{n-1} + 0.5 d_{n-2}, which is d_n + h d'_n with the
+        # three-point backward difference for d'_n; error h^2 d'' / 2, second
+        # order with half the linear error, and exact on linear motion
+        guess = 2.5 * d[2] - 2.0 * d[1] + 0.5 * d[0]
+    return InterfaceField(guess, FieldRole.DISPLACEMENT)
+
+
 def run_simulation(model, config: CouplingConfig, on_step=None,
                    increments: bool = False) -> RunRecord:
     """Run all time steps of a coupled model; fully deterministic given config.
 
     The model declares ``n_interface``, ``n_steps``, ``initial_state()``,
     ``flow_solver(state)``, ``solid_solver(state)`` and ``advance_state(state,
-    d, flow_u)``. The run starts from ``initial_state()``; the first coupling
-    iteration guesses a zero interface displacement, and each solver's first
-    call starts from a zero interior state.
+    d, flow_u)``. The run starts from ``initial_state()``. The first coupling
+    iteration of the first step guesses a zero interface displacement; every
+    later step starts from an extrapolation of the accepted displacements
+    (:func:`_predict`): step 2 from ``d_1``, step 3 linear, later steps
+    quadratic. Each solver's first call starts from a zero interior state.
 
     ``on_step(step, hist, state)`` is a diagnostics hook. ``increments=True``
     records each accepted step's would-be update increment in
@@ -469,7 +493,7 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     """
     t_start = time.perf_counter()
     state = model.initial_state()
-    d_acc = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
+    d_start = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
     u_f = u_s = None
     hist = IqnHistory(q=config.reuse_q)
 
@@ -477,9 +501,11 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     snapshots: list = []
     for step in range(1, model.n_steps + 1):
         hist.start_step(step)
+        if snapshots:
+            d_start = _predict(snapshots)
         try:
             record, d_acc, u_f, u_s = run_time_step(
-                model, config, state, hist, step, d_acc, u_f, u_s, increments=increments,
+                model, config, state, hist, step, d_start, u_f, u_s, increments=increments,
             )
         except DivergedStepError as exc:
             steps.append(exc.partial)

@@ -103,8 +103,7 @@ class SolverCallInput:
             raise ContractError(f"eps must be positive and finite, got {self.eps!r}")
 
 
-def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float,
-            eps: float) -> None:
+def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float) -> None:
     if not np.isfinite(u).all():
         raise DivergenceError(f"non-finite iterate at inner iteration {i}", iteration=i)
     if not bounded:
@@ -113,11 +112,11 @@ def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float,
                                   iteration=i)
         if history[-1] > _GROWTH_GUARD * max(history[0], 1.0):
             raise DivergenceError(f"residual grew beyond guard at iteration {i}", iteration=i)
-        # only an eps beneath the floor can livelock; a residual below eps has
-        # converged and ends the call in the caller
+        # only an eps beneath the floor can livelock; a residual below eps
+        # ends the call in the caller, and as every earlier one was at or
+        # above eps, it fails the window test here
         w = _FLOOR_STALL_ITERS
-        if (eps <= history[-1] <= floor and i > w
-                and min(history[-w:]) >= min(history[:-w])):
+        if history[-1] <= floor and i > w and min(history[-w:]) >= min(history[:-w]):
             raise DivergenceError(
                 f"residual stalled at the round-off floor at iteration {i}", iteration=i)
 
@@ -159,7 +158,7 @@ def drive(solver: Solver, inp: SolverCallInput):
             raise LinearSolveError(f"singular linear solve at inner iteration {i}",
                                    iteration=i) from exc
         u = u + du
-        _guards(history, i, u, bounded, floor, eps)
+        _guards(history, i, u, bounded, floor)
         if history[-1] < eps:
             break
         if bounded and i >= n_max:

@@ -132,7 +132,7 @@ def reference_iterate(spec, inp):
             raise LinearSolveError(f"{label}: singular {what} at inner iteration {i}",
                                    iteration=i) from exc
         u = u + du
-        _guards(history, i, u, bounded, floor, inp.eps)
+        _guards(history, i, u, bounded, floor)
         if history[-1] < inp.eps:
             break
         if bounded and i >= inp.n_max:

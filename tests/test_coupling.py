@@ -26,7 +26,7 @@ from fsilab import (
     run_simulation,
     run_time_step,
 )
-from fsilab.coupling import _MAX_SECANT_COLUMNS, _STALL_WINDOW, _require_eps_fil
+from fsilab.coupling import _MAX_SECANT_COLUMNS, _STALL_WINDOW, _predict, _require_eps_fil
 from fsilab.errors import (
     AllColumnsFilteredError,
     ContractError,
@@ -645,20 +645,24 @@ class TestEngineOnTube:
                    for a, b in zip(record.snapshots, again.snapshots))
 
     def test_resolve_audit_passes(self, short_run):
-        # stepping the run by hand, one more call of each solver with every
-        # accepted step's data meets that solver's tolerance on its first
-        # inner iteration, as the first-residual criterion promised
+        # stepping the run by hand, from the first guesses run_simulation
+        # takes, one more call of each solver with every accepted step's data
+        # meets that solver's tolerance on its first inner iteration, as the
+        # first-residual criterion promised
         params, config, record = short_run
         model = Tube1DModel(params)
         state, u_f, u_s = model.initial_state(), None, None
-        d_acc = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
+        d_start = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
         hist = IqnHistory(q=config.reuse_q)
-        per_step = []
+        per_step, accepted = [], []
         for step in range(1, params.steps + 1):
             hist.start_step(step)
+            if accepted:
+                d_start = _predict(accepted)
             rec, d_acc, u_f, u_s = run_time_step(model, config, state, hist, step,
-                                                 d_acc, u_f, u_s)
+                                                 d_start, u_f, u_s)
             per_step.append((step, rec.coupling_iters, rec.flow_iters, rec.solid_iters))
+            accepted.append(d_acc.values)
             flow = model.flow_solver(state)
             _, hist_f = drive(flow, SolverCallInput(u_f, d_acc, eps=config.eps_f, n_max=1))
             traction = flow.output(u_f)
@@ -668,6 +672,7 @@ class TestEngineOnTube:
             assert hist_s[0] <= config.eps_s
             state = model.advance_state(state, d_acc, u_f)
         assert per_step == record.counters.per_step
+        assert all(np.array_equal(a, b) for a, b in zip(accepted, record.snapshots))
 
     def test_counters_additivity_and_diagnostics(self, short_run):
         _, _, record = short_run
@@ -714,15 +719,14 @@ class TestEngineOnTube:
 
     def test_history_cap_follows_the_interface_length(self):
         # 11 interface nodes: the history never holds more than 11 columns,
-        # though _MAX_SECANT_COLUMNS allows 24; these are the counts of the
-        # engine that was handed min(n_interface, _MAX_SECANT_COLUMNS)
+        # though _MAX_SECANT_COLUMNS allows 24
         columns = []
         record = run_simulation(Tube1DModel(Tube1DParams(cells=10, steps=10)), CouplingConfig(),
                                 on_step=lambda step, hist, state: columns.append(hist.n_columns))
         assert max(columns) == 11 < _MAX_SECANT_COLUMNS
         assert record.counters.per_step == [
-            (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 5, 11, 11), (5, 6, 13, 13),
-            (6, 7, 15, 15), (7, 6, 13, 13), (8, 5, 11, 11), (9, 5, 11, 11), (10, 5, 11, 11)]
+            (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 6, 12, 13), (5, 6, 13, 13),
+            (6, 7, 16, 17), (7, 6, 12, 13), (8, 6, 12, 13), (9, 6, 13, 13), (10, 5, 10, 11)]
 
     def test_reuse_eviction_invariant(self):
         params = Tube1DParams(cells=40, steps=8)
@@ -761,6 +765,115 @@ class TestZeroFirstGuesses:
         assert (flow_id, solid_id) == (SolverId.FLOW, SolverId.SOLID)
         assert np.array_equal(u0_f, np.zeros(3)) and np.array_equal(u0_s, np.zeros(5))
         assert d0.role is FieldRole.DISPLACEMENT and np.array_equal(d0.values, np.zeros(5))
+
+
+# row j: the t**j coefficients of the motion of three interface nodes
+_COEFFS = np.array([[2, -3, 1], [-1, 4, 2], [5, 0, -2]])
+
+
+def _motion(degree: int, steps: int = 4) -> list:
+    """Snapshots d(t) at t = 1..steps of the nodes' polynomials of ``degree``; small
+    integers, so every case of _predict evaluates them exactly."""
+    powers = np.arange(degree + 1)
+    return [(t ** powers @ _COEFFS[: degree + 1]).astype(float) for t in range(1, steps + 1)]
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("n, exact_degree", [(1, 0), (2, 1), (3, 1)])
+    def test_each_case_is_exact_up_to_its_degree(self, n, exact_degree):
+        # the n newest snapshots pick the case: d_n, then linear, then quadratic
+        for degree in range(exact_degree + 1):
+            *accepted, truth = _motion(degree, steps=n + 1)
+            guess = _predict(accepted)
+            assert guess.role is FieldRole.DISPLACEMENT
+            assert np.array_equal(guess.values, truth)
+
+    @pytest.mark.parametrize("n, degree, error", [
+        # the leading error terms with h = 1, which are the whole error on a
+        # motion one degree up: h d' = c_1, h^2 d'' = 2 c_2 and h^2 d'' / 2 = c_2
+        (1, 1, _COEFFS[1]),
+        (2, 2, 2 * _COEFFS[2]),
+        (3, 2, _COEFFS[2]),
+    ])
+    def test_leading_error_one_degree_up(self, n, degree, error):
+        *accepted, truth = _motion(degree, steps=n + 1)
+        assert np.array_equal(truth - _predict(accepted).values, error)
+
+    def test_only_the_newest_three_snapshots_count(self):
+        d1, d2, d3, d4 = _motion(2)
+        quadratic = 2.5 * d3 - 2.0 * d2 + 0.5 * d1
+        assert np.array_equal(_predict([d1, d2, d3]).values, quadratic)
+        assert np.array_equal(_predict([d4, d1, d2, d3]).values, quadratic)
+        assert not np.array_equal(quadratic, 2.0 * d3 - d2)
+
+    def test_run_starts_each_step_from_the_prediction(self, monkeypatch):
+        # step 1 starts from zeros, and the zeros are no snapshot: step 2
+        # starts from d_1
+        import fsilab.coupling as coupling_mod
+
+        starts = []
+        real_step = coupling_mod.run_time_step
+
+        def recording(model, config, state, hist, step, d_start, *args, **kwargs):
+            starts.append(d_start.values)
+            return real_step(model, config, state, hist, step, d_start, *args, **kwargs)
+
+        monkeypatch.setattr(coupling_mod, "run_time_step", recording)
+        record = run_simulation(Tube1DModel(Tube1DParams(cells=20, steps=5)), CouplingConfig())
+        snaps = record.snapshots
+        assert np.array_equal(starts[0], np.zeros(21))
+        assert np.array_equal(starts[1], snaps[0])
+        for step in range(3, 6):
+            assert np.array_equal(starts[step - 1], _predict(snaps[: step - 1]).values)
+
+
+class _ScriptedSolid:
+    """Delegates to a tube model; the solid of time step t outputs ``script[t - 1]``,
+    whatever the traction, so the accepted displacements are the script."""
+
+    def __init__(self, model, script):
+        self._model = model
+        self._script = script
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def solid_solver(self, state):
+        target = self._script[state.step]
+
+        class Solid:
+            dim = target.size
+
+            def load(self, traction):
+                return target, lambda u: target - u, lambda u, r: r
+
+            def output(self, u):
+                return InterfaceField(u, FieldRole.DISPLACEMENT)
+
+        return Solid()
+
+
+class TestPredictedCollapse:
+    def test_collapsing_prediction_aborts_the_step_with_its_record(self):
+        # uniform inward wall displacements of 0.1, 0.3 and 0.8 radii: every
+        # accepted section stays open, but step 4's quadratic prediction, -1.45
+        # radii, collapses every section
+        params = Tube1DParams(cells=10, steps=5)
+        script = [np.full(params.n_nodes, -f * params.radius) for f in (0.1, 0.3, 0.8, 0.8)]
+        model = _ScriptedSolid(Tube1DModel(params), script)
+        with pytest.raises(DivergedStepError, match="time step 4: .*flow solver: "
+                                                    "non-positive tube radius") as err:
+            run_simulation(model, CouplingConfig())
+        assert isinstance(err.value.__cause__, GeometryError)
+        partial, record = err.value.partial, err.value.record
+        assert record.steps[-1] is partial and record.failing_step == 4
+        assert [s.converged for s in record.steps] == [True, True, True, False]
+        assert all(np.array_equal(a, b) for a, b in zip(record.snapshots, script))
+        # the failed load ran no inner iteration, but its seconds count in T_f
+        assert (partial.coupling_iters, partial.flow_iters, partial.solid_iters) == (1, 0, 0)
+        assert partial.flow_time > 0.0 and partial.solid_time == 0.0
+        assert record.counters.per_step[-1] == (4, 1, 0, 0)
+        assert record.flow_seconds == sum(s.flow_time for s in record.steps)
 
 
 class TestEngineFallbacks:

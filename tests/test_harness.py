@@ -143,6 +143,30 @@ class TestConfigParsing:
         with pytest.raises(ContractError, match=f"^unknown config key '{key}'"):
             getattr(configio, build)(cfg)
 
+    @pytest.mark.parametrize("build", ["build_model", "build_coupling_config"])
+    def test_key_of_another_model_names_that_model(self, build):
+        # no did-you-mean guess: difflib's nearest key to cells on the linear
+        # toy is the unrelated coupling key accel
+        import fsilab.configio as configio
+
+        with pytest.raises(ContractError) as err:
+            getattr(configio, build)({"model": "linear_toy", "cells": "7"})
+        assert str(err.value) == ("unknown config key 'cells' for model 'linear_toy'; "
+                                  "'cells' is a key of model 'tube1d'")
+        with pytest.raises(ContractError) as err:
+            getattr(configio, build)({"dim_f": "3"})
+        assert str(err.value) == ("unknown config key 'dim_f' for model 'tube1d'; "
+                                  "'dim_f' is a key of model 'linear_toy'")
+
+    def test_hint_needs_a_close_key(self):
+        # eps is no misspelt steps, though difflib's default cutoff says so
+        from fsilab.configio import build_model
+
+        for model in ("tube1d", "linear_toy"):
+            with pytest.raises(ContractError) as err:
+                build_model({"model": model, "eps": "1e-9"})
+            assert str(err.value) == "unknown config key 'eps'"
+
     def test_hint_draws_only_from_the_configs_own_model(self):
         # the removed tube key mu_f used to be pointed at the linear toy's dim_f
         from fsilab.configio import build_model
