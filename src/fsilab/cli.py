@@ -42,8 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, type=Path)
     p_sweep.add_argument("--out", required=True, type=Path)
     p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None,
-                         help="seed for modeled-timing noise (timing = modeled, noise_rel > 0)")
 
     p_replay = sub.add_parser("replay", help="verify a published table against cost factors")
     p_replay.add_argument("--table", required=True, type=Path)
@@ -105,7 +103,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    spec = SweepSpec.from_config(cfg, out_dir=args.out, workers=args.workers, seed=args.seed)
+    spec = SweepSpec.from_config(cfg, out_dir=args.out, workers=args.workers)
     result = run_sweep(spec)
     n_ok = sum(r.converged for r in result.rows)
     print(f"wrote {result.csv_path} ({n_ok}/{len(result.rows)} cells converged)")

@@ -49,22 +49,13 @@ def parse_config(path) -> dict:
     return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def _bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _enum(kind):
     """Parser of a config value naming a member of ``kind`` by its value."""
     return lambda text: kind(text.lower())
 
 
 # a parameter's parser, by its annotation
-_PARSERS = {"float": float, "int": int, "bool": _bool, "Cap": parse_cap,
+_PARSERS = {"float": float, "int": int, "Cap": parse_cap,
             **{kind.__name__: _enum(kind) for kind in (AccelKind, CriterionKind, DriverKind)}}
 
 
@@ -81,7 +72,7 @@ _MODELS = {"tube1d": (Tube1DModel, Tube1DParams), "linear_toy": (LinearToyModel,
 _MODEL_KEYS = {name: (_keys(model), _keys(params) if params else {})
                for name, (model, params) in _MODELS.items()}
 # what SweepSpec.from_config and run_sweep read
-_SWEEP_KEYS = ("grid_f", "grid_s", "workers", "timing", "noise_rel")
+_SWEEP_KEYS = ("grid_f", "grid_s", "workers", "timing")
 # model name -> every key its config may set
 _ALLOWED_KEYS = {name: frozenset({"model", *model_keys, *params_keys, *_COUPLING_KEYS,
                                   *_COST_KEYS, *_SWEEP_KEYS})
@@ -139,7 +130,8 @@ def build_model(cfg: dict):
 def grids_from_config(cfg: dict) -> tuple:
     if "grid_f" not in cfg or "grid_s" not in cfg:
         raise ContractError("sweep config requires grid_f and grid_s")
-    return caps_list(cfg["grid_f"]), caps_list(cfg["grid_s"])
+    grids = _kwargs(cfg, {key: (key, caps_list) for key in ("grid_f", "grid_s")})
+    return grids["grid_f"], grids["grid_s"]
 
 
 def factors_from_config(cfg: dict) -> CostFactors | None:

@@ -8,7 +8,7 @@ residual, acceleration update. Two convergence criteria are available:
   residual of the first inner iteration of the latest call already met that
   solver's own tolerance. No coupling tolerance exists in this mode.
 * ``FIXED_POINT_NORM`` - the legacy test ``||r||_2 < eps_c`` on the interface
-  fixed-point residual (optionally relative to the current displacement norm).
+  fixed-point residual.
 
 Acceleration modes: constant relaxation, Aitken dynamic relaxation, and
 quasi-Newton least-squares updates built from input-output pairs of previous
@@ -250,24 +250,13 @@ def aitken_omega(r_k, r_km1, omega_km1: float) -> tuple:
     return float(min(max(omega, _AITKEN_MIN), _AITKEN_MAX)), False
 
 
-def check_convergence(
-    report_f: SolverCallReport,
-    report_s: SolverCallReport,
-    config: CouplingConfig,
-    r_k: np.ndarray,
-    d_k: np.ndarray | None = None,
-) -> bool:
-    """Convergence test of the current coupling iteration."""
+def check_convergence(report_f: SolverCallReport, report_s: SolverCallReport,
+                      config: CouplingConfig, r_norm: float) -> bool:
+    """Convergence test of the current coupling iteration, whose fixed-point
+    residual has the 2-norm ``r_norm``."""
     if config.criterion is CriterionKind.FIRST_RESIDUAL:
         return report_f.converged_on_first and report_s.converged_on_first
-    norm = float(np.linalg.norm(r_k))
-    if not config.criterion_relative:
-        return norm < config.eps_c
-    if norm == 0.0:
-        return True
-    if d_k is None or float(np.linalg.norm(d_k)) == 0.0:
-        return False
-    return norm / float(np.linalg.norm(d_k)) < config.eps_c
+    return r_norm < config.eps_c
 
 
 class Event(NamedTuple):
@@ -404,7 +393,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         r_prev = r_k
         d_tilde_prev = d_tilde.values
 
-        if check_convergence(rep_f, rep_s, config, r_k, d_k.values):
+        if check_convergence(rep_f, rep_s, config, r_norm):
             d_norm = float(np.linalg.norm(d_k.values))
             rel = r_norm / d_norm if d_norm > 0.0 else float("inf")
             inc = None

@@ -72,7 +72,6 @@ class SweepSpec:
     grid_s: list
     workers: int = 1
     out_dir: Path | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.grid_f or not self.grid_s:
@@ -85,10 +84,9 @@ class SweepSpec:
             raise SweepSpecError("the (inf, inf) reference cell must be part of the grid")
         if self.workers < 1:
             raise SweepSpecError("workers must be >= 1")
-        _check_seed(self.seed)
 
     @classmethod
-    def from_config(cls, cfg: dict, out_dir=None, workers=None, seed=None) -> "SweepSpec":
+    def from_config(cls, cfg: dict, out_dir=None, workers=None) -> "SweepSpec":
         grid_f, grid_s = grids_from_config(cfg)
         if workers is None:
             try:
@@ -101,7 +99,6 @@ class SweepSpec:
             grid_s=grid_s,
             workers=workers,
             out_dir=Path(out_dir) if out_dir is not None else None,
-            seed=seed,
         )
 
 
@@ -166,19 +163,20 @@ def _check_noise_rel(noise_rel: float) -> None:
         raise SweepSpecError(f"noise_rel must be a finite number in [0, 1), got {noise_rel!r}")
 
 
-def _check_seed(seed: int | None, noisy: bool = True) -> None:
+def _check_seed(seed: int | None, noisy: bool) -> None:
     # numpy's generators take only non-negative seeds, and only noise draws from one
     if seed is None:
         return
     if seed < 0:
         raise SweepSpecError(f"seed must be a non-negative integer, got {seed!r}")
     if not noisy:
-        raise SweepSpecError(f"seed {seed} applies only to noisy modeled timings "
-                             "(timing = modeled, noise_rel > 0)")
+        raise SweepSpecError(f"seed {seed} applies only to noisy timings (noise_rel > 0)")
 
 
-def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float, seed) -> None:
-    """Replace the rows' timings by the cost-model evaluation, times seeded noise.
+def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float = 0.0,
+                     seed: int | None = None) -> None:
+    """Replace the rows' timings by the cost-model evaluation, times seeded noise
+    when ``noise_rel > 0``.
 
     The noise draws run per row in the order T_f, T_s, T_c.
     """
@@ -197,26 +195,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     build_model(spec.config)
     build_coupling_config(spec.config)
     factors = factors_from_config(spec.config)
-    try:
-        noise = float(spec.config.get("noise_rel", "0"))
-    except ValueError as exc:
-        raise SweepSpecError(f"noise_rel: {exc}") from exc
-    _check_noise_rel(noise)
     if timing_mode == "measured":
         if spec.workers > 1:
             # parallel cells contend for the cores and bias the timings the
             # self-fit prices them by
             raise SweepSpecError("timing = measured requires workers = 1")
-        if noise > 0:
-            raise SweepSpecError("noise_rel applies only to timing = modeled")
     elif timing_mode == "modeled":
         if factors is None:
             raise SweepSpecError("timing = modeled requires cost_* factor keys")
-        if noise > 0 and spec.seed is None:
-            raise SweepSpecError("noisy modeled timings require a seed")
     else:
         raise SweepSpecError(f"unknown timing mode {timing_mode!r}")
-    _check_seed(spec.seed, noisy=timing_mode == "modeled" and noise > 0)
     cells = [(f, s) for f in spec.grid_f for s in spec.grid_s]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -229,7 +217,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     snapshots = {cell: snaps for cell, (_, snaps) in zip(cells, outcomes)}
 
     if timing_mode == "modeled":
-        _modeled_timings(rows, factors, noise, spec.seed)
+        _modeled_timings(rows, factors)
     if factors is None:
         factors = _self_fit(rows)
 
@@ -286,11 +274,14 @@ def write_sweep_csv(path, rows: list) -> Path:
 
 
 def read_sweep_csv(path) -> list:
+    """The rows of a sweep.csv, which holds at least one below its header."""
     rows = read_csv_rows(path)
     header_line, header = rows[0]
     if tuple(h.strip() for h in header) != SWEEP_COLUMNS:
         raise TableParseError(f"{path}:{header_line}: unexpected sweep.csv header",
                               line=header_line)
+    if len(rows) == 1:
+        raise TableParseError(f"{path}: no rows below the header")
     out = []
     for lineno, fields in rows[1:]:
         if len(fields) != len(SWEEP_COLUMNS):

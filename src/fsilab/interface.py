@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -194,7 +193,6 @@ class CouplingConfig:
     accel: AccelKind = AccelKind.IQN_ILS
     criterion: CriterionKind = CriterionKind.FIRST_RESIDUAL
     eps_c: float = 1e-10
-    criterion_relative: bool = False
     max_coupling_iters: int = 200
 
     def __post_init__(self):
@@ -280,10 +278,6 @@ def parse_cap(text: str) -> Cap:
     return value
 
 
-def caps_list(text: str | Sequence) -> list:
+def caps_list(text: str) -> list:
     """Parse a comma-separated cap list like ``1,2,3,inf``."""
-    if isinstance(text, str):
-        items = [part for part in text.split(",") if part.strip()]
-    else:
-        items = list(text)
-    return [parse_cap(str(item)) for item in items]
+    return [parse_cap(part) for part in text.split(",") if part.strip()]

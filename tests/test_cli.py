@@ -4,6 +4,7 @@ import pytest
 
 from fsilab.cli import main
 from fsilab.configio import data_path, published_table_path, regression_summary_path
+from fsilab.harness import SWEEP_COLUMNS
 
 TOY_CFG = """
 model = linear_toy
@@ -155,6 +156,9 @@ def test_measured_sweep_with_two_workers_is_an_error(tmp_path, capsys):
     ("sweep", "acel", "constant"),
     ("run", "mu_f", "0.003"),
     ("run", "batch_size_f", "1"),
+    ("run", "criterion_relative", "true"),
+    ("sweep", "noise_rel", "0.01"),
+    ("sweep", "grid_f", "1,x"),
 ])
 def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "bad.cfg"
@@ -203,30 +207,26 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, command, flag):
     assert not (tmp_path / "out").exists()
 
 
-def test_negative_seed_is_an_error_line(tmp_path, capsys):
-    cfg = tmp_path / "noisy.cfg"
-    cfg.write_text(SWEEP_CFG + "timing = modeled\ncost_c_couple = 0.01\nnoise_rel = 0.01\n")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--seed", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "seed" in captured.err
-    assert "Traceback" not in captured.err
+def test_seed_is_a_usage_error(sweep_cfg, tmp_path, capsys):
+    # a sweep draws no random numbers, so it takes no seed
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--config", str(sweep_cfg), "--out", str(tmp_path / "out"),
+              "--seed", "3"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("extra", ["", "timing = modeled\ncost_c_couple = 0.01\n"],
-                         ids=["measured", "noiseless-modeled"])
-def test_seed_without_noise_is_an_error_line(tmp_path, capsys, extra):
-    # it used to be ignored: nothing draws from it
-    cfg = tmp_path / "plain.cfg"
-    cfg.write_text(SWEEP_CFG.replace("grid_f = 1,2,inf\ngrid_s = 1,inf",
-                                     "grid_f = inf\ngrid_s = inf") + extra)
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--seed", "3"]) == 1
+def test_contour_of_a_sweep_without_rows_is_an_error_line(tmp_path, capsys):
+    # it used to exit 0 with a contour that held only a comma
+    results = tmp_path / "sweep.csv"
+    results.write_text(",".join(SWEEP_COLUMNS) + "\n")
+    out = tmp_path / "out"
+    assert main(["contour", "--results", str(results), "--quantity", "N_c",
+                 "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: seed 3 applies only to noisy modeled timings")
-    assert "Traceback" not in captured.err
-    assert not (tmp_path / "out").exists()
+    assert captured.err == f"error: {results}: no rows below the header\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_replay_case_without_case_column_is_an_error_line(tmp_path, capsys):

@@ -609,23 +609,16 @@ class TestCheckConvergence:
         cfg = CouplingConfig()
         ok = report(1e-12)
         slow = report(1.0, iters=3)
-        assert check_convergence(ok, ok, cfg, np.ones(3))
-        assert not check_convergence(slow, ok, cfg, np.ones(3))
-        assert not check_convergence(ok, slow, cfg, np.ones(3))
+        assert check_convergence(ok, ok, cfg, 1.0)
+        assert not check_convergence(slow, ok, cfg, 1.0)
+        assert not check_convergence(ok, slow, cfg, 1.0)
 
     def test_legacy_norm(self):
         cfg = CouplingConfig(criterion=CriterionKind.FIXED_POINT_NORM, eps_c=1e-10)
         bad = report(1.0, iters=2)
-        assert check_convergence(bad, bad, cfg, np.zeros(3))
-        assert not check_convergence(bad, bad, cfg, np.full(3, 1e-3))
-
-    def test_legacy_relative(self):
-        cfg = CouplingConfig(criterion=CriterionKind.FIXED_POINT_NORM, eps_c=1e-3,
-                             criterion_relative=True)
-        rep = report(1.0, iters=2)
-        assert check_convergence(rep, rep, cfg, np.array([1e-4]), d_k=np.array([1.0]))
-        assert not check_convergence(rep, rep, cfg, np.array([1e-4]), d_k=np.array([0.0]))
-        assert check_convergence(rep, rep, cfg, np.zeros(1), d_k=np.array([0.0]))
+        assert check_convergence(bad, bad, cfg, 0.0)
+        assert not check_convergence(bad, bad, cfg, 1e-10)
+        assert not check_convergence(bad, bad, cfg, math.sqrt(3) * 1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -1024,6 +1017,23 @@ class TestEngineAccelerationModes:
                              CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.1,
                                             accel=AccelKind.IQN_ILS))
         assert rec.converged
+
+    def test_residual_growth_aborts_the_step(self):
+        # undamped relaxation on the unstable preset: the residual grows by
+        # the spectral radius 2.5 per coupling iteration, past the 1e6 bound
+        # at k = 17, with two inner iterations per linear solver call
+        with pytest.raises(DivergedStepError) as err:
+            run_simulation(LinearToyModel.unstable(),
+                           CouplingConfig(eps_f=1e-9, eps_s=1e-9, omega0=1.0,
+                                          accel=AccelKind.CONSTANT))
+        assert str(err.value) == "time step 1: coupling residual grew by more than 1e+06x"
+        partial, record = err.value.partial, err.value.record
+        assert (partial.step, partial.coupling_iters, partial.flow_iters,
+                partial.solid_iters) == (1, 17, 34, 34)
+        assert not partial.converged
+        assert record.counters.per_step == [(1, 17, 34, 34)]
+        assert record.failing_step == err.value.step == 1
+        assert not record.converged and not record.snapshots
 
     def test_diverged_step_carries_partial_record(self, monkeypatch):
         import fsilab.coupling as coupling_mod

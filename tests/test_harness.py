@@ -6,16 +6,19 @@ import pytest
 from fsilab.configio import (
     PUBLISHED_TABLES,
     data_path,
+    grids_from_config,
     load_factors_csv,
     load_published_counters,
     parse_config,
     parse_config_text,
     published_table_path,
+    read_csv_rows,
     regression_summary_path,
 )
 from fsilab.costmodel import CostFactors
 from fsilab.errors import ContractError, RankDeficiencyError, SweepSpecError, TableParseError
 from fsilab.harness import (
+    SWEEP_COLUMNS,
     SweepSpec,
     emit_contour,
     fit_from_runs,
@@ -50,14 +53,13 @@ class TestConfigParsing:
         cfg = build_coupling_config(parse_config_text(
             "n_max_f = 3\nn_max_s = inf\neps_f = 1e-8\neps_s = 1e-2\n"
             "eps_fil = 1e-10\nreuse_q = 2\nomega0 = 0.3\naccel = aitken\n"
-            "criterion = fixed_point\neps_c = 1e-7\ncriterion_relative = true\n"
-            "max_coupling_iters = 50\n"))
+            "criterion = fixed_point\neps_c = 1e-7\nmax_coupling_iters = 50\n"))
         assert cfg.n_max_f == 3 and cfg.n_max_s == math.inf
         assert (cfg.eps_f, cfg.eps_s, cfg.eps_fil) == (1e-8, 1e-2, 1e-10)
         assert cfg.reuse_q == 2 and cfg.omega0 == 0.3
         assert cfg.accel is AccelKind.AITKEN
         assert cfg.criterion is CriterionKind.FIXED_POINT_NORM
-        assert cfg.eps_c == 1e-7 and cfg.criterion_relative
+        assert cfg.eps_c == 1e-7
         assert cfg.max_coupling_iters == 50
 
     def test_model_keys_mapped(self):
@@ -117,7 +119,7 @@ class TestConfigParsing:
 
         assert set(configio._COUPLING_KEYS) == {
             "n_max_f", "n_max_s", "eps_f", "eps_s", "eps_fil", "reuse_q", "omega0", "accel",
-            "criterion", "eps_c", "criterion_relative", "max_coupling_iters"}
+            "criterion", "eps_c", "max_coupling_iters"}
         assert set(configio._COST_KEYS) == {
             "cost_c_couple", "cost_c_fix_f", "cost_c_iter_f", "cost_c_fix_s", "cost_c_iter_s"}
         model_keys = {name: set(model) | set(params)
@@ -177,12 +179,15 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("build", ["build_model", "build_coupling_config"])
     def test_removed_names_fail_loudly(self, build):
-        # the flow batch size and the scalar toy are gone: neither may be ignored
+        # the flow batch size, the relative fixed-point test, the sweep's timing
+        # noise and the scalar toy are gone: none may be ignored
         import fsilab.configio as configio
 
         shipped = parse_config(data_path("tube1d.cfg"))
-        with pytest.raises(ContractError, match=r"^unknown config key 'batch_size_f'$"):
-            getattr(configio, build)({**shipped, "batch_size_f": "1"})
+        for key, value in (("batch_size_f", "1"), ("criterion_relative", "true"),
+                           ("noise_rel", "0.01")):
+            with pytest.raises(ContractError, match=rf"^unknown config key '{key}'$"):
+                getattr(configio, build)({**shipped, key: value})
         with pytest.raises(ContractError, match=r"^unknown model 'scalar_toy' "
                                                 r"\(expected tube1d, linear_toy\)$"):
             getattr(configio, build)({"model": "scalar_toy"})
@@ -197,6 +202,14 @@ class TestConfigParsing:
         assert cfg["model"] == "tube1d"
         assert cfg["grid_f"] == "1,2,3,inf"
 
+    @pytest.mark.parametrize("key", ["grid_f", "grid_s"])
+    def test_bad_grid_value_names_its_key(self, key):
+        # it used to name only the value, unlike every other key
+        cfg = {"grid_f": "1,inf", "grid_s": "2,inf", key: "1,x"}
+        with pytest.raises(ContractError,
+                           match=rf"^config key '{key}': cannot parse cap value 'x'$"):
+            grids_from_config(cfg)
+
 
 class TestSweepSpecValidation:
     def test_reference_cell_required(self):
@@ -210,11 +223,6 @@ class TestSweepSpecValidation:
     def test_empty_grid(self):
         with pytest.raises(SweepSpecError):
             SweepSpec(config={}, grid_f=[], grid_s=[math.inf])
-
-    def test_negative_seed(self):
-        # numpy would reject it only after the whole grid had run
-        with pytest.raises(SweepSpecError, match="seed must be a non-negative integer"):
-            SweepSpec(config={}, grid_f=[math.inf], grid_s=[math.inf], seed=-1)
 
 
 class TestRunSweep:
@@ -268,26 +276,9 @@ class TestRunSweep:
     @pytest.mark.parametrize("extra, spec_kw, match", [
         ({"timing": "modeld"}, {}, "unknown timing mode 'modeld'"),
         ({"timing": "modeled"}, {}, "requires cost_"),
-        ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "0.01"}, {},
-         "require a seed"),
-        ({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": "abc"}, {},
-         "noise_rel: could not convert"),
         ({"timing": "measured"}, {"workers": 2}, "requires workers = 1"),
-        ({"noise_rel": "nan"}, {}, "noise_rel must be a finite number in"),
-        ({"timing": "measured", "noise_rel": "0.01"}, {},
-         "noise_rel applies only to timing = modeled"),
-    ] + [({"timing": "modeled", "cost_c_couple": "0.01", "noise_rel": value}, {},
-          "noise_rel must be a finite number in")
-         for value in ("nan", "-0.5", "inf", "1", "2")] + [
-        # nothing draws from a seed unless the modeled timings are noisy
-        ({"timing": "measured"}, {"seed": 3}, "seed 3 applies only to noisy modeled timings"),
-        ({"timing": "modeled", "cost_c_couple": "0.01"}, {"seed": 3},
-         "seed 3 applies only to noisy modeled timings"),
     ],
-        ids=["unknown-mode", "modeled-without-factors", "noise-without-seed",
-             "malformed-noise", "measured-parallel", "measured-nan-noise", "measured-noise",
-             "nan-noise", "negative-noise", "infinite-noise", "unit-noise", "noise-above-one",
-             "measured-seed", "noiseless-modeled-seed"])
+        ids=["unknown-mode", "modeled-without-factors", "measured-parallel"])
     def test_spec_errors_raise_before_any_cell_runs(self, tmp_path, monkeypatch,
                                                     extra, spec_kw, match):
         import fsilab.harness as harness_mod
@@ -634,3 +625,40 @@ class TestShippedData:
                  if l and not l.startswith("#")][1:]
         assert len(lines) == rows
         assert sum(1 for l in lines if l.split(",")[2] == "") == missing
+
+
+_SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
+_FACTORS_HEADER = "c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple"
+
+
+@pytest.mark.parametrize("text, call, error, message, line", [
+    (_SWEEP_HEADER + "\n1,1,true,3\n", read_sweep_csv,
+     TableParseError, "{path}:2: expected 12 fields", 2),
+    (_SWEEP_HEADER + "\n", lambda path: emit_contour(path, "N_x", path.parent),
+     SweepSpecError, "quantity must be one of ('N_c', 'N_f', 'N_s', 'teq_norm')", None),
+    ("nmax_f,nmax_s,teq_norm,N_c,N_f,N_s\n1,1,1.0,10,20,30\n",
+     lambda path: replay_published(path, CostFactors(c_couple=1.0)),
+     TableParseError, "{path}: reference row (inf, inf) is missing", None),
+    ("c_fix_f,c_iter_f,c_fix_s,c_iter_s\n1,1,1,1\n", load_factors_csv,
+     TableParseError, "{path}:1: missing column 'c_couple'", 1),
+    (_FACTORS_HEADER + "\n1,1,1,1,1\n2,2,2,2,2\n", load_factors_csv, TableParseError,
+     "{path}: expected exactly one factors row (use case= to select), got 2", None),
+    ("", read_csv_rows, TableParseError, "{path}: no rows", None),
+    ("# a comment\n\n", read_csv_rows, TableParseError, "{path}: no rows", None),
+    ("a = 1\n = 2\n", lambda path: parse_config_text(path.read_text(), source=str(path)),
+     TableParseError, "{path}:2: empty key", 2),
+    ("grid_f = 1,inf\n", lambda path: grids_from_config(parse_config(path)),
+     ContractError, "sweep config requires grid_f and grid_s", None),
+    ("", lambda path: SweepSpec(config={}, grid_f=[math.inf], grid_s=[math.inf], workers=0),
+     SweepSpecError, "workers must be >= 1", None),
+], ids=["sweep-field-count", "contour-quantity", "replay-without-reference",
+        "factors-missing-column", "factors-two-rows-no-case", "csv-empty",
+        "csv-comments-only", "config-empty-key", "config-without-grids", "spec-no-workers"])
+def test_reader_error_names_its_input(tmp_path, text, call, error, message, line):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        call(path)
+    assert type(err.value) is error
+    assert str(err.value) == message.format(path=path)
+    assert getattr(err.value, "line", None) == line
