@@ -12,7 +12,7 @@ import importlib.resources
 import inspect
 from pathlib import Path
 
-from .errors import ContractError, TableParseError
+from .errors import ContractError, SweepSpecError, TableParseError
 from .interface import (
     AccelKind,
     CouplingConfig,
@@ -54,6 +54,20 @@ def _enum(kind):
     return lambda text: kind(text.lower())
 
 
+def _timing(text: str) -> str:
+    mode = text.lower()
+    if mode not in ("measured", "modeled"):
+        raise ContractError(f"unknown timing mode {mode!r}")
+    return mode
+
+
+def _workers(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ContractError(f"must be >= 1, got {count}")
+    return count
+
+
 # a parameter's parser, by its annotation
 _PARSERS = {"float": float, "int": int, "Cap": parse_cap,
             **{kind.__name__: _enum(kind) for kind in (AccelKind, CriterionKind, DriverKind)}}
@@ -71,17 +85,18 @@ _MODELS = {"tube1d": (Tube1DModel, Tube1DParams), "linear_toy": (LinearToyModel,
 # model name -> (keys of the model, keys of its params class)
 _MODEL_KEYS = {name: (_keys(model), _keys(params) if params else {})
                for name, (model, params) in _MODELS.items()}
-# what SweepSpec.from_config and run_sweep read
-_SWEEP_KEYS = ("grid_f", "grid_s", "workers", "timing")
+# what SweepSpec.from_config and run_sweep read; every config load parses them
+_SWEEP_KEYS = {"grid_f": ("grid_f", caps_list), "grid_s": ("grid_s", caps_list),
+               "workers": ("workers", _workers), "timing": ("timing", _timing)}
 # model name -> every key its config may set
 _ALLOWED_KEYS = {name: frozenset({"model", *model_keys, *params_keys, *_COUPLING_KEYS,
                                   *_COST_KEYS, *_SWEEP_KEYS})
                  for name, (model_keys, params_keys) in _MODEL_KEYS.items()}
 
 
-def _kwargs(cfg: dict, keys: dict) -> dict:
+def _kwargs(cfg: dict, keys: dict, error=ContractError) -> dict:
     """Keyword arguments from the keys of ``keys`` that ``cfg`` sets, so a key left out
-    takes the receiver's default. A value that does not parse raises ``ContractError``."""
+    takes the receiver's default. A value that does not parse raises ``error``."""
     out = {}
     for key, (name, parse) in keys.items():
         if key not in cfg:
@@ -89,14 +104,14 @@ def _kwargs(cfg: dict, keys: dict) -> dict:
         try:
             out[name] = parse(cfg[key])
         except (ValueError, ContractError) as exc:
-            raise ContractError(f"config key {key!r}: {exc}") from exc
+            raise error(f"config key {key!r}: {exc}") from exc
     return out
 
 
 def _check_keys(cfg: dict) -> str:
     """The config's model name, after rejecting a key that neither that model nor a
     coupling, cost or sweep setting reads, naming the model it belongs to or else the
-    nearest key it could mean."""
+    nearest key it could mean, and a sweep setting that does not parse."""
     name = cfg.get("model", "tube1d").lower()
     if name not in _MODELS:
         raise ContractError(f"unknown model {name!r} (expected {', '.join(_MODELS)})")
@@ -112,6 +127,7 @@ def _check_keys(cfg: dict) -> str:
             near = difflib.get_close_matches(key, allowed, n=1, cutoff=0.8)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ContractError(f"unknown config key {key!r}{hint}")
+    sweep_settings(cfg)
     return name
 
 
@@ -127,10 +143,16 @@ def build_model(cfg: dict):
     return model(**kwargs, **_kwargs(cfg, model_keys))
 
 
+def sweep_settings(cfg: dict) -> dict:
+    """The sweep settings ``cfg`` sets, parsed, by key. A value that does not parse
+    raises ``SweepSpecError`` naming its key."""
+    return _kwargs(cfg, _SWEEP_KEYS, SweepSpecError)
+
+
 def grids_from_config(cfg: dict) -> tuple:
     if "grid_f" not in cfg or "grid_s" not in cfg:
         raise ContractError("sweep config requires grid_f and grid_s")
-    grids = _kwargs(cfg, {key: (key, caps_list) for key in ("grid_f", "grid_s")})
+    grids = sweep_settings(cfg)
     return grids["grid_f"], grids["grid_s"]
 
 

@@ -59,6 +59,10 @@ _STALL_FACTOR = 0.5
 # of capped-call pairs stall the update, smaller piles slow convergence)
 _MAX_SECANT_COLUMNS = 24
 _UPPER = np.triu(np.ones((_MAX_SECANT_COLUMNS,) * 2, dtype=bool))  # R's mask, any history
+# highest degree of the interface predictor (calibrated on the tube testbed:
+# degree 2 costs more coupling iterations under both accelerators, degrees
+# 4-6 cost more under IQN-ILS)
+_PREDICTOR_DEGREE = 3
 
 
 class IqnHistory:
@@ -443,21 +447,15 @@ def _predict(accepted: list) -> InterfaceField:
     """A time step's first interface displacement, extrapolated from ``accepted``,
     the accepted displacements of the steps before it (oldest first, at least one).
 
-    The newest three count. With ``d_n`` the newest and ``h`` the time step, each
-    case's error against the true ``d_{n+1}`` is given to leading order.
+    The guess is the value at the next step of the polynomial of degree
+    ``p = min(len(accepted) - 1, 3)`` through the newest ``p + 1`` displacements,
+    ``sum_{j=0..p} (-1)^j C(p+1, j+1) d_{n-j}`` with ``d_n`` the newest: ``d_n``,
+    ``2 d_n - d_{n-1}``, ``3 d_n - 3 d_{n-1} + d_{n-2}``, then ``4 d_n - 6 d_{n-1}
+    + 4 d_{n-2} - d_{n-3}``. It is exact on motion of degree ``p``; with ``h`` the
+    time step, its error is ``h^{p+1} d^{(p+1)}`` to leading order.
     """
-    d = accepted[-3:]
-    if len(d) == 1:
-        # d_n; error h d', first order
-        guess = d[0]
-    elif len(d) == 2:
-        # 2 d_n - d_{n-1}; error h^2 d'', second order
-        guess = 2.0 * d[1] - d[0]
-    else:
-        # 2.5 d_n - 2 d_{n-1} + 0.5 d_{n-2}, which is d_n + h d'_n with the
-        # three-point backward difference for d'_n; error h^2 d'' / 2, second
-        # order with half the linear error, and exact on linear motion
-        guess = 2.5 * d[2] - 2.0 * d[1] + 0.5 * d[0]
+    p = min(len(accepted) - 1, _PREDICTOR_DEGREE)
+    guess = sum((-1) ** j * math.comb(p + 1, j + 1) * accepted[-1 - j] for j in range(p + 1))
     return InterfaceField(guess, FieldRole.DISPLACEMENT)
 
 
@@ -470,8 +468,8 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     d, flow_u)``. The run starts from ``initial_state()``. The first coupling
     iteration of the first step guesses a zero interface displacement; every
     later step starts from an extrapolation of the accepted displacements
-    (:func:`_predict`): step 2 from ``d_1``, step 3 linear, later steps
-    quadratic. Each solver's first call starts from a zero interior state.
+    (:func:`_predict`): step 2 from ``d_1``, step 3 linear, step 4 quadratic,
+    later steps cubic. Each solver's first call starts from a zero interior state.
 
     ``on_step(step, hist, state)`` is a diagnostics hook. ``increments=True``
     records each accepted step's would-be update increment in

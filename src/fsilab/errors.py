@@ -66,8 +66,9 @@ class RankDeficiencyError(FsiLabError):
     """Regression design matrix has rank below the number of coefficients."""
 
 
-class SweepSpecError(FsiLabError):
-    """Invalid sweep specification (missing reference cell, empty or duplicate grid)."""
+class SweepSpecError(ContractError):
+    """Invalid sweep specification (missing reference cell, empty or duplicate grid,
+    a sweep config key that does not parse)."""
 
 
 class TableParseError(FsiLabError):

@@ -28,6 +28,7 @@ from .configio import (
     fmt,
     grids_from_config,
     read_csv_rows,
+    sweep_settings,
 )
 from .costmodel import (
     CostFactors,
@@ -89,10 +90,7 @@ class SweepSpec:
     def from_config(cls, cfg: dict, out_dir=None, workers=None) -> "SweepSpec":
         grid_f, grid_s = grids_from_config(cfg)
         if workers is None:
-            try:
-                workers = int(cfg.get("workers", "1"))
-            except ValueError as exc:
-                raise SweepSpecError(f"config key 'workers': {exc}") from exc
+            workers = sweep_settings(cfg).get("workers", 1)
         return cls(
             config=cfg,
             grid_f=grid_f,
@@ -190,8 +188,8 @@ def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float = 0.0,
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the grid, derive teq/teq_norm/deviation columns, write sweep.csv."""
-    timing_mode = spec.config.get("timing", "measured").lower()
     # every spec error is raised here, before the first cell runs
+    timing_mode = sweep_settings(spec.config).get("timing", "measured")
     build_model(spec.config)
     build_coupling_config(spec.config)
     factors = factors_from_config(spec.config)
@@ -200,11 +198,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             # parallel cells contend for the cores and bias the timings the
             # self-fit prices them by
             raise SweepSpecError("timing = measured requires workers = 1")
-    elif timing_mode == "modeled":
-        if factors is None:
-            raise SweepSpecError("timing = modeled requires cost_* factor keys")
-    else:
-        raise SweepSpecError(f"unknown timing mode {timing_mode!r}")
+    elif factors is None:
+        raise SweepSpecError("timing = modeled requires cost_* factor keys")
     cells = [(f, s) for f in spec.grid_f for s in spec.grid_s]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -334,7 +329,8 @@ def emit_contour(results_path, quantity: str, out_dir) -> Path:
             grid_s.append(r.nmax_s)
     cells = {(r.nmax_f, r.nmax_s): r for r in rows}
     if len(cells) != len(rows) or len(rows) != len(grid_f) * len(grid_s):
-        raise SweepSpecError("sweep results do not cover a full rectangular grid")
+        raise SweepSpecError(f"{results_path}: sweep results do not cover a full "
+                             "rectangular grid")
 
     attr = {"N_c": "n_c", "N_f": "n_f", "N_s": "n_s", "teq_norm": "teq_norm"}[quantity]
     lines = ["," + ",".join(as_caps_str(s) for s in grid_s)]

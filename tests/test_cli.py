@@ -159,6 +159,7 @@ def test_measured_sweep_with_two_workers_is_an_error(tmp_path, capsys):
     ("run", "criterion_relative", "true"),
     ("sweep", "noise_rel", "0.01"),
     ("sweep", "grid_f", "1,x"),
+    ("sweep", "timing", "bogus"),
 ])
 def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "bad.cfg"
@@ -166,7 +167,7 @@ def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(key) in err
+    assert err.startswith("error: ") and repr(key) in err and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -175,7 +176,14 @@ def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value
     ("model = linear_toy\ncoupling_strength = nan\n", "coupling_strength"),
     ("model = scalar_toy\n", "scalar_toy"),  # a removed model
     ("model = linear_toy\ncells = 7\nkappa3 = nan\n", "cells"),
-], ids=["linear_toy", "scalar_toy", "tube-key-on-linear-toy"])
+    # a run parses the sweep keys too, though only a sweep reads them
+    ("model = linear_toy\ngrid_f = 1,x\n", "grid_f"),
+    ("model = linear_toy\ngrid_s = 0,inf\n", "grid_s"),
+    ("model = linear_toy\ntiming = bogus\n", "timing"),
+    ("model = linear_toy\nworkers = two\n", "workers"),
+    ("model = linear_toy\nworkers = 0\n", "workers"),
+], ids=["linear_toy", "scalar_toy", "tube-key-on-linear-toy", "grid_f", "grid_s", "timing",
+        "workers", "no-workers"])
 def test_bad_toy_config_is_an_error_line(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -183,6 +191,7 @@ def test_bad_toy_config_is_an_error_line(tmp_path, capsys, text, key):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and repr(key) in captured.err
     assert "converged" not in captured.out and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, flag", [

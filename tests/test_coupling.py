@@ -718,8 +718,8 @@ class TestEngineOnTube:
                                 on_step=lambda step, hist, state: columns.append(hist.n_columns))
         assert max(columns) == 11 < _MAX_SECANT_COLUMNS
         assert record.counters.per_step == [
-            (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 6, 12, 13), (5, 6, 13, 13),
-            (6, 7, 16, 17), (7, 6, 12, 13), (8, 6, 12, 13), (9, 6, 13, 13), (10, 5, 10, 11)]
+            (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 6, 12, 12), (5, 6, 11, 12),
+            (6, 6, 11, 12), (7, 5, 10, 10), (8, 4, 8, 8), (9, 4, 7, 8), (10, 4, 7, 8)]
 
     def test_reuse_eviction_invariant(self):
         params = Tube1DParams(cells=40, steps=8)
@@ -761,20 +761,20 @@ class TestZeroFirstGuesses:
 
 
 # row j: the t**j coefficients of the motion of three interface nodes
-_COEFFS = np.array([[2, -3, 1], [-1, 4, 2], [5, 0, -2]])
+_COEFFS = np.array([[2, -3, 1], [-1, 4, 2], [5, 0, -2], [1, -2, 3], [-1, 1, 2]])
 
 
-def _motion(degree: int, steps: int = 4) -> list:
+def _motion(degree: int, steps: int) -> list:
     """Snapshots d(t) at t = 1..steps of the nodes' polynomials of ``degree``; small
-    integers, so every case of _predict evaluates them exactly."""
+    integers, so _predict evaluates them exactly."""
     powers = np.arange(degree + 1)
     return [(t ** powers @ _COEFFS[: degree + 1]).astype(float) for t in range(1, steps + 1)]
 
 
 class TestPredictor:
-    @pytest.mark.parametrize("n, exact_degree", [(1, 0), (2, 1), (3, 1)])
+    @pytest.mark.parametrize("n, exact_degree", [(1, 0), (2, 1), (3, 2), (4, 3), (5, 3), (7, 3)])
     def test_each_case_is_exact_up_to_its_degree(self, n, exact_degree):
-        # the n newest snapshots pick the case: d_n, then linear, then quadratic
+        # n snapshots give the degree min(n - 1, 3)
         for degree in range(exact_degree + 1):
             *accepted, truth = _motion(degree, steps=n + 1)
             guess = _predict(accepted)
@@ -782,22 +782,24 @@ class TestPredictor:
             assert np.array_equal(guess.values, truth)
 
     @pytest.mark.parametrize("n, degree, error", [
-        # the leading error terms with h = 1, which are the whole error on a
-        # motion one degree up: h d' = c_1, h^2 d'' = 2 c_2 and h^2 d'' / 2 = c_2
+        # the leading error h^{p+1} d^{(p+1)} with h = 1 is the whole error on a
+        # motion one degree up, (p + 1)! c_{p+1}
         (1, 1, _COEFFS[1]),
         (2, 2, 2 * _COEFFS[2]),
-        (3, 2, _COEFFS[2]),
+        (3, 3, 6 * _COEFFS[3]),
+        (4, 4, 24 * _COEFFS[4]),
+        (5, 4, 24 * _COEFFS[4]),
     ])
     def test_leading_error_one_degree_up(self, n, degree, error):
         *accepted, truth = _motion(degree, steps=n + 1)
         assert np.array_equal(truth - _predict(accepted).values, error)
 
-    def test_only_the_newest_three_snapshots_count(self):
-        d1, d2, d3, d4 = _motion(2)
-        quadratic = 2.5 * d3 - 2.0 * d2 + 0.5 * d1
-        assert np.array_equal(_predict([d1, d2, d3]).values, quadratic)
-        assert np.array_equal(_predict([d4, d1, d2, d3]).values, quadratic)
-        assert not np.array_equal(quadratic, 2.0 * d3 - d2)
+    def test_only_the_newest_four_snapshots_count(self):
+        d1, d2, d3, d4, d5 = _motion(4, steps=5)
+        cubic = 4.0 * d4 - 6.0 * d3 + 4.0 * d2 - d1
+        assert np.array_equal(_predict([d1, d2, d3, d4]).values, cubic)
+        assert np.array_equal(_predict([d5, d1, d2, d3, d4]).values, cubic)
+        assert not np.array_equal(cubic, 3.0 * d4 - 3.0 * d3 + d2)
 
     def test_run_starts_each_step_from_the_prediction(self, monkeypatch):
         # step 1 starts from zeros, and the zeros are no snapshot: step 2
@@ -812,11 +814,11 @@ class TestPredictor:
             return real_step(model, config, state, hist, step, d_start, *args, **kwargs)
 
         monkeypatch.setattr(coupling_mod, "run_time_step", recording)
-        record = run_simulation(Tube1DModel(Tube1DParams(cells=20, steps=5)), CouplingConfig())
+        record = run_simulation(Tube1DModel(Tube1DParams(cells=20, steps=6)), CouplingConfig())
         snaps = record.snapshots
         assert np.array_equal(starts[0], np.zeros(21))
         assert np.array_equal(starts[1], snaps[0])
-        for step in range(3, 6):
+        for step in range(3, 7):
             assert np.array_equal(starts[step - 1], _predict(snaps[: step - 1]).values)
 
 
@@ -849,7 +851,7 @@ class _ScriptedSolid:
 class TestPredictedCollapse:
     def test_collapsing_prediction_aborts_the_step_with_its_record(self):
         # uniform inward wall displacements of 0.1, 0.3 and 0.8 radii: every
-        # accepted section stays open, but step 4's quadratic prediction, -1.45
+        # accepted section stays open, but step 4's quadratic prediction, -1.6
         # radii, collapses every section
         params = Tube1DParams(cells=10, steps=5)
         script = [np.full(params.n_nodes, -f * params.radius) for f in (0.1, 0.3, 0.8, 0.8)]

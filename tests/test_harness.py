@@ -636,6 +636,11 @@ _FACTORS_HEADER = "c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple"
      TableParseError, "{path}:2: expected 12 fields", 2),
     (_SWEEP_HEADER + "\n", lambda path: emit_contour(path, "N_x", path.parent),
      SweepSpecError, "quantity must be one of ('N_c', 'N_f', 'N_s', 'teq_norm')", None),
+    # the first five rows of a 4x4 grid
+    (_SWEEP_HEADER + "\n" + "".join(f"{f},{s},true,9,9,9,1.0,1.0,1.0,,,\n" for f, s in
+                                     [(1, 1), (1, 2), (1, 3), (1, "inf"), (2, 1)]),
+     lambda path: emit_contour(path, "N_c", path.parent), SweepSpecError,
+     "{path}: sweep results do not cover a full rectangular grid", None),
     ("nmax_f,nmax_s,teq_norm,N_c,N_f,N_s\n1,1,1.0,10,20,30\n",
      lambda path: replay_published(path, CostFactors(c_couple=1.0)),
      TableParseError, "{path}: reference row (inf, inf) is missing", None),
@@ -651,7 +656,8 @@ _FACTORS_HEADER = "c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple"
      ContractError, "sweep config requires grid_f and grid_s", None),
     ("", lambda path: SweepSpec(config={}, grid_f=[math.inf], grid_s=[math.inf], workers=0),
      SweepSpecError, "workers must be >= 1", None),
-], ids=["sweep-field-count", "contour-quantity", "replay-without-reference",
+], ids=["sweep-field-count", "contour-quantity", "contour-partial-grid",
+        "replay-without-reference",
         "factors-missing-column", "factors-two-rows-no-case", "csv-empty",
         "csv-comments-only", "config-empty-key", "config-without-grids", "spec-no-workers"])
 def test_reader_error_names_its_input(tmp_path, text, call, error, message, line):
