@@ -15,9 +15,9 @@ from pathlib import Path
 from .configio import (
     build_coupling_config,
     build_model,
-    fmt,
     load_factors_csv,
     parse_config,
+    write_csv,
 )
 from .coupling import run_simulation
 from .errors import DivergedStepError, FsiLabError
@@ -79,24 +79,16 @@ def _cmd_run(args) -> int:
     )
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        summary = args.out / "run_summary.csv"
-        summary.write_text(
-            "converged,N_c,N_f,N_s,T_f,T_s,T_c\n"
-            + ",".join([
-                fmt(record.converged), str(c.coupling_total), str(c.flow_total),
-                str(c.solid_total), fmt(record.flow_seconds), fmt(record.solid_seconds),
-                fmt(record.coupling_seconds),
-            ]) + "\n",
-            encoding="utf-8",
-        )
-        steps = args.out / "per_step.csv"
-        lines = ["step,coupling_iters,flow_iters,solid_iters,residual_norm,"
-                 "relative_residual,update_increment"]
-        for rec in record.steps:  # an aborted step's row leaves the norms blank
-            r, rel, inc = rec.accepted_norms or (None, None, None)
-            lines.append(f"{rec.step},{rec.coupling_iters},{rec.flow_iters},"
-                         f"{rec.solid_iters},{fmt(r)},{fmt(rel)},{fmt(inc)}")
-        steps.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        summary = write_csv(
+            args.out / "run_summary.csv", ("converged", "N_c", "N_f", "N_s", "T_f", "T_s", "T_c"),
+            [(record.converged, c.coupling_total, c.flow_total, c.solid_total,
+              record.flow_seconds, record.solid_seconds, record.coupling_seconds)])
+        # an aborted step's row leaves the norms blank
+        steps = write_csv(
+            args.out / "per_step.csv", ("step", "coupling_iters", "flow_iters", "solid_iters",
+                                        "residual_norm", "relative_residual", "update_increment"),
+            [(rec.step, rec.coupling_iters, rec.flow_iters, rec.solid_iters,
+              *(rec.accepted_norms or (None, None, None))) for rec in record.steps])
         print(f"wrote {summary} and {steps}")
     return 0 if record.converged else 1
 

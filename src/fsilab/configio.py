@@ -2,8 +2,10 @@
 
 Config format: one ``key = value`` per line, ``#`` starts a comment, no
 nesting. Caps and grid entries spell unbounded as the literal ``inf``.
-All CSVs are comma-separated, ``.`` decimal point, LF line endings, UTF-8,
-no quoting.
+Every CSV fsilab writes goes through :func:`write_csv` (comma-separated,
+``.`` decimal point, LF line endings, UTF-8, no quoting, fields by
+:func:`fmt`), and every table with a fixed header is read through
+:func:`read_table`, which checks that header and each row's field count.
 """
 
 from __future__ import annotations
@@ -149,13 +151,6 @@ def sweep_settings(cfg: dict) -> dict:
     return _kwargs(cfg, _SWEEP_KEYS, SweepSpecError)
 
 
-def grids_from_config(cfg: dict) -> tuple:
-    if "grid_f" not in cfg or "grid_s" not in cfg:
-        raise ContractError("sweep config requires grid_f and grid_s")
-    grids = sweep_settings(cfg)
-    return grids["grid_f"], grids["grid_s"]
-
-
 def factors_from_config(cfg: dict) -> CostFactors | None:
     factors = _kwargs(cfg, _COST_KEYS)
     return CostFactors(**factors) if factors else None
@@ -197,6 +192,33 @@ def read_csv_rows(path) -> list:
     if not rows:
         raise TableParseError(f"{path}: no rows")
     return rows
+
+
+def read_table(path, columns: tuple) -> list:
+    """(lineno, fields) for each row below a header that must read ``columns``;
+    there must be at least one row, each holding one field per column."""
+    rows = read_csv_rows(path)
+    header_line, header = rows[0]
+    if tuple(h.strip() for h in header) != columns:
+        raise TableParseError(f"{path}:{header_line}: expected header {','.join(columns)}",
+                              line=header_line)
+    if len(rows) == 1:
+        raise TableParseError(f"{path}: no rows below the header")
+    for lineno, fields in rows[1:]:
+        if len(fields) != len(columns):
+            raise TableParseError(f"{path}:{lineno}: expected {len(columns)} fields",
+                                  line=lineno)
+    return rows[1:]
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then ``rows``, each a sequence of fields put through
+    :func:`fmt`; returns the path."""
+    path = Path(path)
+    lines = [header, *rows]
+    path.write_text("".join(",".join(map(fmt, line)) + "\n" for line in lines),
+                    encoding="utf-8")
+    return path
 
 
 def fmt(value) -> str:
@@ -251,19 +273,12 @@ _PUBLISHED_COLUMNS = ("nmax_f", "nmax_s", "teq_norm", "N_c", "N_f", "N_s")
 def _read_published_table(path) -> list:
     """Rows of a published table: ``(cap_f, cap_s, teq_norm, (N_c, N_f, N_s))``.
 
-    The header must be ``_PUBLISHED_COLUMNS`` and every row must hold six
-    fields. A missing value marks a diverged run and must blank the whole row;
-    such rows are skipped. Violations raise :class:`TableParseError`.
+    The header must be ``_PUBLISHED_COLUMNS`` (see :func:`read_table`). A
+    missing value marks a diverged run and must blank the whole row; such rows
+    are skipped. Violations raise :class:`TableParseError`.
     """
-    raw = read_csv_rows(path)
-    header_line, header = raw[0]
-    if tuple(h.strip() for h in header) != _PUBLISHED_COLUMNS:
-        raise TableParseError(f"{path}:{header_line}: expected header {_PUBLISHED_COLUMNS}",
-                              line=header_line)
     entries = []
-    for lineno, fields in raw[1:]:
-        if len(fields) != len(_PUBLISHED_COLUMNS):
-            raise TableParseError(f"{path}:{lineno}: expected 6 fields", line=lineno)
+    for lineno, fields in read_table(path, _PUBLISHED_COLUMNS):
         blank = [f.strip() == "" for f in fields[2:]]
         if any(blank):
             if not all(blank):

@@ -7,9 +7,12 @@ emits ``sweep.csv`` with the schema
 
 Rows are ordered by (flow-grid index, solid-grid index); the reference cell is
 (inf, inf) and must be part of the grid. Diverged cells keep their iteration
-counts up to the abort and leave the derived columns empty. Cells run
-independently on a process pool; emission is single-threaded and ordered, so
-the file content does not depend on the worker count.
+counts up to the abort and leave the derived columns empty. The sweep builds
+its model and base coupling config once; each cell runs that model under the
+base config with the cell's caps, and on a process pool each worker receives
+the built model and its cell's config. Cells run independently; emission is
+single-threaded and ordered, so the file content does not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from .configio import (
     build_coupling_config,
     build_model,
     factors_from_config,
-    fmt,
-    grids_from_config,
-    read_csv_rows,
+    read_table,
     sweep_settings,
+    write_csv,
 )
 from .costmodel import (
     CostFactors,
@@ -88,14 +90,14 @@ class SweepSpec:
 
     @classmethod
     def from_config(cls, cfg: dict, out_dir=None, workers=None) -> "SweepSpec":
-        grid_f, grid_s = grids_from_config(cfg)
-        if workers is None:
-            workers = sweep_settings(cfg).get("workers", 1)
+        if "grid_f" not in cfg or "grid_s" not in cfg:
+            raise ContractError("sweep config requires grid_f and grid_s")
+        settings = sweep_settings(cfg)
         return cls(
             config=cfg,
-            grid_f=grid_f,
-            grid_s=grid_s,
-            workers=workers,
+            grid_f=settings["grid_f"],
+            grid_s=settings["grid_s"],
+            workers=settings.get("workers", 1) if workers is None else workers,
             out_dir=Path(out_dir) if out_dir is not None else None,
         )
 
@@ -115,13 +117,10 @@ class SweepRow:
     teq_norm: float | None = None
     max_dev: float | None = None
 
-    def csv_fields(self) -> list:
-        return [
-            as_caps_str(self.nmax_f), as_caps_str(self.nmax_s), fmt(self.converged),
-            fmt(self.n_c), fmt(self.n_f), fmt(self.n_s),
-            fmt(self.t_f), fmt(self.t_s), fmt(self.t_c),
-            fmt(self.teq), fmt(self.teq_norm), fmt(self.max_dev),
-        ]
+    def csv_fields(self) -> tuple:
+        return (as_caps_str(self.nmax_f), as_caps_str(self.nmax_s), self.converged,
+                self.n_c, self.n_f, self.n_s, self.t_f, self.t_s, self.t_c,
+                self.teq, self.teq_norm, self.max_dev)
 
 
 @dataclass
@@ -138,18 +137,18 @@ class SweepResult:
         raise KeyError((nmax_f, nmax_s))
 
 
-def _run_cell(cfg: dict, nmax_f, nmax_s) -> tuple:
-    """Worker entry: one simulation at the given caps, as ``(SweepRow, snapshots)``.
+def _run_cell(model, config) -> tuple:
+    """Worker entry: one simulation of ``model`` under ``config``, whose caps name
+    the cell, as ``(SweepRow, snapshots)``.
 
     Must stay picklable.
     """
-    config = replace(build_coupling_config(cfg), n_max_f=nmax_f, n_max_s=nmax_s)
     try:
-        record = run_simulation(build_model(cfg), config)
+        record = run_simulation(model, config)
     except DivergedStepError as exc:
         record = exc.record
     c = record.counters
-    row = SweepRow(nmax_f=nmax_f, nmax_s=nmax_s, converged=record.converged,
+    row = SweepRow(nmax_f=config.n_max_f, nmax_s=config.n_max_s, converged=record.converged,
                    n_c=c.coupling_total, n_f=c.flow_total, n_s=c.solid_total)
     row.t_f, row.t_s, row.t_c = record.timings
     return row, record.snapshots
@@ -190,8 +189,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the grid, derive teq/teq_norm/deviation columns, write sweep.csv."""
     # every spec error is raised here, before the first cell runs
     timing_mode = sweep_settings(spec.config).get("timing", "measured")
-    build_model(spec.config)
-    build_coupling_config(spec.config)
+    model = build_model(spec.config)
+    base = build_coupling_config(spec.config)
     factors = factors_from_config(spec.config)
     if timing_mode == "measured":
         if spec.workers > 1:
@@ -200,16 +199,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             raise SweepSpecError("timing = measured requires workers = 1")
     elif factors is None:
         raise SweepSpecError("timing = modeled requires cost_* factor keys")
-    cells = [(f, s) for f in spec.grid_f for s in spec.grid_s]
+    configs = [replace(base, n_max_f=f, n_max_s=s) for f in spec.grid_f for s in spec.grid_s]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            outcomes = list(pool.map(_run_cell, [spec.config] * len(cells),
-                                     [c[0] for c in cells], [c[1] for c in cells]))
+            outcomes = list(pool.map(_run_cell, [model] * len(configs), configs))
     else:
-        outcomes = [_run_cell(spec.config, f, s) for f, s in cells]
+        outcomes = [_run_cell(model, config) for config in configs]
 
     rows = [row for row, _ in outcomes]
-    snapshots = {cell: snaps for cell, (_, snaps) in zip(cells, outcomes)}
+    snapshots = {(row.nmax_f, row.nmax_s): snaps for row, snaps in outcomes}
 
     if timing_mode == "modeled":
         _modeled_timings(rows, factors)
@@ -262,26 +260,13 @@ def _self_fit(rows: list) -> CostFactors:
 
 def write_sweep_csv(path, rows: list) -> Path:
     """Write ``rows`` under the sweep.csv header; returns the path."""
-    path = Path(path)
-    lines = [",".join(SWEEP_COLUMNS)] + [",".join(r.csv_fields()) for r in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_csv(path, SWEEP_COLUMNS, [r.csv_fields() for r in rows])
 
 
 def read_sweep_csv(path) -> list:
     """The rows of a sweep.csv, which holds at least one below its header."""
-    rows = read_csv_rows(path)
-    header_line, header = rows[0]
-    if tuple(h.strip() for h in header) != SWEEP_COLUMNS:
-        raise TableParseError(f"{path}:{header_line}: unexpected sweep.csv header",
-                              line=header_line)
-    if len(rows) == 1:
-        raise TableParseError(f"{path}: no rows below the header")
     out = []
-    for lineno, fields in rows[1:]:
-        if len(fields) != len(SWEEP_COLUMNS):
-            raise TableParseError(f"{path}:{lineno}: expected {len(SWEEP_COLUMNS)} fields",
-                                  line=lineno)
+    for lineno, fields in read_table(path, SWEEP_COLUMNS):
         converged = fields[2].strip().lower()
         if converged not in ("true", "false"):
             raise TableParseError(f"{path}:{lineno}: converged must be true or false, "
@@ -333,18 +318,12 @@ def emit_contour(results_path, quantity: str, out_dir) -> Path:
                              "rectangular grid")
 
     attr = {"N_c": "n_c", "N_f": "n_f", "N_s": "n_s", "teq_norm": "teq_norm"}[quantity]
-    lines = ["," + ",".join(as_caps_str(s) for s in grid_s)]
-    for f in grid_f:
-        fields = [as_caps_str(f)]
-        for s in grid_s:
-            cell = cells[(f, s)]
-            fields.append(fmt(getattr(cell, attr)) if cell.converged else "")
-        lines.append(",".join(fields))
+    lines = [[as_caps_str(f)] + [getattr(cells[(f, s)], attr) if cells[(f, s)].converged
+                                 else None for s in grid_s] for f in grid_f]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"contour_{quantity}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_csv(out_dir / f"contour_{quantity}.csv",
+                     ["", *map(as_caps_str, grid_s)], lines)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +460,10 @@ def fit_from_runs(results_path) -> tuple:
 
 def write_factors_csv(path, factors: CostFactors, report: FitReport) -> None:
     header = "case,c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple,gamma,mape_pct,maxape_pct"
-    row = (f"fitted,{fmt(factors.c_fix_f)},{fmt(factors.c_iter_f)},{fmt(factors.c_fix_s)},"
-           f"{fmt(factors.c_iter_s)},{fmt(factors.c_couple)},{fmt(factors.gamma())},"
-           f"{fmt(100 * report.mape)},{fmt(100 * report.maxape)}")
-    Path(path).write_text(header + "\n" + row + "\n", encoding="utf-8")
+    f = factors
+    write_csv(path, header.split(","), [("fitted", f.c_fix_f, f.c_iter_f, f.c_fix_s,
+                                         f.c_iter_s, f.c_couple, f.gamma(),
+                                         100 * report.mape, 100 * report.maxape)])
 
 
 def synthesize_sweep_csv(path, factors: CostFactors, counters: list,

@@ -38,7 +38,6 @@ from .interface import (
     SolverCallReport,
     UNBOUNDED,
     is_unbounded,
-    residual_norm,
     validate_cap,
 )
 
@@ -148,10 +147,12 @@ def drive(solver: Solver, inp: SolverCallInput):
     while True:
         i += 1
         r = residual(u)
-        # ||r||/sqrt(n) as residual_norm computes it; residual_norm itself
-        # runs only to tell a non-finite entry from an overflowing norm
+        # ||r||/sqrt(n) as residual_norm computes it; a finite residual whose
+        # norm overflows records inf
         norm = math.sqrt(r.dot(r)) / sqrt_n
-        history.append(norm if math.isfinite(norm) else residual_norm(r))
+        if not math.isfinite(norm) and not np.isfinite(r).all():
+            raise DivergenceError(f"non-finite residual at inner iteration {i}", iteration=i)
+        history.append(norm)
         try:
             du = solve(u, r)
         except np.linalg.LinAlgError as exc:

@@ -31,6 +31,7 @@ from fsilab.errors import (
     AllColumnsFilteredError,
     ContractError,
     DivergedStepError,
+    DivergenceError,
     GeometryError,
 )
 from fsilab.models import LinearToyModel, Tube1DModel
@@ -1212,6 +1213,43 @@ class TestFailedCallAccounting:
         assert (partial.coupling_iters, partial.flow_iters, partial.solid_iters) == (1, 0, 0)
         assert partial.flow_time >= 0.01 and partial.solid_time == 0.0
         assert record.flow_seconds == partial.flow_time
+
+
+    def test_non_finite_residual_aborts_the_step_with_its_record(self):
+        # a NaN in the flow residual at a finite iterate is a divergence of
+        # that call, not a contract error that escapes the step's accounting
+        with pytest.raises(DivergedStepError, match="flow solver: non-finite residual at "
+                                                    "inner iteration 1") as err:
+            run_simulation(_NanFlowResidual(), CouplingConfig())
+        assert isinstance(err.value.__cause__, DivergenceError)
+        partial, record = err.value.partial, err.value.record
+        assert (partial.coupling_iters, partial.flow_iters, partial.solid_iters) == (1, 1, 0)
+        assert record.counters.per_step == [(1, 1, 1, 0)]
+
+
+class _NanFlowResidual:
+    """Two interface DOFs; the flow's right-hand side, and so its residual at
+    every iterate, holds a NaN."""
+
+    n_interface = 2
+    n_steps = 1
+
+    def initial_state(self):
+        return 0
+
+    def _solver(self, rhs, role):
+        return SpecSolver(dim=2, assemble_matrix=lambda u: np.eye(2),
+                          assemble_rhs=lambda c: np.array(rhs), tangent=lambda u: np.eye(2),
+                          extract_output=lambda u: InterfaceField(u, role))
+
+    def flow_solver(self, state):
+        return self._solver([math.nan, 1.0], FieldRole.TRACTION)
+
+    def solid_solver(self, state):
+        return self._solver([1.0, 1.0], FieldRole.DISPLACEMENT)
+
+    def advance_state(self, state, accepted_displacement, flow_u):
+        return state + 1
 
 
 class _CollapsingFlow:

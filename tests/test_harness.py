@@ -5,8 +5,8 @@ import pytest
 
 from fsilab.configio import (
     PUBLISHED_TABLES,
+    _read_published_table,
     data_path,
-    grids_from_config,
     load_factors_csv,
     load_published_counters,
     parse_config,
@@ -208,7 +208,7 @@ class TestConfigParsing:
         cfg = {"grid_f": "1,inf", "grid_s": "2,inf", key: "1,x"}
         with pytest.raises(ContractError,
                            match=rf"^config key '{key}': cannot parse cap value 'x'$"):
-            grids_from_config(cfg)
+            SweepSpec.from_config(cfg)
 
 
 class TestSweepSpecValidation:
@@ -354,6 +354,43 @@ class TestRunSweep:
         assert all(r.converged for r in result.rows) and len(result.rows) == 2
         assert result.factors == CostFactors(c_couple=1.0, c_iter_f=1.0, c_iter_s=1.0)
         assert result.row(math.inf, math.inf).teq_norm == 1.0
+
+    @pytest.mark.parametrize("grid", [[math.inf], [1, math.inf]], ids=["1-cell", "4-cell"])
+    def test_keys_are_checked_and_the_model_built_once_per_sweep(self, tmp_path,
+                                                                 monkeypatch, grid):
+        import fsilab.configio as configio
+        import fsilab.harness as harness_mod
+
+        calls = {"checks": 0, "builds": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(configio, "_check_keys", counted("checks", configio._check_keys))
+        monkeypatch.setattr(harness_mod, "build_model", counted("builds", harness_mod.build_model))
+        caps = ",".join(map(str, grid))
+        result = run_sweep(SweepSpec.from_config(dict(LINEAR_TOY_STABLE, grid_f=caps,
+                                                      grid_s=caps), out_dir=tmp_path))
+        assert len(result.rows) == len(grid) ** 2
+        # one check each for the model and the coupling config
+        assert calls == {"checks": 2, "builds": 1}
+
+    def test_modeled_tube_sweep_is_byte_identical_across_workers(self, tmp_path):
+        # the built Tube1DModel crosses the process boundary to the workers
+        cfg = {"model": "tube1d", "cells": "20", "steps": "2", "timing": "modeled",
+               "cost_c_couple": "0.1873", "cost_c_fix_f": "0.6459", "cost_c_iter_f": "1.4756",
+               "cost_c_fix_s": "0.0128", "cost_c_iter_s": "0.2076"}
+        texts = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run_sweep(SweepSpec(config=cfg, grid_f=[1, math.inf], grid_s=[1, math.inf],
+                                workers=workers, out_dir=out))
+            texts.append((out / "sweep.csv").read_bytes())
+        assert texts[0] == texts[1]
+        assert texts[0].count(b"\n") == 5 and b",false," not in texts[0]
 
     def test_modeled_timing_deterministic_across_runs_and_workers(self, tmp_path):
         cfg = dict(LINEAR_TOY_STABLE, timing="modeled",
@@ -644,6 +681,10 @@ _FACTORS_HEADER = "c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple"
     ("nmax_f,nmax_s,teq_norm,N_c,N_f,N_s\n1,1,1.0,10,20,30\n",
      lambda path: replay_published(path, CostFactors(c_couple=1.0)),
      TableParseError, "{path}: reference row (inf, inf) is missing", None),
+    ("nmax_f,nmax_s,teq,N_c,N_f,N_s\ninf,inf,1.0,1,1,1\n", _read_published_table,
+     TableParseError, "{path}:1: expected header nmax_f,nmax_s,teq_norm,N_c,N_f,N_s", 1),
+    ("nmax_f,nmax_s,teq_norm,N_c,N_f,N_s\n# diverged cells blank their row\n1,1,,,\n",
+     _read_published_table, TableParseError, "{path}:3: expected 6 fields", 3),
     ("c_fix_f,c_iter_f,c_fix_s,c_iter_s\n1,1,1,1\n", load_factors_csv,
      TableParseError, "{path}:1: missing column 'c_couple'", 1),
     (_FACTORS_HEADER + "\n1,1,1,1,1\n2,2,2,2,2\n", load_factors_csv, TableParseError,
@@ -652,12 +693,12 @@ _FACTORS_HEADER = "c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple"
     ("# a comment\n\n", read_csv_rows, TableParseError, "{path}: no rows", None),
     ("a = 1\n = 2\n", lambda path: parse_config_text(path.read_text(), source=str(path)),
      TableParseError, "{path}:2: empty key", 2),
-    ("grid_f = 1,inf\n", lambda path: grids_from_config(parse_config(path)),
+    ("grid_f = 1,inf\n", lambda path: SweepSpec.from_config(parse_config(path)),
      ContractError, "sweep config requires grid_f and grid_s", None),
     ("", lambda path: SweepSpec(config={}, grid_f=[math.inf], grid_s=[math.inf], workers=0),
      SweepSpecError, "workers must be >= 1", None),
 ], ids=["sweep-field-count", "contour-quantity", "contour-partial-grid",
-        "replay-without-reference",
+        "replay-without-reference", "published-header", "published-short-row",
         "factors-missing-column", "factors-two-rows-no-case", "csv-empty",
         "csv-comments-only", "config-empty-key", "config-without-grids", "spec-no-workers"])
 def test_reader_error_names_its_input(tmp_path, text, call, error, message, line):

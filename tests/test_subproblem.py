@@ -328,6 +328,27 @@ class TestGuards:
     def test_finite_iterate_whose_sum_overflows_passes(self):
         self.check([1e308, 1e308])
 
+    @pytest.mark.parametrize("rhs, diverges", [([math.nan, 1.0], True), ([math.inf, 1.0], True),
+                                               ([1e200, 1e200], False)],
+                             ids=["nan-entry", "inf-entry", "norm-overflows"])
+    def test_non_finite_residual_is_divergence(self, rhs, diverges):
+        # a non-finite entry is a divergence at its inner iteration; a finite
+        # residual whose norm overflows is recorded as inf
+        def identity(u):
+            return ReferenceDiagonalOperator(np.ones(2))
+
+        spec = SpecSolver(dim=2, assemble_matrix=identity,
+                          assemble_rhs=lambda c: np.array(rhs), tangent=identity)
+        if not diverges:
+            with np.errstate(over="ignore"):  # r . r overflows by design
+                _, report = run(spec, call_input([0.0, 0.0], n_max=1))
+            assert report.residual_history == (math.inf,)
+            return
+        with pytest.raises(DivergenceError, match="non-finite residual at inner iteration 1"
+                           ) as err:
+            run(spec, call_input([0.0, 0.0]))
+        assert err.value.iteration == 1
+
     @pytest.mark.parametrize("values", [[math.inf, -math.inf], [1.0, math.nan]])
     def test_non_finite_start_rejected(self, values):
         def identity(u):
