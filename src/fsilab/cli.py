@@ -12,13 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .configio import (
-    build_coupling_config,
-    build_model,
-    load_factors_csv,
-    parse_config,
-    write_csv,
-)
+from .configio import load, load_factors_csv, parse_config, write_csv
 from .coupling import run_simulation
 from .errors import DivergedStepError, FsiLabError
 from .harness import (
@@ -62,11 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    model = build_model(cfg)
-    config = build_coupling_config(cfg)
+    loaded = load(parse_config(args.config))
     try:
-        record = run_simulation(model, config, increments=True)
+        record = run_simulation(loaded.model, loaded.coupling, increments=True)
     except DivergedStepError as exc:
         record = exc.record
         print(f"FAIL: {exc}")

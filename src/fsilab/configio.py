@@ -1,17 +1,20 @@
 """Flat key-value config files, shipped data access, and CSV helpers.
 
 Config format: one ``key = value`` per line, ``#`` starts a comment, no
-nesting. Caps and grid entries spell unbounded as the literal ``inf``.
-Every CSV fsilab writes goes through :func:`write_csv` (comma-separated,
-``.`` decimal point, LF line endings, UTF-8, no quoting, fields by
-:func:`fmt`), and every table with a fixed header is read through
-:func:`read_table`, which checks that header and each row's field count.
+nesting. Caps and grid entries spell unbounded as the literal ``inf``. A
+command checks its config once, by :func:`load`, which builds the model, the
+coupling config, the cost factors and the sweep settings from it. Every CSV
+fsilab writes goes through :func:`write_csv` (comma-separated, ``.`` decimal
+point, LF line endings, UTF-8, no quoting, fields by :func:`fmt`), and every
+table with a fixed header is read through :func:`read_table`, which checks
+that header and each row's field count.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import inspect
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ContractError, SweepSpecError, TableParseError
@@ -87,7 +90,7 @@ _MODELS = {"tube1d": (Tube1DModel, Tube1DParams), "linear_toy": (LinearToyModel,
 # model name -> (keys of the model, keys of its params class)
 _MODEL_KEYS = {name: (_keys(model), _keys(params) if params else {})
                for name, (model, params) in _MODELS.items()}
-# what SweepSpec.from_config and run_sweep read; every config load parses them
+# what SweepSpec.from_config and run_sweep read; every load parses them
 _SWEEP_KEYS = {"grid_f": ("grid_f", caps_list), "grid_s": ("grid_s", caps_list),
                "workers": ("workers", _workers), "timing": ("timing", _timing)}
 # model name -> every key its config may set
@@ -110,10 +113,20 @@ def _kwargs(cfg: dict, keys: dict, error=ContractError) -> dict:
     return out
 
 
-def _check_keys(cfg: dict) -> str:
-    """The config's model name, after rejecting a key that neither that model nor a
-    coupling, cost or sweep setting reads, naming the model it belongs to or else the
-    nearest key it could mean, and a sweep setting that does not parse."""
+@dataclass(frozen=True)
+class Config:
+    """What a checked config builds."""
+
+    model: object
+    coupling: CouplingConfig
+    factors: CostFactors | None  # None without cost_* keys
+    sweep: dict  # the sweep settings it sets, parsed, by key
+
+
+def load(cfg: dict) -> Config:
+    """Check ``cfg`` once and build its model, coupling config, cost factors and sweep
+    settings. A key that neither its model nor a coupling, cost or sweep setting reads
+    is rejected, naming the model it belongs to or else the nearest key it could mean."""
     name = cfg.get("model", "tube1d").lower()
     if name not in _MODELS:
         raise ContractError(f"unknown model {name!r} (expected {', '.join(_MODELS)})")
@@ -129,31 +142,28 @@ def _check_keys(cfg: dict) -> str:
             near = difflib.get_close_matches(key, allowed, n=1, cutoff=0.8)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ContractError(f"unknown config key {key!r}{hint}")
-    sweep_settings(cfg)
-    return name
+    sweep = sweep_settings(cfg)
+    (model, params), (model_keys, params_keys) = _MODELS[name], _MODEL_KEYS[name]
+    kwargs = {"params": params(**_kwargs(cfg, params_keys))} if params else {}
+    factors = _kwargs(cfg, _COST_KEYS)
+    return Config(model=model(**kwargs, **_kwargs(cfg, model_keys)),
+                  coupling=CouplingConfig(**_kwargs(cfg, _COUPLING_KEYS)),
+                  factors=CostFactors(**factors) if factors else None, sweep=sweep)
+
+
+# the names the benchmark builds a workload by; each runs a full load
+def build_model(cfg: dict):
+    return load(cfg).model
 
 
 def build_coupling_config(cfg: dict) -> CouplingConfig:
-    _check_keys(cfg)
-    return CouplingConfig(**_kwargs(cfg, _COUPLING_KEYS))
-
-
-def build_model(cfg: dict):
-    name = _check_keys(cfg)
-    (model, params), (model_keys, params_keys) = _MODELS[name], _MODEL_KEYS[name]
-    kwargs = {"params": params(**_kwargs(cfg, params_keys))} if params else {}
-    return model(**kwargs, **_kwargs(cfg, model_keys))
+    return load(cfg).coupling
 
 
 def sweep_settings(cfg: dict) -> dict:
     """The sweep settings ``cfg`` sets, parsed, by key. A value that does not parse
     raises ``SweepSpecError`` naming its key."""
     return _kwargs(cfg, _SWEEP_KEYS, SweepSpecError)
-
-
-def factors_from_config(cfg: dict) -> CostFactors | None:
-    factors = _kwargs(cfg, _COST_KEYS)
-    return CostFactors(**factors) if factors else None
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ class CostFactors:
         require_finite("cost factor", vars(self))
         for name, value in vars(self).items():
             if value < 0:
-                raise ContractError(f"{name} must be >= 0")
+                raise ContractError(f"cost factor {name!r} must be >= 0, got {value!r}")
 
     def gamma(self) -> float:
         """Aggregate cost per coupling iteration."""

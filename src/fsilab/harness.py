@@ -7,12 +7,13 @@ emits ``sweep.csv`` with the schema
 
 Rows are ordered by (flow-grid index, solid-grid index); the reference cell is
 (inf, inf) and must be part of the grid. Diverged cells keep their iteration
-counts up to the abort and leave the derived columns empty. The sweep builds
-its model and base coupling config once; each cell runs that model under the
-base config with the cell's caps, and on a process pool each worker receives
-the built model and its cell's config. Cells run independently; emission is
-single-threaded and ordered, so the file content does not depend on the
-worker count.
+counts up to the abort and leave the derived columns empty. The sweep loads
+its config once (:func:`fsilab.configio.load`), which checks it and builds the
+model, the base coupling config and the cost factors; each cell runs that
+model under the base config with the cell's caps, and on a process pool each
+worker receives the built model and its cell's config. Cells run
+independently; emission is single-threaded and ordered, so the file content
+does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import (
-    _read_published_table,
-    build_coupling_config,
-    build_model,
-    factors_from_config,
-    read_table,
-    sweep_settings,
-    write_csv,
-)
+from .configio import _read_published_table, load, read_table, sweep_settings, write_csv
 from .costmodel import (
     CostFactors,
     equivalent_time,
@@ -188,10 +181,8 @@ def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float = 0.0,
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the grid, derive teq/teq_norm/deviation columns, write sweep.csv."""
     # every spec error is raised here, before the first cell runs
-    timing_mode = sweep_settings(spec.config).get("timing", "measured")
-    model = build_model(spec.config)
-    base = build_coupling_config(spec.config)
-    factors = factors_from_config(spec.config)
+    loaded = load(spec.config)
+    timing_mode, factors = loaded.sweep.get("timing", "measured"), loaded.factors
     if timing_mode == "measured":
         if spec.workers > 1:
             # parallel cells contend for the cores and bias the timings the
@@ -199,12 +190,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             raise SweepSpecError("timing = measured requires workers = 1")
     elif factors is None:
         raise SweepSpecError("timing = modeled requires cost_* factor keys")
-    configs = [replace(base, n_max_f=f, n_max_s=s) for f in spec.grid_f for s in spec.grid_s]
+    configs = [replace(loaded.coupling, n_max_f=f, n_max_s=s)
+               for f in spec.grid_f for s in spec.grid_s]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            outcomes = list(pool.map(_run_cell, [model] * len(configs), configs))
+            outcomes = list(pool.map(_run_cell, [loaded.model] * len(configs), configs))
     else:
-        outcomes = [_run_cell(model, config) for config in configs]
+        outcomes = [_run_cell(loaded.model, config) for config in configs]
 
     rows = [row for row, _ in outcomes]
     snapshots = {(row.nmax_f, row.nmax_s): snaps for row, snaps in outcomes}
@@ -264,7 +256,8 @@ def write_sweep_csv(path, rows: list) -> Path:
 
 
 def read_sweep_csv(path) -> list:
-    """The rows of a sweep.csv, which holds at least one below its header."""
+    """The rows of a sweep.csv, which holds at least one below its header. A count
+    or time must be non-negative and finite, as every sweep writes it."""
     out = []
     for lineno, fields in read_table(path, SWEEP_COLUMNS):
         converged = fields[2].strip().lower()
@@ -279,20 +272,16 @@ def read_sweep_csv(path) -> list:
             raise TableParseError(f"{path}:{lineno}: a converged row must set T_f, T_s "
                                   "and T_c", line=lineno)
         try:
-            out.append(SweepRow(
-                nmax_f=parse_cap(fields[0]),
-                nmax_s=parse_cap(fields[1]),
-                converged=converged == "true",
-                n_c=int(fields[3]), n_f=int(fields[4]), n_s=int(fields[5]),
-                t_f=float(fields[6]) if fields[6] else None,
-                t_s=float(fields[7]) if fields[7] else None,
-                t_c=float(fields[8]) if fields[8] else None,
-                teq=float(fields[9]) if fields[9] else None,
-                teq_norm=float(fields[10]) if fields[10] else None,
-                max_dev=float(fields[11]) if fields[11] else None,
-            ))
+            caps = parse_cap(fields[0]), parse_cap(fields[1])
+            values = [int(f) for f in fields[3:6]] + [float(f) if f else None
+                                                      for f in fields[6:]]
         except ValueError as exc:
             raise TableParseError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+        for column, value in zip(SWEEP_COLUMNS[3:], values):
+            if value is not None and not 0 <= value < np.inf:
+                raise TableParseError(f"{path}:{lineno}: {column} must be non-negative "
+                                      f"and finite, got {value!r}", line=lineno)
+        out.append(SweepRow(*caps, converged == "true", *values))
     return out
 
 

@@ -53,6 +53,16 @@ def test_run_subcommand(toy_cfg, tmp_path, capsys):
     assert (tmp_path / "out" / "per_step.csv").exists()
 
 
+def test_run_loads_its_config_once(toy_cfg, monkeypatch):
+    import fsilab.cli as cli_mod
+    import fsilab.configio as configio
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "load", lambda cfg: calls.append(cfg) or configio.load(cfg))
+    assert main(["run", "--config", str(toy_cfg)]) == 0
+    assert len(calls) == 1
+
+
 def test_run_failure_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model = linear_toy\ncoupling_strength = 2.5\nomega0 = 1.0\n"
@@ -182,8 +192,11 @@ def test_bad_config_value_is_an_error_line(tmp_path, capsys, command, key, value
     ("model = linear_toy\ntiming = bogus\n", "timing"),
     ("model = linear_toy\nworkers = two\n", "workers"),
     ("model = linear_toy\nworkers = 0\n", "workers"),
+    # and the cost keys, though only a modeled sweep reads them
+    ("model = linear_toy\ncost_c_iter_f = nan\n", "c_iter_f"),
+    ("model = linear_toy\ncost_c_iter_f = -1\n", "c_iter_f"),
 ], ids=["linear_toy", "scalar_toy", "tube-key-on-linear-toy", "grid_f", "grid_s", "timing",
-        "workers", "no-workers"])
+        "workers", "no-workers", "cost-nan", "cost-negative"])
 def test_bad_toy_config_is_an_error_line(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -9,12 +9,11 @@ from fsilab import (
     CostFactors,
     equivalent_time,
     fit_cost_factors,
-    fit_coupling_cost,
-    fit_solver_cost,
     mape_maxape,
     rmse,
     rrmse,
 )
+from fsilab.costmodel import fit_coupling_cost, fit_solver_cost
 from fsilab.errors import ContractError, RankDeficiencyError
 
 # published cost factors (tube case, both frameworks)

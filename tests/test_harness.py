@@ -83,18 +83,21 @@ class TestConfigParsing:
 
     def test_missing_keys_take_the_receivers_defaults(self):
         from fsilab import CouplingConfig
-        from fsilab.configio import build_coupling_config, build_model, factors_from_config
+        from fsilab.configio import load
         from fsilab.models import LinearToyModel, Tube1DModel
         from fsilab.models.tube import Tube1DParams
 
-        assert build_coupling_config({}) == CouplingConfig()
-        tube, ref = build_model({}), Tube1DModel()
+        loaded = load({})
+        assert loaded.coupling == CouplingConfig()
+        assert loaded.factors is None and loaded.sweep == {}
+        tube, ref = loaded.model, Tube1DModel()
         assert tube.params == Tube1DParams() and tube.flow_scheme is ref.flow_scheme
-        toy, ref = build_model({"model": "linear_toy"}), LinearToyModel()
+        toy, ref = load({"model": "linear_toy"}).model, LinearToyModel()
         assert (toy.dim_f, toy.dim_s, toy.n_steps) == (ref.dim_f, ref.dim_s, ref.n_steps)
         assert toy.gs_spectral_radius == ref.gs_spectral_radius
-        assert factors_from_config({}) is None
-        assert factors_from_config({"cost_c_iter_f": "2"}) == CostFactors(c_iter_f=2.0)
+        assert load({"cost_c_iter_f": "2"}).factors == CostFactors(c_iter_f=2.0)
+        assert load({"workers": "3", "grid_f": "1,inf"}).sweep == {"workers": 3,
+                                                                   "grid_f": [1, math.inf]}
 
     @pytest.mark.parametrize("key", ["eps_f", "eps_s", "eps_fil", "eps_c"])
     def test_non_finite_tolerance_rejected(self, key):
@@ -360,23 +363,26 @@ class TestRunSweep:
                                                                  monkeypatch, grid):
         import fsilab.configio as configio
         import fsilab.harness as harness_mod
+        from fsilab.models import LinearToyModel
 
-        calls = {"checks": 0, "builds": 0}
+        calls = {"loads": 0, "builds": 0}
 
         def counted(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(configio, "_check_keys", counted("checks", configio._check_keys))
-        monkeypatch.setattr(harness_mod, "build_model", counted("builds", harness_mod.build_model))
+        monkeypatch.setattr(harness_mod, "load", counted("loads", configio.load))
+        monkeypatch.setitem(configio._MODELS, "linear_toy",
+                            (counted("builds", LinearToyModel), None))
         caps = ",".join(map(str, grid))
         result = run_sweep(SweepSpec.from_config(dict(LINEAR_TOY_STABLE, grid_f=caps,
                                                       grid_s=caps), out_dir=tmp_path))
         assert len(result.rows) == len(grid) ** 2
-        # one check each for the model and the coupling config
-        assert calls == {"checks": 2, "builds": 1}
+        # one load checks the keys and builds the model, the coupling config and
+        # the factors; SweepSpec.from_config only parses the sweep settings
+        assert calls == {"loads": 1, "builds": 1}
 
     def test_modeled_tube_sweep_is_byte_identical_across_workers(self, tmp_path):
         # the built Tube1DModel crosses the process boundary to the workers
@@ -697,10 +703,27 @@ _FACTORS_HEADER = "c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple"
      ContractError, "sweep config requires grid_f and grid_s", None),
     ("", lambda path: SweepSpec(config={}, grid_f=[math.inf], grid_s=[math.inf], workers=0),
      SweepSpecError, "workers must be >= 1", None),
+    # values no sweep writes
+    (_SWEEP_HEADER + "\n1,1,true,3,4,5,-1.0,1.0,1.0,,,\n", fit_from_runs,
+     TableParseError, "{path}:2: T_f must be non-negative and finite, got -1.0", 2),
+    (_SWEEP_HEADER + "\n1,1,true,3,4,5,nan,1.0,1.0,,,\n", fit_from_runs,
+     TableParseError, "{path}:2: T_f must be non-negative and finite, got nan", 2),
+    (_SWEEP_HEADER + "\n1,1,true,3,4,5,1.0,1.0,inf,,,\n", fit_from_runs,
+     TableParseError, "{path}:2: T_c must be non-negative and finite, got inf", 2),
+    (_SWEEP_HEADER + "\n1,1,true,-3,4,5,1.0,1.0,1.0,,,\n", fit_from_runs,
+     TableParseError, "{path}:2: N_c must be non-negative and finite, got -3", 2),
+    (_SWEEP_HEADER + "\ninf,inf,true,3,4,5,1.0,1.0,1.0,1.0,nan,0.0\n",
+     lambda path: emit_contour(path, "teq_norm", path.parent), TableParseError,
+     "{path}:2: teq_norm must be non-negative and finite, got nan", 2),
+    (_SWEEP_HEADER + "\ninf,inf,false,3,4,5,,,,,,-1e-9\n", read_sweep_csv,
+     TableParseError, "{path}:2: max_dev_vs_reference must be non-negative and finite, "
+     "got -1e-09", 2),
 ], ids=["sweep-field-count", "contour-quantity", "contour-partial-grid",
         "replay-without-reference", "published-header", "published-short-row",
         "factors-missing-column", "factors-two-rows-no-case", "csv-empty",
-        "csv-comments-only", "config-empty-key", "config-without-grids", "spec-no-workers"])
+        "csv-comments-only", "config-empty-key", "config-without-grids", "spec-no-workers",
+        "sweep-negative-time", "sweep-nan-time", "sweep-inf-time", "sweep-negative-count",
+        "sweep-nan-teq-norm", "sweep-negative-deviation"])
 def test_reader_error_names_its_input(tmp_path, text, call, error, message, line):
     path = tmp_path / "input.csv"
     path.write_text(text)
