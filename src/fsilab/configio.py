@@ -3,11 +3,13 @@
 Config format: one ``key = value`` per line, ``#`` starts a comment, no
 nesting. Caps and grid entries spell unbounded as the literal ``inf``. A
 command checks its config once, by :func:`load`, which builds the model, the
-coupling config, the cost factors and the sweep settings from it. Every CSV
-fsilab writes goes through :func:`write_csv` (comma-separated, ``.`` decimal
-point, LF line endings, UTF-8, no quoting, fields by :func:`fmt`), and every
-table with a fixed header is read through :func:`read_table`, which checks
-that header and each row's field count.
+coupling config, the cost factors and the sweep settings from it; a sweep holds
+the :class:`Config` it returns. Every CSV fsilab writes goes through
+:func:`write_csv` (comma-separated, ``.`` decimal point, LF line endings,
+UTF-8, no quoting, fields by :func:`fmt`). Every table is read through
+:func:`read_csv_rows`, which checks each row's field count against the header,
+and its fields by :func:`parse_field`, which names the column of one that does
+not parse.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ _MODELS = {"tube1d": (Tube1DModel, Tube1DParams), "linear_toy": (LinearToyModel,
 # model name -> (keys of the model, keys of its params class)
 _MODEL_KEYS = {name: (_keys(model), _keys(params) if params else {})
                for name, (model, params) in _MODELS.items()}
-# what SweepSpec.from_config and run_sweep read; every load parses them
+# what SweepSpec reads; every load parses them, and a value that does not parse is a
+# SweepSpecError naming its key
 _SWEEP_KEYS = {"grid_f": ("grid_f", caps_list), "grid_s": ("grid_s", caps_list),
                "workers": ("workers", _workers), "timing": ("timing", _timing)}
 # model name -> every key its config may set
@@ -142,7 +145,7 @@ def load(cfg: dict) -> Config:
             near = difflib.get_close_matches(key, allowed, n=1, cutoff=0.8)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ContractError(f"unknown config key {key!r}{hint}")
-    sweep = sweep_settings(cfg)
+    sweep = _kwargs(cfg, _SWEEP_KEYS, SweepSpecError)
     (model, params), (model_keys, params_keys) = _MODELS[name], _MODEL_KEYS[name]
     kwargs = {"params": params(**_kwargs(cfg, params_keys))} if params else {}
     factors = _kwargs(cfg, _COST_KEYS)
@@ -158,12 +161,6 @@ def build_model(cfg: dict):
 
 def build_coupling_config(cfg: dict) -> CouplingConfig:
     return load(cfg).coupling
-
-
-def sweep_settings(cfg: dict) -> dict:
-    """The sweep settings ``cfg`` sets, parsed, by key. A value that does not parse
-    raises ``SweepSpecError`` naming its key."""
-    return _kwargs(cfg, _SWEEP_KEYS, SweepSpecError)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,8 @@ def regression_summary_path() -> Path:
 
 
 def read_csv_rows(path) -> list:
-    """(lineno, fields) for every non-comment line, header first."""
+    """(lineno, fields) for every non-comment line, header first; each row holds one
+    field per header field."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -201,12 +199,25 @@ def read_csv_rows(path) -> list:
             rows.append((lineno, line.split(",")))
     if not rows:
         raise TableParseError(f"{path}: no rows")
+    for lineno, fields in rows[1:]:
+        if len(fields) != len(rows[0][1]):
+            raise TableParseError(f"{path}:{lineno}: expected {len(rows[0][1])} fields",
+                                  line=lineno)
     return rows
+
+
+def parse_field(path, lineno: int, column: str, parse, text: str):
+    """``parse(text)``; a value that does not parse raises ``TableParseError`` naming
+    the file, the line and the column."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise TableParseError(f"{path}:{lineno}: {column}: {exc}", line=lineno) from exc
 
 
 def read_table(path, columns: tuple) -> list:
     """(lineno, fields) for each row below a header that must read ``columns``;
-    there must be at least one row, each holding one field per column."""
+    there must be at least one row (see :func:`read_csv_rows`)."""
     rows = read_csv_rows(path)
     header_line, header = rows[0]
     if tuple(h.strip() for h in header) != columns:
@@ -214,10 +225,6 @@ def read_table(path, columns: tuple) -> list:
                               line=header_line)
     if len(rows) == 1:
         raise TableParseError(f"{path}: no rows below the header")
-    for lineno, fields in rows[1:]:
-        if len(fields) != len(columns):
-            raise TableParseError(f"{path}:{lineno}: expected {len(columns)} fields",
-                                  line=lineno)
     return rows[1:]
 
 
@@ -269,12 +276,13 @@ def load_factors_csv(path, case: str | None = None) -> tuple:
             f"{path}: expected exactly one factors row (use case= to select), got {len(data)}"
         )
     lineno, fields = data[0]
+    values = {col: parse_field(path, lineno, col, float, fields[cols[col]])
+              for col in (*required, "gamma") if col in cols}
+    gamma = values.pop("gamma", None)
     try:
-        factors = CostFactors(**{col: float(fields[cols[col]]) for col in required})
-        gamma = float(fields[cols["gamma"]]) if "gamma" in cols else None
-    except (ValueError, IndexError) as exc:
+        return CostFactors(**values), gamma
+    except ContractError as exc:  # a negative or non-finite factor
         raise TableParseError(f"{path}:{lineno}: {exc}", line=lineno) from exc
-    return factors, gamma
 
 
 _PUBLISHED_COLUMNS = ("nmax_f", "nmax_s", "teq_norm", "N_c", "N_f", "N_s")
@@ -295,13 +303,10 @@ def _read_published_table(path) -> list:
                 raise TableParseError(f"{path}:{lineno}: missing values must blank the whole row",
                                       line=lineno)
             continue
-        try:
-            entries.append((
-                parse_cap(fields[0]), parse_cap(fields[1]), float(fields[2]),
-                (int(fields[3]), int(fields[4]), int(fields[5])),
-            ))
-        except ValueError as exc:
-            raise TableParseError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+        cap_f, cap_s, teq_norm, *counters = [
+            parse_field(path, lineno, column, parse, text) for column, parse, text
+            in zip(_PUBLISHED_COLUMNS, (parse_cap, parse_cap, float, int, int, int), fields)]
+        entries.append((cap_f, cap_s, teq_norm, tuple(counters)))
     return entries
 
 

@@ -7,13 +7,13 @@ emits ``sweep.csv`` with the schema
 
 Rows are ordered by (flow-grid index, solid-grid index); the reference cell is
 (inf, inf) and must be part of the grid. Diverged cells keep their iteration
-counts up to the abort and leave the derived columns empty. The sweep loads
-its config once (:func:`fsilab.configio.load`), which checks it and builds the
-model, the base coupling config and the cost factors; each cell runs that
-model under the base config with the cell's caps, and on a process pool each
-worker receives the built model and its cell's config. Cells run
-independently; emission is single-threaded and ordered, so the file content
-does not depend on the worker count.
+counts up to the abort and leave the derived columns empty. A sweep is one
+checked config: :meth:`SweepSpec.from_config` makes its only
+:func:`fsilab.configio.load`, and :class:`SweepSpec` raises every spec error
+before any cell runs. Each cell runs the loaded model under the base coupling
+config with the cell's caps; on a process pool each worker receives the built
+model and its cell's config. Cells run independently; one process writes the
+rows in order, so the file content does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import _read_published_table, load, read_table, sweep_settings, write_csv
+from .configio import Config, _read_published_table, load, parse_field, read_table, write_csv
 from .costmodel import (
     CostFactors,
     equivalent_time,
@@ -59,40 +59,43 @@ CONTOUR_QUANTITIES = ("N_c", "N_f", "N_s", "teq_norm")
 _REPLAY_TOLERANCE = 0.01
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
-    """One parameter study: a model/config dict swept over two cap grids."""
+    """One parameter study: a loaded config swept over the cap grids it sets.
 
-    config: dict
-    grid_f: list
-    grid_s: list
+    Every spec error is raised here, before any cell runs.
+    """
+
+    loaded: Config
     workers: int = 1
     out_dir: Path | None = None
 
     def __post_init__(self):
-        if not self.grid_f or not self.grid_s:
+        sweep = self.loaded.sweep
+        if "grid_f" not in sweep or "grid_s" not in sweep:
+            raise SweepSpecError("sweep config requires grid_f and grid_s")
+        grid_f, grid_s = sweep["grid_f"], sweep["grid_s"]
+        if not grid_f or not grid_s:
             raise SweepSpecError("cap grids must be non-empty")
-        if len(set(self.grid_f)) != len(self.grid_f) or len(set(self.grid_s)) != len(self.grid_s):
+        if len(set(grid_f)) != len(grid_f) or len(set(grid_s)) != len(grid_s):
             raise SweepSpecError("cap grid entries must be unique")
-        if not any(is_unbounded(f) for f in self.grid_f) or not any(
-            is_unbounded(s) for s in self.grid_s
-        ):
+        if not any(map(is_unbounded, grid_f)) or not any(map(is_unbounded, grid_s)):
             raise SweepSpecError("the (inf, inf) reference cell must be part of the grid")
         if self.workers < 1:
             raise SweepSpecError("workers must be >= 1")
+        if sweep.get("timing") != "modeled" and self.workers > 1:
+            # parallel cells contend for the cores and bias the timings the
+            # self-fit prices them by
+            raise SweepSpecError("timing = measured requires workers = 1")
+        if sweep.get("timing") == "modeled" and self.loaded.factors is None:
+            raise SweepSpecError("timing = modeled requires cost_* factor keys")
 
     @classmethod
     def from_config(cls, cfg: dict, out_dir=None, workers=None) -> "SweepSpec":
-        if "grid_f" not in cfg or "grid_s" not in cfg:
-            raise ContractError("sweep config requires grid_f and grid_s")
-        settings = sweep_settings(cfg)
-        return cls(
-            config=cfg,
-            grid_f=settings["grid_f"],
-            grid_s=settings["grid_s"],
-            workers=settings.get("workers", 1) if workers is None else workers,
-            out_dir=Path(out_dir) if out_dir is not None else None,
-        )
+        """The sweep ``cfg`` configures; its only :func:`~fsilab.configio.load`."""
+        loaded = load(cfg)
+        return cls(loaded, loaded.sweep.get("workers", 1) if workers is None else workers,
+                   Path(out_dir) if out_dir is not None else None)
 
 
 @dataclass
@@ -119,15 +122,8 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list
-    snapshots: dict  # (nmax_f, nmax_s) -> list of per-step displacement arrays
     factors: CostFactors | None = None
     csv_path: Path | None = None
-
-    def row(self, nmax_f, nmax_s) -> SweepRow:
-        for r in self.rows:
-            if r.nmax_f == nmax_f and r.nmax_s == nmax_s:
-                return r
-        raise KeyError((nmax_f, nmax_s))
 
 
 def _run_cell(model, config) -> tuple:
@@ -180,18 +176,9 @@ def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float = 0.0,
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the grid, derive teq/teq_norm/deviation columns, write sweep.csv."""
-    # every spec error is raised here, before the first cell runs
-    loaded = load(spec.config)
-    timing_mode, factors = loaded.sweep.get("timing", "measured"), loaded.factors
-    if timing_mode == "measured":
-        if spec.workers > 1:
-            # parallel cells contend for the cores and bias the timings the
-            # self-fit prices them by
-            raise SweepSpecError("timing = measured requires workers = 1")
-    elif factors is None:
-        raise SweepSpecError("timing = modeled requires cost_* factor keys")
+    loaded = spec.loaded
     configs = [replace(loaded.coupling, n_max_f=f, n_max_s=s)
-               for f in spec.grid_f for s in spec.grid_s]
+               for f in loaded.sweep["grid_f"] for s in loaded.sweep["grid_s"]]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             outcomes = list(pool.map(_run_cell, [loaded.model] * len(configs), configs))
@@ -201,7 +188,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = [row for row, _ in outcomes]
     snapshots = {(row.nmax_f, row.nmax_s): snaps for row, snaps in outcomes}
 
-    if timing_mode == "modeled":
+    factors = loaded.factors
+    if loaded.sweep.get("timing") == "modeled":
         _modeled_timings(rows, factors)
     if factors is None:
         factors = _self_fit(rows)
@@ -228,7 +216,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             ]
             row.max_dev = max(devs) if devs else None
 
-    result = SweepResult(rows=rows, snapshots=snapshots, factors=factors)
+    result = SweepResult(rows=rows, factors=factors)
     if spec.out_dir is not None:
         spec.out_dir.mkdir(parents=True, exist_ok=True)
         result.csv_path = write_sweep_csv(spec.out_dir / "sweep.csv", rows)
@@ -241,8 +229,8 @@ def _self_fit(rows: list) -> CostFactors:
         return fit_cost_factors([(r.n_c, r.n_f, r.n_s, r.t_f, r.t_s, r.t_c)
                                  for r in rows if r.converged])
     except RankDeficiencyError:
-        # teq_norm is invariant under the factor scale, so unit factors keep
-        # the normalized column meaningful on grids too small to fit
+        # below three converged cells, or with collinear counts: teq is then
+        # N_c + N_f + N_s, and teq_norm a ratio of counts, not of times
         return CostFactors(c_couple=1.0, c_iter_f=1.0, c_iter_s=1.0)
 
 
@@ -271,17 +259,16 @@ def read_sweep_csv(path) -> list:
         if converged == "true" and True in blank:
             raise TableParseError(f"{path}:{lineno}: a converged row must set T_f, T_s "
                                   "and T_c", line=lineno)
-        try:
-            caps = parse_cap(fields[0]), parse_cap(fields[1])
-            values = [int(f) for f in fields[3:6]] + [float(f) if f else None
-                                                      for f in fields[6:]]
-        except ValueError as exc:
-            raise TableParseError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+        nmax_f, nmax_s, _, *counts = [
+            parse_field(path, lineno, column, parse, text) for column, parse, text
+            in zip(SWEEP_COLUMNS, (parse_cap, parse_cap, str, int, int, int), fields)]
+        values = counts + [parse_field(path, lineno, column, float, text) if text else None
+                           for column, text in zip(SWEEP_COLUMNS[6:], fields[6:])]
         for column, value in zip(SWEEP_COLUMNS[3:], values):
             if value is not None and not 0 <= value < np.inf:
                 raise TableParseError(f"{path}:{lineno}: {column} must be non-negative "
                                       f"and finite, got {value!r}", line=lineno)
-        out.append(SweepRow(*caps, converged == "true", *values))
+        out.append(SweepRow(nmax_f, nmax_s, converged == "true", *values))
     return out
 
 

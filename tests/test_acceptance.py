@@ -236,8 +236,8 @@ def test_criterion_7_invariant_suite(tmp_path, tube_cap_sweep, tube_reference_ru
     blobs = []
     for workers, name in ((1, "w1a"), (1, "w1b"), (2, "w2")):
         out = tmp_path / name
-        run_sweep(SweepSpec(config=cfg, grid_f=[1, math.inf], grid_s=[2, math.inf],
-                            workers=workers, out_dir=out))
+        run_sweep(SweepSpec.from_config(dict(cfg, grid_f="1,inf", grid_s="2,inf"),
+                                        out_dir=out, workers=workers))
         blobs.append((out / "sweep.csv").read_bytes())
     determinism = blobs[0] == blobs[1] == blobs[2]
 

@@ -266,6 +266,13 @@ class TestIqnUpdate:
         with pytest.raises(ContractError):
             iqn_ils_update(IqnHistory(q=0), np.ones(2), np.zeros(2), 1e-12)
 
+    def test_residual_length_must_match_the_history(self):
+        hist = IqnHistory(q=1)
+        hist.append(np.ones(2), np.ones(2), age=1)
+        with pytest.raises(ContractError, match="^history column length does not match "
+                                                "residual length$"):
+            iqn_ils_update(hist, np.ones(3), np.zeros(3), 1e-12)
+
     def test_all_filtered_raises(self):
         hist = IqnHistory(q=1)
         hist.append(np.zeros(2), np.ones(2), age=1)  # silently skipped (no info)
@@ -554,6 +561,15 @@ class TestIqnHistory:
             assert hist.column_ages == oracle.column_ages
             for got, ref in zip(hist.matrices(), oracle.matrices()):
                 assert got.tobytes() == ref.tobytes()
+
+    def test_negative_reuse_depth_rejected(self):
+        with pytest.raises(ContractError, match="^reuse depth q must be >= 0$"):
+            IqnHistory(q=-1)
+
+    def test_pair_of_unequal_lengths_rejected(self):
+        with pytest.raises(ContractError, match="^column pair must be two equal-length "
+                                                "vectors$"):
+            IqnHistory(q=1).append(np.ones(2), np.ones(3), age=1)
 
     def test_eviction_by_age(self):
         hist = IqnHistory(q=2)

@@ -217,21 +217,21 @@ class TestConfigParsing:
 class TestSweepSpecValidation:
     def test_reference_cell_required(self):
         with pytest.raises(SweepSpecError):
-            SweepSpec(config={}, grid_f=[1, 2], grid_s=[1, math.inf])
+            SweepSpec.from_config({"grid_f": "1,2", "grid_s": "1,inf"})
 
     def test_duplicate_grid_entries(self):
         with pytest.raises(SweepSpecError):
-            SweepSpec(config={}, grid_f=[1, 1, math.inf], grid_s=[math.inf])
+            SweepSpec.from_config({"grid_f": "1,1,inf", "grid_s": "inf"})
 
     def test_empty_grid(self):
         with pytest.raises(SweepSpecError):
-            SweepSpec(config={}, grid_f=[], grid_s=[math.inf])
+            SweepSpec.from_config({"grid_f": "", "grid_s": "inf"})
 
 
 class TestRunSweep:
     def test_single_reference_cell_normalizes_to_one(self, tmp_path):
-        spec = SweepSpec(config=dict(LINEAR_TOY_STABLE), grid_f=[math.inf],
-                         grid_s=[math.inf], out_dir=tmp_path)
+        spec = SweepSpec.from_config(dict(LINEAR_TOY_STABLE, grid_f="inf", grid_s="inf"),
+                                     out_dir=tmp_path)
         result = run_sweep(spec)
         assert len(result.rows) == 1
         assert result.rows[0].teq_norm == 1.0
@@ -239,19 +239,19 @@ class TestRunSweep:
         assert text.splitlines()[0].startswith("nmax_f,nmax_s,converged")
 
     def test_grid_rows_ordered_and_reference_deviation_zero(self, tmp_path):
-        spec = SweepSpec(config=dict(LINEAR_TOY_STABLE), grid_f=[2, math.inf],
-                         grid_s=[1, math.inf], out_dir=tmp_path)
+        spec = SweepSpec.from_config(dict(LINEAR_TOY_STABLE, grid_f="2,inf", grid_s="1,inf"),
+                                     out_dir=tmp_path)
         result = run_sweep(spec)
         keys = [(r.nmax_f, r.nmax_s) for r in result.rows]
         assert keys == [(2, 1), (2, math.inf), (math.inf, 1), (math.inf, math.inf)]
-        ref = result.row(math.inf, math.inf)
+        ref = result.rows[-1]  # the (inf, inf) reference cell
         assert ref.max_dev == 0.0
         assert all(r.converged for r in result.rows)
         assert all(r.max_dev <= 1e-9 for r in result.rows)
 
     def test_diverged_cells_emit_counts_and_blank_derived_columns(self, tmp_path):
-        spec = SweepSpec(config=dict(LINEAR_TOY_UNSTABLE_CONSTANT),
-                         grid_f=[math.inf], grid_s=[1, math.inf], out_dir=tmp_path)
+        spec = SweepSpec.from_config(
+            dict(LINEAR_TOY_UNSTABLE_CONSTANT, grid_f="inf", grid_s="1,inf"), out_dir=tmp_path)
         result = run_sweep(spec)
         for row in result.rows:
             assert not row.converged
@@ -263,18 +263,15 @@ class TestRunSweep:
     def test_measured_timing_requires_one_worker(self, tmp_path):
         # parallel cells would contend for cores and bias the self-fit
         for cfg in (dict(LINEAR_TOY_STABLE), dict(LINEAR_TOY_STABLE, timing="measured")):
-            spec = SweepSpec(config=cfg, grid_f=[math.inf], grid_s=[math.inf],
-                             workers=2, out_dir=tmp_path)
             with pytest.raises(SweepSpecError, match="measured requires workers = 1"):
-                run_sweep(spec)
+                run_sweep(SweepSpec.from_config(dict(cfg, grid_f="inf", grid_s="inf"),
+                                                out_dir=tmp_path, workers=2))
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_modeled_timing_requires_factors(self, tmp_path):
-        cfg = dict(LINEAR_TOY_STABLE, timing="modeled")
-        spec = SweepSpec(config=cfg, grid_f=[math.inf], grid_s=[math.inf],
-                         out_dir=tmp_path)
+        cfg = dict(LINEAR_TOY_STABLE, timing="modeled", grid_f="inf", grid_s="inf")
         with pytest.raises(SweepSpecError):
-            run_sweep(spec)
+            run_sweep(SweepSpec.from_config(cfg, out_dir=tmp_path))
 
     @pytest.mark.parametrize("extra, spec_kw, match", [
         ({"timing": "modeld"}, {}, "unknown timing mode 'modeld'"),
@@ -289,10 +286,9 @@ class TestRunSweep:
         calls = []
         monkeypatch.setattr(harness_mod, "_run_cell",
                             lambda *args: calls.append(args) or {})
-        spec = SweepSpec(config=dict(LINEAR_TOY_STABLE, **extra), grid_f=[1, math.inf],
-                         grid_s=[math.inf], out_dir=tmp_path, **spec_kw)
+        cfg = dict(LINEAR_TOY_STABLE, grid_f="1,inf", grid_s="inf", **extra)
         with pytest.raises(SweepSpecError, match=match):
-            run_sweep(spec)
+            run_sweep(SweepSpec.from_config(cfg, out_dir=tmp_path, **spec_kw))
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 
@@ -306,11 +302,10 @@ class TestRunSweep:
         calls = []
         monkeypatch.setattr(harness_mod, "_run_cell",
                             lambda *args: calls.append(args) or {})
-        cfg = dict(LINEAR_TOY_STABLE, timing="modeled", cost_c_fix_f="0.5", **{key: value})
-        spec = SweepSpec(config=cfg, grid_f=[1, math.inf], grid_s=[math.inf],
-                         out_dir=tmp_path)
+        cfg = dict(LINEAR_TOY_STABLE, timing="modeled", cost_c_fix_f="0.5", grid_f="1,inf",
+                   grid_s="inf", **{key: value})
         with pytest.raises(ContractError, match=f"'{key[len('cost_'):]}' must be finite"):
-            run_sweep(spec)
+            run_sweep(SweepSpec.from_config(cfg, out_dir=tmp_path))
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 
@@ -320,30 +315,29 @@ class TestRunSweep:
         calls = []
         monkeypatch.setattr(harness_mod, "_run_cell",
                             lambda *args: calls.append(args) or {})
-        spec = SweepSpec(config=dict(LINEAR_TOY_STABLE, grid_s="1,inf", wokers="1"),
-                         grid_f=[1, math.inf], grid_s=[math.inf], out_dir=tmp_path)
+        cfg = dict(LINEAR_TOY_STABLE, grid_f="1,inf", grid_s="inf", wokers="1")
         with pytest.raises(ContractError, match="'wokers'; did you mean 'workers'"):
-            run_sweep(spec)
+            run_sweep(SweepSpec.from_config(cfg, out_dir=tmp_path))
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_tube_grid_deviation_column(self, tmp_path):
-        cfg = {"model": "tube1d", "cells": "60", "steps": "15"}
-        spec = SweepSpec(config=cfg, grid_f=[2, math.inf], grid_s=[3, math.inf],
-                         out_dir=tmp_path)
+        cfg = {"model": "tube1d", "cells": "60", "steps": "15", "grid_f": "2,inf",
+               "grid_s": "3,inf"}
+        spec = SweepSpec.from_config(cfg, out_dir=tmp_path)
         result = run_sweep(spec)
         assert all(r.converged for r in result.rows)
         assert all(r.max_dev <= 1e-8 for r in result.rows)
         assert all(r.n_f >= r.n_c and r.n_s >= r.n_c for r in result.rows)
-        ref = result.row(math.inf, math.inf)
+        ref = result.rows[-1]  # the (inf, inf) reference cell
         assert ref.teq_norm == 1.0
 
     def test_measured_self_fit_is_fit_from_runs(self, tmp_path):
         # fsilab prices itself: the factors the sweep fits to its own measured
         # timings are exactly what fit_from_runs recovers from its sweep.csv
-        cfg = {"model": "tube1d", "cells": "40", "steps": "5"}
-        spec = SweepSpec(config=cfg, grid_f=[1, 2, math.inf], grid_s=[1, math.inf],
-                         out_dir=tmp_path)
+        cfg = {"model": "tube1d", "cells": "40", "steps": "5", "grid_f": "1,2,inf",
+               "grid_s": "1,inf"}
+        spec = SweepSpec.from_config(cfg, out_dir=tmp_path)
         result = run_sweep(spec)
         assert sum(r.converged for r in result.rows) >= 3
         fitted, _ = fit_from_runs(result.csv_path)
@@ -351,12 +345,12 @@ class TestRunSweep:
         assert result.factors != CostFactors(c_couple=1.0, c_iter_f=1.0, c_iter_s=1.0)
 
     def test_self_fit_falls_back_to_unit_factors_below_three_cells(self, tmp_path):
-        spec = SweepSpec(config=dict(LINEAR_TOY_STABLE), grid_f=[math.inf],
-                         grid_s=[1, math.inf], out_dir=tmp_path)
+        spec = SweepSpec.from_config(dict(LINEAR_TOY_STABLE, grid_f="inf", grid_s="1,inf"),
+                                     out_dir=tmp_path)
         result = run_sweep(spec)
         assert all(r.converged for r in result.rows) and len(result.rows) == 2
         assert result.factors == CostFactors(c_couple=1.0, c_iter_f=1.0, c_iter_s=1.0)
-        assert result.row(math.inf, math.inf).teq_norm == 1.0
+        assert result.rows[-1].teq_norm == 1.0  # the (inf, inf) reference cell
 
     @pytest.mark.parametrize("grid", [[math.inf], [1, math.inf]], ids=["1-cell", "4-cell"])
     def test_keys_are_checked_and_the_model_built_once_per_sweep(self, tmp_path,
@@ -380,9 +374,25 @@ class TestRunSweep:
         result = run_sweep(SweepSpec.from_config(dict(LINEAR_TOY_STABLE, grid_f=caps,
                                                       grid_s=caps), out_dir=tmp_path))
         assert len(result.rows) == len(grid) ** 2
-        # one load checks the keys and builds the model, the coupling config and
-        # the factors; SweepSpec.from_config only parses the sweep settings
+        # one load, SweepSpec.from_config's, checks the keys and builds the model,
+        # the coupling config, the factors and the sweep settings; run_sweep loads none
         assert calls == {"loads": 1, "builds": 1}
+
+    def test_sweep_keys_are_parsed_once_per_sweep(self, tmp_path, monkeypatch):
+        # run_sweep used to load the config again, parsing every sweep key twice
+        import fsilab.configio as configio
+
+        calls = dict.fromkeys(configio._SWEEP_KEYS, 0)
+        for key, (name, parse) in configio._SWEEP_KEYS.items():
+            def counted(text, key=key, parse=parse):
+                calls[key] += 1
+                return parse(text)
+            monkeypatch.setitem(configio._SWEEP_KEYS, key, (name, counted))
+        cfg = dict(LINEAR_TOY_STABLE, grid_f="1,inf", grid_s="inf", workers="1",
+                   timing="measured")
+        result = run_sweep(SweepSpec.from_config(cfg, out_dir=tmp_path))
+        assert len(result.rows) == 2
+        assert calls == {"grid_f": 1, "grid_s": 1, "workers": 1, "timing": 1}
 
     def test_modeled_tube_sweep_is_byte_identical_across_workers(self, tmp_path):
         # the built Tube1DModel crosses the process boundary to the workers
@@ -392,8 +402,8 @@ class TestRunSweep:
         texts = []
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
-            run_sweep(SweepSpec(config=cfg, grid_f=[1, math.inf], grid_s=[1, math.inf],
-                                workers=workers, out_dir=out))
+            run_sweep(SweepSpec.from_config(dict(cfg, grid_f="1,inf", grid_s="1,inf"),
+                                            out_dir=out, workers=workers))
             texts.append((out / "sweep.csv").read_bytes())
         assert texts[0] == texts[1]
         assert texts[0].count(b"\n") == 5 and b",false," not in texts[0]
@@ -405,8 +415,8 @@ class TestRunSweep:
         texts = []
         for workers, sub in ((1, "a"), (1, "b"), (2, "c")):
             out = tmp_path / sub
-            spec = SweepSpec(config=cfg, grid_f=[1, math.inf], grid_s=[2, math.inf],
-                             workers=workers, out_dir=out)
+            spec = SweepSpec.from_config(dict(cfg, grid_f="1,inf", grid_s="2,inf"),
+                                         out_dir=out, workers=workers)
             run_sweep(spec)
             texts.append((out / "sweep.csv").read_bytes())
         assert texts[0] == texts[1] == texts[2]
@@ -414,8 +424,8 @@ class TestRunSweep:
 
 class TestContour:
     def _sweep(self, tmp_path):
-        spec = SweepSpec(config=dict(LINEAR_TOY_STABLE), grid_f=[2, math.inf],
-                         grid_s=[1, math.inf], out_dir=tmp_path)
+        spec = SweepSpec.from_config(dict(LINEAR_TOY_STABLE, grid_f="2,inf", grid_s="1,inf"),
+                                     out_dir=tmp_path)
         run_sweep(spec)
         return tmp_path / "sweep.csv"
 
@@ -446,8 +456,8 @@ class TestContour:
                 assert int(value) == row.n_c
 
     def test_diverged_cells_blank(self, tmp_path):
-        spec = SweepSpec(config=dict(LINEAR_TOY_UNSTABLE_CONSTANT),
-                         grid_f=[math.inf], grid_s=[1, math.inf], out_dir=tmp_path)
+        spec = SweepSpec.from_config(
+            dict(LINEAR_TOY_UNSTABLE_CONSTANT, grid_f="inf", grid_s="1,inf"), out_dir=tmp_path)
         run_sweep(spec)
         lines = emit_contour(tmp_path / "sweep.csv", "teq_norm",
                              tmp_path).read_text().strip().splitlines()
@@ -700,8 +710,8 @@ _FACTORS_HEADER = "c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple"
     ("a = 1\n = 2\n", lambda path: parse_config_text(path.read_text(), source=str(path)),
      TableParseError, "{path}:2: empty key", 2),
     ("grid_f = 1,inf\n", lambda path: SweepSpec.from_config(parse_config(path)),
-     ContractError, "sweep config requires grid_f and grid_s", None),
-    ("", lambda path: SweepSpec(config={}, grid_f=[math.inf], grid_s=[math.inf], workers=0),
+     SweepSpecError, "sweep config requires grid_f and grid_s", None),
+    ("", lambda path: SweepSpec.from_config({"grid_f": "inf", "grid_s": "inf"}, workers=0),
      SweepSpecError, "workers must be >= 1", None),
     # values no sweep writes
     (_SWEEP_HEADER + "\n1,1,true,3,4,5,-1.0,1.0,1.0,,,\n", fit_from_runs,
@@ -718,12 +728,30 @@ _FACTORS_HEADER = "c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple"
     (_SWEEP_HEADER + "\ninf,inf,false,3,4,5,,,,,,-1e-9\n", read_sweep_csv,
      TableParseError, "{path}:2: max_dev_vs_reference must be non-negative and finite, "
      "got -1e-09", 2),
+    # fields that do not parse name their column
+    (_SWEEP_HEADER + "\n1,1,true,3.5,4,5,1.0,1.0,1.0,,,\n", read_sweep_csv, TableParseError,
+     "{path}:2: N_c: invalid literal for int() with base 10: '3.5'", 2),
+    (_SWEEP_HEADER + "\n1,1,true,3,4,5,abc,1.0,1.0,,,\n", read_sweep_csv, TableParseError,
+     "{path}:2: T_f: could not convert string to float: 'abc'", 2),
+    (_SWEEP_HEADER + "\nx,1,true,3,4,5,1.0,1.0,1.0,,,\n", read_sweep_csv, TableParseError,
+     "{path}:2: nmax_f: cannot parse cap value 'x'", 2),
+    ("nmax_f,nmax_s,teq_norm,N_c,N_f,N_s\ninf,inf,1.0,1.5,1,1\n", _read_published_table,
+     TableParseError, "{path}:2: N_c: invalid literal for int() with base 10: '1.5'", 2),
+    (_FACTORS_HEADER + "\n1,x,1,1,1\n", load_factors_csv, TableParseError,
+     "{path}:2: c_iter_f: could not convert string to float: 'x'", 2),
+    (_FACTORS_HEADER + "\n1,1,1,1\n", load_factors_csv, TableParseError,
+     "{path}:2: expected 5 fields", 2),
+    ("", lambda path: published_table_path("nope"), ContractError,
+     "unknown published table 'nope'; expected one of ('fe_fe_cavity', 'fv_fe_cavity', "
+     "'fe_fe_tube', 'fv_fe_tube')", None),
 ], ids=["sweep-field-count", "contour-quantity", "contour-partial-grid",
         "replay-without-reference", "published-header", "published-short-row",
         "factors-missing-column", "factors-two-rows-no-case", "csv-empty",
         "csv-comments-only", "config-empty-key", "config-without-grids", "spec-no-workers",
         "sweep-negative-time", "sweep-nan-time", "sweep-inf-time", "sweep-negative-count",
-        "sweep-nan-teq-norm", "sweep-negative-deviation"])
+        "sweep-nan-teq-norm", "sweep-negative-deviation", "sweep-count-not-an-integer",
+        "sweep-time-not-a-number", "sweep-cap-not-a-cap", "published-count-not-an-integer",
+        "factors-not-a-number", "factors-short-row", "published-table-unknown"])
 def test_reader_error_names_its_input(tmp_path, text, call, error, message, line):
     path = tmp_path / "input.csv"
     path.write_text(text)

@@ -39,6 +39,10 @@ class TestLinearToyConstruction:
         with pytest.raises(ContractError):
             LinearToyModel(0, 4, 0.5)
 
+    def test_negative_coupling_strength_rejected(self):
+        with pytest.raises(ContractError, match="^coupling_strength must be >= 0$"):
+            LinearToyModel(coupling_strength=-1.0)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_coupling_strength_rejected(self, value):
         # a nan strength used to run to a "converged" one-step result

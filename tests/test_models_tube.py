@@ -212,6 +212,11 @@ class TestParams:
         with pytest.raises(ContractError):
             Tube1DParams(kappa3=-1.0)
 
+    @pytest.mark.parametrize("name, value", [("dt", 0.0), ("length", -1.0)])
+    def test_non_positive_size_rejected(self, name, value):
+        with pytest.raises(ContractError, match=f"^{name} must be positive$"):
+            Tube1DParams(**{name: value})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
         "length", "radius", "thickness", "rho_f", "rho_s", "youngs_modulus",
