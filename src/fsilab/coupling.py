@@ -84,6 +84,8 @@ class IqnHistory:
     """
 
     def __init__(self, q: int):
+        if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+            raise ContractError(f"reuse depth q must be an integer, got {q!r}")
         if q < 0:
             raise ContractError("reuse depth q must be >= 0")
         self.q = q

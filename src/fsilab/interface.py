@@ -33,13 +33,15 @@ def is_unbounded(cap) -> bool:
 def validate_cap(cap, name: str) -> None:
     if is_unbounded(cap):
         return
-    if not (isinstance(cap, (int, np.integer)) or float(cap).is_integer()) or cap < 1:
+    # a bool is an int, and a str would escape as a TypeError at the comparison
+    if (isinstance(cap, bool) or not isinstance(cap, (int, float, np.integer, np.floating))
+            or not float(cap).is_integer() or cap < 1):
         raise ContractError(f"{name} must be an integer >= 1 or unbounded, got {cap!r}")
 
 
 def require_count(value, name: str, low: int) -> None:
-    """Reject a count that is not an integer >= ``low``; a float one included."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    """Reject a count that is not an integer >= ``low``; a float or bool one included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

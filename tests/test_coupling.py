@@ -566,6 +566,12 @@ class TestIqnHistory:
         with pytest.raises(ContractError, match="^reuse depth q must be >= 0$"):
             IqnHistory(q=-1)
 
+    @pytest.mark.parametrize("q", [1.5, 2.0, True, "2"])
+    def test_non_integer_reuse_depth_rejected(self, q):
+        # CouplingConfig rejects these for reuse_q; the exported class must too
+        with pytest.raises(ContractError, match="^reuse depth q must be an integer"):
+            IqnHistory(q=q)
+
     def test_pair_of_unequal_lengths_rejected(self):
         with pytest.raises(ContractError, match="^column pair must be two equal-length "
                                                 "vectors$"):

@@ -164,11 +164,18 @@ class TestCouplingConfig:
     @pytest.mark.parametrize("name", ["reuse_q", "max_coupling_iters"])
     def test_non_integer_count_rejected(self, name):
         # reuse_q = 1.5 would act as 1, and a fractional budget
-        # would escape run_simulation from range() as a bare TypeError
-        for value in (2.5, 2.0):
+        # would escape run_simulation from range() as a bare TypeError; a bool
+        # is an int, so reuse_q = False used to pass as 0
+        for value in (2.5, 2.0, True, False):
             with pytest.raises(ContractError, match=f"{name} must be an integer"):
                 CouplingConfig(**{name: value})
         CouplingConfig(**{name: np.int64(2)})
+
+    @pytest.mark.parametrize("name", ["n_max_f", "n_max_s"])
+    def test_bool_cap_rejected(self, name):
+        # True used to pass as a cap of 1
+        with pytest.raises(ContractError, match=f"^{name} must be an integer >= 1"):
+            CouplingConfig(**{name: True})
 
     @pytest.mark.parametrize("name", ["eps_f", "eps_s", "eps_fil", "eps_c"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
@@ -192,3 +199,9 @@ class TestCaps:
             parse_cap("x")
         with pytest.raises(ContractError):
             validate_cap(2.5, "n")
+        # a bool is an int, and a str used to escape as a bare TypeError
+        for value in (True, False, "3", None):
+            with pytest.raises(ContractError, match="^n_max must be an integer >= 1"):
+                validate_cap(value, "n_max")
+        validate_cap(np.int64(3), "n_max")
+        validate_cap(3.0, "n_max")

@@ -229,8 +229,9 @@ class TestParams:
 
     @pytest.mark.parametrize("name", ["cells", "steps"])
     def test_non_integer_count_rejected(self, name):
-        # a fractional cell count used to escape as a numpy TypeError
-        for value in (20.5, 20.0):
+        # a fractional cell count used to escape as a numpy TypeError, and
+        # steps = True passed as one step
+        for value in (20.5, 20.0, True):
             with pytest.raises(ContractError, match=f"{name} must be an integer"):
                 Tube1DParams(**{name: value})
 
