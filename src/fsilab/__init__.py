@@ -23,7 +23,6 @@ from .interface import (
     AccelKind,
     CouplingConfig,
     CriterionKind,
-    FieldRole,
     InterfaceField,
     IterationCounters,
     RunRecord,
@@ -51,7 +50,6 @@ __all__ = [
     "CriterionKind",
     "DriverKind",
     "Event",
-    "FieldRole",
     "InterfaceField",
     "IqnHistory",
     "IterationCounters",

@@ -19,6 +19,8 @@ import inspect
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ContractError, SweepSpecError, TableParseError
 from .interface import (
     AccelKind,
@@ -242,10 +244,11 @@ def fmt(value) -> str:
     """Shortest round-trip float formatting; '' for None."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # a numpy scalar's own repr names its type
+        return repr(float(value))
     return str(value)
 
 

@@ -36,7 +36,6 @@ from .interface import (
     AccelKind,
     CouplingConfig,
     CriterionKind,
-    FieldRole,
     InterfaceField,
     RunRecord,
     SolverCallReport,
@@ -438,7 +437,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             rec.events.append(Event(step, k, tag))
         if not np.isfinite(d_next).all():
             raise _abort("the accelerated interface displacement is not finite")
-        d_k = InterfaceField._adopt(d_next, FieldRole.DISPLACEMENT, finite=True)
+        d_k = InterfaceField._adopt(d_next, finite=True)
 
     raise _abort(
         f"no convergence within max_coupling_iters={config.max_coupling_iters}"
@@ -458,7 +457,7 @@ def _predict(accepted: list) -> InterfaceField:
     """
     p = min(len(accepted) - 1, _PREDICTOR_DEGREE)
     guess = sum((-1) ** j * math.comb(p + 1, j + 1) * accepted[-1 - j] for j in range(p + 1))
-    return InterfaceField(guess, FieldRole.DISPLACEMENT)
+    return InterfaceField(guess)
 
 
 def run_simulation(model, config: CouplingConfig, on_step=None,
@@ -482,7 +481,7 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     """
     t_start = time.perf_counter()
     state = model.initial_state()
-    d_start = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
+    d_start = InterfaceField(np.zeros(model.n_interface))
     u_f = u_s = None
     hist = IqnHistory(q=config.reuse_q)
 

@@ -8,7 +8,7 @@ class FsiLabError(Exception):
 
 
 class ContractError(FsiLabError, ValueError):
-    """A caller violated an operation's preconditions (bad lengths, roles, values)."""
+    """A caller violated an operation's preconditions (bad lengths, types, values)."""
 
 
 class InvalidInputError(ContractError):

@@ -43,7 +43,6 @@ from .errors import (
     TableParseError,
 )
 from .interface import (
-    FieldRole,
     InterfaceField,
     as_caps_str,
     deviation_from_reference,
@@ -82,8 +81,14 @@ class SweepSpec:
             raise SweepSpecError("cap grid entries must be unique")
         if not any(map(is_unbounded, grid_f)) or not any(map(is_unbounded, grid_s)):
             raise SweepSpecError("the (inf, inf) reference cell must be part of the grid")
+        # a bool is an int, and a float or str would escape from the pool or the
+        # comparison as a bare TypeError
+        if isinstance(self.workers, bool) or not isinstance(self.workers, (int, np.integer)):
+            raise SweepSpecError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise SweepSpecError("workers must be >= 1")
+        if self.out_dir is not None:
+            object.__setattr__(self, "out_dir", Path(self.out_dir))
         if sweep.get("timing") != "modeled" and self.workers > 1:
             # parallel cells contend for the cores and bias the timings the
             # self-fit prices them by
@@ -96,7 +101,7 @@ class SweepSpec:
         """The sweep ``cfg`` configures; its only :func:`~fsilab.configio.load`."""
         loaded = load(cfg)
         return cls(loaded, loaded.sweep.get("workers", 1) if workers is None else workers,
-                   Path(out_dir) if out_dir is not None else None)
+                   out_dir)
 
 
 @dataclass
@@ -211,10 +216,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         row.teq_norm = row.teq / ref_teq if ref_teq else None
         if ref.converged:
             devs = [
-                deviation_from_reference(
-                    InterfaceField(snap, FieldRole.DISPLACEMENT),
-                    InterfaceField(ref_snap, FieldRole.DISPLACEMENT),
-                )
+                deviation_from_reference(InterfaceField(snap), InterfaceField(ref_snap))
                 for snap, ref_snap in zip(snapshots[(row.nmax_f, row.nmax_s)],
                                           snapshots[(ref.nmax_f, ref.nmax_s)])
             ]

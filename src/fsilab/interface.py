@@ -7,7 +7,10 @@ Conventions used throughout the testbed:
 * Coupling-side diagnostics (fixed-point residual norm, update increment norm)
   are plain 2-norms without the ``sqrt(n)`` scaling.
 * Interface fields are dense float64 vectors on abstract interface degrees of
-  freedom; matching 1:1 discretizations only, no mapping.
+  freedom; matching 1:1 discretizations only, no mapping. The solver's
+  :class:`~fsilab.subproblem.SolverId` says what a field holds (flow:
+  displacement in, traction out; solid: the reverse), and every solver output
+  is an :class:`InterfaceField` of the interface length.
 """
 
 from __future__ import annotations
@@ -52,21 +55,17 @@ def require_finite(what: str, values: dict) -> None:
             raise ContractError(f"{what} {name!r} must be finite, got {value!r}")
 
 
-class FieldRole(Enum):
-    DISPLACEMENT = "displacement"
-    TRACTION = "traction"
-
-
 @dataclass(frozen=True)
 class InterfaceField:
     """Real-valued vector on the interface degrees of freedom.
 
-    Values are stored as a read-only float64 array; displacement fields are in
-    meters, traction fields in pascals (documentation only, not enforced).
+    Values are copied on construction into a non-empty, 1-D, finite, read-only
+    float64 array. Whether a field is a displacement (meters) or a traction
+    (pascals) follows from the solver that outputs it: a flow solver outputs
+    tractions, a solid solver displacements.
     """
 
     values: np.ndarray
-    role: FieldRole
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float).copy()
@@ -78,14 +77,13 @@ class InterfaceField:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, role: FieldRole, finite: bool = False):
+    def _adopt(cls, values: np.ndarray, finite: bool = False):
         """A field that takes over a fresh 1-D float64 array, read-only, with no copy."""
         if not finite and not np.isfinite(values).all():
             raise ContractError("interface field contains non-finite entries")
         values.setflags(write=False)
         field_ = object.__new__(cls)
         object.__setattr__(field_, "values", values)
-        object.__setattr__(field_, "role", role)
         return field_
 
     @property
@@ -108,8 +106,6 @@ def residual_norm(r) -> float:
 
 def fixed_point_residual(d_tilde: InterfaceField, d: InterfaceField) -> np.ndarray:
     """Elementwise mismatch between the solid's output displacement and the flow's input."""
-    if d_tilde.role is not FieldRole.DISPLACEMENT or d.role is not FieldRole.DISPLACEMENT:
-        raise ContractError("fixed-point residual requires two displacement fields")
     if d_tilde.size != d.size:
         raise ContractError(f"field length mismatch: {d_tilde.size} vs {d.size}")
     return d_tilde.values - d.values
@@ -117,8 +113,6 @@ def fixed_point_residual(d_tilde: InterfaceField, d: InterfaceField) -> np.ndarr
 
 def deviation_from_reference(d: InterfaceField, d_ref: InterfaceField) -> float:
     """Per-DOF deviation ``||d - d_ref||_2 / sqrt(n)`` between two displacement fields."""
-    if d.role is not FieldRole.DISPLACEMENT or d_ref.role is not FieldRole.DISPLACEMENT:
-        raise ContractError("deviation metric requires two displacement fields")
     if d.size != d_ref.size:
         raise ContractError(f"field length mismatch: {d.size} vs {d_ref.size}")
     return float(np.linalg.norm(d.values - d_ref.values) / math.sqrt(d.size))

@@ -14,20 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConstructionError, ContractError
-from ..interface import FieldRole, InterfaceField, require_count, require_finite
+from ..interface import InterfaceField, require_count, require_finite
 
 
 @dataclass
 class _DenseSolver:
     """A linear toy subproblem ``A u = b0 + B c`` on coupling data ``c``, solved with
     ``numpy.linalg``; ``A`` is its own Newton tangent. The output field is ``u``
-    itself in ``role``.
+    itself.
     """
 
     A: np.ndarray
     b0: np.ndarray
     B: np.ndarray
-    role: FieldRole
 
     @property
     def dim(self) -> int:
@@ -36,7 +35,7 @@ class _DenseSolver:
     def load(self, coupling: InterfaceField) -> tuple:
         A, B = self.A, self.B
         if coupling.size != B.shape[1]:
-            raise ContractError(f"{coupling.role.value} length mismatch")
+            raise ContractError(f"coupling field length {coupling.size} != {B.shape[1]}")
         b = self.b0 + B @ coupling.values
 
         def residual(u):
@@ -48,7 +47,7 @@ class _DenseSolver:
         return b, residual, solve
 
     def output(self, u: np.ndarray) -> InterfaceField:
-        return InterfaceField(u, self.role)
+        return InterfaceField(u)
 
 
 def _tridiag(n: int, off: float, diag: float) -> np.ndarray:
@@ -129,7 +128,7 @@ class LinearToyModel:
         return self._monolithic[: self.dim_f].copy(), self._monolithic[self.dim_f :].copy()
 
     def interface_solution(self) -> InterfaceField:
-        return InterfaceField(self._monolithic[self.dim_f :], FieldRole.DISPLACEMENT)
+        return InterfaceField(self._monolithic[self.dim_f :])
 
     # engine protocol ------------------------------------------------------
 
@@ -137,10 +136,10 @@ class LinearToyModel:
         return 0
 
     def flow_solver(self, state) -> _DenseSolver:
-        return _DenseSolver(self.A_f, self.b_f0, self.B_f, FieldRole.TRACTION)
+        return _DenseSolver(self.A_f, self.b_f0, self.B_f)
 
     def solid_solver(self, state) -> _DenseSolver:
-        return _DenseSolver(self.A_s, self.b_s0, self.B_s, FieldRole.DISPLACEMENT)
+        return _DenseSolver(self.A_s, self.b_s0, self.B_s)
 
     def advance_state(self, state, accepted_displacement, flow_u):
         return state + 1

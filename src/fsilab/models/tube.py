@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import ContractError, GeometryError
-from ..interface import FieldRole, InterfaceField, require_count, require_finite
+from ..interface import InterfaceField, require_count, require_finite
 from ..subproblem import DriverKind
 
 
@@ -245,8 +245,6 @@ class TubeFlowSolver:
 
     def load(self, displacement: InterfaceField) -> tuple:
         params = self.params
-        if displacement.role is not FieldRole.DISPLACEMENT:
-            raise ContractError("flow solver expects a displacement field")
         if displacement.size != params.n_nodes:
             raise ContractError(
                 f"displacement field length {displacement.size} != nodes {params.n_nodes}"
@@ -317,7 +315,7 @@ class TubeFlowSolver:
         traction[0] = self._p_in
         traction[1:n] = 0.5 * (p[:-1] + p[1:])
         traction[n] = self.params.outlet_pressure
-        return InterfaceField._adopt(traction, FieldRole.TRACTION)
+        return InterfaceField._adopt(traction)
 
 
 class TubeSolidSolver:
@@ -335,8 +333,6 @@ class TubeSolidSolver:
 
     def load(self, traction: InterfaceField) -> tuple:
         m = self.dim
-        if traction.role is not FieldRole.TRACTION:
-            raise ContractError("solid solver expects a traction field")
         if traction.size != m:
             raise ContractError(f"traction field length {traction.size} != nodes {m}")
         b = np.zeros(m)
@@ -361,7 +357,7 @@ class TubeSolidSolver:
         return b, residual, solve
 
     def output(self, u: np.ndarray) -> InterfaceField:
-        return InterfaceField._adopt(u, FieldRole.DISPLACEMENT)
+        return InterfaceField._adopt(u)
 
 
 class Tube1DModel:

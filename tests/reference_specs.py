@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from fsilab import DriverKind, FieldRole, InterfaceField, drive, residual_norm
+from fsilab import DriverKind, InterfaceField, drive, residual_norm
 from fsilab.errors import (
     ContractError,
     LinearSolveError,
@@ -152,8 +152,6 @@ def reference_step_terms(params: Tube1DParams, state: TubeState) -> tuple:
 
 
 def reference_flow_system(params, state, displacement, driver, momentum_old, p_in) -> ReferenceSpec:
-    if displacement.role is not FieldRole.DISPLACEMENT:
-        raise ContractError("flow system expects a displacement field")
     if displacement.size != params.n_nodes:
         raise ContractError(
             f"displacement field length {displacement.size} != nodes {params.n_nodes}"
@@ -242,7 +240,7 @@ def reference_flow_system(params, state, displacement, driver, momentum_old, p_i
         traction[0] = p_in
         traction[1:n] = 0.5 * (p[:-1] + p[1:])
         traction[n] = p_out
-        return InterfaceField._adopt(traction, FieldRole.TRACTION)
+        return InterfaceField._adopt(traction)
 
     return ReferenceSpec(
         dim=dim,
@@ -256,8 +254,6 @@ def reference_flow_system(params, state, displacement, driver, momentum_old, p_i
 
 
 def reference_solid_system(params, traction, base, inertia) -> ReferenceSpec:
-    if traction.role is not FieldRole.TRACTION:
-        raise ContractError("solid system expects a traction field")
     if traction.size != params.n_nodes:
         raise ContractError(
             f"traction field length {traction.size} != nodes {params.n_nodes}"
@@ -289,7 +285,7 @@ def reference_solid_system(params, traction, base, inertia) -> ReferenceSpec:
         assemble_rhs=assemble_rhs,
         tangent=tangent,
         driver=DriverKind.NEWTON,
-        extract_output=lambda u: InterfaceField._adopt(u, FieldRole.DISPLACEMENT),
+        extract_output=lambda u: InterfaceField._adopt(u),
         label="tube solid",
     )
 

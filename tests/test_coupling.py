@@ -10,7 +10,6 @@ from fsilab import (
     CouplingConfig,
     CriterionKind,
     Event,
-    FieldRole,
     InterfaceField,
     IqnHistory,
     RunRecord,
@@ -668,7 +667,7 @@ class TestEngineOnTube:
         params, config, record = short_run
         model = Tube1DModel(params)
         state, u_f, u_s = model.initial_state(), None, None
-        d_start = InterfaceField(np.zeros(model.n_interface), FieldRole.DISPLACEMENT)
+        d_start = InterfaceField(np.zeros(model.n_interface))
         hist = IqnHistory(q=config.reuse_q)
         per_step, accepted = [], []
         for step in range(1, params.steps + 1):
@@ -780,7 +779,7 @@ class TestZeroFirstGuesses:
         (flow_id, u0_f, d0), (solid_id, u0_s, _) = seen[:2]
         assert (flow_id, solid_id) == (SolverId.FLOW, SolverId.SOLID)
         assert np.array_equal(u0_f, np.zeros(3)) and np.array_equal(u0_s, np.zeros(5))
-        assert d0.role is FieldRole.DISPLACEMENT and np.array_equal(d0.values, np.zeros(5))
+        assert isinstance(d0, InterfaceField) and np.array_equal(d0.values, np.zeros(5))
 
 
 # row j: the t**j coefficients of the motion of three interface nodes
@@ -801,7 +800,7 @@ class TestPredictor:
         for degree in range(exact_degree + 1):
             *accepted, truth = _motion(degree, steps=n + 1)
             guess = _predict(accepted)
-            assert guess.role is FieldRole.DISPLACEMENT
+            assert isinstance(guess, InterfaceField)
             assert np.array_equal(guess.values, truth)
 
     @pytest.mark.parametrize("n, degree, error", [
@@ -866,7 +865,7 @@ class _ScriptedSolid:
                 return target, lambda u: target - u, lambda u, r: r
 
             def output(self, u):
-                return InterfaceField(u, FieldRole.DISPLACEMENT)
+                return InterfaceField(u)
 
         return Solid()
 
@@ -927,17 +926,17 @@ class _ShiftModel:
     def initial_state(self):
         return 0
 
-    def _solver(self, shift, role):
+    def _solver(self, shift):
         return SpecSolver(dim=1, assemble_matrix=lambda u: np.eye(1),
                           assemble_rhs=lambda c: c.values + shift,
                           tangent=lambda u: np.eye(1),
-                          extract_output=lambda u: InterfaceField(u, role))
+                          extract_output=InterfaceField)
 
     def flow_solver(self, state):
-        return self._solver(0.0, FieldRole.TRACTION)
+        return self._solver(0.0)
 
     def solid_solver(self, state):
-        return self._solver(1.0, FieldRole.DISPLACEMENT)
+        return self._solver(1.0)
 
     def advance_state(self, state, accepted_displacement, flow_u):
         return state + 1
@@ -1147,19 +1146,19 @@ class TestProbeSeam:
 
         real_call = coupling_mod.call_solver
         seen = {SolverId.FLOW: [], SolverId.SOLID: []}
-        roles = {SolverId.FLOW: FieldRole.TRACTION, SolverId.SOLID: FieldRole.DISPLACEMENT}
+        coupled = model()
 
         def counted(*args):
             assert len(args) == 3 and isinstance(args[2], SolverCallInput)
             out = real_call(*args)
             field, rep, u = out
-            assert isinstance(field, InterfaceField) and field.role is roles[args[0]]
+            assert isinstance(field, InterfaceField) and field.size == coupled.n_interface
             assert isinstance(rep, SolverCallReport) and isinstance(u, np.ndarray)
             seen[args[0]].append(rep.inner_iters)
             return out
 
         monkeypatch.setattr(coupling_mod, "call_solver", counted)
-        record = run_simulation(model(), config)
+        record = run_simulation(coupled, config)
         c = record.counters
         assert record.converged and c.coupling_total > 0
         assert len(seen[SolverId.FLOW]) == len(seen[SolverId.SOLID]) == c.coupling_total
@@ -1259,16 +1258,16 @@ class _NanFlowResidual:
     def initial_state(self):
         return 0
 
-    def _solver(self, rhs, role):
+    def _solver(self, rhs):
         return SpecSolver(dim=2, assemble_matrix=lambda u: np.eye(2),
                           assemble_rhs=lambda c: np.array(rhs), tangent=lambda u: np.eye(2),
-                          extract_output=lambda u: InterfaceField(u, role))
+                          extract_output=InterfaceField)
 
     def flow_solver(self, state):
-        return self._solver([math.nan, 1.0], FieldRole.TRACTION)
+        return self._solver([math.nan, 1.0])
 
     def solid_solver(self, state):
-        return self._solver([1.0, 1.0], FieldRole.DISPLACEMENT)
+        return self._solver([1.0, 1.0])
 
     def advance_state(self, state, accepted_displacement, flow_u):
         return state + 1

@@ -7,6 +7,8 @@ from fsilab.configio import (
     PUBLISHED_TABLES,
     _read_published_table,
     data_path,
+    fmt,
+    load,
     load_factors_csv,
     load_published_counters,
     parse_config,
@@ -277,8 +279,13 @@ class TestRunSweep:
         ({"timing": "modeld"}, {}, "unknown timing mode 'modeld'"),
         ({"timing": "modeled"}, {}, "requires cost_"),
         ({"timing": "measured"}, {"workers": 2}, "requires workers = 1"),
+        ({"timing": "modeled", "cost_c_fix_f": "0.5"}, {"workers": 1.5},
+         r"^workers must be an integer, got 1\.5$"),
+        ({}, {"workers": "2"}, "^workers must be an integer, got '2'$"),
+        ({}, {"workers": True}, "^workers must be an integer, got True$"),
     ],
-        ids=["unknown-mode", "modeled-without-factors", "measured-parallel"])
+        ids=["unknown-mode", "modeled-without-factors", "measured-parallel",
+             "float-workers", "str-workers", "bool-workers"])
     def test_spec_errors_raise_before_any_cell_runs(self, tmp_path, monkeypatch,
                                                     extra, spec_kw, match):
         import fsilab.harness as harness_mod
@@ -308,6 +315,14 @@ class TestRunSweep:
             run_sweep(SweepSpec.from_config(cfg, out_dir=tmp_path))
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_str_out_dir_is_a_path(self, tmp_path):
+        # a str out_dir used to run every cell and then fail to mkdir
+        out = tmp_path / "outdir"
+        spec = SweepSpec(load(dict(LINEAR_TOY_STABLE, grid_f="inf", grid_s="inf")), 1, str(out))
+        assert spec.out_dir == out
+        assert run_sweep(spec).csv_path == out / "sweep.csv"
+        assert read_sweep_csv(out / "sweep.csv")[0].converged
 
     def test_unknown_key_raises_before_any_cell_runs(self, tmp_path, monkeypatch):
         import fsilab.harness as harness_mod
@@ -578,6 +593,16 @@ class TestFitFromRuns:
         assert report.rrmse_flow == pytest.approx(0.0, abs=1e-12)
         assert report.mape == pytest.approx(0.0, abs=1e-12)
 
+    def test_numpy_scalar_factors_round_trip(self, tmp_path):
+        # numpy scalars used to reach the CSV as their repr, np.float64(...)
+        counters = load_published_counters("fv_fe_tube")
+        as_numpy = CostFactors(**{name: np.float64(getattr(self.TRUE, name)) for name in
+                                  ("c_couple", "c_fix_f", "c_iter_f", "c_fix_s", "c_iter_s")})
+        path = synthesize_sweep_csv(tmp_path / "s.csv", as_numpy, counters)
+        plain = synthesize_sweep_csv(tmp_path / "plain.csv", self.TRUE, counters)
+        assert path.read_bytes() == plain.read_bytes()
+        assert len(read_sweep_csv(path)) == len(counters)
+
     def test_seeded_noise_recovery_within_bounds(self, tmp_path):
         counters = load_published_counters("fv_fe_tube")
         path = synthesize_sweep_csv(tmp_path / "s.csv", self.TRUE, counters,
@@ -682,6 +707,15 @@ class TestShippedData:
 
 _SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 _FACTORS_HEADER = "c_fix_f,c_iter_f,c_fix_s,c_iter_s,c_couple"
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""), (True, "true"), (np.bool_(True), "true"), (np.bool_(False), "false"),
+    (0.092, "0.092"), (np.float64(0.092), "0.092"), (np.float32(0.5), "0.5"),
+    (math.inf, "inf"), (3, "3"), (np.int64(3), "3"), ("inf", "inf"),
+])
+def test_fmt_writes_numpy_scalars_as_python_ones(value, text):
+    assert fmt(value) == text
 
 
 @pytest.mark.parametrize("text, call, error, message, line", [

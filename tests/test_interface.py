@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fsilab import (
     CouplingConfig,
-    FieldRole,
     InterfaceField,
     SolverCallReport,
     deviation_from_reference,
@@ -18,7 +17,7 @@ from fsilab.interface import as_caps_str, caps_list, parse_cap, validate_cap
 
 
 def disp(values):
-    return InterfaceField(np.asarray(values, dtype=float), FieldRole.DISPLACEMENT)
+    return InterfaceField(np.asarray(values, dtype=float))
 
 
 # magnitudes bounded away from the underflow zone so squaring stays exact-ish
@@ -71,11 +70,8 @@ class TestFixedPointResidual:
     def test_sign(self):
         assert fixed_point_residual(disp([0]), disp([-3])).tolist() == [3.0]
 
-    def test_role_and_length_mismatch(self):
-        traction = InterfaceField(np.ones(2), FieldRole.TRACTION)
-        with pytest.raises(ContractError):
-            fixed_point_residual(traction, disp([1, 2]))
-        with pytest.raises(ContractError):
+    def test_length_mismatch(self):
+        with pytest.raises(ContractError, match="field length mismatch: 3 vs 2"):
             fixed_point_residual(disp([1, 2, 3]), disp([1, 2]))
 
     @given(finite_vecs)
@@ -113,9 +109,9 @@ class TestDeviation:
 class TestInterfaceField:
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ContractError):
-            InterfaceField(np.array([]), FieldRole.DISPLACEMENT)
+            InterfaceField(np.array([]))
         with pytest.raises(ContractError):
-            InterfaceField(np.array([1.0, np.inf]), FieldRole.TRACTION)
+            InterfaceField(np.array([1.0, np.inf]))
 
     def test_values_are_read_only(self):
         field = disp([1.0, 2.0])
@@ -133,12 +129,11 @@ class TestInterfaceField:
         # copy, the array turns read-only, and the finiteness check stays
         # unless the maker made it
         src = np.array([1.0, 2.0])
-        field = InterfaceField._adopt(src, FieldRole.TRACTION)
+        field = InterfaceField._adopt(src)
         assert field.values is src and not src.flags.writeable
-        assert field.role is FieldRole.TRACTION
         with pytest.raises(ContractError, match="non-finite"):
-            InterfaceField._adopt(np.array([1.0, np.nan]), FieldRole.DISPLACEMENT)
-        trusted = InterfaceField._adopt(np.array([1.0, 3.0]), FieldRole.DISPLACEMENT,
+            InterfaceField._adopt(np.array([1.0, np.nan]))
+        trusted = InterfaceField._adopt(np.array([1.0, 3.0]),
                                         finite=True)
         assert trusted.values.tolist() == [1.0, 3.0]
 

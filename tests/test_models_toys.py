@@ -7,7 +7,6 @@ from fsilab import (
     AccelKind,
     CouplingConfig,
     CriterionKind,
-    FieldRole,
     InterfaceField,
     SolverCallInput,
     SolverId,
@@ -20,7 +19,7 @@ from fsilab.models import LinearToyModel
 
 
 def final_field(record):
-    return InterfaceField(record.snapshots[-1], FieldRole.DISPLACEMENT)
+    return InterfaceField(record.snapshots[-1])
 
 
 class TestLinearToyConstruction:
@@ -78,7 +77,7 @@ class TestLinearToyCoupling:
         from fsilab.coupling import IqnHistory
         from fsilab.interface import fixed_point_residual
 
-        d_k = InterfaceField(np.zeros(toy.dim_s), FieldRole.DISPLACEMENT)
+        d_k = InterfaceField(np.zeros(toy.dim_s))
         u_f, u_s = np.zeros(toy.dim_f), np.zeros(toy.dim_s)
         flow, solid = toy.flow_solver(0), toy.solid_solver(0)  # one time step
         norms = []
@@ -87,7 +86,7 @@ class TestLinearToyCoupling:
             dt, _, u_s = call_solver(SolverId.SOLID, solid, SolverCallInput(u_s, tr, eps=1e-12))
             r = fixed_point_residual(dt, d_k)
             norms.append(float(np.linalg.norm(r)))
-            d_k = InterfaceField(d_k.values + r, FieldRole.DISPLACEMENT)
+            d_k = InterfaceField(d_k.values + r)
         assert norms[1] < norms[2] < norms[3]
 
     def test_unstable_iqn_converges(self):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from fsilab import (
     CouplingConfig,
     DriverKind,
-    FieldRole,
     InterfaceField,
     SolverCallInput,
     drive,
@@ -40,7 +39,7 @@ def params():
 
 
 def zero_disp(params):
-    return InterfaceField(np.zeros(params.n_nodes), FieldRole.DISPLACEMENT)
+    return InterfaceField(np.zeros(params.n_nodes))
 
 
 def flow_u0(params):
@@ -294,7 +293,7 @@ class TestFlowSystem:
         assert b[0] == pytest.approx(2.0 * a0 * 1333.2 / (p.rho_f * p.dx), rel=1e-14)
         u, _ = run(flow, SolverCallInput(flow_u0(p), d, eps=1e-9))
         traction = flow.output(u)
-        assert traction.role is FieldRole.TRACTION
+        assert traction.size == p.n_nodes
         assert traction.values[0] == 1333.2
         assert traction.values[-1] == 0.0
 
@@ -343,8 +342,7 @@ class TestFlowSystem:
     def test_banded_operators_match_dense_reference(self, cells, seed, v_scale, disp_scale):
         p = Tube1DParams(cells=cells, steps=1)
         rng = np.random.default_rng(seed)
-        d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes),
-                           FieldRole.DISPLACEMENT)
+        d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes))
         # velocities of both signs exercise both upwind branches
         u = np.concatenate([v_scale * rng.uniform(-1.0, 1.0, cells + 1),
                             1000.0 * rng.standard_normal(cells)])
@@ -363,8 +361,7 @@ class TestFlowSystem:
                                                   signs):
         p = Tube1DParams(cells=cells, steps=1)
         rng = np.random.default_rng(seed)
-        d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes),
-                           FieldRole.DISPLACEMENT)
+        d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes))
         v = v_scale * rng.uniform({"mixed": -1.0, "forward": 0.0, "backward": -1.0}[signs],
                                   {"mixed": 1.0, "forward": 1.0, "backward": 0.0}[signs],
                                   cells + 1)
@@ -401,7 +398,7 @@ class TestFlowSystem:
         rng = np.random.default_rng(11)
         state = initial_tube_state(p)
         state.velocity[:] = 0.1 * rng.standard_normal(n + 1)
-        d = InterfaceField(1e-4 * rng.uniform(-1.0, 1.0, p.n_nodes), FieldRole.DISPLACEMENT)
+        d = InterfaceField(1e-4 * rng.uniform(-1.0, 1.0, p.n_nodes))
         _, residual, solve = TubeFlowSolver(p, state).load(d)
         _, fresh_residual, fresh_solve = TubeFlowSolver(p, state).load(d)
         u = np.concatenate([0.1 * rng.uniform(-1.0, 1.0, n + 1),
@@ -424,14 +421,12 @@ class TestFlowSystem:
     def test_wrong_displacement_rejected(self, params):
         flow = TubeFlowSolver(params, initial_tube_state(params))
         with pytest.raises(ContractError):
-            flow.load(InterfaceField(np.zeros(3), FieldRole.DISPLACEMENT))
-        with pytest.raises(ContractError):
-            flow.load(InterfaceField(np.zeros(params.n_nodes), FieldRole.TRACTION))
+            flow.load(InterfaceField(np.zeros(3)))
 
 
 class TestSolidSystem:
     def uniform_traction(self, params, value):
-        return InterfaceField(np.full(params.n_nodes, value), FieldRole.TRACTION)
+        return InterfaceField(np.full(params.n_nodes, value))
 
     def test_zero_load_zero_displacement(self, params):
         state = initial_tube_state(params)
@@ -478,7 +473,7 @@ class TestSolidSystem:
     def test_first_loaded_call_needs_three_newton_iterations(self):
         p_ = Tube1DParams()  # shipped calibration
         state = initial_tube_state(p_)
-        tr = InterfaceField(np.linspace(1333.2, 0.0, p_.n_nodes), FieldRole.TRACTION)
+        tr = InterfaceField(np.linspace(1333.2, 0.0, p_.n_nodes))
         _, rep = run(TubeSolidSolver(p_, state),
                      SolverCallInput(np.zeros(p_.n_nodes), tr, eps=CouplingConfig().eps_s))
         assert 2 <= rep.inner_iters <= 4
@@ -513,9 +508,7 @@ class TestSolidSystem:
     def test_wrong_traction_rejected(self, params):
         solid = TubeSolidSolver(params, initial_tube_state(params))
         with pytest.raises(ContractError):
-            solid.load(InterfaceField(np.zeros(3), FieldRole.TRACTION))
-        with pytest.raises(ContractError):
-            solid.load(InterfaceField(np.zeros(params.n_nodes), FieldRole.DISPLACEMENT))
+            solid.load(InterfaceField(np.zeros(3)))
 
 
 def _random_state(params, rng, step):
@@ -552,8 +545,8 @@ class TestModelStepTerms:
         model = Tube1DModel(params)
         a_state, b_state = _random_state(params, rng, 0), _random_state(params, rng, 7)
         edited = _random_state(params, rng, 3)
-        d = InterfaceField(1e-5 * rng.uniform(-1.0, 1.0, params.n_nodes), FieldRole.DISPLACEMENT)
-        tr = InterfaceField(1e3 * rng.standard_normal(params.n_nodes), FieldRole.TRACTION)
+        d = InterfaceField(1e-5 * rng.uniform(-1.0, 1.0, params.n_nodes))
+        tr = InterfaceField(1e3 * rng.standard_normal(params.n_nodes))
 
         def edit(name, index, delta):
             def apply(state):
@@ -614,7 +607,7 @@ class TestSolversAreBitwiseTheSpecPath:
         config = CouplingConfig()
         params, cases = mid_run_cases
         for state, snapshot, u_f, u_s in cases:
-            d = InterfaceField(snapshot, FieldRole.DISPLACEMENT)
+            d = InterfaceField(snapshot)
             terms = reference_step_terms(params, state)
             flow = TubeFlowSolver(params, state, driver)
             solid = TubeSolidSolver(params, state)

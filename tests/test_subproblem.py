@@ -5,7 +5,6 @@ import pytest
 
 from fsilab import (
     DriverKind,
-    FieldRole,
     InterfaceField,
     SolverCallInput,
     SolverId,
@@ -24,7 +23,7 @@ from fsilab.models.tube import FlowOperator, Tube1DParams
 from fsilab.subproblem import _guards
 from reference_specs import ReferenceDiagonalOperator, SpecSolver, run
 
-DUMMY = InterfaceField(np.zeros(1), FieldRole.DISPLACEMENT)
+DUMMY = InterfaceField(np.zeros(1))
 
 
 def scalar_quadratic():
@@ -299,7 +298,7 @@ class TestReplayProperty:
         # numbers must still be residual_norm's, bit for bit
         model = Tube1DModel(Tube1DParams(cells=30, steps=1), flow_scheme=driver)
         flow = model.flow_solver(model.initial_state())
-        d = InterfaceField(np.linspace(0.0, 2e-5, model.n_interface), FieldRole.DISPLACEMENT)
+        d = InterfaceField(np.linspace(0.0, 2e-5, model.n_interface))
         residuals = []
         load = flow.load
 
@@ -388,19 +387,19 @@ class TestIterationBounds:
 class TestCallSolver:
     def test_flow_call_matches_direct_solve(self):
         toy = LinearToyModel.stable()
-        d = InterfaceField(np.zeros(toy.dim_s), FieldRole.DISPLACEMENT)
+        d = InterfaceField(np.zeros(toy.dim_s))
         flow = toy.flow_solver(0)
         out, rep, u = call_solver(SolverId.FLOW, flow,
                                   SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13))
         direct = np.linalg.solve(toy.A_f, toy.b_f0 + toy.B_f @ d.values)
         assert np.allclose(out.values, direct, atol=1e-12)
-        assert out.role is FieldRole.TRACTION
+        assert isinstance(out, InterfaceField) and out.size == toy.dim_f
         assert rep.wall_time >= 0.0
         assert np.array_equal(u, out.values)
 
     def test_capped_call_returns_capped_iterate(self):
         toy = LinearToyModel.stable()
-        d = InterfaceField(np.zeros(toy.dim_s), FieldRole.DISPLACEMENT)
+        d = InterfaceField(np.zeros(toy.dim_s))
         flow = toy.flow_solver(0)
         out, rep, _ = call_solver(SolverId.FLOW, flow,
                                   SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13, n_max=1))
@@ -410,13 +409,18 @@ class TestCallSolver:
         direct = np.linalg.solve(toy.A_f, toy.b_f0 + toy.B_f @ d.values)
         assert np.allclose(out.values, direct, atol=1e-12)
 
-    def test_role_validation(self):
-        toy = LinearToyModel.stable()
-        d = InterfaceField(np.zeros(toy.dim_s), FieldRole.DISPLACEMENT)
-        flow = toy.flow_solver(0)  # outputs traction
-        with pytest.raises(ContractError):
-            call_solver(SolverId.SOLID, flow,
-                        SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13))
+    @pytest.mark.parametrize("solver_id", list(SolverId), ids=lambda s: s.value)
+    def test_bare_array_output_rejected(self, solver_id):
+        spec = SpecSolver(
+            dim=1,
+            assemble_matrix=lambda u: np.array([[1.0]]),
+            assemble_rhs=lambda c: np.array([1.0]),
+            tangent=lambda u: np.array([[1.0]]),
+            extract_output=lambda u: u,
+        )
+        with pytest.raises(ContractError,
+                           match=f"^{solver_id.value} solver must output an InterfaceField$"):
+            call_solver(solver_id, spec, call_input([0.0]))
 
     def test_errors_annotated_with_solver(self):
         spec = SpecSolver(
@@ -424,7 +428,7 @@ class TestCallSolver:
             assemble_matrix=lambda u: np.array([[1.0]]),
             assemble_rhs=lambda c: np.array([1.0]),
             tangent=lambda u: np.array([[0.0]]),
-            extract_output=lambda u: InterfaceField(u, FieldRole.TRACTION),
+            extract_output=lambda u: InterfaceField(u),
         )
         # the driver names the failure, call_solver the solver, once
         with pytest.raises(LinearSolveError,
