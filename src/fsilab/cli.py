@@ -57,6 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     loaded = load(parse_config(args.config))
+    if args.out is not None:  # an unusable --out fails before the run
+        args.out.mkdir(parents=True, exist_ok=True)
     try:
         record = run_simulation(loaded.model, loaded.coupling, increments=True)
     except DivergedStepError as exc:
@@ -70,7 +72,6 @@ def _cmd_run(args) -> int:
         f"T_c={record.coupling_seconds:.3f}s"
     )
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         summary = write_csv(
             args.out / "run_summary.csv", ("converged", "N_c", "N_f", "N_s", "T_f", "T_s", "T_c"),
             [(record.converged, c.coupling_total, c.flow_total, c.solid_total,
@@ -102,10 +103,11 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.out is not None:  # an unusable --out fails before the fit
+        args.out.mkdir(parents=True, exist_ok=True)
     factors, report = fit_from_runs(args.results)
     print(report.summary(factors))
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "factors.csv"
         write_factors_csv(path, factors, report)
         print(f"wrote {path}")

@@ -352,27 +352,29 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     repeats = 0  # consecutive coupling iterations that repeated the residual
 
     def _abort(reason: str):
-        exc = DivergedStepError(f"time step {step}: {reason}", step=step)
-        exc.partial = rec
-        return exc
+        return DivergedStepError(f"time step {step}: {reason}", step, rec)
 
     def _call(solver_id, solver, inp):
-        """``call_solver``, adding the call's inner iterations and seconds to
-        ``rec``; a failed call spent them too, and aborts the step."""
+        """``call_solver``, timed and counted into ``rec``; a failed call spent
+        its inner iterations and seconds too, and aborts the step."""
         failed = None
+        start = time.perf_counter()
         try:
             out = call_solver(solver_id, solver, inp)
-            spent = out[1]
+            iters = out[1].inner_iters
         except (GeometryError, InnerIterationError) as exc:
-            spent = failed = exc
+            # a load that fails has run no inner iteration
+            failed, iters = exc, getattr(exc, "iteration", None) or 0
+        seconds = time.perf_counter() - start
         if solver_id is SolverId.FLOW:
-            rec.flow_iters += spent.inner_iters
-            rec.flow_time += spent.wall_time
+            rec.flow_iters += iters
+            rec.flow_time += seconds
         else:
-            rec.solid_iters += spent.inner_iters
-            rec.solid_time += spent.wall_time
+            rec.solid_iters += iters
+            rec.solid_time += seconds
         if failed is not None:
-            raise _abort(f"coupling update broke a subproblem ({failed})") from failed
+            raise _abort(f"coupling update broke a subproblem ({solver_id.value} solver: "
+                         f"{failed})") from failed
         return out
 
     flow, solid = model.flow_solver(state), model.solid_solver(state)

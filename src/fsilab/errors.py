@@ -50,16 +50,16 @@ class DivergedStepError(FsiLabError):
     """The coupling loop did not converge within the allowed iterations.
 
     Carries the failing time-step index, the failing step's unconverged
-    ``TimeStepRecord`` as ``partial`` (set by the coupling loop) and, when
-    raised by a full simulation, the partial run record accumulated up to and
-    including the abort as ``record``.
+    ``TimeStepRecord`` as ``partial`` and, when raised by a full simulation,
+    the partial run record accumulated up to and including the abort as
+    ``record`` (None until the simulation sets it).
     """
 
-    def __init__(self, message: str, step: int, record=None):
+    def __init__(self, message: str, step: int, partial):
         super().__init__(message)
         self.step = step
-        self.partial = None
-        self.record = record
+        self.partial = partial
+        self.record = None
 
 
 class RankDeficiencyError(FsiLabError):

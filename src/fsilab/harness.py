@@ -144,8 +144,8 @@ def _run_cell(model, config) -> tuple:
         record = exc.record
     c = record.counters
     row = SweepRow(nmax_f=config.n_max_f, nmax_s=config.n_max_s, converged=record.converged,
-                   n_c=c.coupling_total, n_f=c.flow_total, n_s=c.solid_total)
-    row.t_f, row.t_s, row.t_c = record.timings
+                   n_c=c.coupling_total, n_f=c.flow_total, n_s=c.solid_total,
+                   t_f=record.flow_seconds, t_s=record.solid_seconds, t_c=record.coupling_seconds)
     return row, record.snapshots
 
 
@@ -183,6 +183,8 @@ def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float = 0.0,
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the grid, derive teq/teq_norm/deviation columns, write sweep.csv."""
     loaded = spec.loaded
+    if spec.out_dir is not None:  # an unusable out_dir fails before the first cell
+        spec.out_dir.mkdir(parents=True, exist_ok=True)
     configs = [replace(loaded.coupling, n_max_f=f, n_max_s=s)
                for f in loaded.sweep["grid_f"] for s in loaded.sweep["grid_s"]]
     if spec.workers > 1:
@@ -224,7 +226,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     result = SweepResult(rows=rows, factors=factors)
     if spec.out_dir is not None:
-        spec.out_dir.mkdir(parents=True, exist_ok=True)
         result.csv_path = write_sweep_csv(spec.out_dir / "sweep.csv", rows)
     return result
 

@@ -130,7 +130,6 @@ class SolverCallReport:
 
     residual_history: tuple
     eps: float
-    wall_time: float = 0.0
 
     def __post_init__(self):
         if not self.residual_history:
@@ -247,10 +246,6 @@ class RunRecord:
     @property
     def coupling_seconds(self) -> float:
         return max(self.wall_seconds - self.flow_seconds - self.solid_seconds, 0.0)
-
-    @property
-    def timings(self) -> tuple:
-        return (self.flow_seconds, self.solid_seconds, self.coupling_seconds)
 
     @property
     def events(self) -> list:

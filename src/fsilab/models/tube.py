@@ -77,6 +77,11 @@ class Tube1DParams:
                      "youngs_modulus", "dt"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
+        for name in ("dt", "radius"):  # the solid divides by their squares
+            value = getattr(self, name)
+            if value * value == 0.0:
+                raise ContractError(f"tube parameter {name!r} = {value!r} is so small "
+                                    "that its square underflows to 0")
         if not (0.0 <= self.poisson < 0.5):
             raise ContractError("poisson must lie in [0, 0.5)")
         if self.kappa3 < 0:

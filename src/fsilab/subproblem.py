@@ -17,20 +17,13 @@ before updating), which is what makes ``converged_on_first`` well defined.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DivergenceError,
-    GeometryError,
-    InnerIterationError,
-    LinearSolveError,
-)
+from .errors import ContractError, DivergenceError, LinearSolveError
 from .interface import (
     Cap,
     InterfaceField,
@@ -124,10 +117,6 @@ def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float) -
                 f"residual stalled at the round-off floor at iteration {i}", iteration=i)
 
 
-def _report(history: list, eps: float, wall_time: float = 0.0) -> SolverCallReport:
-    return SolverCallReport(tuple(history), eps, wall_time)
-
-
 def drive(solver: Solver, inp: SolverCallInput):
     """Inner iterations ``u' = u + solve(u, residual(u))``; returns ``(u, residual_history)``.
 
@@ -174,23 +163,15 @@ def drive(solver: Solver, inp: SolverCallInput):
 def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
     """Run one black-box solver call.
 
-    Runs :func:`drive`, maps the final state to the interface output (traction
-    for the flow solver, displacement for the solid solver), and attaches the
-    measured wall time. Returns ``(output_field, report, final_u)``;
-    ``final_u`` seeds the next call. An :class:`InnerIterationError`, or a
-    :class:`GeometryError` from loading the coupling data, is re-raised with
-    ``"<flow|solid> solver: "`` before its message and the call's spent inner
-    iterations and seconds attached as ``inner_iters`` and ``wall_time``.
+    Runs :func:`drive` and maps the final state to the interface output
+    (traction for the flow solver, displacement for the solid solver).
+    Returns ``(output_field, report, final_u)``; ``final_u`` seeds the next
+    call. The driver's errors, and a :class:`GeometryError` from loading the
+    coupling data, pass through unchanged: the coupling loop times and counts
+    every call, and names the solver of a failed one.
     """
-    start = time.perf_counter()
-    try:
-        u, history = drive(solver, inp)
-    except (GeometryError, InnerIterationError) as exc:
-        exc.args = (f"{solver_id.value} solver: {exc.args[0]}",) + exc.args[1:]
-        exc.inner_iters = getattr(exc, "iteration", None) or 0
-        exc.wall_time = time.perf_counter() - start
-        raise
+    u, history = drive(solver, inp)
     output = solver.output(u)
     if not isinstance(output, InterfaceField):
         raise ContractError(f"{solver_id.value} solver must output an InterfaceField")
-    return output, _report(history, inp.eps, time.perf_counter() - start), u
+    return output, SolverCallReport(tuple(history), inp.eps), u

@@ -27,9 +27,9 @@ from fsilab.errors import (
     ContractError,
     LinearSolveError,
 )
-from fsilab.interface import is_unbounded
+from fsilab.interface import SolverCallReport, is_unbounded
 from fsilab.models.tube import FlowOperator, _face_average, areas_from_displacement
-from fsilab.subproblem import _ROUNDOFF_FLOOR, _guards, _report
+from fsilab.subproblem import _ROUNDOFF_FLOOR, _guards
 
 
 class ReferenceDenseOperator:
@@ -316,4 +316,4 @@ class SpecSolver(ReferenceSpec):
 def run(solver, inp):
     """:func:`drive`, returning ``(u, report)`` as a solver call reports it."""
     u, history = drive(solver, inp)
-    return u, _report(history, inp.eps)
+    return u, SolverCallReport(tuple(history), inp.eps)

@@ -82,6 +82,28 @@ def test_run_failure_exit_code(tmp_path):
         assert sum(int(r[column]) for r in rows) == int(summary[total]) > 0
 
 
+def test_run_into_an_unusable_out_fails_before_the_run(toy_cfg, tmp_path, capsys):
+    # --out below a file used to print the run's result line and only then fail
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["run", "--config", str(toy_cfg), "--out", str(afile / "x")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "converged=" not in captured.out and "Traceback" not in captured.err
+
+
+def test_fit_into_an_unusable_out_fails_before_the_fit(tmp_path, monkeypatch, capsys):
+    import fsilab.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "fit_from_runs", lambda path: calls.append(path))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["fit", "--results", str(tmp_path / "sweep.csv"), "--out", str(afile)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
 def test_sweep_fit_contour_chain(sweep_cfg, tmp_path, capsys):
     out = tmp_path / "study"
     assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0

@@ -1,5 +1,7 @@
+import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1098,7 +1100,7 @@ class TestNonFiniteUpdate:
         import fsilab.coupling as coupling_mod
 
         real_update, real_call = coupling_mod.iqn_ils_update, coupling_mod.call_solver
-        spent = []  # (inner iterations, seconds) of every solver call
+        spent = []  # (solver, inner iterations) of every solver call
 
         def poisoned(hist, r_k, d_tilde_k, eps_fil):
             d_next, inc = real_update(hist, r_k, d_tilde_k, eps_fil)
@@ -1107,7 +1109,7 @@ class TestNonFiniteUpdate:
 
         def counted(solver_id, spec, inp):
             out = real_call(solver_id, spec, inp)
-            spent.append((solver_id.value, out[1].inner_iters, out[1].wall_time))
+            spent.append((solver_id.value, out[1].inner_iters))
             return out
 
         monkeypatch.setattr(coupling_mod, "iqn_ils_update", poisoned)
@@ -1125,8 +1127,6 @@ class TestNonFiniteUpdate:
         assert len(flow) == len(solid) == 2
         assert partial.flow_iters == sum(c[1] for c in flow)
         assert partial.solid_iters == sum(c[1] for c in solid)
-        assert partial.flow_time == sum(c[2] for c in flow)
-        assert partial.solid_time == sum(c[2] for c in solid)
         assert record.counters.per_step == [(1, 2, partial.flow_iters, partial.solid_iters)]
         assert (record.flow_seconds, record.solid_seconds) == (partial.flow_time,
                                                                partial.solid_time)
@@ -1332,8 +1332,8 @@ class TestRunRecordDerivesItsTotals:
             sum(s.solid_iters for s in steps))
         assert record.flow_seconds == sum(s.flow_time for s in steps)
         assert record.solid_seconds == sum(s.solid_time for s in steps)
-        assert record.timings == (record.flow_seconds, record.solid_seconds,
-                                  record.coupling_seconds)
+        assert record.coupling_seconds == max(
+            record.wall_seconds - record.flow_seconds - record.solid_seconds, 0.0)
         assert record.events == [e for s in steps for e in s.events]
         assert record.step_records == accepted
         assert len(record.snapshots) == len(accepted)
@@ -1350,4 +1350,64 @@ class TestRunRecordDerivesItsTotals:
     def test_a_run_of_no_steps_is_converged(self):
         record = RunRecord(steps=[], snapshots=[], wall_seconds=0.0)
         assert record.converged and record.failing_step is None
-        assert record.counters.per_step == [] and record.timings == (0.0, 0.0, 0.0)
+        assert record.counters.per_step == []
+        assert (record.flow_seconds, record.solid_seconds, record.coupling_seconds) == (
+            0.0, 0.0, 0.0)
+
+
+class TestEveryCallIsTimedOnce:
+    """Under a clock that advances by 1 on each read, each solver call, finished
+    or failed, adds exactly 1 s to its solver's time: a step's ``flow_time`` and
+    ``solid_time`` are its numbers of flow and solid calls."""
+
+    @pytest.mark.parametrize("make, config, failed, failed_iters", [
+        (lambda: Tube1DModel(Tube1DParams(cells=20, steps=3)), CouplingConfig(), None, None),
+        (lambda: Tube1DModel(Tube1DParams(cells=20, steps=3, inlet_pulse=1e9)),
+         CouplingConfig(), SolverId.FLOW, 0),
+        (lambda: _FailingSolver(LinearToyModel.stable(), "flow"), CouplingConfig(**_TOY),
+         SolverId.FLOW, 3),
+        (lambda: _FailingSolver(LinearToyModel.stable(), "solid"), CouplingConfig(**_TOY),
+         SolverId.SOLID, 3),
+    ], ids=["converged", "geometry-error-at-load", "singular-flow-solve",
+            "singular-solid-solve"])
+    def test_step_seconds_count_the_calls(self, monkeypatch, make, config, failed,
+                                          failed_iters):
+        import fsilab.coupling as coupling_mod
+
+        reads = itertools.count()
+        monkeypatch.setattr(coupling_mod, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(reads))))
+        real_call = coupling_mod.call_solver
+        finished = []  # (solver, inner iterations) of every call that returned
+        tried = []  # the solver of every call
+
+        def counted(solver_id, solver, inp):
+            tried.append(solver_id)
+            out = real_call(solver_id, solver, inp)
+            finished.append((solver_id, out[1].inner_iters))
+            return out
+
+        monkeypatch.setattr(coupling_mod, "call_solver", counted)
+        if failed is None:
+            record = run_simulation(make(), config)
+            assert record.converged
+        else:
+            with pytest.raises(DivergedStepError,
+                               match=f"broke a subproblem \\({failed.value} solver: ") as err:
+                run_simulation(make(), config)
+            record = err.value.record
+            assert tried[-1] is failed and len(tried) == len(finished) + 1
+            # the failed call's own inner iterations, and none for a failed load
+            finished.append((failed, failed_iters))
+        for rec in record.steps:
+            # one flow and one solid call per coupling iteration, but the
+            # solid call of an iteration whose flow call failed
+            solid_calls = rec.coupling_iters
+            if rec is record.steps[-1] and failed is SolverId.FLOW:
+                solid_calls -= 1
+            assert (rec.flow_time, rec.solid_time) == (rec.coupling_iters, solid_calls)
+        for solver_id, time_s, total in (
+                (SolverId.FLOW, record.flow_seconds, record.counters.flow_total),
+                (SolverId.SOLID, record.solid_seconds, record.counters.solid_total)):
+            assert time_s == tried.count(solver_id)
+            assert total == sum(n for sid, n in finished if sid is solver_id)

@@ -316,6 +316,20 @@ class TestRunSweep:
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_out_dir_that_is_a_file_raises_before_any_cell_runs(self, tmp_path, monkeypatch):
+        # a sweep into an existing file used to run every cell and then fail
+        import fsilab.harness as harness_mod
+
+        calls = []
+        monkeypatch.setattr(harness_mod, "_run_cell",
+                            lambda *args: calls.append(args) or {})
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        cfg = dict(LINEAR_TOY_STABLE, grid_f="1,inf", grid_s="inf")
+        with pytest.raises(OSError):
+            run_sweep(SweepSpec.from_config(cfg, out_dir=afile))
+        assert calls == []
+
     def test_str_out_dir_is_a_path(self, tmp_path):
         # a str out_dir used to run every cell and then fail to mkdir
         out = tmp_path / "outdir"

@@ -216,6 +216,13 @@ class TestParams:
         with pytest.raises(ContractError, match=f"^{name} must be positive$"):
             Tube1DParams(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [("dt", 1e-300), ("radius", 1e-170)])
+    def test_size_whose_square_underflows_rejected(self, name, value):
+        # the solid divides by dt**2 and radius**2: both used to escape as a
+        # bare ZeroDivisionError when the solvers were built
+        with pytest.raises(ContractError, match=f"^tube parameter '{name}' = {value!r} "):
+            Tube1DParams(**{name: value})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
         "length", "radius", "thickness", "rho_f", "rho_s", "youngs_modulus",
