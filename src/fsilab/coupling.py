@@ -40,6 +40,7 @@ from .interface import (
     RunRecord,
     SolverCallReport,
     fixed_point_residual,
+    require_positive,
 )
 from .subproblem import SolverCallInput, SolverId, call_solver
 
@@ -70,7 +71,9 @@ class IqnHistory:
     Column i of ``V`` is a fixed-point-residual difference, column i of ``W``
     the matching solid-output difference; columns are ordered newest first and
     tagged with the time step that produced them. At the start of time step t,
-    columns older than ``t - q`` are evicted. At most ``m = min(n,
+    columns older than ``t - q`` are evicted. An append refuses a column older
+    than the newest stored one, so ages never increase along the window and
+    eviction only truncates it. At most ``m = min(n,
     _MAX_SECANT_COLUMNS)`` columns of length ``n`` are kept: the added-mass
     error lives in a few dominant interface modes, and old columns sampled
     under capped inner iterations degrade the update long before ``n`` is
@@ -99,6 +102,9 @@ class IqnHistory:
             raise ContractError("column pair must be two equal-length vectors")
         if self._ages and self._v.shape[0] != dr.size:
             raise ContractError("column length mismatch with stored history")
+        if self._ages and age < self._ages[0]:
+            raise ContractError(f"column of step {age} is older than the newest stored "
+                                f"column, of step {self._ages[0]}")
         if not dr.any():
             return  # a stagnant pair carries no secant information
         m = min(dr.size, _MAX_SECANT_COLUMNS)
@@ -115,26 +121,15 @@ class IqnHistory:
         self._ages = [age] + self._ages[:k]
 
     def start_step(self, step: int) -> None:
-        keep = [j for j, age in enumerate(self._ages) if age >= step - self.q]
-        if keep != list(range(len(keep))):  # a dropped column sits before a kept one
-            for window in self.matrices():
-                window[:, : len(keep)] = window[:, keep]
-        self._ages = [self._ages[j] for j in keep]
+        while self._ages and self._ages[-1] < step - self.q:
+            self._ages.pop()
 
     def clear(self) -> None:
         self._ages = []
 
     @property
-    def n_columns(self) -> int:
-        return len(self._ages)
-
-    @property
     def is_empty(self) -> bool:
         return not self._ages
-
-    @property
-    def column_ages(self) -> list:
-        return list(self._ages)
 
     def matrices(self):
         """``(V, W)`` as views of the buffers, valid until the next append."""
@@ -184,11 +179,6 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
     return cand, None
 
 
-def _require_eps_fil(eps_fil: float) -> None:
-    if not 0.0 < eps_fil < math.inf:
-        raise ContractError(f"eps_fil must be positive and finite, got {eps_fil!r}")
-
-
 def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     """Indices of columns to retain, processed in the given (newest-first) order.
 
@@ -208,7 +198,7 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     is dropped as dependent. :func:`iqn_ils_update` runs the same filter on
     the same factorisation as its least-squares solve.
     """
-    _require_eps_fil(eps_fil)
+    require_positive(eps_fil, "eps_fil")
     return _qr1(np.asarray(v_matrix, dtype=float), eps_fil)[0].tolist()
 
 
@@ -222,7 +212,7 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     """
     r = np.asarray(r_k, dtype=float)
     d_tilde = np.asarray(d_tilde_k, dtype=float)
-    _require_eps_fil(eps_fil)
+    require_positive(eps_fil, "eps_fil")
     if r.dot(r) == 0.0:  # np.linalg.norm(r) == 0.0
         return d_tilde.copy(), 0.0
     if hist.is_empty:
@@ -352,7 +342,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     repeats = 0  # consecutive coupling iterations that repeated the residual
 
     def _abort(reason: str):
-        return DivergedStepError(f"time step {step}: {reason}", step, rec)
+        return DivergedStepError(f"time step {step}: {reason}", rec)
 
     def _call(solver_id, solver, inp):
         """``call_solver``, timed and counted into ``rec``; a failed call spent

@@ -49,17 +49,20 @@ class AllColumnsFilteredError(FsiLabError):
 class DivergedStepError(FsiLabError):
     """The coupling loop did not converge within the allowed iterations.
 
-    Carries the failing time-step index, the failing step's unconverged
-    ``TimeStepRecord`` as ``partial`` and, when raised by a full simulation,
-    the partial run record accumulated up to and including the abort as
+    Carries the failing step's unconverged ``TimeStepRecord`` as ``partial``,
+    whose index is ``step``, and, when raised by a full simulation, the
+    partial run record accumulated up to and including the abort as
     ``record`` (None until the simulation sets it).
     """
 
-    def __init__(self, message: str, step: int, partial):
+    def __init__(self, message: str, partial):
         super().__init__(message)
-        self.step = step
         self.partial = partial
         self.record = None
+
+    @property
+    def step(self) -> int:
+        return self.partial.step
 
 
 class RankDeficiencyError(FsiLabError):

@@ -48,6 +48,12 @@ def require_count(value, name: str, low: int) -> None:
         raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def require_positive(value, name: str) -> None:
+    """Reject a value that is not positive and finite; nan included."""
+    if not 0.0 < value < math.inf:
+        raise ContractError(f"{name} must be positive and finite, got {value!r}")
+
+
 def require_finite(what: str, values: dict) -> None:
     """Reject a non-finite number among ``values``, naming its key as ``what 'key'``."""
     for name, value in values.items():
@@ -144,23 +150,13 @@ class SolverCallReport:
         return self.residual_history[0] < self.eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationCounters:
-    """Whole-run iteration totals, summed from the per-time-step breakdown."""
+    """Whole-run iteration totals, summed over the time-step records."""
 
-    per_step: list  # (step, coupling, flow, solid)
-
-    @property
-    def coupling_total(self) -> int:
-        return sum(entry[1] for entry in self.per_step)
-
-    @property
-    def flow_total(self) -> int:
-        return sum(entry[2] for entry in self.per_step)
-
-    @property
-    def solid_total(self) -> int:
-        return sum(entry[3] for entry in self.per_step)
+    coupling_total: int
+    flow_total: int
+    solid_total: int
 
 
 class AccelKind(Enum):
@@ -194,9 +190,7 @@ class CouplingConfig:
         validate_cap(self.n_max_f, "n_max_f")
         validate_cap(self.n_max_s, "n_max_s")
         for name in ("eps_f", "eps_s", "eps_fil", "eps_c"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ContractError(f"{name} must be positive and finite, got {value!r}")
+            require_positive(getattr(self, name), name)
         if not (0.0 < self.omega0 <= 1.0):
             raise ContractError("omega0 must lie in (0, 1]")
         for name, low in (("reuse_q", 0), ("max_coupling_iters", 1)):
@@ -232,8 +226,9 @@ class RunRecord:
 
     @property
     def counters(self) -> IterationCounters:
-        return IterationCounters([(s.step, s.coupling_iters, s.flow_iters, s.solid_iters)
-                                  for s in self.steps])
+        return IterationCounters(sum(s.coupling_iters for s in self.steps),
+                                 sum(s.flow_iters for s in self.steps),
+                                 sum(s.solid_iters for s in self.steps))
 
     @property
     def flow_seconds(self) -> float:

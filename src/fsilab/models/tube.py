@@ -109,7 +109,7 @@ class Tube1DParams:
 
     def inlet_pressure(self, step: int) -> float:
         """Inlet face pressure for time step `step` (1-based, evaluated at t_new)."""
-        return self.inlet_pulse if step * self.dt <= self.pulse_duration + 1e-12 else 0.0
+        return self.inlet_pulse if step * self.dt <= self.pulse_duration * (1 + 1e-12) else 0.0
 
 
 @dataclass

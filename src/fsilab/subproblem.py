@@ -30,6 +30,7 @@ from .interface import (
     SolverCallReport,
     UNBOUNDED,
     is_unbounded,
+    require_positive,
     validate_cap,
 )
 
@@ -95,8 +96,7 @@ class SolverCallInput:
 
     def __post_init__(self):
         validate_cap(self.n_max, "n_max")
-        if not 0.0 < self.eps < math.inf:
-            raise ContractError(f"eps must be positive and finite, got {self.eps!r}")
+        require_positive(self.eps, "eps")
 
 
 def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float) -> None:

@@ -27,7 +27,7 @@ from fsilab import (
     run_simulation,
     run_time_step,
 )
-from fsilab.coupling import _MAX_SECANT_COLUMNS, _STALL_WINDOW, _predict, _require_eps_fil
+from fsilab.coupling import _MAX_SECANT_COLUMNS, _STALL_WINDOW, _predict
 from fsilab.errors import (
     AllColumnsFilteredError,
     ContractError,
@@ -35,9 +35,15 @@ from fsilab.errors import (
     DivergenceError,
     GeometryError,
 )
+from fsilab.interface import require_positive
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import Tube1DParams
 from reference_specs import SpecSolver
+
+
+def step_counts(record: RunRecord) -> list:
+    """``(step, coupling, flow, solid)`` iteration counts of each step record of a run."""
+    return [(s.step, s.coupling_iters, s.flow_iters, s.solid_iters) for s in record.steps]
 
 
 def report(first_residual, eps=1e-9, iters=1):
@@ -316,7 +322,7 @@ class TestIqnUpdate:
 def reference_qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
     """The fused filter and fit's previous implementation, kept verbatim as the
     bitwise oracle of the update."""
-    _require_eps_fil(eps_fil)
+    require_positive(eps_fil, "eps_fil")
     v_matrix = np.asarray(v_matrix, dtype=float)
     rows = v_matrix.any(axis=1)
     v_matrix = v_matrix[rows]
@@ -352,7 +358,7 @@ def reference_iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     """The update's previous implementation, kept verbatim as its bitwise oracle."""
     r = np.asarray(r_k, dtype=float)
     d_tilde = np.asarray(d_tilde_k, dtype=float)
-    _require_eps_fil(eps_fil)
+    require_positive(eps_fil, "eps_fil")
     if np.linalg.norm(r) == 0.0:
         return d_tilde.copy(), 0.0
     if hist.is_empty:
@@ -401,7 +407,7 @@ class TestIqnUpdateIsBitwiseTheReference:
         n, m = v.shape
         rng = np.random.default_rng(seed)
         hist = IqnHistory(q=2)
-        ages = rng.integers(1, 6, size=m)
+        ages = np.sort(rng.integers(1, 6, size=m))[::-1]  # column 0 is of the newest step
         for j in range(m - 1, -1, -1):  # oldest first, so column 0 ends up newest
             if j % 7 == 3:
                 hist.start_step(int(ages[j]))
@@ -482,10 +488,6 @@ class ListIqnHistory:
         self._cols = []
 
     @property
-    def n_columns(self) -> int:
-        return len(self._cols)
-
-    @property
     def is_empty(self) -> bool:
         return not self._cols
 
@@ -502,21 +504,24 @@ class ListIqnHistory:
 @st.composite
 def history_ops(draw):
     """A row count, which sets the column cap, and a random sequence of history
-    operations; appends carry random, zero or wrong-length pairs and arbitrary ages."""
+    operations; appends carry random, zero or wrong-length pairs and non-decreasing
+    ages, and a step starts at or up to four steps past the latest age."""
     n = draw(st.sampled_from([1, 2, 3, 5, 24]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
+    age = draw(st.integers(0, 3))
     for kind in draw(st.lists(st.sampled_from(["append"] * 6 + ["zero", "resize",
                                                                   "start", "clear"]),
                               max_size=60)):
         if kind == "start":
-            ops.append(("start", draw(st.integers(0, 12))))
+            ops.append(("start", age + draw(st.integers(0, 4))))
         elif kind == "clear":
             ops.append(("clear",))
         else:
             size = n + 1 if kind == "resize" else n
             dr = np.zeros(size) if kind == "zero" else rng.standard_normal(size)
-            ops.append(("append", dr, rng.standard_normal(size), draw(st.integers(0, 12))))
+            age += draw(st.integers(0, 2))
+            ops.append(("append", dr, rng.standard_normal(size), age))
     return draw(st.integers(0, 3)), ops
 
 
@@ -540,8 +545,7 @@ class TestIqnHistory:
                 except ContractError as exc:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
-            assert hist.column_ages == oracle.column_ages
-            assert (hist.n_columns, hist.is_empty) == (oracle.n_columns, oracle.is_empty)
+            assert hist.is_empty == oracle.is_empty
             if not oracle.is_empty:
                 for got, ref in zip(hist.matrices(), oracle.matrices()):
                     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -559,7 +563,6 @@ class TestIqnHistory:
                 if i % 5 == 4:
                     h.start_step(i // 3)
                 h.append(dr, dw, age=i // 3)
-            assert hist.column_ages == oracle.column_ages
             for got, ref in zip(hist.matrices(), oracle.matrices()):
                 assert got.tobytes() == ref.tobytes()
 
@@ -581,9 +584,10 @@ class TestIqnHistory:
     def test_eviction_by_age(self):
         hist = IqnHistory(q=2)
         for age in (1, 2, 3, 4):
-            hist.append(np.array([float(age)]), np.array([1.0]), age=age)
+            hist.append(np.full(4, float(age)), np.ones(4), age=age)
         hist.start_step(5)
-        assert all(age >= 3 for age in hist.column_ages)
+        v, _ = hist.matrices()
+        assert v[0].tolist() == [4.0, 3.0]  # the columns of steps 1 and 2 are gone
 
     def test_q_zero_keeps_only_current_step(self):
         hist = IqnHistory(q=0)
@@ -596,7 +600,6 @@ class TestIqnHistory:
         hist = IqnHistory(q=10)
         for i in range(5):
             hist.append(np.full(3, 1.0 + i), np.ones(3), age=1)
-        assert hist.n_columns == 3
         v, _ = hist.matrices()
         assert v[0].tolist() == [5.0, 4.0, 3.0]  # newest first
 
@@ -607,7 +610,22 @@ class TestIqnHistory:
             hist = IqnHistory(q=1)
             for _ in range(cap + 5):
                 hist.append(rng.standard_normal(n), rng.standard_normal(n), age=1)
-            assert hist.n_columns == cap
+            assert hist.matrices()[0].shape == (n, cap)
+
+    def test_older_column_rejected(self):
+        # ages never increase along the window, so eviction only truncates it
+        hist = IqnHistory(q=2)
+        hist.append(np.array([1.0, 0.0]), np.array([1.0, 1.0]), age=3)
+        hist.append(np.array([0.0, 1.0]), np.array([2.0, 2.0]), age=4)
+        before = [m.tobytes() for m in hist.matrices()]
+        with pytest.raises(ContractError, match="^column of step 3 is older than the newest "
+                                                "stored column, of step 4$"):
+            hist.append(np.ones(2), np.ones(2), age=3)
+        assert [m.tobytes() for m in hist.matrices()] == before
+        hist.append(np.ones(2), np.ones(2), age=4)  # the newest step's own columns pass
+        hist.clear()
+        hist.append(np.ones(2), np.ones(2), age=1)  # and a cleared history takes any
+        assert hist.matrices()[0].tolist() == [[1.0], [1.0]]
 
 
 class TestAitken:
@@ -657,7 +675,7 @@ class TestEngineOnTube:
     def test_determinism_bit_identical(self, short_run):
         params, config, record = short_run
         again = run_simulation(Tube1DModel(params), config)
-        assert record.counters.per_step == again.counters.per_step
+        assert step_counts(record) == step_counts(again)
         assert all(np.array_equal(a, b)
                    for a, b in zip(record.snapshots, again.snapshots))
 
@@ -688,7 +706,7 @@ class TestEngineOnTube:
             assert hist_f[0] <= config.eps_f
             assert hist_s[0] <= config.eps_s
             state = model.advance_state(state, d_acc, u_f)
-        assert per_step == record.counters.per_step
+        assert per_step == step_counts(record)
         assert all(np.array_equal(a, b) for a, b in zip(accepted, record.snapshots))
 
     def test_counters_additivity_and_diagnostics(self, short_run):
@@ -731,29 +749,57 @@ class TestEngineOnTube:
         # a plain run updates once per non-final coupling iteration, except the
         # first of the run, whose history is empty
         assert plain_calls == asked.counters.coupling_total - params.steps - 1
-        assert plain.counters.per_step == asked.counters.per_step
+        assert step_counts(plain) == step_counts(asked)
         assert all(np.array_equal(a, b) for a, b in zip(plain.snapshots, asked.snapshots))
 
     def test_history_cap_follows_the_interface_length(self):
         # 11 interface nodes: the history never holds more than 11 columns,
         # though _MAX_SECANT_COLUMNS allows 24
         columns = []
-        record = run_simulation(Tube1DModel(Tube1DParams(cells=10, steps=10)), CouplingConfig(),
-                                on_step=lambda step, hist, state: columns.append(hist.n_columns))
+        record = run_simulation(
+            Tube1DModel(Tube1DParams(cells=10, steps=10)), CouplingConfig(),
+            on_step=lambda step, hist, state: columns.append(hist.matrices()[0].shape[1]))
         assert max(columns) == 11 < _MAX_SECANT_COLUMNS
-        assert record.counters.per_step == [
+        assert step_counts(record) == [
             (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 6, 12, 12), (5, 6, 11, 12),
             (6, 6, 11, 12), (7, 5, 10, 10), (8, 4, 8, 8), (9, 4, 7, 8), (10, 4, 7, 8)]
 
-    def test_reuse_eviction_invariant(self):
+    def test_reuse_eviction_invariant(self, monkeypatch):
+        # after every step the engine's history holds the columns of the list
+        # oracle fed the same calls, which keeps those of the last q steps
+        import fsilab.coupling as coupling_mod
+
+        class Mirrored(IqnHistory):
+            def __init__(self, q):
+                super().__init__(q)
+                self.oracle = ListIqnHistory(q)
+
+            def append(self, residual_diff, output_diff, age):
+                super().append(residual_diff, output_diff, age)
+                self.oracle.append(residual_diff, output_diff, age)
+
+            def start_step(self, step):
+                super().start_step(step)
+                self.oracle.start_step(step)
+
+            def clear(self):
+                super().clear()
+                self.oracle.clear()
+
         params = Tube1DParams(cells=40, steps=8)
         config = CouplingConfig(reuse_q=2)
-        ages_seen = []
-        run_simulation(Tube1DModel(params), config,
-                       on_step=lambda step, hist, state: ages_seen.append(
-                           (step, list(hist.column_ages))))
-        for step, ages in ages_seen:
-            assert all(age >= step - config.reuse_q for age in ages)
+        oldest = []  # steps back to each step's oldest column
+
+        def check(step, hist, state):
+            ages = hist.oracle.column_ages
+            assert ages and all(age >= step - config.reuse_q for age in ages)
+            for got, ref in zip(hist.matrices(), hist.oracle.matrices()):
+                assert got.tobytes() == ref.tobytes()
+            oldest.append(step - ages[-1])
+
+        monkeypatch.setattr(coupling_mod, "IqnHistory", Mirrored)
+        run_simulation(Tube1DModel(params), config, on_step=check)
+        assert len(oldest) == params.steps and max(oldest) == config.reuse_q
 
     def test_timings_split(self, short_run):
         _, _, record = short_run
@@ -891,7 +937,7 @@ class TestPredictedCollapse:
         # the failed load ran no inner iteration, but its seconds count in T_f
         assert (partial.coupling_iters, partial.flow_iters, partial.solid_iters) == (1, 0, 0)
         assert partial.flow_time > 0.0 and partial.solid_time == 0.0
-        assert record.counters.per_step[-1] == (4, 1, 0, 0)
+        assert step_counts(record)[-1] == (4, 1, 0, 0)
         assert record.flow_seconds == sum(s.flow_time for s in record.steps)
 
 
@@ -977,7 +1023,7 @@ class TestEngineAccelerationModes:
         record = run_simulation(
             LinearToyModel.stable(steps=4),
             CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5, accel=accel),
-            on_step=lambda step, hist, state: columns.append(hist.n_columns))
+            on_step=lambda step, hist, state: columns.append(hist.matrices()[0].shape[1]))
         assert record.converged and record.step_records[0].coupling_iters > 2
         if accel is AccelKind.IQN_ILS:
             assert columns[0] > 0
@@ -1028,7 +1074,7 @@ class TestEngineAccelerationModes:
         assert (partial.flow_iters, partial.solid_iters) == (calls["flow"], calls["solid"])
         assert partial.flow_iters >= partial.coupling_iters
         assert partial.solid_iters >= partial.coupling_iters
-        assert err.value.record.counters.per_step == [
+        assert step_counts(err.value.record) == [
             (1, partial.coupling_iters, partial.flow_iters, partial.solid_iters)]
 
     def test_iqn_stabilizes_where_constant_diverges(self):
@@ -1057,7 +1103,7 @@ class TestEngineAccelerationModes:
         assert (partial.step, partial.coupling_iters, partial.flow_iters,
                 partial.solid_iters) == (1, 17, 34, 34)
         assert not partial.converged
-        assert record.counters.per_step == [(1, 17, 34, 34)]
+        assert step_counts(record) == [(1, 17, 34, 34)]
         assert record.failing_step == err.value.step == 1
         assert not record.converged and not record.snapshots
 
@@ -1083,8 +1129,8 @@ class TestEngineAccelerationModes:
 
         partial = err.value.partial
         assert not partial.converged and partial.accepted_norms is None
-        assert record.counters.per_step[-1] == (partial.step, partial.coupling_iters,
-                                                partial.flow_iters, partial.solid_iters)
+        assert step_counts(record)[-1] == (partial.step, partial.coupling_iters,
+                                           partial.flow_iters, partial.solid_iters)
         assert (record.flow_seconds, record.solid_seconds) == (partial.flow_time,
                                                                partial.solid_time)
         # the aborted step's events, an IQN restart among them, reach the run record
@@ -1127,7 +1173,7 @@ class TestNonFiniteUpdate:
         assert len(flow) == len(solid) == 2
         assert partial.flow_iters == sum(c[1] for c in flow)
         assert partial.solid_iters == sum(c[1] for c in solid)
-        assert record.counters.per_step == [(1, 2, partial.flow_iters, partial.solid_iters)]
+        assert step_counts(record) == [(1, 2, partial.flow_iters, partial.solid_iters)]
         assert (record.flow_seconds, record.solid_seconds) == (partial.flow_time,
                                                                partial.solid_time)
 
@@ -1220,7 +1266,7 @@ class TestFailedCallAccounting:
         else:
             assert partial.flow_iters > 0 and partial.solid_iters == 3
             assert partial.solid_time > 0.0
-        assert record.counters.per_step == [(1, 1, partial.flow_iters, partial.solid_iters)]
+        assert step_counts(record) == [(1, 1, partial.flow_iters, partial.solid_iters)]
         assert (record.flow_seconds, record.solid_seconds) == (partial.flow_time,
                                                                partial.solid_time)
 
@@ -1245,7 +1291,7 @@ class TestFailedCallAccounting:
         assert isinstance(err.value.__cause__, DivergenceError)
         partial, record = err.value.partial, err.value.record
         assert (partial.coupling_iters, partial.flow_iters, partial.solid_iters) == (1, 1, 0)
-        assert record.counters.per_step == [(1, 1, 1, 0)]
+        assert step_counts(record) == [(1, 1, 1, 0)]
 
 
 class _NanFlowResidual:
@@ -1325,8 +1371,6 @@ class TestRunRecordDerivesItsTotals:
         steps = record.steps
         accepted = [s for s in steps if s.converged]
         c = record.counters
-        assert c.per_step == [(s.step, s.coupling_iters, s.flow_iters, s.solid_iters)
-                              for s in steps]
         assert (c.coupling_total, c.flow_total, c.solid_total) == (
             sum(s.coupling_iters for s in steps), sum(s.flow_iters for s in steps),
             sum(s.solid_iters for s in steps))
@@ -1350,7 +1394,8 @@ class TestRunRecordDerivesItsTotals:
     def test_a_run_of_no_steps_is_converged(self):
         record = RunRecord(steps=[], snapshots=[], wall_seconds=0.0)
         assert record.converged and record.failing_step is None
-        assert record.counters.per_step == []
+        c = record.counters
+        assert (c.coupling_total, c.flow_total, c.solid_total) == (0, 0, 0)
         assert (record.flow_seconds, record.solid_seconds, record.coupling_seconds) == (
             0.0, 0.0, 0.0)
 

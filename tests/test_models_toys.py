@@ -57,7 +57,7 @@ class TestLinearToyCoupling:
         expect = np.linalg.solve(toy.A_s, toy.b_s0 + toy.B_s @ np.linalg.solve(toy.A_f, toy.b_f0))
         assert np.allclose(rec.snapshots[-1], expect, atol=1e-12)
         # once warm, a single coupling iteration per step suffices
-        assert rec.counters.per_step[1][1] == 1
+        assert rec.steps[1].coupling_iters == 1
 
     def test_stable_gauss_seidel_reaches_monolithic(self):
         toy = LinearToyModel.stable()

@@ -205,6 +205,12 @@ class TestParams:
         assert p.inlet_pressure(30) == 1333.2  # t = 0.003 is still loaded
         assert p.inlet_pressure(31) == 0.0
 
+    def test_pulse_window_scales_with_its_duration(self):
+        # a slack of 1e-12 s, not relative to the pulse, kept a 1e-13 s pulse
+        # on for all 100 steps of 1e-14 s
+        p = Tube1DParams(dt=1e-14, pulse_duration=1e-13)
+        assert [s for s in range(1, 101) if p.inlet_pressure(s)] == list(range(1, 11))
+
     def test_validation(self):
         with pytest.raises(ContractError):
             Tube1DParams(poisson=0.6)
