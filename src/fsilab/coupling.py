@@ -39,6 +39,7 @@ from .interface import (
     InterfaceField,
     RunRecord,
     SolverCallReport,
+    all_finite,
     fixed_point_residual,
     require_positive,
 )
@@ -82,7 +83,10 @@ class IqnHistory:
     ``V`` and ``W`` are windows of two ``(n, 2 * m)`` buffers, allocated at
     the first append (or on a new column length). An append writes its column
     left of the window and drops the oldest from a full one; at the left edge
-    the window first moves to the right half, in one copy.
+    the window first moves to the right half, in one copy. The norm
+    ``||v_j||`` of each column of ``V``, which the QR1 filter compares
+    against, is computed once at its append and kept in a third buffer that
+    moves, truncates and clears with the window.
     """
 
     def __init__(self, q: int):
@@ -93,6 +97,7 @@ class IqnHistory:
         self.q = q
         self._ages: list = []  # age of each stored column, newest first
         self._v = self._w = np.empty((0, 0))
+        self._norms = np.empty(0)
         self._start = 0  # buffer column of the newest stored column
 
     def append(self, residual_diff: np.ndarray, output_diff: np.ndarray, age: int) -> None:
@@ -110,14 +115,19 @@ class IqnHistory:
         m = min(dr.size, _MAX_SECANT_COLUMNS)
         if self._v.shape != (dr.size, 2 * m):
             self._v, self._w = np.empty((dr.size, 2 * m)), np.empty((dr.size, 2 * m))
+            self._norms = np.empty(2 * m)
             self._start = 2 * m
         k = min(len(self._ages), m - 1)  # columns that stay
         if self._start == 0:  # no room on the left: the staying columns move right
             for buf in (self._v, self._w):
                 buf[:, m : m + k] = buf[:, :k]
+            self._norms[m : m + k] = self._norms[:k]
             self._start = m
         self._start -= 1
         self._v[:, self._start], self._w[:, self._start] = dr, dw
+        # summed down the column in order, as np.add.reduce(V * V, axis=0)
+        # sums a V of two or more columns
+        self._norms[self._start] = math.sqrt(np.add.accumulate(dr * dr)[-1])
         self._ages = [age] + self._ages[:k]
 
     def start_step(self, step: int) -> None:
@@ -136,8 +146,13 @@ class IqnHistory:
         cols = slice(self._start, self._start + len(self._ages))
         return self._v[:, cols], self._w[:, cols]
 
+    def norms(self) -> np.ndarray:
+        """The norms of ``V``'s columns as a view of their buffer, valid until the next append."""
+        return self._norms[self._start : self._start + len(self._ages)]
 
-def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
+
+def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None,
+         norms: np.ndarray | None = None):
     """The filter of :func:`qr_filter`; with ``rhs``, also the least-squares fit.
 
     Returns ``(keep, alpha)``: ``keep`` is an index array, and ``alpha``
@@ -147,12 +162,17 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
     and the last column holds ``Q^T rhs``: ``alpha`` is one triangular solve
     away, with no Q formed. Dropping the rows that are zero in every column of
     V leaves ``alpha`` exact: there ``rhs`` only adds a constant to the
-    squared residual. The caller checks ``eps_fil``.
+    squared residual. The caller checks ``eps_fil``. ``norms`` are the column
+    norms of V where the caller keeps them (:class:`IqnHistory` does); without
+    them they are computed here.
     """
-    rows = v_matrix.any(axis=1)
+    rows = v_matrix.any(axis=1).nonzero()[0]
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:  # one block, e.g. all but clamped ends
+        rows = slice(rows[0], rows[-1] + 1)  # a view instead of a gathered copy
     v_matrix = v_matrix[rows]
-    norms = np.sqrt(np.add.reduce(v_matrix * v_matrix, axis=0))  # as np.linalg.norm(axis=0)
-    cand = np.flatnonzero(norms)
+    if norms is None:
+        norms = np.sqrt(np.add.reduce(v_matrix * v_matrix, axis=0))  # as np.linalg.norm(axis=0)
+    cand = norms.nonzero()[0]
     n_rows, n_cols = v_matrix.shape
     while cand.size:
         a = np.empty((n_rows, cand.size + (rhs is not None)))
@@ -164,9 +184,11 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None):
         h = np.linalg.qr(a, mode="raw")[0]
         n_keep = min(cand.size, n_rows)
         r_diag = np.abs(h.diagonal()[:n_keep])
-        failed = r_diag < eps_fil * norms[cand[:n_keep]]
-        if failed.any():
-            cand = np.delete(cand, failed.argmax())  # the first that failed
+        kept_norms = norms[:n_keep] if cand.size == n_cols else norms[cand[:n_keep]]
+        failed = r_diag < eps_fil * kept_norms
+        first = failed.argmax()  # the first that failed, if any
+        if failed[first]:
+            cand = np.delete(cand, first)
             continue
         if rhs is None:
             return cand[:n_keep], None
@@ -207,7 +229,8 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
 
     ``alpha`` minimizes ``||V alpha + r||_2`` over the columns
     :func:`qr_filter` keeps, read off the filter's own last factorisation of
-    ``[V | r]``; the returned increment norm is ``||W alpha||_2``. A residual
+    ``[V | r]``; the filter compares against the column norms ``hist`` stored
+    at each append. The returned increment norm is ``||W alpha||_2``. A residual
     whose squared norm is (or underflows to) zero returns ``d_tilde`` exactly.
     """
     r = np.asarray(r_k, dtype=float)
@@ -220,7 +243,7 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     v, w = hist.matrices()
     if v.shape[0] != r.size:
         raise ContractError("history column length does not match residual length")
-    keep, alpha = _qr1(v, eps_fil, -r)
+    keep, alpha = _qr1(v, eps_fil, -r, hist.norms())
     if not keep.size:
         raise AllColumnsFilteredError("filtering removed all quasi-Newton columns")
     if keep.size < w.shape[1]:  # else no column was dropped: W stays a view
@@ -427,7 +450,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         d_next, _, tag = _update(config, hist, omega, r_k, r_norm, d_k.values, d_tilde.values)
         if tag is not None:
             rec.events.append(Event(step, k, tag))
-        if not np.isfinite(d_next).all():
+        if not all_finite(d_next):
             raise _abort("the accelerated interface displacement is not finite")
         d_k = InterfaceField._adopt(d_next, finite=True)
 

@@ -49,9 +49,22 @@ def require_count(value, name: str, low: int) -> None:
 
 
 def require_positive(value, name: str) -> None:
-    """Reject a value that is not positive and finite; nan included."""
-    if not 0.0 < value < math.inf:
+    """Reject a value that is not a positive and finite real; nan and a bool included."""
+    # a bool is an int, and a str would escape as a TypeError at the comparison
+    if (isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer))
+            or not 0.0 < value < math.inf):
         raise ContractError(f"{name} must be positive and finite, got {value!r}")
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of the float vector ``x`` is finite.
+
+    One BLAS reduction ``x . x`` decides when it is finite; only a non-finite
+    one (a nan or inf entry, or a finite vector whose squares overflow) looks
+    at the entries. ``np.vdot`` raises no overflow warning, where
+    ``x.dot(x)`` does.
+    """
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def require_finite(what: str, values: dict) -> None:
@@ -77,7 +90,7 @@ class InterfaceField:
         arr = np.asarray(self.values, dtype=float).copy()
         if arr.ndim != 1 or arr.size < 1:
             raise ContractError("interface field must be a non-empty 1-D vector")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise ContractError("interface field contains non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -85,7 +98,7 @@ class InterfaceField:
     @classmethod
     def _adopt(cls, values: np.ndarray, finite: bool = False):
         """A field that takes over a fresh 1-D float64 array, read-only, with no copy."""
-        if not finite and not np.isfinite(values).all():
+        if not finite and not all_finite(values):
             raise ContractError("interface field contains non-finite entries")
         values.setflags(write=False)
         field_ = object.__new__(cls)

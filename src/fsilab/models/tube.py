@@ -265,51 +265,65 @@ class TubeFlowSolver:
         ell, z = 1.0 / g, 1.0 / d  # shared by every operator of this call
         time_diag = a_face / dt  # the time band every momentum diagonal starts from
         half_a = 0.5 * a
+        a_in, a_out = float(a_face[0]), float(a_face[n])  # the end faces' areas
         b = np.zeros(self.dim)
         b[: n + 1] = self._momentum_old
-        b[0] += 2.0 * a_face[0] * self._p_in / (rho * dx)
-        b[n] -= 2.0 * a_face[n] * params.outlet_pressure / (rho * dx)
+        b[0] += 2.0 * a_in * self._p_in / (rho * dx)
+        b[n] -= 2.0 * a_out * params.outlet_pressure / (rho * dx)
         b[n + 1 :] = -(a - self._a_old) / dt
-        last = None  # A(u) of the last residual and its upwind mask
+        # the slices of G and D that FlowOperator.__matmul__ reads, bound once
+        g_above, g_below, d_right, d_left = g[:-1], g[1:], d[1:], d[:-1]
+        last = None  # what the last residual built at its iterate, for the solve there
 
         def residual(u: np.ndarray) -> np.ndarray:
-            """``b - A(u) u``; keeps ``A(u)``'s momentum bands for the solve at ``u``."""
+            """``b - A(u) u``, as ``FlowOperator.__matmul__`` applies ``A(u)``;
+            keeps ``A(u)``'s momentum bands for the solve at ``u``."""
             nonlocal last
             # face j balances (F_j - F_{j-1})/dx with cell-center fluxes, so the
             # flux through cell i, a_i*vc_i*v_up(i), is the right flux of face i
             # (+) and the left flux of face i+1 (-)
-            v = u[: n + 1]
-            vc = 0.5 * (v[:-1] + v[1:])
+            v, p = u[: n + 1], u[n + 1 :]
+            v_left, v_right = v[:-1], v[1:]  # the velocities on the two faces of each cell
+            vc = 0.5 * (v_left + v_right)
             coeff = a * vc / dx
             forward = vc >= 0.0  # upwind face is i, else i+1
             cf = np.where(forward, coeff, 0.0)
-            cb = np.where(forward, 0.0, coeff)
+            up = np.where(forward, 0.0, coeff)
             diag = time_diag.copy()
             diag[:-1] += cf
-            diag[1:] -= cb
-            # boundary extension fluxes: F_{-1} = a_face0*v0*v0, F_n = a_facen*vn*vn
-            diag[0] -= a_face[0] * v[0] / dx
-            diag[n] += a_face[n] * v[n] / dx
-            last = FlowOperator(-cf, diag, cb, g, d, ell, z), forward
-            return b - last[0] @ u
+            diag[1:] -= up
+            # boundary extension fluxes F_{-1} = a_face0*v0*v0 and F_n = a_facen*vn*vn;
+            # the Newton tangent adds these terms once more
+            ends = a_in * float(v[0]) / dx, a_out * float(v[n]) / dx
+            diag[0] -= ends[0]
+            diag[n] += ends[1]
+            lo = -cf
+            last = lo, diag, up, forward, v_left, v_right, ends
+            au = np.empty(u.size)  # A(u) u
+            mom = np.multiply(diag, v, au[: n + 1])
+            above, below = mom[:-1], mom[1:]
+            below += lo * v_left
+            above += up * v_right
+            above += g_above * p
+            below -= g_below * p
+            np.subtract(d_right * v_right, d_left * v_left, au[n + 1 :])
+            return np.subtract(b, au, au)
 
         def picard(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-            return last[0].solve(r)
+            return FlowOperator(*last[:3], g, d, ell, z).solve(r)
 
         def newton(u: np.ndarray, r: np.ndarray) -> np.ndarray:
             # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
             # 0.5*a_i*v_up against both faces of cell i; new arrays throughout,
             # so a second solve at the same iterate reads the same bands
-            op, forward = last
-            v = u[: n + 1]
-            w = half_a * np.where(forward, v[:-1], v[1:]) / dx
-            diag = op.diag.copy()
+            lo, diag, up, forward, v_left, v_right, ends = last
+            w = half_a * np.where(forward, v_left, v_right) / dx
+            diag = diag.copy()
             diag[:-1] += w
             diag[1:] -= w
-            # boundary extension fluxes a_face*v*v
-            diag[0] -= a_face[0] * v[0] / dx
-            diag[n] += a_face[n] * v[n] / dx
-            return FlowOperator(op.lo - w, diag, op.up + w, g, d, ell, z).solve(r)
+            diag[0] -= ends[0]  # the boundary extension fluxes a_face*v*v
+            diag[n] += ends[1]
+            return FlowOperator(lo - w, diag, up + w, g, d, ell, z).solve(r)
 
         return b, residual, newton if self._flow_scheme is DriverKind.NEWTON else picard
 
@@ -343,6 +357,7 @@ class TubeSolidSolver:
         b = np.zeros(m)
         b[1:-1] = traction.values[1:-1] + self._inertia
         base, kappa3 = self._base, self.params.kappa3
+        tangent3 = 3.0 * kappa3  # the cubic term's slope factor, 3 kappa3 u^2
         u_sq = None  # the squared interior displacements of the last residual
 
         def residual(u: np.ndarray) -> np.ndarray:
@@ -354,7 +369,7 @@ class TubeSolidSolver:
 
         def solve(u: np.ndarray, r: np.ndarray) -> np.ndarray:
             diag = base.copy()
-            diag[1:-1] += 3.0 * kappa3 * u_sq
+            diag[1:-1] += tangent3 * u_sq
             if not diag.all():
                 raise np.linalg.LinAlgError("zero diagonal entry")
             return r / diag

@@ -29,6 +29,7 @@ from .interface import (
     InterfaceField,
     SolverCallReport,
     UNBOUNDED,
+    all_finite,
     is_unbounded,
     require_positive,
     validate_cap,
@@ -99,8 +100,8 @@ class SolverCallInput:
         require_positive(self.eps, "eps")
 
 
-def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float) -> None:
-    if not np.isfinite(u).all():
+def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float | None) -> None:
+    if not all_finite(u):
         raise DivergenceError(f"non-finite iterate at inner iteration {i}", iteration=i)
     if not bounded:
         if i >= _ITER_CEILING:
@@ -120,13 +121,16 @@ def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float) -
 def drive(solver: Solver, inp: SolverCallInput):
     """Inner iterations ``u' = u + solve(u, residual(u))``; returns ``(u, residual_history)``.
 
-    ``inp.u0`` is never written.
+    ``inp.u0`` is never written. ``u0`` and every iterate are tested with
+    :func:`~fsilab.interface.all_finite`, one reduction per vector, and the
+    entries of a residual are looked at only when its norm is not finite. Only
+    an unbounded call computes the round-off floor its stall guard reads.
     """
     dim = solver.dim
     u = np.asarray(inp.u0, dtype=float)
     if u.shape != (dim,):
         raise ContractError(f"u0 has shape {u.shape}, expected ({dim},)")
-    if not np.isfinite(u).all():
+    if not all_finite(u):
         raise ContractError("u0 contains non-finite entries")
     b, residual, solve = solver.load(inp.coupling_data)
     if b.shape != (dim,):
@@ -134,7 +138,8 @@ def drive(solver: Solver, inp: SolverCallInput):
     bounded = not is_unbounded(inp.n_max)
     eps, n_max = inp.eps, inp.n_max
     sqrt_n = math.sqrt(dim)
-    floor = _ROUNDOFF_FLOOR * math.sqrt(b.dot(b)) / sqrt_n
+    # only the guards of an unbounded call read the round-off floor
+    floor = None if bounded else _ROUNDOFF_FLOOR * math.sqrt(b.dot(b)) / sqrt_n
     history: list = []
     i = 0
     while True:
@@ -143,7 +148,7 @@ def drive(solver: Solver, inp: SolverCallInput):
         # ||r||/sqrt(n) as residual_norm computes it; a finite residual whose
         # norm overflows records inf
         norm = math.sqrt(r.dot(r)) / sqrt_n
-        if not math.isfinite(norm) and not np.isfinite(r).all():
+        if not math.isfinite(norm) and not all_finite(r):
             raise DivergenceError(f"non-finite residual at inner iteration {i}", iteration=i)
         history.append(norm)
         try:

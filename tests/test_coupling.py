@@ -35,7 +35,7 @@ from fsilab.errors import (
     DivergenceError,
     GeometryError,
 )
-from fsilab.interface import require_positive
+from fsilab.interface import fixed_point_residual, require_positive
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import Tube1DParams
 from reference_specs import SpecSolver
@@ -207,6 +207,17 @@ class TestQrFilter:
                 with pytest.raises(ContractError, match="positive and finite"):
                     iqn_ils_update(hist, r, np.zeros(2), eps_fil)
 
+    def test_eps_that_is_not_a_real_number_rejected(self):
+        # True used to act as eps_fil = 1.0, and a str escaped as a TypeError
+        hist = IqnHistory(q=1)
+        hist.append(np.array([1.0, 0.0]), np.array([0.5, 0.5]), age=1)
+        for eps_fil in (True, "1e-12"):
+            with pytest.raises(ContractError, match=f"^eps_fil must be positive and finite, "
+                                                    f"got {eps_fil!r}$"):
+                qr_filter(np.eye(2), eps_fil)
+            with pytest.raises(ContractError, match="^eps_fil must be positive and finite"):
+                iqn_ils_update(hist, np.ones(2), np.zeros(2), eps_fil)
+
     @settings(max_examples=300, deadline=None)
     @given(filter_inputs())
     def test_matches_gram_schmidt_oracle(self, inputs):
@@ -222,9 +233,11 @@ class TestQrFilter:
 
 
 def _history(v: np.ndarray, w: np.ndarray) -> IqnHistory:
-    """A history holding exactly the columns of ``v`` and ``w``, zero ones too."""
+    """A history holding exactly the columns of ``v`` and ``w``, zero ones too,
+    with the column norms an append stores."""
     hist = IqnHistory(q=0)
     hist._v, hist._w, hist._ages = v.copy(), w.copy(), [1] * v.shape[1]
+    hist._norms = np.linalg.norm(v, axis=0)
     return hist
 
 
@@ -283,7 +296,8 @@ class TestIqnUpdate:
     def test_all_filtered_raises(self):
         hist = IqnHistory(q=1)
         hist.append(np.zeros(2), np.ones(2), age=1)  # silently skipped (no info)
-        hist._v, hist._w, hist._ages = np.zeros((2, 1)), np.ones((2, 1)), [1]  # force a zero column in
+        assert hist.is_empty
+        hist = _history(np.zeros((2, 1)), np.ones((2, 1)))  # force a zero column in
         with pytest.raises(AllColumnsFilteredError):
             iqn_ils_update(hist, np.ones(2), np.zeros(2), 1e-12)
 
@@ -458,6 +472,121 @@ class TestIqnUpdateIsBitwiseTheReference:
                 assert np.array_equal(got[0], d_tilde) and got[0] is not d_tilde
 
 
+def gmres_residuals(a: np.ndarray, b: np.ndarray, steps: int) -> list:
+    """Residual vectors ``b - a x_j`` of GMRES from ``x_0 = 0``, for j = 1, 2, ...,
+    up to ``steps`` or an exact solve: Arnoldi with modified Gram-Schmidt, each
+    new vector orthogonalised twice, and ``x_j`` from the small least-squares
+    problem on the Hessenberg matrix."""
+    beta = math.sqrt(b @ b)
+    q = np.zeros((b.size, steps + 1))
+    h = np.zeros((steps + 1, steps))
+    q[:, 0] = b / beta
+    residuals = []
+    for j in range(steps):
+        w = a @ q[:, j]
+        for _ in range(2):
+            for i in range(j + 1):
+                c = q[:, i] @ w
+                h[i, j] += c
+                w -= c * q[:, i]
+        h[j + 1, j] = math.sqrt(w @ w)
+        e1 = np.zeros(j + 2)
+        e1[0] = beta
+        y = np.linalg.lstsq(h[: j + 2, : j + 1], e1, rcond=None)[0]
+        residuals.append(b - a @ (q[:, : j + 1] @ y))
+        if h[j + 1, j] <= 1e-14 * beta:  # the Krylov space holds the solution
+            break
+        q[:, j + 1] = w / h[j + 1, j]
+    return residuals
+
+
+class TestIqnIlsIsGmresOnTheLinearToy:
+    """IQN-ILS without reuse on an affine interface map ``H(d) = G d + c`` is
+    GMRES on ``(I - G) d = c`` from ``d = 0`` (Haelterman et al., SIAM J.
+    Numer. Anal. 47(3), 2009): the update's ``x_k`` minimises ``||H(x) - x||``
+    over the span of the iterates so far, and the next iterate is ``H(x_k)``,
+    so ``r_{k+1} = G rho_{k-1}`` for k >= 2, with ``rho_j`` the GMRES residual
+    after j iterations. Errors are taken relative to ``||r_k||``, the residual
+    the update starts from: the engine's own round-off, about 1e-14
+    ``||r_1||`` at every iteration, is up to 1e-5 of ``||r_{k+1}||`` by the
+    time ``||r_{k+1}||`` falls to 1e-9 ``||r_1||``."""
+
+    @staticmethod
+    def errors(monkeypatch, n, strength, eps_fil=1e-12):
+        """``{k + 1: ||r_{k+1} - G rho_{k-1}|| / ||r_k||}`` for k >= 2, the
+        norms ``||r_k|| / ||r_1||`` and the columns each update dropped, from
+        one step of ``run_time_step`` read through wrappers."""
+        import fsilab.coupling as coupling_mod
+
+        model = LinearToyModel(n, n, coupling_strength=strength)
+        config = CouplingConfig(reuse_q=0, criterion=CriterionKind.FIXED_POINT_NORM,
+                                eps_c=1e-13, eps_fil=eps_fil)
+        residuals, dropped = [], []  # r_1, r_2, ...; per update from k = 2 on
+        real_qr1 = coupling_mod._qr1
+
+        def recording_residual(d_tilde, d):
+            r = fixed_point_residual(d_tilde, d)
+            residuals.append(r.copy())
+            return r
+
+        def recording_qr1(v, *args):
+            keep, alpha = real_qr1(v, *args)
+            dropped.append(v.shape[1] - keep.size)
+            return keep, alpha
+
+        monkeypatch.setattr(coupling_mod, "fixed_point_residual", recording_residual)
+        monkeypatch.setattr(coupling_mod, "_qr1", recording_qr1)
+        rec = run_time_step(model, config, model.initial_state(), IqnHistory(q=0), 1,
+                            InterfaceField(np.zeros(n)), None, None)[0]
+        assert rec.converged and not rec.events
+        g = np.linalg.solve(model.A_s, model.B_s) @ np.linalg.solve(model.A_f, model.B_f)
+        rho = gmres_residuals(np.eye(n) - g, residuals[0], len(residuals))
+        norms = [np.linalg.norm(r) / np.linalg.norm(residuals[0]) for r in residuals]
+        errors = {k + 1: np.linalg.norm(residuals[k] - g @ rho[k - 2])
+                  / np.linalg.norm(residuals[k - 1])
+                  for k in range(2, min(len(residuals), len(rho) + 2))}
+        return errors, norms, dropped
+
+    @pytest.mark.parametrize("strength", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("n", [8, 20, 24, 40])
+    def test_residuals_are_gmres_residuals_mapped_by_g(self, monkeypatch, n, strength):
+        # until ||r_{k+1}|| < 1e-9 ||r_1||; every case converges before the
+        # 24-column cap acts, and no column is filtered
+        errors, norms, dropped = self.errors(monkeypatch, n, strength)
+        checked = [k for k in errors if norms[k - 1] >= 1e-9]
+        assert len(checked) >= 5 and not any(dropped)
+        for k in checked:
+            assert errors[k] <= 2e-6, (k, errors[k])
+
+    def test_the_column_cap_breaks_the_identity(self, monkeypatch):
+        # a toy that needs 39 coupling iterations: the update at k = 26 has 25
+        # secant pairs and keeps 24, so r_27 is the first residual off the
+        # identity, by more than r_26 itself; before it the identity holds to
+        # round-off, with ||r_26|| at 6e-10 ||r_1||
+        errors, norms, dropped = self.errors(monkeypatch, 40, 50.0)
+        assert len(norms) == 39 and not any(dropped)
+        assert max(errors[k] for k in range(3, 27)) < 1e-3
+        assert errors[27] > 1.0
+
+    @pytest.mark.parametrize("strength", [0.5, 2.0, 20.0])
+    @pytest.mark.parametrize("n", [8, 20, 40])
+    def test_a_large_eps_fil_breaks_the_identity_where_it_drops(self, monkeypatch, n,
+                                                                strength):
+        # eps_fil = 1e-3 drops a column in the update at some k between 7 and
+        # 11; the residuals up to r_k keep the identity, and r_{k+1} misses it
+        # by 9% to 5x of ||r_k||
+        errors, norms, dropped = self.errors(monkeypatch, n, strength, eps_fil=1e-3)
+        first = next(i for i, d in enumerate(dropped) if d) + 2  # updates start at k = 2
+        assert all(errors[k] <= 2e-6 for k in range(3, first + 1))
+        assert errors[first + 1] > 1e-2
+
+
+def assert_norms_of(hist: IqnHistory, v: np.ndarray) -> None:
+    """The history's stored column norms are those of ``v`` to a few ulp."""
+    np.testing.assert_allclose(hist.norms(), np.linalg.norm(v, axis=0),
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
 class ListIqnHistory:
     """The history's previous implementation, kept as the oracle: a Python
     list of ``(age, residual_diff, output_diff)`` tuples, newest first, and at
@@ -549,6 +678,7 @@ class TestIqnHistory:
             if not oracle.is_empty:
                 for got, ref in zip(hist.matrices(), oracle.matrices()):
                     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+                assert_norms_of(hist, oracle.matrices()[0])
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 24])
     def test_window_wraps_like_the_list_oracle(self, cap):
@@ -565,6 +695,29 @@ class TestIqnHistory:
                 h.append(dr, dw, age=i // 3)
             for got, ref in zip(hist.matrices(), oracle.matrices()):
                 assert got.tobytes() == ref.tobytes()
+
+    def test_stored_norms_follow_their_columns(self):
+        # each column's norm is computed at its append and moves, truncates
+        # and clears with its column: after appends, window moves, drops from
+        # a full window, start_step eviction and clear, the stored norms are
+        # V's column norms; columns of length 5 keep 5 of them
+        rng = np.random.default_rng(8)
+        hist = IqnHistory(q=1)
+        shapes = []
+        for step in range(1, 9):
+            hist.start_step(step)
+            if step == 6:
+                hist.clear()
+            for _ in range(step % 4 + 1):
+                scale = 10.0 ** rng.uniform(-150, 150, size=5)
+                hist.append(rng.standard_normal(5) * scale, rng.standard_normal(5), age=step)
+                assert_norms_of(hist, hist.matrices()[0])
+            if not hist.is_empty:
+                assert_norms_of(hist, hist.matrices()[0])
+            shapes.append(hist.norms().size)
+        assert shapes == [2, 5, 5, 5, 3, 3, 5, 5]  # 20 appends: the window moved twice
+        hist.clear()
+        assert hist.norms().size == 0
 
     def test_negative_reuse_depth_rejected(self):
         with pytest.raises(ContractError, match="^reuse depth q must be >= 0$"):

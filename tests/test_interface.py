@@ -1,8 +1,10 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fsilab import (
     CouplingConfig,
@@ -13,7 +15,7 @@ from fsilab import (
     residual_norm,
 )
 from fsilab.errors import ContractError, InvalidInputError
-from fsilab.interface import as_caps_str, caps_list, parse_cap, validate_cap
+from fsilab.interface import all_finite, as_caps_str, caps_list, parse_cap, validate_cap
 
 
 def disp(values):
@@ -138,6 +140,40 @@ class TestInterfaceField:
         assert trusted.values.tolist() == [1.0, 3.0]
 
 
+@st.composite
+def vectors_with_bad_entries(draw):
+    """Finite vectors of up to 300 entries, from subnormals to +-1.7e308, into
+    which up to three nan or +-inf entries may be put."""
+    entry = st.one_of(st.floats(-1.7e308, 1.7e308), st.floats(-1e-307, 1e-307), st.just(0.0))
+    head = np.array(draw(st.lists(entry, min_size=1, max_size=40)))
+    # BLAS takes other paths on longer vectors
+    x = np.resize(head, draw(st.integers(head.size, 300)))
+    for i, bad in draw(st.lists(st.tuples(st.integers(0, x.size - 1),
+                                          st.sampled_from([math.nan, math.inf, -math.inf])),
+                                max_size=3)):
+        x[i] = bad
+    return x
+
+
+class TestAllFinite:
+    @settings(max_examples=300, deadline=None)
+    @given(vectors_with_bad_entries())
+    def test_agrees_with_an_entrywise_test_and_warns_of_nothing(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = all_finite(x)
+        assert got is bool(np.isfinite(x).all())
+
+    @pytest.mark.parametrize("values, finite", [
+        ([1e308, 1e308], True), ([1.7e308] * 201, True), ([5e-324, -5e-324], True),
+        ([0.0], True), ([1e308, math.nan], False), ([math.inf, -math.inf], False),
+        ([-math.inf] + [0.0] * 100, False),
+    ], ids=["square-overflows", "long-square-overflows", "subnormal", "zero", "nan",
+            "infs", "one-inf"])
+    def test_hand_cases(self, values, finite):
+        assert all_finite(np.array(values)) is finite
+
+
 class TestSolverCallReport:
     def test_at_least_one_iteration(self):
         with pytest.raises(ContractError):
@@ -177,6 +213,20 @@ class TestCouplingConfig:
     def test_tolerances_positive_and_finite(self, name, value):
         with pytest.raises(ContractError, match=f"{name} must be positive and finite"):
             CouplingConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["eps_f", "eps_s", "eps_fil", "eps_c"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1e-3", None, 1e-3j],
+                             ids=repr)
+    def test_tolerance_that_is_not_a_real_number_rejected(self, name, value):
+        # True used to pass as 1.0, and a str escaped as a bare TypeError
+        with pytest.raises(ContractError, match=f"^{name} must be positive and finite, "
+                                                f"got {re.escape(repr(value))}$"):
+            CouplingConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [1, np.int64(2), np.float32(1e-3), np.float64(1e-3)],
+                             ids=repr)
+    def test_tolerance_of_any_real_type_accepted(self, value):
+        CouplingConfig(eps_f=value, eps_s=value, eps_fil=value, eps_c=value)
 
 
 class TestCaps:

@@ -262,6 +262,12 @@ class TestSolverCallInput:
         with pytest.raises(ContractError, match="eps must be positive and finite"):
             call_input([2.0], eps=eps)
 
+    @pytest.mark.parametrize("eps", [True, "1e-9"])
+    def test_tolerance_that_is_not_a_real_number_rejected(self, eps):
+        # True used to pass as a tolerance of 1.0, and a str escaped as a TypeError
+        with pytest.raises(ContractError, match=f"^eps must be positive and finite, got {eps!r}$"):
+            call_input([2.0], eps=eps)
+
 
 class TestRhsFrozen:
     @each_driver
