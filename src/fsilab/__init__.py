@@ -30,7 +30,6 @@ from .interface import (
     UNBOUNDED,
     deviation_from_reference,
     fixed_point_residual,
-    residual_norm,
 )
 from .subproblem import (
     DriverKind,
@@ -71,7 +70,6 @@ __all__ = [
     "iqn_ils_update",
     "mape_maxape",
     "qr_filter",
-    "residual_norm",
     "rmse",
     "rrmse",
     "run_simulation",

@@ -11,10 +11,6 @@ class ContractError(FsiLabError, ValueError):
     """A caller violated an operation's preconditions (bad lengths, types, values)."""
 
 
-class InvalidInputError(ContractError):
-    """Numerically invalid input: empty vector, NaN or Inf entries."""
-
-
 class GeometryError(FsiLabError):
     """Interface displacement produced a non-physical geometry (non-positive area)."""
 

@@ -2,8 +2,8 @@
 
 Conventions used throughout the testbed:
 
-* Subproblem convergence tests use the scaled norm ``||r||_2 / sqrt(n)``
-  (:func:`residual_norm`).
+* Subproblem convergence tests use the scaled norm ``||r||_2 / sqrt(n)``,
+  which :func:`~fsilab.subproblem.drive` records at every inner iteration.
 * Coupling-side diagnostics (fixed-point residual norm, update increment norm)
   are plain 2-norms without the ``sqrt(n)`` scaling.
 * Interface fields are dense float64 vectors on abstract interface degrees of
@@ -21,12 +21,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractError, InvalidInputError
+from .errors import ContractError
 
 #: Cap values are positive integers or math.inf ("unbounded").
 Cap = float  # int | math.inf; kept loose for arithmetic convenience
 
 UNBOUNDED = math.inf
+
+#: The real number types a setting accepts; a bool is an int, so each check
+#: rejects it first, and a str would escape as a TypeError at the comparison.
+_REAL = (float, int, np.floating, np.integer)
 
 
 def is_unbounded(cap) -> bool:
@@ -36,8 +40,7 @@ def is_unbounded(cap) -> bool:
 def validate_cap(cap, name: str) -> None:
     if is_unbounded(cap):
         return
-    # a bool is an int, and a str would escape as a TypeError at the comparison
-    if (isinstance(cap, bool) or not isinstance(cap, (int, float, np.integer, np.floating))
+    if (isinstance(cap, bool) or not isinstance(cap, _REAL)
             or not float(cap).is_integer() or cap < 1):
         raise ContractError(f"{name} must be an integer >= 1 or unbounded, got {cap!r}")
 
@@ -50,9 +53,7 @@ def require_count(value, name: str, low: int) -> None:
 
 def require_positive(value, name: str) -> None:
     """Reject a value that is not a positive and finite real; nan and a bool included."""
-    # a bool is an int, and a str would escape as a TypeError at the comparison
-    if (isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer))
-            or not 0.0 < value < math.inf):
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not 0.0 < value < math.inf:
         raise ContractError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -68,9 +69,10 @@ def all_finite(x: np.ndarray) -> bool:
 
 
 def require_finite(what: str, values: dict) -> None:
-    """Reject a non-finite number among ``values``, naming its key as ``what 'key'``."""
+    """Reject a value among ``values`` that is not a finite real, naming its key as
+    ``what 'key'``; nan and a bool included."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, _REAL) or not math.isfinite(value):
             raise ContractError(f"{what} {name!r} must be finite, got {value!r}")
 
 
@@ -108,19 +110,6 @@ class InterfaceField:
     @property
     def size(self) -> int:
         return self.values.size
-
-
-def residual_norm(r) -> float:
-    """Scaled 2-norm ``||r||_2 / sqrt(n)`` of an n-vector, for subproblem convergence."""
-    arr = np.asarray(r, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidInputError("residual vector must be non-empty and 1-D")
-    norm = float(np.linalg.norm(arr))
-    # a non-finite entry makes the norm non-finite; a finite vector whose norm
-    # overflows is no error
-    if not math.isfinite(norm) and not np.isfinite(arr).all():
-        raise InvalidInputError("residual vector contains non-finite entries")
-    return norm / math.sqrt(arr.size)
 
 
 def fixed_point_residual(d_tilde: InterfaceField, d: InterfaceField) -> np.ndarray:
@@ -204,8 +193,14 @@ class CouplingConfig:
         validate_cap(self.n_max_s, "n_max_s")
         for name in ("eps_f", "eps_s", "eps_fil", "eps_c"):
             require_positive(getattr(self, name), name)
-        if not (0.0 < self.omega0 <= 1.0):
+        omega0 = self.omega0
+        if isinstance(omega0, bool) or not isinstance(omega0, _REAL) or not 0.0 < omega0 <= 1.0:
             raise ContractError("omega0 must lie in (0, 1]")
+        # a str such as "iqn-ils" would silently run the else-branch of every dispatch
+        if not isinstance(self.accel, AccelKind):
+            raise ContractError(f"accel must be an AccelKind, got {self.accel!r}")
+        if not isinstance(self.criterion, CriterionKind):
+            raise ContractError(f"criterion must be a CriterionKind, got {self.criterion!r}")
         for name, low in (("reuse_q", 0), ("max_coupling_iters", 1)):
             require_count(getattr(self, name), name, low)
 

@@ -17,8 +17,8 @@ displacement for the whole solver call, so its rate of change acts as a fixed
 mass source. Every pressure stencil is a two-point difference, so no
 checkerboard mode exists, and the discrete global mass balance closes exactly
 with the physical boundary fluxes ``a_face * v`` at the two ends. The system
-matrix and its Newton tangent are kept as bands (:class:`FlowOperator`) and
-solved in O(n) operations.
+matrix and its Newton tangent are kept as bands: the residual applies ``A(u)``
+inline, and :func:`_flow_solve` solves with either in O(n) operations.
 
 Solid
 -----
@@ -168,67 +168,49 @@ def mass_balance_error(params: Tube1DParams, state_old: TubeState,
     return float(dvol + params.dt * (outflux - influx))
 
 
-class FlowOperator:
-    """The staggered flow system ``[[T, G], [D, 0]]`` kept as bands; O(n) apply and solve.
+def _tri_apply(lo: np.ndarray, diag: np.ndarray, up: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``T x`` for the tridiagonal ``T`` with bands ``lo``, ``diag``, ``up``."""
+    y = np.multiply(diag, x)
+    # in-place on views: ``y[1:] += ...`` would also copy the view back
+    below, above = y[1:], y[:-1]
+    below += lo * x[:-1]
+    above += up * x[1:]
+    return y
+
+
+def _flow_solve(lo: np.ndarray, diag: np.ndarray, up: np.ndarray, ell: np.ndarray,
+                z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve the staggered flow system ``[[T, G], [D, 0]] [v; p] = [f; h]`` in three sweeps.
 
     ``T`` (faces x faces) is tridiagonal with bands ``lo``, ``diag``, ``up``.
     ``G`` (faces x cells) is the lower-bidiagonal pressure gradient: face j
     reads ``g_j * (p_j - p_{j-1})``, with the missing neighbour dropped at the
     two end faces. ``D`` (cells x faces) is the upper-bidiagonal mass block:
-    cell i reads ``d_{i+1} v_{i+1} - d_i v_i``.
+    cell i reads ``d_{i+1} v_{i+1} - d_i v_i``. Only ``ell = 1/g`` and
+    ``z = 1/d`` enter the solve.
+
+    ``D v = h`` fixes the fluxes ``d * v`` up to one constant ``c`` (a
+    cumulative sum): ``v = v_h + c z``. ``ell`` is a left null vector of
+    ``G``, so ``ell^T T v = ell^T f`` fixes ``c``. Then ``G p = f - T v`` is a
+    cumulative sum down the faces. Raises :class:`numpy.linalg.LinAlgError`
+    when ``ell^T T z`` is zero or not finite.
     """
-
-    def __init__(self, lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
-                 g: np.ndarray, d: np.ndarray, ell: np.ndarray, z: np.ndarray):
-        self.lo, self.diag, self.up = lo, diag, up
-        self.g, self.d = g, d
-        self.ell, self.z = ell, z  # 1/g and 1/d, shared by the operators of a solver call
-
-    def _t(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``T x``, written into ``out`` when given."""
-        y = np.multiply(self.diag, x, out)
-        # in-place on views: ``y[1:] += ...`` would also copy the view back
-        below, above = y[1:], y[:-1]
-        below += self.lo * x[:-1]
-        above += self.up * x[1:]
-        return y
-
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        nf = self.diag.size
-        v, p = u[:nf], u[nf:]
-        out = np.empty(u.size)
-        mom = self._t(v, out[:nf])
-        above, below = mom[:-1], mom[1:]
-        above += self.g[:-1] * p
-        below -= self.g[1:] * p
-        np.subtract(self.d[1:] * v[1:], self.d[:-1] * v[:-1], out[nf:])
-        return out
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """Solve ``[[T, G], [D, 0]] [v; p] = [f; h]`` in three sweeps.
-
-        ``D v = h`` fixes the fluxes ``d * v`` up to one constant ``c`` (a
-        cumulative sum): ``v = v_h + c z`` with ``z = 1/d``. ``ell = 1/g`` is a
-        left null vector of ``G``, so ``ell^T T v = ell^T f`` fixes ``c``. Then
-        ``G p = f - T v`` is a cumulative sum down the faces.
-        """
-        nf = self.diag.size
-        f, h = r[:nf], r[nf:]
-        ell, z = self.ell, self.z
-        ell_t_z = ell.dot(self._t(z))
-        if ell_t_z == 0.0 or not math.isfinite(ell_t_z):
-            raise np.linalg.LinAlgError("singular flow operator")
-        out = np.empty(r.size)
-        v, p = out[:nf], out[nf:]
-        v_h = np.empty(nf)  # [0, cumsum(h)] * z
-        v_h[0] = 0.0
-        np.add.accumulate(h, out=v_h[1:])
-        v_h *= z
-        t = self._t(v_h)  # v = v_h + (ell^T (f - T v_h) / ell^T T z) z
-        np.add(v_h, (ell.dot(np.subtract(f, t, t)) / ell_t_z) * z, v)
-        t = self._t(v)  # p = cumsum((f - T v)[:-1] * ell[:-1])
-        np.add.accumulate(np.multiply(np.subtract(f, t, t)[:-1], ell[:-1], p), out=p)
-        return out
+    nf = diag.size
+    f, h = r[:nf], r[nf:]
+    ell_t_z = ell.dot(_tri_apply(lo, diag, up, z))
+    if ell_t_z == 0.0 or not math.isfinite(ell_t_z):
+        raise np.linalg.LinAlgError("singular flow operator")
+    out = np.empty(r.size)
+    v, p = out[:nf], out[nf:]
+    v_h = np.empty(nf)  # [0, cumsum(h)] * z
+    v_h[0] = 0.0
+    np.add.accumulate(h, out=v_h[1:])
+    v_h *= z
+    t = _tri_apply(lo, diag, up, v_h)  # v = v_h + (ell^T (f - T v_h) / ell^T T z) z
+    np.add(v_h, (ell.dot(np.subtract(f, t, t)) / ell_t_z) * z, v)
+    t = _tri_apply(lo, diag, up, v)  # p = cumsum((f - T v)[:-1] * ell[:-1])
+    np.add.accumulate(np.multiply(np.subtract(f, t, t)[:-1], ell[:-1], p), out=p)
+    return out
 
 
 class TubeFlowSolver:
@@ -262,7 +244,7 @@ class TubeFlowSolver:
         g[0] *= 2.0
         g[n] *= 2.0
         d = a_face / dx  # mass-flux weights
-        ell, z = 1.0 / g, 1.0 / d  # shared by every operator of this call
+        ell, z = 1.0 / g, 1.0 / d  # shared by every solve of this call
         time_diag = a_face / dt  # the time band every momentum diagonal starts from
         half_a = 0.5 * a
         a_in, a_out = float(a_face[0]), float(a_face[n])  # the end faces' areas
@@ -271,13 +253,13 @@ class TubeFlowSolver:
         b[0] += 2.0 * a_in * self._p_in / (rho * dx)
         b[n] -= 2.0 * a_out * params.outlet_pressure / (rho * dx)
         b[n + 1 :] = -(a - self._a_old) / dt
-        # the slices of G and D that FlowOperator.__matmul__ reads, bound once
+        # the slices of G and D that A(u) u reads, bound once
         g_above, g_below, d_right, d_left = g[:-1], g[1:], d[1:], d[:-1]
         last = None  # what the last residual built at its iterate, for the solve there
 
         def residual(u: np.ndarray) -> np.ndarray:
-            """``b - A(u) u``, as ``FlowOperator.__matmul__`` applies ``A(u)``;
-            keeps ``A(u)``'s momentum bands for the solve at ``u``."""
+            """``b - A(u) u``, the one place that applies ``A(u)``; keeps
+            ``A(u)``'s momentum bands for the solve at ``u``."""
             nonlocal last
             # face j balances (F_j - F_{j-1})/dx with cell-center fluxes, so the
             # flux through cell i, a_i*vc_i*v_up(i), is the right flux of face i
@@ -310,7 +292,7 @@ class TubeFlowSolver:
             return np.subtract(b, au, au)
 
         def picard(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-            return FlowOperator(*last[:3], g, d, ell, z).solve(r)
+            return _flow_solve(*last[:3], ell, z, r)
 
         def newton(u: np.ndarray, r: np.ndarray) -> np.ndarray:
             # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
@@ -323,7 +305,7 @@ class TubeFlowSolver:
             diag[1:] -= w
             diag[0] -= ends[0]  # the boundary extension fluxes a_face*v*v
             diag[n] += ends[1]
-            return FlowOperator(lo - w, diag, up + w, g, d, ell, z).solve(r)
+            return _flow_solve(lo - w, diag, up + w, ell, z, r)
 
         return b, residual, newton if self._flow_scheme is DriverKind.NEWTON else picard
 
@@ -388,6 +370,9 @@ class Tube1DModel:
         params: Tube1DParams | None = None,
         flow_scheme: DriverKind = DriverKind.NEWTON,
     ):
+        # a str such as "newton" would silently run Picard
+        if not isinstance(flow_scheme, DriverKind):
+            raise ContractError(f"flow_scheme must be a DriverKind, got {flow_scheme!r}")
         self.params = params or Tube1DParams()
         self.flow_scheme = flow_scheme
         self.n_interface = self.params.n_nodes

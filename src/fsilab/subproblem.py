@@ -145,8 +145,8 @@ def drive(solver: Solver, inp: SolverCallInput):
     while True:
         i += 1
         r = residual(u)
-        # ||r||/sqrt(n) as residual_norm computes it; a finite residual whose
-        # norm overflows records inf
+        # ||r||_2/sqrt(n), the subproblem norm, recorded here and nowhere
+        # else; a finite residual whose norm overflows records inf
         norm = math.sqrt(r.dot(r)) / sqrt_n
         if not math.isfinite(norm) and not all_finite(r):
             raise DivergenceError(f"non-finite residual at inner iteration {i}", iteration=i)

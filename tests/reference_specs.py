@@ -7,7 +7,8 @@ iteration: ``assemble_matrix(u)`` and ``tangent(u)`` returned linear operators
 ``reference_solid_system``, ``reference_step_terms`` and ``reference_iterate``
 are that code with only names, annotations and docstring cross-references
 changed; ``tests/test_models_tube.py`` checks the tube solvers against them
-bit for bit.
+bit for bit. :class:`ReferenceFlowOperator` is the banded flow operator the
+flow spec returned, with its apply and solve as they were.
 
 :class:`SpecSolver` drives a spec through the solver protocol, the generic
 test solver for hand-written systems, and :func:`run` is :func:`drive` with
@@ -22,13 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from fsilab import DriverKind, InterfaceField, drive, residual_norm
+from fsilab import DriverKind, InterfaceField, drive
 from fsilab.errors import (
     ContractError,
     LinearSolveError,
 )
 from fsilab.interface import SolverCallReport, is_unbounded
-from fsilab.models.tube import FlowOperator, _face_average, areas_from_displacement
+from fsilab.models.tube import _face_average, areas_from_displacement
 from fsilab.subproblem import _ROUNDOFF_FLOOR, _guards
 
 
@@ -58,6 +59,49 @@ class ReferenceDiagonalOperator:
         if not self.d.all():
             raise np.linalg.LinAlgError("zero diagonal entry")
         return r / self.d
+
+
+class ReferenceFlowOperator:
+    """The flow operator's earlier apply and solve, kept verbatim as the
+    bitwise oracle of the tube flow solver's residual and solve.
+
+    The staggered system ``[[T, G], [D, 0]]`` kept as bands: ``T`` is
+    tridiagonal (``lo``, ``diag``, ``up``), face j of ``G`` reads
+    ``g_j * (p_j - p_{j-1})`` and cell i of ``D`` reads
+    ``d_{i+1} v_{i+1} - d_i v_i``; ``ell = 1/g`` and ``z = 1/d``.
+    """
+
+    def __init__(self, lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
+                 g: np.ndarray, d: np.ndarray, ell: np.ndarray, z: np.ndarray):
+        self.lo, self.diag, self.up = lo, diag, up
+        self.g, self.d = g, d
+        self.ell, self.z = ell, z
+
+    def _t(self, x: np.ndarray) -> np.ndarray:
+        y = self.diag * x
+        y[1:] += self.lo * x[:-1]
+        y[:-1] += self.up * x[1:]
+        return y
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        nf = self.diag.size
+        v, p = u[:nf], u[nf:]
+        mom = self._t(v)
+        mom[:-1] += self.g[:-1] * p
+        mom[1:] -= self.g[1:] * p
+        return np.concatenate([mom, self.d[1:] * v[1:] - self.d[:-1] * v[:-1]])
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        nf = self.diag.size
+        f, h = r[:nf], r[nf:]
+        ell, z = self.ell, self.z
+        ell_t_z = ell @ self._t(z)
+        if ell_t_z == 0.0 or not np.isfinite(ell_t_z):
+            raise np.linalg.LinAlgError("singular flow operator")
+        v_h = np.concatenate([[0.0], np.cumsum(h)]) * z
+        v = v_h + ((ell @ (f - self._t(v_h))) / ell_t_z) * z
+        p = np.cumsum((f - self._t(v))[:-1] * ell[:-1])
+        return np.concatenate([v, p])
 
 
 def reference_as_operator(m):
@@ -120,10 +164,12 @@ def reference_iterate(spec, inp):
         i += 1
         A = reference_as_operator(spec.assemble_matrix(u))
         r = b - A @ u
-        # ||r||/sqrt(n) as residual_norm computes it; residual_norm itself
-        # runs only to tell a non-finite entry from an overflowing norm
+        # ||r||_2/sqrt(n); the entries are looked at only to tell a non-finite
+        # one from a finite residual whose norm overflows
         norm = math.sqrt(r.dot(r)) / sqrt_n
-        history.append(norm if math.isfinite(norm) else residual_norm(r))
+        if not math.isfinite(norm) and not np.isfinite(r).all():
+            raise ContractError("residual vector contains non-finite entries")
+        history.append(norm)
         M = reference_as_operator(spec.tangent(u)) if newton else A
         try:
             du = M.solve(r)
@@ -196,14 +242,14 @@ def reference_flow_system(params, state, displacement, driver, momentum_old, p_i
         diag[n] += a_face[n] * v[n] / dx
         return -cf, diag, cb, forward
 
-    def assemble_matrix(u: np.ndarray) -> FlowOperator:
+    def assemble_matrix(u: np.ndarray) -> ReferenceFlowOperator:
         nonlocal last_v, last_bands
         last_v = u[: n + 1].copy()
         last_bands = _momentum_bands(last_v)
         lo, diag, up, _ = last_bands
-        return FlowOperator(lo, diag, up, g, d, ell, z)
+        return ReferenceFlowOperator(lo, diag, up, g, d, ell, z)
 
-    def tangent(u: np.ndarray) -> FlowOperator:
+    def tangent(u: np.ndarray) -> ReferenceFlowOperator:
         v = u[: n + 1]
         # compare values, not identity: u may have been edited in place since
         if last_v is not None and (v == last_v).all():
@@ -220,7 +266,7 @@ def reference_flow_system(params, state, displacement, driver, momentum_old, p_i
         # boundary extension fluxes a_face*v*v
         diag[0] -= a_face[0] * v[0] / dx
         diag[n] += a_face[n] * v[n] / dx
-        return FlowOperator(lo - w, diag, up + w, g, d, ell, z)
+        return ReferenceFlowOperator(lo - w, diag, up + w, g, d, ell, z)
 
     def assemble_rhs(coupling: InterfaceField) -> np.ndarray:
         if coupling.size != params.n_nodes:

@@ -46,11 +46,12 @@ class TestEquivalentTime:
         with pytest.raises(ContractError):
             equivalent_time((-1, 0, 0), FE_FE_TUBE)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "1"])
     @pytest.mark.parametrize("name", ["c_couple", "c_fix_f", "c_iter_f", "c_fix_s",
                                       "c_iter_s"])
     def test_non_finite_factor_rejected(self, name, value):
-        # a nan factor used to price every run at nan, and a replay to PASS on it
+        # a nan factor used to price every run at nan, and a replay to PASS on
+        # it; True used to build as 1.0, and "1" to escape as a bare TypeError
         with pytest.raises(ContractError, match=f"cost factor '{name}' must be finite"):
             CostFactors(**{name: value})
 

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsilab import (
+    AccelKind,
     CouplingConfig,
+    CriterionKind,
     InterfaceField,
     SolverCallReport,
     deviation_from_reference,
     fixed_point_residual,
-    residual_norm,
 )
-from fsilab.errors import ContractError, InvalidInputError
+from fsilab.errors import ContractError
 from fsilab.interface import all_finite, as_caps_str, caps_list, parse_cap, validate_cap
 
 
@@ -25,41 +26,6 @@ def disp(values):
 # magnitudes bounded away from the underflow zone so squaring stays exact-ish
 _entry = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
 finite_vecs = st.lists(_entry, min_size=1, max_size=20)
-
-
-class TestResidualNorm:
-    def test_zero_vector(self):
-        assert residual_norm([0.0, 0.0, 0.0, 0.0]) == 0.0
-
-    def test_hand_euclidean(self):
-        # ||(3,4)||_2 / sqrt(2) = 5/sqrt(2)
-        assert residual_norm([3.0, 4.0]) == pytest.approx(5 / math.sqrt(2), rel=1e-15)
-
-    def test_single_entry(self):
-        assert residual_norm([2.0]) == 2.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidInputError):
-            residual_norm([])
-        with pytest.raises(InvalidInputError):
-            residual_norm([1.0, np.nan])
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_entry_rejected_finite_overflow_is_not(self, bad):
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            residual_norm([1.0, bad])
-        # every entry finite, only the norm overflows: numpy warns, no error
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert residual_norm([1e300, 1e300]) == math.inf
-
-    @given(finite_vecs,
-           st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6)))
-    def test_absolute_homogeneity(self, vec, lam):
-        # lam ranges where squaring cannot underflow
-        r = np.asarray(vec)
-        lhs = residual_norm(lam * r)
-        rhs = abs(lam) * residual_norm(r)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
 class TestFixedPointResidual:
@@ -187,10 +153,25 @@ class TestCouplingConfig:
     @pytest.mark.parametrize("kw", [
         {"n_max_f": 0}, {"eps_f": 0.0}, {"eps_fil": -1.0}, {"reuse_q": -1},
         {"omega0": 0.0}, {"omega0": 1.5}, {"max_coupling_iters": 0}, {"n_max_s": 0},
+        # omega0 = True used to build as 1.0, and "0.5" to escape as a bare TypeError
+        {"omega0": True}, {"omega0": np.True_}, {"omega0": "0.5"}, {"omega0": None},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ContractError):
             CouplingConfig(**kw)
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("accel", "iqn-ils", "AccelKind"), ("accel", "aitken", "AccelKind"),
+        ("accel", CriterionKind.FIRST_RESIDUAL, "AccelKind"), ("accel", None, "AccelKind"),
+        ("criterion", "first_residual", "CriterionKind"),
+        ("criterion", "fixed_point", "CriterionKind"),
+        ("criterion", AccelKind.IQN_ILS, "CriterionKind"),
+    ], ids=repr)
+    def test_enum_setting_of_another_type_rejected(self, name, value, kind):
+        # criterion = "first_residual" used to run the fixed-point criterion,
+        # and accel = "iqn-ils" constant relaxation: each dispatch tests `is`
+        with pytest.raises(ContractError, match=f"^{name} must be an? {kind}, got "):
+            CouplingConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["reuse_q", "max_coupling_iters"])
     def test_non_integer_count_rejected(self, name):

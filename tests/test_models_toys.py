@@ -42,9 +42,10 @@ class TestLinearToyConstruction:
         with pytest.raises(ContractError, match="^coupling_strength must be >= 0$"):
             LinearToyModel(coupling_strength=-1.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5"])
     def test_non_finite_coupling_strength_rejected(self, value):
-        # a nan strength used to run to a "converged" one-step result
+        # a nan strength used to run to a "converged" one-step result, and
+        # "0.5" to escape as a bare TypeError
         with pytest.raises(ContractError, match="'coupling_strength' must be finite"):
             LinearToyModel(coupling_strength=value)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsilab import (
+    AccelKind,
     CouplingConfig,
     DriverKind,
     InterfaceField,
@@ -15,16 +16,17 @@ from fsilab import (
 from fsilab.errors import ContractError, GeometryError
 from fsilab.models import Tube1DModel
 from fsilab.models.tube import (
-    FlowOperator,
     Tube1DParams,
     TubeFlowSolver,
     TubeSolidSolver,
     _face_average,
+    _flow_solve,
     areas_from_displacement,
     initial_tube_state,
     mass_balance_error,
 )
 from reference_specs import (
+    ReferenceFlowOperator,
     reference_flow_system,
     reference_iterate,
     reference_solid_system,
@@ -48,7 +50,7 @@ def flow_u0(params):
 
 def dense_flow_reference(params, displacement):
     """Dense ``(assemble_matrix, tangent)`` of the flow system: the oracle for
-    the banded :class:`~fsilab.models.tube.FlowOperator`."""
+    the banded residual and :func:`~fsilab.models.tube._flow_solve`."""
     n = params.cells
     dx, dt, rho = params.dx, params.dt, params.rho_f
     a = areas_from_displacement(params, displacement.values)
@@ -110,37 +112,6 @@ def dense_flow_reference(params, displacement):
         return K
 
     return assemble_matrix, tangent
-
-
-class ReferenceFlowOperator(FlowOperator):
-    """The flow operator's earlier apply and solve, kept verbatim as the
-    bitwise oracle of :class:`~fsilab.models.tube.FlowOperator`."""
-
-    def _t(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[1:] += self.lo * x[:-1]
-        y[:-1] += self.up * x[1:]
-        return y
-
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        nf = self.diag.size
-        v, p = u[:nf], u[nf:]
-        mom = self._t(v)
-        mom[:-1] += self.g[:-1] * p
-        mom[1:] -= self.g[1:] * p
-        return np.concatenate([mom, self.d[1:] * v[1:] - self.d[:-1] * v[:-1]])
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        nf = self.diag.size
-        f, h = r[:nf], r[nf:]
-        ell, z = self.ell, self.z
-        ell_t_z = ell @ self._t(z)
-        if ell_t_z == 0.0 or not np.isfinite(ell_t_z):
-            raise np.linalg.LinAlgError("singular flow operator")
-        v_h = np.concatenate([[0.0], np.cumsum(h)]) * z
-        v = v_h + ((ell @ (f - self._t(v_h))) / ell_t_z) * z
-        p = np.cumsum((f - self._t(v))[:-1] * ell[:-1])
-        return np.concatenate([v, p])
 
 
 def reference_flow_operators(params, displacement):
@@ -229,13 +200,14 @@ class TestParams:
         with pytest.raises(ContractError, match=f"^tube parameter '{name}' = {value!r} "):
             Tube1DParams(**{name: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1e-4"])
     @pytest.mark.parametrize("name", [
         "length", "radius", "thickness", "rho_f", "rho_s", "youngs_modulus",
         "poisson", "dt", "inlet_pulse", "pulse_duration", "outlet_pressure", "kappa3"])
     def test_non_finite_float_rejected(self, name, value):
         # a nan inlet_pulse used to fail later at a residual norm, and an
-        # infinite dt to "diverge" at step 1
+        # infinite dt to "diverge" at step 1; rho_s = True used to build as
+        # 1.0, and dt = "1e-4" to escape as a bare TypeError
         with pytest.raises(ContractError, match=f"'{name}' must be finite"):
             Tube1DParams(**{name: value})
 
@@ -396,10 +368,12 @@ class TestFlowSystem:
     def test_flow_solve_singular_like_the_reference(self, bad):
         # ell^T T z is 0 for zero bands and non-finite for an inf or nan band
         ones, n = np.ones(3), 3
-        bands = (np.zeros(n - 1), np.full(n, bad), np.zeros(n - 1), ones, ones, ones, ones)
-        for cls in (FlowOperator, ReferenceFlowOperator):
-            with pytest.raises(np.linalg.LinAlgError, match="singular flow operator"):
-                cls(*bands).solve(np.ones(2 * n - 1))
+        bands = np.zeros(n - 1), np.full(n, bad), np.zeros(n - 1)
+        r = np.ones(2 * n - 1)
+        with pytest.raises(np.linalg.LinAlgError, match="singular flow operator"):
+            _flow_solve(*bands, ones, ones, r)
+        with pytest.raises(np.linalg.LinAlgError, match="singular flow operator"):
+            ReferenceFlowOperator(*bands, ones, ones, ones, ones).solve(r)
 
     @pytest.mark.parametrize("edit", ["none", "pressure", "velocity", "upwind"])
     def test_tangent_after_assemble_is_bitwise_a_fresh_tangent(self, params, edit):
@@ -660,6 +634,12 @@ class TestCoupledInvariants:
         c = record.counters
         assert c.flow_total >= c.coupling_total
         assert c.solid_total >= c.coupling_total
+
+    @pytest.mark.parametrize("scheme", ["newton", "picard", None, AccelKind.AITKEN])
+    def test_flow_scheme_of_another_type_rejected(self, params, scheme):
+        # "newton" used to run Picard: every dispatch tests for DriverKind.NEWTON
+        with pytest.raises(ContractError, match="^flow_scheme must be a DriverKind, got "):
+            Tube1DModel(params, flow_scheme=scheme)
 
     def test_picard_flow_lane_runs(self, params):
         model = Tube1DModel(params, flow_scheme=DriverKind.PICARD)
