@@ -39,7 +39,6 @@ from .interface import (
     InterfaceField,
     RunRecord,
     SolverCallReport,
-    all_finite,
     fixed_point_residual,
     require_positive,
 )
@@ -125,9 +124,7 @@ class IqnHistory:
             self._start = m
         self._start -= 1
         self._v[:, self._start], self._w[:, self._start] = dr, dw
-        # summed down the column in order, as np.add.reduce(V * V, axis=0)
-        # sums a V of two or more columns
-        self._norms[self._start] = math.sqrt(np.add.accumulate(dr * dr)[-1])
+        self._norms[self._start] = math.sqrt(np.add.accumulate(dr * dr)[-1])  # summed in order
         self._ages = [age] + self._ages[:k]
 
     def start_step(self, step: int) -> None:
@@ -151,34 +148,30 @@ class IqnHistory:
         return self._norms[self._start : self._start + len(self._ages)]
 
 
-def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None,
-         norms: np.ndarray | None = None):
-    """The filter of :func:`qr_filter`; with ``rhs``, also the least-squares fit.
+def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarray):
+    """The filter of :func:`qr_filter` and the least-squares fit on the columns it keeps.
 
     Returns ``(keep, alpha)``: ``keep`` is an index array, and ``alpha``
-    minimizes ``||V[:, keep] alpha - rhs||_2`` (None without ``rhs``). Each
-    pass factors ``[V_cand | rhs]`` once. Householder QR treats the columns in
-    order, so the first diagonal entries of R are those of ``V_cand`` alone,
-    and the last column holds ``Q^T rhs``: ``alpha`` is one triangular solve
-    away, with no Q formed. Dropping the rows that are zero in every column of
-    V leaves ``alpha`` exact: there ``rhs`` only adds a constant to the
-    squared residual. The caller checks ``eps_fil``. ``norms`` are the column
-    norms of V where the caller keeps them (:class:`IqnHistory` does); without
-    them they are computed here.
+    minimizes ``||V[:, keep] alpha - rhs||_2`` (None when no column is kept).
+    Each pass factors ``[V_cand | rhs]`` once. Householder QR treats the
+    columns in order, so the first diagonal entries of R are those of
+    ``V_cand`` alone, whatever ``rhs`` is, and the last column holds ``Q^T
+    rhs``: ``alpha`` is one triangular solve away, with no Q formed. Dropping
+    the rows that are zero in every column of V leaves ``alpha`` exact: there
+    ``rhs`` only adds a constant to the squared residual. The caller checks
+    ``eps_fil`` and passes the column norms of V, squares summed down each
+    column in order, as :class:`IqnHistory` stores them.
     """
     rows = v_matrix.any(axis=1).nonzero()[0]
     if rows.size and rows[-1] - rows[0] == rows.size - 1:  # one block, e.g. all but clamped ends
         rows = slice(rows[0], rows[-1] + 1)  # a view instead of a gathered copy
     v_matrix = v_matrix[rows]
-    if norms is None:
-        norms = np.sqrt(np.add.reduce(v_matrix * v_matrix, axis=0))  # as np.linalg.norm(axis=0)
     cand = norms.nonzero()[0]
     n_rows, n_cols = v_matrix.shape
     while cand.size:
-        a = np.empty((n_rows, cand.size + (rhs is not None)))
+        a = np.empty((n_rows, cand.size + 1))
         a[:, : cand.size] = v_matrix if cand.size == n_cols else v_matrix[:, cand]
-        if rhs is not None:
-            a[:, -1] = rhs[rows]
+        a[:, -1] = rhs[rows]
         # mode="raw" returns the geqrf output transposed: R is the upper
         # triangle of h.T
         h = np.linalg.qr(a, mode="raw")[0]
@@ -190,8 +183,6 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None = None,
         if failed[first]:
             cand = np.delete(cand, first)
             continue
-        if rhs is None:
-            return cand[:n_keep], None
         r_tri = np.where(_UPPER[:n_keep, :n_keep], h[:n_keep, :n_keep].T, 0.0)  # np.triu
         try:
             alpha = np.linalg.solve(r_tri, h[-1, :n_keep])
@@ -217,11 +208,13 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     reflections would fill them with round-off. With more candidates than the
     ``n`` remaining rows, ``R`` has only ``n`` diagonal entries: the first
     ``n`` candidates then span the whole space, and every candidate past them
-    is dropped as dependent. :func:`iqn_ils_update` runs the same filter on
-    the same factorisation as its least-squares solve.
+    is dropped as dependent. :func:`iqn_ils_update` runs the same filter, on
+    the norms :class:`IqnHistory` stores; here the right-hand side is zero.
     """
     require_positive(eps_fil, "eps_fil")
-    return _qr1(np.asarray(v_matrix, dtype=float), eps_fil)[0].tolist()
+    v = np.asarray(v_matrix, dtype=float)
+    norms = np.sqrt(np.add.accumulate(v * v)[-1]) if v.shape[0] else np.zeros(v.shape[1])
+    return _qr1(v, eps_fil, np.zeros(v.shape[0]), norms)[0].tolist()
 
 
 def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
@@ -450,9 +443,10 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         d_next, _, tag = _update(config, hist, omega, r_k, r_norm, d_k.values, d_tilde.values)
         if tag is not None:
             rec.events.append(Event(step, k, tag))
-        if not all_finite(d_next):
-            raise _abort("the accelerated interface displacement is not finite")
-        d_k = InterfaceField._adopt(d_next, finite=True)
+        try:
+            d_k = InterfaceField._adopt(d_next)
+        except ContractError:
+            raise _abort("the accelerated interface displacement is not finite") from None
 
     raise _abort(
         f"no convergence within max_coupling_iters={config.max_coupling_iters}"

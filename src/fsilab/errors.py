@@ -34,10 +34,6 @@ class DivergenceError(InnerIterationError):
     """A subproblem iteration produced non-finite or unbounded iterates."""
 
 
-class ConstructionError(FsiLabError):
-    """A testbed model could not be built (e.g., singular monolithic matrix)."""
-
-
 class AllColumnsFilteredError(FsiLabError):
     """QR filtering removed every stored column; caller should fall back to relaxation."""
 

@@ -149,35 +149,10 @@ def _run_cell(model, config) -> tuple:
     return row, record.snapshots
 
 
-def _check_noise_rel(noise_rel: float) -> None:
-    # the noise factor 1 +- noise_rel must stay positive
-    if not 0.0 <= noise_rel < 1.0:
-        raise SweepSpecError(f"noise_rel must be a finite number in [0, 1), got {noise_rel!r}")
-
-
-def _check_seed(seed: int | None, noisy: bool) -> None:
-    # numpy's generators take only non-negative seeds, and only noise draws from one
-    if seed is None:
-        return
-    if seed < 0:
-        raise SweepSpecError(f"seed must be a non-negative integer, got {seed!r}")
-    if not noisy:
-        raise SweepSpecError(f"seed {seed} applies only to noisy timings (noise_rel > 0)")
-
-
-def _modeled_timings(rows: list, factors: CostFactors, noise_rel: float = 0.0,
-                     seed: int | None = None) -> None:
-    """Replace the rows' timings by the cost-model evaluation, times seeded noise
-    when ``noise_rel > 0``.
-
-    The noise draws run per row in the order T_f, T_s, T_c.
-    """
-    rng = np.random.default_rng(seed) if noise_rel > 0 else None
+def _modeled_timings(rows: list, factors: CostFactors) -> None:
+    """Replace the rows' timings by the cost-model evaluation."""
     for row in rows:
-        t = factors.timings(row.n_c, row.n_f, row.n_s)
-        if rng is not None:
-            t = [x * rng.uniform(1.0 - noise_rel, 1.0 + noise_rel) for x in t]
-        row.t_f, row.t_s, row.t_c = t
+        row.t_f, row.t_s, row.t_c = factors.timings(row.n_c, row.n_f, row.n_s)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -210,9 +185,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if ref.converged:
         ref_teq = equivalent_time((ref.n_c, ref.n_f, ref.n_s), factors)
     for row in rows:
-        if not row.converged:
-            # partial timings stay; the derived columns are undefined
-            row.teq = row.teq_norm = row.max_dev = None
+        if not row.converged:  # partial timings stay; the derived columns stay undefined
             continue
         row.teq = equivalent_time((row.n_c, row.n_f, row.n_s), factors)
         row.teq_norm = row.teq / ref_teq if ref_teq else None
@@ -457,9 +430,20 @@ def synthesize_sweep_csv(path, factors: CostFactors, counters: list,
     :func:`fsilab.configio.load_published_counters`. Used to validate the
     regression pipeline against known ground truth. A seed requires noise.
     """
-    _check_noise_rel(noise_rel)
-    _check_seed(seed, noisy=noise_rel > 0)
+    # the noise factor 1 +- noise_rel must stay positive
+    if not 0.0 <= noise_rel < 1.0:
+        raise SweepSpecError(f"noise_rel must be a finite number in [0, 1), got {noise_rel!r}")
+    # numpy's generators take only non-negative seeds, and only noise draws from one
+    if seed is not None and seed < 0:
+        raise SweepSpecError(f"seed must be a non-negative integer, got {seed!r}")
+    if seed is not None and noise_rel == 0.0:
+        raise SweepSpecError(f"seed {seed} applies only to noisy timings (noise_rel > 0)")
     rows = [SweepRow(nmax_f=cap_f, nmax_s=cap_s, converged=True, n_c=n_c, n_f=n_f, n_s=n_s)
             for cap_f, cap_s, n_c, n_f, n_s in counters]
-    _modeled_timings(rows, factors, noise_rel, seed)
+    _modeled_timings(rows, factors)
+    if noise_rel > 0:  # the draws run per row, in the order T_f, T_s, T_c
+        rng = np.random.default_rng(seed)
+        for row in rows:
+            row.t_f, row.t_s, row.t_c = (t * rng.uniform(1.0 - noise_rel, 1.0 + noise_rel)
+                                         for t in (row.t_f, row.t_s, row.t_c))
     return write_sweep_csv(path, rows)

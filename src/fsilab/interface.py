@@ -98,9 +98,9 @@ class InterfaceField:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, finite: bool = False):
+    def _adopt(cls, values: np.ndarray):
         """A field that takes over a fresh 1-D float64 array, read-only, with no copy."""
-        if not finite and not all_finite(values):
+        if not all_finite(values):
             raise ContractError("interface field contains non-finite entries")
         values.setflags(write=False)
         field_ = object.__new__(cls)

@@ -213,6 +213,11 @@ def _flow_solve(lo: np.ndarray, diag: np.ndarray, up: np.ndarray, ell: np.ndarra
     return out
 
 
+def _require_driver(flow_scheme) -> None:
+    if not isinstance(flow_scheme, DriverKind):  # a str such as "newton" would run Picard
+        raise ContractError(f"flow_scheme must be a DriverKind, got {flow_scheme!r}")
+
+
 class TubeFlowSolver:
     """The flow subproblem of one time step; each call freezes the areas from its displacement.
 
@@ -223,6 +228,7 @@ class TubeFlowSolver:
 
     def __init__(self, params: Tube1DParams, state: TubeState,
                  flow_scheme: DriverKind = DriverKind.NEWTON):
+        _require_driver(flow_scheme)
         self.params, self._flow_scheme = params, flow_scheme
         self.dim = 2 * params.cells + 1
         # the old momentum a_face_old * v_old / dt and the inlet pressure of the step
@@ -370,9 +376,7 @@ class Tube1DModel:
         params: Tube1DParams | None = None,
         flow_scheme: DriverKind = DriverKind.NEWTON,
     ):
-        # a str such as "newton" would silently run Picard
-        if not isinstance(flow_scheme, DriverKind):
-            raise ContractError(f"flow_scheme must be a DriverKind, got {flow_scheme!r}")
+        _require_driver(flow_scheme)
         self.params = params or Tube1DParams()
         self.flow_scheme = flow_scheme
         self.n_interface = self.params.n_nodes

@@ -223,6 +223,62 @@ class TestQrFilter:
         assert all(type(i) is int for i in keep)
 
 
+class TestUpdateKeepsWhatTheFilterKeeps:
+    """The update's filter on ``[V | rhs]`` with the norms the history stored
+    keeps exactly the columns :func:`qr_filter` keeps of V: the decision
+    ignores the last column, and both paths sum the norms alike. No decision
+    may sit within a decade of ``eps_fil``, where round-off could flip it."""
+
+    @staticmethod
+    def same_keep(hist: IqnHistory, eps_fil: float, rng) -> bool | None:
+        """Whether the update's filter keeps what :func:`qr_filter` keeps, for
+        random right-hand sides and a zero one; None when a decision is
+        within a decade of ``eps_fil``."""
+        import fsilab.coupling as coupling_mod
+
+        v = hist.matrices()[0]
+        keep = qr_filter(v, eps_fil)
+        if not all(r < 0.1 * eps_fil or r > 10.0 * eps_fil for r in orthogonal_ratios(v, keep)):
+            return None
+        n = v.shape[0]
+        rhs = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) for _ in range(3)]
+        return all(coupling_mod._qr1(v, eps_fil, b, hist.norms())[0].tolist() == keep
+                   for b in rhs + [np.zeros(n)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(filter_inputs(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_histories_built_by_appends(self, inputs, clamped, seed):
+        v, eps_fil = inputs
+        n, m = v.shape
+        if clamped and n > 2:  # zero first and last rows, as the tube's clamped ends
+            v[[0, -1]] = 0.0
+        rng = np.random.default_rng(seed)
+        hist = IqnHistory(q=0)
+        for j in range(m - 1, -1, -1):  # oldest first, so column 0 ends up newest
+            hist.append(v[:, j], rng.standard_normal(n), age=1)
+        assume(not hist.is_empty)
+        same = self.same_keep(hist, eps_fil, rng)
+        assume(same is not None)
+        assert same
+
+    @pytest.mark.parametrize("n, m", [(6, 1), (30, 40)], ids=["one-column", "many-columns"])
+    def test_clamped_ends(self, n, m):
+        # every fifth column repeats a scaled earlier one, so the filter drops
+        # it; 40 appends to a 24-column history move its window
+        rng = np.random.default_rng(m)
+        hist = IqnHistory(q=0)
+        cols = []
+        for j in range(m):
+            col = np.zeros(n)
+            col[1:-1] = rng.standard_normal(n - 2) if j % 5 != 4 else -3.0 * cols[j - 2][1:-1]
+            cols.append(col)
+            hist.append(col, rng.standard_normal(n), age=1)
+        assert hist.matrices()[0].shape[1] == min(m, _MAX_SECANT_COLUMNS)
+        assert self.same_keep(hist, 1e-12, rng) is True
+        if m > 1:
+            assert len(qr_filter(hist.matrices()[0], 1e-12)) < _MAX_SECANT_COLUMNS
+
+
 def _history(v: np.ndarray, w: np.ndarray) -> IqnHistory:
     """A history holding exactly the columns of ``v`` and ``w``, zero ones too,
     with the column norms an append stores."""

@@ -34,6 +34,29 @@ class TestLinearToyConstruction:
         assert np.allclose(toy.A_f @ u_f - toy.B_f @ u_s, toy.b_f0, atol=1e-12)
         assert np.allclose(toy.A_s @ u_s - toy.B_s @ u_f, toy.b_s0, atol=1e-12)
 
+    @pytest.mark.parametrize("dim_s", range(1, 7))
+    @pytest.mark.parametrize("dim_f", range(1, 7))
+    def test_monolithic_matrix_is_never_singular(self, dim_f, dim_s):
+        # A_s = 3I - T and B_s's mix M = -I + T/4 are polynomials in the same
+        # symmetric T, so A_s^-1 M is symmetric negative definite; with B_f a
+        # non-negative multiple of P = I(dim_f, dim_s), P^T A_f^-1 P is
+        # symmetric semi-definite. Their product G has real eigenvalues <= 0,
+        # and det(mono) = det A_f det A_s det(I - G) >= 1 for every strength.
+        for strength in (0.0, 0.5, 1.0, 2.5, 1e3):
+            toy = LinearToyModel(dim_f, dim_s, strength)
+            g = np.linalg.solve(toy.A_s, toy.B_s) @ np.linalg.solve(toy.A_f, toy.B_f)
+            eig = np.linalg.eigvals(g)
+            scale = max(abs(eig))  # 0 when decoupled, where G is exactly zero
+            # round-off moves the zero eigenvalues of a rank-deficient G off 0
+            assert np.all(abs(eig.imag) <= 1e-12 * scale), (strength, eig)
+            assert np.all(eig.real <= 1e-12 * scale), (strength, eig)
+            mono = np.block([[toy.A_f, -toy.B_f], [-toy.B_s, toy.A_s]])
+            assert np.linalg.det(mono) >= 1.0
+            rhs = np.concatenate([toy.b_f0, toy.b_s0])
+            u = np.concatenate(toy.monolithic_solution())
+            assert np.linalg.norm(mono @ u - rhs) <= 1e-12 * np.linalg.norm(rhs)
+            assert np.array_equal(toy.interface_solution().values, u[dim_f:])
+
     def test_invalid_dims(self):
         with pytest.raises(ContractError):
             LinearToyModel(0, 4, 0.5)

@@ -641,6 +641,13 @@ class TestCoupledInvariants:
         with pytest.raises(ContractError, match="^flow_scheme must be a DriverKind, got "):
             Tube1DModel(params, flow_scheme=scheme)
 
+    @pytest.mark.parametrize("scheme", ["newton", "picard", None, 1])
+    def test_flow_solver_rejects_a_flow_scheme_of_another_type(self, params, scheme):
+        # the solver built directly ran Picard for "newton": its solve tests
+        # for DriverKind.NEWTON
+        with pytest.raises(ContractError, match="^flow_scheme must be a DriverKind, got "):
+            TubeFlowSolver(params, initial_tube_state(params), scheme)
+
     def test_picard_flow_lane_runs(self, params):
         model = Tube1DModel(params, flow_scheme=DriverKind.PICARD)
         record = run_simulation(model, CouplingConfig())
