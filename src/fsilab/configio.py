@@ -28,6 +28,7 @@ from .interface import (
     CriterionKind,
     caps_list,
     parse_cap,
+    require_count,
 )
 from .costmodel import CostFactors
 from .models import LinearToyModel, Tube1DModel, Tube1DParams
@@ -72,8 +73,7 @@ def _timing(text: str) -> str:
 
 def _workers(text: str) -> int:
     count = int(text)
-    if count < 1:
-        raise ContractError(f"must be >= 1, got {count}")
+    require_count(count, "workers", 1)
     return count
 
 

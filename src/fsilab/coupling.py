@@ -18,6 +18,7 @@ nearly dependent columns.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ from .interface import (
     RunRecord,
     SolverCallReport,
     fixed_point_residual,
+    require_count,
     require_positive,
 )
 from .subproblem import SolverCallInput, SolverId, call_solver
@@ -58,7 +60,8 @@ _STALL_FACTOR = 0.5
 # secant columns kept at most (calibrated on the tube testbed: larger piles
 # of capped-call pairs stall the update, smaller piles slow convergence)
 _MAX_SECANT_COLUMNS = 24
-_UPPER = np.triu(np.ones((_MAX_SECANT_COLUMNS,) * 2, dtype=bool))  # R's mask, any history
+# R's upper-triangle mask, built once for each number of columns _qr1 keeps
+_upper_mask = functools.cache(lambda order: np.triu(np.ones((order, order), dtype=bool)))
 # highest degree of the interface predictor (calibrated on the tube testbed:
 # degree 2 costs more coupling iterations under both accelerators, degrees
 # 4-6 cost more under IQN-ILS)
@@ -77,26 +80,23 @@ class IqnHistory:
     _MAX_SECANT_COLUMNS)`` columns of length ``n`` are kept: the added-mass
     error lives in a few dominant interface modes, and old columns sampled
     under capped inner iterations degrade the update long before ``n`` is
-    reached.
+    reached. This class is the only reader of that cap.
 
-    ``V`` and ``W`` are windows of two ``(n, 2 * m)`` buffers, allocated at
-    the first append (or on a new column length). An append writes its column
-    left of the window and drops the oldest from a full one; at the left edge
-    the window first moves to the right half, in one copy. The norm
-    ``||v_j||`` of each column of ``V``, which the QR1 filter compares
-    against, is computed once at its append and kept in a third buffer that
-    moves, truncates and clears with the window.
+    The window is one column range of a single ``(2n + 1, 2m)`` buffer,
+    allocated at the first append (or on a new column length): rows ``0..n-1``
+    hold ``V``, rows ``n..2n-1`` hold ``W``, and the last row holds the norm
+    ``||v_j||`` that the QR1 filter compares each column of ``V`` against,
+    computed once at its append. An append writes its column left of the
+    window and drops the oldest from a full one; at the left edge the window
+    first moves to the right half, in one copy. ``V``, ``W`` and the norms
+    thus move, truncate and clear together.
     """
 
     def __init__(self, q: int):
-        if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
-            raise ContractError(f"reuse depth q must be an integer, got {q!r}")
-        if q < 0:
-            raise ContractError("reuse depth q must be >= 0")
+        require_count(q, "reuse depth q", 0)
         self.q = q
         self._ages: list = []  # age of each stored column, newest first
-        self._v = self._w = np.empty((0, 0))
-        self._norms = np.empty(0)
+        self._buf = np.empty((1, 0))  # [V; W; norms] of no column, with n = 0
         self._start = 0  # buffer column of the newest stored column
 
     def append(self, residual_diff: np.ndarray, output_diff: np.ndarray, age: int) -> None:
@@ -104,27 +104,26 @@ class IqnHistory:
         dw = np.asarray(output_diff, dtype=float)
         if dr.shape != dw.shape or dr.ndim != 1:
             raise ContractError("column pair must be two equal-length vectors")
-        if self._ages and self._v.shape[0] != dr.size:
+        n = dr.size
+        if self._ages and self._buf.shape[0] != 2 * n + 1:
             raise ContractError("column length mismatch with stored history")
         if self._ages and age < self._ages[0]:
             raise ContractError(f"column of step {age} is older than the newest stored "
                                 f"column, of step {self._ages[0]}")
         if not dr.any():
             return  # a stagnant pair carries no secant information
-        m = min(dr.size, _MAX_SECANT_COLUMNS)
-        if self._v.shape != (dr.size, 2 * m):
-            self._v, self._w = np.empty((dr.size, 2 * m)), np.empty((dr.size, 2 * m))
-            self._norms = np.empty(2 * m)
+        m = min(n, _MAX_SECANT_COLUMNS)
+        if self._buf.shape != (2 * n + 1, 2 * m):
+            self._buf = np.empty((2 * n + 1, 2 * m))
             self._start = 2 * m
         k = min(len(self._ages), m - 1)  # columns that stay
         if self._start == 0:  # no room on the left: the staying columns move right
-            for buf in (self._v, self._w):
-                buf[:, m : m + k] = buf[:, :k]
-            self._norms[m : m + k] = self._norms[:k]
+            self._buf[:, m : m + k] = self._buf[:, :k]
             self._start = m
         self._start -= 1
-        self._v[:, self._start], self._w[:, self._start] = dr, dw
-        self._norms[self._start] = math.sqrt(np.add.accumulate(dr * dr)[-1])  # summed in order
+        col = self._buf[:, self._start]
+        col[:n], col[n:-1] = dr, dw
+        col[-1] = math.sqrt(np.add.accumulate(dr * dr)[-1])  # summed in order
         self._ages = [age] + self._ages[:k]
 
     def start_step(self, step: int) -> None:
@@ -139,13 +138,14 @@ class IqnHistory:
         return not self._ages
 
     def matrices(self):
-        """``(V, W)`` as views of the buffers, valid until the next append."""
-        cols = slice(self._start, self._start + len(self._ages))
-        return self._v[:, cols], self._w[:, cols]
+        """``(V, W)`` as views of the buffer, valid until the next append."""
+        n = self._buf.shape[0] // 2
+        window = self._buf[:, self._start : self._start + len(self._ages)]
+        return window[:n], window[n:-1]
 
     def norms(self) -> np.ndarray:
-        """The norms of ``V``'s columns as a view of their buffer, valid until the next append."""
-        return self._norms[self._start : self._start + len(self._ages)]
+        """The norms of ``V``'s columns as a view of the buffer, valid until the next append."""
+        return self._buf[-1, self._start : self._start + len(self._ages)]
 
 
 def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarray):
@@ -156,11 +156,12 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
     Each pass factors ``[V_cand | rhs]`` once. Householder QR treats the
     columns in order, so the first diagonal entries of R are those of
     ``V_cand`` alone, whatever ``rhs`` is, and the last column holds ``Q^T
-    rhs``: ``alpha`` is one triangular solve away, with no Q formed. Dropping
-    the rows that are zero in every column of V leaves ``alpha`` exact: there
-    ``rhs`` only adds a constant to the squared residual. The caller checks
-    ``eps_fil`` and passes the column norms of V, squares summed down each
-    column in order, as :class:`IqnHistory` stores them.
+    rhs``: ``alpha`` is one triangular solve away, with no Q formed. R is
+    read off LAPACK's raw layout here alone, for any number of kept columns.
+    Dropping the rows that are zero in every column of V leaves ``alpha``
+    exact: there ``rhs`` only adds a constant to the squared residual. The
+    caller checks ``eps_fil`` and passes the column norms of V, squares summed
+    down each column in order, as :class:`IqnHistory` stores them.
     """
     rows = v_matrix.any(axis=1).nonzero()[0]
     if rows.size and rows[-1] - rows[0] == rows.size - 1:  # one block, e.g. all but clamped ends
@@ -183,7 +184,7 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
         if failed[first]:
             cand = np.delete(cand, first)
             continue
-        r_tri = np.where(_UPPER[:n_keep, :n_keep], h[:n_keep, :n_keep].T, 0.0)  # np.triu
+        r_tri = np.where(_upper_mask(n_keep), h[:n_keep, :n_keep].T, 0.0)  # np.triu
         try:
             alpha = np.linalg.solve(r_tri, h[-1, :n_keep])
         except np.linalg.LinAlgError as exc:
@@ -208,8 +209,9 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     reflections would fill them with round-off. With more candidates than the
     ``n`` remaining rows, ``R`` has only ``n`` diagonal entries: the first
     ``n`` candidates then span the whole space, and every candidate past them
-    is dropped as dependent. :func:`iqn_ils_update` runs the same filter, on
-    the norms :class:`IqnHistory` stores; here the right-hand side is zero.
+    is dropped as dependent. V may have any width: only :class:`IqnHistory`
+    caps its window. :func:`iqn_ils_update` runs the same filter, on the
+    norms that history stores; here the right-hand side is zero.
     """
     require_positive(eps_fil, "eps_fil")
     v = np.asarray(v_matrix, dtype=float)
@@ -348,8 +350,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     repeats to round-off for ``_STALL_WINDOW`` consecutive coupling iterations.
     """
     d_k = d_start
-    r_prev = None
-    d_tilde_prev = None
+    r_km1 = d_tilde_prev = None  # the previous coupling iteration's residual and solid output
     omega = config.omega0
     rec = TimeStepRecord(step)
     r1_norm = None
@@ -400,14 +401,11 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
         elif r1_norm > 0.0 and r_norm > _RESIDUAL_GROWTH_ABORT * r1_norm:
             raise _abort(f"coupling residual grew by more than {_RESIDUAL_GROWTH_ABORT:g}x")
 
-        r_km1 = r_prev  # residual of the previous coupling iteration (None at k=1)
         if k >= 2 and config.accel is AccelKind.IQN_ILS:  # relaxation never reads it
             hist.append(r_k - r_km1, d_tilde.values - d_tilde_prev, age=step)
-        r_prev = r_k
-        d_tilde_prev = d_tilde.values
 
         if check_convergence(rep_f, rep_s, config, r_norm):
-            d_norm = float(np.linalg.norm(d_k.values))
+            d_norm = math.sqrt(d_k.values.dot(d_k.values))
             rel = r_norm / d_norm if d_norm > 0.0 else float("inf")
             inc = None
             if increments:
@@ -447,6 +445,7 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
             d_k = InterfaceField._adopt(d_next)
         except ContractError:
             raise _abort("the accelerated interface displacement is not finite") from None
+        r_km1, d_tilde_prev = r_k, d_tilde.values
 
     raise _abort(
         f"no convergence within max_coupling_iters={config.max_coupling_iters}"

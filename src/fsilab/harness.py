@@ -48,6 +48,7 @@ from .interface import (
     deviation_from_reference,
     is_unbounded,
     parse_cap,
+    require_count,
 )
 
 SWEEP_COLUMNS = ("nmax_f", "nmax_s", "converged", "N_c", "N_f", "N_s",
@@ -81,12 +82,10 @@ class SweepSpec:
             raise SweepSpecError("cap grid entries must be unique")
         if not any(map(is_unbounded, grid_f)) or not any(map(is_unbounded, grid_s)):
             raise SweepSpecError("the (inf, inf) reference cell must be part of the grid")
-        # a bool is an int, and a float or str would escape from the pool or the
-        # comparison as a bare TypeError
-        if isinstance(self.workers, bool) or not isinstance(self.workers, (int, np.integer)):
-            raise SweepSpecError(f"workers must be an integer, got {self.workers!r}")
-        if self.workers < 1:
-            raise SweepSpecError("workers must be >= 1")
+        try:
+            require_count(self.workers, "workers", 1)
+        except ContractError as exc:
+            raise SweepSpecError(str(exc)) from exc
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
         if sweep.get("timing") != "modeled" and self.workers > 1:

@@ -51,6 +51,14 @@ def require_count(value, name: str, low: int) -> None:
         raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def require_member(value, kind, name: str) -> None:
+    """Reject a value that is not a member of the enum ``kind``; a str that spells one
+    included, which would silently run the else-branch of a dispatch."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ContractError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+
+
 def require_positive(value, name: str) -> None:
     """Reject a value that is not a positive and finite real; nan and a bool included."""
     if isinstance(value, bool) or not isinstance(value, _REAL) or not 0.0 < value < math.inf:
@@ -196,11 +204,8 @@ class CouplingConfig:
         omega0 = self.omega0
         if isinstance(omega0, bool) or not isinstance(omega0, _REAL) or not 0.0 < omega0 <= 1.0:
             raise ContractError("omega0 must lie in (0, 1]")
-        # a str such as "iqn-ils" would silently run the else-branch of every dispatch
-        if not isinstance(self.accel, AccelKind):
-            raise ContractError(f"accel must be an AccelKind, got {self.accel!r}")
-        if not isinstance(self.criterion, CriterionKind):
-            raise ContractError(f"criterion must be a CriterionKind, got {self.criterion!r}")
+        require_member(self.accel, AccelKind, "accel")
+        require_member(self.criterion, CriterionKind, "criterion")
         for name, low in (("reuse_q", 0), ("max_coupling_iters", 1)):
             require_count(getattr(self, name), name, low)
 
@@ -261,8 +266,9 @@ def as_caps_str(cap) -> str:
 
 
 def parse_cap(text: str) -> Cap:
+    """Parse a cap value: an integer >= 1, or `inf` (any case) for unbounded."""
     t = text.strip().lower()
-    if t in ("inf", "infinity", "unbounded"):
+    if t == "inf":
         return UNBOUNDED
     try:
         value = int(t)

@@ -47,7 +47,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import ContractError, GeometryError
-from ..interface import InterfaceField, require_count, require_finite
+from ..interface import (InterfaceField, require_count, require_finite, require_member,
+                         require_positive)
 from ..subproblem import DriverKind
 
 
@@ -75,8 +76,7 @@ class Tube1DParams:
                                           for f in fields(self) if f.type == "float"})
         for name in ("length", "radius", "thickness", "rho_f", "rho_s",
                      "youngs_modulus", "dt"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
+            require_positive(getattr(self, name), name)
         for name in ("dt", "radius"):  # the solid divides by their squares
             value = getattr(self, name)
             if value * value == 0.0:
@@ -213,11 +213,6 @@ def _flow_solve(lo: np.ndarray, diag: np.ndarray, up: np.ndarray, ell: np.ndarra
     return out
 
 
-def _require_driver(flow_scheme) -> None:
-    if not isinstance(flow_scheme, DriverKind):  # a str such as "newton" would run Picard
-        raise ContractError(f"flow_scheme must be a DriverKind, got {flow_scheme!r}")
-
-
 class TubeFlowSolver:
     """The flow subproblem of one time step; each call freezes the areas from its displacement.
 
@@ -228,7 +223,7 @@ class TubeFlowSolver:
 
     def __init__(self, params: Tube1DParams, state: TubeState,
                  flow_scheme: DriverKind = DriverKind.NEWTON):
-        _require_driver(flow_scheme)
+        require_member(flow_scheme, DriverKind, "flow_scheme")
         self.params, self._flow_scheme = params, flow_scheme
         self.dim = 2 * params.cells + 1
         # the old momentum a_face_old * v_old / dt and the inlet pressure of the step
@@ -376,7 +371,7 @@ class Tube1DModel:
         params: Tube1DParams | None = None,
         flow_scheme: DriverKind = DriverKind.NEWTON,
     ):
-        _require_driver(flow_scheme)
+        require_member(flow_scheme, DriverKind, "flow_scheme")
         self.params = params or Tube1DParams()
         self.flow_scheme = flow_scheme
         self.n_interface = self.params.n_nodes

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from types import SimpleNamespace
 
@@ -103,7 +104,7 @@ def filter_inputs(draw):
     columns, some rows zero in every column; a near-dependent column is an
     earlier one plus a perturbation at least two decades above or below
     ``eps_fil``."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
     m = draw(st.integers(0, 30))
     eps_fil = 10.0 ** draw(st.integers(-12, -4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -192,6 +193,19 @@ class TestQrFilter:
         # three pairwise independent columns in R^2: the third is dependent
         v = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         assert qr_filter(v, 1e-12) == [0, 1]
+
+    def test_more_columns_than_the_history_keeps(self):
+        # the filter has no column cap of its own: 30 independent columns stay
+        v = np.random.default_rng(0).standard_normal((40, 30))
+        assert qr_filter(v, 1e-12) == list(range(30))
+
+    def test_wide_with_scaled_copies_matches_gram_schmidt(self):
+        # every fifth column is a scaled copy of an earlier one; 32 of 40 stay
+        v = np.random.default_rng(1).standard_normal((40, 40))
+        v[:, 4::5] = -3.0 * v[:, 2::5]
+        keep = qr_filter(v, 1e-12)
+        assert keep == gram_schmidt_filter(v, 1e-12)
+        assert len(keep) == 32
 
     def test_nonpositive_eps_rejected(self):
         # True used to act as eps_fil = 1.0, and a str escaped as a TypeError
@@ -283,8 +297,8 @@ def _history(v: np.ndarray, w: np.ndarray) -> IqnHistory:
     """A history holding exactly the columns of ``v`` and ``w``, zero ones too,
     with the column norms an append stores."""
     hist = IqnHistory(q=0)
-    hist._v, hist._w, hist._ages = v.copy(), w.copy(), [1] * v.shape[1]
-    hist._norms = np.linalg.norm(v, axis=0)
+    hist._buf = np.vstack([v, w, np.linalg.norm(v, axis=0)])
+    hist._ages, hist._start = [1] * v.shape[1], 0
     return hist
 
 
@@ -641,7 +655,7 @@ class ListIqnHistory:
 
     def __init__(self, q: int):
         if q < 0:
-            raise ContractError("reuse depth q must be >= 0")
+            raise ContractError(f"reuse depth q must be an integer >= 0, got {q!r}")
         self.q = q
         self._cols: list = []  # (age, residual_diff, output_diff), newest first
 
@@ -767,13 +781,15 @@ class TestIqnHistory:
         assert hist.norms().size == 0
 
     def test_negative_reuse_depth_rejected(self):
-        with pytest.raises(ContractError, match="^reuse depth q must be >= 0$"):
+        with pytest.raises(ContractError, match="^reuse depth q must be an integer >= 0, "
+                                                "got -1$"):
             IqnHistory(q=-1)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, True, "2"])
     def test_non_integer_reuse_depth_rejected(self, q):
         # CouplingConfig rejects these for reuse_q; the exported class must too
-        with pytest.raises(ContractError, match="^reuse depth q must be an integer"):
+        message = f"reuse depth q must be an integer >= 0, got {q!r}"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             IqnHistory(q=q)
 
     def test_pair_of_unequal_lengths_rejected(self):

@@ -280,9 +280,9 @@ class TestRunSweep:
         ({"timing": "modeled"}, {}, "requires cost_"),
         ({"timing": "measured"}, {"workers": 2}, "requires workers = 1"),
         ({"timing": "modeled", "cost_c_fix_f": "0.5"}, {"workers": 1.5},
-         r"^workers must be an integer, got 1\.5$"),
-        ({}, {"workers": "2"}, "^workers must be an integer, got '2'$"),
-        ({}, {"workers": True}, "^workers must be an integer, got True$"),
+         r"^workers must be an integer >= 1, got 1\.5$"),
+        ({}, {"workers": "2"}, "^workers must be an integer >= 1, got '2'$"),
+        ({}, {"workers": True}, "^workers must be an integer >= 1, got True$"),
     ],
         ids=["unknown-mode", "modeled-without-factors", "measured-parallel",
              "float-workers", "str-workers", "bool-workers"])
@@ -760,7 +760,7 @@ def test_fmt_writes_numpy_scalars_as_python_ones(value, text):
     ("grid_f = 1,inf\n", lambda path: SweepSpec.from_config(parse_config(path)),
      SweepSpecError, "sweep config requires grid_f and grid_s", None),
     ("", lambda path: SweepSpec.from_config({"grid_f": "inf", "grid_s": "inf"}, workers=0),
-     SweepSpecError, "workers must be >= 1", None),
+     SweepSpecError, "workers must be an integer >= 1, got 0", None),
     # values no sweep writes
     (_SWEEP_HEADER + "\n1,1,true,3,4,5,-1.0,1.0,1.0,,,\n", fit_from_runs,
      TableParseError, "{path}:2: T_f must be non-negative and finite, got -1.0", 2),

@@ -157,16 +157,17 @@ class TestCouplingConfig:
             CouplingConfig(**kw)
 
     @pytest.mark.parametrize("name, value, kind", [
-        ("accel", "iqn-ils", "AccelKind"), ("accel", "aitken", "AccelKind"),
-        ("accel", CriterionKind.FIRST_RESIDUAL, "AccelKind"), ("accel", None, "AccelKind"),
-        ("criterion", "first_residual", "CriterionKind"),
-        ("criterion", "fixed_point", "CriterionKind"),
-        ("criterion", AccelKind.IQN_ILS, "CriterionKind"),
+        ("accel", "iqn-ils", "an AccelKind"), ("accel", "aitken", "an AccelKind"),
+        ("accel", CriterionKind.FIRST_RESIDUAL, "an AccelKind"), ("accel", None, "an AccelKind"),
+        ("criterion", "first_residual", "a CriterionKind"),
+        ("criterion", "fixed_point", "a CriterionKind"),
+        ("criterion", AccelKind.IQN_ILS, "a CriterionKind"),
     ], ids=repr)
     def test_enum_setting_of_another_type_rejected(self, name, value, kind):
         # criterion = "first_residual" used to run the fixed-point criterion,
         # and accel = "iqn-ils" constant relaxation: each dispatch tests `is`
-        with pytest.raises(ContractError, match=f"^{name} must be an? {kind}, got "):
+        message = f"{name} must be {kind}, got {value!r}"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             CouplingConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["reuse_q", "max_coupling_iters"])
@@ -211,8 +212,11 @@ class TestCaps:
     def test_invalid_caps(self):
         with pytest.raises(ContractError):
             parse_cap("0")
-        with pytest.raises(ContractError):
-            parse_cap("x")
+        # unbounded is spelt `inf` only, in any case
+        for text in ("x", "infinity", "unbounded"):
+            with pytest.raises(ContractError, match=f"^cannot parse cap value {text!r}$"):
+                parse_cap(text)
+        assert parse_cap(" INF ") == math.inf
         with pytest.raises(ContractError):
             validate_cap(2.5, "n")
         # a bool is an int, and a str used to escape as a bare TypeError

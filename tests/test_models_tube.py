@@ -190,7 +190,8 @@ class TestParams:
 
     @pytest.mark.parametrize("name, value", [("dt", 0.0), ("length", -1.0)])
     def test_non_positive_size_rejected(self, name, value):
-        with pytest.raises(ContractError, match=f"^{name} must be positive$"):
+        with pytest.raises(ContractError, match=f"^{name} must be positive and finite, "
+                                                f"got {value!r}$"):
             Tube1DParams(**{name: value})
 
     @pytest.mark.parametrize("name, value", [("dt", 1e-300), ("radius", 1e-170)])
