@@ -29,7 +29,6 @@ from .interface import (
     SolverCallReport,
     UNBOUNDED,
     deviation_from_reference,
-    fixed_point_residual,
 )
 from .subproblem import (
     DriverKind,
@@ -66,7 +65,6 @@ __all__ = [
     "drive",
     "equivalent_time",
     "fit_cost_factors",
-    "fixed_point_residual",
     "iqn_ils_update",
     "mape_maxape",
     "qr_filter",

@@ -40,7 +40,6 @@ from .interface import (
     InterfaceField,
     RunRecord,
     SolverCallReport,
-    fixed_point_residual,
     require_count,
     require_positive,
 )
@@ -314,29 +313,37 @@ class TimeStepRecord:
         return self.accepted_norms is not None
 
 
-def _update(config, hist, omega, r_k, r_norm, d_k, d_tilde):
-    """The next interface displacement under the configured accelerator.
+def _update(config, hist, omega, r, r_norm, x, x_tilde):
+    """The next interface vector under the configured accelerator.
 
-    Returns ``(d_next, increment_norm, fallback_tag)`` for the flow input
-    ``d_k``, the solid output ``d_tilde`` and ``r_k = d_tilde - d_k``. Under
-    IQN-ILS the increment is ``||W alpha||``, the correction on top of
-    ``d_tilde``; an empty or fully filtered history (the latter tagged) falls
-    back to relaxation with ``omega0``. Under relaxation the increment is
-    ``omega * ||r_k||``, the step from ``d_k``.
+    Returns ``(x_next, increment_norm, fallback_tag)`` for the map's input ``x``,
+    its output ``x_tilde`` and ``r = x_tilde - x``. Under IQN-ILS the increment
+    is ``||W alpha||``, the correction on top of ``x_tilde``; an empty or fully
+    filtered history (the latter tagged) falls back to relaxation with
+    ``omega0``. Under relaxation the increment is ``omega * ||r||``, the step from ``x``.
     """
     tag = None
     if config.accel is AccelKind.IQN_ILS and not hist.is_empty:
         try:
-            return (*iqn_ils_update(hist, r_k, d_tilde, config.eps_fil), None)
+            return (*iqn_ils_update(hist, r, x_tilde, config.eps_fil), None)
         except AllColumnsFilteredError:
             tag = "iqn_all_columns_filtered"
     step = omega if config.accel is AccelKind.AITKEN else config.omega0
-    return d_k + step * r_k, step * r_norm, tag
+    return x + step * r, step * r_norm, tag
 
 
-def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
+def run_time_step(model, config, state, hist, step, x, u_f, u_s,
                   increments: bool = False):
-    """One coupled time step; returns ``(record, d_accepted, u_f, u_s)``.
+    """One coupled time step; returns ``(record, x, u_f, u_s)``.
+
+    The loop iterates on one float64 vector ``x``, the flow's input
+    displacement, from the ``x`` passed in, which it takes over read-only. The
+    coupling map ``H(x) -> (x_tilde, rep_f, rep_s)``, the only code that knows
+    the flow feeds the solid, runs both solvers and returns the solid's output
+    ``x_tilde``, held to ``x``'s length, with the two calls' reports. The
+    residual ``r = x_tilde - x``, the convergence test, the stall rules and the
+    update read only those. A coupling iteration is one evaluation of ``H``;
+    the returned ``x`` is the accepted displacement.
 
     ``u_f`` and ``u_s`` are the interior states the flow and solid solvers
     ended the previous step with; None on the run's first step, where each
@@ -345,16 +352,14 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
 
     Raises :class:`DivergedStepError`, with the step's unconverged
     :class:`TimeStepRecord` as ``partial``, when the coupling-iteration budget
-    is exhausted, the residual grows unboundedly, the accelerated displacement
-    is not finite, or, under constant or Aitken relaxation, the residual
-    repeats to round-off for ``_STALL_WINDOW`` consecutive coupling iterations.
+    is exhausted, the residual grows unboundedly, ``H`` gets an ``x`` that is
+    not finite, or, under constant or Aitken relaxation, the residual repeats
+    to round-off for ``_STALL_WINDOW`` consecutive coupling iterations.
     """
-    d_k = d_start
-    r_km1 = d_tilde_prev = None  # the previous coupling iteration's residual and solid output
+    r_km1 = x_tilde_km1 = None  # the previous coupling iteration's residual and output
     omega = config.omega0
     rec = TimeStepRecord(step)
-    r1_norm = None
-    best_norm = None
+    r1_norm = best_norm = None
     best_at = 0
     repeats = 0  # consecutive coupling iterations that repeated the residual
 
@@ -387,72 +392,76 @@ def run_time_step(model, config, state, hist, step, d_start, u_f, u_s,
     flow, solid = model.flow_solver(state), model.solid_solver(state)
     if u_f is None:
         u_f, u_s = np.zeros(flow.dim), np.zeros(solid.dim)
-    for k in range(1, config.max_coupling_iters + 1):
-        rec.coupling_iters = k
+
+    def coupling_map(x):
+        """``H(x)``: the flow on the displacement ``x``, then the solid on its traction."""
+        nonlocal u_f, u_s
+        try:
+            d = InterfaceField._adopt(x)
+        except ContractError:
+            raise _abort("the accelerated interface displacement is not finite") from None
+        rec.coupling_iters += 1
         traction, rep_f, u_f = _call(SolverId.FLOW, flow, SolverCallInput(
-            u_f, d_k, eps=config.eps_f, n_max=config.n_max_f))
+            u_f, d, eps=config.eps_f, n_max=config.n_max_f))
         d_tilde, rep_s, u_s = _call(SolverId.SOLID, solid, SolverCallInput(
             u_s, traction, eps=config.eps_s, n_max=config.n_max_s))
+        if d_tilde.size != x.size:
+            raise ContractError(f"solid output has {d_tilde.size} entries, the interface {x.size}")
+        return d_tilde.values, rep_f, rep_s
 
-        r_k = fixed_point_residual(d_tilde, d_k)
-        r_norm = math.sqrt(r_k.dot(r_k))
+    for k in range(1, config.max_coupling_iters + 1):
+        x_tilde, rep_f, rep_s = coupling_map(x)
+        r = x_tilde - x
+        r_norm = math.sqrt(r.dot(r))
         if k == 1:
             r1_norm = r_norm
         elif r1_norm > 0.0 and r_norm > _RESIDUAL_GROWTH_ABORT * r1_norm:
             raise _abort(f"coupling residual grew by more than {_RESIDUAL_GROWTH_ABORT:g}x")
 
         if k >= 2 and config.accel is AccelKind.IQN_ILS:  # relaxation never reads it
-            hist.append(r_k - r_km1, d_tilde.values - d_tilde_prev, age=step)
+            hist.append(r - r_km1, x_tilde - x_tilde_km1, age=step)
 
         if check_convergence(rep_f, rep_s, config, r_norm):
-            d_norm = math.sqrt(d_k.values.dot(d_k.values))
-            rel = r_norm / d_norm if d_norm > 0.0 else float("inf")
+            x_norm = math.sqrt(x.dot(x))
+            rel = r_norm / x_norm if x_norm > 0.0 else float("inf")
             inc = None
             if increments:
-                inc = _update(config, hist, omega, r_k, r_norm, d_k.values, d_tilde.values)[1]
+                inc = _update(config, hist, omega, r, r_norm, x, x_tilde)[1]
             rec.accepted_norms = (r_norm, rel, inc)
-            return rec, d_k, u_f, u_s
+            return rec, x, u_f, u_s
 
         # the update's side effects: the IQN stall restart, and under
         # relaxation the repeat-abort and the Aitken factor
         if config.accel is AccelKind.IQN_ILS:
             if best_norm is None or r_norm < _STALL_FACTOR * best_norm:
-                best_norm = r_norm
-                best_at = k
+                best_norm, best_at = r_norm, k
             elif k - best_at >= _STALL_WINDOW:
                 # stale secant data (typical under tight inner-iteration caps)
                 hist.clear()
                 rec.events.append(Event(step, k, "iqn_stagnation_restart"))
-                best_norm = r_norm
-                best_at = k
+                best_norm, best_at = r_norm, k
         elif k > 1:
-            dr = r_k - r_km1
+            dr = r - r_km1
             repeated = math.sqrt(dr.dot(dr)) <= _REPEAT_RTOL * r_norm
             repeats = repeats + 1 if repeated else 0
             if repeats >= _STALL_WINDOW:
                 raise _abort(f"fixed-point residual repeated for {repeats} coupling "
                              "iterations")
             if config.accel is AccelKind.AITKEN:
-                omega, stagnated = aitken_omega(r_k, r_km1, omega)
+                omega, stagnated = aitken_omega(r, r_km1, omega)
                 if stagnated:
                     rec.events.append(Event(step, k, "aitken_stagnation"))
 
         # acceleration update toward the next coupling iteration
-        d_next, _, tag = _update(config, hist, omega, r_k, r_norm, d_k.values, d_tilde.values)
+        x_next, _, tag = _update(config, hist, omega, r, r_norm, x, x_tilde)
         if tag is not None:
             rec.events.append(Event(step, k, tag))
-        try:
-            d_k = InterfaceField._adopt(d_next)
-        except ContractError:
-            raise _abort("the accelerated interface displacement is not finite") from None
-        r_km1, d_tilde_prev = r_k, d_tilde.values
+        x, r_km1, x_tilde_km1 = x_next, r, x_tilde
 
-    raise _abort(
-        f"no convergence within max_coupling_iters={config.max_coupling_iters}"
-    )
+    raise _abort(f"no convergence within max_coupling_iters={config.max_coupling_iters}")
 
 
-def _predict(accepted: list) -> InterfaceField:
+def _predict(accepted: list) -> np.ndarray:
     """A time step's first interface displacement, extrapolated from ``accepted``,
     the accepted displacements of the steps before it (oldest first, at least one).
 
@@ -464,8 +473,7 @@ def _predict(accepted: list) -> InterfaceField:
     time step, its error is ``h^{p+1} d^{(p+1)}`` to leading order.
     """
     p = min(len(accepted) - 1, _PREDICTOR_DEGREE)
-    guess = sum((-1) ** j * math.comb(p + 1, j + 1) * accepted[-1 - j] for j in range(p + 1))
-    return InterfaceField(guess)
+    return sum((-1) ** j * math.comb(p + 1, j + 1) * accepted[-1 - j] for j in range(p + 1))
 
 
 def run_simulation(model, config: CouplingConfig, on_step=None,
@@ -474,8 +482,9 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
 
     The model declares ``n_interface``, ``n_steps``, ``initial_state()``,
     ``flow_solver(state)``, ``solid_solver(state)`` and ``advance_state(state,
-    d, flow_u)``. The run starts from ``initial_state()``. The first coupling
-    iteration of the first step guesses a zero interface displacement; every
+    d, flow_u)``, ``d`` the accepted displacement as a read-only array. The run
+    starts from ``initial_state()``. The first coupling iteration of the first
+    step guesses a zero interface displacement; every
     later step starts from an extrapolation of the accepted displacements
     (:func:`_predict`): step 2 from ``d_1``, step 3 linear, step 4 quadratic,
     later steps cubic. Each solver's first call starts from a zero interior state.
@@ -489,7 +498,7 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     """
     t_start = time.perf_counter()
     state = model.initial_state()
-    d_start = InterfaceField(np.zeros(model.n_interface))
+    d = np.zeros(model.n_interface)
     u_f = u_s = None
     hist = IqnHistory(q=config.reuse_q)
 
@@ -498,18 +507,18 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     for step in range(1, model.n_steps + 1):
         hist.start_step(step)
         if snapshots:
-            d_start = _predict(snapshots)
+            d = _predict(snapshots)
         try:
-            record, d_acc, u_f, u_s = run_time_step(
-                model, config, state, hist, step, d_start, u_f, u_s, increments=increments,
+            record, d, u_f, u_s = run_time_step(
+                model, config, state, hist, step, d, u_f, u_s, increments=increments,
             )
         except DivergedStepError as exc:
             steps.append(exc.partial)
             exc.record = RunRecord(steps, snapshots, time.perf_counter() - t_start)
             raise
         steps.append(record)
-        snapshots.append(d_acc.values.copy())
-        state = model.advance_state(state, d_acc, u_f)
+        snapshots.append(d)
+        state = model.advance_state(state, d, u_f)
         if on_step is not None:
             on_step(step, hist, state)
 

@@ -9,8 +9,9 @@ Conventions used throughout the testbed:
 * Interface fields are dense float64 vectors on abstract interface degrees of
   freedom; matching 1:1 discretizations only, no mapping. The solver's
   :class:`~fsilab.subproblem.SolverId` says what a field holds (flow:
-  displacement in, traction out; solid: the reverse), and every solver output
-  is an :class:`InterfaceField` of the interface length.
+  displacement in, traction out; solid: the reverse). Every solver output is
+  an :class:`InterfaceField`; only the solid's is held to the interface length
+  (by the coupling map), the flow's has the length its partner loads.
 """
 
 from __future__ import annotations
@@ -118,13 +119,6 @@ class InterfaceField:
     @property
     def size(self) -> int:
         return self.values.size
-
-
-def fixed_point_residual(d_tilde: InterfaceField, d: InterfaceField) -> np.ndarray:
-    """Elementwise mismatch between the solid's output displacement and the flow's input."""
-    if d_tilde.size != d.size:
-        raise ContractError(f"field length mismatch: {d_tilde.size} vs {d.size}")
-    return d_tilde.values - d.values
 
 
 def deviation_from_reference(d: InterfaceField, d_ref: InterfaceField) -> float:
@@ -279,5 +273,5 @@ def parse_cap(text: str) -> Cap:
 
 
 def caps_list(text: str) -> list:
-    """Parse a comma-separated cap list like ``1,2,3,inf``."""
-    return [parse_cap(part) for part in text.split(",") if part.strip()]
+    """Parse a comma-separated cap list like ``1,2,3,inf``; an empty entry is an error."""
+    return [parse_cap(part) for part in text.split(",")]

@@ -386,10 +386,10 @@ class Tube1DModel:
     def solid_solver(self, state: TubeState) -> TubeSolidSolver:
         return TubeSolidSolver(self.params, state)
 
-    def advance_state(self, state: TubeState, accepted_displacement: InterfaceField,
+    def advance_state(self, state: TubeState, accepted_displacement: np.ndarray,
                       flow_u: np.ndarray) -> TubeState:
         n = self.params.cells
-        d_new = accepted_displacement.values.copy()
+        d_new = accepted_displacement.copy()
         return TubeState(
             area=areas_from_displacement(self.params, d_new),
             velocity=flow_u[: n + 1].copy(),

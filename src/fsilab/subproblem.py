@@ -72,7 +72,8 @@ class Solver(Protocol):
     The :class:`SolverId` it is called under fixes the wiring: a flow solver
     loads a displacement and outputs a traction, a solid solver loads a
     traction and outputs a displacement. ``output`` must return an
-    :class:`InterfaceField` of the interface length.
+    :class:`InterfaceField`. Only the solid's output is held to the interface
+    length, by the coupling map; the flow's has the length its partner loads.
     """
 
     dim: int

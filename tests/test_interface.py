@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from fsilab import (
     InterfaceField,
     SolverCallReport,
     deviation_from_reference,
-    fixed_point_residual,
+    run_simulation,
 )
-from fsilab.errors import ContractError
+from fsilab.configio import load
+from fsilab.errors import ContractError, SweepSpecError
 from fsilab.interface import all_finite, as_caps_str, caps_list, parse_cap, validate_cap
+from fsilab.models import LinearToyModel
 
 
 def disp(values):
@@ -28,24 +31,59 @@ _entry = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
 finite_vecs = st.lists(_entry, min_size=1, max_size=20)
 
 
-class TestFixedPointResidual:
-    def test_converged_state(self):
-        assert fixed_point_residual(disp([1, 2]), disp([1, 2])).tolist() == [0.0, 0.0]
+def _short_solid_toy(n_out: int):
+    """A linear toy of 5 interface entries whose solid outputs ``n_out`` entries."""
+    toy = LinearToyModel(dim_f=4, dim_s=5)
 
-    def test_elementwise_subtraction(self):
-        assert fixed_point_residual(disp([1.5, 0]), disp([1, 1])).tolist() == [0.5, -1.0]
+    def solid_solver(state):
+        solver = toy.solid_solver(state)
+        return SimpleNamespace(dim=solver.dim, load=solver.load,
+                               output=lambda u: InterfaceField(np.resize(u, n_out)))
 
-    def test_sign(self):
-        assert fixed_point_residual(disp([0]), disp([-3])).tolist() == [3.0]
+    return SimpleNamespace(n_interface=5, n_steps=1, initial_state=toy.initial_state,
+                           flow_solver=toy.flow_solver, solid_solver=solid_solver,
+                           advance_state=toy.advance_state)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ContractError, match="field length mismatch: 3 vs 2"):
-            fixed_point_residual(disp([1, 2, 3]), disp([1, 2]))
 
-    @given(finite_vecs)
-    def test_zero_on_identical_fields(self, vec):
-        d = disp(vec)
-        assert not np.any(fixed_point_residual(d, d))
+class TestSolidOutputLength:
+    """The coupling map holds the solid's output to the length of the flow's input."""
+
+    # one entry would broadcast silently in x_tilde - x
+    @pytest.mark.parametrize("n_out", [4, 1, 6])
+    def test_other_length_rejected_naming_both(self, n_out):
+        with pytest.raises(ContractError,
+                           match=f"^solid output has {n_out} entries, the interface 5$"):
+            run_simulation(_short_solid_toy(n_out), CouplingConfig())
+
+    def test_flow_output_has_the_length_its_partner_loads(self, monkeypatch):
+        # 3 tractions for 5 displacements: only the solid's output is held to x
+        import fsilab.coupling as coupling_mod
+
+        sizes = set()
+        real_call = coupling_mod.call_solver
+
+        def recording(solver_id, solver, inp):
+            out = real_call(solver_id, solver, inp)
+            sizes.add((solver_id.value, inp.coupling_data.size, out[0].size))
+            return out
+
+        monkeypatch.setattr(coupling_mod, "call_solver", recording)
+        toy = LinearToyModel(dim_f=3, dim_s=5)
+        record = run_simulation(toy, CouplingConfig(eps_f=1e-12, eps_s=1e-12))
+        assert sizes == {("flow", 5, 3), ("solid", 3, 5)}
+        assert deviation_from_reference(InterfaceField(record.snapshots[-1]),
+                                        toy.interface_solution()) < 1e-9
+
+    def test_snapshots_are_the_accepted_vectors_read_only(self):
+        # the run keeps each accepted x as it is, a plain array that no one writes
+        passed = []
+        toy = LinearToyModel(steps=3)
+        advance = toy.advance_state
+        toy.advance_state = lambda state, d, flow_u: passed.append(d) or advance(state, d, flow_u)
+        record = run_simulation(toy, CouplingConfig())
+        assert len(passed) == len(record.snapshots) == 3
+        for d, snap in zip(passed, record.snapshots):
+            assert d is snap and type(snap) is np.ndarray and not snap.flags.writeable
 
 
 class TestDeviation:
@@ -208,6 +246,13 @@ class TestCaps:
         assert as_caps_str(math.inf) == "inf"
         assert as_caps_str(4) == "4"
         assert caps_list("1,2,3,inf") == [1, 2, 3, math.inf]
+        # an empty entry is an error, not skipped, and the loader names its key
+        for text in ("1,,inf", "1,inf,", ",inf", "", " "):
+            with pytest.raises(ContractError, match="^cannot parse cap value "):
+                caps_list(text)
+        with pytest.raises(SweepSpecError,
+                           match="^config key 'grid_f': cannot parse cap value ''$"):
+            load({"model": "linear_toy", "grid_f": "1,,inf"})
 
     def test_invalid_caps(self):
         with pytest.raises(ContractError):
