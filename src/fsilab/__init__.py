@@ -23,7 +23,6 @@ from .interface import (
     AccelKind,
     CouplingConfig,
     CriterionKind,
-    InterfaceField,
     IterationCounters,
     RunRecord,
     SolverCallReport,
@@ -48,7 +47,6 @@ __all__ = [
     "CriterionKind",
     "DriverKind",
     "Event",
-    "InterfaceField",
     "IqnHistory",
     "IterationCounters",
     "RunRecord",

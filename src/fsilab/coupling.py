@@ -37,9 +37,9 @@ from .interface import (
     AccelKind,
     CouplingConfig,
     CriterionKind,
-    InterfaceField,
     RunRecord,
     SolverCallReport,
+    all_finite,
     require_count,
     require_positive,
 )
@@ -396,18 +396,17 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
     def coupling_map(x):
         """``H(x)``: the flow on the displacement ``x``, then the solid on its traction."""
         nonlocal u_f, u_s
-        try:
-            d = InterfaceField._adopt(x)
-        except ContractError:
-            raise _abort("the accelerated interface displacement is not finite") from None
+        if not all_finite(x):
+            raise _abort("the accelerated interface displacement is not finite")
+        x.setflags(write=False)
         rec.coupling_iters += 1
         traction, rep_f, u_f = _call(SolverId.FLOW, flow, SolverCallInput(
-            u_f, d, eps=config.eps_f, n_max=config.n_max_f))
+            u_f, x, eps=config.eps_f, n_max=config.n_max_f))
         d_tilde, rep_s, u_s = _call(SolverId.SOLID, solid, SolverCallInput(
             u_s, traction, eps=config.eps_s, n_max=config.n_max_s))
         if d_tilde.size != x.size:
             raise ContractError(f"solid output has {d_tilde.size} entries, the interface {x.size}")
-        return d_tilde.values, rep_f, rep_s
+        return d_tilde, rep_f, rep_s
 
     for k in range(1, config.max_coupling_iters + 1):
         x_tilde, rep_f, rep_s = coupling_map(x)

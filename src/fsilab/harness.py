@@ -43,7 +43,6 @@ from .errors import (
     TableParseError,
 )
 from .interface import (
-    InterfaceField,
     as_caps_str,
     deviation_from_reference,
     is_unbounded,
@@ -189,11 +188,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         row.teq = equivalent_time((row.n_c, row.n_f, row.n_s), factors)
         row.teq_norm = row.teq / ref_teq if ref_teq else None
         if ref.converged:
-            devs = [
-                deviation_from_reference(InterfaceField(snap), InterfaceField(ref_snap))
-                for snap, ref_snap in zip(snapshots[(row.nmax_f, row.nmax_s)],
-                                          snapshots[(ref.nmax_f, ref.nmax_s)])
-            ]
+            pairs = zip(snapshots[(row.nmax_f, row.nmax_s)], snapshots[(ref.nmax_f, ref.nmax_s)])
+            devs = [deviation_from_reference(snap, ref_snap) for snap, ref_snap in pairs]
             row.max_dev = max(devs) if devs else None
 
     result = SweepResult(rows=rows, factors=factors)

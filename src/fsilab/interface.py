@@ -6,12 +6,15 @@ Conventions used throughout the testbed:
   which :func:`~fsilab.subproblem.drive` records at every inner iteration.
 * Coupling-side diagnostics (fixed-point residual norm, update increment norm)
   are plain 2-norms without the ``sqrt(n)`` scaling.
-* Interface fields are dense float64 vectors on abstract interface degrees of
-  freedom; matching 1:1 discretizations only, no mapping. The solver's
-  :class:`~fsilab.subproblem.SolverId` says what a field holds (flow:
-  displacement in, traction out; solid: the reverse). Every solver output is
-  an :class:`InterfaceField`; only the solid's is held to the interface length
-  (by the coupling map), the flow's has the length its partner loads.
+* Solvers exchange plain read-only float64 vectors on abstract interface
+  degrees of freedom; matching 1:1 discretizations only, no mapping. The
+  solver's :class:`~fsilab.subproblem.SolverId` says what a vector holds
+  (flow: displacement in, traction out; solid: the reverse). Each check has
+  one home: :func:`~fsilab.subproblem.call_solver` holds every solver output
+  to a finite 1-D float64 array and makes it read-only; the coupling map
+  tests its input with :func:`all_finite`, makes it read-only and holds the
+  solid's output to its length (the flow's has the length its partner
+  loads); each solver's ``load`` checks the shape of what it is given.
 """
 
 from __future__ import annotations
@@ -85,47 +88,12 @@ def require_finite(what: str, values: dict) -> None:
             raise ContractError(f"{what} {name!r} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class InterfaceField:
-    """Real-valued vector on the interface degrees of freedom.
-
-    Values are copied on construction into a non-empty, 1-D, finite, read-only
-    float64 array. Whether a field is a displacement (meters) or a traction
-    (pascals) follows from the solver that outputs it: a flow solver outputs
-    tractions, a solid solver displacements.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).copy()
-        if arr.ndim != 1 or arr.size < 1:
-            raise ContractError("interface field must be a non-empty 1-D vector")
-        if not all_finite(arr):
-            raise ContractError("interface field contains non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray):
-        """A field that takes over a fresh 1-D float64 array, read-only, with no copy."""
-        if not all_finite(values):
-            raise ContractError("interface field contains non-finite entries")
-        values.setflags(write=False)
-        field_ = object.__new__(cls)
-        object.__setattr__(field_, "values", values)
-        return field_
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
-def deviation_from_reference(d: InterfaceField, d_ref: InterfaceField) -> float:
-    """Per-DOF deviation ``||d - d_ref||_2 / sqrt(n)`` between two displacement fields."""
-    if d.size != d_ref.size:
-        raise ContractError(f"field length mismatch: {d.size} vs {d_ref.size}")
-    return float(np.linalg.norm(d.values - d_ref.values) / math.sqrt(d.size))
+def deviation_from_reference(d: np.ndarray, d_ref: np.ndarray) -> float:
+    """Per-DOF deviation ``||d - d_ref||_2 / sqrt(n)`` between two displacement vectors."""
+    if d.ndim != 1 or not d.size or d.shape != d_ref.shape:
+        raise ContractError(f"deviation needs two non-empty 1-D vectors of one shape, "
+                            f"got {d.shape} and {d_ref.shape}")
+    return float(np.linalg.norm(d - d_ref) / math.sqrt(d.size))
 
 
 @dataclass(frozen=True)

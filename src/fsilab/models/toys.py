@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError
-from ..interface import InterfaceField, require_count, require_finite
+from ..interface import require_count, require_finite
 
 
 @dataclass
 class _DenseSolver:
     """A linear toy subproblem ``A u = b0 + B c`` on coupling data ``c``, solved with
-    ``numpy.linalg``; ``A`` is its own Newton tangent. The output field is ``u``
-    itself.
+    ``numpy.linalg``; ``A`` is its own Newton tangent. The output is the final
+    state ``u`` itself.
     """
 
     A: np.ndarray
@@ -32,11 +32,12 @@ class _DenseSolver:
     def dim(self) -> int:
         return self.b0.size
 
-    def load(self, coupling: InterfaceField) -> tuple:
+    def load(self, coupling: np.ndarray) -> tuple:
         A, B = self.A, self.B
-        if coupling.size != B.shape[1]:
-            raise ContractError(f"coupling field length {coupling.size} != {B.shape[1]}")
-        b = self.b0 + B @ coupling.values
+        n = B.shape[1]
+        if coupling.shape != (n,):
+            raise ContractError(f"coupling data has shape {coupling.shape}, expected ({n},)")
+        b = self.b0 + B @ coupling
 
         def residual(u):
             return b - A @ u
@@ -46,8 +47,8 @@ class _DenseSolver:
 
         return b, residual, solve
 
-    def output(self, u: np.ndarray) -> InterfaceField:
-        return InterfaceField(u)
+    def output(self, u: np.ndarray) -> np.ndarray:
+        return u
 
 
 def _tridiag(n: int, off: float, diag: float) -> np.ndarray:
@@ -125,8 +126,8 @@ class LinearToyModel:
         """(u_f, u_s) from one dense solve of the coupled system."""
         return self._monolithic[: self.dim_f].copy(), self._monolithic[self.dim_f :].copy()
 
-    def interface_solution(self) -> InterfaceField:
-        return InterfaceField(self._monolithic[self.dim_f :])
+    def interface_solution(self) -> np.ndarray:
+        return self._monolithic[self.dim_f :].copy()
 
     # engine protocol ------------------------------------------------------
 

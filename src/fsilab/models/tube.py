@@ -47,8 +47,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import ContractError, GeometryError
-from ..interface import (InterfaceField, require_count, require_finite, require_member,
-                         require_positive)
+from ..interface import require_count, require_finite, require_member, require_positive
 from ..subproblem import DriverKind
 
 
@@ -231,15 +230,14 @@ class TubeFlowSolver:
         self._p_in = params.inlet_pressure(state.step + 1)
         self._a_old = state.area.copy()
 
-    def load(self, displacement: InterfaceField) -> tuple:
+    def load(self, displacement: np.ndarray) -> tuple:
         params = self.params
-        if displacement.size != params.n_nodes:
+        if displacement.shape != (params.n_nodes,):
             raise ContractError(
-                f"displacement field length {displacement.size} != nodes {params.n_nodes}"
-            )
+                f"displacement has shape {displacement.shape}, expected ({params.n_nodes},)")
         n = params.cells
         dx, dt, rho = params.dx, params.dt, params.rho_f
-        a = areas_from_displacement(params, displacement.values)
+        a = areas_from_displacement(params, displacement)
         a_face = _face_average(a)
         g = a_face / (rho * dx)  # pressure-gradient weights; the half-cell end rows double
         g[0] *= 2.0
@@ -310,20 +308,20 @@ class TubeFlowSolver:
 
         return b, residual, newton if self._flow_scheme is DriverKind.NEWTON else picard
 
-    def output(self, u: np.ndarray) -> InterfaceField:
+    def output(self, u: np.ndarray) -> np.ndarray:
         n = self.params.cells
         p = u[n + 1 :]
         traction = np.empty(self.params.n_nodes)
         traction[0] = self._p_in
         traction[1:n] = 0.5 * (p[:-1] + p[1:])
         traction[n] = self.params.outlet_pressure
-        return InterfaceField._adopt(traction)
+        return traction
 
 
 class TubeSolidSolver:
     """The solid subproblem (independent clamped rings) of one time step.
 
-    The output field takes over the solver's final state array.
+    The output is the solver's final state array itself.
     """
 
     def __init__(self, params: Tube1DParams, state: TubeState):
@@ -333,12 +331,12 @@ class TubeSolidSolver:
         self._base = np.full(params.n_nodes, ms_dt2 + params.ring_stiffness)  # linear diagonal
         self._inertia = ms_dt2 * (state.wall_disp[1:-1] + params.dt * state.wall_vel[1:-1])
 
-    def load(self, traction: InterfaceField) -> tuple:
+    def load(self, traction: np.ndarray) -> tuple:
         m = self.dim
-        if traction.size != m:
-            raise ContractError(f"traction field length {traction.size} != nodes {m}")
+        if traction.shape != (m,):
+            raise ContractError(f"traction has shape {traction.shape}, expected ({m},)")
         b = np.zeros(m)
-        b[1:-1] = traction.values[1:-1] + self._inertia
+        b[1:-1] = traction[1:-1] + self._inertia
         base, kappa3 = self._base, self.params.kappa3
         tangent3 = 3.0 * kappa3  # the cubic term's slope factor, 3 kappa3 u^2
         u_sq = None  # the squared interior displacements of the last residual
@@ -359,8 +357,8 @@ class TubeSolidSolver:
 
         return b, residual, solve
 
-    def output(self, u: np.ndarray) -> InterfaceField:
-        return InterfaceField._adopt(u)
+    def output(self, u: np.ndarray) -> np.ndarray:
+        return u
 
 
 class Tube1DModel:

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ContractError, DivergenceError, LinearSolveError
 from .interface import (
     Cap,
-    InterfaceField,
     SolverCallReport,
     UNBOUNDED,
     all_finite,
@@ -59,28 +58,30 @@ class SolverId(Enum):
 class Solver(Protocol):
     """One subproblem of one time step, ``A(u) u = b``, seen as a black box.
 
-    ``load(coupling)`` poses one solver call on the coupling data (an
-    :class:`InterfaceField`) and returns ``(b, residual, solve)``: the call's
-    right-hand side, ``residual(u) = b - A(u) u``, and ``solve(u, r)``, the
-    correction ``M(u)^-1 r``. ``M`` is the solver's own choice, e.g. the
-    tangent ``K(u) = A(u) + (dA/du) u`` (Newton) or ``A(u)`` (Picard).
+    ``load(coupling)`` poses one solver call on the coupling data, a read-only
+    float64 vector whose shape it checks, and returns ``(b, residual, solve)``:
+    the call's right-hand side, ``residual(u) = b - A(u) u``, and ``solve(u,
+    r)``, the correction ``M(u)^-1 r``. ``M`` is the solver's own choice, e.g.
+    the tangent ``K(u) = A(u) + (dA/du) u`` (Newton) or ``A(u)`` (Picard).
     The driver calls ``solve`` with the iterate whose residual it has just
     evaluated, so ``solve`` may reuse what ``residual`` built there; it raises
     :class:`numpy.linalg.LinAlgError` when ``M`` is singular. ``output(u)``
-    maps the final state to the interface field this solver feeds its partner.
+    maps the final state to the vector this solver feeds its partner; it may
+    be ``u`` itself, which the driver never writes.
 
     The :class:`SolverId` it is called under fixes the wiring: a flow solver
     loads a displacement and outputs a traction, a solid solver loads a
-    traction and outputs a displacement. ``output`` must return an
-    :class:`InterfaceField`. Only the solid's output is held to the interface
-    length, by the coupling map; the flow's has the length its partner loads.
+    traction and outputs a displacement. :func:`call_solver` holds ``output``
+    to a finite 1-D float64 array and makes it read-only. Only the solid's
+    output is held to the interface length, by the coupling map; the flow's
+    has the length its partner loads.
     """
 
     dim: int
 
-    def load(self, coupling: InterfaceField) -> tuple: ...
+    def load(self, coupling: np.ndarray) -> tuple: ...
 
-    def output(self, u: np.ndarray) -> InterfaceField: ...
+    def output(self, u: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass
@@ -88,11 +89,12 @@ class SolverCallInput:
     """Arguments of one black-box solver call.
 
     ``u0`` is the interior state carried over from this solver's previous call;
-    the driver leaves it untouched and returns the new state.
+    the driver leaves it untouched and returns the new state. ``coupling_data``
+    is the partner's read-only float64 vector, which the solver's ``load`` checks.
     """
 
     u0: np.ndarray
-    coupling_data: InterfaceField
+    coupling_data: np.ndarray
     eps: float
     n_max: Cap = UNBOUNDED
 
@@ -170,14 +172,18 @@ def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
     """Run one black-box solver call.
 
     Runs :func:`drive` and maps the final state to the interface output
-    (traction for the flow solver, displacement for the solid solver).
-    Returns ``(output_field, report, final_u)``; ``final_u`` seeds the next
-    call. The driver's errors, and a :class:`GeometryError` from loading the
-    coupling data, pass through unchanged: the coupling loop times and counts
-    every call, and names the solver of a failed one.
+    (traction for the flow solver, displacement for the solid solver), the one
+    place a black box's output enters: it must be a finite 1-D float64 array,
+    which is made read-only here. Returns ``(output, report, final_u)``;
+    ``final_u`` seeds the next call. The driver's errors, and a
+    :class:`GeometryError` from loading the coupling data, pass through
+    unchanged: the coupling loop times and counts every call, and names the
+    solver of a failed one.
     """
     u, history = drive(solver, inp)
     output = solver.output(u)
-    if not isinstance(output, InterfaceField):
-        raise ContractError(f"{solver_id.value} solver must output an InterfaceField")
+    if (not isinstance(output, np.ndarray) or output.ndim != 1 or output.dtype != np.float64
+            or not all_finite(output)):
+        raise ContractError(f"{solver_id.value} solver must output a finite 1-D float64 array")
+    output.setflags(write=False)
     return output, SolverCallReport(tuple(history), inp.eps), u

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from fsilab import DriverKind, InterfaceField, drive
+from fsilab import DriverKind, drive
 from fsilab.errors import (
     ContractError,
     LinearSolveError,
@@ -120,9 +120,9 @@ class ReferenceSpec:
     linear operator (``M @ u`` and ``M.solve(r)``, the latter raising
     ``numpy.linalg.LinAlgError`` when ``M`` is singular) or a dense ndarray,
     which the driver wraps in a :class:`ReferenceDenseOperator`. ``assemble_rhs`` maps
-    the coupling input (an :class:`InterfaceField`) to the right-hand side; it
+    the coupling input (a float64 vector) to the right-hand side; it
     is evaluated exactly once per solver call. ``extract_output`` maps the
-    converged interior state to the interface field this solver feeds back to
+    converged interior state to the vector this solver feeds back to
     its partner.
     """
 
@@ -204,11 +204,11 @@ def reference_flow_system(params, state, displacement, driver, momentum_old, p_i
         )
     n = params.cells
     dx, dt, rho = params.dx, params.dt, params.rho_f
-    a = areas_from_displacement(params, displacement.values)
+    a = areas_from_displacement(params, displacement)
     a_face = _face_average(a)
     a_old = state.area
     p_out = params.outlet_pressure
-    frozen = displacement.values
+    frozen = displacement
 
     dim = 2 * n + 1
 
@@ -268,10 +268,10 @@ def reference_flow_system(params, state, displacement, driver, momentum_old, p_i
         diag[n] += a_face[n] * v[n] / dx
         return ReferenceFlowOperator(lo - w, diag, up + w, g, d, ell, z)
 
-    def assemble_rhs(coupling: InterfaceField) -> np.ndarray:
+    def assemble_rhs(coupling: np.ndarray) -> np.ndarray:
         if coupling.size != params.n_nodes:
             raise ContractError("coupling data length mismatch")
-        if coupling.values is not frozen and not np.array_equal(coupling.values, frozen):
+        if coupling is not frozen and not np.array_equal(coupling, frozen):
             raise ContractError("coupling data differs from the field this system was built for")
         b = np.zeros(dim)
         b[: n + 1] = momentum_old
@@ -280,13 +280,13 @@ def reference_flow_system(params, state, displacement, driver, momentum_old, p_i
         b[n + 1 :] = -(a - a_old) / dt
         return b
 
-    def extract_output(u: np.ndarray) -> InterfaceField:
+    def extract_output(u: np.ndarray) -> np.ndarray:
         p = u[n + 1 :]
         traction = np.empty(params.n_nodes)
         traction[0] = p_in
         traction[1:n] = 0.5 * (p[:-1] + p[1:])
         traction[n] = p_out
-        return InterfaceField._adopt(traction)
+        return traction
 
     return ReferenceSpec(
         dim=dim,
@@ -312,11 +312,11 @@ def reference_solid_system(params, traction, base, inertia) -> ReferenceSpec:
         diag[1:-1] += kappa3 * u[1:-1] ** 2
         return ReferenceDiagonalOperator(diag)
 
-    def assemble_rhs(coupling: InterfaceField) -> np.ndarray:
+    def assemble_rhs(coupling: np.ndarray) -> np.ndarray:
         if coupling.size != m:
             raise ContractError("coupling data length mismatch")
         b = np.zeros(m)
-        b[1:-1] = coupling.values[1:-1]
+        b[1:-1] = coupling[1:-1]
         b[1:-1] += inertia
         return b
 
@@ -331,7 +331,7 @@ def reference_solid_system(params, traction, base, inertia) -> ReferenceSpec:
         assemble_rhs=assemble_rhs,
         tangent=tangent,
         driver=DriverKind.NEWTON,
-        extract_output=lambda u: InterfaceField._adopt(u),
+        extract_output=lambda u: u,
         label="tube solid",
     )
 
@@ -340,7 +340,7 @@ class SpecSolver(ReferenceSpec):
     """A spec behind the solver protocol: ``residual`` assembles ``A(u)``, and
     ``solve`` takes ``K(u)`` under Newton or that same ``A(u)`` under Picard."""
 
-    def load(self, coupling: InterfaceField) -> tuple:
+    def load(self, coupling: np.ndarray) -> tuple:
         b = np.asarray(self.assemble_rhs(coupling), dtype=float)
         newton = self.driver is DriverKind.NEWTON
         a = None
@@ -355,7 +355,7 @@ class SpecSolver(ReferenceSpec):
 
         return b, residual, solve
 
-    def output(self, u: np.ndarray) -> InterfaceField:
+    def output(self, u: np.ndarray) -> np.ndarray:
         return self.extract_output(u)
 
 

@@ -15,7 +15,6 @@ from fsilab import (
     AccelKind,
     CouplingConfig,
     CriterionKind,
-    InterfaceField,
     deviation_from_reference,
     run_simulation,
 )
@@ -47,7 +46,7 @@ def report_line(criterion, ok, detail=""):
 
 def max_step_deviation(run_a, run_b):
     return max(
-        deviation_from_reference(InterfaceField(a), InterfaceField(b))
+        deviation_from_reference(a, b)
         for a, b in zip(run_a.snapshots, run_b.snapshots)
     )
 
@@ -116,7 +115,7 @@ def test_criterion_4_linear_toy_oracle_equivalence():
         config = CouplingConfig(eps_f=1e-13, eps_s=1e-13, omega0=omega0, accel=accel)
         record = run_simulation(toy, config)
         dev = deviation_from_reference(
-            InterfaceField(record.snapshots[-1]),
+            record.snapshots[-1],
             toy.interface_solution())
         worst_dev = max(worst_dev, dev)
 
@@ -203,7 +202,7 @@ def test_criterion_7_invariant_suite(tmp_path, tube_cap_sweep, tube_reference_ru
         driver=DriverKind.PICARD,
     )
     _, rep = run(spec, SolverCallInput(
-        np.zeros(1), InterfaceField(np.zeros(1)), eps=1e-9))
+        np.zeros(1), np.zeros(1), eps=1e-9))
     b_frozen = len(calls) == 1 and rep.inner_iters > 1
 
     # mass conservation on converged tube steps (fresh short run to keep states)

@@ -13,7 +13,6 @@ from fsilab import (
     CouplingConfig,
     CriterionKind,
     Event,
-    InterfaceField,
     IqnHistory,
     RunRecord,
     SolverCallInput,
@@ -590,9 +589,9 @@ class TestIqnIlsIsGmresOnTheLinearToy:
             # each residual is the solid's output minus the flow's input
             out = real_call(solver_id, solver, inp)
             if solver_id is SolverId.FLOW:
-                flow_inputs.append(inp.coupling_data.values)
+                flow_inputs.append(inp.coupling_data)
             else:
-                residuals.append(out[0].values - flow_inputs[-1])
+                residuals.append(out[0] - flow_inputs[-1])
             return out
 
         def recording_qr1(v, *args):
@@ -920,8 +919,7 @@ class TestEngineOnTube:
             per_step.append((step, rec.coupling_iters, rec.flow_iters, rec.solid_iters))
             accepted.append(d_acc)
             flow = model.flow_solver(state)
-            _, hist_f = drive(flow, SolverCallInput(u_f, InterfaceField(d_acc), eps=config.eps_f,
-                                                    n_max=1))
+            _, hist_f = drive(flow, SolverCallInput(u_f, d_acc, eps=config.eps_f, n_max=1))
             traction = flow.output(u_f)
             _, hist_s = drive(model.solid_solver(state),
                               SolverCallInput(u_s, traction, eps=config.eps_s, n_max=1))
@@ -1049,7 +1047,7 @@ class TestZeroFirstGuesses:
         (flow_id, u0_f, d0), (solid_id, u0_s, _) = seen[:2]
         assert (flow_id, solid_id) == (SolverId.FLOW, SolverId.SOLID)
         assert np.array_equal(u0_f, np.zeros(3)) and np.array_equal(u0_s, np.zeros(5))
-        assert isinstance(d0, InterfaceField) and np.array_equal(d0.values, np.zeros(5))
+        assert type(d0) is np.ndarray and np.array_equal(d0, np.zeros(5)) and not d0.flags.writeable
 
 
 # row j: the t**j coefficients of the motion of three interface nodes
@@ -1135,7 +1133,7 @@ class _ScriptedSolid:
                 return target, lambda u: target - u, lambda u, r: r
 
             def output(self, u):
-                return InterfaceField(u)
+                return u
 
         return Solid()
 
@@ -1198,9 +1196,9 @@ class _ShiftModel:
 
     def _solver(self, shift):
         return SpecSolver(dim=1, assemble_matrix=lambda u: np.eye(1),
-                          assemble_rhs=lambda c: c.values + shift,
+                          assemble_rhs=lambda c: c + shift,
                           tangent=lambda u: np.eye(1),
-                          extract_output=InterfaceField)
+                          extract_output=lambda u: u)
 
     def flow_solver(self, state):
         return self._solver(0.0)
@@ -1364,7 +1362,7 @@ class TestEngineAccelerationModes:
 class TestNonFiniteUpdate:
     def test_non_finite_displacement_aborts_the_step(self, monkeypatch):
         # one inf in the accelerated displacement aborts the step with the
-        # typed partial records, not with a bare error from InterfaceField
+        # typed partial records, not with a bare ContractError
         import fsilab.coupling as coupling_mod
 
         real_update, real_call = coupling_mod.iqn_ils_update, coupling_mod.call_solver
@@ -1419,8 +1417,9 @@ class TestProbeSeam:
         def counted(*args):
             assert len(args) == 3 and isinstance(args[2], SolverCallInput)
             out = real_call(*args)
-            field, rep, u = out
-            assert isinstance(field, InterfaceField) and field.size == coupled.n_interface
+            output, rep, u = out
+            assert type(output) is np.ndarray and not output.flags.writeable
+            assert output.shape == (coupled.n_interface,)
             assert isinstance(rep, SolverCallReport) and isinstance(u, np.ndarray)
             seen[args[0]].append(rep.inner_iters)
             return out
@@ -1529,7 +1528,7 @@ class _NanFlowResidual:
     def _solver(self, rhs):
         return SpecSolver(dim=2, assemble_matrix=lambda u: np.eye(2),
                           assemble_rhs=lambda c: np.array(rhs), tangent=lambda u: np.eye(2),
-                          extract_output=InterfaceField)
+                          extract_output=lambda u: u)
 
     def flow_solver(self, state):
         return self._solver([math.nan, 1.0])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from fsilab import (
     AccelKind,
     CouplingConfig,
     CriterionKind,
-    InterfaceField,
     SolverCallInput,
     SolverId,
     call_solver,
@@ -16,10 +16,6 @@ from fsilab import (
 )
 from fsilab.errors import ContractError, DivergedStepError
 from fsilab.models import LinearToyModel
-
-
-def final_field(record):
-    return InterfaceField(record.snapshots[-1])
 
 
 class TestLinearToyConstruction:
@@ -55,7 +51,7 @@ class TestLinearToyConstruction:
             rhs = np.concatenate([toy.b_f0, toy.b_s0])
             u = np.concatenate(toy.monolithic_solution())
             assert np.linalg.norm(mono @ u - rhs) <= 1e-12 * np.linalg.norm(rhs)
-            assert np.array_equal(toy.interface_solution().values, u[dim_f:])
+            assert np.array_equal(toy.interface_solution(), u[dim_f:])
 
     def test_invalid_dims(self):
         with pytest.raises(ContractError):
@@ -87,7 +83,7 @@ class TestLinearToyCoupling:
         toy = LinearToyModel.stable()
         cfg = CouplingConfig(eps_f=1e-13, eps_s=1e-13, omega0=1.0, accel=AccelKind.CONSTANT)
         rec = run_simulation(toy, cfg)
-        assert deviation_from_reference(final_field(rec), toy.interface_solution()) < 1e-12
+        assert deviation_from_reference(rec.snapshots[-1], toy.interface_solution()) < 1e-12
 
     def test_unstable_plain_relaxation_diverges(self):
         toy = LinearToyModel.unstable()
@@ -100,23 +96,32 @@ class TestLinearToyCoupling:
         cfg = CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=1.0, accel=AccelKind.CONSTANT)
         from fsilab.coupling import IqnHistory
 
-        d_k = InterfaceField(np.zeros(toy.dim_s))
+        d_k = np.zeros(toy.dim_s)
         u_f, u_s = np.zeros(toy.dim_f), np.zeros(toy.dim_s)
         flow, solid = toy.flow_solver(0), toy.solid_solver(0)  # one time step
         norms = []
         for _ in range(4):
             tr, _, u_f = call_solver(SolverId.FLOW, flow, SolverCallInput(u_f, d_k, eps=1e-12))
             dt, _, u_s = call_solver(SolverId.SOLID, solid, SolverCallInput(u_s, tr, eps=1e-12))
-            r = dt.values - d_k.values
+            r = dt - d_k
             norms.append(float(np.linalg.norm(r)))
-            d_k = InterfaceField(d_k.values + r)
+            d_k = d_k + r
         assert norms[1] < norms[2] < norms[3]
+
+    def test_load_rejects_coupling_data_of_another_shape(self):
+        # an (n, 1) array has the right size but would broadcast into b
+        toy = LinearToyModel(dim_f=3, dim_s=5)
+        for solver, n in ((toy.flow_solver(0), 5), (toy.solid_solver(0), 3)):
+            for shape in ((n - 1,), (n, 1)):
+                with pytest.raises(ContractError, match=f"^coupling data has shape "
+                                   f"{re.escape(str(shape))}, expected \\({n},\\)$"):
+                    solver.load(np.zeros(shape))
 
     def test_unstable_iqn_converges(self):
         toy = LinearToyModel.unstable()
         cfg = CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.1, accel=AccelKind.IQN_ILS)
         rec = run_simulation(toy, cfg)
-        assert deviation_from_reference(final_field(rec), toy.interface_solution()) < 1e-9
+        assert deviation_from_reference(rec.snapshots[-1], toy.interface_solution()) < 1e-9
 
 
 @pytest.mark.parametrize("build", [LinearToyModel, LinearToyModel.stable],
@@ -144,4 +149,4 @@ class TestLinearToyIqnCount:
                              criterion=CriterionKind.FIXED_POINT_NORM, eps_c=1e-9)
         rec = run_simulation(toy, cfg)
         assert rec.counters.coupling_total <= dim + 2
-        assert deviation_from_reference(final_field(rec), toy.interface_solution()) < 1e-9
+        assert deviation_from_reference(rec.snapshots[-1], toy.interface_solution()) < 1e-9

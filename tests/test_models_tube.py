@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from fsilab import (
     AccelKind,
     CouplingConfig,
     DriverKind,
-    InterfaceField,
     SolverCallInput,
     drive,
     run_simulation,
@@ -41,7 +41,7 @@ def params():
 
 
 def zero_disp(params):
-    return InterfaceField(np.zeros(params.n_nodes))
+    return np.zeros(params.n_nodes)
 
 
 def flow_u0(params):
@@ -53,7 +53,7 @@ def dense_flow_reference(params, displacement):
     the banded residual and :func:`~fsilab.models.tube._flow_solve`."""
     n = params.cells
     dx, dt, rho = params.dx, params.dt, params.rho_f
-    a = areas_from_displacement(params, displacement.values)
+    a = areas_from_displacement(params, displacement)
     a_face = _face_average(a)
     dim = 2 * n + 1
     faces = np.arange(n + 1)
@@ -119,7 +119,7 @@ def reference_flow_operators(params, displacement):
     the per-spec band precomputations, kept verbatim as the bitwise oracle."""
     n = params.cells
     dx, dt, rho = params.dx, params.dt, params.rho_f
-    a = areas_from_displacement(params, displacement.values)
+    a = areas_from_displacement(params, displacement)
     a_face = _face_average(a)
     g = a_face / (rho * dx)
     g[[0, n]] *= 2.0
@@ -280,8 +280,8 @@ class TestFlowSystem:
         u, _ = run(flow, SolverCallInput(flow_u0(p), d, eps=1e-9))
         traction = flow.output(u)
         assert traction.size == p.n_nodes
-        assert traction.values[0] == 1333.2
-        assert traction.values[-1] == 0.0
+        assert traction[0] == 1333.2
+        assert traction[-1] == 0.0
 
     def test_startup_from_rest_matches_analytic_solution(self, params):
         # frozen uniform area, v_old = 0: v is uniform dt*(dp/dx)/rho and the
@@ -328,7 +328,7 @@ class TestFlowSystem:
     def test_banded_operators_match_dense_reference(self, cells, seed, v_scale, disp_scale):
         p = Tube1DParams(cells=cells, steps=1)
         rng = np.random.default_rng(seed)
-        d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes))
+        d = disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes)
         # velocities of both signs exercise both upwind branches
         u = np.concatenate([v_scale * rng.uniform(-1.0, 1.0, cells + 1),
                             1000.0 * rng.standard_normal(cells)])
@@ -347,7 +347,7 @@ class TestFlowSystem:
                                                   signs):
         p = Tube1DParams(cells=cells, steps=1)
         rng = np.random.default_rng(seed)
-        d = InterfaceField(disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes))
+        d = disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes)
         v = v_scale * rng.uniform({"mixed": -1.0, "forward": 0.0, "backward": -1.0}[signs],
                                   {"mixed": 1.0, "forward": 1.0, "backward": 0.0}[signs],
                                   cells + 1)
@@ -386,7 +386,7 @@ class TestFlowSystem:
         rng = np.random.default_rng(11)
         state = initial_tube_state(p)
         state.velocity[:] = 0.1 * rng.standard_normal(n + 1)
-        d = InterfaceField(1e-4 * rng.uniform(-1.0, 1.0, p.n_nodes))
+        d = 1e-4 * rng.uniform(-1.0, 1.0, p.n_nodes)
         _, residual, solve = TubeFlowSolver(p, state).load(d)
         _, fresh_residual, fresh_solve = TubeFlowSolver(p, state).load(d)
         u = np.concatenate([0.1 * rng.uniform(-1.0, 1.0, n + 1),
@@ -408,13 +408,16 @@ class TestFlowSystem:
 
     def test_wrong_displacement_rejected(self, params):
         flow = TubeFlowSolver(params, initial_tube_state(params))
-        with pytest.raises(ContractError):
-            flow.load(InterfaceField(np.zeros(3)))
+        # an (n, 1) array has the right size but would broadcast
+        for shape in ((3,), (params.n_nodes, 1)):
+            with pytest.raises(ContractError,
+                               match=f"^displacement has shape {re.escape(str(shape))},"):
+                flow.load(np.zeros(shape))
 
 
 class TestSolidSystem:
     def uniform_traction(self, params, value):
-        return InterfaceField(np.full(params.n_nodes, value))
+        return np.full(params.n_nodes, value)
 
     def test_zero_load_zero_displacement(self, params):
         state = initial_tube_state(params)
@@ -461,7 +464,7 @@ class TestSolidSystem:
     def test_first_loaded_call_needs_three_newton_iterations(self):
         p_ = Tube1DParams()  # shipped calibration
         state = initial_tube_state(p_)
-        tr = InterfaceField(np.linspace(1333.2, 0.0, p_.n_nodes))
+        tr = np.linspace(1333.2, 0.0, p_.n_nodes)
         _, rep = run(TubeSolidSolver(p_, state),
                      SolverCallInput(np.zeros(p_.n_nodes), tr, eps=CouplingConfig().eps_s))
         assert 2 <= rep.inner_iters <= 4
@@ -495,8 +498,11 @@ class TestSolidSystem:
 
     def test_wrong_traction_rejected(self, params):
         solid = TubeSolidSolver(params, initial_tube_state(params))
-        with pytest.raises(ContractError):
-            solid.load(InterfaceField(np.zeros(3)))
+        # an (n, 1) array has the right size but would broadcast
+        for shape in ((3,), (params.n_nodes, 1)):
+            with pytest.raises(ContractError,
+                               match=f"^traction has shape {re.escape(str(shape))},"):
+                solid.load(np.zeros(shape))
 
 
 def _random_state(params, rng, step):
@@ -519,7 +525,7 @@ def _solver_bytes(flow, solid, d, tr, rng) -> list:
     for solver, coupling, u in ((flow, d, u_f), (solid, tr, u_s)):
         b, residual, solve = solver.load(coupling)
         r = residual(u)
-        out += [b, r, solve(u, r), solver.output(u.copy()).values]
+        out += [b, r, solve(u, r), solver.output(u.copy())]
     return [a.tobytes() for a in out]
 
 
@@ -533,8 +539,8 @@ class TestModelStepTerms:
         model = Tube1DModel(params)
         a_state, b_state = _random_state(params, rng, 0), _random_state(params, rng, 7)
         edited = _random_state(params, rng, 3)
-        d = InterfaceField(1e-5 * rng.uniform(-1.0, 1.0, params.n_nodes))
-        tr = InterfaceField(1e3 * rng.standard_normal(params.n_nodes))
+        d = 1e-5 * rng.uniform(-1.0, 1.0, params.n_nodes)
+        tr = 1e3 * rng.standard_normal(params.n_nodes)
 
         def edit(name, index, delta):
             def apply(state):
@@ -595,7 +601,7 @@ class TestSolversAreBitwiseTheSpecPath:
         config = CouplingConfig()
         params, cases = mid_run_cases
         for state, snapshot, u_f, u_s in cases:
-            d = InterfaceField(snapshot)
+            d = snapshot
             terms = reference_step_terms(params, state)
             flow = TubeFlowSolver(params, state, driver)
             solid = TubeSolidSolver(params, state)

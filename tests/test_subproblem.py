@@ -6,7 +6,6 @@ import pytest
 from fsilab import (
     CouplingConfig,
     DriverKind,
-    InterfaceField,
     SolverCallInput,
     SolverId,
     call_solver,
@@ -25,7 +24,7 @@ from fsilab.models.tube import Tube1DParams
 from fsilab.subproblem import _guards
 from reference_specs import ReferenceDiagonalOperator, ReferenceFlowOperator, SpecSolver, run
 
-DUMMY = InterfaceField(np.zeros(1))
+DUMMY = np.zeros(1)
 
 
 def scalar_quadratic():
@@ -303,7 +302,7 @@ class TestReplayProperty:
         # be np.linalg.norm's, bit for bit
         model = Tube1DModel(Tube1DParams(cells=30, steps=1), flow_scheme=driver)
         flow = model.flow_solver(model.initial_state())
-        d = InterfaceField(np.linspace(0.0, 2e-5, model.n_interface))
+        d = np.linspace(0.0, 2e-5, model.n_interface)
         residuals = []
         load = flow.load
 
@@ -392,39 +391,47 @@ class TestIterationBounds:
 class TestCallSolver:
     def test_flow_call_matches_direct_solve(self):
         toy = LinearToyModel.stable()
-        d = InterfaceField(np.zeros(toy.dim_s))
+        d = np.zeros(toy.dim_s)
         flow = toy.flow_solver(0)
         out, rep, u = call_solver(SolverId.FLOW, flow,
                                   SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13))
-        direct = np.linalg.solve(toy.A_f, toy.b_f0 + toy.B_f @ d.values)
-        assert np.allclose(out.values, direct, atol=1e-12)
-        assert isinstance(out, InterfaceField) and out.size == toy.dim_f
-        assert np.array_equal(u, out.values)
+        direct = np.linalg.solve(toy.A_f, toy.b_f0 + toy.B_f @ d)
+        assert np.allclose(out, direct, atol=1e-12)
+        # the toy's output is its final state, read-only from here on
+        assert out is u and out.shape == (toy.dim_f,) and not out.flags.writeable
 
     def test_capped_call_returns_capped_iterate(self):
         toy = LinearToyModel.stable()
-        d = InterfaceField(np.zeros(toy.dim_s))
+        d = np.zeros(toy.dim_s)
         flow = toy.flow_solver(0)
         out, rep, _ = call_solver(SolverId.FLOW, flow,
                                   SolverCallInput(np.zeros(toy.dim_f), d, eps=1e-13, n_max=1))
         assert rep.inner_iters == 1
         # the only recorded residual is the one before the single update
         assert rep.residual_history[-1] >= 1e-13
-        direct = np.linalg.solve(toy.A_f, toy.b_f0 + toy.B_f @ d.values)
-        assert np.allclose(out.values, direct, atol=1e-12)
+        direct = np.linalg.solve(toy.A_f, toy.b_f0 + toy.B_f @ d)
+        assert np.allclose(out, direct, atol=1e-12)
 
     @pytest.mark.parametrize("solver_id", list(SolverId), ids=lambda s: s.value)
-    def test_bare_array_output_rejected(self, solver_id):
-        spec = SpecSolver(
-            dim=1,
-            assemble_matrix=lambda u: np.array([[1.0]]),
-            assemble_rhs=lambda c: np.array([1.0]),
-            tangent=lambda u: np.array([[1.0]]),
-            extract_output=lambda u: u,
-        )
-        with pytest.raises(ContractError,
-                           match=f"^{solver_id.value} solver must output an InterfaceField$"):
-            call_solver(solver_id, spec, call_input([0.0]))
+    def test_output_must_be_a_finite_float64_vector(self, solver_id):
+        # call_solver is where a black box's output enters: anything but a
+        # finite 1-D float64 array is refused, and what it accepts is read-only
+        def unit_spec(extract_output):
+            return SpecSolver(
+                dim=1,
+                assemble_matrix=lambda u: np.array([[1.0]]),
+                assemble_rhs=lambda c: np.array([1.0]),
+                tangent=lambda u: np.array([[1.0]]),
+                extract_output=extract_output,
+            )
+
+        for bad in ([1.0], np.ones((1, 1)), np.ones(1, dtype=int), np.ones(1, dtype=np.float32),
+                    np.array([1.0, np.nan]), np.array([np.inf, 1.0]), np.array([-np.inf])):
+            with pytest.raises(ContractError, match=f"^{solver_id.value} solver must output "
+                                                    "a finite 1-D float64 array$"):
+                call_solver(solver_id, unit_spec(lambda u: bad), call_input([0.0]))
+        out, _, u = call_solver(solver_id, unit_spec(lambda u: 2.0 * u), call_input([0.0]))
+        assert out.tolist() == [2.0] and not out.flags.writeable and u.flags.writeable
 
     def test_errors_annotated_with_solver(self):
         # call_solver passes the driver's error on as it is; the coupling loop,
@@ -434,7 +441,7 @@ class TestCallSolver:
             assemble_matrix=lambda u: np.array([[1.0]]),
             assemble_rhs=lambda c: np.array([1.0]),
             tangent=lambda u: np.array([[0.0]]),
-            extract_output=lambda u: InterfaceField(u),
+            extract_output=lambda u: u,
         )
         with pytest.raises(LinearSolveError,
                            match="^singular linear solve at inner iteration 1$") as err:
