@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_r_raw, solve1
 
 from .errors import (
     AllColumnsFilteredError,
@@ -88,7 +89,9 @@ class IqnHistory:
     computed once at its append. An append writes its column left of the
     window and drops the oldest from a full one; at the left edge the window
     first moves to the right half, in one copy. ``V``, ``W`` and the norms
-    thus move, truncate and clear together.
+    thus move, truncate and clear together. A count of the nonzero entries
+    in each row of ``V`` follows every append, drop, eviction and clear, so
+    :meth:`rows` finds the rows the update factors without a pass over ``V``.
     """
 
     def __init__(self, q: int):
@@ -97,6 +100,7 @@ class IqnHistory:
         self._ages: list = []  # age of each stored column, newest first
         self._buf = np.empty((1, 0))  # [V; W; norms] of no column, with n = 0
         self._start = 0  # buffer column of the newest stored column
+        self._nnz = np.zeros(0, dtype=np.intp)  # nonzero entries in each row of V
 
     def append(self, residual_diff: np.ndarray, output_diff: np.ndarray, age: int) -> None:
         dr = np.asarray(residual_diff, dtype=float)
@@ -115,7 +119,11 @@ class IqnHistory:
         if self._buf.shape != (2 * n + 1, 2 * m):
             self._buf = np.empty((2 * n + 1, 2 * m))
             self._start = 2 * m
+            self._nnz = np.zeros(n, dtype=np.intp)
         k = min(len(self._ages), m - 1)  # columns that stay
+        if k < len(self._ages):  # a full window drops its oldest column
+            self._nnz -= self._buf[:n, self._start + k] != 0.0
+        self._nnz += dr != 0.0
         if self._start == 0:  # no room on the left: the staying columns move right
             self._buf[:, m : m + k] = self._buf[:, :k]
             self._start = m
@@ -126,11 +134,14 @@ class IqnHistory:
         self._ages = [age] + self._ages[:k]
 
     def start_step(self, step: int) -> None:
+        n = self._nnz.size
         while self._ages and self._ages[-1] < step - self.q:
             self._ages.pop()
+            self._nnz -= self._buf[:n, self._start + len(self._ages)] != 0.0
 
     def clear(self) -> None:
         self._ages = []
+        self._nnz[:] = 0
 
     @property
     def is_empty(self) -> bool:
@@ -146,8 +157,20 @@ class IqnHistory:
         """The norms of ``V``'s columns as a view of the buffer, valid until the next append."""
         return self._buf[-1, self._start : self._start + len(self._ages)]
 
+    def rows(self):
+        """The rows where some column of ``V`` is nonzero, a slice when they are one block."""
+        return _row_block(self._nnz.nonzero()[0])
 
-def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarray):
+
+def _row_block(rows: np.ndarray):
+    """Increasing row indices ``rows``, as a slice when they are one block (on
+    the tube, all but the clamped ends): a view instead of a gathered copy."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarray, rows):
     """The filter of :func:`qr_filter` and the least-squares fit on the columns it keeps.
 
     Returns ``(keep, alpha)``: ``keep`` is an index array, and ``alpha``
@@ -157,14 +180,22 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
     ``V_cand`` alone, whatever ``rhs`` is, and the last column holds ``Q^T
     rhs``: ``alpha`` is one triangular solve away, with no Q formed. R is
     read off LAPACK's raw layout here alone, for any number of kept columns.
-    Dropping the rows that are zero in every column of V leaves ``alpha``
-    exact: there ``rhs`` only adds a constant to the squared residual. The
-    caller checks ``eps_fil`` and passes the column norms of V, squares summed
-    down each column in order, as :class:`IqnHistory` stores them.
+    Only ``rows``, the rows of V that are nonzero in some column (a slice or
+    an index array), enter: elsewhere ``rhs`` only adds a constant to the
+    squared residual, so ``alpha`` stays exact. The caller checks
+    ``eps_fil`` and passes the column norms of V, squares summed down each
+    column in order, as :class:`IqnHistory` stores them.
+
+    The factorisation and the solve call the gufuncs that numpy.linalg's
+    ``qr`` (raw mode) and ``solve`` wrap, geqrf and gesv, on the same
+    float64 inputs and so with the same bits: inside a coupling iteration
+    the wrappers' dispatch, copy and ``errstate`` cost more than the
+    factorisation. Both run under the caller's numpy errstate, and neither
+    can fail here: geqrf fails only on an invalid argument, and gesv only
+    on an exactly zero pivot, while R is triangular and every kept column
+    has ``|R_jj| >= eps_fil * ||v_j|| > 0``. A non-finite ``alpha`` ends
+    the step through the coupling map's check of the next displacement.
     """
-    rows = v_matrix.any(axis=1).nonzero()[0]
-    if rows.size and rows[-1] - rows[0] == rows.size - 1:  # one block, e.g. all but clamped ends
-        rows = slice(rows[0], rows[-1] + 1)  # a view instead of a gathered copy
     v_matrix = v_matrix[rows]
     cand = norms.nonzero()[0]
     n_rows, n_cols = v_matrix.shape
@@ -172,23 +203,17 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
         a = np.empty((n_rows, cand.size + 1))
         a[:, : cand.size] = v_matrix if cand.size == n_cols else v_matrix[:, cand]
         a[:, -1] = rhs[rows]
-        # mode="raw" returns the geqrf output transposed: R is the upper
-        # triangle of h.T
-        h = np.linalg.qr(a, mode="raw")[0]
+        qr_r_raw(a, signature="d->d")  # geqrf in place: R is the upper triangle of a
         n_keep = min(cand.size, n_rows)
-        r_diag = np.abs(h.diagonal()[:n_keep])
+        r_diag = np.abs(a.diagonal()[:n_keep])
         kept_norms = norms[:n_keep] if cand.size == n_cols else norms[cand[:n_keep]]
         failed = r_diag < eps_fil * kept_norms
         first = failed.argmax()  # the first that failed, if any
         if failed[first]:
             cand = np.delete(cand, first)
             continue
-        r_tri = np.where(_upper_mask(n_keep), h[:n_keep, :n_keep].T, 0.0)  # np.triu
-        try:
-            alpha = np.linalg.solve(r_tri, h[-1, :n_keep])
-        except np.linalg.LinAlgError as exc:
-            raise AllColumnsFilteredError("retained columns are numerically singular") from exc
-        return cand[:n_keep], alpha
+        r_tri = np.where(_upper_mask(n_keep), a[:n_keep, :n_keep], 0.0)  # np.triu
+        return cand[:n_keep], solve1(r_tri, a[:n_keep, -1], signature="dd->d")
     return cand, None
 
 
@@ -215,7 +240,8 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     require_positive(eps_fil, "eps_fil")
     v = np.asarray(v_matrix, dtype=float)
     norms = np.sqrt(np.add.accumulate(v * v)[-1]) if v.shape[0] else np.zeros(v.shape[1])
-    return _qr1(v, eps_fil, np.zeros(v.shape[0]), norms)[0].tolist()
+    rows = _row_block(v.any(axis=1).nonzero()[0])
+    return _qr1(v, eps_fil, np.zeros(v.shape[0]), norms, rows)[0].tolist()
 
 
 def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
@@ -237,7 +263,7 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     v, w = hist.matrices()
     if v.shape[0] != r.size:
         raise ContractError("history column length does not match residual length")
-    keep, alpha = _qr1(v, eps_fil, -r, hist.norms())
+    keep, alpha = _qr1(v, eps_fil, -r, hist.norms(), hist.rows())
     if not keep.size:
         raise AllColumnsFilteredError("filtering removed all quasi-Newton columns")
     if keep.size < w.shape[1]:  # else no column was dropped: W stays a view

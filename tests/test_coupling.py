@@ -255,7 +255,7 @@ class TestUpdateKeepsWhatTheFilterKeeps:
             return None
         n = v.shape[0]
         rhs = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) for _ in range(3)]
-        return all(coupling_mod._qr1(v, eps_fil, b, hist.norms())[0].tolist() == keep
+        return all(coupling_mod._qr1(v, eps_fil, b, hist.norms(), hist.rows())[0].tolist() == keep
                    for b in rhs + [np.zeros(n)])
 
     @settings(max_examples=300, deadline=None)
@@ -294,10 +294,11 @@ class TestUpdateKeepsWhatTheFilterKeeps:
 
 def _history(v: np.ndarray, w: np.ndarray) -> IqnHistory:
     """A history holding exactly the columns of ``v`` and ``w``, zero ones too,
-    with the column norms an append stores."""
+    with the column norms and the per-row nonzero counts an append stores."""
     hist = IqnHistory(q=0)
     hist._buf = np.vstack([v, w, np.linalg.norm(v, axis=0)])
     hist._ages, hist._start = [1] * v.shape[1], 0
+    hist._nnz = np.count_nonzero(v, axis=1)
     return hist
 
 
@@ -490,6 +491,33 @@ class TestIqnUpdateIsBitwiseTheReference:
         d_tilde = rng.standard_normal(n)
         for residual in (r, np.where(v.any(axis=1), 0.0, r), np.zeros(n)):
             _assert_bitwise_same(*_both_updates(hist, residual, d_tilde, eps_fil))
+
+    def test_tube_shaped_history(self):
+        # the shape of every benchmark update: 101 rows, of which the first
+        # and the last (the clamped ends) are zero in every column, and 40
+        # appends over three steps that fill the 24-column window, drop its
+        # oldest column and evict a step's columns by age; every sixth column
+        # repeats a scaled earlier one, so the filter drops some columns
+        n = 101
+        rng = np.random.default_rng(11)
+        hist = IqnHistory(q=1)
+        ages = [1] * 30 + [2] * 5 + [3] * 5
+        widths, cols = [], []
+        for i, age in enumerate(ages):
+            if i == 0 or age != ages[i - 1]:
+                hist.start_step(age)  # step 3 evicts the columns of step 1
+            col = np.zeros(n)
+            if i % 6 == 5:
+                col[1:-1] = -3.0 * cols[-2][1:-1]
+            else:
+                col[1:-1] = rng.standard_normal(n - 2) * 10.0 ** rng.uniform(-3, 3)
+            cols.append(col)
+            hist.append(col, rng.standard_normal(n), age=age)
+            widths.append(hist.matrices()[0].shape[1])
+            assert hist.rows() == slice(1, n - 1)
+            r = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            _assert_bitwise_same(*_both_updates(hist, r, rng.standard_normal(n), 1e-12))
+        assert widths[23:35] == [_MAX_SECANT_COLUMNS] * 12 and widths[35:] == [6, 7, 8, 9, 10]
 
     def test_dropped_column_takes_the_gathered_w(self):
         # a duplicate column is dropped, so W is gathered with w[:, keep]
@@ -698,14 +726,15 @@ class ListIqnHistory:
 @st.composite
 def history_ops(draw):
     """A row count, which sets the column cap, and a random sequence of history
-    operations; appends carry random, zero or wrong-length pairs and non-decreasing
-    ages, and a step starts at or up to four steps past the latest age."""
+    operations; appends carry random, sparse, zero or wrong-length pairs and
+    non-decreasing ages, and a step starts at or up to four steps past the
+    latest age. A sparse residual difference is zero in about half its rows."""
     n = draw(st.sampled_from([1, 2, 3, 5, 24]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
     age = draw(st.integers(0, 3))
-    for kind in draw(st.lists(st.sampled_from(["append"] * 6 + ["zero", "resize",
-                                                                  "start", "clear"]),
+    for kind in draw(st.lists(st.sampled_from(["append"] * 4 + ["sparse"] * 2
+                                              + ["zero", "resize", "start", "clear"]),
                               max_size=60)):
         if kind == "start":
             ops.append(("start", age + draw(st.integers(0, 4))))
@@ -714,6 +743,8 @@ def history_ops(draw):
         else:
             size = n + 1 if kind == "resize" else n
             dr = np.zeros(size) if kind == "zero" else rng.standard_normal(size)
+            if kind == "sparse":
+                dr[rng.random(size) < 0.5] = 0.0
             age += draw(st.integers(0, 2))
             ops.append(("append", dr, rng.standard_normal(size), age))
     return draw(st.integers(0, 3)), ops
@@ -740,10 +771,15 @@ class TestIqnHistory:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
             assert hist.is_empty == oracle.is_empty
-            if not oracle.is_empty:
+            rows = hist.rows()  # the rows where some column of V is nonzero
+            if oracle.is_empty:
+                assert isinstance(rows, np.ndarray) and rows.size == 0
+            else:
+                v = oracle.matrices()[0]
                 for got, ref in zip(hist.matrices(), oracle.matrices()):
                     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-                assert_norms_of(hist, oracle.matrices()[0])
+                assert_norms_of(hist, v)
+                assert np.arange(v.shape[0])[rows].tolist() == v.any(axis=1).nonzero()[0].tolist()
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 24])
     def test_window_wraps_like_the_list_oracle(self, cap):
