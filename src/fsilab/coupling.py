@@ -62,10 +62,15 @@ _STALL_FACTOR = 0.5
 _MAX_SECANT_COLUMNS = 24
 # R's upper-triangle mask, built once for each number of columns _qr1 keeps
 _upper_mask = functools.cache(lambda order: np.triu(np.ones((order, order), dtype=bool)))
-# highest degree of the interface predictor (calibrated on the tube testbed:
-# degree 2 costs more coupling iterations under both accelerators, degrees
-# 4-6 cost more under IQN-ILS)
-_PREDICTOR_DEGREE = 3
+# highest degree of the interface predictor, by the accelerator's memory
+# (calibrated on the tube testbed): IQN-ILS with reuse brings the secant pairs
+# of its last reuse_q steps into each step, and at the shipped reuse_q = 5
+# degree 5 costs it 5% more coupling iterations than degree 3; relaxation and
+# IQN-ILS without reuse start each step from the guess alone, and degree 5 cut
+# their N_c to 0.69-0.70 of degree 3's, where degree 6 ties it at twice the
+# error amplification (degree 2 costs both lanes more)
+_PREDICTOR_DEGREE_REUSE = 3
+_PREDICTOR_DEGREE_MEMORYLESS = 5
 
 
 class IqnHistory:
@@ -486,18 +491,20 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
     raise _abort(f"no convergence within max_coupling_iters={config.max_coupling_iters}")
 
 
-def _predict(accepted: list) -> np.ndarray:
+def _predict(accepted: list, degree: int) -> np.ndarray:
     """A time step's first interface displacement, extrapolated from ``accepted``,
     the accepted displacements of the steps before it (oldest first, at least one).
 
     The guess is the value at the next step of the polynomial of degree
-    ``p = min(len(accepted) - 1, 3)`` through the newest ``p + 1`` displacements,
-    ``sum_{j=0..p} (-1)^j C(p+1, j+1) d_{n-j}`` with ``d_n`` the newest: ``d_n``,
-    ``2 d_n - d_{n-1}``, ``3 d_n - 3 d_{n-1} + d_{n-2}``, then ``4 d_n - 6 d_{n-1}
-    + 4 d_{n-2} - d_{n-3}``. It is exact on motion of degree ``p``; with ``h`` the
-    time step, its error is ``h^{p+1} d^{(p+1)}`` to leading order.
+    ``p = min(len(accepted) - 1, degree)`` through the newest ``p + 1``
+    displacements, ``sum_{j=0..p} (-1)^j C(p+1, j+1) d_{n-j}`` with ``d_n`` the
+    newest: ``d_n``, ``2 d_n - d_{n-1}``, ``3 d_n - 3 d_{n-1} + d_{n-2}``, and so
+    on. It is exact on motion of degree ``p``; with ``h`` the time step, its
+    error is ``h^{p+1} d^{(p+1)}`` to leading order. The weights' magnitudes sum
+    to ``2^{p+1} - 1``, the factor by which it can amplify an error in the
+    accepted displacements: 15 at degree 3, 63 at degree 5.
     """
-    p = min(len(accepted) - 1, _PREDICTOR_DEGREE)
+    p = min(len(accepted) - 1, degree)
     return sum((-1) ** j * math.comb(p + 1, j + 1) * accepted[-1 - j] for j in range(p + 1))
 
 
@@ -512,7 +519,12 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     step guesses a zero interface displacement; every
     later step starts from an extrapolation of the accepted displacements
     (:func:`_predict`): step 2 from ``d_1``, step 3 linear, step 4 quadratic,
-    later steps cubic. Each solver's first call starts from a zero interior state.
+    step 5 cubic. The degree then follows the accelerator's memory: it stays
+    cubic under IQN-ILS with ``reuse_q >= 1``, whose update carries secant
+    pairs across steps, and rises to quartic at step 6 and quintic from step 7
+    under constant and Aitken relaxation and IQN-ILS with ``reuse_q = 0``,
+    which start each step from the guess alone. Each solver's first call
+    starts from a zero interior state.
 
     ``on_step(step, hist, state)`` is a diagnostics hook. ``increments=True``
     records each accepted step's would-be update increment in
@@ -526,13 +538,15 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     d = np.zeros(model.n_interface)
     u_f = u_s = None
     hist = IqnHistory(q=config.reuse_q)
+    reuses = config.accel is AccelKind.IQN_ILS and config.reuse_q >= 1
+    degree = _PREDICTOR_DEGREE_REUSE if reuses else _PREDICTOR_DEGREE_MEMORYLESS
 
     steps: list = []
     snapshots: list = []
     for step in range(1, model.n_steps + 1):
         hist.start_step(step)
         if snapshots:
-            d = _predict(snapshots)
+            d = _predict(snapshots, degree)
         try:
             record, d, u_f, u_s = run_time_step(
                 model, config, state, hist, step, d, u_f, u_s, increments=increments,

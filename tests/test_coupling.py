@@ -949,7 +949,7 @@ class TestEngineOnTube:
         for step in range(1, params.steps + 1):
             hist.start_step(step)
             if accepted:
-                d_start = _predict(accepted)
+                d_start = _predict(accepted, 3)
             rec, d_acc, u_f, u_s = run_time_step(model, config, state, hist, step,
                                                  d_start, u_f, u_s)
             per_step.append((step, rec.coupling_iters, rec.flow_iters, rec.solid_iters))
@@ -1087,7 +1087,8 @@ class TestZeroFirstGuesses:
 
 
 # row j: the t**j coefficients of the motion of three interface nodes
-_COEFFS = np.array([[2, -3, 1], [-1, 4, 2], [5, 0, -2], [1, -2, 3], [-1, 1, 2]])
+_COEFFS = np.array([[2, -3, 1], [-1, 4, 2], [5, 0, -2], [1, -2, 3], [-1, 1, 2],
+                    [2, -1, 1], [1, 1, -1]])
 
 
 def _motion(degree: int, steps: int) -> list:
@@ -1098,38 +1099,59 @@ def _motion(degree: int, steps: int) -> list:
 
 
 class TestPredictor:
-    @pytest.mark.parametrize("n, exact_degree", [(1, 0), (2, 1), (3, 2), (4, 3), (5, 3), (7, 3)])
-    def test_each_case_is_exact_up_to_its_degree(self, n, exact_degree):
-        # n snapshots give the degree min(n - 1, 3)
-        for degree in range(exact_degree + 1):
-            *accepted, truth = _motion(degree, steps=n + 1)
-            guess = _predict(accepted)
+    @pytest.mark.parametrize("degree, n, exact_degree", [
+        (3, 1, 0), (3, 2, 1), (3, 3, 2), (3, 4, 3), (3, 5, 3), (3, 7, 3),
+        (5, 1, 0), (5, 4, 3), (5, 5, 4), (5, 6, 5), (5, 7, 5), (5, 9, 5),
+    ])
+    def test_each_case_is_exact_up_to_its_degree(self, degree, n, exact_degree):
+        # n snapshots give the degree min(n - 1, degree)
+        for motion_degree in range(exact_degree + 1):
+            *accepted, truth = _motion(motion_degree, steps=n + 1)
+            guess = _predict(accepted, degree)
             assert isinstance(guess, np.ndarray)
             assert np.array_equal(guess, truth)
 
-    @pytest.mark.parametrize("n, degree, error", [
+    @pytest.mark.parametrize("degree, n, motion_degree, error", [
         # the leading error h^{p+1} d^{(p+1)} with h = 1 is the whole error on a
         # motion one degree up, (p + 1)! c_{p+1}
-        (1, 1, _COEFFS[1]),
-        (2, 2, 2 * _COEFFS[2]),
-        (3, 3, 6 * _COEFFS[3]),
-        (4, 4, 24 * _COEFFS[4]),
-        (5, 4, 24 * _COEFFS[4]),
+        (3, 1, 1, _COEFFS[1]),
+        (3, 2, 2, 2 * _COEFFS[2]),
+        (3, 3, 3, 6 * _COEFFS[3]),
+        (3, 4, 4, 24 * _COEFFS[4]),
+        (3, 5, 4, 24 * _COEFFS[4]),
+        (5, 4, 4, 24 * _COEFFS[4]),
+        (5, 5, 5, 120 * _COEFFS[5]),
+        (5, 6, 6, 720 * _COEFFS[6]),
+        (5, 8, 6, 720 * _COEFFS[6]),
     ])
-    def test_leading_error_one_degree_up(self, n, degree, error):
-        *accepted, truth = _motion(degree, steps=n + 1)
-        assert np.array_equal(truth - _predict(accepted), error)
+    def test_leading_error_one_degree_up(self, degree, n, motion_degree, error):
+        *accepted, truth = _motion(motion_degree, steps=n + 1)
+        assert np.array_equal(truth - _predict(accepted, degree), error)
 
     def test_only_the_newest_four_snapshots_count(self):
         d1, d2, d3, d4, d5 = _motion(4, steps=5)
         cubic = 4.0 * d4 - 6.0 * d3 + 4.0 * d2 - d1
-        assert np.array_equal(_predict([d1, d2, d3, d4]), cubic)
-        assert np.array_equal(_predict([d5, d1, d2, d3, d4]), cubic)
+        assert np.array_equal(_predict([d1, d2, d3, d4], 3), cubic)
+        assert np.array_equal(_predict([d5, d1, d2, d3, d4], 3), cubic)
         assert not np.array_equal(cubic, 3.0 * d4 - 3.0 * d3 + d2)
 
-    def test_run_starts_each_step_from_the_prediction(self, monkeypatch):
+    def test_only_the_newest_six_snapshots_count_at_degree_5(self):
+        d1, d2, d3, d4, d5, d6, d7 = _motion(6, steps=7)
+        quintic = 6.0 * d6 - 15.0 * d5 + 20.0 * d4 - 15.0 * d3 + 6.0 * d2 - d1
+        assert np.array_equal(_predict([d1, d2, d3, d4, d5, d6], 5), quintic)
+        assert np.array_equal(_predict([d7, d1, d2, d3, d4, d5, d6], 5), quintic)
+        assert not np.array_equal(quintic, _predict([d1, d2, d3, d4, d5, d6], 4))
+
+    @pytest.mark.parametrize("config, degree", [
+        (CouplingConfig(), 3),
+        (CouplingConfig(accel=AccelKind.AITKEN), 5),
+        (CouplingConfig(accel=AccelKind.CONSTANT, omega0=0.02, max_coupling_iters=2000), 5),
+        (CouplingConfig(reuse_q=0), 5),
+    ], ids=["iqn-ils-q5", "aitken", "constant", "iqn-ils-q0"])
+    def test_run_starts_each_step_from_the_prediction(self, monkeypatch, config, degree):
         # step 1 starts from zeros, and the zeros are no snapshot: step 2
-        # starts from d_1
+        # starts from d_1; the degree follows the accelerator's memory, which
+        # first shows at step 6, the first with five snapshots
         import fsilab.coupling as coupling_mod
 
         starts = []
@@ -1140,12 +1162,16 @@ class TestPredictor:
             return real_step(model, config, state, hist, step, d_start, *args, **kwargs)
 
         monkeypatch.setattr(coupling_mod, "run_time_step", recording)
-        record = run_simulation(Tube1DModel(Tube1DParams(cells=20, steps=6)), CouplingConfig())
+        record = run_simulation(Tube1DModel(Tube1DParams(cells=20, steps=8)), config)
         snaps = record.snapshots
+        assert len(snaps) == 8
         assert np.array_equal(starts[0], np.zeros(21))
         assert np.array_equal(starts[1], snaps[0])
-        for step in range(3, 7):
-            assert np.array_equal(starts[step - 1], _predict(snaps[: step - 1]))
+        for step in range(3, 9):
+            assert np.array_equal(starts[step - 1], _predict(snaps[: step - 1], degree))
+        other = {3: 5, 5: 3}[degree]
+        for step in (6, 7, 8):
+            assert not np.array_equal(starts[step - 1], _predict(snaps[: step - 1], other))
 
 
 class _ScriptedSolid:
