@@ -16,9 +16,13 @@ boundary faces. The cross-section profile ``a`` is frozen from the interface
 displacement for the whole solver call, so its rate of change acts as a fixed
 mass source. Every pressure stencil is a two-point difference, so no
 checkerboard mode exists, and the discrete global mass balance closes exactly
-with the physical boundary fluxes ``a_face * v`` at the two ends. The system
-matrix and its Newton tangent are kept as bands: the residual applies ``A(u)``
-inline, and :func:`_flow_solve` solves with either in O(n) operations.
+with the physical boundary fluxes ``a_face * v`` at the two ends. No matrix
+or band is formed: the residual computes each upwind cell flux
+``F_i = a_i (v_i + v_{i+1}) v_up(i) / (2 dx)`` once, and a Newton (tangent) or
+Picard (``A(u)``) correction enters only through the per-cell flux derivatives
+``dF_i/dv_i`` and ``dF_i/dv_{i+1}``. Each correction solves the staggered
+system in O(n) with one projection on the left null vector of the pressure
+gradient.
 
 Solid
 -----
@@ -167,51 +171,6 @@ def mass_balance_error(params: Tube1DParams, state_old: TubeState,
     return float(dvol + params.dt * (outflux - influx))
 
 
-def _tri_apply(lo: np.ndarray, diag: np.ndarray, up: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``T x`` for the tridiagonal ``T`` with bands ``lo``, ``diag``, ``up``."""
-    y = np.multiply(diag, x)
-    # in-place on views: ``y[1:] += ...`` would also copy the view back
-    below, above = y[1:], y[:-1]
-    below += lo * x[:-1]
-    above += up * x[1:]
-    return y
-
-
-def _flow_solve(lo: np.ndarray, diag: np.ndarray, up: np.ndarray, ell: np.ndarray,
-                z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve the staggered flow system ``[[T, G], [D, 0]] [v; p] = [f; h]`` in three sweeps.
-
-    ``T`` (faces x faces) is tridiagonal with bands ``lo``, ``diag``, ``up``.
-    ``G`` (faces x cells) is the lower-bidiagonal pressure gradient: face j
-    reads ``g_j * (p_j - p_{j-1})``, with the missing neighbour dropped at the
-    two end faces. ``D`` (cells x faces) is the upper-bidiagonal mass block:
-    cell i reads ``d_{i+1} v_{i+1} - d_i v_i``. Only ``ell = 1/g`` and
-    ``z = 1/d`` enter the solve.
-
-    ``D v = h`` fixes the fluxes ``d * v`` up to one constant ``c`` (a
-    cumulative sum): ``v = v_h + c z``. ``ell`` is a left null vector of
-    ``G``, so ``ell^T T v = ell^T f`` fixes ``c``. Then ``G p = f - T v`` is a
-    cumulative sum down the faces. Raises :class:`numpy.linalg.LinAlgError`
-    when ``ell^T T z`` is zero or not finite.
-    """
-    nf = diag.size
-    f, h = r[:nf], r[nf:]
-    ell_t_z = ell.dot(_tri_apply(lo, diag, up, z))
-    if ell_t_z == 0.0 or not math.isfinite(ell_t_z):
-        raise np.linalg.LinAlgError("singular flow operator")
-    out = np.empty(r.size)
-    v, p = out[:nf], out[nf:]
-    v_h = np.empty(nf)  # [0, cumsum(h)] * z
-    v_h[0] = 0.0
-    np.add.accumulate(h, out=v_h[1:])
-    v_h *= z
-    t = _tri_apply(lo, diag, up, v_h)  # v = v_h + (ell^T (f - T v_h) / ell^T T z) z
-    np.add(v_h, (ell.dot(np.subtract(f, t, t)) / ell_t_z) * z, v)
-    t = _tri_apply(lo, diag, up, v)  # p = cumsum((f - T v)[:-1] * ell[:-1])
-    np.add.accumulate(np.multiply(np.subtract(f, t, t)[:-1], ell[:-1], p), out=p)
-    return out
-
-
 class TubeFlowSolver:
     """The flow subproblem of one time step; each call freezes the areas from its displacement.
 
@@ -243,68 +202,101 @@ class TubeFlowSolver:
         g[0] *= 2.0
         g[n] *= 2.0
         d = a_face / dx  # mass-flux weights
-        ell, z = 1.0 / g, 1.0 / d  # shared by every solve of this call
-        time_diag = a_face / dt  # the time band every momentum diagonal starts from
-        half_a = 0.5 * a
-        a_in, a_out = float(a_face[0]), float(a_face[n])  # the end faces' areas
+        ell, z = 1.0 / g, 1.0 / d  # ell^T G = 0, and D v = h fixes d * v up to a constant
+        time_diag = a_face / dt  # the time term of every momentum row
+        # the time and flux parts of s = K^T ell, and the flux coefficient a_i / (2 dx)
+        ell_time, ell_step = ell * time_diag, ell[:-1] - ell[1:]
+        half_a = 0.5 * a / dx
+        ext_in, ext_out = float(a_face[0]) / dx, float(a_face[n]) / dx
+        ell_in, ell_out = float(ell[0]), float(ell[n])
         b = np.zeros(self.dim)
         b[: n + 1] = self._momentum_old
-        b[0] += 2.0 * a_in * self._p_in / (rho * dx)
-        b[n] -= 2.0 * a_out * params.outlet_pressure / (rho * dx)
+        b[0] += 2.0 * float(a_face[0]) * self._p_in / (rho * dx)
+        b[n] -= 2.0 * float(a_face[n]) * params.outlet_pressure / (rho * dx)
         b[n + 1 :] = -(a - self._a_old) / dt
-        # the slices of G and D that A(u) u reads, bound once
-        g_above, g_below, d_right, d_left = g[:-1], g[1:], d[1:], d[:-1]
-        last = None  # what the last residual built at its iterate, for the solve there
+        # the slices of G that A(u) u reads, bound once
+        g_above, g_below = g[:-1], g[1:]
+        last = None  # what the last residual built at its iterate, for the correction there
 
         def residual(u: np.ndarray) -> np.ndarray:
-            """``b - A(u) u``, the one place that applies ``A(u)``; keeps
-            ``A(u)``'s momentum bands for the solve at ``u``."""
+            """``b - A(u) u``; keeps the upwind data for the correction at ``u``."""
             nonlocal last
-            # face j balances (F_j - F_{j-1})/dx with cell-center fluxes, so the
-            # flux through cell i, a_i*vc_i*v_up(i), is the right flux of face i
-            # (+) and the left flux of face i+1 (-)
+            # the flux through cell i, F_i = a_i (v_i + v_{i+1}) v_up(i) / (2 dx),
+            # is the right flux of face i (+) and the left flux of face i+1 (-)
             v, p = u[: n + 1], u[n + 1 :]
             v_left, v_right = v[:-1], v[1:]  # the velocities on the two faces of each cell
-            vc = 0.5 * (v_left + v_right)
-            coeff = a * vc / dx
-            forward = vc >= 0.0  # upwind face is i, else i+1
-            cf = np.where(forward, coeff, 0.0)
-            up = np.where(forward, 0.0, coeff)
-            diag = time_diag.copy()
-            diag[:-1] += cf
-            diag[1:] -= up
-            # boundary extension fluxes F_{-1} = a_face0*v0*v0 and F_n = a_facen*vn*vn;
-            # the Newton tangent adds these terms once more
-            ends = a_in * float(v[0]) / dx, a_out * float(v[n]) / dx
-            diag[0] -= ends[0]
-            diag[n] += ends[1]
-            lo = -cf
-            last = lo, diag, up, forward, v_left, v_right, ends
+            v_sum = v_left + v_right
+            forward = v_sum >= 0.0  # upwind face is i, else i+1
+            v_up = np.where(forward, v_left, v_right)
+            coeff = half_a * v_sum  # F_i / v_up(i)
+            v_in, v_out = float(v[0]), float(v[n])
+            last = forward, v_up, coeff, v_in, v_out
             au = np.empty(u.size)  # A(u) u
-            mom = np.multiply(diag, v, au[: n + 1])
+            mom = np.multiply(time_diag, v, au[: n + 1])
+            flux = coeff * v_up
             above, below = mom[:-1], mom[1:]
-            below += lo * v_left
-            above += up * v_right
+            above += flux
+            below -= flux
+            # the boundary extension fluxes F_{-1} = a_face0 v0^2/dx, F_n = a_facen vn^2/dx
+            mom[0] -= ext_in * v_in * v_in
+            mom[n] += ext_out * v_out * v_out
             above += g_above * p
             below -= g_below * p
-            np.subtract(d_right * v_right, d_left * v_left, au[n + 1 :])
+            dv = d * v
+            np.subtract(dv[1:], dv[:-1], au[n + 1 :])
             return np.subtract(b, au, au)
 
+        def correct(p_coef, q_coef, e_in, e_out, r):
+            """Solve ``[[K, G], [D, 0]] [v; p] = r`` for the momentum block ``K``
+            whose flux through cell i moves by ``p_coef_i dv_i + q_coef_i dv_{i+1}``
+            and whose end rows carry ``-e_in dv_0`` and ``+e_out dv_n``.
+
+            ``D v = h`` gives ``v = v_h + c z`` with ``v_h = [0, cumsum(h)] z``;
+            ``ell^T G = 0`` fixes ``c = (ell.f - s.v_h) / s.z`` with ``s = K^T ell``;
+            then ``G p = f - K v`` is a cumulative sum down the faces. Raises
+            :class:`numpy.linalg.LinAlgError` when ``s.z`` is zero or not finite.
+            """
+            f, h = r[: n + 1], r[n + 1 :]
+            s = ell_time.copy()
+            left, right = s[:-1], s[1:]  # in place on views, not ``s[1:] += ...``
+            left += ell_step * p_coef
+            right += ell_step * q_coef
+            s[0] -= ell_in * e_in
+            s[n] += ell_out * e_out
+            s_z = s.dot(z)
+            if s_z == 0.0 or not math.isfinite(s_z):
+                raise np.linalg.LinAlgError("singular flow operator")
+            out = np.empty(r.size)
+            v, p = out[: n + 1], out[n + 1 :]
+            v[0] = 0.0
+            np.add.accumulate(h, out=v[1:])
+            v *= z
+            v += ((ell.dot(f) - s.dot(v)) / s_z) * z
+            kv = np.multiply(time_diag, v)
+            dflux = p_coef * v[:-1]
+            dflux += q_coef * v[1:]
+            left, right = kv[:-1], kv[1:]
+            left += dflux
+            right -= dflux
+            kv[0] -= e_in * v[0]
+            kv[n] += e_out * v[n]
+            np.add.accumulate(np.multiply(np.subtract(f, kv, kv)[:-1], ell[:-1], p), out=p)
+            return out
+
         def picard(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-            return _flow_solve(*last[:3], ell, z, r)
+            # A(u) holds each flux's coefficient fixed: F_i = coeff_i v_up(i)
+            forward, _, coeff, v_in, v_out = last
+            return correct(np.where(forward, coeff, 0.0), np.where(forward, 0.0, coeff),
+                           ext_in * v_in, ext_out * v_out, r)
 
         def newton(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-            # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
-            # 0.5*a_i*v_up against both faces of cell i; new arrays throughout,
-            # so a second solve at the same iterate reads the same bands
-            lo, diag, up, forward, v_left, v_right, ends = last
-            w = half_a * np.where(forward, v_left, v_right) / dx
-            diag = diag.copy()
-            diag[:-1] += w
-            diag[1:] -= w
-            diag[0] -= ends[0]  # the boundary extension fluxes a_face*v*v
-            diag[n] += ends[1]
-            return _flow_solve(lo - w, diag, up + w, ell, z, r)
+            # the tangent adds v_up(i) dcoeff_i/dv = a_i v_up(i) / (2 dx) against
+            # both faces of cell i and doubles the extension terms
+            forward, v_up, coeff, v_in, v_out = last
+            w = half_a * v_up
+            cw = coeff + w
+            return correct(np.where(forward, cw, w), np.where(forward, w, cw),
+                           2.0 * ext_in * v_in, 2.0 * ext_out * v_out, r)
 
         return b, residual, newton if self._flow_scheme is DriverKind.NEWTON else picard
 

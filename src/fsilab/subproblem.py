@@ -174,16 +174,17 @@ def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
     Runs :func:`drive` and maps the final state to the interface output
     (traction for the flow solver, displacement for the solid solver), the one
     place a black box's output enters: it must be a finite 1-D float64 array,
-    which is made read-only here. Returns ``(output, report, final_u)``;
-    ``final_u`` seeds the next call. The driver's errors, and a
-    :class:`GeometryError` from loading the coupling data, pass through
-    unchanged: the coupling loop times and counts every call, and names the
-    solver of a failed one.
+    which is made read-only here (an output that is the final state itself
+    has passed :func:`drive`'s finiteness guard already). Returns
+    ``(output, report, final_u)``; ``final_u`` seeds the next call. The
+    driver's errors, and a :class:`GeometryError` from loading the coupling
+    data, pass through unchanged: the coupling loop times and counts every
+    call, and names the solver of a failed one.
     """
     u, history = drive(solver, inp)
     output = solver.output(u)
     if (not isinstance(output, np.ndarray) or output.ndim != 1 or output.dtype != np.float64
-            or not all_finite(output)):
+            or (output is not u and not all_finite(output))):
         raise ContractError(f"{solver_id.value} solver must output a finite 1-D float64 array")
     output.setflags(write=False)
     return output, SolverCallReport(tuple(history), inp.eps), u

@@ -1,14 +1,16 @@
-"""The spec path that the per-step solvers replaced, kept verbatim as their bitwise oracle.
+"""The spec path that the per-step solvers replaced, kept as their bitwise oracle.
 
 A subproblem used to be a ``NonlinearSystemSpec`` rebuilt every coupling
 iteration: ``assemble_matrix(u)`` and ``tangent(u)`` returned linear operators
 (dense ndarrays wrapped in a dense operator), and the driver's loop asked for
-``A(u)`` and then ``K(u)``. ``reference_flow_system``,
-``reference_solid_system``, ``reference_step_terms`` and ``reference_iterate``
-are that code with only names, annotations and docstring cross-references
-changed; ``tests/test_models_tube.py`` checks the tube solvers against them
-bit for bit. :class:`ReferenceFlowOperator` is the banded flow operator the
-flow spec returned, with its apply and solve as they were.
+``A(u)`` and then ``K(u)``. ``reference_solid_system``,
+``reference_step_terms`` and ``reference_iterate`` are that code with only
+names, annotations and docstring cross-references changed.
+``reference_flow_system`` is that spec with its operators from
+:func:`reference_flow_operators`, a plain, unoptimised statement of the flow
+in flux form (:class:`ReferenceFlowOperator`), with the same association of
+every sum and product as the tube flow solver. ``tests/test_models_tube.py``
+checks the tube solvers against them bit for bit.
 
 :class:`SpecSolver` drives a spec through the solver protocol, the generic
 test solver for hand-written systems, and :func:`run` is :func:`drive` with
@@ -62,46 +64,96 @@ class ReferenceDiagonalOperator:
 
 
 class ReferenceFlowOperator:
-    """The flow operator's earlier apply and solve, kept verbatim as the
-    bitwise oracle of the tube flow solver's residual and solve.
+    """The staggered flow operator ``[[T, G], [D, 0]]`` in flux form, stated
+    plainly as the bitwise oracle of the tube flow solver's residual and solve.
 
-    The staggered system ``[[T, G], [D, 0]]`` kept as bands: ``T`` is
-    tridiagonal (``lo``, ``diag``, ``up``), face j of ``G`` reads
-    ``g_j * (p_j - p_{j-1})`` and cell i of ``D`` reads
-    ``d_{i+1} v_{i+1} - d_i v_i``; ``ell = 1/g`` and ``z = 1/d``.
+    ``T x`` is ``time * x``, plus for each cell i the flux term
+    ``p_coef_i x_i + q_coef_i x_{i+1}`` added to face i's row and subtracted
+    from face i+1's, minus ``ends[0] x_0`` on face 0 and plus ``ends[1] x_n``
+    on face n. Face j of ``G`` reads ``g_j * (p_j - p_{j-1})`` and cell i of
+    ``D`` reads ``d_{i+1} v_{i+1} - d_i v_i``; ``ell = 1/g`` and ``z = 1/d``.
     """
 
-    def __init__(self, lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
-                 g: np.ndarray, d: np.ndarray, ell: np.ndarray, z: np.ndarray):
-        self.lo, self.diag, self.up = lo, diag, up
+    def __init__(self, time: np.ndarray, p_coef: np.ndarray, q_coef: np.ndarray,
+                 ends: tuple, g: np.ndarray, d: np.ndarray, ell: np.ndarray, z: np.ndarray):
+        self.time, self.p_coef, self.q_coef, self.ends = time, p_coef, q_coef, ends
         self.g, self.d = g, d
         self.ell, self.z = ell, z
 
     def _t(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[1:] += self.lo * x[:-1]
-        y[:-1] += self.up * x[1:]
+        y = self.time * x
+        flux = self.p_coef * x[:-1] + self.q_coef * x[1:]
+        y[:-1] += flux
+        y[1:] -= flux
+        y[0] -= self.ends[0] * x[0]
+        y[-1] += self.ends[1] * x[-1]
         return y
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        nf = self.diag.size
+        nf = self.time.size
         v, p = u[:nf], u[nf:]
         mom = self._t(v)
         mom[:-1] += self.g[:-1] * p
         mom[1:] -= self.g[1:] * p
-        return np.concatenate([mom, self.d[1:] * v[1:] - self.d[:-1] * v[:-1]])
+        dv = self.d * v
+        return np.concatenate([mom, dv[1:] - dv[:-1]])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        nf = self.diag.size
+        """``D v = h`` gives ``v = v_h + c z``; ``ell`` is a left null vector of
+        ``G``, so ``s = T^T ell`` fixes ``c``; then ``G p = f - T v``."""
+        nf = self.time.size
         f, h = r[:nf], r[nf:]
         ell, z = self.ell, self.z
-        ell_t_z = ell @ self._t(z)
-        if ell_t_z == 0.0 or not np.isfinite(ell_t_z):
+        ell_step = ell[:-1] - ell[1:]
+        s = ell * self.time
+        s[:-1] += ell_step * self.p_coef
+        s[1:] += ell_step * self.q_coef
+        s[0] -= ell[0] * self.ends[0]
+        s[-1] += ell[-1] * self.ends[1]
+        s_z = s @ z
+        if s_z == 0.0 or not np.isfinite(s_z):
             raise np.linalg.LinAlgError("singular flow operator")
         v_h = np.concatenate([[0.0], np.cumsum(h)]) * z
-        v = v_h + ((ell @ (f - self._t(v_h))) / ell_t_z) * z
+        v = v_h + ((ell @ f - s @ v_h) / s_z) * z
         p = np.cumsum((f - self._t(v))[:-1] * ell[:-1])
         return np.concatenate([v, p])
+
+
+def reference_flow_operators(params, displacement):
+    """``(assemble_matrix, tangent)`` of the flow system at a frozen displacement.
+
+    The flux through cell i is ``F_i = a_i (v_i + v_{i+1}) v_up(i) / (2 dx)``,
+    upwind face i when ``v_i + v_{i+1} >= 0``, else i+1; the boundary extension
+    fluxes are ``a_face_0 v_0^2 / dx`` (subtracted on face 0) and ``a_face_n
+    v_n^2 / dx`` (added on face n). ``A(u)`` holds each flux's coefficient
+    ``a_i (v_i + v_{i+1}) / (2 dx)`` fixed; the tangent ``K(u)`` adds
+    ``a_i v_up(i) / (2 dx)`` against both faces of cell i and doubles the
+    extension terms.
+    """
+    n = params.cells
+    dx, dt, rho = params.dx, params.dt, params.rho_f
+    a = areas_from_displacement(params, displacement)
+    a_face = _face_average(a)
+    g = a_face / (rho * dx)
+    g[[0, n]] *= 2.0
+    d = a_face / dx
+    ell, z = 1.0 / g, 1.0 / d
+
+    def _operator(u: np.ndarray, newton: bool) -> ReferenceFlowOperator:
+        v = u[: n + 1]
+        v_sum = v[:-1] + v[1:]
+        forward = v_sum >= 0.0
+        coeff = a / (2 * dx) * v_sum
+        p_coef = np.where(forward, coeff, 0.0)
+        q_coef = np.where(forward, 0.0, coeff)
+        ends = (a_face[0] / dx * v[0], a_face[n] / dx * v[n])
+        if newton:
+            w = a / (2 * dx) * np.where(forward, v[:-1], v[1:])
+            p_coef, q_coef = p_coef + w, q_coef + w
+            ends = (2 * ends[0], 2 * ends[1])
+        return ReferenceFlowOperator(a_face / dt, p_coef, q_coef, ends, g, d, ell, z)
+
+    return (lambda u: _operator(u, False)), (lambda u: _operator(u, True))
 
 
 def reference_as_operator(m):
@@ -211,62 +263,7 @@ def reference_flow_system(params, state, displacement, driver, momentum_old, p_i
     frozen = displacement
 
     dim = 2 * n + 1
-
-    g = a_face / (rho * dx)  # pressure-gradient weights; the half-cell end rows double
-    g[0] *= 2.0
-    g[n] *= 2.0
-    d = a_face / dx  # mass-flux weights
-    ell, z = 1.0 / g, 1.0 / d  # shared by every operator of this spec
-    time_diag = a_face / dt  # the time band every momentum diagonal starts from
-    half_a = 0.5 * a
-    # velocities of the last assemble_matrix call and their bands: the Newton
-    # driver asks for the tangent at the same u right after assembling A(u)
-    last_v: np.ndarray | None = None
-    last_bands: tuple = ()
-
-    def _momentum_bands(v: np.ndarray):
-        """Time, upwind convection and boundary-flux bands of the momentum block."""
-        # face j balances (F_j - F_{j-1})/dx with cell-center fluxes, so the
-        # flux through cell i, a_i*vc_i*v_up(i), is the right flux of face i
-        # (+) and the left flux of face i+1 (-)
-        vc = 0.5 * (v[:-1] + v[1:])
-        coeff = a * vc / dx
-        forward = vc >= 0.0  # upwind face is i, else i+1
-        cf = np.where(forward, coeff, 0.0)
-        cb = np.where(forward, 0.0, coeff)
-        diag = time_diag.copy()
-        diag[:-1] += cf
-        diag[1:] -= cb
-        # boundary extension fluxes: F_{-1} = a_face0*v0*v0, F_n = a_facen*vn*vn
-        diag[0] -= a_face[0] * v[0] / dx
-        diag[n] += a_face[n] * v[n] / dx
-        return -cf, diag, cb, forward
-
-    def assemble_matrix(u: np.ndarray) -> ReferenceFlowOperator:
-        nonlocal last_v, last_bands
-        last_v = u[: n + 1].copy()
-        last_bands = _momentum_bands(last_v)
-        lo, diag, up, _ = last_bands
-        return ReferenceFlowOperator(lo, diag, up, g, d, ell, z)
-
-    def tangent(u: np.ndarray) -> ReferenceFlowOperator:
-        v = u[: n + 1]
-        # compare values, not identity: u may have been edited in place since
-        if last_v is not None and (v == last_v).all():
-            lo, diag, up, forward = last_bands
-        else:
-            lo, diag, up, forward = _momentum_bands(v)
-        # d(A(u) u)/du: cell-flux coefficient a_i*vc_i differentiates into
-        # 0.5*a_i*v_up against both faces of cell i; new arrays throughout, so
-        # the bands an A(u) operator holds stay untouched
-        w = half_a * np.where(forward, v[:-1], v[1:]) / dx
-        diag = diag.copy()
-        diag[:-1] += w
-        diag[1:] -= w
-        # boundary extension fluxes a_face*v*v
-        diag[0] -= a_face[0] * v[0] / dx
-        diag[n] += a_face[n] * v[n] / dx
-        return ReferenceFlowOperator(lo - w, diag, up + w, g, d, ell, z)
+    assemble_matrix, tangent = reference_flow_operators(params, displacement)
 
     def assemble_rhs(coupling: np.ndarray) -> np.ndarray:
         if coupling.size != params.n_nodes:

@@ -1017,8 +1017,8 @@ class TestEngineOnTube:
             on_step=lambda step, hist, state: columns.append(hist.matrices()[0].shape[1]))
         assert max(columns) == 11 < _MAX_SECANT_COLUMNS
         assert step_counts(record) == [
-            (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 6, 12, 12), (5, 6, 11, 12),
-            (6, 6, 11, 12), (7, 5, 10, 10), (8, 4, 8, 8), (9, 4, 7, 8), (10, 4, 7, 8)]
+            (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 5, 11, 10), (5, 4, 8, 8),
+            (6, 4, 8, 8), (7, 4, 8, 8), (8, 4, 8, 8), (9, 4, 8, 8), (10, 4, 7, 8)]
 
     def test_reuse_eviction_invariant(self, monkeypatch):
         # after every step the engine's history holds the columns of the list

@@ -20,13 +20,13 @@ from fsilab.models.tube import (
     TubeFlowSolver,
     TubeSolidSolver,
     _face_average,
-    _flow_solve,
     areas_from_displacement,
     initial_tube_state,
     mass_balance_error,
 )
 from reference_specs import (
     ReferenceFlowOperator,
+    reference_flow_operators,
     reference_flow_system,
     reference_iterate,
     reference_solid_system,
@@ -50,7 +50,7 @@ def flow_u0(params):
 
 def dense_flow_reference(params, displacement):
     """Dense ``(assemble_matrix, tangent)`` of the flow system: the oracle for
-    the banded residual and :func:`~fsilab.models.tube._flow_solve`."""
+    the flow solver's residual and its Newton and Picard solves."""
     n = params.cells
     dx, dt, rho = params.dx, params.dt, params.rho_f
     a = areas_from_displacement(params, displacement)
@@ -114,47 +114,17 @@ def dense_flow_reference(params, displacement):
     return assemble_matrix, tangent
 
 
-def reference_flow_operators(params, displacement):
-    """``(assemble_matrix, tangent)`` of the flow spec as it was built before
-    the per-spec band precomputations, kept verbatim as the bitwise oracle."""
-    n = params.cells
-    dx, dt, rho = params.dx, params.dt, params.rho_f
-    a = areas_from_displacement(params, displacement)
-    a_face = _face_average(a)
-    g = a_face / (rho * dx)
-    g[[0, n]] *= 2.0
-    d = a_face / dx
-    ell, z = 1.0 / g, 1.0 / d
+def draw_velocities(rng, signs, scale, size):
+    """Face velocities whose cells are all forward, all backward or mixed, or
+    exact ties (``v_i + v_{i+1} = 0``, upwind face i) at every other cell."""
+    low, high = {"forward": (0.0, 1.0), "backward": (-1.0, 0.0)}.get(signs, (-1.0, 1.0))
+    v = scale * rng.uniform(low, high, size)
+    if signs == "tie":
+        v[1::2] = -v[:-1:2]
+    return v
 
-    def _momentum_bands(v: np.ndarray):
-        vc = 0.5 * (v[:-1] + v[1:])
-        coeff = a * vc / dx
-        forward = vc >= 0.0
-        cf = np.where(forward, coeff, 0.0)
-        cb = np.where(forward, 0.0, coeff)
-        diag = a_face / dt
-        diag[:-1] += cf
-        diag[1:] -= cb
-        diag[0] -= a_face[0] * v[0] / dx
-        diag[n] += a_face[n] * v[n] / dx
-        return -cf, diag, cb, forward
 
-    def assemble_matrix(u: np.ndarray) -> ReferenceFlowOperator:
-        lo, diag, up, _ = _momentum_bands(u[: n + 1].copy())
-        return ReferenceFlowOperator(lo, diag, up, g, d, ell, z)
-
-    def tangent(u: np.ndarray) -> ReferenceFlowOperator:
-        v = u[: n + 1]
-        lo, diag, up, forward = _momentum_bands(v)
-        w = 0.5 * a * np.where(forward, v[:-1], v[1:]) / dx
-        diag = diag.copy()
-        diag[:-1] += w
-        diag[1:] -= w
-        diag[0] -= a_face[0] * v[0] / dx
-        diag[n] += a_face[n] * v[n] / dx
-        return ReferenceFlowOperator(lo - w, diag, up + w, g, d, ell, z)
-
-    return assemble_matrix, tangent
+VELOCITY_SIGNS = ["mixed", "forward", "backward", "tie"]
 
 
 def rel_err(x, ref):
@@ -324,13 +294,15 @@ class TestFlowSystem:
 
     @settings(max_examples=60, deadline=None)
     @given(cells=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
-           v_scale=st.floats(1e-3, 1.0), disp_scale=st.floats(0.0, 1e-3))
-    def test_banded_operators_match_dense_reference(self, cells, seed, v_scale, disp_scale):
+           v_scale=st.floats(1e-3, 1.0), disp_scale=st.floats(0.0, 1e-3),
+           signs=st.sampled_from(VELOCITY_SIGNS))
+    def test_banded_operators_match_dense_reference(self, cells, seed, v_scale, disp_scale,
+                                                    signs):
         p = Tube1DParams(cells=cells, steps=1)
         rng = np.random.default_rng(seed)
         d = disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes)
-        # velocities of both signs exercise both upwind branches
-        u = np.concatenate([v_scale * rng.uniform(-1.0, 1.0, cells + 1),
+        # each upwind branch, both together, and the tie that picks face i
+        u = np.concatenate([draw_velocities(rng, signs, v_scale, cells + 1),
                             1000.0 * rng.standard_normal(cells)])
         r = rng.standard_normal(u.size)
         assemble, tangent = dense_flow_reference(p, d)
@@ -339,21 +311,38 @@ class TestFlowSystem:
             assert rel_err(residual(u), b - assemble(u) @ u) <= 1e-14
             assert rel_err(solve(u, r), np.linalg.solve(dense(u), r)) <= 1e-11
 
+    @pytest.mark.parametrize("signs", VELOCITY_SIGNS)
+    def test_interior_fluxes_cancel(self, signs):
+        # at p = 0 the momentum rows of A(u) u are the time term plus
+        # F_j - F_{j-1}: their sum telescopes to the two extension fluxes
+        # a_face_n v_n^2/dx - a_face_0 v_0^2/dx, whatever the upwind faces
+        p = Tube1DParams(cells=40, steps=1)
+        rng = np.random.default_rng(VELOCITY_SIGNS.index(signs))
+        d = 1e-4 * rng.uniform(-1.0, 1.0, p.n_nodes)
+        v = draw_velocities(rng, signs, 0.3, p.n_nodes)
+        b, residual, _ = TubeFlowSolver(p, initial_tube_state(p)).load(d)
+        mom = (b - residual(np.concatenate([v, np.zeros(p.cells)])))[: p.n_nodes]
+        a_face = _face_average(areas_from_displacement(p, d))
+        time_term = a_face / p.dt * v
+        convective = mom - time_term
+        ends = (a_face[-1] * v[-1] ** 2 - a_face[0] * v[0] ** 2) / p.dx
+        scale = np.abs(b).sum() + np.abs(mom).sum() + np.abs(time_term).sum()
+        assert abs(convective.sum() - ends) <= 1e3 * np.finfo(float).eps * scale
+        assert abs(ends) > 1e3 * abs(convective.sum() - ends)
+
     @settings(max_examples=80, deadline=None)
     @given(cells=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
            v_scale=st.floats(1e-3, 1.0), disp_scale=st.floats(0.0, 1e-3),
-           signs=st.sampled_from(["mixed", "forward", "backward"]))
+           signs=st.sampled_from(VELOCITY_SIGNS))
     def test_flow_kernel_is_bitwise_the_reference(self, cells, seed, v_scale, disp_scale,
                                                   signs):
         p = Tube1DParams(cells=cells, steps=1)
         rng = np.random.default_rng(seed)
         d = disp_scale * rng.uniform(-1.0, 1.0, p.n_nodes)
-        v = v_scale * rng.uniform({"mixed": -1.0, "forward": 0.0, "backward": -1.0}[signs],
-                                  {"mixed": 1.0, "forward": 1.0, "backward": 0.0}[signs],
-                                  cells + 1)
+        v = draw_velocities(rng, signs, v_scale, cells + 1)
         u = np.concatenate([v, 1000.0 * rng.standard_normal(cells)])
         r = rng.standard_normal(u.size)
-        # the solve reads the bands of the residual just before it, at u and
+        # the solve reads what the residual just before it kept, at u and
         # then at an edited u
         u_edit = u.copy()
         u_edit[0] += v_scale
@@ -367,14 +356,28 @@ class TestFlowSystem:
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_flow_solve_singular_like_the_reference(self, bad):
-        # ell^T T z is 0 for zero bands and non-finite for an inf or nan band
-        ones, n = np.ones(3), 3
-        bands = np.zeros(n - 1), np.full(n, bad), np.zeros(n - 1)
-        r = np.ones(2 * n - 1)
+        # s.z = ell^T T z is 0 when every time term underflows against ell (at
+        # rest, with a vanishing density and a huge step) and not finite at an
+        # inf or nan velocity; the reference's is so for a time term of `bad`
+        if bad == 0.0:
+            p = Tube1DParams(cells=3, steps=1, rho_f=1e-300, dt=1e300)
+            u = np.zeros(2 * p.cells + 1)
+        else:
+            p = Tube1DParams(cells=3, steps=1)
+            u = np.full(2 * p.cells + 1, bad)
+        r = np.ones(u.size)
+        for driver in DriverKind:
+            _, residual, solve = TubeFlowSolver(p, initial_tube_state(p), driver).load(
+                zero_disp(p))
+            with np.errstate(invalid="ignore", over="ignore"):
+                residual(u)
+                with pytest.raises(np.linalg.LinAlgError, match="singular flow operator"):
+                    solve(u, r)
+        ones, zeros = np.ones(p.cells + 1), np.zeros(p.cells)
+        ref = ReferenceFlowOperator(np.full(p.cells + 1, bad), zeros, zeros, (0.0, 0.0),
+                                    ones, ones, ones, ones)
         with pytest.raises(np.linalg.LinAlgError, match="singular flow operator"):
-            _flow_solve(*bands, ones, ones, r)
-        with pytest.raises(np.linalg.LinAlgError, match="singular flow operator"):
-            ReferenceFlowOperator(*bands, ones, ones, ones, ones).solve(r)
+            ref.solve(r)
 
     @pytest.mark.parametrize("edit", ["none", "pressure", "velocity", "upwind"])
     def test_tangent_after_assemble_is_bitwise_a_fresh_tangent(self, params, edit):

@@ -21,6 +21,7 @@ from fsilab.errors import (
 )
 from fsilab.models import LinearToyModel, Tube1DModel
 from fsilab.models.tube import Tube1DParams
+from fsilab.interface import all_finite
 from fsilab.subproblem import _guards
 from reference_specs import ReferenceDiagonalOperator, ReferenceFlowOperator, SpecSolver, run
 
@@ -199,9 +200,9 @@ def _diagonal_pair():
 
 def _flow_pair():
     # n = 2 cells: T = I is regular; T = 0 leaves the velocity constant unfixed
-    ones = np.ones(3)
-    regular = ReferenceFlowOperator(np.zeros(2), ones, np.zeros(2), ones, ones, ones, ones)
-    singular = ReferenceFlowOperator(np.zeros(2), np.zeros(3), np.zeros(2), ones, ones, ones,
+    ones, zeros = np.ones(3), np.zeros(2)
+    regular = ReferenceFlowOperator(ones, zeros, zeros, (0.0, 0.0), ones, ones, ones, ones)
+    singular = ReferenceFlowOperator(np.zeros(3), zeros, zeros, (0.0, 0.0), ones, ones, ones,
                                      ones)
     return regular, singular
 
@@ -432,6 +433,32 @@ class TestCallSolver:
                 call_solver(solver_id, unit_spec(lambda u: bad), call_input([0.0]))
         out, _, u = call_solver(solver_id, unit_spec(lambda u: 2.0 * u), call_input([0.0]))
         assert out.tolist() == [2.0] and not out.flags.writeable and u.flags.writeable
+
+    @pytest.mark.parametrize("output_is_state", [True, False])
+    def test_output_tested_for_finiteness_once(self, monkeypatch, output_is_state):
+        # drive's guard tests the final state; call_solver tests an output
+        # only when it is another array, so each vector is tested once
+        import fsilab.subproblem as subproblem_mod
+
+        tested = []
+
+        def counting_all_finite(x):
+            tested.append(x)
+            return all_finite(x)
+
+        monkeypatch.setattr(subproblem_mod, "all_finite", counting_all_finite)
+        spec = SpecSolver(
+            dim=1,
+            assemble_matrix=lambda u: np.array([[1.0]]),
+            assemble_rhs=lambda c: np.array([1.0]),
+            tangent=lambda u: np.array([[1.0]]),
+            extract_output=(lambda u: u) if output_is_state else (lambda u: 2.0 * u),
+        )
+        out, rep, u = call_solver(SolverId.SOLID, spec, call_input([0.0]))
+        assert (out is u) == output_is_state
+        assert sum(x is u for x in tested) == 1 and sum(x is out for x in tested) == 1
+        # u0, each iterate, and an output that is not the final state
+        assert len(tested) == 1 + rep.inner_iters + (not output_is_state)
 
     def test_errors_annotated_with_solver(self):
         # call_solver passes the driver's error on as it is; the coupling loop,
