@@ -27,13 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg._umath_linalg import qr_r_raw, solve1
 
-from .errors import (
-    AllColumnsFilteredError,
-    ContractError,
-    DivergedStepError,
-    GeometryError,
-    InnerIterationError,
-)
+from .errors import ContractError, DivergedStepError, GeometryError, InnerIterationError
 from .interface import (
     AccelKind,
     CouplingConfig,
@@ -91,7 +85,9 @@ class IqnHistory:
     allocated at the first append (or on a new column length): rows ``0..n-1``
     hold ``V``, rows ``n..2n-1`` hold ``W``, and the last row holds the norm
     ``||v_j||`` that the QR1 filter compares each column of ``V`` against,
-    computed once at its append. An append writes its column left of the
+    computed once at its append. An append skips a pair whose norm is 0.0, all
+    zeros or squares that underflow, so the filter keeps at least the newest
+    column of a nonempty history. An append writes its column left of the
     window and drops the oldest from a full one; at the left edge the window
     first moves to the right half, in one copy. ``V``, ``W`` and the norms
     thus move, truncate and clear together. A count of the nonzero entries
@@ -118,8 +114,11 @@ class IqnHistory:
         if self._ages and age < self._ages[0]:
             raise ContractError(f"column of step {age} is older than the newest stored "
                                 f"column, of step {self._ages[0]}")
-        if not dr.any():
-            return  # a stagnant pair carries no secant information
+        # ||dr||, its squares summed in order; 0.0 for a stagnant pair, or one
+        # whose squares underflow, which carries no secant information
+        norm = math.sqrt(np.add.accumulate(dr * dr)[-1]) if n else 0.0
+        if norm == 0.0:
+            return
         m = min(n, _MAX_SECANT_COLUMNS)
         if self._buf.shape != (2 * n + 1, 2 * m):
             self._buf = np.empty((2 * n + 1, 2 * m))
@@ -134,8 +133,7 @@ class IqnHistory:
             self._start = m
         self._start -= 1
         col = self._buf[:, self._start]
-        col[:n], col[n:-1] = dr, dw
-        col[-1] = math.sqrt(np.add.accumulate(dr * dr)[-1])  # summed in order
+        col[:n], col[n:-1], col[-1] = dr, dw, norm
         self._ages = [age] + self._ages[:k]
 
     def start_step(self, step: int) -> None:
@@ -179,8 +177,9 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
     """The filter of :func:`qr_filter` and the least-squares fit on the columns it keeps.
 
     Returns ``(keep, alpha)``: ``keep`` is an index array, and ``alpha``
-    minimizes ``||V[:, keep] alpha - rhs||_2`` (None when no column is kept).
-    Each pass factors ``[V_cand | rhs]`` once. Householder QR treats the
+    minimizes ``||V[:, keep] alpha - rhs||_2`` (None when V has no nonzero
+    column). The first candidate is kept untested, so ``keep`` is empty only
+    then. Each pass factors ``[V_cand | rhs]`` once. Householder QR treats the
     columns in order, so the first diagonal entries of R are those of
     ``V_cand`` alone, whatever ``rhs`` is, and the last column holds ``Q^T
     rhs``: ``alpha`` is one triangular solve away, with no Q formed. R is
@@ -197,9 +196,10 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
     the wrappers' dispatch, copy and ``errstate`` cost more than the
     factorisation. Both run under the caller's numpy errstate, and neither
     can fail here: geqrf fails only on an invalid argument, and gesv only
-    on an exactly zero pivot, while R is triangular and every kept column
-    has ``|R_jj| >= eps_fil * ||v_j|| > 0``. A non-finite ``alpha`` ends
-    the step through the coupling map's check of the next displacement.
+    on an exactly zero pivot, while R is triangular, ``|R_00| > 0`` is the
+    first kept column's norm, and every other kept column has ``|R_jj| >=
+    eps_fil * ||v_j|| > 0``. A non-finite ``alpha`` ends the step through
+    the coupling map's check of the next displacement.
     """
     v_matrix = v_matrix[rows]
     cand = norms.nonzero()[0]
@@ -213,6 +213,7 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
         r_diag = np.abs(a.diagonal()[:n_keep])
         kept_norms = norms[:n_keep] if cand.size == n_cols else norms[cand[:n_keep]]
         failed = r_diag < eps_fil * kept_norms
+        failed[0] = False  # the first candidate's orthogonal part is its whole norm
         first = failed.argmax()  # the first that failed, if any
         if failed[first]:
             cand = np.delete(cand, first)
@@ -229,10 +230,13 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     partitioned QN-ILS procedure for FSI problems: Filtering", Comput. Struct.
     171 (2016): a column is dropped when its component orthogonal to the
     columns retained before it falls below ``eps_fil`` times its own norm;
-    zero columns are always dropped. In a Householder QR of the candidate
-    columns, ``|R_jj|`` is that orthogonal component of column j, so one
-    LAPACK factorisation tests every candidate. The first candidate that fails
-    is dropped and the remaining candidates are refactored, until none fails.
+    zero columns are always dropped, and the first nonzero one always kept:
+    its orthogonal component is its whole norm, so it passes at any
+    ``eps_fil < 1``, and it is not tested at all. In a Householder QR of the
+    candidate columns, ``|R_jj|`` is that orthogonal component of column j,
+    so one LAPACK factorisation tests every later candidate. The first that
+    fails is dropped and the remaining candidates are refactored, until none
+    fails.
     Rows that are zero in every column (clamped interface nodes) are left out
     of the factorisation: they add nothing to a norm or an inner product, and
     reflections would fill them with round-off. With more candidates than the
@@ -269,8 +273,6 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     if v.shape[0] != r.size:
         raise ContractError("history column length does not match residual length")
     keep, alpha = _qr1(v, eps_fil, -r, hist.norms(), hist.rows())
-    if not keep.size:
-        raise AllColumnsFilteredError("filtering removed all quasi-Newton columns")
     if keep.size < w.shape[1]:  # else no column was dropped: W stays a view
         w = w[:, keep]
     delta = w @ alpha
@@ -305,8 +307,7 @@ def check_convergence(report_f: SolverCallReport, report_s: SolverCallReport,
 class Event(NamedTuple):
     """Something the coupling loop did besides its plain update, at (step, k).
 
-    ``tag`` is one of ``aitken_stagnation``, ``iqn_stagnation_restart`` and
-    ``iqn_all_columns_filtered``.
+    ``tag`` is ``aitken_stagnation`` or ``iqn_stagnation_restart``.
     """
 
     step: int
@@ -347,20 +348,16 @@ class TimeStepRecord:
 def _update(config, hist, omega, r, r_norm, x, x_tilde):
     """The next interface vector under the configured accelerator.
 
-    Returns ``(x_next, increment_norm, fallback_tag)`` for the map's input ``x``,
-    its output ``x_tilde`` and ``r = x_tilde - x``. Under IQN-ILS the increment
-    is ``||W alpha||``, the correction on top of ``x_tilde``; an empty or fully
-    filtered history (the latter tagged) falls back to relaxation with
-    ``omega0``. Under relaxation the increment is ``omega * ||r||``, the step from ``x``.
+    Returns ``(x_next, increment_norm)`` for the map's input ``x``, its output
+    ``x_tilde`` and ``r = x_tilde - x``. Under IQN-ILS the increment is
+    ``||W alpha||``, the correction on top of ``x_tilde``; an empty history
+    falls back to relaxation with ``omega0``. Under relaxation the increment is
+    ``omega * ||r||``, the step from ``x``.
     """
-    tag = None
     if config.accel is AccelKind.IQN_ILS and not hist.is_empty:
-        try:
-            return (*iqn_ils_update(hist, r, x_tilde, config.eps_fil), None)
-        except AllColumnsFilteredError:
-            tag = "iqn_all_columns_filtered"
+        return iqn_ils_update(hist, r, x_tilde, config.eps_fil)
     step = omega if config.accel is AccelKind.AITKEN else config.omega0
-    return x + step * r, step * r_norm, tag
+    return x + step * r, step * r_norm
 
 
 def run_time_step(model, config, state, hist, step, x, u_f, u_s,
@@ -483,10 +480,8 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
                     rec.events.append(Event(step, k, "aitken_stagnation"))
 
         # acceleration update toward the next coupling iteration
-        x_next, _, tag = _update(config, hist, omega, r, r_norm, x, x_tilde)
-        if tag is not None:
-            rec.events.append(Event(step, k, tag))
-        x, r_km1, x_tilde_km1 = x_next, r, x_tilde
+        r_km1, x_tilde_km1 = r, x_tilde
+        x = _update(config, hist, omega, r, r_norm, x, x_tilde)[0]
 
     raise _abort(f"no convergence within max_coupling_iters={config.max_coupling_iters}")
 

@@ -34,10 +34,6 @@ class DivergenceError(InnerIterationError):
     """A subproblem iteration produced non-finite or unbounded iterates."""
 
 
-class AllColumnsFilteredError(FsiLabError):
-    """QR filtering removed every stored column; caller should fall back to relaxation."""
-
-
 class DivergedStepError(FsiLabError):
     """The coupling loop did not converge within the allowed iterations.
 

@@ -103,15 +103,12 @@ class SolverCallReport:
     ``residual_history[i]`` is the scaled residual norm evaluated *before* the
     (i+1)-th solution update, and ``eps`` the call's tolerance; the inner
     iteration count and ``converged_on_first`` (the very first recorded norm
-    already beat ``eps``) derive from them.
+    already beat ``eps``) derive from them. :func:`~fsilab.subproblem.drive`
+    records at least one norm per call.
     """
 
     residual_history: tuple
     eps: float
-
-    def __post_init__(self):
-        if not self.residual_history:
-            raise ContractError("a solver call performs at least one inner iteration")
 
     @property
     def inner_iters(self) -> int:
@@ -165,7 +162,7 @@ class CouplingConfig:
             require_positive(getattr(self, name), name)
         omega0 = self.omega0
         if isinstance(omega0, bool) or not isinstance(omega0, _REAL) or not 0.0 < omega0 <= 1.0:
-            raise ContractError("omega0 must lie in (0, 1]")
+            raise ContractError(f"omega0 must lie in (0, 1], got {omega0!r}")
         require_member(self.accel, AccelKind, "accel")
         require_member(self.criterion, CriterionKind, "criterion")
         for name, low in (("reuse_q", 0), ("max_coupling_iters", 1)):

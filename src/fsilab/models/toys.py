@@ -80,7 +80,7 @@ class LinearToyModel:
         require_count(dim_s, "dim_s", 1)
         require_finite("linear toy parameter", {"coupling_strength": coupling_strength})
         if coupling_strength < 0:
-            raise ContractError("coupling_strength must be >= 0")
+            raise ContractError(f"coupling_strength must be >= 0, got {coupling_strength!r}")
         require_count(steps, "steps", 1)
         self.dim_f = dim_f
         self.dim_s = dim_s

@@ -86,9 +86,9 @@ class Tube1DParams:
                 raise ContractError(f"tube parameter {name!r} = {value!r} is so small "
                                     "that its square underflows to 0")
         if not (0.0 <= self.poisson < 0.5):
-            raise ContractError("poisson must lie in [0, 0.5)")
+            raise ContractError(f"poisson must lie in [0, 0.5), got {self.poisson!r}")
         if self.kappa3 < 0:
-            raise ContractError("kappa3 must be >= 0")
+            raise ContractError(f"kappa3 must be >= 0, got {self.kappa3!r}")
         require_count(self.cells, "cells", 2)
         require_count(self.steps, "steps", 1)
 

@@ -24,15 +24,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ContractError, DivergenceError, LinearSolveError
-from .interface import (
-    Cap,
-    SolverCallReport,
-    UNBOUNDED,
-    all_finite,
-    is_unbounded,
-    require_positive,
-    validate_cap,
-)
+from .interface import Cap, SolverCallReport, UNBOUNDED, all_finite
 
 # Safety limits for nominally unbounded inner loops.
 _ITER_CEILING = 100_000
@@ -91,16 +83,14 @@ class SolverCallInput:
     ``u0`` is the interior state carried over from this solver's previous call;
     the driver leaves it untouched and returns the new state. ``coupling_data``
     is the partner's read-only float64 vector, which the solver's ``load`` checks.
+    ``eps`` and ``n_max`` are the solver's tolerance and cap, which
+    :class:`~fsilab.interface.CouplingConfig` checks once per run, not per call.
     """
 
     u0: np.ndarray
     coupling_data: np.ndarray
     eps: float
     n_max: Cap = UNBOUNDED
-
-    def __post_init__(self):
-        validate_cap(self.n_max, "n_max")
-        require_positive(self.eps, "eps")
 
 
 def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float | None) -> None:
@@ -127,7 +117,9 @@ def drive(solver: Solver, inp: SolverCallInput):
     ``inp.u0`` is never written. ``u0`` and every iterate are tested with
     :func:`~fsilab.interface.all_finite`, one reduction per vector, and the
     entries of a residual are looked at only when its norm is not finite. Only
-    an unbounded call computes the round-off floor its stall guard reads.
+    an unbounded call computes the round-off floor its stall guard reads. A call
+    is bounded when ``n_max < inf``, so an unchecked nan cap runs under the
+    unbounded guards, not forever.
     """
     dim = solver.dim
     u = np.asarray(inp.u0, dtype=float)
@@ -138,7 +130,7 @@ def drive(solver: Solver, inp: SolverCallInput):
     b, residual, solve = solver.load(inp.coupling_data)
     if b.shape != (dim,):
         raise ContractError(f"rhs has shape {b.shape}, expected ({dim},)")
-    bounded = not is_unbounded(inp.n_max)
+    bounded = inp.n_max < math.inf
     eps, n_max = inp.eps, inp.n_max
     sqrt_n = math.sqrt(dim)
     # only the guards of an unbounded call read the round-off floor

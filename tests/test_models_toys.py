@@ -58,7 +58,7 @@ class TestLinearToyConstruction:
             LinearToyModel(0, 4, 0.5)
 
     def test_negative_coupling_strength_rejected(self):
-        with pytest.raises(ContractError, match="^coupling_strength must be >= 0$"):
+        with pytest.raises(ContractError, match=r"^coupling_strength must be >= 0, got -1\.0$"):
             LinearToyModel(coupling_strength=-1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5"])

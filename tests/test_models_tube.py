@@ -153,9 +153,9 @@ class TestParams:
         assert [s for s in range(1, 101) if p.inlet_pressure(s)] == list(range(1, 11))
 
     def test_validation(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^poisson must lie in \[0, 0\.5\), got 0\.6$"):
             Tube1DParams(poisson=0.6)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^kappa3 must be >= 0, got -1\.0$"):
             Tube1DParams(kappa3=-1.0)
 
     @pytest.mark.parametrize("name, value", [("dt", 0.0), ("length", -1.0)])
