@@ -29,8 +29,8 @@ from .interface import (
     UNBOUNDED,
     deviation_from_reference,
 )
+from .models.tube import DriverKind
 from .subproblem import (
-    DriverKind,
     Solver,
     SolverCallInput,
     SolverId,

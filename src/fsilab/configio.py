@@ -32,7 +32,7 @@ from .interface import (
 )
 from .costmodel import CostFactors
 from .models import LinearToyModel, Tube1DModel, Tube1DParams
-from .subproblem import DriverKind
+from .models.tube import DriverKind
 
 # ---------------------------------------------------------------------------
 # config files

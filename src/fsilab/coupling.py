@@ -279,35 +279,37 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     return d_tilde + delta, math.sqrt(delta.dot(delta))
 
 
-def aitken_omega(r_k, r_km1, omega_km1: float) -> tuple:
+def aitken_omega(r_k, r_km1, omega_km1: float) -> float:
     """Secant update of the dynamic relaxation factor, clamped to [0.01, 2.0].
 
-    Returns ``(omega, stagnated)``. A stagnating residual (zero denominator)
-    keeps the previous factor and sets ``stagnated``.
+    A residual that repeated bit for bit (zero denominator) keeps the previous
+    factor; the coupling loop's stall rule counts that repeat.
     """
     r_k = np.asarray(r_k, dtype=float)
     r_km1 = np.asarray(r_km1, dtype=float)
     delta = r_k - r_km1
     denom = float(delta @ delta)
     if denom == 0.0:
-        return omega_km1, True
+        return omega_km1
     omega = -omega_km1 * float(r_km1 @ delta) / denom
-    return float(min(max(omega, _AITKEN_MIN), _AITKEN_MAX)), False
+    return float(min(max(omega, _AITKEN_MIN), _AITKEN_MAX))
 
 
 def check_convergence(report_f: SolverCallReport, report_s: SolverCallReport,
                       config: CouplingConfig, r_norm: float) -> bool:
     """Convergence test of the current coupling iteration, whose fixed-point
-    residual has the 2-norm ``r_norm``."""
+    residual has the 2-norm ``r_norm``: under ``FIRST_RESIDUAL``, each solver
+    call's first recorded residual against that solver's tolerance."""
     if config.criterion is CriterionKind.FIRST_RESIDUAL:
-        return report_f.converged_on_first and report_s.converged_on_first
+        return (report_f.residual_history[0] < config.eps_f
+                and report_s.residual_history[0] < config.eps_s)
     return r_norm < config.eps_c
 
 
 class Event(NamedTuple):
     """Something the coupling loop did besides its plain update, at (step, k).
 
-    ``tag`` is ``aitken_stagnation`` or ``iqn_stagnation_restart``.
+    ``tag`` is ``iqn_stagnation_restart``.
     """
 
     step: int
@@ -374,9 +376,9 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
     the returned ``x`` is the accepted displacement.
 
     ``u_f`` and ``u_s`` are the interior states the flow and solid solvers
-    ended the previous step with; None on the run's first step, where each
-    solver starts from zeros of its ``dim``. ``increments`` fills the third
-    entry of ``record.accepted_norms``.
+    ended the previous step with; None on the run's first step, whose first
+    calls :func:`~fsilab.subproblem.drive` starts from zeros. ``increments``
+    fills the third entry of ``record.accepted_norms``.
 
     Raises :class:`DivergedStepError`, with the step's unconverged
     :class:`TimeStepRecord` as ``partial``, when the coupling-iteration budget
@@ -418,8 +420,6 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
         return out
 
     flow, solid = model.flow_solver(state), model.solid_solver(state)
-    if u_f is None:
-        u_f, u_s = np.zeros(flow.dim), np.zeros(solid.dim)
 
     def coupling_map(x):
         """``H(x)``: the flow on the displacement ``x``, then the solid on its traction."""
@@ -475,9 +475,7 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
                 raise _abort(f"fixed-point residual repeated for {repeats} coupling "
                              "iterations")
             if config.accel is AccelKind.AITKEN:
-                omega, stagnated = aitken_omega(r, r_km1, omega)
-                if stagnated:
-                    rec.events.append(Event(step, k, "aitken_stagnation"))
+                omega = aitken_omega(r, r_km1, omega)
 
         # acceleration update toward the next coupling iteration
         r_km1, x_tilde_km1 = r, x_tilde

@@ -101,22 +101,17 @@ class SolverCallReport:
     """Per-call record of one black-box solver invocation.
 
     ``residual_history[i]`` is the scaled residual norm evaluated *before* the
-    (i+1)-th solution update, and ``eps`` the call's tolerance; the inner
-    iteration count and ``converged_on_first`` (the very first recorded norm
-    already beat ``eps``) derive from them. :func:`~fsilab.subproblem.drive`
-    records at least one norm per call.
+    (i+1)-th solution update; the inner iteration count is its length.
+    :func:`~fsilab.subproblem.drive` records at least one norm per call, and
+    :func:`~fsilab.coupling.check_convergence` tests the first against the
+    solver's tolerance.
     """
 
     residual_history: tuple
-    eps: float
 
     @property
     def inner_iters(self) -> int:
         return len(self.residual_history)
-
-    @property
-    def converged_on_first(self) -> bool:
-        return self.residual_history[0] < self.eps
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,6 @@ class _DenseSolver:
     b0: np.ndarray
     B: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.b0.size
-
     def load(self, coupling: np.ndarray) -> tuple:
         A, B = self.A, self.B
         n = B.shape[1]

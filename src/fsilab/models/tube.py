@@ -47,12 +47,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 
 from ..errors import ContractError, GeometryError
 from ..interface import require_count, require_finite, require_member, require_positive
-from ..subproblem import DriverKind
+
+
+class DriverKind(Enum):
+    """How the flow corrects its iterate: with the tangent ``K(u)`` or with ``A(u)``."""
+
+    NEWTON = "newton"
+    PICARD = "picard"
 
 
 @dataclass(frozen=True)
@@ -117,11 +124,11 @@ class Tube1DParams:
 
 @dataclass
 class TubeState:
-    """Accepted solution state at the start of a time step."""
+    """Accepted solution state at the start of a time step. A flow solver keeps
+    its state's ``area``: no state array is written once solvers are built."""
 
     area: np.ndarray  # per cell, m^2
     velocity: np.ndarray  # axial velocity per face (staggered), m/s
-    pressure: np.ndarray  # per cell, Pa
     wall_disp: np.ndarray  # per node, m
     wall_vel: np.ndarray  # per node, m/s
     step: int = 0  # completed steps
@@ -132,7 +139,6 @@ def initial_tube_state(params: Tube1DParams) -> TubeState:
     return TubeState(
         area=np.full(n, math.pi * params.radius**2),
         velocity=np.zeros(n + 1),
-        pressure=np.zeros(n),
         wall_disp=np.zeros(m),
         wall_vel=np.zeros(m),
         step=0,
@@ -183,11 +189,10 @@ class TubeFlowSolver:
                  flow_scheme: DriverKind = DriverKind.NEWTON):
         require_member(flow_scheme, DriverKind, "flow_scheme")
         self.params, self._flow_scheme = params, flow_scheme
-        self.dim = 2 * params.cells + 1
         # the old momentum a_face_old * v_old / dt and the inlet pressure of the step
         self._momentum_old = _face_average(state.area) * state.velocity / params.dt
         self._p_in = params.inlet_pressure(state.step + 1)
-        self._a_old = state.area.copy()
+        self._a_old = state.area
 
     def load(self, displacement: np.ndarray) -> tuple:
         params = self.params
@@ -209,7 +214,7 @@ class TubeFlowSolver:
         half_a = 0.5 * a / dx
         ext_in, ext_out = float(a_face[0]) / dx, float(a_face[n]) / dx
         ell_in, ell_out = float(ell[0]), float(ell[n])
-        b = np.zeros(self.dim)
+        b = np.zeros(2 * n + 1)
         b[: n + 1] = self._momentum_old
         b[0] += 2.0 * float(a_face[0]) * self._p_in / (rho * dx)
         b[n] -= 2.0 * float(a_face[n]) * params.outlet_pressure / (rho * dx)
@@ -318,13 +323,12 @@ class TubeSolidSolver:
 
     def __init__(self, params: Tube1DParams, state: TubeState):
         self.params = params
-        self.dim = params.n_nodes
         ms_dt2 = params.wall_mass / params.dt**2
         self._base = np.full(params.n_nodes, ms_dt2 + params.ring_stiffness)  # linear diagonal
         self._inertia = ms_dt2 * (state.wall_disp[1:-1] + params.dt * state.wall_vel[1:-1])
 
     def load(self, traction: np.ndarray) -> tuple:
-        m = self.dim
+        m = self.params.n_nodes
         if traction.shape != (m,):
             raise ContractError(f"traction has shape {traction.shape}, expected ({m},)")
         b = np.zeros(m)
@@ -377,12 +381,10 @@ class Tube1DModel:
 
     def advance_state(self, state: TubeState, accepted_displacement: np.ndarray,
                       flow_u: np.ndarray) -> TubeState:
-        n = self.params.cells
-        d_new = accepted_displacement.copy()
+        d_new = accepted_displacement
         return TubeState(
             area=areas_from_displacement(self.params, d_new),
-            velocity=flow_u[: n + 1].copy(),
-            pressure=flow_u[n + 1 :].copy(),
+            velocity=flow_u[: self.params.n_nodes],
             wall_disp=d_new,
             wall_vel=(d_new - state.wall_disp) / self.params.dt,
             step=state.step + 1,

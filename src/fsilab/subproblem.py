@@ -11,7 +11,8 @@ runs one loop for both:
                          u += solve(u, r), then stop if the recorded norm beat eps.
 
 The update runs even on the converged iteration (black-box solvers cannot exit
-before updating), which is what makes ``converged_on_first`` well defined.
+before updating), so the first recorded norm is the residual of the call's
+input, the one the coupling loop's first-residual criterion tests.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ _ROUNDOFF_FLOOR = 1e3 * np.finfo(float).eps
 _FLOOR_STALL_ITERS = 5
 
 
-class DriverKind(Enum):
-    """How a solver corrects its iterate: with the tangent ``K(u)`` or with ``A(u)``."""
-
-    NEWTON = "newton"
-    PICARD = "picard"
-
-
 class SolverId(Enum):
     FLOW = "flow"
     SOLID = "solid"
@@ -52,8 +46,8 @@ class Solver(Protocol):
 
     ``load(coupling)`` poses one solver call on the coupling data, a read-only
     float64 vector whose shape it checks, and returns ``(b, residual, solve)``:
-    the call's right-hand side, ``residual(u) = b - A(u) u``, and ``solve(u,
-    r)``, the correction ``M(u)^-1 r``. ``M`` is the solver's own choice, e.g.
+    the call's right-hand side, a 1-D vector whose length is the call's size,
+    ``residual(u) = b - A(u) u``, and ``solve(u, r)``, the correction ``M(u)^-1 r``. ``M`` is the solver's own choice, e.g.
     the tangent ``K(u) = A(u) + (dA/du) u`` (Newton) or ``A(u)`` (Picard).
     The driver calls ``solve`` with the iterate whose residual it has just
     evaluated, so ``solve`` may reuse what ``residual`` built there; it raises
@@ -69,8 +63,6 @@ class Solver(Protocol):
     has the length its partner loads.
     """
 
-    dim: int
-
     def load(self, coupling: np.ndarray) -> tuple: ...
 
     def output(self, u: np.ndarray) -> np.ndarray: ...
@@ -80,14 +72,15 @@ class Solver(Protocol):
 class SolverCallInput:
     """Arguments of one black-box solver call.
 
-    ``u0`` is the interior state carried over from this solver's previous call;
-    the driver leaves it untouched and returns the new state. ``coupling_data``
+    ``u0`` is the interior state carried over from this solver's previous call,
+    or None for a call that has none, which starts from zeros; the driver
+    leaves it untouched and returns the new state. ``coupling_data``
     is the partner's read-only float64 vector, which the solver's ``load`` checks.
     ``eps`` and ``n_max`` are the solver's tolerance and cap, which
     :class:`~fsilab.interface.CouplingConfig` checks once per run, not per call.
     """
 
-    u0: np.ndarray
+    u0: np.ndarray | None
     coupling_data: np.ndarray
     eps: float
     n_max: Cap = UNBOUNDED
@@ -114,25 +107,26 @@ def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float | 
 def drive(solver: Solver, inp: SolverCallInput):
     """Inner iterations ``u' = u + solve(u, residual(u))``; returns ``(u, residual_history)``.
 
-    ``inp.u0`` is never written. ``u0`` and every iterate are tested with
+    The call's size is its right-hand side's, a non-empty 1-D ``b``: ``u0``
+    must have its shape, and a None ``u0`` starts from its zeros. ``inp.u0`` is
+    never written. ``u0`` and every iterate are tested with
     :func:`~fsilab.interface.all_finite`, one reduction per vector, and the
     entries of a residual are looked at only when its norm is not finite. Only
     an unbounded call computes the round-off floor its stall guard reads. A call
     is bounded when ``n_max < inf``, so an unchecked nan cap runs under the
     unbounded guards, not forever.
     """
-    dim = solver.dim
-    u = np.asarray(inp.u0, dtype=float)
-    if u.shape != (dim,):
-        raise ContractError(f"u0 has shape {u.shape}, expected ({dim},)")
+    b, residual, solve = solver.load(inp.coupling_data)
+    if b.ndim != 1 or not b.size:
+        raise ContractError(f"rhs has shape {b.shape}, expected a non-empty 1-D vector")
+    u = np.zeros(b.size) if inp.u0 is None else np.asarray(inp.u0, dtype=float)
+    if u.shape != b.shape:
+        raise ContractError(f"u0 has shape {u.shape}, expected {b.shape}")
     if not all_finite(u):
         raise ContractError("u0 contains non-finite entries")
-    b, residual, solve = solver.load(inp.coupling_data)
-    if b.shape != (dim,):
-        raise ContractError(f"rhs has shape {b.shape}, expected ({dim},)")
     bounded = inp.n_max < math.inf
     eps, n_max = inp.eps, inp.n_max
-    sqrt_n = math.sqrt(dim)
+    sqrt_n = math.sqrt(b.size)
     # only the guards of an unbounded call read the round-off floor
     floor = None if bounded else _ROUNDOFF_FLOOR * math.sqrt(b.dot(b)) / sqrt_n
     history: list = []
@@ -179,4 +173,4 @@ def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
             or (output is not u and not all_finite(output))):
         raise ContractError(f"{solver_id.value} solver must output a finite 1-D float64 array")
     output.setflags(write=False)
-    return output, SolverCallReport(tuple(history), inp.eps), u
+    return output, SolverCallReport(tuple(history)), u

@@ -359,4 +359,4 @@ class SpecSolver(ReferenceSpec):
 def run(solver, inp):
     """:func:`drive`, returning ``(u, report)`` as a solver call reports it."""
     u, history = drive(solver, inp)
-    return u, SolverCallReport(tuple(history), inp.eps)
+    return u, SolverCallReport(tuple(history))

@@ -35,8 +35,7 @@ def _short_solid_toy(n_out: int):
 
     def solid_solver(state):
         solver = toy.solid_solver(state)
-        return SimpleNamespace(dim=solver.dim, load=solver.load,
-                               output=lambda u: np.resize(u, n_out))
+        return SimpleNamespace(load=solver.load, output=lambda u: np.resize(u, n_out))
 
     return SimpleNamespace(n_interface=5, n_steps=1, initial_state=toy.initial_state,
                            flow_solver=toy.flow_solver, solid_solver=solid_solver,

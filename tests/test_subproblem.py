@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,22 +68,19 @@ class TestNewtonDrive:
     def test_exact_initial_guess(self):
         u, rep = run(scalar_quadratic(), call_input([2.0], eps=1e-12))
         assert rep.inner_iters == 1
-        assert rep.converged_on_first
         assert rep.residual_history[0] == 0.0
         assert u[0] == 2.0
 
     def test_full_convergence_and_hand_first_step(self):
         u, rep = run(scalar_quadratic(), call_input([3.0], eps=1e-10))
         assert abs(u[0] - 2.0) < 1e-10
-        assert not rep.converged_on_first
         # first Newton step by hand: K = 2*3 = 6, r = 4 - 9 = -5, u1 = 3 - 5/6
         assert rep.residual_history[0] == 5.0
         assert rep.residual_history[-1] < 1e-10
 
     def test_single_capped_step(self):
         u, rep = run(scalar_quadratic(), call_input([3.0], eps=1e-10, n_max=1))
-        assert rep.inner_iters == 1
-        assert not rep.converged_on_first
+        assert rep.residual_history == (5.0,)
         assert u[0] == pytest.approx(3.0 - 5.0 / 6.0, abs=1e-12)
 
     def test_linear_system_second_residual_zero(self):
@@ -152,7 +151,7 @@ class TestPicardDrive:
 
     def test_exact_start(self):
         u, rep = run(scalar_affine(), call_input([2.0], eps=1e-10))
-        assert rep.converged_on_first and rep.inner_iters == 1
+        assert rep.residual_history == (0.0,)
 
     def test_linear_full_preconditioner_one_update(self):
         rng = np.random.default_rng(7)
@@ -309,7 +308,7 @@ class TestReplayProperty:
             return b, lambda u: (residuals.append(residual(u)), residuals[-1])[1], solve
 
         flow.load = recording_load
-        _, history = drive(flow, SolverCallInput(np.zeros(flow.dim), d, eps=1e-9))
+        _, history = drive(flow, SolverCallInput(None, d, eps=1e-9))
         assert len(history) >= 2
         assert [np.linalg.norm(r) / math.sqrt(r.size) for r in residuals] == history
 
@@ -373,10 +372,30 @@ class TestGuards:
             run(scalar_affine(), call_input([0.0, 0.0]))
 
     def test_rhs_of_wrong_shape_rejected(self):
+        # the call's size is its right-hand side's: b must be a non-empty 1-D
+        # vector, and u0 must have its length
         spec = scalar_affine()
+        for rhs in (np.array([[6.0]]), np.zeros(0)):
+            spec.assemble_rhs = lambda c: rhs
+            with pytest.raises(ContractError, match=re.escape(
+                    f"rhs has shape {rhs.shape}, expected a non-empty 1-D vector")):
+                run(spec, call_input([0.0]))
         spec.assemble_rhs = lambda c: np.array([6.0, 6.0])
-        with pytest.raises(ContractError, match="rhs has shape"):
+        with pytest.raises(ContractError, match=re.escape("u0 has shape (1,), expected (2,)")):
             run(spec, call_input([0.0]))
+
+    @each_driver
+    def test_no_start_state_is_zeros_of_the_rhs_length(self, driver):
+        # u0 = None starts from zeros of b's length, bit for bit
+        model = Tube1DModel(Tube1DParams(cells=30, steps=1), flow_scheme=driver)
+        state = model.initial_state()
+        for solver, coupling, n in (
+                (model.flow_solver(state), np.linspace(0.0, 2e-5, model.n_interface), 61),
+                (model.solid_solver(state), np.linspace(1333.2, 0.0, model.n_interface), 31)):
+            got_u, got_h = drive(solver, SolverCallInput(None, coupling, eps=1e-12))
+            ref_u, ref_h = drive(solver, SolverCallInput(np.zeros(n), coupling, eps=1e-12))
+            assert len(got_h) >= 2 and got_h == ref_h
+            assert got_u.tobytes() == ref_u.tobytes()
 
 
 class TestIterationBounds:
@@ -397,6 +416,29 @@ class TestCallSolver:
         assert np.allclose(out, direct, atol=1e-12)
         # the toy's output is its final state, read-only from here on
         assert out is u and out.shape == (toy.dim_f,) and not out.flags.writeable
+
+    def test_a_solver_is_load_and_output(self):
+        # a black box has two members: the driver reads the call's size off
+        # its right-hand side, and a call without interior state starts from zeros
+        def black_box(solver):
+            return SimpleNamespace(load=solver.load, output=solver.output)
+
+        toy = LinearToyModel(dim_f=3, dim_s=5, steps=3)
+        d = np.linspace(0.0, 1.0, toy.dim_s)
+        out, rep, u = call_solver(SolverId.FLOW, black_box(toy.flow_solver(0)),
+                                  SolverCallInput(None, d, eps=1e-13))
+        assert out is u and u.shape == (toy.dim_f,) and rep.inner_iters == 2
+        assert np.allclose(out, np.linalg.solve(toy.A_f, toy.b_f0 + toy.B_f @ d), atol=1e-12)
+
+        boxed = SimpleNamespace(
+            n_interface=toy.n_interface, n_steps=toy.n_steps, initial_state=toy.initial_state,
+            flow_solver=lambda state: black_box(toy.flow_solver(state)),
+            solid_solver=lambda state: black_box(toy.solid_solver(state)),
+            advance_state=toy.advance_state)
+        config = CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5)
+        got, ref = run_simulation(boxed, config), run_simulation(toy, config)
+        assert got.converged and got.counters == ref.counters
+        assert [a.tobytes() for a in got.snapshots] == [a.tobytes() for a in ref.snapshots]
 
     def test_capped_call_returns_capped_iterate(self):
         toy = LinearToyModel.stable()
