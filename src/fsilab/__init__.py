@@ -35,7 +35,6 @@ from .subproblem import (
     SolverCallInput,
     SolverId,
     call_solver,
-    drive,
 )
 
 __version__ = "0.1.0"
@@ -60,7 +59,6 @@ __all__ = [
     "call_solver",
     "check_convergence",
     "deviation_from_reference",
-    "drive",
     "equivalent_time",
     "fit_cost_factors",
     "iqn_ils_update",

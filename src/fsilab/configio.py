@@ -83,25 +83,29 @@ _PARSERS = {"float": float, "int": int, "Cap": parse_cap,
 
 
 def _keys(target, prefix: str = "") -> dict:
-    """``{prefix + keyword: (keyword, parser)}`` for each keyword of ``target`` but ``params``."""
+    """``{prefix + keyword: (keyword, parser)}`` for each keyword of ``target``."""
     return {prefix + name: (name, _PARSERS[p.annotation])
-            for name, p in inspect.signature(target).parameters.items() if name != "params"}
+            for name, p in inspect.signature(target).parameters.items()}
+
+
+def _tube(**params) -> Tube1DModel:
+    return Tube1DModel(Tube1DParams(**params))
 
 
 _COUPLING_KEYS = _keys(CouplingConfig)
 _COST_KEYS = _keys(CostFactors, prefix="cost_")
-_MODELS = {"tube1d": (Tube1DModel, Tube1DParams), "linear_toy": (LinearToyModel, None)}
-# model name -> (keys of the model, keys of its params class)
-_MODEL_KEYS = {name: (_keys(model), _keys(params) if params else {})
-               for name, (model, params) in _MODELS.items()}
+# model name -> (its builder, the keys the builder takes): the tube's are the
+# fields of Tube1DParams, the linear toy's the keywords of LinearToyModel
+_MODELS = {"tube1d": (_tube, _keys(Tube1DParams)),
+           "linear_toy": (LinearToyModel, _keys(LinearToyModel))}
 # what SweepSpec reads; every load parses them, and a value that does not parse is a
 # SweepSpecError naming its key
 _SWEEP_KEYS = {"grid_f": ("grid_f", caps_list), "grid_s": ("grid_s", caps_list),
                "workers": ("workers", _workers), "timing": ("timing", _timing)}
 # model name -> every key its config may set
-_ALLOWED_KEYS = {name: frozenset({"model", *model_keys, *params_keys, *_COUPLING_KEYS,
-                                  *_COST_KEYS, *_SWEEP_KEYS})
-                 for name, (model_keys, params_keys) in _MODEL_KEYS.items()}
+_ALLOWED_KEYS = {name: frozenset({"model", *model_keys, *_COUPLING_KEYS, *_COST_KEYS,
+                                  *_SWEEP_KEYS})
+                 for name, (_, model_keys) in _MODELS.items()}
 
 
 def _kwargs(cfg: dict, keys: dict, error=ContractError) -> dict:
@@ -148,11 +152,10 @@ def load(cfg: dict) -> Config:
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ContractError(f"unknown config key {key!r}{hint}")
     sweep = _kwargs(cfg, _SWEEP_KEYS, SweepSpecError)
-    (model, params), (model_keys, params_keys) = _MODELS[name], _MODEL_KEYS[name]
-    kwargs = {"params": params(**_kwargs(cfg, params_keys))} if params else {}
+    build, model_keys = _MODELS[name]
+    model = build(**_kwargs(cfg, model_keys))
     factors = _kwargs(cfg, _COST_KEYS)
-    return Config(model=model(**kwargs, **_kwargs(cfg, model_keys)),
-                  coupling=CouplingConfig(**_kwargs(cfg, _COUPLING_KEYS)),
+    return Config(model=model, coupling=CouplingConfig(**_kwargs(cfg, _COUPLING_KEYS)),
                   factors=CostFactors(**factors) if factors else None, sweep=sweep)
 
 

@@ -90,9 +90,7 @@ class IqnHistory:
     column of a nonempty history. An append writes its column left of the
     window and drops the oldest from a full one; at the left edge the window
     first moves to the right half, in one copy. ``V``, ``W`` and the norms
-    thus move, truncate and clear together. A count of the nonzero entries
-    in each row of ``V`` follows every append, drop, eviction and clear, so
-    :meth:`rows` finds the rows the update factors without a pass over ``V``.
+    thus move, truncate and clear together.
     """
 
     def __init__(self, q: int):
@@ -101,7 +99,6 @@ class IqnHistory:
         self._ages: list = []  # age of each stored column, newest first
         self._buf = np.empty((1, 0))  # [V; W; norms] of no column, with n = 0
         self._start = 0  # buffer column of the newest stored column
-        self._nnz = np.zeros(0, dtype=np.intp)  # nonzero entries in each row of V
 
     def append(self, residual_diff: np.ndarray, output_diff: np.ndarray, age: int) -> None:
         dr = np.asarray(residual_diff, dtype=float)
@@ -123,11 +120,7 @@ class IqnHistory:
         if self._buf.shape != (2 * n + 1, 2 * m):
             self._buf = np.empty((2 * n + 1, 2 * m))
             self._start = 2 * m
-            self._nnz = np.zeros(n, dtype=np.intp)
-        k = min(len(self._ages), m - 1)  # columns that stay
-        if k < len(self._ages):  # a full window drops its oldest column
-            self._nnz -= self._buf[:n, self._start + k] != 0.0
-        self._nnz += dr != 0.0
+        k = min(len(self._ages), m - 1)  # columns that stay; a full window drops its oldest
         if self._start == 0:  # no room on the left: the staying columns move right
             self._buf[:, m : m + k] = self._buf[:, :k]
             self._start = m
@@ -137,14 +130,11 @@ class IqnHistory:
         self._ages = [age] + self._ages[:k]
 
     def start_step(self, step: int) -> None:
-        n = self._nnz.size
         while self._ages and self._ages[-1] < step - self.q:
             self._ages.pop()
-            self._nnz -= self._buf[:n, self._start + len(self._ages)] != 0.0
 
     def clear(self) -> None:
         self._ages = []
-        self._nnz[:] = 0
 
     @property
     def is_empty(self) -> bool:
@@ -160,20 +150,8 @@ class IqnHistory:
         """The norms of ``V``'s columns as a view of the buffer, valid until the next append."""
         return self._buf[-1, self._start : self._start + len(self._ages)]
 
-    def rows(self):
-        """The rows where some column of ``V`` is nonzero, a slice when they are one block."""
-        return _row_block(self._nnz.nonzero()[0])
 
-
-def _row_block(rows: np.ndarray):
-    """Increasing row indices ``rows``, as a slice when they are one block (on
-    the tube, all but the clamped ends): a view instead of a gathered copy."""
-    if rows.size and rows[-1] - rows[0] == rows.size - 1:
-        return slice(rows[0], rows[-1] + 1)
-    return rows
-
-
-def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarray, rows):
+def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarray):
     """The filter of :func:`qr_filter` and the least-squares fit on the columns it keeps.
 
     Returns ``(keep, alpha)``: ``keep`` is an index array, and ``alpha``
@@ -184,9 +162,10 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
     ``V_cand`` alone, whatever ``rhs`` is, and the last column holds ``Q^T
     rhs``: ``alpha`` is one triangular solve away, with no Q formed. R is
     read off LAPACK's raw layout here alone, for any number of kept columns.
-    Only ``rows``, the rows of V that are nonzero in some column (a slice or
-    an index array), enter: elsewhere ``rhs`` only adds a constant to the
-    squared residual, so ``alpha`` stays exact. The caller checks
+    Only the rows of V where some entry is nonzero enter (``-0.0`` reads as
+    zero, ``nan`` as nonzero), gathered as one slice when they form one block
+    (on the tube, all but the clamped ends): elsewhere ``rhs`` only adds a
+    constant to the squared residual, so ``alpha`` stays exact. The caller checks
     ``eps_fil`` and passes the column norms of V, squares summed down each
     column in order, as :class:`IqnHistory` stores them.
 
@@ -201,6 +180,9 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
     eps_fil * ||v_j|| > 0``. A non-finite ``alpha`` ends the step through
     the coupling map's check of the next displacement.
     """
+    rows = v_matrix.any(axis=1).nonzero()[0]
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:  # one block: a view, not a copy
+        rows = slice(rows[0], rows[-1] + 1)
     v_matrix = v_matrix[rows]
     cand = norms.nonzero()[0]
     n_rows, n_cols = v_matrix.shape
@@ -249,8 +231,7 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     require_positive(eps_fil, "eps_fil")
     v = np.asarray(v_matrix, dtype=float)
     norms = np.sqrt(np.add.accumulate(v * v)[-1]) if v.shape[0] else np.zeros(v.shape[1])
-    rows = _row_block(v.any(axis=1).nonzero()[0])
-    return _qr1(v, eps_fil, np.zeros(v.shape[0]), norms, rows)[0].tolist()
+    return _qr1(v, eps_fil, np.zeros(v.shape[0]), norms)[0].tolist()
 
 
 def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
@@ -272,7 +253,7 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     v, w = hist.matrices()
     if v.shape[0] != r.size:
         raise ContractError("history column length does not match residual length")
-    keep, alpha = _qr1(v, eps_fil, -r, hist.norms(), hist.rows())
+    keep, alpha = _qr1(v, eps_fil, -r, hist.norms())
     if keep.size < w.shape[1]:  # else no column was dropped: W stays a view
         w = w[:, keep]
     delta = w @ alpha
@@ -377,7 +358,7 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
 
     ``u_f`` and ``u_s`` are the interior states the flow and solid solvers
     ended the previous step with; None on the run's first step, whose first
-    calls :func:`~fsilab.subproblem.drive` starts from zeros. ``increments``
+    calls :func:`~fsilab.subproblem.call_solver` starts from zeros. ``increments``
     fills the third entry of ``record.accepted_norms``.
 
     Raises :class:`DivergedStepError`, with the step's unconverged

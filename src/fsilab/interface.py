@@ -3,7 +3,7 @@
 Conventions used throughout the testbed:
 
 * Subproblem convergence tests use the scaled norm ``||r||_2 / sqrt(n)``,
-  which :func:`~fsilab.subproblem.drive` records at every inner iteration.
+  which :func:`~fsilab.subproblem.call_solver` records at every inner iteration.
 * Coupling-side diagnostics (fixed-point residual norm, update increment norm)
   are plain 2-norms without the ``sqrt(n)`` scaling.
 * Solvers exchange plain read-only float64 vectors on abstract interface
@@ -102,7 +102,7 @@ class SolverCallReport:
 
     ``residual_history[i]`` is the scaled residual norm evaluated *before* the
     (i+1)-th solution update; the inner iteration count is its length.
-    :func:`~fsilab.subproblem.drive` records at least one norm per call, and
+    :func:`~fsilab.subproblem.call_solver` records at least one norm per call, and
     :func:`~fsilab.coupling.check_convergence` tests the first against the
     solver's tolerance.
     """

@@ -64,7 +64,8 @@ class DriverKind(Enum):
 
 @dataclass(frozen=True)
 class Tube1DParams:
-    """Geometry, material, and run parameters of the 1-D flexible tube."""
+    """Geometry, material, and run parameters of the 1-D flexible tube, and how
+    its flow corrects its iterate (``flow_scheme``)."""
 
     length: float = 0.05  # m
     radius: float = 0.005  # m
@@ -80,6 +81,7 @@ class Tube1DParams:
     pulse_duration: float = 0.003  # s
     outlet_pressure: float = 0.0  # Pa
     kappa3: float = 2.0e13  # Pa/m^3, cubic wall stiffening (calibrated default)
+    flow_scheme: DriverKind = DriverKind.NEWTON
 
     def __post_init__(self):
         require_finite("tube parameter", {f.name: getattr(self, f.name)
@@ -98,6 +100,7 @@ class Tube1DParams:
             raise ContractError(f"kappa3 must be >= 0, got {self.kappa3!r}")
         require_count(self.cells, "cells", 2)
         require_count(self.steps, "steps", 1)
+        require_member(self.flow_scheme, DriverKind, "flow_scheme")
 
     @property
     def dx(self) -> float:
@@ -183,12 +186,11 @@ class TubeFlowSolver:
     Staggered unknowns ``u = [v_0..v_n, p_0..p_{n-1}]`` (face velocities, cell
     pressures, dim 2n+1). Momentum is balanced per face, mass per cell; the
     imposed face pressures drive the two half-cell boundary momentum rows.
+    ``params.flow_scheme`` picks each call's correction, Newton's or Picard's.
     """
 
-    def __init__(self, params: Tube1DParams, state: TubeState,
-                 flow_scheme: DriverKind = DriverKind.NEWTON):
-        require_member(flow_scheme, DriverKind, "flow_scheme")
-        self.params, self._flow_scheme = params, flow_scheme
+    def __init__(self, params: Tube1DParams, state: TubeState):
+        self.params = params
         # the old momentum a_face_old * v_old / dt and the inlet pressure of the step
         self._momentum_old = _face_average(state.area) * state.velocity / params.dt
         self._p_in = params.inlet_pressure(state.step + 1)
@@ -303,7 +305,7 @@ class TubeFlowSolver:
             return correct(np.where(forward, cw, w), np.where(forward, w, cw),
                            2.0 * ext_in * v_in, 2.0 * ext_out * v_out, r)
 
-        return b, residual, newton if self._flow_scheme is DriverKind.NEWTON else picard
+        return b, residual, newton if params.flow_scheme is DriverKind.NEWTON else picard
 
     def output(self, u: np.ndarray) -> np.ndarray:
         n = self.params.cells
@@ -359,14 +361,8 @@ class TubeSolidSolver:
 class Tube1DModel:
     """Engine adapter bundling the tube flow and solid subproblems."""
 
-    def __init__(
-        self,
-        params: Tube1DParams | None = None,
-        flow_scheme: DriverKind = DriverKind.NEWTON,
-    ):
-        require_member(flow_scheme, DriverKind, "flow_scheme")
+    def __init__(self, params: Tube1DParams | None = None):
         self.params = params or Tube1DParams()
-        self.flow_scheme = flow_scheme
         self.n_interface = self.params.n_nodes
         self.n_steps = self.params.steps
 
@@ -374,7 +370,7 @@ class Tube1DModel:
         return initial_tube_state(self.params)
 
     def flow_solver(self, state: TubeState) -> TubeFlowSolver:
-        return TubeFlowSolver(self.params, state, self.flow_scheme)
+        return TubeFlowSolver(self.params, state)
 
     def solid_solver(self, state: TubeState) -> TubeSolidSolver:
         return TubeSolidSolver(self.params, state)

@@ -1,11 +1,12 @@
-"""Black-box subproblem protocol and the generic inner-iteration driver.
+"""Black-box subproblem protocol and the solver call that drives it.
 
 Every subproblem is posed as ``A(u) u = b``. A model builds one
 :class:`Solver` per subproblem and time step, holding what the step fixes.
 Each solver call loads the coupling data, which fixes ``b`` for the whole
 call, and hands the driver ``residual(u) = b - A(u) u`` and ``solve(u, r)``,
-one Newton (``K(u)^-1 r``) or Picard (``A(u)^-1 r``) correction. The driver
-runs one loop for both:
+one Newton (``K(u)^-1 r``) or Picard (``A(u)^-1 r``) correction.
+:func:`call_solver`, the one driver, runs one loop for both and then maps
+the final state to the call's output:
 
     for i = 1, 2, ...:   r = residual(u), record ||r||/sqrt(n),
                          u += solve(u, r), then stop if the recorded norm beat eps.
@@ -104,8 +105,9 @@ def _guards(history: list, i: int, u: np.ndarray, bounded: bool, floor: float | 
                 f"residual stalled at the round-off floor at iteration {i}", iteration=i)
 
 
-def drive(solver: Solver, inp: SolverCallInput):
-    """Inner iterations ``u' = u + solve(u, residual(u))``; returns ``(u, residual_history)``.
+def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
+    """Run one black-box solver call: the inner iterations
+    ``u' = u + solve(u, residual(u))``, then the output of the final state.
 
     The call's size is its right-hand side's, a non-empty 1-D ``b``: ``u0``
     must have its shape, and a None ``u0`` starts from its zeros. ``inp.u0`` is
@@ -115,6 +117,16 @@ def drive(solver: Solver, inp: SolverCallInput):
     an unbounded call computes the round-off floor its stall guard reads. A call
     is bounded when ``n_max < inf``, so an unchecked nan cap runs under the
     unbounded guards, not forever.
+
+    The final state maps to the interface output (traction for the flow
+    solver, displacement for the solid solver), the one place a black box's
+    output enters: it must be a finite 1-D float64 array, which is made
+    read-only here (an output that is the final state itself has passed the
+    iterates' finiteness guard already). Returns ``(output, report,
+    final_u)``; ``final_u`` seeds the next call. The loop's errors, and a
+    :class:`GeometryError` from loading the coupling data, pass through
+    unchanged: the coupling loop times and counts every call, and names the
+    solver of a failed one.
     """
     b, residual, solve = solver.load(inp.coupling_data)
     if b.ndim != 1 or not b.size:
@@ -151,23 +163,6 @@ def drive(solver: Solver, inp: SolverCallInput):
             break
         if bounded and i >= n_max:
             break
-    return u, history
-
-
-def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
-    """Run one black-box solver call.
-
-    Runs :func:`drive` and maps the final state to the interface output
-    (traction for the flow solver, displacement for the solid solver), the one
-    place a black box's output enters: it must be a finite 1-D float64 array,
-    which is made read-only here (an output that is the final state itself
-    has passed :func:`drive`'s finiteness guard already). Returns
-    ``(output, report, final_u)``; ``final_u`` seeds the next call. The
-    driver's errors, and a :class:`GeometryError` from loading the coupling
-    data, pass through unchanged: the coupling loop times and counts every
-    call, and names the solver of a failed one.
-    """
-    u, history = drive(solver, inp)
     output = solver.output(u)
     if (not isinstance(output, np.ndarray) or output.ndim != 1 or output.dtype != np.float64
             or (output is not u and not all_finite(output))):

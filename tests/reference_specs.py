@@ -13,24 +13,26 @@ every sum and product as the tube flow solver. ``tests/test_models_tube.py``
 checks the tube solvers against them bit for bit.
 
 :class:`SpecSolver` drives a spec through the solver protocol, the generic
-test solver for hand-written systems, and :func:`run` is :func:`drive` with
-the call report that :func:`call_solver` builds.
+test solver for hand-written systems, and :func:`run` is :func:`call_solver`
+on a solver's ``load`` with an identity ``output``: the call's final state and
+its report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from fsilab import DriverKind, drive
+from fsilab import DriverKind, SolverId, call_solver
 from fsilab.errors import (
     ContractError,
     LinearSolveError,
 )
-from fsilab.interface import SolverCallReport, is_unbounded
+from fsilab.interface import is_unbounded
 from fsilab.models.tube import _face_average, areas_from_displacement
 from fsilab.subproblem import _ROUNDOFF_FLOOR, _guards
 
@@ -357,6 +359,8 @@ class SpecSolver(ReferenceSpec):
 
 
 def run(solver, inp):
-    """:func:`drive`, returning ``(u, report)`` as a solver call reports it."""
-    u, history = drive(solver, inp)
-    return u, SolverCallReport(tuple(history))
+    """:func:`call_solver` on ``solver.load`` and the identity ``output``;
+    returns ``(u, report)``, the call's final state, read-only, and its report."""
+    bare = SimpleNamespace(load=solver.load, output=lambda u: u)
+    _, report, u = call_solver(SolverId.FLOW, bare, inp)
+    return u, report

@@ -75,7 +75,7 @@ class TestConfigParsing:
         assert isinstance(tube, Tube1DModel)
         assert tube.params.cells == 40 and tube.params.steps == 7
         assert tube.params.kappa3 == 1e12
-        assert tube.flow_scheme is DriverKind.PICARD
+        assert tube.params.flow_scheme is DriverKind.PICARD
 
         toy = build_model(parse_config_text(
             "model = linear_toy\ndim_f = 3\ndim_s = 5\ncoupling_strength = 0.2\n"))
@@ -92,8 +92,8 @@ class TestConfigParsing:
         loaded = load({})
         assert loaded.coupling == CouplingConfig()
         assert loaded.factors is None and loaded.sweep == {}
-        tube, ref = loaded.model, Tube1DModel()
-        assert tube.params == Tube1DParams() and tube.flow_scheme is ref.flow_scheme
+        tube = loaded.model
+        assert isinstance(tube, Tube1DModel) and tube.params == Tube1DParams()
         toy, ref = load({"model": "linear_toy"}).model, LinearToyModel()
         assert (toy.dim_f, toy.dim_s, toy.n_steps) == (ref.dim_f, ref.dim_s, ref.n_steps)
         assert toy.gs_spectral_radius == ref.gs_spectral_radius
@@ -127,8 +127,7 @@ class TestConfigParsing:
             "criterion", "eps_c", "max_coupling_iters"}
         assert set(configio._COST_KEYS) == {
             "cost_c_couple", "cost_c_fix_f", "cost_c_iter_f", "cost_c_fix_s", "cost_c_iter_s"}
-        model_keys = {name: set(model) | set(params)
-                      for name, (model, params) in configio._MODEL_KEYS.items()}
+        model_keys = {name: set(keys) for name, (_, keys) in configio._MODELS.items()}
         assert model_keys == {
             "tube1d": {"flow_scheme", "length", "radius", "thickness", "rho_f", "rho_s",
                        "youngs_modulus", "poisson", "cells", "dt", "steps", "inlet_pulse",
@@ -398,7 +397,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness_mod, "load", counted("loads", configio.load))
         monkeypatch.setitem(configio._MODELS, "linear_toy",
-                            (counted("builds", LinearToyModel), None))
+                            (counted("builds", LinearToyModel), configio._MODELS["linear_toy"][1]))
         caps = ",".join(map(str, grid))
         result = run_sweep(SweepSpec.from_config(dict(LINEAR_TOY_STABLE, grid_f=caps,
                                                       grid_s=caps), out_dir=tmp_path))

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fsilab import (
     DriverKind,
     SolverCallInput,
     SolverId,
-    drive,
+    call_solver,
     run_simulation,
 )
 from fsilab.errors import ContractError, GeometryError
@@ -212,9 +213,9 @@ class TestGeometry:
 
 class TestFlowSystem:
     def test_rest_state_stays_zero(self):
-        p = Tube1DParams(cells=50, steps=20, inlet_pulse=0.0)
+        p = Tube1DParams(cells=50, steps=20, inlet_pulse=0.0, flow_scheme=DriverKind.PICARD)
         state = initial_tube_state(p)
-        flow = TubeFlowSolver(p, state, flow_scheme=DriverKind.PICARD)
+        flow = TubeFlowSolver(p, state)
         u, rep = run(flow, SolverCallInput(flow_u0(p), zero_disp(p), eps=1e-9))
         assert rep.residual_history == (0.0,)
         assert np.allclose(u, 0.0)
@@ -308,7 +309,8 @@ class TestFlowSystem:
         r = rng.standard_normal(u.size)
         assemble, tangent = dense_flow_reference(p, d)
         for driver, dense in ((DriverKind.NEWTON, tangent), (DriverKind.PICARD, assemble)):
-            b, residual, solve = TubeFlowSolver(p, initial_tube_state(p), driver).load(d)
+            b, residual, solve = TubeFlowSolver(replace(p, flow_scheme=driver),
+                                                initial_tube_state(p)).load(d)
             assert rel_err(residual(u), b - assemble(u) @ u) <= 1e-14
             assert rel_err(solve(u, r), np.linalg.solve(dense(u), r)) <= 1e-11
 
@@ -350,7 +352,8 @@ class TestFlowSystem:
         assemble_ref, tangent_ref = reference_flow_operators(p, d)
         for driver, ref_m in ((DriverKind.NEWTON, tangent_ref),
                               (DriverKind.PICARD, assemble_ref)):
-            b, residual, solve = TubeFlowSolver(p, initial_tube_state(p), driver).load(d)
+            b, residual, solve = TubeFlowSolver(replace(p, flow_scheme=driver),
+                                                initial_tube_state(p)).load(d)
             for x in (u, u_edit):
                 assert np.array_equal(residual(x), b - assemble_ref(x) @ x)
                 assert np.array_equal(solve(x, r), ref_m(x).solve(r))
@@ -368,8 +371,8 @@ class TestFlowSystem:
             u = np.full(2 * p.cells + 1, bad)
         r = np.ones(u.size)
         for driver in DriverKind:
-            _, residual, solve = TubeFlowSolver(p, initial_tube_state(p), driver).load(
-                zero_disp(p))
+            _, residual, solve = TubeFlowSolver(replace(p, flow_scheme=driver),
+                                                initial_tube_state(p)).load(zero_disp(p))
             with np.errstate(invalid="ignore", over="ignore"):
                 residual(u)
                 with pytest.raises(np.linalg.LinAlgError, match="singular flow operator"):
@@ -622,23 +625,24 @@ class TestSolversAreBitwiseTheSpecPath:
         for state, snapshot, u_f, u_s in cases:
             d = snapshot
             terms = reference_step_terms(params, state)
-            flow = TubeFlowSolver(params, state, driver)
+            flow = TubeFlowSolver(replace(params, flow_scheme=driver), state)
             solid = TubeSolidSolver(params, state)
             for _ in range(calls):
                 inp = SolverCallInput(u_f, d, eps=config.eps_f, n_max=cap)
-                got_u, got_h = drive(flow, inp)
+                tr, got, got_u = call_solver(SolverId.FLOW, flow, inp)
                 ref_u, ref_h = reference_iterate(
                     reference_flow_system(params, state, d, driver, *terms[:2]), inp)
-                assert np.array_equal(got_u, ref_u) and np.array_equal(got_h, ref_h)
-                assert got_h  # at least one inner iteration
+                assert np.array_equal(got_u, ref_u)
+                assert np.array_equal(got.residual_history, ref_h)
+                assert got.inner_iters  # at least one inner iteration
                 u_f = got_u
 
-                tr = flow.output(got_u)
                 inp = SolverCallInput(u_s, tr, eps=config.eps_s, n_max=cap)
-                got_u, got_h = drive(solid, inp)
+                _, got, got_u = call_solver(SolverId.SOLID, solid, inp)
                 ref_u, ref_h = reference_iterate(
                     reference_solid_system(params, tr, *terms[2:]), inp)
-                assert np.array_equal(got_u, ref_u) and np.array_equal(got_h, ref_h)
+                assert np.array_equal(got_u, ref_u)
+                assert np.array_equal(got.residual_history, ref_h)
                 u_s = got_u
 
 
@@ -661,21 +665,16 @@ class TestCoupledInvariants:
         assert c.flow_total >= c.coupling_total
         assert c.solid_total >= c.coupling_total
 
-    @pytest.mark.parametrize("scheme", ["newton", "picard", None, AccelKind.AITKEN])
-    def test_flow_scheme_of_another_type_rejected(self, params, scheme):
-        # "newton" used to run Picard: every dispatch tests for DriverKind.NEWTON
-        with pytest.raises(ContractError, match="^flow_scheme must be a DriverKind, got "):
-            Tube1DModel(params, flow_scheme=scheme)
-
-    @pytest.mark.parametrize("scheme", ["newton", "picard", None, 1])
-    def test_flow_solver_rejects_a_flow_scheme_of_another_type(self, params, scheme):
-        # the solver built directly ran Picard for "newton": its solve tests
-        # for DriverKind.NEWTON
-        with pytest.raises(ContractError, match="^flow_scheme must be a DriverKind, got "):
-            TubeFlowSolver(params, initial_tube_state(params), scheme)
+    @pytest.mark.parametrize("scheme", ["newton", None, AccelKind.AITKEN])
+    def test_flow_scheme_of_another_type_rejected(self, scheme):
+        # "newton" used to run Picard: the flow solver's dispatch tests for
+        # DriverKind.NEWTON, and the tube's parameters are the one check
+        with pytest.raises(ContractError, match=re.escape(
+                f"flow_scheme must be a DriverKind, got {scheme!r}")):
+            Tube1DParams(flow_scheme=scheme)
 
     def test_picard_flow_lane_runs(self, params):
-        model = Tube1DModel(params, flow_scheme=DriverKind.PICARD)
+        model = Tube1DModel(replace(params, flow_scheme=DriverKind.PICARD))
         record = run_simulation(model, CouplingConfig())
         assert record.converged
         assert len(record.snapshots) == params.steps

@@ -11,7 +11,6 @@ from fsilab import (
     SolverCallInput,
     SolverId,
     call_solver,
-    drive,
     run_simulation,
 )
 from fsilab.errors import (
@@ -295,9 +294,9 @@ class TestReplayProperty:
 
     @each_driver
     def test_tube_flow_norms_are_bitwise_residual_norm(self, driver):
-        # drive records ||r||/sqrt(n) as sqrt(r . r)/sqrt(n); the numbers must
-        # be np.linalg.norm's, bit for bit
-        model = Tube1DModel(Tube1DParams(cells=30, steps=1), flow_scheme=driver)
+        # call_solver records ||r||/sqrt(n) as sqrt(r . r)/sqrt(n); the numbers
+        # must be np.linalg.norm's, bit for bit
+        model = Tube1DModel(Tube1DParams(cells=30, steps=1, flow_scheme=driver))
         flow = model.flow_solver(model.initial_state())
         d = np.linspace(0.0, 2e-5, model.n_interface)
         residuals = []
@@ -308,9 +307,10 @@ class TestReplayProperty:
             return b, lambda u: (residuals.append(residual(u)), residuals[-1])[1], solve
 
         flow.load = recording_load
-        _, history = drive(flow, SolverCallInput(None, d, eps=1e-9))
-        assert len(history) >= 2
-        assert [np.linalg.norm(r) / math.sqrt(r.size) for r in residuals] == history
+        _, rep, _ = call_solver(SolverId.FLOW, flow, SolverCallInput(None, d, eps=1e-9))
+        assert rep.inner_iters >= 2
+        assert tuple(np.linalg.norm(r) / math.sqrt(r.size) for r in residuals) == \
+            rep.residual_history
 
 
 class TestGuards:
@@ -387,14 +387,18 @@ class TestGuards:
     @each_driver
     def test_no_start_state_is_zeros_of_the_rhs_length(self, driver):
         # u0 = None starts from zeros of b's length, bit for bit
-        model = Tube1DModel(Tube1DParams(cells=30, steps=1), flow_scheme=driver)
+        model = Tube1DModel(Tube1DParams(cells=30, steps=1, flow_scheme=driver))
         state = model.initial_state()
-        for solver, coupling, n in (
-                (model.flow_solver(state), np.linspace(0.0, 2e-5, model.n_interface), 61),
-                (model.solid_solver(state), np.linspace(1333.2, 0.0, model.n_interface), 31)):
-            got_u, got_h = drive(solver, SolverCallInput(None, coupling, eps=1e-12))
-            ref_u, ref_h = drive(solver, SolverCallInput(np.zeros(n), coupling, eps=1e-12))
-            assert len(got_h) >= 2 and got_h == ref_h
+        for solver_id, solver, coupling, n in (
+                (SolverId.FLOW, model.flow_solver(state),
+                 np.linspace(0.0, 2e-5, model.n_interface), 61),
+                (SolverId.SOLID, model.solid_solver(state),
+                 np.linspace(1333.2, 0.0, model.n_interface), 31)):
+            _, got, got_u = call_solver(solver_id, solver,
+                                        SolverCallInput(None, coupling, eps=1e-12))
+            _, ref, ref_u = call_solver(solver_id, solver,
+                                        SolverCallInput(np.zeros(n), coupling, eps=1e-12))
+            assert got.inner_iters >= 2 and got == ref
             assert got_u.tobytes() == ref_u.tobytes()
 
 
@@ -475,7 +479,7 @@ class TestCallSolver:
 
     @pytest.mark.parametrize("output_is_state", [True, False])
     def test_output_tested_for_finiteness_once(self, monkeypatch, output_is_state):
-        # drive's guard tests the final state; call_solver tests an output
+        # the iterates' guard tests the final state, and the output is tested
         # only when it is another array, so each vector is tested once
         import fsilab.subproblem as subproblem_mod
 
@@ -500,7 +504,7 @@ class TestCallSolver:
         assert len(tested) == 1 + rep.inner_iters + (not output_is_state)
 
     def test_errors_annotated_with_solver(self):
-        # call_solver passes the driver's error on as it is; the coupling loop,
+        # call_solver passes the loop's error on as it is; the coupling loop,
         # which counts the failed call, names the solver in the step's abort
         spec = SpecSolver(
             dim=1,
