@@ -665,13 +665,21 @@ class TestCoupledInvariants:
         assert c.flow_total >= c.coupling_total
         assert c.solid_total >= c.coupling_total
 
-    @pytest.mark.parametrize("scheme", ["newton", None, AccelKind.AITKEN])
+    @pytest.mark.parametrize("scheme", ["newton", "picard", None, AccelKind.AITKEN])
     def test_flow_scheme_of_another_type_rejected(self, scheme):
         # "newton" used to run Picard: the flow solver's dispatch tests for
         # DriverKind.NEWTON, and the tube's parameters are the one check
         with pytest.raises(ContractError, match=re.escape(
                 f"flow_scheme must be a DriverKind, got {scheme!r}")):
             Tube1DParams(flow_scheme=scheme)
+
+    @pytest.mark.parametrize("scheme", ["newton", "picard", None, 1])
+    def test_flow_solver_rejects_a_flow_scheme_of_another_type(self, params, scheme):
+        # the solver built directly ran Picard for "newton": the scheme now
+        # reaches it only through its parameters, and replace() re-checks them
+        with pytest.raises(ContractError, match=re.escape(
+                f"flow_scheme must be a DriverKind, got {scheme!r}")):
+            TubeFlowSolver(replace(params, flow_scheme=scheme), initial_tube_state(params))
 
     def test_picard_flow_lane_runs(self, params):
         model = Tube1DModel(replace(params, flow_scheme=DriverKind.PICARD))
