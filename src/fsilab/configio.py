@@ -45,11 +45,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise TableParseError(f"{source}:{lineno}: expected 'key = value'", line=lineno)
+            raise TableParseError(f"{source}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         key = key.strip()
         if not key:
-            raise TableParseError(f"{source}:{lineno}: empty key", line=lineno)
+            raise TableParseError(f"{source}:{lineno}: empty key")
         cfg[key] = value.strip()
     return cfg
 
@@ -206,8 +206,7 @@ def read_csv_rows(path) -> list:
         raise TableParseError(f"{path}: no rows")
     for lineno, fields in rows[1:]:
         if len(fields) != len(rows[0][1]):
-            raise TableParseError(f"{path}:{lineno}: expected {len(rows[0][1])} fields",
-                                  line=lineno)
+            raise TableParseError(f"{path}:{lineno}: expected {len(rows[0][1])} fields")
     return rows
 
 
@@ -217,7 +216,7 @@ def parse_field(path, lineno: int, column: str, parse, text: str):
     try:
         return parse(text)
     except ValueError as exc:
-        raise TableParseError(f"{path}:{lineno}: {column}: {exc}", line=lineno) from exc
+        raise TableParseError(f"{path}:{lineno}: {column}: {exc}") from exc
 
 
 def read_table(path, columns: tuple) -> list:
@@ -226,8 +225,7 @@ def read_table(path, columns: tuple) -> list:
     rows = read_csv_rows(path)
     header_line, header = rows[0]
     if tuple(h.strip() for h in header) != columns:
-        raise TableParseError(f"{path}:{header_line}: expected header {','.join(columns)}",
-                              line=header_line)
+        raise TableParseError(f"{path}:{header_line}: expected header {','.join(columns)}")
     if len(rows) == 1:
         raise TableParseError(f"{path}: no rows below the header")
     return rows[1:]
@@ -267,8 +265,7 @@ def load_factors_csv(path, case: str | None = None) -> tuple:
     required = ("c_fix_f", "c_iter_f", "c_fix_s", "c_iter_s", "c_couple")
     for col in required:
         if col not in cols:
-            raise TableParseError(f"{path}:{header_line}: missing column {col!r}",
-                                  line=header_line)
+            raise TableParseError(f"{path}:{header_line}: missing column {col!r}")
     data = rows[1:]
     if case is not None:
         if "case" not in cols:
@@ -288,7 +285,7 @@ def load_factors_csv(path, case: str | None = None) -> tuple:
     try:
         return CostFactors(**values), gamma
     except ContractError as exc:  # a negative or non-finite factor
-        raise TableParseError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+        raise TableParseError(f"{path}:{lineno}: {exc}") from exc
 
 
 _PUBLISHED_COLUMNS = ("nmax_f", "nmax_s", "teq_norm", "N_c", "N_f", "N_s")
@@ -306,8 +303,7 @@ def _read_published_table(path) -> list:
         blank = [f.strip() == "" for f in fields[2:]]
         if any(blank):
             if not all(blank):
-                raise TableParseError(f"{path}:{lineno}: missing values must blank the whole row",
-                                      line=lineno)
+                raise TableParseError(f"{path}:{lineno}: missing values must blank the whole row")
             continue
         cap_f, cap_s, teq_norm, *counters = [
             parse_field(path, lineno, column, parse, text) for column, parse, text

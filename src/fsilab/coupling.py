@@ -32,6 +32,7 @@ from .interface import (
     AccelKind,
     CouplingConfig,
     CriterionKind,
+    ROUNDOFF,
     RunRecord,
     SolverCallReport,
     all_finite,
@@ -47,9 +48,8 @@ _RESIDUAL_GROWTH_ABORT = 1e6
 # halved for this many coupling iterations (stale secant data from capped
 # solver calls can stall the update otherwise); relaxation has no history to
 # flush and aborts the step once the residual has repeated this often, to
-# within _REPEAT_RTOL of its norm (round-off)
+# within round-off of its norm (interface.ROUNDOFF, the solver call's floor)
 _STALL_WINDOW = 6
-_REPEAT_RTOL = 1e3 * np.finfo(float).eps
 _STALL_FACTOR = 0.5
 # secant columns kept at most (calibrated on the tube testbed: larger piles
 # of capped-call pairs stall the update, smaller piles slow convergence)
@@ -230,6 +230,8 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     """
     require_positive(eps_fil, "eps_fil")
     v = np.asarray(v_matrix, dtype=float)
+    if v.ndim != 2:
+        raise ContractError(f"V must be a matrix, got shape {v.shape}")
     norms = np.sqrt(np.add.accumulate(v * v)[-1]) if v.shape[0] else np.zeros(v.shape[1])
     return _qr1(v, eps_fil, np.zeros(v.shape[0]), norms)[0].tolist()
 
@@ -245,6 +247,9 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     """
     r = np.asarray(r_k, dtype=float)
     d_tilde = np.asarray(d_tilde_k, dtype=float)
+    if r.ndim != 1 or d_tilde.shape != r.shape:
+        raise ContractError(f"residual {r.shape} and d_tilde {d_tilde.shape} must be "
+                            "vectors of one shape")
     require_positive(eps_fil, "eps_fil")
     if r.dot(r) == 0.0:  # np.linalg.norm(r) == 0.0
         return d_tilde.copy(), 0.0
@@ -268,6 +273,8 @@ def aitken_omega(r_k, r_km1, omega_km1: float) -> float:
     """
     r_k = np.asarray(r_k, dtype=float)
     r_km1 = np.asarray(r_km1, dtype=float)
+    if r_k.ndim != 1 or r_km1.shape != r_k.shape:
+        raise ContractError(f"residuals {r_k.shape}, {r_km1.shape} are not vectors of one shape")
     delta = r_k - r_km1
     denom = float(delta @ delta)
     if denom == 0.0:
@@ -450,7 +457,7 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
                 best_norm, best_at = r_norm, k
         elif k > 1:
             dr = r - r_km1
-            repeated = math.sqrt(dr.dot(dr)) <= _REPEAT_RTOL * r_norm
+            repeated = math.sqrt(dr.dot(dr)) <= ROUNDOFF * r_norm
             repeats = repeats + 1 if repeated else 0
             if repeats >= _STALL_WINDOW:
                 raise _abort(f"fixed-point residual repeated for {repeats} coupling "

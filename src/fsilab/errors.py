@@ -37,20 +37,16 @@ class DivergenceError(InnerIterationError):
 class DivergedStepError(FsiLabError):
     """The coupling loop did not converge within the allowed iterations.
 
-    Carries the failing step's unconverged ``TimeStepRecord`` as ``partial``,
-    whose index is ``step``, and, when raised by a full simulation, the
-    partial run record accumulated up to and including the abort as
-    ``record`` (None until the simulation sets it).
+    Carries the failing step's unconverged ``TimeStepRecord`` as ``partial``
+    and, when raised by a full simulation, the partial run record up to and
+    including the abort as ``record`` (None until the simulation sets it).
+    Both name the failing step: ``partial.step`` and ``record.failing_step``.
     """
 
     def __init__(self, message: str, partial):
         super().__init__(message)
         self.partial = partial
         self.record = None
-
-    @property
-    def step(self) -> int:
-        return self.partial.step
 
 
 class RankDeficiencyError(FsiLabError):
@@ -63,8 +59,4 @@ class SweepSpecError(ContractError):
 
 
 class TableParseError(FsiLabError):
-    """Malformed CSV input."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
+    """Malformed CSV or config input, located by its message's ``path:line:`` prefix."""

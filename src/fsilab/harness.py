@@ -1,7 +1,7 @@
 """Parameter sweeps, published-table replay, cost-factor fitting, contours.
 
 ``run_sweep`` executes one simulation per (n_max_f, n_max_s) grid cell and
-emits ``sweep.csv`` with the schema
+always writes ``sweep.csv`` into the spec's ``out_dir``, with the schema
 
     nmax_f,nmax_s,converged,N_c,N_f,N_s,T_f,T_s,T_c,teq,teq_norm,max_dev_vs_reference
 
@@ -16,6 +16,8 @@ model and its cell's config. The process pool is imported only when a sweep
 runs on more than one worker, so ``fsilab run`` and single-worker sweeps never
 load :mod:`multiprocessing`. Cells run independently; one process writes the
 rows in order, so the file content does not depend on the worker count.
+A :class:`SweepResult` is the rows and the file's path. The rows are priced by
+``spec.loaded.factors``, or else by the self-fit :func:`fit_from_runs` repeats.
 """
 
 from __future__ import annotations
@@ -67,16 +69,14 @@ class SweepSpec:
     """
 
     loaded: Config
+    out_dir: Path
     workers: int = 1
-    out_dir: Path | None = None
 
     def __post_init__(self):
         sweep = self.loaded.sweep
         if "grid_f" not in sweep or "grid_s" not in sweep:
             raise SweepSpecError("sweep config requires grid_f and grid_s")
         grid_f, grid_s = sweep["grid_f"], sweep["grid_s"]
-        if not grid_f or not grid_s:
-            raise SweepSpecError("cap grids must be non-empty")
         if len(set(grid_f)) != len(grid_f) or len(set(grid_s)) != len(grid_s):
             raise SweepSpecError("cap grid entries must be unique")
         if not any(map(is_unbounded, grid_f)) or not any(map(is_unbounded, grid_s)):
@@ -85,8 +85,7 @@ class SweepSpec:
             require_count(self.workers, "workers", 1)
         except ContractError as exc:
             raise SweepSpecError(str(exc)) from exc
-        if self.out_dir is not None:
-            object.__setattr__(self, "out_dir", Path(self.out_dir))
+        object.__setattr__(self, "out_dir", Path(self.out_dir))
         if sweep.get("timing") != "modeled" and self.workers > 1:
             # parallel cells contend for the cores and bias the timings the
             # self-fit prices them by
@@ -95,11 +94,10 @@ class SweepSpec:
             raise SweepSpecError("timing = modeled requires cost_* factor keys")
 
     @classmethod
-    def from_config(cls, cfg: dict, out_dir=None, workers=None) -> "SweepSpec":
-        """The sweep ``cfg`` configures; its only :func:`~fsilab.configio.load`."""
+    def from_config(cls, cfg: dict, out_dir, workers=None) -> "SweepSpec":
+        """The sweep ``cfg`` sets up, into ``out_dir``; its only :func:`~fsilab.configio.load`."""
         loaded = load(cfg)
-        return cls(loaded, loaded.sweep.get("workers", 1) if workers is None else workers,
-                   out_dir)
+        return cls(loaded, out_dir, loaded.sweep.get("workers", 1) if workers is None else workers)
 
 
 @dataclass
@@ -126,8 +124,7 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list
-    factors: CostFactors | None = None
-    csv_path: Path | None = None
+    csv_path: Path
 
 
 def _run_cell(model, config) -> tuple:
@@ -156,8 +153,7 @@ def _modeled_timings(rows: list, factors: CostFactors) -> None:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the grid, derive teq/teq_norm/deviation columns, write sweep.csv."""
     loaded = spec.loaded
-    if spec.out_dir is not None:  # an unusable out_dir fails before the first cell
-        spec.out_dir.mkdir(parents=True, exist_ok=True)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)  # an unusable out_dir fails before any cell
     configs = [replace(loaded.coupling, n_max_f=f, n_max_s=s)
                for f in loaded.sweep["grid_f"] for s in loaded.sweep["grid_s"]]
     if spec.workers > 1:
@@ -192,10 +188,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             devs = [deviation_from_reference(snap, ref_snap) for snap, ref_snap in pairs]
             row.max_dev = max(devs) if devs else None
 
-    result = SweepResult(rows=rows, factors=factors)
-    if spec.out_dir is not None:
-        result.csv_path = write_sweep_csv(spec.out_dir / "sweep.csv", rows)
-    return result
+    return SweepResult(rows, write_sweep_csv(spec.out_dir / "sweep.csv", rows))
 
 
 def _self_fit(rows: list) -> CostFactors:
@@ -226,14 +219,13 @@ def read_sweep_csv(path) -> list:
         converged = fields[2].strip().lower()
         if converged not in ("true", "false"):
             raise TableParseError(f"{path}:{lineno}: converged must be true or false, "
-                                  f"got {fields[2]!r}", line=lineno)
+                                  f"got {fields[2]!r}")
         blank = {not f for f in fields[6:9]}
         if len(blank) > 1:
             raise TableParseError(f"{path}:{lineno}: T_f, T_s and T_c must be all set "
-                                  "or all blank", line=lineno)
+                                  "or all blank")
         if converged == "true" and True in blank:
-            raise TableParseError(f"{path}:{lineno}: a converged row must set T_f, T_s "
-                                  "and T_c", line=lineno)
+            raise TableParseError(f"{path}:{lineno}: a converged row must set T_f, T_s and T_c")
         nmax_f, nmax_s, _, *counts = [
             parse_field(path, lineno, column, parse, text) for column, parse, text
             in zip(SWEEP_COLUMNS, (parse_cap, parse_cap, str, int, int, int), fields)]
@@ -242,7 +234,7 @@ def read_sweep_csv(path) -> list:
         for column, value in zip(SWEEP_COLUMNS[3:], values):
             if value is not None and not 0 <= value < np.inf:
                 raise TableParseError(f"{path}:{lineno}: {column} must be non-negative "
-                                      f"and finite, got {value!r}", line=lineno)
+                                      f"and finite, got {value!r}")
         out.append(SweepRow(nmax_f, nmax_s, converged == "true", *values))
     return out
 

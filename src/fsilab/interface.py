@@ -32,6 +32,9 @@ Cap = float  # int | math.inf; kept loose for arithmetic convenience
 
 UNBOUNDED = math.inf
 
+#: Round-off relative to a norm: a solver call's stall floor, a relaxation residual's repeat.
+ROUNDOFF = 1e3 * np.finfo(float).eps
+
 #: The real number types a setting accepts; a bool is an int, so each check
 #: rejects it first, and a str would escape as a TypeError at the comparison.
 _REAL = (float, int, np.floating, np.integer)

@@ -214,7 +214,7 @@ class TubeFlowSolver:
         # the time and flux parts of s = K^T ell, and the flux coefficient a_i / (2 dx)
         ell_time, ell_step = ell * time_diag, ell[:-1] - ell[1:]
         half_a = 0.5 * a / dx
-        ext_in, ext_out = float(a_face[0]) / dx, float(a_face[n]) / dx
+        ext_in, ext_out = float(d[0]), float(d[n])  # the end faces' mass-flux weights
         ell_in, ell_out = float(ell[0]), float(ell[n])
         b = np.zeros(2 * n + 1)
         b[: n + 1] = self._momentum_old

@@ -26,14 +26,13 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ContractError, DivergenceError, LinearSolveError
-from .interface import Cap, SolverCallReport, UNBOUNDED, all_finite
+from .interface import ROUNDOFF, Cap, SolverCallReport, UNBOUNDED, all_finite
 
 # Safety limits for nominally unbounded inner loops.
 _ITER_CEILING = 100_000
 _GROWTH_GUARD = 1e8
-# Below this multiple of ||b||/sqrt(n) a residual is round-off: an eps beneath
-# it is only met by chance, so a stall there is reported, not iterated on.
-_ROUNDOFF_FLOOR = 1e3 * np.finfo(float).eps
+# Below ROUNDOFF * ||b||/sqrt(n) a residual is round-off: an eps beneath it is
+# only met by chance, so a stall there is reported, not iterated on.
 _FLOOR_STALL_ITERS = 5
 
 
@@ -129,8 +128,9 @@ def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
     solver of a failed one.
     """
     b, residual, solve = solver.load(inp.coupling_data)
-    if b.ndim != 1 or not b.size:
-        raise ContractError(f"rhs has shape {b.shape}, expected a non-empty 1-D vector")
+    if not isinstance(b, np.ndarray) or b.ndim != 1 or not b.size:
+        raise ContractError(f"rhs has shape {np.shape(b)}, expected a non-empty 1-D vector, "
+                            f"a numpy array (got {type(b).__name__})")
     u = np.zeros(b.size) if inp.u0 is None else np.asarray(inp.u0, dtype=float)
     if u.shape != b.shape:
         raise ContractError(f"u0 has shape {u.shape}, expected {b.shape}")
@@ -140,7 +140,7 @@ def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
     eps, n_max = inp.eps, inp.n_max
     sqrt_n = math.sqrt(b.size)
     # only the guards of an unbounded call read the round-off floor
-    floor = None if bounded else _ROUNDOFF_FLOOR * math.sqrt(b.dot(b)) / sqrt_n
+    floor = None if bounded else ROUNDOFF * math.sqrt(b.dot(b)) / sqrt_n
     history: list = []
     i = 0
     while True:

@@ -32,9 +32,9 @@ from fsilab.errors import (
     ContractError,
     LinearSolveError,
 )
-from fsilab.interface import is_unbounded
+from fsilab.interface import ROUNDOFF, is_unbounded
 from fsilab.models.tube import _face_average, areas_from_displacement
-from fsilab.subproblem import _ROUNDOFF_FLOOR, _guards
+from fsilab.subproblem import _guards
 
 
 class ReferenceDenseOperator:
@@ -199,7 +199,7 @@ def reference_prepare(spec, inp):
     if b.shape != (spec.dim,):
         raise ContractError(f"rhs has shape {b.shape}, expected ({spec.dim},)")
     b.setflags(write=False)  # b is frozen for the whole call
-    floor = _ROUNDOFF_FLOOR * math.sqrt(b.dot(b)) / math.sqrt(spec.dim)
+    floor = ROUNDOFF * math.sqrt(b.dot(b)) / math.sqrt(spec.dim)
     return u, b, floor
 
 

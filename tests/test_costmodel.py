@@ -106,6 +106,12 @@ class TestFitSolverCost:
         with pytest.raises(RankDeficiencyError):
             fit_solver_cost([(10, 30, 1.0), (20, 60, 2.0), (40, 120, 4.1)])
 
+    @pytest.mark.parametrize("samples", [[], [(10, 100, 17.0)], [(10, 100), (20, 150)]],
+                             ids=["none", "one", "no-times"])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        with pytest.raises(ContractError, match=r"^need at least two \(n_c, n_p, t\) samples$"):
+            fit_solver_cost(samples)
+
     def test_residual_orthogonal_to_design(self):
         rng = np.random.default_rng(4)
         n_c = rng.integers(10, 400, size=15)
@@ -132,6 +138,10 @@ class TestFitCouplingCost:
     def test_all_zero_counts(self):
         with pytest.raises(RankDeficiencyError):
             fit_coupling_cost([(0, 1.0), (0, 2.0)])
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ContractError, match=r"^need at least one \(n_c, t\) sample$"):
+            fit_coupling_cost([])
 
 
 class TestFitCostFactors:

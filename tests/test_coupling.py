@@ -223,6 +223,14 @@ class TestQrFilter:
                 with pytest.raises(ContractError, match="positive and finite"):
                     iqn_ils_update(hist, r, np.zeros(2), eps_fil)
 
+    @pytest.mark.parametrize("v", [np.ones(3), np.float64(1.0), np.ones((2, 2, 2))],
+                             ids=["vector", "scalar", "3-d"])
+    def test_v_must_be_a_matrix(self, v):
+        # the filter reads V's columns, so anything but a matrix is refused by name
+        with pytest.raises(ContractError, match=re.escape(
+                f"V must be a matrix, got shape {np.shape(v)}")):
+            qr_filter(v, 1e-12)
+
     @settings(max_examples=300, deadline=None)
     @given(filter_inputs())
     def test_matches_gram_schmidt_oracle(self, inputs):
@@ -353,6 +361,22 @@ class TestIqnUpdate:
         with pytest.raises(ContractError, match="^history column length does not match "
                                                 "residual length$"):
             iqn_ils_update(hist, np.ones(3), np.zeros(3), 1e-12)
+
+    @pytest.mark.parametrize("r, d_tilde", [
+        (np.ones(2), np.zeros(1)), (np.ones(2), 5.0), (np.ones((2, 1)), np.zeros(2)),
+        (np.ones((2, 1)), np.zeros((2, 1))), (np.zeros(2), np.zeros(3)),
+    ], ids=["short-d-tilde", "scalar-d-tilde", "column-residual", "column-pair",
+            "zero-residual-short-d-tilde"])
+    def test_residual_and_d_tilde_must_be_vectors_of_one_shape(self, r, d_tilde):
+        # numpy would broadcast a short or scalar d_tilde into a wrong update;
+        # the shapes are checked before a zero residual returns d_tilde
+        hist = IqnHistory(q=1)
+        hist.append(np.array([1.0, 0.0]), np.array([1.0, 2.0]), age=1)
+        hist.append(np.array([0.0, 1.0]), np.array([3.0, 1.0]), age=1)
+        with pytest.raises(ContractError, match=re.escape(
+                f"residual {np.shape(r)} and d_tilde {np.shape(d_tilde)} must be vectors "
+                "of one shape")):
+            iqn_ils_update(hist, r, d_tilde, 1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(filter_inputs(), st.integers(0, 2**32 - 1))
@@ -909,6 +933,17 @@ class TestAitken:
         assert aitken_omega(np.array([0.999]), np.array([1.0]), 1.0) == 2.0
         assert aitken_omega(np.array([-1000.0]), np.array([1.0]), 1.0) == 0.01
 
+    @pytest.mark.parametrize("r_k, r_km1", [
+        (np.ones(1), np.arange(3.0)), (np.arange(3.0), np.ones(1)),
+        (np.ones((3, 1)), np.arange(3.0)), (1.0, 2.0),
+    ], ids=["short-r-k", "short-r-km1", "column-r-k", "scalars"])
+    def test_residuals_must_be_vectors_of_one_shape(self, r_k, r_km1):
+        # numpy would broadcast a short residual silently against the other
+        with pytest.raises(ContractError, match=re.escape(
+                f"residuals {np.shape(r_k)}, {np.shape(r_km1)} are not vectors of one "
+                "shape")):
+            aitken_omega(r_k, r_km1, 0.5)
+
 
 class TestCheckConvergence:
     def test_first_residual_both_needed(self):
@@ -1373,7 +1408,7 @@ class TestEngineAccelerationModes:
                 partial.solid_iters) == (1, 17, 34, 34)
         assert not partial.converged
         assert step_counts(record) == [(1, 17, 34, 34)]
-        assert record.failing_step == err.value.step == 1
+        assert record.failing_step == partial.step == 1
         assert not record.converged and not record.snapshots
 
     def test_diverged_step_carries_partial_record(self, monkeypatch):
@@ -1393,7 +1428,7 @@ class TestEngineAccelerationModes:
         record = err.value.record
         assert record is not None
         assert not record.converged
-        assert record.failing_step == err.value.step == 1
+        assert record.failing_step == err.value.partial.step == 1
         assert record.counters.coupling_total > 0
 
         partial = err.value.partial
@@ -1435,7 +1470,7 @@ class TestNonFiniteUpdate:
         assert isinstance(partial, TimeStepRecord) and not partial.converged
         assert partial.accepted_norms is None
         # step 1 updates by relaxation first: the first IQN update is at k = 2
-        assert (err.value.step, partial.step, partial.coupling_iters) == (1, 1, 2)
+        assert (partial.step, partial.coupling_iters) == (1, 2)
         assert record.failing_step == 1 and not record.converged and not record.snapshots
         flow = [c for c in spent if c[0] == "flow"]
         solid = [c for c in spent if c[0] == "solid"]

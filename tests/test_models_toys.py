@@ -18,11 +18,17 @@ from fsilab.errors import ContractError, DivergedStepError
 from fsilab.models import LinearToyModel
 
 
+def gs_spectral_radius(toy: LinearToyModel) -> float:
+    """Spectral radius of the toy's Gauss-Seidel interface map ``A_s^-1 B_s A_f^-1 B_f``."""
+    g = np.linalg.solve(toy.A_s, toy.B_s) @ np.linalg.solve(toy.A_f, toy.B_f)
+    return float(max(abs(np.linalg.eigvals(g))))
+
+
 class TestLinearToyConstruction:
     def test_presets_hit_their_spectral_radius(self):
-        assert LinearToyModel.stable().gs_spectral_radius == pytest.approx(0.5, rel=1e-10)
-        assert LinearToyModel.unstable().gs_spectral_radius == pytest.approx(2.5, rel=1e-10)
-        assert LinearToyModel.decoupled().gs_spectral_radius == 0.0
+        assert gs_spectral_radius(LinearToyModel.stable()) == pytest.approx(0.5, rel=1e-10)
+        assert gs_spectral_radius(LinearToyModel.unstable()) == pytest.approx(2.5, rel=1e-10)
+        assert gs_spectral_radius(LinearToyModel.decoupled()) == 0.0
 
     def test_monolithic_solution_satisfies_both_blocks(self):
         toy = LinearToyModel(5, 3, 0.7)

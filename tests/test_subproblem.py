@@ -408,6 +408,19 @@ class TestIterationBounds:
         _, rep = run(scalar_affine(), call_input([0.0], eps=1e-15, n_max=n_max))
         assert 1 <= rep.inner_iters <= n_max
 
+    def test_unbounded_call_stops_at_the_ceiling(self, monkeypatch):
+        # a solver that never moves keeps its residual, above the round-off
+        # floor and below the growth guard: only the ceiling ends the call
+        import fsilab.subproblem as subproblem_mod
+
+        monkeypatch.setattr(subproblem_mod, "_ITER_CEILING", 4)
+        b = np.array([6.0, -2.0])
+        frozen = SimpleNamespace(load=lambda c: (b, lambda u: b - u, lambda u, r: np.zeros(2)),
+                                 output=lambda u: u)
+        with pytest.raises(DivergenceError, match="^no convergence within 4 iterations$") as err:
+            call_solver(SolverId.SOLID, frozen, SolverCallInput(None, DUMMY, eps=1e-9))
+        assert err.value.iteration == 4
+
 
 class TestCallSolver:
     def test_flow_call_matches_direct_solve(self):
@@ -535,6 +548,15 @@ class TestCallSolver:
                            r"iteration 1\)$") as err:
             run_simulation(OneStep(), CouplingConfig())
         assert err.value.partial.flow_iters == 1
+
+    @pytest.mark.parametrize("rhs", [[6.0, 6.0], (6.0,), 6.0], ids=["list", "tuple", "float"])
+    def test_rhs_must_be_a_numpy_vector(self, rhs):
+        # the call's size is read off b, so anything but an ndarray is refused by name
+        solver = SimpleNamespace(load=lambda c: (rhs, None, None), output=lambda u: u)
+        with pytest.raises(ContractError, match=re.escape(
+                f"rhs has shape {np.shape(rhs)}, expected a non-empty 1-D vector, a numpy "
+                f"array (got {type(rhs).__name__})")):
+            call_solver(SolverId.FLOW, solver, call_input([0.0]))
 
     def test_inner_iteration_errors_share_one_base(self):
         for cls in (LinearSolveError, DivergenceError):
