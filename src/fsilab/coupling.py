@@ -51,8 +51,10 @@ _RESIDUAL_GROWTH_ABORT = 1e6
 # within round-off of its norm (interface.ROUNDOFF, the solver call's floor)
 _STALL_WINDOW = 6
 _STALL_FACTOR = 0.5
-# secant columns kept at most (calibrated on the tube testbed: larger piles
-# of capped-call pairs stall the update, smaller piles slow convergence)
+# secant columns kept at most: the QR1 filter, not this cap, removes stale
+# columns, and the cap bounds what an update costs (a geqrf over the window);
+# on the tube's cap grid a window of n columns saved no coupling iteration
+# and took the run's wall time and 90th-percentile step time up by 9%
 _MAX_SECANT_COLUMNS = 24
 # R's upper-triangle mask, built once for each number of columns _qr1 keeps
 _upper_mask = functools.cache(lambda order: np.triu(np.ones((order, order), dtype=bool)))
@@ -75,11 +77,13 @@ class IqnHistory:
     tagged with the time step that produced them. At the start of time step t,
     columns older than ``t - q`` are evicted. An append refuses a column older
     than the newest stored one, so ages never increase along the window and
-    eviction only truncates it. At most ``m = min(n,
-    _MAX_SECANT_COLUMNS)`` columns of length ``n`` are kept: the added-mass
-    error lives in a few dominant interface modes, and old columns sampled
-    under capped inner iterations degrade the update long before ``n`` is
-    reached. This class is the only reader of that cap.
+    eviction only truncates it. A column leaves the window in four ways only:
+    eviction by age, a full window dropping its oldest at an append, a
+    stagnation restart's :meth:`clear`, and :meth:`retain`, with which
+    :func:`iqn_ils_update` removes for good the columns the QR1 filter
+    dropped. At most ``m = min(n, _MAX_SECANT_COLUMNS)`` columns of length
+    ``n`` are kept, which bounds the cost of an update. This class is the
+    only reader of that cap.
 
     The window is one column range of a single ``(2n + 1, 2m)`` buffer,
     allocated at the first append (or on a new column length): rows ``0..n-1``
@@ -90,7 +94,7 @@ class IqnHistory:
     column of a nonempty history. An append writes its column left of the
     window and drops the oldest from a full one; at the left edge the window
     first moves to the right half, in one copy. ``V``, ``W`` and the norms
-    thus move, truncate and clear together.
+    thus move, truncate, shrink and clear together.
     """
 
     def __init__(self, q: int):
@@ -136,18 +140,30 @@ class IqnHistory:
     def clear(self) -> None:
         self._ages = []
 
+    def retain(self, keep) -> None:
+        """Keep only the columns at the increasing window positions ``keep``.
+
+        Their V, W, norm and age move together, in one copy into the right end
+        of the window, so the room left of it for appends grows.
+        """
+        end = self._start + len(self._ages)
+        self._buf[:, end - len(keep) : end] = self._buf[:, self._start : end][:, keep]
+        self._start = end - len(keep)
+        self._ages = [self._ages[i] for i in keep]
+
     @property
     def is_empty(self) -> bool:
         return not self._ages
 
     def matrices(self):
-        """``(V, W)`` as views of the buffer, valid until the next append."""
+        """``(V, W)`` as views of the buffer, valid until the next append or retain."""
         n = self._buf.shape[0] // 2
         window = self._buf[:, self._start : self._start + len(self._ages)]
         return window[:n], window[n:-1]
 
     def norms(self) -> np.ndarray:
-        """The norms of ``V``'s columns as a view of the buffer, valid until the next append."""
+        """The norms of ``V``'s columns as a view of the buffer, valid until the next
+        append or retain."""
         return self._buf[-1, self._start : self._start + len(self._ages)]
 
 
@@ -162,6 +178,8 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
     ``V_cand`` alone, whatever ``rhs`` is, and the last column holds ``Q^T
     rhs``: ``alpha`` is one triangular solve away, with no Q formed. R is
     read off LAPACK's raw layout here alone, for any number of kept columns.
+    Each dropped column costs one more pass; :func:`iqn_ils_update` removes
+    the dropped columns from its history, so a column fails at most once.
     Only the rows of V where some entry is nonzero enter (``-0.0`` reads as
     zero, ``nan`` as nonzero), gathered as one slice when they form one block
     (on the tube, all but the clamped ends): elsewhere ``rhs`` only adds a
@@ -242,8 +260,11 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     ``alpha`` minimizes ``||V alpha + r||_2`` over the columns
     :func:`qr_filter` keeps, read off the filter's own last factorisation of
     ``[V | r]``; the filter compares against the column norms ``hist`` stored
-    at each append. The returned increment norm is ``||W alpha||_2``. A residual
-    whose squared norm is (or underflows to) zero returns ``d_tilde`` exactly.
+    at each append. The columns the filter drops leave ``hist``
+    (:meth:`IqnHistory.retain`), so no later update factors them again, and W
+    is always a view of the history. The returned increment norm is ``||W
+    alpha||_2``. A residual whose squared norm is (or underflows to) zero
+    returns ``d_tilde`` exactly and leaves ``hist`` as it was.
     """
     r = np.asarray(r_k, dtype=float)
     d_tilde = np.asarray(d_tilde_k, dtype=float)
@@ -259,8 +280,9 @@ def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     if v.shape[0] != r.size:
         raise ContractError("history column length does not match residual length")
     keep, alpha = _qr1(v, eps_fil, -r, hist.norms())
-    if keep.size < w.shape[1]:  # else no column was dropped: W stays a view
-        w = w[:, keep]
+    if keep.size < v.shape[1]:  # a dropped column leaves the history for good
+        hist.retain(keep)
+        w = hist.matrices()[1]
     delta = w @ alpha
     return d_tilde + delta, math.sqrt(delta.dot(delta))
 
@@ -441,6 +463,12 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
             rel = r_norm / x_norm if x_norm > 0.0 else float("inf")
             inc = None
             if increments:
+                # this update may drop columns from hist, and the run stays
+                # bit for bit: a drop reads V alone, not the residual, and
+                # tests a column against the newer kept columns before it.
+                # The next update, the next step's first, sees this V less
+                # its oldest columns, so it drops the same columns and then
+                # factors the same kept ones either way.
                 inc = _update(config, hist, omega, r, r_norm, x, x_tilde)[1]
             rec.accepted_norms = (r_norm, rel, inc)
             return rec, x, u_f, u_s

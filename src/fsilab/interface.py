@@ -145,7 +145,7 @@ class CouplingConfig:
     n_max_s: Cap = UNBOUNDED
     eps_f: float = 1e-9
     eps_s: float = 1e-3
-    eps_fil: float = 1e-12
+    eps_fil: float = 1e-4
     reuse_q: int = 5
     omega0: float = 0.1
     accel: AccelKind = AccelKind.IQN_ILS

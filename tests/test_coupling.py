@@ -2,11 +2,12 @@ import itertools
 import math
 import re
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fsilab import (
     AccelKind,
@@ -90,18 +91,42 @@ def orthogonal_ratios(v_matrix: np.ndarray, keep: list) -> list:
     return ratios
 
 
-@st.composite
-def filter_inputs(draw):
-    """A column set of random, duplicated, scaled, zero and near-dependent
-    columns, some rows zero in every column; a near-dependent column is an
-    earlier one plus a perturbation at least two decades above or below
-    ``eps_fil``."""
-    n = draw(st.integers(1, 40))
-    m = draw(st.integers(0, 30))
-    eps_fil = 10.0 ** draw(st.integers(-12, -4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["random", "duplicate", "scaled", "zero", "near"]),
-                          min_size=m, max_size=m))
+def exact_increment(v: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``W alpha`` for the ``alpha`` that minimizes ``||V alpha + r||_2``, V of full
+    column rank, exact in rational arithmetic and rounded once per entry.
+
+    The normal equations ``V^T V alpha = -V^T r`` are scaled to integers (every
+    float is an integer over a power of two) and reduced by fraction-free
+    (Bareiss) elimination, whose divisions are exact."""
+    a = np.column_stack([v, -r])
+    scale = max(Fraction(x).denominator for x in a.flat)
+    cols = [[int(Fraction(x) * scale) for x in col] for col in a.T.tolist()]
+    k = v.shape[1]
+    gram = [[sum(p * q for p, q in zip(cols[i], cols[j])) for j in range(k + 1)]
+            for i in range(k)]
+    prev = 1
+    for c in range(k):  # V^T V is positive definite, so no pivot is zero
+        for i in range(c + 1, k):
+            gram[i] = [(gram[c][c] * gram[i][j] - gram[i][c] * gram[c][j]) // prev
+                       for j in range(k + 1)]
+        prev = gram[c][c]
+    alpha = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
+        alpha[i] = Fraction(gram[i][k] - sum(gram[i][j] * alpha[j] for j in range(i + 1, k)),
+                            gram[i][i])
+    return np.array([float(sum(Fraction(x) * a_j for x, a_j in zip(row, alpha)))
+                     for row in w.tolist()])
+
+
+def filter_columns(n: int, eps_fil: float, seed: int, kinds: list, decades: list,
+                   zero_rows) -> tuple:
+    """``(V, eps_fil)``: one column of length ``n`` for each of ``kinds``, random,
+    duplicated, scaled, zero or near-dependent, drawn from
+    ``np.random.default_rng(seed)``, with the rows ``zero_rows`` zero in every
+    column. A near-dependent column is an earlier one plus a perturbation the
+    next of ``decades`` decades above or below ``eps_fil``."""
+    rng = np.random.default_rng(seed)
+    decades = iter(decades)
     cols: list = []
     for kind in kinds:
         if kind == "zero":
@@ -115,13 +140,28 @@ def filter_inputs(draw):
             elif kind == "scaled":
                 cols.append(base * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
             else:
-                decades = draw(st.sampled_from([-4, -3, -2, 2, 3]))
                 u = rng.standard_normal(n)
-                delta = min(eps_fil * 10.0**decades, 0.1)
+                delta = min(eps_fil * 10.0 ** next(decades), 0.1)
                 cols.append(base + delta * np.linalg.norm(base) * u / np.linalg.norm(u))
     v = np.column_stack(cols) if cols else np.zeros((n, 0))
-    v[sorted(draw(st.sets(st.integers(0, n - 1), max_size=n // 2)))] = 0.0
+    v[sorted(zero_rows)] = 0.0
     return v, eps_fil
+
+
+@st.composite
+def filter_inputs(draw):
+    """:func:`filter_columns` of drawn arguments: up to 30 columns of up to 40
+    rows, at most half the rows zero, and each near-dependent column's
+    perturbation at least two decades above or below ``eps_fil``."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, 30))
+    eps_fil = 10.0 ** draw(st.integers(-12, -4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kinds = draw(st.lists(st.sampled_from(["random", "duplicate", "scaled", "zero", "near"]),
+                          min_size=m, max_size=m))
+    decades = draw(st.lists(st.sampled_from([-4, -3, -2, 2, 3]), min_size=m, max_size=m))
+    return filter_columns(n, eps_fil, seed, kinds, decades,
+                          draw(st.sets(st.integers(0, n - 1), max_size=n // 2)))
 
 
 class TestQrFilter:
@@ -380,9 +420,15 @@ class TestIqnUpdate:
 
     @settings(max_examples=300, deadline=None)
     @given(filter_inputs(), st.integers(0, 2**32 - 1))
+    @example(inputs=filter_columns(
+        10, 1e-8, 6654190, ["duplicate", "scaled", "near", "scaled", "duplicate", "random",
+                            "near", "duplicate", "duplicate", "duplicate", "duplicate"],
+        [3, -3], [0, 1, 8]), seed=1731529695)
     def test_matches_filtered_lstsq_reference(self, inputs, seed):
         # the residual has entries on rows that are zero in every column of V,
-        # and V may have more columns than rows
+        # and V may have more columns than rows; on the example, np.linalg.lstsq
+        # on the kept columns (condition number 7.3e5) is 1.2e-8 off the exact
+        # increment, and the update 1.1e-9
         v, eps_fil = inputs
         assume(v.shape[1] > 0)  # an empty history is the caller's problem
         rng = np.random.default_rng(seed)
@@ -393,11 +439,11 @@ class TestIqnUpdate:
         assume(all(q < 0.1 * eps_fil or q > 10.0 * eps_fil
                    for q in orthogonal_ratios(v, keep)))
         assume(keep)  # a history of zero columns only, which no append builds
-        # past a condition number of 1e6, any backward-stable solve fixes the
-        # coefficients only to about eps * cond^2: no computation is a
-        # reference there (the kept sets are pinned by the filter's oracle)
+        # the reference is exact, but a backward-stable solve such as the
+        # update's fixes the coefficients only to about eps * cond^2 (the kept
+        # sets are pinned by the filter's oracle)
         assume(np.linalg.cond(v[:, keep]) < 1e6)
-        delta = w[:, keep] @ np.linalg.lstsq(v[:, keep], -r, rcond=None)[0]
+        delta = exact_increment(v[:, keep], w[:, keep], r)
         expected = d_tilde + delta
         d_next, _ = iqn_ils_update(_history(v, w), r, d_tilde, eps_fil)
         assert np.linalg.norm(d_next - expected) <= 1e-8 * np.linalg.norm(expected)
@@ -461,7 +507,10 @@ def reference_iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
 
 
 def _both_updates(hist: IqnHistory, r, d_tilde, eps_fil: float):
-    """``(update, reference)`` outcomes: a result pair or the exception type."""
+    """``(update, reference)`` outcomes: a result pair or the exception type.
+
+    The update runs first and removes the columns its filter drops from
+    ``hist``, so the reference reads the history the update left."""
     outcomes = []
     for update in (iqn_ils_update, reference_iqn_ils_update):
         try:
@@ -507,12 +556,13 @@ class TestIqnUpdateIsBitwiseTheReference:
         # and the last (the clamped ends) are zero in every column, and 40
         # appends over three steps that fill the 24-column window, drop its
         # oldest column and evict a step's columns by age; every sixth column
-        # repeats a scaled earlier one, so the filter drops some columns
+        # repeats a scaled earlier one, so the update after its append drops
+        # it from the history, which then holds no dependent column
         n = 101
         rng = np.random.default_rng(11)
         hist = IqnHistory(q=1)
         ages = [1] * 30 + [2] * 5 + [3] * 5
-        widths, cols = [], []
+        widths, narrowed, cols = [], [], []
         for i, age in enumerate(ages):
             if i == 0 or age != ages[i - 1]:
                 hist.start_step(age)  # step 3 evicts the columns of step 1
@@ -527,7 +577,11 @@ class TestIqnUpdateIsBitwiseTheReference:
             assert hist.matrices()[0].any(axis=1).nonzero()[0].tolist() == list(range(1, n - 1))
             r = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
             _assert_bitwise_same(*_both_updates(hist, r, rng.standard_normal(n), 1e-12))
-        assert widths[23:35] == [_MAX_SECANT_COLUMNS] * 12 and widths[35:] == [6, 7, 8, 9, 10]
+            v = hist.matrices()[0]
+            narrowed.append(widths[-1] - v.shape[1])
+            assert len(qr_filter(v, 1e-12)) == v.shape[1]
+        assert narrowed == [int(i % 6 == 5) for i in range(len(ages))]
+        assert max(widths) == _MAX_SECANT_COLUMNS and widths[35:] == [6, 6, 7, 8, 9]
 
     def test_eviction_leaves_rows_with_a_gap(self):
         # the only column that touches an interior row is evicted by
@@ -549,18 +603,41 @@ class TestIqnUpdateIsBitwiseTheReference:
         assert hist.matrices()[0].any(axis=1).nonzero()[0].tolist() == [1, 2, 3, 5, 6]
         _assert_bitwise_same(*_both_updates(hist, r, d_tilde, 1e-12))
 
-    def test_dropped_column_takes_the_gathered_w(self):
-        # a duplicate column is dropped, so W is gathered with w[:, keep]
+    def test_dropped_column_leaves_the_history(self, monkeypatch):
+        # a duplicate column is dropped by one update and, with its W column,
+        # norm and age, is gone from the history: the next update factors the
+        # reduced V once and equals the reference on it, bit for bit
+        import fsilab.coupling as coupling_mod
+
         rng = np.random.default_rng(3)
         hist = IqnHistory(q=1)
         cols = rng.standard_normal((9, 4))
-        for j in (3, 2, 1, 0):
-            hist.append(cols[:, j], rng.standard_normal(9), age=1)
-        hist.append(cols[:, 1], rng.standard_normal(9), age=1)
-        v, _ = hist.matrices()
+        for j, age in ((3, 1), (2, 1), (1, 2), (0, 2)):
+            hist.append(cols[:, j], rng.standard_normal(9), age=age)
+        hist.append(cols[:, 1], rng.standard_normal(9), age=2)  # repeats window column 2
+        v, w = (m.copy() for m in hist.matrices())
         assert qr_filter(v, 1e-12) == [0, 1, 3, 4]
-        got, ref = _both_updates(hist, rng.standard_normal(9), rng.standard_normal(9), 1e-12)
-        _assert_bitwise_same(got, ref)
+        r, d_tilde = rng.standard_normal(9), rng.standard_normal(9)
+        ref = reference_iqn_ils_update(hist, r, d_tilde, 1e-12)
+        got = iqn_ils_update(hist, r, d_tilde, 1e-12)
+        np.testing.assert_allclose(got[0], ref[0], rtol=1e-12)
+        for got_m, ref_m in zip(hist.matrices(), (v[:, [0, 1, 3, 4]], w[:, [0, 1, 3, 4]])):
+            assert got_m.tobytes() == ref_m.tobytes()
+        assert_norms_of(hist, v[:, [0, 1, 3, 4]])
+
+        factorisations = []  # the columns of V each geqrf pass factors
+        qr_r_raw = coupling_mod.qr_r_raw
+
+        def counted(a, **kwargs):
+            factorisations.append(a.shape[1] - 1)
+            return qr_r_raw(a, **kwargs)
+
+        monkeypatch.setattr(coupling_mod, "qr_r_raw", counted)
+        r, d_tilde = rng.standard_normal(9), rng.standard_normal(9)
+        _assert_bitwise_same(*_both_updates(hist, r, d_tilde, 1e-12))
+        assert factorisations == [4]  # one pass, over the 4 kept columns
+        hist.start_step(3)  # the ages moved with their columns: step 1's two go
+        assert hist.matrices()[0].tobytes() == v[:, [0, 1]].tobytes()
 
     def test_rows_zero_in_every_column(self):
         rng = np.random.default_rng(5)
@@ -739,6 +816,9 @@ class ListIqnHistory:
     def clear(self) -> None:
         self._cols = []
 
+    def retain(self, keep) -> None:
+        self._cols = [self._cols[i] for i in keep]
+
     @property
     def is_empty(self) -> bool:
         return not self._cols
@@ -757,17 +837,20 @@ class ListIqnHistory:
 def history_ops(draw):
     """A row count, which sets the column cap, and a random sequence of history
     operations; appends carry random, sparse, zero or wrong-length pairs and
-    non-decreasing ages, and a step starts at or up to four steps past the
-    latest age. A sparse residual difference is zero in about half its rows."""
+    non-decreasing ages, a step starts at or up to four steps past the
+    latest age, and a retain keeps the window positions its mask marks. A
+    sparse residual difference is zero in about half its rows."""
     n = draw(st.sampled_from([1, 2, 3, 5, 24]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
     age = draw(st.integers(0, 3))
     for kind in draw(st.lists(st.sampled_from(["append"] * 4 + ["sparse"] * 2
-                                              + ["zero", "resize", "start", "clear"]),
+                                              + ["zero", "resize", "start", "clear", "retain"]),
                               max_size=60)):
         if kind == "start":
             ops.append(("start", age + draw(st.integers(0, 4))))
+        elif kind == "retain":
+            ops.append(("retain", rng.random(n + 1) < 0.7))  # a resized history has n + 1 rows
         elif kind == "clear":
             ops.append(("clear",))
         else:
@@ -794,6 +877,8 @@ class TestIqnHistory:
                         h.append(op[1], op[2], age=op[3])
                     elif op[0] == "start":
                         h.start_step(op[1])
+                    elif op[0] == "retain":
+                        h.retain([i for i in range(len(oracle.column_ages)) if op[1][i]])
                     else:
                         h.clear()
                     outcomes.append(None)
@@ -1060,22 +1145,61 @@ class TestEngineOnTube:
         assert step_counts(plain) == step_counts(asked)
         assert all(np.array_equal(a, b) for a, b in zip(plain.snapshots, asked.snapshots))
 
+    @pytest.mark.parametrize("caps", [{}, {"n_max_f": 1, "n_max_s": 1}],
+                             ids=["uncapped", "capped-1-1"])
+    def test_increments_leave_a_filtering_run_bit_for_bit(self, monkeypatch, caps):
+        # the acceptance-time update removes the columns its filter drops from
+        # the history as well; the next step's first update drops them anyway,
+        # so the first 20 steps of the shipped tube keep their counts and
+        # snapshots bit for bit
+        import fsilab.coupling as coupling_mod
+
+        real_check, real_update = coupling_mod.check_convergence, coupling_mod.iqn_ils_update
+        accepted, dropped = [False], []  # columns each acceptance-time update dropped
+
+        def check(*args):
+            accepted[0] = real_check(*args)
+            return accepted[0]
+
+        def update(hist, *args):
+            width = hist.matrices()[0].shape[1]
+            out = real_update(hist, *args)
+            if accepted[0]:
+                dropped.append(width - hist.matrices()[0].shape[1])
+            return out
+
+        monkeypatch.setattr(coupling_mod, "check_convergence", check)
+        monkeypatch.setattr(coupling_mod, "iqn_ils_update", update)
+        params, config = Tube1DParams(steps=20), CouplingConfig(**caps)
+        plain = run_simulation(Tube1DModel(params), config)
+        assert not dropped
+        asked = run_simulation(Tube1DModel(params), config, increments=True)
+        assert len(dropped) == params.steps and sum(dropped) > 0
+        assert step_counts(plain) == step_counts(asked)
+        assert all(np.array_equal(a, b) for a, b in zip(plain.snapshots, asked.snapshots))
+
     def test_history_cap_follows_the_interface_length(self):
-        # 11 interface nodes: the history never holds more than 11 columns,
-        # though _MAX_SECANT_COLUMNS allows 24
+        # 11 interface nodes, of which the clamped ends are zero in every
+        # column: R has 9 diagonal entries, so each update drops the columns
+        # past the 9th from the history, and an accepted step ends on one more
+        # column appended; the history never reaches the 11 columns its
+        # buffer holds, though _MAX_SECANT_COLUMNS allows 24
         columns = []
         record = run_simulation(
             Tube1DModel(Tube1DParams(cells=10, steps=10)), CouplingConfig(),
             on_step=lambda step, hist, state: columns.append(hist.matrices()[0].shape[1]))
-        assert max(columns) == 11 < _MAX_SECANT_COLUMNS
+        assert max(columns) == 10 < 11 < _MAX_SECANT_COLUMNS
         assert step_counts(record) == [
-            (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 5, 11, 10), (5, 4, 8, 8),
-            (6, 4, 8, 8), (7, 4, 8, 8), (8, 4, 8, 8), (9, 4, 8, 8), (10, 4, 7, 8)]
+            (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 5, 11, 10), (5, 5, 9, 10),
+            (6, 5, 10, 10), (7, 4, 7, 8), (8, 4, 8, 8), (9, 4, 8, 8), (10, 4, 7, 8)]
 
     def test_reuse_eviction_invariant(self, monkeypatch):
         # after every step the engine's history holds the columns of the list
         # oracle fed the same calls, which keeps those of the last q steps
+        # and loses those the filter drops
         import fsilab.coupling as coupling_mod
+
+        retained = []
 
         class Mirrored(IqnHistory):
             def __init__(self, q):
@@ -1094,6 +1218,11 @@ class TestEngineOnTube:
                 super().clear()
                 self.oracle.clear()
 
+            def retain(self, keep):
+                super().retain(keep)
+                self.oracle.retain(keep)
+                retained.append(len(keep))
+
         params = Tube1DParams(cells=40, steps=8)
         config = CouplingConfig(reuse_q=2)
         oldest = []  # steps back to each step's oldest column
@@ -1108,6 +1237,7 @@ class TestEngineOnTube:
         monkeypatch.setattr(coupling_mod, "IqnHistory", Mirrored)
         run_simulation(Tube1DModel(params), config, on_step=check)
         assert len(oldest) == params.steps and max(oldest) == config.reuse_q
+        assert retained
 
     def test_timings_split(self, short_run):
         _, _, record = short_run
