@@ -466,9 +466,14 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
                 # this update may drop columns from hist, and the run stays
                 # bit for bit: a drop reads V alone, not the residual, and
                 # tests a column against the newer kept columns before it.
-                # The next update, the next step's first, sees this V less
-                # its oldest columns, so it drops the same columns and then
-                # factors the same kept ones either way.
+                # Appends come at k >= 2 only, each after an update, so the
+                # next update (the first of the next step that does not
+                # converge at k = 1) sees this V less its oldest columns: it
+                # drops the same columns and factors the same kept ones
+                # either way. That needs the dropped columns to touch no row
+                # that no kept column touches, since the filter factors only
+                # the rows V touches; on the tube every column touches every
+                # interior row.
                 inc = _update(config, hist, omega, r, r_norm, x, x_tilde)[1]
             rec.accepted_norms = (r_norm, rel, inc)
             return rec, x, u_f, u_s

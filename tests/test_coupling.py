@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import re
@@ -486,13 +487,16 @@ def reference_qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray | None =
 
 
 def reference_iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
-    """The update's previous implementation, kept as its bitwise oracle; it
-    asserts the kept column that a history built by appends always has."""
+    """The update's previous implementation, kept as its bitwise oracle, which
+    reads ``hist`` and leaves it as it was; it asserts the kept column that a
+    history built by appends always has. Returns ``(d_next, increment_norm,
+    keep)``, ``keep`` the window positions its filter kept, or None when it
+    fitted nothing."""
     r = np.asarray(r_k, dtype=float)
     d_tilde = np.asarray(d_tilde_k, dtype=float)
     require_positive(eps_fil, "eps_fil")
     if np.linalg.norm(r) == 0.0:
-        return d_tilde.copy(), 0.0
+        return d_tilde.copy(), 0.0, None
     if hist.is_empty:
         raise ContractError("empty quasi-Newton history; caller must fall back to relaxation")
     v, w = hist.matrices()
@@ -501,23 +505,39 @@ def reference_iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
     keep, alpha = reference_qr1(v, eps_fil, -r)
     assert keep.size, "filtering removed all quasi-Newton columns"
     if keep.size < w.shape[1]:  # else no column was dropped: W stays a view
-        w = w[:, keep]
+        # gathered row-major, as the history's window is laid out: numpy
+        # gathers w[:, keep] column-major, and BLAS sums that product in
+        # another order, one ulp off on some entries
+        w = np.ascontiguousarray(w[:, keep])
     delta = w @ alpha
-    return d_tilde + delta, float(np.linalg.norm(delta))
+    return d_tilde + delta, float(np.linalg.norm(delta)), keep
+
+
+def _same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def _both_updates(hist: IqnHistory, r, d_tilde, eps_fil: float):
     """``(update, reference)`` outcomes: a result pair or the exception type.
 
-    The update runs first and removes the columns its filter drops from
-    ``hist``, so the reference reads the history the update left."""
+    The reference runs first, on the history the update then finds. The
+    update must leave in ``hist`` exactly the columns of that history which
+    the reference's filter kept, all of them when it fitted nothing or
+    raised: V, W and the stored norms bit for bit, and the ages with them."""
+    v, w = (m.copy() for m in hist.matrices())
+    norms, ages = hist.norms().copy(), list(hist._ages)
     outcomes = []
-    for update in (iqn_ils_update, reference_iqn_ils_update):
+    for update in (reference_iqn_ils_update, iqn_ils_update):
         try:
             outcomes.append(update(hist, r, d_tilde, eps_fil))
         except ContractError as exc:
             outcomes.append(type(exc))
-    return outcomes
+    ref, got = outcomes
+    keep = np.arange(len(ages)) if isinstance(ref, type) or ref[2] is None else ref[2]
+    v_after, w_after = hist.matrices()
+    assert _same_bits(v_after, v[:, keep]) and _same_bits(w_after, w[:, keep])
+    assert _same_bits(hist.norms(), norms[keep]) and hist._ages == [ages[i] for i in keep]
+    return got, ref if isinstance(ref, type) else ref[:2]
 
 
 def _assert_bitwise_same(got, ref) -> None:
@@ -548,8 +568,10 @@ class TestIqnUpdateIsBitwiseTheReference:
             hist.append(v[:, j], rng.standard_normal(n), age=int(ages[j]))
         r = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
         d_tilde = rng.standard_normal(n)
+        # each residual meets the history as the appends left it, so the
+        # update's drops are checked against the reference's every time
         for residual in (r, np.where(v.any(axis=1), 0.0, r), np.zeros(n)):
-            _assert_bitwise_same(*_both_updates(hist, residual, d_tilde, eps_fil))
+            _assert_bitwise_same(*_both_updates(copy.deepcopy(hist), residual, d_tilde, eps_fil))
 
     def test_tube_shaped_history(self):
         # the shape of every benchmark update: 101 rows, of which the first
@@ -604,9 +626,10 @@ class TestIqnUpdateIsBitwiseTheReference:
         _assert_bitwise_same(*_both_updates(hist, r, d_tilde, 1e-12))
 
     def test_dropped_column_leaves_the_history(self, monkeypatch):
-        # a duplicate column is dropped by one update and, with its W column,
-        # norm and age, is gone from the history: the next update factors the
-        # reduced V once and equals the reference on it, bit for bit
+        # an update that equals the reference bit for bit drops a duplicate
+        # column, which with its W column, norm and age is then gone from the
+        # history: the next update factors the reduced V once and equals the
+        # reference again
         import fsilab.coupling as coupling_mod
 
         rng = np.random.default_rng(3)
@@ -615,15 +638,11 @@ class TestIqnUpdateIsBitwiseTheReference:
         for j, age in ((3, 1), (2, 1), (1, 2), (0, 2)):
             hist.append(cols[:, j], rng.standard_normal(9), age=age)
         hist.append(cols[:, 1], rng.standard_normal(9), age=2)  # repeats window column 2
-        v, w = (m.copy() for m in hist.matrices())
+        v = hist.matrices()[0].copy()
         assert qr_filter(v, 1e-12) == [0, 1, 3, 4]
         r, d_tilde = rng.standard_normal(9), rng.standard_normal(9)
-        ref = reference_iqn_ils_update(hist, r, d_tilde, 1e-12)
-        got = iqn_ils_update(hist, r, d_tilde, 1e-12)
-        np.testing.assert_allclose(got[0], ref[0], rtol=1e-12)
-        for got_m, ref_m in zip(hist.matrices(), (v[:, [0, 1, 3, 4]], w[:, [0, 1, 3, 4]])):
-            assert got_m.tobytes() == ref_m.tobytes()
-        assert_norms_of(hist, v[:, [0, 1, 3, 4]])
+        _assert_bitwise_same(*_both_updates(hist, r, d_tilde, 1e-12))
+        assert _same_bits(hist.matrices()[0], v[:, [0, 1, 3, 4]])
 
         factorisations = []  # the columns of V each geqrf pass factors
         qr_r_raw = coupling_mod.qr_r_raw
@@ -1145,13 +1164,18 @@ class TestEngineOnTube:
         assert step_counts(plain) == step_counts(asked)
         assert all(np.array_equal(a, b) for a, b in zip(plain.snapshots, asked.snapshots))
 
-    @pytest.mark.parametrize("caps", [{}, {"n_max_f": 1, "n_max_s": 1}],
-                             ids=["uncapped", "capped-1-1"])
-    def test_increments_leave_a_filtering_run_bit_for_bit(self, monkeypatch, caps):
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n_max_f": 1, "n_max_s": 1},
+        {"criterion": CriterionKind.FIXED_POINT_NORM, "eps_c": 2e-6, "eps_fil": 1e-3}],
+        ids=["uncapped", "capped-1-1", "converged-at-k1"])
+    def test_increments_leave_a_filtering_run_bit_for_bit(self, monkeypatch, overrides):
         # the acceptance-time update removes the columns its filter drops from
-        # the history as well; the next step's first update drops them anyway,
+        # the history as well; the plain run's next update drops them anyway,
         # so the first 20 steps of the shipped tube keep their counts and
-        # snapshots bit for bit
+        # snapshots bit for bit. Under the loose fixed-point tolerance, step 7
+        # converges at k = 1 right after an acceptance that dropped columns:
+        # the plain run makes no update and appends nothing in that step, and
+        # its next update is the first of step 8
         import fsilab.coupling as coupling_mod
 
         real_check, real_update = coupling_mod.check_convergence, coupling_mod.iqn_ils_update
@@ -1170,11 +1194,14 @@ class TestEngineOnTube:
 
         monkeypatch.setattr(coupling_mod, "check_convergence", check)
         monkeypatch.setattr(coupling_mod, "iqn_ils_update", update)
-        params, config = Tube1DParams(steps=20), CouplingConfig(**caps)
+        params, config = Tube1DParams(steps=20), CouplingConfig(**overrides)
         plain = run_simulation(Tube1DModel(params), config)
         assert not dropped
         asked = run_simulation(Tube1DModel(params), config, increments=True)
         assert len(dropped) == params.steps and sum(dropped) > 0
+        if "eps_c" in overrides:
+            iters = [s.coupling_iters for s in plain.steps]
+            assert iters[6] == 1 < iters[7] and dropped[5] > 0
         assert step_counts(plain) == step_counts(asked)
         assert all(np.array_equal(a, b) for a, b in zip(plain.snapshots, asked.snapshots))
 
