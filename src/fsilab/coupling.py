@@ -18,6 +18,7 @@ nearly dependent columns.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import time
@@ -69,6 +70,12 @@ _PREDICTOR_DEGREE_REUSE = 3
 _PREDICTOR_DEGREE_MEMORYLESS = 5
 
 
+def _column_norms(v: np.ndarray):
+    """The 2-norm of each column of ``v``, or of the vector ``v``, its squares summed
+    down the column in order: the norms the QR1 filter compares against."""
+    return np.sqrt(np.add.accumulate(v * v)[-1]) if v.shape[0] else np.zeros(v.shape[1:])
+
+
 class IqnHistory:
     """Input-output difference pairs feeding the quasi-Newton update.
 
@@ -115,10 +122,8 @@ class IqnHistory:
         if self._ages and age < self._ages[0]:
             raise ContractError(f"column of step {age} is older than the newest stored "
                                 f"column, of step {self._ages[0]}")
-        # ||dr||, its squares summed in order; 0.0 for a stagnant pair, or one
-        # whose squares underflow, which carries no secant information
-        norm = math.sqrt(np.add.accumulate(dr * dr)[-1]) if n else 0.0
-        if norm == 0.0:
+        norm = _column_norms(dr)
+        if norm == 0.0:  # a stagnant pair, or one whose squares underflow
             return
         m = min(n, _MAX_SECANT_COLUMNS)
         if self._buf.shape != (2 * n + 1, 2 * m):
@@ -184,8 +189,7 @@ def _qr1(v_matrix: np.ndarray, eps_fil: float, rhs: np.ndarray, norms: np.ndarra
     zero, ``nan`` as nonzero), gathered as one slice when they form one block
     (on the tube, all but the clamped ends): elsewhere ``rhs`` only adds a
     constant to the squared residual, so ``alpha`` stays exact. The caller checks
-    ``eps_fil`` and passes the column norms of V, squares summed down each
-    column in order, as :class:`IqnHistory` stores them.
+    ``eps_fil`` and passes the column norms of V, by :func:`_column_norms`.
 
     The factorisation and the solve call the gufuncs that numpy.linalg's
     ``qr`` (raw mode) and ``solve`` wrap, geqrf and gesv, on the same
@@ -250,8 +254,7 @@ def qr_filter(v_matrix: np.ndarray, eps_fil: float) -> list:
     v = np.asarray(v_matrix, dtype=float)
     if v.ndim != 2:
         raise ContractError(f"V must be a matrix, got shape {v.shape}")
-    norms = np.sqrt(np.add.accumulate(v * v)[-1]) if v.shape[0] else np.zeros(v.shape[1])
-    return _qr1(v, eps_fil, np.zeros(v.shape[0]), norms)[0].tolist()
+    return _qr1(v, eps_fil, np.zeros(v.shape[0]), _column_norms(v))[0].tolist()
 
 
 def iqn_ils_update(hist: IqnHistory, r_k, d_tilde_k, eps_fil: float):
@@ -340,7 +343,8 @@ class TimeStepRecord:
     exactly when it has them; the relative norm is +inf when the displacement
     is zero. The increment is the one :func:`_update` reports. Under IQN-ILS
     it costs one more quasi-Newton update per step, so it is computed only
-    when the run asks for it (``increments=True``) and is None otherwise.
+    when the run asks for it (``increments=True``) and is None otherwise; that
+    update runs on a copy of the history and never changes the run.
     """
 
     step: int
@@ -462,19 +466,8 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
             x_norm = math.sqrt(x.dot(x))
             rel = r_norm / x_norm if x_norm > 0.0 else float("inf")
             inc = None
-            if increments:
-                # this update may drop columns from hist, and the run stays
-                # bit for bit: a drop reads V alone, not the residual, and
-                # tests a column against the newer kept columns before it.
-                # Appends come at k >= 2 only, each after an update, so the
-                # next update (the first of the next step that does not
-                # converge at k = 1) sees this V less its oldest columns: it
-                # drops the same columns and factors the same kept ones
-                # either way. That needs the dropped columns to touch no row
-                # that no kept column touches, since the filter factors only
-                # the rows V touches; on the tube every column touches every
-                # interior row.
-                inc = _update(config, hist, omega, r, r_norm, x, x_tilde)[1]
+            if increments:  # on a copy: the columns its filter drops stay in hist
+                inc = _update(config, copy.deepcopy(hist), omega, r, r_norm, x, x_tilde)[1]
             rec.accepted_norms = (r_norm, rel, inc)
             return rec, x, u_f, u_s
 
@@ -543,7 +536,8 @@ def run_simulation(model, config: CouplingConfig, on_step=None,
     ``on_step(step, hist, state)`` is a diagnostics hook. ``increments=True``
     records each accepted step's would-be update increment in
     ``accepted_norms[2]``; it adds one quasi-Newton update per accepted step
-    under IQN-ILS and leaves the iteration counts and snapshots unchanged. On
+    under IQN-ILS, on a copy of the history, so the iteration counts and
+    snapshots are those of the same run without it. On
     a diverged step the partial run record, which includes the aborted step,
     is attached to the raised :class:`DivergedStepError` as ``record``.
     """
