@@ -49,20 +49,24 @@ _RESIDUAL_GROWTH_ABORT = 1e6
 # the solver call's floor); IQN-ILS has none, since its QR1 filter removes
 # the stale secant columns that capped solver calls feed it
 _STALL_WINDOW = 6
-# secant columns kept at most: the QR1 filter, not this cap, removes stale
-# columns, and the cap bounds what an update costs (a geqrf over the window);
-# on the tube's cap grid a window of n columns saved no coupling iteration
-# and took the run's wall time and 90th-percentile step time up by 9%
+# secant columns kept at most: the cap bounds what an update costs (a geqrf
+# over the window); the QR1 filter removes the stale columns, so the shipped
+# reuse_q keeps each column long enough that this cap, not age, retires most
+# of them on the shipped tube; on the tube's cap grid a window of n columns
+# saved no coupling iteration and took the run's wall time and
+# 90th-percentile step time up by 9%
 _MAX_SECANT_COLUMNS = 24
 # R's upper-triangle mask, built once for each number of columns _qr1 keeps
 _upper_mask = functools.cache(lambda order: np.triu(np.ones((order, order), dtype=bool)))
 # highest degree of the interface predictor, by the accelerator's memory
 # (calibrated on the tube testbed): IQN-ILS with reuse brings the secant pairs
-# of its last reuse_q steps into each step, and at the shipped reuse_q = 5
-# degree 5 costs it 5% more coupling iterations than degree 3; relaxation and
-# IQN-ILS without reuse start each step from the guess alone, and degree 5 cut
-# their N_c to 0.69-0.70 of degree 3's, where degree 6 ties it at twice the
-# error amplification (degree 2 costs both lanes more)
+# of its last reuse_q steps into each step, and at the shipped reuse_q = 8
+# degrees 2 and 5 cost it 3% and 2% more coupling iterations than degree 3,
+# while degree 4 saves 1.5% at the shipped inlet pulse but none over 30 scaled
+# pulses (median 471.5 against 467); relaxation and IQN-ILS without reuse
+# start each step from the guess alone, and degree 5 cut their N_c to
+# 0.69-0.70 of degree 3's, where degree 6 ties it at twice the error
+# amplification (degree 2 costs both lanes more)
 _PREDICTOR_DEGREE_REUSE = 3
 _PREDICTOR_DEGREE_MEMORYLESS = 5
 

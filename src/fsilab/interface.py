@@ -146,7 +146,7 @@ class CouplingConfig:
     eps_f: float = 1e-9
     eps_s: float = 1e-3
     eps_fil: float = 1e-4
-    reuse_q: int = 5
+    reuse_q: int = 8
     omega0: float = 0.1
     accel: AccelKind = AccelKind.IQN_ILS
     criterion: CriterionKind = CriterionKind.FIRST_RESIDUAL

@@ -1290,6 +1290,15 @@ class TestEngineOnTube:
         assert len(oldest) == params.steps and max(oldest) == config.reuse_q
         assert retained
 
+    def test_shipped_reuse_depth_beats_five_steps(self):
+        # the QR1 filter removes the stale columns that age eviction guarded
+        # against, so the full window, not age, retires most columns at the
+        # shipped depth: 472 coupling iterations against 503 at reuse_q = 5
+        shipped = run_simulation(Tube1DModel(Tube1DParams()), CouplingConfig())
+        shallow = run_simulation(Tube1DModel(Tube1DParams()), CouplingConfig(reuse_q=5))
+        assert shipped.converged and shallow.converged
+        assert shipped.counters.coupling_total < shallow.counters.coupling_total
+
     def test_timings_split(self, short_run):
         _, _, record = short_run
         assert record.flow_seconds > 0
@@ -1383,7 +1392,7 @@ class TestPredictor:
         (CouplingConfig(accel=AccelKind.AITKEN), 5),
         (CouplingConfig(accel=AccelKind.CONSTANT, omega0=0.02, max_coupling_iters=2000), 5),
         (CouplingConfig(reuse_q=0), 5),
-    ], ids=["iqn-ils-q5", "aitken", "constant", "iqn-ils-q0"])
+    ], ids=["iqn-ils-shipped", "aitken", "constant", "iqn-ils-q0"])
     def test_run_starts_each_step_from_the_prediction(self, monkeypatch, config, degree):
         # step 1 starts from zeros, and the zeros are no snapshot: step 2
         # starts from d_1; the degree follows the accelerator's memory, which

@@ -104,6 +104,17 @@ class TestConfigParsing:
         assert load({"workers": "3", "grid_f": "1,inf"}).sweep == {"workers": 3,
                                                                    "grid_f": [1, math.inf]}
 
+    def test_shipped_config_is_the_code_defaults(self):
+        # the benchmark runs tube1d.cfg and the acceptance fixtures the
+        # dataclasses' defaults: a default changed in one place only would
+        # split what the two measure
+        from fsilab import CouplingConfig
+        from fsilab.models.tube import Tube1DParams
+
+        shipped = load(parse_config(data_path("tube1d.cfg")))
+        assert shipped.coupling == CouplingConfig()
+        assert shipped.model.params == Tube1DParams()
+
     @pytest.mark.parametrize("key", ["eps_f", "eps_s", "eps_fil", "eps_c"])
     def test_non_finite_tolerance_rejected(self, key):
         from fsilab.configio import build_coupling_config
