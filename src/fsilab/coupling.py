@@ -351,13 +351,12 @@ def _update(config, hist, omega, r, r_norm, x, x_tilde):
     Returns ``(x_next, increment_norm)`` for the map's input ``x``, its output
     ``x_tilde`` and ``r = x_tilde - x``. Under IQN-ILS the increment is
     ``||W alpha||``, the correction on top of ``x_tilde``; an empty history
-    falls back to relaxation with ``omega0``. Under relaxation the increment is
-    ``omega * ||r||``, the step from ``x``.
+    falls back to relaxation. Relaxation steps ``omega * r`` from ``x``, increment
+    ``omega * ||r||``; ``omega`` stays ``omega0`` unless Aitken's rule moves it.
     """
     if config.accel is AccelKind.IQN_ILS and not hist.is_empty:
         return iqn_ils_update(hist, r, x_tilde, config.eps_fil)
-    step = omega if config.accel is AccelKind.AITKEN else config.omega0
-    return x + step * r, step * r_norm
+    return x + omega * r, omega * r_norm
 
 
 def run_time_step(model, config, state, hist, step, x, u_f, u_s,

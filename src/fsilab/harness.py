@@ -248,13 +248,9 @@ def emit_contour(results_path, quantity: str, out_dir) -> Path:
     if quantity not in CONTOUR_QUANTITIES:
         raise SweepSpecError(f"quantity must be one of {CONTOUR_QUANTITIES}")
     rows = read_sweep_csv(results_path)
-    grid_f: list = []
-    grid_s: list = []
-    for r in rows:
-        if r.nmax_f not in grid_f:
-            grid_f.append(r.nmax_f)
-        if r.nmax_s not in grid_s:
-            grid_s.append(r.nmax_s)
+    # each grid's caps in the order they first appear
+    grid_f = list(dict.fromkeys(r.nmax_f for r in rows))
+    grid_s = list(dict.fromkeys(r.nmax_s for r in rows))
     cells = {(r.nmax_f, r.nmax_s): r for r in rows}
     if len(cells) != len(rows) or len(rows) != len(grid_f) * len(grid_s):
         raise SweepSpecError(f"{results_path}: sweep results do not cover a full "

@@ -3,8 +3,8 @@
 ``LinearToyModel`` couples two linear systems whose monolithic solution is one
 dense solve away, so every partitioned result can be checked exactly. The
 Gauss-Seidel interface map ``d -> d_tilde`` is linear; its spectral radius is
-the ``coupling_strength`` it is built with, which gives a stable preset, an
-added-mass-like unstable preset, and a fully decoupled preset.
+the ``coupling_strength`` it is built with: the ``stable`` preset takes 0.5,
+the added-mass-like ``unstable`` preset 2.5, and 0 decouples the two systems.
 """
 
 from __future__ import annotations
@@ -109,10 +109,6 @@ class LinearToyModel:
     @classmethod
     def unstable(cls, dim_f: int = 4, dim_s: int = 4, **kw) -> "LinearToyModel":
         return cls(dim_f, dim_s, coupling_strength=2.5, **kw)
-
-    @classmethod
-    def decoupled(cls, dim_f: int = 4, dim_s: int = 4, **kw) -> "LinearToyModel":
-        return cls(dim_f, dim_s, coupling_strength=0.0, **kw)
 
     # oracle ---------------------------------------------------------------
 

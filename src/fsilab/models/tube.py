@@ -309,10 +309,8 @@ class TubeFlowSolver:
 
     def output(self, u: np.ndarray) -> np.ndarray:
         n = self.params.cells
-        p = u[n + 1 :]
-        traction = np.empty(self.params.n_nodes)
+        traction = _face_average(u[n + 1 :])  # the end faces carry the imposed pressures
         traction[0] = self._p_in
-        traction[1:n] = 0.5 * (p[:-1] + p[1:])
         traction[n] = self.params.outlet_pressure
         return traction
 
@@ -336,21 +334,21 @@ class TubeSolidSolver:
         b = np.zeros(m)
         b[1:-1] = traction[1:-1] + self._inertia
         base, kappa3 = self._base, self.params.kappa3
-        tangent3 = 3.0 * kappa3  # the cubic term's slope factor, 3 kappa3 u^2
         u_sq = None  # the squared interior displacements of the last residual
+
+        def ring_diagonal(c: float) -> np.ndarray:
+            # base + c u^2; base > 0 and c >= 0, so no entry is zero
+            diag = base.copy()
+            diag[1:-1] += c * u_sq
+            return diag
 
         def residual(u: np.ndarray) -> np.ndarray:
             nonlocal u_sq
             u_sq = u[1:-1] ** 2
-            diag = base.copy()
-            diag[1:-1] += kappa3 * u_sq
-            return b - diag * u
+            return b - ring_diagonal(kappa3) * u
 
         def solve(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-            # base > 0 and kappa3 >= 0, so the tangent's diagonal has no zero
-            diag = base.copy()
-            diag[1:-1] += tangent3 * u_sq
-            return r / diag
+            return r / ring_diagonal(3.0 * kappa3)  # the tangent, d(kappa3 u^3)/du
 
         return b, residual, solve
 

@@ -8,8 +8,8 @@ one Newton (``K(u)^-1 r``) or Picard (``A(u)^-1 r``) correction.
 :func:`call_solver`, the one driver, runs one loop for both and then maps
 the final state to the call's output:
 
-    for i = 1, 2, ...:   r = residual(u), record ||r||/sqrt(n),
-                         u += solve(u, r), then stop if the recorded norm beat eps.
+    for i = 1, 2, ...:   r = residual(u), record ||r||/sqrt(n), u += solve(u, r),
+                         then stop if the recorded norm beat eps or i reached n_max.
 
 The update runs even on the converged iteration (black-box solvers cannot exit
 before updating), so the first recorded norm is the residual of the call's
@@ -112,10 +112,11 @@ def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
     must have its shape, and a None ``u0`` starts from its zeros. ``inp.u0`` is
     never written. ``u0`` and every iterate are tested with
     :func:`~fsilab.interface.all_finite`, one reduction per vector, and the
-    entries of a residual are looked at only when its norm is not finite. Only
-    an unbounded call computes the round-off floor its stall guard reads. A call
-    is bounded when ``n_max < inf``, so an unchecked nan cap runs under the
-    unbounded guards, not forever.
+    entries of a residual are looked at only when its norm is not finite. The
+    loop stops once a norm is below ``eps`` or ``i >= n_max``, which an inf cap
+    and an unchecked nan cap never meet: such a call is unbounded and runs
+    under the unbounded guards, not forever. Only it computes the round-off
+    floor its stall guard reads.
 
     The final state maps to the interface output (traction for the flow
     solver, displacement for the solid solver), the one place a black box's
@@ -159,9 +160,7 @@ def call_solver(solver_id: SolverId, solver: Solver, inp: SolverCallInput):
                                    iteration=i) from exc
         u = u + du
         _guards(history, i, u, bounded, floor)
-        if history[-1] < eps:
-            break
-        if bounded and i >= n_max:
+        if norm < eps or i >= n_max:
             break
     output = solver.output(u)
     if (not isinstance(output, np.ndarray) or output.ndim != 1 or output.dtype != np.float64

@@ -1508,6 +1508,16 @@ class TestEngineAccelerationModes:
         for rec in record.step_records:
             r_norm, _, inc = rec.accepted_norms
             assert inc == config.omega0 * r_norm
+        # IQN-ILS without reuse accepts steps 2 and 3 at their first coupling
+        # iteration, on an empty history, so the increment is relaxation's
+        config = CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=0.5,
+                                accel=AccelKind.IQN_ILS, reuse_q=0)
+        record = run_simulation(LinearToyModel.stable(steps=3), config, increments=True)
+        first_iteration = [rec for rec in record.step_records if rec.coupling_iters == 1]
+        assert [rec.step for rec in first_iteration] == [2, 3]
+        for rec in first_iteration:
+            r_norm, _, inc = rec.accepted_norms
+            assert inc == config.omega0 * r_norm
 
     def test_aitken_increment_is_a_clamped_factor_times_residual(self):
         params = Tube1DParams(cells=40, steps=5)

@@ -28,7 +28,7 @@ class TestLinearToyConstruction:
     def test_presets_hit_their_spectral_radius(self):
         assert gs_spectral_radius(LinearToyModel.stable()) == pytest.approx(0.5, rel=1e-10)
         assert gs_spectral_radius(LinearToyModel.unstable()) == pytest.approx(2.5, rel=1e-10)
-        assert gs_spectral_radius(LinearToyModel.decoupled()) == 0.0
+        assert gs_spectral_radius(LinearToyModel(coupling_strength=0.0)) == 0.0
 
     def test_monolithic_solution_satisfies_both_blocks(self):
         toy = LinearToyModel(5, 3, 0.7)
@@ -77,7 +77,7 @@ class TestLinearToyConstruction:
 
 class TestLinearToyCoupling:
     def test_decoupled_solution_is_independent_solves(self):
-        toy = LinearToyModel.decoupled(steps=2)
+        toy = LinearToyModel(coupling_strength=0.0, steps=2)
         cfg = CouplingConfig(eps_f=1e-12, eps_s=1e-12, omega0=1.0, accel=AccelKind.CONSTANT)
         rec = run_simulation(toy, cfg)
         expect = np.linalg.solve(toy.A_s, toy.b_s0 + toy.B_s @ np.linalg.solve(toy.A_f, toy.b_f0))
